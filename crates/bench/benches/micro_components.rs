@@ -125,6 +125,15 @@ fn bench_coherent_cache(c: &mut Criterion) {
     c.bench_function("cache/coherent_access_100k", |b| b.iter(halo_bench::coherent_access_100k));
 }
 
+fn bench_vm(c: &mut Criterion) {
+    // Shared bodies with `halo bench` (same names ⇒ comparable rows in
+    // BENCH_profile.json): the interpreter with no monitor attached, and
+    // simulated memory alone.
+    let health = halo_workloads::health::build();
+    c.bench_function("vm/null_run_health", |b| b.iter(|| halo_bench::vm_null_run(&health)));
+    c.bench_function("vm/memory_rw_1m", |b| b.iter(halo_bench::vm_memory_rw_1m));
+}
+
 fn bench_sequitur(c: &mut Criterion) {
     let mut rng = SplitMix64::new(3);
     let input: Vec<u32> = (0..50_000).map(|_| rng.next_below(32) as u32).collect();
@@ -209,7 +218,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_grouping, bench_affinity_queue, bench_object_tracker,
-              bench_coherent_cache, bench_sequitur, bench_selector_classify,
-              bench_allocators
+              bench_coherent_cache, bench_vm, bench_sequitur,
+              bench_selector_classify, bench_allocators
 }
 criterion_main!(benches);

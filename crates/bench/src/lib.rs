@@ -424,6 +424,48 @@ pub fn coherent_access_100k() -> u64 {
     s.l1_hits + s.l1_misses + c.invalidations + c.upgrades + c.remote_fills
 }
 
+/// The `vm/null_run_health` micro-workload: `workload`'s ref input under
+/// [`halo_mem::SizeClassAllocator`] with no monitor attached — the
+/// interpreter and simulated memory alone, the floor under every
+/// profile, trace, validation and measurement run. Returns instructions
+/// retired, so callers can quote ns/instr. One body shared by the
+/// Criterion micro-bench and `halo bench`.
+pub fn vm_null_run(workload: &Workload) -> u64 {
+    let mut alloc = halo_mem::SizeClassAllocator::new();
+    halo_vm::Engine::new(&workload.program)
+        .with_seed(workload.reference.seed)
+        .with_entry_arg(workload.reference.arg)
+        .with_limits(bench_limits())
+        .run(&mut alloc, &mut halo_vm::NullMonitor)
+        .unwrap_or_else(|e| panic!("{}: null run failed: {e}", workload.name))
+        .instructions
+}
+
+/// Operations one [`vm_memory_rw_1m`] call issues.
+pub const VM_MEMORY_RW_OPS: u64 = 1_000_000;
+
+/// The `vm/memory_rw_1m` micro-workload: 1M aligned 8-byte accesses to
+/// [`halo_vm::Memory`], uniformly random over a 4 MiB working set — 1024
+/// pages, more than the page table's translation cache maps, so both its
+/// hit and its miss path are on the clock — every third one a write.
+/// Returns a checksum of the values read. Shared like [`vm_null_run`].
+pub fn vm_memory_rw_1m() -> u64 {
+    const BASE: u64 = 0x4000_0000;
+    const WORDS: u64 = (4 << 20) / 8;
+    let mut mem = halo_vm::Memory::new();
+    let mut rng = halo_vm::SplitMix64::new(41);
+    let mut sum = 0u64;
+    for i in 0..VM_MEMORY_RW_OPS {
+        let addr = BASE + rng.next_below(WORDS) * 8;
+        if i.is_multiple_of(3) {
+            mem.write(addr, 8, i);
+        } else {
+            sum = sum.wrapping_add(mem.read(addr, 8));
+        }
+    }
+    sum.wrapping_add(mem.resident_pages() as u64)
+}
+
 /// Shape of a synthetic affinity graph for the million-node scale
 /// benchmarks (`graph/build_csr_1m`, `graph/group_1m_nodes`).
 ///
@@ -656,6 +698,15 @@ mod tests {
         let b = coherent_access_100k();
         assert_eq!(a, b);
         assert!(a > 100_000, "hits + misses alone already exceed the access count");
+    }
+
+    #[test]
+    fn vm_bodies_are_deterministic() {
+        assert_eq!(vm_memory_rw_1m(), vm_memory_rw_1m());
+        let toy = halo_workloads::toy::build();
+        let instructions = vm_null_run(&toy);
+        assert!(instructions > 0);
+        assert_eq!(instructions, vm_null_run(&toy));
     }
 
     #[test]

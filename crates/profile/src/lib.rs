@@ -60,7 +60,6 @@
 //! assert!(profile.graph.edge_count() >= 1); // and they are affinitive
 //! ```
 
-mod hash;
 mod objects;
 mod profiler;
 mod queue;

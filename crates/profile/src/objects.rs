@@ -22,8 +22,8 @@
 //! the address: any small object containing it would be registered under
 //! its page.
 
-use crate::hash::FastIntState;
 use halo_graph::NodeId;
+use halo_vm::FastIntState;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 

@@ -30,8 +30,8 @@
 //! [`record_with`]: AffinityQueue::record_with
 //! [`record`]: AffinityQueue::record
 
-use crate::hash::mix64;
 use halo_graph::NodeId;
+use halo_vm::mix64;
 
 /// One recorded macro-access in the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

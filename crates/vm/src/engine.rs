@@ -580,12 +580,14 @@ impl<'p> Engine<'p> {
         alloc: &mut A,
         monitor: &mut M,
     ) -> Result<ExitStats, VmError> {
+        let program = self.program;
+        let limits = self.limits;
         let mut rng = SplitMix64::new(self.seed);
         let mut stats = ExitStats::default();
         let mut stack: Vec<Frame> = Vec::with_capacity(64);
         let mut entry_regs = [0i64; NUM_REGS];
         entry_regs[0] = self.entry_arg;
-        stack.push(Frame { func: self.program.entry, pc: 0, regs: entry_regs, ret_dst: None });
+        stack.push(Frame { func: program.entry, pc: 0, regs: entry_regs, ret_dst: None });
         stats.max_depth = 1;
 
         // Pending Load/Store events. Flushed before every non-access
@@ -602,232 +604,236 @@ impl<'p> Engine<'p> {
             };
         }
 
-        'outer: loop {
+        // The outer loop runs once per frame activation: it caches the top
+        // frame's function id, code slice, registers and pc in locals, so
+        // the inner loop retires ops without re-deriving any of them. A
+        // call saves the pc it will resume at into its frame; a return
+        // pops the frame, pc and all. Both then re-enter here.
+        'frames: loop {
             let frame = stack.last_mut().expect("non-empty stack");
-            let func = self.program.function(frame.func);
-            let op = &func.code[frame.pc as usize];
-            let here = CallSite::new(frame.func, frame.pc);
+            let func = frame.func;
+            let code = program.function(func).code.as_slice();
+            let regs = &mut frame.regs;
+            let mut pc = frame.pc;
 
-            stats.instructions += 1;
-            monitor.on_instruction();
-            if stats.instructions > self.limits.max_instructions {
-                flush_accesses!();
-                return Err(VmError::FuelExhausted);
-            }
+            loop {
+                let op = &code[pc as usize];
+                let here = CallSite::new(func, pc);
 
-            let mut next_pc = frame.pc + 1;
-            match op {
-                Op::Imm(d, v) => frame.regs[d.0 as usize] = *v,
-                Op::Mov(d, s) => frame.regs[d.0 as usize] = frame.regs[s.0 as usize],
-                Op::Add(d, a, b) => {
-                    frame.regs[d.0 as usize] =
-                        frame.regs[a.0 as usize].wrapping_add(frame.regs[b.0 as usize])
-                }
-                Op::AddImm(d, a, v) => {
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize].wrapping_add(*v)
-                }
-                Op::Sub(d, a, b) => {
-                    frame.regs[d.0 as usize] =
-                        frame.regs[a.0 as usize].wrapping_sub(frame.regs[b.0 as usize])
-                }
-                Op::Mul(d, a, b) => {
-                    frame.regs[d.0 as usize] =
-                        frame.regs[a.0 as usize].wrapping_mul(frame.regs[b.0 as usize])
-                }
-                Op::MulImm(d, a, v) => {
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize].wrapping_mul(*v)
-                }
-                Op::Div(d, a, b) => {
-                    let bv = frame.regs[b.0 as usize];
-                    if bv == 0 {
-                        flush_accesses!();
-                        return Err(VmError::DivisionByZero { at: here });
-                    }
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize].wrapping_div(bv);
-                }
-                Op::Rem(d, a, b) => {
-                    let bv = frame.regs[b.0 as usize];
-                    if bv == 0 {
-                        flush_accesses!();
-                        return Err(VmError::DivisionByZero { at: here });
-                    }
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize].wrapping_rem(bv);
-                }
-                Op::And(d, a, b) => {
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize] & frame.regs[b.0 as usize]
-                }
-                Op::Or(d, a, b) => {
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize] | frame.regs[b.0 as usize]
-                }
-                Op::Xor(d, a, b) => {
-                    frame.regs[d.0 as usize] = frame.regs[a.0 as usize] ^ frame.regs[b.0 as usize]
-                }
-                Op::Load { dst, base, offset, width } => {
-                    let addr = (frame.regs[base.0 as usize].wrapping_add(*offset)) as u64;
-                    let v = self.memory.read(addr, width.bytes());
-                    frame.regs[dst.0 as usize] = v as i64;
-                    stats.loads += 1;
-                    if batch.push(addr, width.bytes() as u8, false) {
-                        flush_accesses!();
-                    }
-                }
-                Op::Store { src, base, offset, width } => {
-                    let addr = (frame.regs[base.0 as usize].wrapping_add(*offset)) as u64;
-                    self.memory.write(addr, width.bytes(), frame.regs[src.0 as usize] as u64);
-                    stats.stores += 1;
-                    if batch.push(addr, width.bytes() as u8, true) {
-                        flush_accesses!();
-                    }
-                }
-                Op::Call { func: callee, args, dst } => {
-                    let mut regs = [0i64; NUM_REGS];
-                    for (i, a) in args.iter().enumerate() {
-                        regs[i] = frame.regs[a.0 as usize];
-                    }
-                    frame.pc = next_pc;
-                    let ret_dst = *dst;
+                stats.instructions += 1;
+                monitor.on_instruction();
+                if stats.instructions > limits.max_instructions {
                     flush_accesses!();
-                    monitor.on_call(here, *callee);
-                    stack.push(Frame { func: *callee, pc: 0, regs, ret_dst });
-                    stats.max_depth = stats.max_depth.max(stack.len());
-                    if stack.len() > self.limits.max_call_depth {
-                        return Err(VmError::CallDepthExceeded);
-                    }
-                    continue 'outer;
+                    return Err(VmError::FuelExhausted);
                 }
-                Op::CallIndirect { target, args, dst } => {
-                    let tv = frame.regs[target.0 as usize];
-                    if tv < 0 || tv as usize >= self.program.functions.len() {
+
+                let mut next_pc = pc + 1;
+                match op {
+                    Op::Imm(d, v) => regs[d.0 as usize] = *v,
+                    Op::Mov(d, s) => regs[d.0 as usize] = regs[s.0 as usize],
+                    Op::Add(d, a, b) => {
+                        regs[d.0 as usize] = regs[a.0 as usize].wrapping_add(regs[b.0 as usize])
+                    }
+                    Op::AddImm(d, a, v) => regs[d.0 as usize] = regs[a.0 as usize].wrapping_add(*v),
+                    Op::Sub(d, a, b) => {
+                        regs[d.0 as usize] = regs[a.0 as usize].wrapping_sub(regs[b.0 as usize])
+                    }
+                    Op::Mul(d, a, b) => {
+                        regs[d.0 as usize] = regs[a.0 as usize].wrapping_mul(regs[b.0 as usize])
+                    }
+                    Op::MulImm(d, a, v) => regs[d.0 as usize] = regs[a.0 as usize].wrapping_mul(*v),
+                    Op::Div(d, a, b) => {
+                        let bv = regs[b.0 as usize];
+                        if bv == 0 {
+                            flush_accesses!();
+                            return Err(VmError::DivisionByZero { at: here });
+                        }
+                        regs[d.0 as usize] = regs[a.0 as usize].wrapping_div(bv);
+                    }
+                    Op::Rem(d, a, b) => {
+                        let bv = regs[b.0 as usize];
+                        if bv == 0 {
+                            flush_accesses!();
+                            return Err(VmError::DivisionByZero { at: here });
+                        }
+                        regs[d.0 as usize] = regs[a.0 as usize].wrapping_rem(bv);
+                    }
+                    Op::And(d, a, b) => {
+                        regs[d.0 as usize] = regs[a.0 as usize] & regs[b.0 as usize]
+                    }
+                    Op::Or(d, a, b) => regs[d.0 as usize] = regs[a.0 as usize] | regs[b.0 as usize],
+                    Op::Xor(d, a, b) => {
+                        regs[d.0 as usize] = regs[a.0 as usize] ^ regs[b.0 as usize]
+                    }
+                    Op::Load { dst, base, offset, width } => {
+                        let addr = (regs[base.0 as usize].wrapping_add(*offset)) as u64;
+                        let v = self.memory.read(addr, width.bytes());
+                        regs[dst.0 as usize] = v as i64;
+                        stats.loads += 1;
+                        if batch.push(addr, width.bytes() as u8, false) {
+                            flush_accesses!();
+                        }
+                    }
+                    Op::Store { src, base, offset, width } => {
+                        let addr = (regs[base.0 as usize].wrapping_add(*offset)) as u64;
+                        self.memory.write(addr, width.bytes(), regs[src.0 as usize] as u64);
+                        stats.stores += 1;
+                        if batch.push(addr, width.bytes() as u8, true) {
+                            flush_accesses!();
+                        }
+                    }
+                    Op::Call { func: callee, args, dst } => {
+                        let mut callee_regs = [0i64; NUM_REGS];
+                        for (i, a) in args.iter().enumerate() {
+                            callee_regs[i] = regs[a.0 as usize];
+                        }
+                        frame.pc = next_pc;
                         flush_accesses!();
-                        return Err(VmError::BadIndirectTarget { at: here, value: tv });
+                        monitor.on_call(here, *callee);
+                        stack.push(Frame {
+                            func: *callee,
+                            pc: 0,
+                            regs: callee_regs,
+                            ret_dst: *dst,
+                        });
+                        stats.max_depth = stats.max_depth.max(stack.len());
+                        if stack.len() > limits.max_call_depth {
+                            return Err(VmError::CallDepthExceeded);
+                        }
+                        continue 'frames;
                     }
-                    let callee = FuncId(tv as u32);
-                    let mut regs = [0i64; NUM_REGS];
-                    for (i, a) in args.iter().enumerate() {
-                        regs[i] = frame.regs[a.0 as usize];
-                    }
-                    frame.pc = next_pc;
-                    let ret_dst = *dst;
-                    flush_accesses!();
-                    monitor.on_call(here, callee);
-                    stack.push(Frame { func: callee, pc: 0, regs, ret_dst });
-                    stats.max_depth = stats.max_depth.max(stack.len());
-                    if stack.len() > self.limits.max_call_depth {
-                        return Err(VmError::CallDepthExceeded);
-                    }
-                    continue 'outer;
-                }
-                Op::Malloc { size, dst } => {
-                    let sz = frame.regs[size.0 as usize] as u64;
-                    flush_accesses!();
-                    let ptr = alloc.malloc(sz, here, &self.group_state, &mut self.memory);
-                    if ptr == 0 {
-                        return Err(VmError::AllocationFailed { at: here, size: sz });
-                    }
-                    frame.regs[dst.0 as usize] = ptr as i64;
-                    stats.allocs += 1;
-                    monitor.on_alloc(AllocKind::Malloc, here, sz, ptr, 0);
-                }
-                Op::Calloc { count, size, dst } => {
-                    let c = frame.regs[count.0 as usize] as u64;
-                    let sz = frame.regs[size.0 as usize] as u64;
-                    let total = c.saturating_mul(sz);
-                    flush_accesses!();
-                    let ptr = alloc.calloc(c, sz, here, &self.group_state, &mut self.memory);
-                    if ptr == 0 {
-                        return Err(VmError::AllocationFailed { at: here, size: total });
-                    }
-                    frame.regs[dst.0 as usize] = ptr as i64;
-                    stats.allocs += 1;
-                    monitor.on_alloc(AllocKind::Calloc, here, total, ptr, 0);
-                }
-                Op::Realloc { ptr, size, dst } => {
-                    let old = frame.regs[ptr.0 as usize] as u64;
-                    let sz = frame.regs[size.0 as usize] as u64;
-                    flush_accesses!();
-                    let newp = if old == 0 {
-                        alloc.malloc(sz, here, &self.group_state, &mut self.memory)
-                    } else {
-                        alloc.realloc(old, sz, here, &self.group_state, &mut self.memory)
-                    };
-                    if newp == 0 {
-                        return Err(VmError::AllocationFailed { at: here, size: sz });
-                    }
-                    frame.regs[dst.0 as usize] = newp as i64;
-                    stats.allocs += 1;
-                    monitor.on_alloc(AllocKind::Realloc, here, sz, newp, old);
-                }
-                Op::Free { ptr } => {
-                    let p = frame.regs[ptr.0 as usize] as u64;
-                    if p != 0 {
+                    Op::CallIndirect { target, args, dst } => {
+                        let tv = regs[target.0 as usize];
+                        if tv < 0 || tv as usize >= program.functions.len() {
+                            flush_accesses!();
+                            return Err(VmError::BadIndirectTarget { at: here, value: tv });
+                        }
+                        let callee = FuncId(tv as u32);
+                        let mut callee_regs = [0i64; NUM_REGS];
+                        for (i, a) in args.iter().enumerate() {
+                            callee_regs[i] = regs[a.0 as usize];
+                        }
+                        frame.pc = next_pc;
                         flush_accesses!();
-                        monitor.on_free(here, p);
-                        alloc.free(p, &mut self.memory);
-                        stats.frees += 1;
+                        monitor.on_call(here, callee);
+                        stack.push(Frame { func: callee, pc: 0, regs: callee_regs, ret_dst: *dst });
+                        stats.max_depth = stats.max_depth.max(stack.len());
+                        if stack.len() > limits.max_call_depth {
+                            return Err(VmError::CallDepthExceeded);
+                        }
+                        continue 'frames;
                     }
-                }
-                Op::Jump(t) => next_pc = *t,
-                Op::Branch { cond, a, b, target } => {
-                    if cond.eval(frame.regs[a.0 as usize], frame.regs[b.0 as usize]) {
-                        next_pc = *target;
-                    }
-                }
-                Op::Compute(n) => {
-                    // One instruction was already counted for the op itself;
-                    // account for the remaining n-1 modelled instructions.
-                    stats.instructions += n.saturating_sub(1);
-                    flush_accesses!();
-                    monitor.on_compute(*n);
-                    if stats.instructions > self.limits.max_instructions {
-                        return Err(VmError::FuelExhausted);
-                    }
-                }
-                Op::Rand { dst, bound } => {
-                    let b = frame.regs[bound.0 as usize];
-                    if b <= 0 {
+                    Op::Malloc { size, dst } => {
+                        let sz = regs[size.0 as usize] as u64;
                         flush_accesses!();
-                        return Err(VmError::BadRandBound { at: here });
+                        let ptr = alloc.malloc(sz, here, &self.group_state, &mut self.memory);
+                        if ptr == 0 {
+                            return Err(VmError::AllocationFailed { at: here, size: sz });
+                        }
+                        regs[dst.0 as usize] = ptr as i64;
+                        stats.allocs += 1;
+                        monitor.on_alloc(AllocKind::Malloc, here, sz, ptr, 0);
                     }
-                    frame.regs[dst.0 as usize] = rng.next_below(b as u64) as i64;
-                }
-                Op::Ret(v) => {
-                    let value = v.map(|r| frame.regs[r.0 as usize]);
-                    let returning = frame.func;
-                    let ret_dst = frame.ret_dst;
-                    stack.pop();
-                    flush_accesses!();
-                    monitor.on_return(returning);
-                    match stack.last_mut() {
-                        Some(caller) => {
-                            if let (Some(dst), Some(val)) = (ret_dst, value) {
-                                caller.regs[dst.0 as usize] = val;
+                    Op::Calloc { count, size, dst } => {
+                        let c = regs[count.0 as usize] as u64;
+                        let sz = regs[size.0 as usize] as u64;
+                        let total = c.saturating_mul(sz);
+                        flush_accesses!();
+                        let ptr = alloc.calloc(c, sz, here, &self.group_state, &mut self.memory);
+                        if ptr == 0 {
+                            return Err(VmError::AllocationFailed { at: here, size: total });
+                        }
+                        regs[dst.0 as usize] = ptr as i64;
+                        stats.allocs += 1;
+                        monitor.on_alloc(AllocKind::Calloc, here, total, ptr, 0);
+                    }
+                    Op::Realloc { ptr, size, dst } => {
+                        let old = regs[ptr.0 as usize] as u64;
+                        let sz = regs[size.0 as usize] as u64;
+                        flush_accesses!();
+                        let newp = if old == 0 {
+                            alloc.malloc(sz, here, &self.group_state, &mut self.memory)
+                        } else {
+                            alloc.realloc(old, sz, here, &self.group_state, &mut self.memory)
+                        };
+                        if newp == 0 {
+                            return Err(VmError::AllocationFailed { at: here, size: sz });
+                        }
+                        regs[dst.0 as usize] = newp as i64;
+                        stats.allocs += 1;
+                        monitor.on_alloc(AllocKind::Realloc, here, sz, newp, old);
+                    }
+                    Op::Free { ptr } => {
+                        let p = regs[ptr.0 as usize] as u64;
+                        if p != 0 {
+                            flush_accesses!();
+                            monitor.on_free(here, p);
+                            alloc.free(p, &mut self.memory);
+                            stats.frees += 1;
+                        }
+                    }
+                    Op::Jump(t) => next_pc = *t,
+                    Op::Branch { cond, a, b, target } => {
+                        if cond.eval(regs[a.0 as usize], regs[b.0 as usize]) {
+                            next_pc = *target;
+                        }
+                    }
+                    Op::Compute(n) => {
+                        // One instruction was already counted for the op itself;
+                        // account for the remaining n-1 modelled instructions.
+                        stats.instructions += n.saturating_sub(1);
+                        flush_accesses!();
+                        monitor.on_compute(*n);
+                        if stats.instructions > limits.max_instructions {
+                            return Err(VmError::FuelExhausted);
+                        }
+                    }
+                    Op::Rand { dst, bound } => {
+                        let b = regs[bound.0 as usize];
+                        if b <= 0 {
+                            flush_accesses!();
+                            return Err(VmError::BadRandBound { at: here });
+                        }
+                        regs[dst.0 as usize] = rng.next_below(b as u64) as i64;
+                    }
+                    Op::Ret(v) => {
+                        let value = v.map(|r| regs[r.0 as usize]);
+                        let ret_dst = frame.ret_dst;
+                        stack.pop();
+                        flush_accesses!();
+                        monitor.on_return(func);
+                        match stack.last_mut() {
+                            Some(caller) => {
+                                if let (Some(dst), Some(val)) = (ret_dst, value) {
+                                    caller.regs[dst.0 as usize] = val;
+                                }
+                                continue 'frames;
                             }
-                            continue 'outer;
-                        }
-                        None => {
-                            stats.return_value = value;
-                            // The process-exit moment: let the allocator
-                            // apply deferred work (e.g. queued remote
-                            // frees) so post-run diagnostics see the
-                            // whole stream.
-                            alloc.run_finished(&mut self.memory);
-                            return Ok(stats);
+                            None => {
+                                stats.return_value = value;
+                                // The process-exit moment: let the allocator
+                                // apply deferred work (e.g. queued remote
+                                // frees) so post-run diagnostics see the
+                                // whole stream.
+                                alloc.run_finished(&mut self.memory);
+                                return Ok(stats);
+                            }
                         }
                     }
+                    Op::ThreadSwitch(t) => {
+                        stats.thread_switches += 1;
+                        alloc.thread_switched(*t);
+                        // The flush precedes the announcement so the buffered
+                        // accesses are still attributed to the old thread.
+                        flush_accesses!();
+                        monitor.on_thread_switch(*t);
+                    }
+                    Op::GroupSet(b) => self.group_state.set(*b),
+                    Op::GroupClear(b) => self.group_state.clear(*b),
+                    Op::Nop => {}
                 }
-                Op::ThreadSwitch(t) => {
-                    stats.thread_switches += 1;
-                    alloc.thread_switched(*t);
-                    // The flush precedes the announcement so the buffered
-                    // accesses are still attributed to the old thread.
-                    flush_accesses!();
-                    monitor.on_thread_switch(*t);
-                }
-                Op::GroupSet(b) => self.group_state.set(*b),
-                Op::GroupClear(b) => self.group_state.clear(*b),
-                Op::Nop => {}
+                pc = next_pc;
             }
-            frame.pc = next_pc;
         }
     }
 }
@@ -1374,23 +1380,101 @@ mod tests {
         assert_eq!(kinds, vec!["alloc", "access", "call", "access", "ret", "free", "ret"]);
     }
 
-    /// Buffered accesses are delivered even when the run dies on a trap.
+    /// A trap delivers the accesses buffered before it and names its own
+    /// instruction — here in a frame entered by a call and resumed after a
+    /// nested return, the two points where the loop re-fetches its cached
+    /// function and pc.
     #[test]
-    fn error_exits_flush_pending_accesses() {
+    fn division_by_zero_flushes_and_reports_its_call_site() {
+        let mut pb = ProgramBuilder::new();
+        let outer = pb.declare("outer");
+        let leaf = pb.declare("leaf");
+        let mut f = pb.function("main");
+        f.imm(r(0), 64);
+        f.malloc(r(0), r(1));
+        f.call(outer, &[r(1)], None);
+        f.ret(None);
+        let main = f.finish();
+        let mut g = pb.define(outer);
+        g.argc(1);
+        g.call(leaf, &[r(0)], None);
+        g.load(r(2), r(0), 8, Width::W4);
+        g.imm(r(3), 0);
+        g.div(r(4), r(2), r(3));
+        g.ret(None);
+        g.finish();
+        let mut h = pb.define(leaf);
+        h.argc(1);
+        h.load(r(1), r(0), 0, Width::W8);
+        h.ret(None);
+        h.finish();
+        let p = pb.finish(main);
+        let mut alloc = MallocOnlyAllocator::new();
+        let mut probe = BatchProbe::default();
+        let err = Engine::new(&p).run(&mut alloc, &mut probe).unwrap_err();
+        assert_eq!(err, VmError::DivisionByZero { at: CallSite::new(outer, 3) });
+        let base = MallocOnlyAllocator::BASE;
+        assert_eq!(probe.accesses, vec![(base, 8, false), (base + 8, 4, false)]);
+        assert_eq!(probe.batches, vec![1, 1], "leaf's load before its return, outer's at the trap");
+    }
+
+    /// Running out of fuel delivers every access retired before the limit.
+    #[test]
+    fn fuel_exhaustion_flushes_buffered_accesses() {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.function("main");
         f.imm(r(0), 64);
         f.malloc(r(0), r(1));
+        let top = f.label();
+        f.bind(top);
         f.load(r(2), r(1), 0, Width::W8);
-        f.imm(r(3), 0);
-        f.div(r(4), r(2), r(3));
+        f.jump(top);
         f.ret(None);
         let main = f.finish();
         let p = pb.finish(main);
         let mut alloc = MallocOnlyAllocator::new();
         let mut probe = BatchProbe::default();
-        let err = Engine::new(&p).run(&mut alloc, &mut probe).unwrap_err();
-        assert!(matches!(err, VmError::DivisionByZero { .. }));
-        assert_eq!(probe.accesses.len(), 1, "the load preceding the trap is not lost");
+        let err = Engine::new(&p)
+            .with_limits(EngineLimits { max_instructions: 100, max_call_depth: 16 })
+            .run(&mut alloc, &mut probe)
+            .unwrap_err();
+        assert_eq!(err, VmError::FuelExhausted);
+        // Instructions 3, 5, …, 99 are the loads; the 101st op never runs.
+        assert_eq!(probe.batches, vec![49]);
+    }
+
+    /// The call that overflows the stack still flushes first, so the
+    /// caller's accesses precede its `on_call` as on any other call.
+    #[test]
+    fn call_depth_exceeded_flushes_buffered_accesses() {
+        let mut pb = ProgramBuilder::new();
+        let rec = pb.declare("rec");
+        let mut f = pb.function("main");
+        f.imm(r(0), 64);
+        f.malloc(r(0), r(1));
+        f.call(rec, &[r(1)], None);
+        f.ret(None);
+        let main = f.finish();
+        let mut g = pb.define(rec);
+        g.argc(1);
+        g.load(r(1), r(0), 0, Width::W8);
+        g.call(rec, &[r(0)], None);
+        g.ret(None);
+        g.finish();
+        let p = pb.finish(main);
+        let mut alloc = MallocOnlyAllocator::new();
+        let mut mon = RecordingMonitor::default();
+        let err = Engine::new(&p)
+            .with_limits(EngineLimits { max_instructions: 10_000, max_call_depth: 8 })
+            .run(&mut alloc, &mut mon)
+            .unwrap_err();
+        assert_eq!(err, VmError::CallDepthExceeded);
+        let kinds: Vec<&str> =
+            mon.events.iter().map(|e| e.split_whitespace().next().unwrap()).collect();
+        // main plus seven activations of `rec` fit; the eighth call trips
+        // the limit after its load was flushed and its on_call delivered.
+        let mut expected = vec!["alloc", "call"];
+        expected.extend(["access", "call"].repeat(7));
+        assert_eq!(kinds, expected);
     }
 }

@@ -1,16 +1,18 @@
-//! Small hashing utilities shared by the profiling hot path.
+//! The workspace's one hasher for trusted integer keys.
 //!
-//! The per-access path hashes two kinds of keys — object ids in the
-//! affinity queue's dedup table and page numbers in the object tracker's
-//! page index — millions of times per run. SipHash (std's default) is
-//! overkill for trusted integer keys, so both use the SplitMix64 finalizer,
-//! which is a cheap bijective mixer with full avalanche.
+//! Hot paths hash page numbers and object ids millions of times per run —
+//! [`crate::Memory`]'s page index here, the object tracker's page index
+//! and the affinity queue's dedup table in `halo_profile`. SipHash (std's
+//! default) is overkill for keys the program itself generates, so they all
+//! use the SplitMix64 finalizer, a cheap bijective mixer with full
+//! avalanche. It lives in this crate because this is the bottom of the
+//! dependency graph.
 
 use std::hash::{BuildHasher, Hasher};
 
 /// The SplitMix64 finalizer: bijective, full-avalanche integer mixing.
 #[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -20,7 +22,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// A `BuildHasher` for `HashMap`s keyed by trusted integers (page numbers,
 /// object ids). Not DoS-resistant — do not use for attacker-chosen keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FastIntState;
+pub struct FastIntState;
 
 impl BuildHasher for FastIntState {
     type Hasher = FastIntHasher;
@@ -33,7 +35,7 @@ impl BuildHasher for FastIntState {
 /// Hasher produced by [`FastIntState`]; mixes each written word into the
 /// running state with [`mix64`].
 #[derive(Debug, Default)]
-pub(crate) struct FastIntHasher(u64);
+pub struct FastIntHasher(u64);
 
 impl Hasher for FastIntHasher {
     #[inline]

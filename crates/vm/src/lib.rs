@@ -62,6 +62,7 @@ mod builder;
 mod disasm;
 mod engine;
 mod group_state;
+mod hash;
 mod ids;
 mod memory;
 mod op;
@@ -74,6 +75,7 @@ pub use engine::{
     NullMonitor, SyncVmAllocator, VmAllocator, VmError,
 };
 pub use group_state::GroupState;
+pub use hash::{mix64, FastIntHasher, FastIntState};
 pub use ids::{CallSite, Cond, FuncId, Reg, Width};
 pub use memory::{Memory, PAGE_SIZE};
 pub use op::Op;

@@ -839,6 +839,10 @@ struct BenchRow {
     samples: u32,
     best_ns: u128,
     mean_ns: u128,
+    /// Units of work one sample performs and what they are called, for
+    /// rows whose natural unit is a rate (stdout only; the file keeps
+    /// whole-sample nanoseconds so every row compares the same way).
+    work: Option<(u64, &'static str)>,
 }
 
 /// Run `routine` `samples` times; report best and mean wall-clock.
@@ -851,7 +855,13 @@ fn time_samples(name: &'static str, samples: u32, mut routine: impl FnMut()) -> 
         best = best.min(ns);
         total += ns;
     }
-    BenchRow { name, samples, best_ns: best, mean_ns: total / u128::from(samples.max(1)) }
+    BenchRow {
+        name,
+        samples,
+        best_ns: best,
+        mean_ns: total / u128::from(samples.max(1)),
+        work: None,
+    }
 }
 
 /// `halo bench`: machine-readable performance baselines for the profiling
@@ -920,6 +930,21 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         std::hint::black_box(halo_bench::coherent_access_100k());
     }));
 
+    // The interpreter with no monitor attached (health's ref input, the
+    // longest of the 11) and simulated memory alone.
+    let health = halo::workloads::health::build();
+    let mut instructions = 0;
+    let mut row = time_samples("vm/null_run_health", 3, || {
+        instructions = std::hint::black_box(halo_bench::vm_null_run(&health));
+    });
+    row.work = Some((instructions, "instr"));
+    rows.push(row);
+    let mut row = time_samples("vm/memory_rw_1m", 10, || {
+        std::hint::black_box(halo_bench::vm_memory_rw_1m());
+    });
+    row.work = Some((halo_bench::VM_MEMORY_RW_OPS, "op"));
+    rows.push(row);
+
     // Million-node graph pipeline (DESIGN.md §13): sharded generation →
     // parallel subgraph union → CSR finalise, then one Fig. 6 grouping
     // pass. The grouping row times grouping alone on a pre-built graph.
@@ -966,8 +991,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
 
     for row in &rows {
+        let rate = row.work.map_or(String::new(), |(units, unit)| {
+            format!("  {:.2} ns/{unit}", row.best_ns as f64 / units.max(1) as f64)
+        });
         println!(
-            "{:<32} best {:>10.3}ms  mean {:>10.3}ms  ({} samples)",
+            "{:<32} best {:>10.3}ms  mean {:>10.3}ms  ({} samples){rate}",
             row.name,
             row.best_ns as f64 / 1e6,
             row.mean_ns as f64 / 1e6,
