@@ -134,6 +134,13 @@ fn bench_vm(c: &mut Criterion) {
     c.bench_function("vm/memory_rw_1m", |b| b.iter(halo_bench::vm_memory_rw_1m));
 }
 
+fn bench_identify(c: &mut Criterion) {
+    // Shared body with `halo bench` (same name ⇒ comparable rows in
+    // BENCH_profile.json): one Fig. 10 pass over 2 048 clustered contexts.
+    let profile = halo_bench::identify_profile_2k();
+    c.bench_function("ident/identify_2k", |b| b.iter(|| halo_bench::identify_2k(&profile)));
+}
+
 fn bench_sequitur(c: &mut Criterion) {
     let mut rng = SplitMix64::new(3);
     let input: Vec<u32> = (0..50_000).map(|_| rng.next_below(32) as u32).collect();
@@ -218,7 +225,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_grouping, bench_affinity_queue, bench_object_tracker,
-              bench_coherent_cache, bench_vm, bench_sequitur,
+              bench_coherent_cache, bench_vm, bench_identify, bench_sequitur,
               bench_selector_classify, bench_allocators
 }
 criterion_main!(benches);

@@ -573,9 +573,79 @@ pub fn build_graph(spec: &GraphSpec) -> halo_graph::AffinityGraph {
 /// heavy-tail noise floor; `group_threshold` 0 keeps every positive-
 /// benefit group). Returns the group count as the black-box value.
 pub fn group_graph_nodes(graph: &halo_graph::AffinityGraph) -> usize {
-    let params =
-        GroupingParams { min_weight: 8, group_threshold: 0.0, ..GroupingParams::default() };
-    halo_graph::group(graph, &params).len()
+    halo_graph::group(graph, &bulk_params()).len()
+}
+
+/// Bulk-scale grouping parameters of the graph and identify benches.
+fn bulk_params() -> GroupingParams {
+    GroupingParams { min_weight: 8, group_threshold: 0.0, ..GroupingParams::default() }
+}
+
+/// Input of the `ident/identify_2k` bench: a clustered context profile and
+/// its groups.
+pub struct IdentifyProfile {
+    /// Groups of `contexts`' affinity graph, from [`halo_graph::group`].
+    pub groups: Vec<halo_graph::Group>,
+    /// One depth-5 call chain per graph node.
+    pub contexts: Vec<halo_ident::ContextSummary>,
+}
+
+/// Build the `ident/identify_2k` input: 2 048 contexts with depth-5 chains
+/// over a shared site alphabet, eight to an affinity cluster. A cluster
+/// shares its two outer frames (drawn from a small alphabet, so clusters
+/// conflict with each other); the inner frames and the allocation site
+/// vary per context — the wrapper-function shape (povray, xalanc) that
+/// makes `identify` search for discriminating sites. Groups come from
+/// `group()` at the bulk-scale parameters. Deterministic.
+pub fn identify_profile_2k() -> IdentifyProfile {
+    use halo_graph::NodeId;
+    const CONTEXTS: u32 = 2048;
+    const CLUSTER: u32 = 8;
+    let mut rng = halo_vm::SplitMix64::new(42);
+    let site =
+        |level: u32, index: u64| halo_vm::CallSite::new(halo_vm::FuncId(level), index as u32);
+    let mut graph = halo_graph::AffinityGraph::new();
+    let mut contexts = Vec::with_capacity(CONTEXTS as usize);
+    let mut outer = (0, 0);
+    for i in 0..CONTEXTS {
+        if i % CLUSTER == 0 {
+            outer = (rng.next_below(8), rng.next_below(48));
+        }
+        let chain = vec![
+            site(0, outer.0),
+            site(1, outer.1),
+            site(2, rng.next_below(96)),
+            site(3, rng.next_below(192)),
+            site(4, rng.next_below(64)),
+        ];
+        let accesses = 64 + rng.next_below(4096);
+        contexts.push(halo_ident::ContextSummary { chain, accesses });
+        graph.add_node(accesses);
+    }
+    for base in (0..CONTEXTS).step_by(CLUSTER as usize) {
+        for u in base..base + CLUSTER {
+            for v in u + 1..base + CLUSTER {
+                graph.add_edge_weight(NodeId(u), NodeId(v), 64 + rng.next_below(192));
+            }
+        }
+    }
+    // A sprinkle of weak cross-cluster noise for the threshold to prune.
+    for _ in 0..CONTEXTS * 2 {
+        let (u, v) =
+            (rng.next_below(CONTEXTS.into()) as u32, rng.next_below(CONTEXTS.into()) as u32);
+        if u / CLUSTER != v / CLUSTER {
+            graph.add_edge_weight(NodeId(u), NodeId(v), 1 + rng.next_below(12));
+        }
+    }
+    IdentifyProfile { groups: halo_graph::group(&graph, &bulk_params()), contexts }
+}
+
+/// The `ident/identify_2k` bench body: one Fig. 10 identification pass.
+/// Returns the monitored-site count as the black-box value.
+pub fn identify_2k(profile: &IdentifyProfile) -> usize {
+    let ident = halo_ident::identify(&profile.groups, &profile.contexts);
+    assert_eq!(ident.selectors.len(), profile.groups.len());
+    ident.site_bits.len()
 }
 
 /// Straightforward reference implementation of the §4.1 affinity queue —

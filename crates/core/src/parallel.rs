@@ -18,6 +18,7 @@
 //! delivery.
 
 use halo_graph::SubGraph;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -54,15 +55,22 @@ pub fn thread_count(jobs: usize) -> usize {
 }
 
 /// Sets the shared panic flag if its thread unwinds, so the delivering
-/// thread stops waiting on the condvar instead of deadlocking.
+/// thread stops waiting on the condvar instead of deadlocking, and
+/// publishes which item the worker was running so the caller can re-raise
+/// the panic of the earliest item.
 struct PanicSignal<'a> {
     flag: &'a AtomicBool,
     ready: &'a Condvar,
+    /// The item this worker is currently running.
+    item: Cell<usize>,
+    /// This worker's slot for the item it panicked on.
+    panicked_at: &'a AtomicUsize,
 }
 
 impl Drop for PanicSignal<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
+            self.panicked_at.store(self.item.get(), Ordering::Release);
             self.flag.store(true, Ordering::Release);
             self.ready.notify_all();
         }
@@ -75,7 +83,8 @@ impl Drop for PanicSignal<'_> {
 ///
 /// `sink` returns `false` to cancel the sweep: jobs not yet claimed are
 /// skipped, already-running jobs finish but their results are dropped.
-/// Panics in `f` propagate to the caller.
+/// A panic in `f` reaches the caller with its original payload; when
+/// several jobs panic, the one on the lowest-index item wins.
 pub fn par_each_ordered<T, R, F, S>(items: &[T], f: F, mut sink: S)
 where
     T: Sync,
@@ -99,44 +108,50 @@ where
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let slots = Mutex::new(slots);
+    let panicked_at: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _signal = PanicSignal { flag: &panicked, ready: &ready };
+        let (f, slots, cursor, cancelled, panicked, ready) =
+            (&f, &slots, &cursor, &cancelled, &panicked, &ready);
+        let spawn = |panicked_at| {
+            scope.spawn(move || {
+                let signal = PanicSignal { flag: panicked, ready, item: Cell::new(0), panicked_at };
                 loop {
                     if cancelled.load(Ordering::Acquire) {
                         break;
                     }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
+                    signal.item.set(i);
                     let result = f(item); // off-lock: jobs run concurrently
                     let mut guard = slots.lock().expect("sweep mutex");
                     guard[i] = Some(result);
                     drop(guard);
                     ready.notify_all();
                 }
-            });
-        }
+            })
+        };
+        let workers: Vec<_> = panicked_at.iter().map(spawn).collect();
         // This (the spawning) thread delivers results in order while the
         // workers fill slots.
         let mut next = 0;
         let mut guard = slots.lock().expect("sweep mutex");
         while next < items.len() {
             if panicked.load(Ordering::Acquire) {
-                // Stop surviving workers from claiming further jobs;
-                // scope re-raises the worker's panic on exit.
+                // Stop surviving workers from claiming further jobs; the
+                // joins below re-raise the worker's panic.
                 cancelled.store(true, Ordering::Release);
                 break;
             }
             match guard[next].take() {
                 Some(result) => {
                     drop(guard);
-                    if !sink(result) {
+                    let keep_going = sink(result);
+                    guard = slots.lock().expect("sweep mutex");
+                    if !keep_going {
                         cancelled.store(true, Ordering::Release);
                         break;
                     }
                     next += 1;
-                    guard = slots.lock().expect("sweep mutex");
                 }
                 // Timed wait: the panic flag is stored without the lock,
                 // so a pure `wait` could miss its notification; the
@@ -148,6 +163,21 @@ where
                         .0
                 }
             }
+        }
+        drop(guard);
+        // Join here rather than letting the scope do it: the scope would
+        // replace a worker's payload with "a scoped thread panicked".
+        let mut first: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+        for (worker, at) in workers.into_iter().zip(&panicked_at) {
+            if let Err(payload) = worker.join() {
+                let item = at.load(Ordering::Acquire);
+                if first.as_ref().is_none_or(|&(earliest, _)| item < earliest) {
+                    first = Some((item, payload));
+                }
+            }
+        }
+        if let Some((_, payload)) = first {
+            std::panic::resume_unwind(payload);
         }
     });
 }
@@ -329,6 +359,26 @@ mod tests {
         only.add_edge_weight(NodeId(0), NodeId(1), 9);
         let merged = par_merge_subgraphs(vec![only]);
         assert_eq!(merged.weight(NodeId(0), NodeId(1)), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 failed")]
+    fn lowest_index_panic_wins_when_two_workers_panic() {
+        // Job 1 panics first in time; job 0 is already running on another
+        // worker and panics well after. The caller must see job 0's.
+        let parallel = thread_count(2) > 1;
+        let second_is_panicking = AtomicBool::new(false);
+        par_map(&[0u32, 1], |&n| {
+            if n == 1 {
+                second_is_panicking.store(true, Ordering::Release);
+            } else if parallel {
+                while !second_is_panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            panic!("job {n} failed");
+        });
     }
 
     #[test]

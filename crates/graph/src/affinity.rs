@@ -24,10 +24,42 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeData {
-    accesses: u64,
-    alive: bool,
+/// One liveness bit per node. The edge filters test both endpoints of
+/// every edge, in hash (i.e. random) order during finalisation; a million
+/// nodes are 125 KB of bits that stay cache-resident, where a flag stored
+/// beside each access count was a cache miss per endpoint.
+#[derive(Debug, Clone, Default)]
+struct LiveSet {
+    words: Vec<u64>,
+}
+
+impl LiveSet {
+    /// Nodes `0..len`, all alive.
+    fn all_alive(len: usize) -> Self {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - len % 64) % 64;
+        }
+        LiveSet { words }
+    }
+
+    /// Mark node `i` alive, growing the set to hold it.
+    fn insert(&mut self, i: usize) {
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether node `i` is alive; out-of-range ids read as dead.
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        self.words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn discard(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
 }
 
 /// Edge storage phases. Writes land in a hash accumulator; the first
@@ -56,7 +88,9 @@ impl Default for EdgeStore {
 /// [`AffinityGraph::edges`] yields ascending `(u, v)` order in both.
 #[derive(Debug, Clone, Default)]
 pub struct AffinityGraph {
-    nodes: Vec<NodeData>,
+    /// Access count per node, indexed by `NodeId`.
+    accesses: Vec<u64>,
+    alive: LiveSet,
     store: EdgeStore,
 }
 
@@ -92,51 +126,59 @@ impl AffinityGraph {
     /// Panics when the graph already holds [`AffinityGraph::MAX_NODES`]
     /// nodes — ids would otherwise wrap and alias.
     pub fn add_node(&mut self, accesses: u64) -> NodeId {
-        let id = Self::checked_id(self.nodes.len(), Self::MAX_NODES);
-        self.nodes.push(NodeData { accesses, alive: true });
+        let id = Self::checked_id(self.accesses.len(), Self::MAX_NODES);
+        self.accesses.push(accesses);
+        self.alive.insert(id.index());
         id
+    }
+
+    /// Adopt a finished shard delta as a build-phase graph: the access
+    /// vector becomes the node table (every node alive) and the edge
+    /// accumulator becomes the store, so no edge is hashed a second time.
+    pub(crate) fn from_parts(accesses: Vec<u64>, edges: EdgeAccumulator) -> Self {
+        if let Some(last) = accesses.len().checked_sub(1) {
+            Self::checked_id(last, Self::MAX_NODES);
+        }
+        let alive = LiveSet::all_alive(accesses.len());
+        AffinityGraph { accesses, alive, store: EdgeStore::Building(edges) }
     }
 
     /// Number of nodes ever added (alive and discarded).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.accesses.len()
     }
 
     /// Whether the graph has no nodes at all.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.accesses.is_empty()
     }
 
     /// Iterate over the ids of alive nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         // Indices are < len, which add_node capped at MAX_NODES, so the
         // checked conversion can only fire if that invariant breaks.
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, _)| Self::checked_id(i, Self::MAX_NODES))
+        (0..self.len()).filter(|&i| self.alive.get(i)).map(|i| Self::checked_id(i, Self::MAX_NODES))
     }
 
     /// Whether `n` is alive (not discarded by the cold-node filter).
     pub fn is_alive(&self, n: NodeId) -> bool {
-        self.nodes.get(n.index()).is_some_and(|d| d.alive)
+        self.alive.get(n.index())
     }
 
     /// Access count recorded for `n`.
     pub fn accesses(&self, n: NodeId) -> u64 {
-        self.nodes[n.index()].accesses
+        self.accesses[n.index()]
     }
 
     /// Add to a node's access count.
     pub fn add_accesses(&mut self, n: NodeId, delta: u64) {
-        self.nodes[n.index()].accesses += delta;
+        self.accesses[n.index()] += delta;
     }
 
     /// Total accesses across alive nodes — the `graph.accesses` quantity of
     /// the Fig. 6 group-weight threshold.
     pub fn total_accesses(&self) -> u64 {
-        self.nodes.iter().filter(|n| n.alive).map(|n| n.accesses).sum()
+        self.nodes().map(|n| self.accesses(n)).sum()
     }
 
     /// Fraction of this graph's accesses — over *every* node ever added,
@@ -148,12 +190,12 @@ impl AffinityGraph {
     /// (roms: almost none — the grids dominate and are invisible below
     /// the tracked-size cap.)
     pub fn coverage_of<I: IntoIterator<Item = NodeId>>(&self, members: I) -> f64 {
-        let total: u64 = self.nodes.iter().map(|n| n.accesses).sum();
+        let total: u64 = self.accesses.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let covered: u64 =
-            members.into_iter().map(|n| self.nodes.get(n.index()).map_or(0, |d| d.accesses)).sum();
+            members.into_iter().map(|n| self.accesses.get(n.index()).copied().unwrap_or(0)).sum();
         covered as f64 / total as f64
     }
 
@@ -192,34 +234,32 @@ impl AffinityGraph {
     /// the build phase.
     pub fn finalise(&mut self) {
         if !self.is_finalised() {
-            self.rebuild_csr(0);
+            self.store = EdgeStore::Finalised(self.thresholded(0));
         }
     }
 
-    /// Rebuild the CSR from the current store, keeping only edges of
-    /// weight ≥ `min_weight` between alive endpoints.
-    fn rebuild_csr(&mut self, min_weight: u64) {
-        let nodes = &self.nodes;
+    /// The edges of weight ≥ `min_weight` between alive endpoints, as a
+    /// fresh CSR over every node — the one thresholding routine behind
+    /// [`AffinityGraph::finalise`], [`AffinityGraph::threshold_edges`],
+    /// [`AffinityGraph::discard_cold_nodes`] and [`crate::group`]'s working
+    /// graph. A finalised source is filtered row by row; a build-phase
+    /// source goes through the counting-sort build.
+    pub(crate) fn thresholded(&self, min_weight: u64) -> Csr {
+        // Weight first: on a thresholding pass most rejections never
+        // reach the liveness bits.
         let keep = |u: u32, v: u32, w: u64| {
-            w >= min_weight && nodes[u as usize].alive && nodes[v as usize].alive
+            w >= min_weight && self.alive.get(u as usize) && self.alive.get(v as usize)
         };
-        let csr = match &self.store {
-            EdgeStore::Building(acc) => Csr::build(nodes.len(), |f| {
+        match &self.store {
+            EdgeStore::Building(acc) => Csr::build(self.len(), |f| {
                 acc.for_each(|u, v, w| {
                     if keep(u, v, w) {
                         f(u, v, w)
                     }
                 })
             }),
-            EdgeStore::Finalised(csr) => Csr::build(nodes.len(), |f| {
-                csr.for_each_edge(|u, v, w| {
-                    if keep(u, v, w) {
-                        f(u, v, w)
-                    }
-                })
-            }),
-        };
-        self.store = EdgeStore::Finalised(csr);
+            EdgeStore::Finalised(csr) => csr.filter_rows(self.len(), keep),
+        }
     }
 
     /// The accumulator, melting a finalised CSR back into build phase if
@@ -246,7 +286,7 @@ impl AffinityGraph {
             EdgeStore::Building(acc) => {
                 let mut collected = Vec::with_capacity(acc.len());
                 acc.for_each(|u, v, w| {
-                    if self.nodes[u as usize].alive && self.nodes[v as usize].alive {
+                    if self.alive.get(u as usize) && self.alive.get(v as usize) {
                         collected.push((u, v, w));
                     }
                 });
@@ -303,7 +343,7 @@ impl AffinityGraph {
     /// Drop edges lighter than `min_weight` (the noise-reduction edge
     /// thresholding of §4.2). Leaves the graph finalised.
     pub fn threshold_edges(&mut self, min_weight: u64) {
-        self.rebuild_csr(min_weight);
+        self.store = EdgeStore::Finalised(self.thresholded(min_weight));
     }
 
     /// Exponentially decay the graph: every edge weight and node access
@@ -321,8 +361,8 @@ impl AffinityGraph {
     pub fn decay(&mut self, factor: f64) {
         assert!((0.0..=1.0).contains(&factor), "decay factor {factor} must be within [0, 1]");
         let scaled = |w: u64| (w as f64 * factor) as u64;
-        for n in &mut self.nodes {
-            n.accesses = scaled(n.accesses);
+        for a in &mut self.accesses {
+            *a = scaled(*a);
         }
         let mut decayed = EdgeAccumulator::with_capacity(self.edge_count() + 1);
         let mut keep = |u: u32, v: u32, w: u64| {
@@ -351,13 +391,13 @@ impl AffinityGraph {
         let mut discarded = Vec::new();
         for n in order {
             if covered >= target {
-                self.nodes[n.index()].alive = false;
+                self.alive.discard(n.index());
                 discarded.push(n);
             } else {
                 covered += self.accesses(n);
             }
         }
-        self.rebuild_csr(0); // drops the dead nodes' edges
+        self.store = EdgeStore::Finalised(self.thresholded(0)); // drops the dead nodes' edges
         discarded
     }
 
@@ -365,8 +405,8 @@ impl AffinityGraph {
     /// `(neighbour, weight)` pairs, excluding loops. Loops are returned
     /// separately as `loops[n]`.
     pub fn adjacency(&self) -> (Vec<Vec<(NodeId, u64)>>, Vec<u64>) {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        let mut loops = vec![0u64; self.nodes.len()];
+        let mut adj = vec![Vec::new(); self.len()];
+        let mut loops = vec![0u64; self.len()];
         for (u, v, w) in self.edges() {
             if u == v {
                 loops[u.index()] = w;
@@ -603,6 +643,22 @@ mod tests {
     #[should_panic(expected = "must be within [0, 1]")]
     fn decay_rejects_growth_factors() {
         AffinityGraph::new().decay(1.5);
+    }
+
+    #[test]
+    fn live_set_word_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 128, 130] {
+            let mut live = LiveSet::all_alive(len);
+            assert!((0..len).all(|i| live.get(i)), "all of {len} alive");
+            assert!(!live.get(len) && !live.get(len + 64), "past the end reads dead");
+            // Growing an adopted set continues where it left off.
+            live.insert(len);
+            assert!(live.get(len) && !live.get(len + 1));
+            if len > 0 {
+                live.discard(len - 1);
+                assert!(!live.get(len - 1) && live.get(len));
+            }
+        }
     }
 
     #[test]

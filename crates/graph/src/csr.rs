@@ -220,6 +220,43 @@ impl Csr {
         Csr { offsets, nbr, wts, edge_count }
     }
 
+    /// A copy over `num_nodes` nodes holding only the entries `keep`
+    /// accepts, filtered row by row. Rows are already sorted and a
+    /// non-loop edge sits in both endpoint rows, so a symmetric `keep`
+    /// yields a valid CSR with no degree count, no scatter and no sort.
+    /// `num_nodes` may exceed the row count (nodes added after
+    /// finalisation); the extra nodes get empty rows.
+    pub(crate) fn filter_rows(
+        &self,
+        num_nodes: usize,
+        keep: impl Fn(u32, u32, u64) -> bool,
+    ) -> Csr {
+        let rows = self.offsets.len().saturating_sub(1);
+        debug_assert!(rows <= num_nodes, "nodes are never removed");
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
+        // Sized to the source (an upper bound, so pushes never reallocate
+        // and copy); the untouched tail is handed back below.
+        let mut nbr = Vec::with_capacity(self.nbr.len());
+        let mut wts = Vec::with_capacity(self.wts.len());
+        let mut edge_count = 0usize;
+        offsets.push(0);
+        for u in 0..rows {
+            let (nbrs, ws) = self.row(u);
+            for (&v, &w) in nbrs.iter().zip(ws) {
+                if keep(u as u32, v, w) {
+                    nbr.push(v);
+                    wts.push(w);
+                    edge_count += usize::from(v as usize >= u);
+                }
+            }
+            offsets.push(nbr.len());
+        }
+        offsets.resize(num_nodes + 1, nbr.len());
+        nbr.shrink_to_fit();
+        wts.shrink_to_fit();
+        Csr { offsets, nbr, wts, edge_count }
+    }
+
     pub(crate) fn edge_count(&self) -> usize {
         self.edge_count
     }
@@ -313,6 +350,39 @@ mod tests {
         let mut seen = Vec::new();
         csr.for_each_edge(|u, v, w| seen.push((u, v, w)));
         assert_eq!(seen, vec![(0, 1, 3), (0, 2, 5), (0, 3, 7), (0, 4, 11), (2, 2, 8)]);
+    }
+
+    #[test]
+    fn filter_rows_equals_a_fresh_build_of_the_kept_edges() {
+        let mut acc = EdgeAccumulator::default();
+        for &(u, v, w) in
+            &[(4u32, 0u32, 11u64), (0, 1, 3), (2, 2, 8), (0, 2, 5), (3, 0, 7), (1, 4, 5), (3, 3, 4)]
+        {
+            acc.add(u, v, w);
+        }
+        let csr = Csr::build(5, |f| acc.for_each(f));
+        // Threshold at 5 (edges *at* the threshold stay) with node 3 dead,
+        // over 7 nodes: two were added after `csr` was built.
+        let keep = |u: u32, v: u32, w: u64| w >= 5 && u != 3 && v != 3;
+        let filtered = csr.filter_rows(7, keep);
+        let rebuilt = Csr::build(7, |f| {
+            acc.for_each(|u, v, w| {
+                if keep(u, v, w) {
+                    f(u, v, w)
+                }
+            })
+        });
+        assert_eq!(filtered.offsets, rebuilt.offsets);
+        assert_eq!(filtered.offsets.len(), 7 + 1, "row-less nodes still get offsets");
+        assert_eq!(filtered.nbr, rebuilt.nbr);
+        assert_eq!(filtered.wts, rebuilt.wts);
+        assert_eq!(filtered.edge_count, 4);
+        assert_eq!(rebuilt.edge_count, 4);
+        let mut seen = Vec::new();
+        filtered.for_each_edge(|u, v, w| seen.push((u, v, w)));
+        assert_eq!(seen, vec![(0, 2, 5), (0, 4, 11), (1, 4, 5), (2, 2, 8)]);
+        // Filtering the empty CSR still spans every node.
+        assert_eq!(Csr::default().filter_rows(3, |_, _, _| true).offsets, vec![0; 4]);
     }
 
     #[test]

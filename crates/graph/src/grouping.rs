@@ -23,6 +23,7 @@
 //!   or zero — the step falls back to the literal full scan.
 
 use crate::affinity::{AffinityGraph, NodeId};
+use crate::csr::{pack, Csr};
 use crate::score::{merge_benefit_parts, score_parts};
 
 /// Tunables of the Fig. 6 algorithm.
@@ -96,17 +97,19 @@ struct Grower {
 
 impl Grower {
     /// Fold `node`'s row into the candidate weights (called when `node`
-    /// becomes a member).
-    fn absorb(&mut self, work: &AffinityGraph, node: NodeId) {
-        for (v, w) in work.neighbours(node) {
-            let vi = v.index();
+    /// becomes a member, i.e. after it left `avail` — which is also what
+    /// skips its own loop entry).
+    fn absorb(&mut self, work: &Csr, node: NodeId) {
+        let (nbrs, wts) = work.row(node.index());
+        for (&v, &w) in nbrs.iter().zip(wts) {
+            let vi = v as usize;
             if !self.avail[vi] {
                 continue;
             }
             self.cand_w[vi] += w;
             if !self.queued[vi] {
                 self.queued[vi] = true;
-                self.cands.push(v.0);
+                self.cands.push(v);
             }
         }
     }
@@ -156,19 +159,13 @@ fn consider(best: &mut Option<(NodeId, f64)>, stranger: NodeId, benefit: f64) {
 ///
 /// Returned groups are in formation order (strongest seed edge first).
 pub fn group(graph: &AffinityGraph, params: &GroupingParams) -> Vec<Group> {
-    let mut work = graph.clone();
-    work.threshold_edges(params.min_weight); // finalises into CSR
-    let total_accesses = work.total_accesses();
+    // The thresholded working edges, built straight from `graph` (node
+    // data is untouched by thresholding and is read from `graph` itself).
+    let work = graph.thresholded(params.min_weight);
+    let total_accesses = graph.total_accesses();
     let min_group_weight = (total_accesses as f64 * params.group_threshold).ceil() as u64;
-    let n = work.len();
+    let n = graph.len();
     let tol = params.merge_tolerance;
-
-    // The old loop re-ran `max_by_key((w, Reverse((u, v))))` per group;
-    // sorting once by descending weight then ascending (u, v) and walking
-    // a forward-only cursor visits seeds in the same order.
-    let mut edge_order: Vec<(u64, u32, u32)> =
-        work.edges().map(|(u, v, w)| (w, u.0, v.0)).collect();
-    edge_order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
     let mut grower = Grower {
         avail: vec![false; n],
@@ -177,14 +174,24 @@ pub fn group(graph: &AffinityGraph, params: &GroupingParams) -> Vec<Group> {
         cands: Vec::new(),
         loop_w: vec![0; n],
     };
-    for node in work.nodes() {
+    for node in graph.nodes() {
         grower.avail[node.index()] = true;
     }
-    for &(w, u, v) in &edge_order {
+
+    // The old loop re-ran `max_by_key((w, Reverse((u, v))))` per group;
+    // sorting once by descending weight then ascending (u, v) and walking
+    // a forward-only cursor visits seeds in the same order. One integer
+    // key per edge carries that whole order: complemented weight in the
+    // high half, the packed `(u, v)` pair in the low half.
+    let mut edge_order: Vec<u128> = Vec::with_capacity(work.edge_count());
+    work.for_each_edge(|u, v, w| {
         if u == v {
             grower.loop_w[u as usize] = w;
         }
-    }
+        edge_order.push(u128::from(!w) << 64 | u128::from(pack(u, v)));
+    });
+    edge_order.sort_unstable();
+    let endpoints = |key: u128| ((key >> 32) as u32, key as u32);
 
     let mut groups: Vec<Group> = Vec::new();
     let mut cursor = 0usize;
@@ -194,17 +201,18 @@ pub fn group(graph: &AffinityGraph, params: &GroupingParams) -> Vec<Group> {
         // Loop edges participate: a context strongly affinitive with itself
         // can seed (and remain) a singleton group.
         while cursor < edge_order.len() {
-            let (_, u, v) = edge_order[cursor];
+            let (u, v) = endpoints(edge_order[cursor]);
             if grower.avail[u as usize] && grower.avail[v as usize] {
                 break;
             }
             cursor += 1;
         }
-        let Some(&(_, eu, ev)) = edge_order.get(cursor) else { break };
-        let (u, v) = (NodeId(eu), NodeId(ev));
+        let Some(&key) = edge_order.get(cursor) else { break };
+        let (u, v) = endpoints(key);
+        let (u, v) = (NodeId(u), NodeId(v));
 
         // Seed with the hotter endpoint.
-        let seed = if work.accesses(u) >= work.accesses(v) { u } else { v };
+        let seed = if graph.accesses(u) >= graph.accesses(v) { u } else { v };
         let mut members = vec![seed];
         let mut weight_sum = grower.loop_w[seed.index()];
         let mut loop_count = u64::from(weight_sum > 0);
@@ -273,7 +281,7 @@ pub fn group(graph: &AffinityGraph, params: &GroupingParams) -> Vec<Group> {
 
         grower.clear_candidates();
         if weight_sum >= min_group_weight && weight_sum > 0 {
-            let accesses = members.iter().map(|&m| work.accesses(m)).sum();
+            let accesses = members.iter().map(|&m| graph.accesses(m)).sum();
             groups.push(Group {
                 members,
                 weight: weight_sum,

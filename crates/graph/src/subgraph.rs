@@ -121,10 +121,12 @@ impl SubGraph {
         });
     }
 
-    /// Materialise the delta as a standalone, finalised graph.
+    /// Materialise the delta as a standalone, finalised graph —
+    /// observably `apply_to` on an empty graph plus `finalise`, but the
+    /// graph adopts this delta's access vector and edge accumulator
+    /// instead of re-hashing every edge into a second table.
     pub fn into_graph(self) -> AffinityGraph {
-        let mut graph = AffinityGraph::new();
-        self.apply_to(&mut graph);
+        let mut graph = AffinityGraph::from_parts(self.accesses, self.edges);
         graph.finalise();
         graph
     }

@@ -11,8 +11,16 @@
 //! accesses). The float math on both sides goes through the same
 //! expressions (`w as f64 / d as f64`; `sc − (1 − T)·max(sa, sb)`), so
 //! "equal" means bit-identical, not approximately close.
+//!
+//! The last two properties pin the offline-stage fast paths to the slow
+//! ones they replaced: `SubGraph::into_graph` (adopts the accumulator) ≡
+//! `apply_to` on an empty graph + `finalise` (re-inserts every edge), and
+//! the CSR → CSR row filter behind `threshold_edges` / `group` ≡ the
+//! reference, on the graphs where the two could differ — dead nodes,
+//! nodes added after finalisation, loops at exactly `min_weight`, a
+//! build-phase source — with `group(&g)` leaving `g` untouched.
 
-use halo_graph::{group, AffinityGraph, GroupingParams, NodeId};
+use halo_graph::{group, AffinityGraph, GroupingParams, NodeId, SubGraph};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -346,6 +354,146 @@ proptest! {
             assert_eq!(got.members, want.0, "members (accretion order)");
             assert_eq!(got.weight, want.1, "group weight");
             assert_eq!(got.accesses, want.2, "group accesses");
+        }
+    }
+
+    #[test]
+    fn into_graph_matches_apply_to_plus_finalise(
+        shards in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..40, 0u32..40, 0u64..30), 0..80),
+                proptest::collection::vec((0u32..48, 0u64..100), 0..20),
+            ),
+            0..5,
+        ),
+        trailing in 0u32..64,
+    ) {
+        let mut merged = SubGraph::new();
+        for (edges, accesses) in &shards {
+            let mut shard = SubGraph::new();
+            for &(u, v, w) in edges {
+                shard.add_edge_weight(NodeId(u), NodeId(v), w);
+            }
+            for &(n, a) in accesses {
+                shard.add_accesses(NodeId(n), a);
+            }
+            merged = merged.merge(shard);
+        }
+        if trailing >= 32 {
+            // A zero-access, edgeless node past everything else seen.
+            merged.add_accesses(NodeId(trailing), 0);
+        }
+
+        let mut slow = AffinityGraph::new();
+        merged.apply_to(&mut slow);
+        slow.finalise();
+        let recorded = (merged.len(), merged.edges());
+        let fast = merged.into_graph();
+
+        assert!(fast.is_finalised() && slow.is_finalised());
+        assert_eq!(fast.len(), recorded.0, "node count");
+        assert_eq!(fast.len(), slow.len());
+        assert_eq!(fast.nodes().collect::<Vec<_>>(), slow.nodes().collect::<Vec<_>>(), "all alive");
+        for n in slow.nodes() {
+            assert_eq!(fast.accesses(n), slow.accesses(n), "accesses of {n}");
+            assert_eq!(fast.neighbours(n), slow.neighbours(n), "row of {n}");
+        }
+        assert_eq!(fast.total_accesses(), slow.total_accesses());
+        assert_eq!(fast.edge_count(), slow.edge_count());
+        assert_eq!(fast.edges().collect::<Vec<_>>(), slow.edges().collect::<Vec<_>>());
+        assert_eq!(fast.edges().collect::<Vec<_>>(), recorded.1, "the shard's own edge list");
+        for (u, v, w) in slow.edges() {
+            assert_eq!(fast.weight(u, v), w);
+            assert_eq!(fast.weight(v, u), w);
+        }
+    }
+
+    #[test]
+    fn row_filter_threshold_and_clone_free_grouping_match_the_reference(
+        accesses in proptest::collection::vec(0u64..2_000, 2..32),
+        edges in proptest::collection::vec((0u32..48, 0u32..48, 1u64..40), 0..250),
+        finalise_at in 0usize..251,
+        keep_permille in 500u64..1_200,
+        discard_from_csr in any::<bool>(),
+        late_nodes in proptest::collection::vec(0u64..500, 0..4),
+        build_phase in any::<bool>(),
+        min_weight in 1u64..24,
+        max_members in 2usize..10,
+        tol_permille in 0u64..400,
+    ) {
+        let (mut g, mut r) = build_pair(&accesses, &edges, finalise_at);
+        let n = accesses.len() as u32;
+        // Loops sitting exactly on, and one below, the threshold.
+        for (k, w) in [(0, min_weight), (1, min_weight - 1)] {
+            let node = NodeId(k % n);
+            if g.weight(node, node) == 0 {
+                g.add_edge_weight(node, node, w);
+                r.add_edge_weight(node, node, w);
+            }
+        }
+        // Cold-node victims (keep ≥ 1.0 discards nothing), dropped from
+        // either kind of source; leaves `g` finalised, so what follows
+        // filters CSR → CSR.
+        if discard_from_csr {
+            g.finalise();
+        }
+        let keep = (keep_permille as f64 / 1000.0).min(1.0);
+        assert_eq!(g.discard_cold_nodes(keep), r.discard_cold_nodes(keep));
+        // Nodes added after finalisation have no CSR row yet.
+        for &a in &late_nodes {
+            assert_eq!(g.add_node(a), r.add_node(a));
+        }
+        let alive: Vec<NodeId> = g.nodes().collect();
+        let build_phase = build_phase && !alive.is_empty();
+        if build_phase {
+            // A write between two survivors melts the CSR: same graph,
+            // build-phase source, dead nodes still dead.
+            let (u, v) = (alive[0], alive[alive.len() - 1]);
+            g.add_edge_weight(u, v, 3);
+            r.add_edge_weight(u, v, 3);
+        }
+        assert_eq!(g.is_finalised(), !build_phase);
+
+        let params = GroupingParams {
+            min_weight,
+            max_group_members: max_members,
+            merge_tolerance: tol_permille as f64 / 1000.0,
+            group_threshold: 0.0,
+            max_groups: None,
+        };
+        let before: Vec<_> = g.edges().collect();
+        let ours = group(&g, &params);
+        assert_eq!(g.is_finalised(), !build_phase, "group() must not change the store's phase");
+        assert_eq!(g.edges().collect::<Vec<_>>(), before, "group() must not touch the graph");
+        assert_same_edges(&g, &r, "after group()");
+
+        let theirs = ref_group(&r, &params);
+        assert_eq!(ours.len(), theirs.len(), "group count");
+        for (got, want) in ours.iter().zip(&theirs) {
+            assert_eq!(got.members, want.0, "members (accretion order)");
+            assert_eq!(got.weight, want.1, "group weight");
+            assert_eq!(got.accesses, want.2, "group accesses");
+        }
+
+        g.threshold_edges(min_weight);
+        r.threshold_edges(min_weight);
+        assert!(g.is_finalised());
+        assert_same_edges(&g, &r, "after threshold_edges");
+        for u in (0..g.len() as u32).map(NodeId) {
+            let row: Vec<_> = g.neighbours(u);
+            let want: Vec<_> = (0..g.len() as u32)
+                .map(NodeId)
+                .filter(|&v| v != u && r.is_alive(u) && r.is_alive(v) && r.weight(u, v) > 0)
+                .map(|v| (v, r.weight(u, v)))
+                .collect();
+            assert_eq!(row, want, "row of {u} after threshold_edges");
+        }
+        // Thresholding an already thresholded graph groups the same.
+        assert_eq!(group(&g, &params), ours);
+        // Late nodes stay usable: a write to one melts and lands.
+        if let Some(late) = (n..g.len() as u32).map(NodeId).next() {
+            g.add_edge_weight(late, late, 5);
+            assert_eq!(g.weight(late, late), 5);
         }
     }
 }

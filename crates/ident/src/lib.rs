@@ -37,7 +37,7 @@
 //! assert_eq!(ident.monitored_sites().count(), 2);
 //! ```
 
-use halo_graph::{Group, NodeId};
+use halo_graph::Group;
 use halo_mem::{GroupSelector, SelectorTable};
 use halo_vm::CallSite;
 use std::collections::{HashMap, HashSet};
@@ -56,7 +56,7 @@ pub struct ContextSummary {
 }
 
 /// Convert profiler output into identification input. Context order (and
-/// thus [`NodeId`] indexing) is preserved; discarded contexts participate
+/// thus [`halo_graph::NodeId`] indexing) is preserved; discarded contexts participate
 /// as conflict candidates but are never group members.
 pub fn contexts_from_profile(profile: &halo_profile::Profile) -> Vec<ContextSummary> {
     profile
@@ -111,104 +111,276 @@ impl Identification {
     }
 }
 
+/// Hard capacity of the monitored-site set: bit ids and the bit count
+/// itself must fit the `u16` the group-state vector and
+/// [`SelectorTable`] are indexed by.
+pub const MAX_SITE_BITS: usize = u16::MAX as usize;
+
+/// Convert the number of monitored sites into the `u16` bit count,
+/// panicking with a clear message past `capacity` instead of silently
+/// wrapping — two call sites aliasing one group-state bit would
+/// mis-classify allocations without a word. Bit ids are drawn from
+/// `0..count`, so this is the only narrowing conversion. `capacity` is a
+/// seam for the overflow guard test; real callers pass [`MAX_SITE_BITS`].
+fn checked_bit_count(sites: usize, capacity: usize) -> u16 {
+    assert!(
+        sites <= capacity,
+        "identification overflow: {sites} monitored call sites do not fit the u16 group-state \
+         bit space (capacity {capacity}); lower max_groups or max_group_members"
+    );
+    sites as u16
+}
+
+/// Dense id of an interned call site.
+type SiteId = u32;
+
+/// The inverted index `identify` runs on: call sites interned to dense
+/// ids, each context's distinct sites, and each site's posting list of
+/// contexts — all in flat offset/value arrays.
+struct SiteIndex {
+    /// Interned sites, by id.
+    sites: Vec<CallSite>,
+    /// `ctx_sites[ctx_off[c]..ctx_off[c + 1]]`: the distinct sites of
+    /// context `c`, in first-occurrence (outermost-first) order. A
+    /// recursive chain repeats sites; only a first occurrence can win the
+    /// `(count, stack index)` tie-break, so the duplicates carry nothing.
+    ctx_off: Vec<usize>,
+    ctx_sites: Vec<SiteId>,
+    /// `post[post_off[s]..post_off[s + 1]]`: the contexts whose chain
+    /// contains site `s`, ascending.
+    post_off: Vec<usize>,
+    post: Vec<u32>,
+}
+
+impl SiteIndex {
+    /// O(Σ chain length).
+    fn build(contexts: &[ContextSummary]) -> SiteIndex {
+        // Contexts are graph nodes, so their indices fit `NodeId`'s u32;
+        // distinct sites number at most one per frame of those chains.
+        assert!(contexts.len() <= u32::MAX as usize, "contexts are indexed by u32 node ids");
+        let mut ids: HashMap<CallSite, SiteId> = HashMap::new();
+        let mut sites: Vec<CallSite> = Vec::new();
+        // Stamp of the last context each site was seen in (index + 1), so
+        // de-duplicating a chain is O(1) per frame.
+        let mut seen_in: Vec<usize> = Vec::new();
+        let mut ctx_off = Vec::with_capacity(contexts.len() + 1);
+        let mut ctx_sites = Vec::new();
+        ctx_off.push(0);
+        for (ci, c) in contexts.iter().enumerate() {
+            let stamp = ci + 1;
+            for &site in &c.chain {
+                let id = *ids.entry(site).or_insert_with(|| {
+                    sites.push(site);
+                    seen_in.push(0);
+                    SiteId::try_from(sites.len() - 1).expect("fewer than 2^32 distinct call sites")
+                });
+                if std::mem::replace(&mut seen_in[id as usize], stamp) != stamp {
+                    ctx_sites.push(id);
+                }
+            }
+            ctx_off.push(ctx_sites.len());
+        }
+        // Posting lists by counting sort; visiting contexts in ascending
+        // order leaves every list ascending.
+        let mut post_off = vec![0usize; sites.len() + 1];
+        for &s in &ctx_sites {
+            post_off[s as usize + 1] += 1;
+        }
+        for s in 0..sites.len() {
+            post_off[s + 1] += post_off[s];
+        }
+        let mut cursor = post_off.clone();
+        let mut post = vec![0u32; ctx_sites.len()];
+        for ci in 0..contexts.len() {
+            for &s in &ctx_sites[ctx_off[ci]..ctx_off[ci + 1]] {
+                post[cursor[s as usize]] = ci as u32;
+                cursor[s as usize] += 1;
+            }
+        }
+        SiteIndex { sites, ctx_off, ctx_sites, post_off, post }
+    }
+
+    fn sites_of(&self, ctx: usize) -> &[SiteId] {
+        &self.ctx_sites[self.ctx_off[ctx]..self.ctx_off[ctx + 1]]
+    }
+
+    fn posting(&self, site: SiteId) -> &[u32] {
+        &self.post[self.post_off[site as usize]..self.post_off[site as usize + 1]]
+    }
+}
+
 /// Run the Fig. 10 algorithm.
 ///
-/// `groups` come from [`halo_graph::group`]; their member [`NodeId`]s index
+/// `groups` come from [`halo_graph::group`]; their member [`halo_graph::NodeId`]s index
 /// into `contexts`. Every context — grouped or not, filtered or not — acts
 /// as a conflict candidate, because every context allocates at runtime.
+///
+/// Index-driven: building the [`SiteIndex`] is O(Σ chain length); a
+/// member's first greedy step reads one eligible-context count per site of
+/// its chain (O(depth)), the chosen site's posting list *is* the candidate
+/// set, and each later step re-counts only that list
+/// (O(|posting| · depth)).
+///
+/// # Panics
+///
+/// Panics when the selectors need more than [`MAX_SITE_BITS`] monitored
+/// sites, or when a group member does not index into `contexts`.
 pub fn identify(groups: &[Group], contexts: &[ContextSummary]) -> Identification {
-    // Group membership per context.
-    let mut member_of: HashMap<NodeId, usize> = HashMap::new();
+    identify_within(groups, contexts, MAX_SITE_BITS)
+}
+
+/// [`identify`] with the monitored-site capacity as a parameter (the seam
+/// the overflow guard test narrows).
+fn identify_within(
+    groups: &[Group],
+    contexts: &[ContextSummary],
+    bit_capacity: usize,
+) -> Identification {
+    const NO_GROUP: usize = usize::MAX;
+    // Group membership per context; a context listed twice belongs to the
+    // later group.
+    let mut member_of = vec![NO_GROUP; contexts.len()];
     for (gi, g) in groups.iter().enumerate() {
         for &m in &g.members {
-            member_of.insert(m, gi);
+            member_of[m.index()] = gi;
         }
     }
-    let chain_sets: Vec<HashSet<CallSite>> =
-        contexts.iter().map(|c| c.chain.iter().copied().collect()).collect();
+    let index = SiteIndex::build(contexts);
+
+    // A context is a conflict candidate until its group is identified;
+    // `eligible_count[s]` is how many candidates' chains contain site `s`.
+    let mut eligible = vec![true; contexts.len()];
+    let mut eligible_count: Vec<usize> = index.post_off.windows(2).map(|w| w[1] - w[0]).collect();
 
     // Process groups most popular first; runtime evaluation uses the same
     // order, so a context matching several selectors goes to the hottest.
     let mut order: Vec<usize> = (0..groups.len()).collect();
     order.sort_by_key(|&gi| std::cmp::Reverse((groups[gi].accesses, std::cmp::Reverse(gi))));
 
-    let mut ignore: HashSet<usize> = HashSet::new();
-    let mut selectors: Vec<SiteSelector> = Vec::new();
+    // Scratch: the current candidate list; per site of the member chain
+    // (by stack index), how many candidates contain it; and each site's
+    // stack index in the member chain being worked on.
+    const NOT_IN_CHAIN: usize = usize::MAX;
+    let mut cands: Vec<u32> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let mut chain_pos = vec![NOT_IN_CHAIN; index.sites.len()];
+    let mut selected: Vec<(usize, Vec<Vec<SiteId>>)> = Vec::with_capacity(groups.len());
 
     for &gi in &order {
-        ignore.insert(gi);
-        let mut conjunctions: Vec<Vec<CallSite>> = Vec::new();
+        // Retire the group: its members stop counting as conflicts, for
+        // itself and for every later group.
+        for &m in &groups[gi].members {
+            let ci = m.index();
+            if member_of[ci] == gi && std::mem::replace(&mut eligible[ci], false) {
+                for &s in index.sites_of(ci) {
+                    eligible_count[s as usize] -= 1;
+                }
+            }
+        }
+        let mut conjunctions: Vec<Vec<SiteId>> = Vec::with_capacity(groups[gi].members.len());
         for &member in &groups[gi].members {
-            let member_chain = &contexts[member.index()].chain;
-            let mut expr: Vec<CallSite> = Vec::new();
+            let chain = index.sites_of(member.index());
+            for (pos, &s) in chain.iter().enumerate() {
+                chain_pos[s as usize] = pos;
+            }
+            let mut expr: Vec<SiteId> = Vec::new();
             let mut conflicts = usize::MAX;
             loop {
-                // Contexts that still satisfy the expression and belong to
-                // no already-identified group.
-                let candidates: Vec<usize> = (0..contexts.len())
-                    .filter(|&ci| {
-                        member_of.get(&NodeId(ci as u32)).is_none_or(|g| !ignore.contains(g))
-                    })
-                    .filter(|&ci| expr.iter().all(|s| chain_sets[ci].contains(s)))
-                    .collect();
-                // For each site of the member chain, how many candidates
-                // would remain; prefer fewest, then lowest in the stack.
-                let mut best: Option<(usize, usize, CallSite)> = None; // (m, idx, site)
-                for (idx, &site) in member_chain.iter().enumerate() {
-                    if expr.contains(&site) {
-                        continue;
-                    }
-                    let m = candidates.iter().filter(|&&ci| chain_sets[ci].contains(&site)).count();
-                    if best.is_none_or(|(bm, bi, _)| m < bm || (m == bm && idx < bi)) {
-                        best = Some((m, idx, site));
+                // The candidates are the contexts that still satisfy the
+                // expression and belong to no already-identified group.
+                // With an empty expression that is every eligible context,
+                // whose per-site counts are already at hand.
+                counts.clear();
+                if expr.is_empty() {
+                    counts.extend(chain.iter().map(|&s| eligible_count[s as usize]));
+                } else {
+                    counts.resize(chain.len(), 0);
+                    for &s in cands.iter().flat_map(|&c| index.sites_of(c as usize)) {
+                        if let Some(count) = counts.get_mut(chain_pos[s as usize]) {
+                            *count += 1;
+                        }
                     }
                 }
-                let Some((m, _, site)) = best else { break };
+                // For each site of the member chain, how many candidates
+                // would remain; prefer fewest, then lowest in the stack
+                // (`min_by_key` keeps the first of equal minima).
+                let best = chain
+                    .iter()
+                    .zip(&counts)
+                    .filter(|(s, _)| !expr.contains(s))
+                    .min_by_key(|&(_, &m)| m);
+                let Some((&site, &m)) = best else { break };
                 // "Add the new constraint only if it reduces conflicts."
                 if m >= conflicts {
                     break;
                 }
+                if expr.is_empty() {
+                    // The chosen site's posting list *is* the candidate set.
+                    cands.clear();
+                    cands.extend(
+                        index.posting(site).iter().filter(|&&c| eligible[c as usize]).copied(),
+                    );
+                } else {
+                    cands.retain(|&c| index.sites_of(c as usize).contains(&site));
+                }
+                debug_assert_eq!(cands.len(), m);
                 expr.push(site);
                 conflicts = m;
                 if conflicts == 0 {
                     break;
                 }
             }
+            for &s in chain {
+                chain_pos[s as usize] = NOT_IN_CHAIN;
+            }
             conjunctions.push(expr);
         }
-        selectors.push(SiteSelector { group: gi, conjunctions });
+        selected.push((gi, conjunctions));
     }
 
     // Assign bits to the union of chosen sites, in first-use order.
-    let mut site_bits: HashMap<CallSite, u16> = HashMap::new();
-    for sel in &selectors {
-        for conj in &sel.conjunctions {
-            for &site in conj {
-                let next = site_bits.len() as u16;
-                site_bits.entry(site).or_insert(next);
-            }
+    let mut monitored: Vec<SiteId> = Vec::new();
+    let mut is_monitored = vec![false; index.sites.len()];
+    for &s in selected.iter().flat_map(|(_, conjunctions)| conjunctions.iter().flatten()) {
+        if !std::mem::replace(&mut is_monitored[s as usize], true) {
+            monitored.push(s);
         }
     }
+    let num_bits = checked_bit_count(monitored.len(), bit_capacity);
+    let mut bit_of = vec![0u16; index.sites.len()];
+    let mut site_bits: HashMap<CallSite, u16> = HashMap::with_capacity(monitored.len());
+    for (bit, &s) in (0..num_bits).zip(&monitored) {
+        bit_of[s as usize] = bit;
+        site_bits.insert(index.sites[s as usize], bit);
+    }
 
-    let runtime = selectors
+    let runtime = selected
         .iter()
-        .map(|s| GroupSelector {
-            group: s.group,
-            conjunctions: s
-                .conjunctions
+        .map(|(gi, conjunctions)| GroupSelector {
+            group: *gi,
+            conjunctions: conjunctions
                 .iter()
-                .map(|c| c.iter().map(|site| site_bits[site]).collect())
+                .map(|c| c.iter().map(|&s| bit_of[s as usize]).collect())
                 .collect(),
         })
         .collect();
-    let num_bits = site_bits.len() as u16;
+    let selectors = selected
+        .into_iter()
+        .map(|(group, conjunctions)| SiteSelector {
+            group,
+            conjunctions: conjunctions
+                .iter()
+                .map(|c| c.iter().map(|&s| index.sites[s as usize]).collect())
+                .collect(),
+        })
+        .collect();
     Identification { site_bits, selectors, table: SelectorTable::new(runtime, num_bits) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_graph::{AffinityGraph, GroupingParams};
+    use halo_graph::{AffinityGraph, GroupingParams, NodeId};
     use halo_vm::FuncId;
 
     fn site(f: u32, pc: u32) -> CallSite {
@@ -378,6 +550,51 @@ mod tests {
         assert_eq!(ident.site_bits.len(), 0);
         let gs = halo_vm::GroupState::new(1);
         assert_eq!(ident.table.classify(&gs), None);
+    }
+
+    /// `n` single-member groups, each needing its own outer site.
+    fn one_site_per_group(n: u32) -> (Vec<Group>, Vec<ContextSummary>) {
+        let contexts: Vec<_> =
+            (0..n).map(|i| ctx(vec![site(0, i), site(7, 0)], u64::from(n - i))).collect();
+        let members: Vec<[u32; 1]> = (0..n).map(|i| [i]).collect();
+        let members: Vec<&[u32]> = members.iter().map(|m| &m[..]).collect();
+        (mk_groups(&members, &contexts), contexts)
+    }
+
+    #[test]
+    fn bit_count_converts_up_to_capacity() {
+        assert_eq!(checked_bit_count(0, 4), 0);
+        assert_eq!(checked_bit_count(4, 4), 4);
+        // The real capacity is the full u16 range.
+        assert_eq!(checked_bit_count(MAX_SITE_BITS, MAX_SITE_BITS), u16::MAX);
+        // Exactly at capacity every site still gets its own bit.
+        let (groups, contexts) = one_site_per_group(4);
+        let ident = identify_within(&groups, &contexts, 4);
+        assert_eq!(ident.table.num_bits(), 4);
+        let mut bits: Vec<u16> = ident.site_bits.values().copied().collect();
+        bits.sort_unstable();
+        assert_eq!(bits, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the u16 group-state bit space")]
+    fn site_bit_overflow_panics_instead_of_aliasing() {
+        // The small-capacity seam stands in for 65 536 monitored sites:
+        // one site more than the capacity is the first that would wrap
+        // and share a group-state bit with site 0.
+        let (groups, contexts) = one_site_per_group(5);
+        let _ = identify_within(&groups, &contexts, 4);
+    }
+
+    #[test]
+    fn the_real_capacity_is_65_535_sites() {
+        let (groups, contexts) = one_site_per_group(MAX_SITE_BITS as u32);
+        let ident = identify(&groups, &contexts);
+        assert_eq!(ident.table.num_bits(), u16::MAX);
+        assert_eq!(ident.site_bits.len(), MAX_SITE_BITS);
+        let (groups, contexts) = one_site_per_group(MAX_SITE_BITS as u32 + 1);
+        let overflow = std::panic::catch_unwind(|| identify(&groups, &contexts));
+        assert!(overflow.is_err(), "the 65 536th site must not alias bit 0");
     }
 
     #[test]

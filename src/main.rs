@@ -958,6 +958,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }));
     drop(graph);
 
+    // Fig. 10 identification alone: 2 048 clustered depth-5 contexts.
+    let profile = halo_bench::identify_profile_2k();
+    rows.push(time_samples("ident/identify_2k", 10, || {
+        std::hint::black_box(halo_bench::identify_2k(&profile));
+    }));
+
     // End-to-end pipeline (profile → group → identify → rewrite →
     // measure) on the two cheapest workloads.
     for name in ["toy", "povray"] {
