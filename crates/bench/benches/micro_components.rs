@@ -65,28 +65,6 @@ fn bench_affinity_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The pre-ring shape (VecDeque scan + fresh HashSet/Vec per record),
-    // kept as a reference point for the old-vs-new comparison; the same
-    // implementation is the property tests' behavioural oracle.
-    c.bench_function("profile/affinity_queue_100k_legacy_shape", |b| {
-        b.iter_batched(
-            || halo_bench::ReferenceAffinityQueue::new(128),
-            |mut q| {
-                let mut rng = SplitMix64::new(7);
-                for i in 0..100_000u64 {
-                    let obj = rng.next_below(64);
-                    q.record(QueueEntry {
-                        obj,
-                        ctx: halo_graph::NodeId((obj % 8) as u32),
-                        alloc_seq: i,
-                        size: 8,
-                    });
-                }
-                q.entries.len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 fn bench_object_tracker(c: &mut Criterion) {
@@ -94,28 +72,6 @@ fn bench_object_tracker(c: &mut Criterion) {
     // worst-friendly case (the last-hit cache misses ~100% of the time).
     // Body shared with `halo bench` (halo_bench::object_find_100k).
     c.bench_function("profile/object_find_100k", |b| b.iter(halo_bench::object_find_100k));
-    // The pre-index shape: a plain BTreeMap range query per find.
-    c.bench_function("profile/object_find_100k_btree_shape", |b| {
-        let mut t: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
-        for i in 0..1000u64 {
-            let start = 0x1000 + i * 48;
-            t.insert(start, (start + 40, i));
-        }
-        b.iter(|| {
-            let mut rng = SplitMix64::new(11);
-            let mut hits = 0u64;
-            for _ in 0..100_000 {
-                let obj = rng.next_below(1000);
-                let addr = 0x1000 + obj * 48 + rng.next_below(48);
-                if let Some((_, &(end, _))) = t.range(..=std::hint::black_box(addr)).next_back() {
-                    if addr < end {
-                        hits += 1;
-                    }
-                }
-            }
-            hits
-        })
-    });
 }
 
 fn bench_coherent_cache(c: &mut Criterion) {

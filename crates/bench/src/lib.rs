@@ -648,60 +648,6 @@ pub fn identify_2k(profile: &IdentifyProfile) -> usize {
     ident.site_bits.len()
 }
 
-/// Straightforward reference implementation of the §4.1 affinity queue —
-/// the seed code's shape (`VecDeque` scan, fresh `HashSet` + `Vec` per
-/// `record`). It exists in exactly one place so its two consumers cannot
-/// drift: the `micro_components` old-vs-new shape benchmark
-/// (`profile/affinity_queue_100k_legacy_shape`) and the ring-buffer
-/// equivalence property test in `tests/property_invariants.rs`
-/// (DESIGN.md §8).
-pub struct ReferenceAffinityQueue {
-    distance: u64,
-    /// Live entries, oldest first; public so the equivalence test can
-    /// compare eviction behaviour entry-for-entry.
-    pub entries: std::collections::VecDeque<halo_profile::QueueEntry>,
-    total_bytes: u64,
-}
-
-impl ReferenceAffinityQueue {
-    /// Create a reference queue with affinity distance `A` bytes.
-    pub fn new(distance: u64) -> Self {
-        ReferenceAffinityQueue { distance, entries: Default::default(), total_bytes: 0 }
-    }
-
-    /// Enumerate affinitive partners (newest first) and push the entry —
-    /// the seed algorithm, allocation-per-call and all.
-    pub fn record(&mut self, entry: halo_profile::QueueEntry) -> Vec<halo_profile::QueueEntry> {
-        if self.entries.back().is_some_and(|e| e.obj == entry.obj) {
-            return Vec::new();
-        }
-        let mut partners = Vec::new();
-        let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut accumulated = 0u64;
-        for e in self.entries.iter().rev() {
-            accumulated += e.size;
-            if accumulated >= self.distance {
-                break;
-            }
-            if e.obj == entry.obj {
-                continue;
-            }
-            if seen.insert(e.obj) {
-                partners.push(*e);
-            }
-        }
-        self.total_bytes += entry.size;
-        self.entries.push_back(entry);
-        while self.total_bytes > self.distance {
-            match self.entries.pop_front() {
-                Some(old) => self.total_bytes -= old.size,
-                None => break,
-            }
-        }
-        partners
-    }
-}
-
 /// Format a fraction as a signed percentage with one decimal.
 pub fn pct(fraction: f64) -> String {
     format!("{:+.1}%", fraction * 100.0)

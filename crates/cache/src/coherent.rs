@@ -1,11 +1,17 @@
-//! Thread-aware cache hierarchy with a MESI-lite coherence cost model.
+//! The simulated memory subsystem: L1D → L2 → L3 with a dTLB on the side,
+//! thread-aware, with a MESI-lite coherence cost model.
 //!
-//! [`CacheHierarchy`](crate::CacheHierarchy) is oblivious to which logical
-//! thread issued an access, so a sharded allocator's true/false-sharing
-//! behaviour is invisible to it. [`CoherentHierarchy`] gives every logical
-//! thread (announced via `Op::ThreadSwitch` upstream) its own private L1D
-//! and dTLB over the *shared* L2/L3, and tracks a per-line MESI-lite state
-//! in each private L1:
+//! All levels fill on miss (mostly-inclusive, as on the evaluation part's
+//! generation of Intel hardware) and replace true-LRU. Accesses that
+//! straddle a line boundary are split and counted per line touched, which
+//! is how a real L1D sees them.
+//!
+//! A hierarchy oblivious to which logical thread issued an access cannot
+//! see a sharded allocator's true/false-sharing behaviour, so
+//! [`CoherentHierarchy`] gives every logical thread (announced via
+//! `Op::ThreadSwitch` upstream) its own private L1D and dTLB over the
+//! *shared* L2/L3, and tracks a per-line MESI-lite state in each private
+//! L1:
 //!
 //! * a demand fill is **Exclusive** when no other thread holds the line,
 //!   **Shared** otherwise (a read miss also downgrades remote
@@ -23,14 +29,14 @@
 //! shows up as time, exactly the cost per-thread sharding removes.
 //!
 //! When only one logical thread ever runs, no line can ever be Shared, so
-//! every counter here stays zero and the hit/miss/TLB stream — private L1
-//! over shared L2/L3 with the same adjacent-line prefetch — is
-//! *bit-identical* to [`CacheHierarchy`](crate::CacheHierarchy); the
-//! differential property suite pins that identity.
+//! every coherence counter stays zero and what is left is the plain
+//! single-core hierarchy: one L1D and dTLB over L2/L3 with adjacent-line
+//! prefetch. That is the only single-thread model there is; the
+//! differential suite's one-thread stratum pins it against the slow walk.
 
 use crate::hierarchy::{AccessStats, HierarchyConfig};
 use crate::set_assoc::{CacheConfig, SetAssocCache};
-use crate::span::SpanUnit;
+use crate::span::{SetIndex, SpanUnit};
 
 /// MESI-lite state of a line in one thread's private L1D.
 ///
@@ -52,7 +58,7 @@ pub enum LineState {
 /// Coherence-traffic counters accumulated by a [`CoherentHierarchy`].
 ///
 /// All three counters are zero for any run that only ever uses one
-/// logical thread — the single-thread identity the differential tests pin.
+/// logical thread (the differential suite's one-thread stratum pins it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoherenceStats {
     /// Remote L1 copies invalidated by a write (the per-event cost the
@@ -104,8 +110,7 @@ struct LineFilter {
 /// scan one set).
 #[derive(Debug)]
 struct StatefulL1 {
-    sets: u64,
-    set_mask: Option<u64>,
+    set_index: SetIndex,
     ways: usize,
     /// Monotone access clock driving the timestamp-LRU replacement.
     clock: u64,
@@ -142,8 +147,7 @@ impl StatefulL1 {
         let sets = config.sets();
         let ways = config.ways as usize;
         StatefulL1 {
-            sets,
-            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            set_index: SetIndex::new(sets),
             ways,
             clock: 0,
             tags: vec![Self::EMPTY; sets as usize * ways].into_boxed_slice(),
@@ -151,14 +155,6 @@ impl StatefulL1 {
             states: vec![LineState::Invalid; sets as usize * ways].into_boxed_slice(),
             mru: 0,
         }
-    }
-
-    #[inline]
-    fn set_index(&self, line: u64) -> usize {
-        (match self.set_mask {
-            Some(mask) => line & mask,
-            None => line % self.sets,
-        }) as usize
     }
 
     /// Position of `line` in its set, if resident.
@@ -176,8 +172,7 @@ impl StatefulL1 {
     /// never-touched (stamp 0) empty ways preferred outright.
     #[inline]
     fn access_line(&mut self, line: u64, fill_state: LineState) -> bool {
-        let set_idx = self.set_index(line);
-        let base = set_idx * self.ways;
+        let base = self.set_index.of(line) * self.ways;
         self.clock += 1;
         if let Some(pos) = self.find(base, line) {
             self.stamps[base + pos] = self.clock;
@@ -217,7 +212,7 @@ impl StatefulL1 {
     /// read).
     #[inline]
     fn state_of(&self, line: u64) -> Option<LineState> {
-        let base = self.set_index(line) * self.ways;
+        let base = self.set_index.of(line) * self.ways;
         self.find(base, line).map(|pos| self.states[base + pos])
     }
 
@@ -225,7 +220,7 @@ impl StatefulL1 {
     /// (the remote read-downgrade); returns whether a copy was found.
     #[inline]
     fn share_if_resident(&mut self, line: u64) -> bool {
-        let base = self.set_index(line) * self.ways;
+        let base = self.set_index.of(line) * self.ways;
         if let Some(pos) = self.find(base, line) {
             self.states[base + pos] = LineState::Shared;
             true
@@ -238,7 +233,7 @@ impl StatefulL1 {
     /// stamps keep their relative order); returns whether a copy was
     /// dropped.
     fn invalidate_line(&mut self, line: u64) -> bool {
-        let base = self.set_index(line) * self.ways;
+        let base = self.set_index.of(line) * self.ways;
         if let Some(pos) = self.find(base, line) {
             self.tags[base + pos] = Self::EMPTY;
             self.stamps[base + pos] = 0;
@@ -252,6 +247,18 @@ impl StatefulL1 {
         self.tags.fill(Self::EMPTY);
         self.stamps.fill(0);
     }
+}
+
+/// What [`ThreadDomain::touch_line`] leaves for the hierarchy to finish,
+/// because it involves the other threads' L1Ds or the shared levels.
+enum L1Outcome {
+    /// Hit, fully handled inside the thread's own L1D.
+    Done,
+    /// Write hit on a Shared line: the bus upgrade is still owed.
+    SharedWriteHit,
+    /// Miss: the coherence probe, fill-state fix-up and L2/L3 walk are
+    /// still owed.
+    Miss,
 }
 
 /// One logical thread's private structures: a state-carrying L1D and a
@@ -278,6 +285,40 @@ impl ThreadDomain {
             stats: AccessStats::default(),
             filter: None,
         }
+    }
+
+    /// Touch `line` in this thread's L1D and apply the transitions that
+    /// need no other thread: hit/miss counting and the silent E→M upgrade
+    /// of a write hit. What is left for the caller is named by the result.
+    /// A miss fills with a provisional Exclusive, corrected after the
+    /// coherence probe in `miss_line` (the fresh fill sits at the MRU
+    /// slot, so the fix-up is O(1)); a capacity/conflict victim silently
+    /// takes its state with it — dirty write-back is not modelled (the
+    /// shared L2 filled the line on the original demand miss).
+    ///
+    /// `always`: both callers sit in the hot loop, and with the outcome
+    /// visible at each call site the branches on it fold away, leaving
+    /// [`StatefulL1::access_line`] the loop's one out-of-line callee. Left
+    /// to the heuristic, LLVM outlines this wrapper instead and the
+    /// benchmark's cache-replay probe runs ~3% slower.
+    #[inline(always)]
+    fn touch_line(&mut self, line: u64, store: bool) -> L1Outcome {
+        if !self.l1.access_line(line, LineState::Exclusive) {
+            self.stats.l1_misses += 1;
+            return L1Outcome::Miss;
+        }
+        self.stats.l1_hits += 1;
+        if store {
+            // MESI-lite write-hit transition for the line the hit just
+            // stamped MRU. (A hit line is never Invalid.)
+            match self.l1.mru_state() {
+                LineState::Modified => {}
+                LineState::Shared => return L1Outcome::SharedWriteHit,
+                // Silent E→M upgrade: no bus traffic, no counters.
+                _ => self.l1.set_mru_state(LineState::Modified),
+            }
+        }
+        L1Outcome::Done
     }
 
     /// Drop `line` from this L1 (and its state). Returns whether a copy
@@ -400,8 +441,7 @@ impl CoherentHierarchy {
         let Some(domain) = self.threads.get(thread as usize) else {
             return LineState::Invalid;
         };
-        let line = self.l2.line_of(addr);
-        domain.l1.state_of(line).unwrap_or(LineState::Invalid)
+        domain.l1.state_of(self.line_unit.index_of(addr)).unwrap_or(LineState::Invalid)
     }
 
     /// Reset all counters but keep cache contents and states.
@@ -413,9 +453,7 @@ impl CoherentHierarchy {
     }
 
     /// Simulate a data access of `width` bytes at `addr` on the current
-    /// logical thread. Line/page splitting and the shared-level walk
-    /// mirror [`CacheHierarchy::access`](crate::CacheHierarchy::access)
-    /// exactly.
+    /// logical thread.
     #[inline]
     pub fn access(&mut self, addr: u64, width: u8, store: bool) {
         let lines = self.line_unit.lines_touched(addr, width);
@@ -447,37 +485,17 @@ impl CoherentHierarchy {
             if !domain.tlb.access(pages.first) {
                 domain.stats.tlb_misses += 1;
             }
+            let outcome = domain.touch_line(lines.first, store);
             // The access leaves its line and page MRU in their sets; a
             // store leaves the line Modified (so the filter may fast-path
             // the next store), a load's final state is not re-checked
             // (`writable: false` is always safe — the next store simply
-            // takes the exact slow path).
-            let filter = Some(LineFilter { line: lines.first, page: pages.first, writable: store });
-            if domain.l1.access_line(lines.first, LineState::Exclusive) {
-                domain.stats.l1_hits += 1;
-                if store {
-                    // MESI-lite write-hit transition for the line the hit
-                    // just stamped MRU. (A hit line is never Invalid.)
-                    match domain.l1.mru_state() {
-                        LineState::Modified => domain.filter = filter,
-                        LineState::Shared => {
-                            self.shared_write_upgrade(t, lines.first);
-                            self.threads[t].filter = filter;
-                        }
-                        // Silent E→M upgrade: no bus traffic, no counters.
-                        _ => {
-                            domain.l1.set_mru_state(LineState::Modified);
-                            domain.filter = filter;
-                        }
-                    }
-                } else {
-                    domain.filter = filter;
-                }
-            } else {
-                domain.stats.l1_misses += 1;
-                self.miss_line(t, lines.first, store);
-                self.threads[t].filter = filter;
-            }
+            // takes the exact slow path). Nothing `finish_line` does reads
+            // or clears this thread's own filter, so it is set here, under
+            // the one `domain` borrow.
+            domain.filter =
+                Some(LineFilter { line: lines.first, page: pages.first, writable: store });
+            self.finish_line(t, lines.first, store, outcome);
             return;
         }
         // General path: line-straddling or page-straddling accesses.
@@ -489,7 +507,8 @@ impl CoherentHierarchy {
         }
         // Caches: per line touched.
         for line in lines.first..=lines.last {
-            self.access_one_line(line, store);
+            let outcome = self.threads[t].touch_line(line, store);
+            self.finish_line(t, line, store, outcome);
         }
         // The walk leaves its final line and page MRU in their sets. A
         // store leaves every touched line Modified; a load's final state
@@ -511,34 +530,15 @@ impl CoherentHierarchy {
         }
     }
 
+    /// The part of one line's access that reaches beyond thread `t`'s own
+    /// L1D.
     #[inline]
-    fn access_one_line(&mut self, line: u64, store: bool) {
-        let t = self.current;
-        // A miss fills with a provisional state, corrected after the
-        // probe in `miss_line` (the fresh fill sits at the MRU slot, so
-        // the fix-up is O(1)). A capacity/conflict victim silently takes
-        // its state with it; dirty write-back is not modelled (the shared
-        // L2 filled the line on the original demand miss, as in the
-        // plain hierarchy). The single `domain` borrow keeps the ~93%
-        // hit path free of repeated `threads[t]` re-indexing.
-        let domain = &mut self.threads[t];
-        if domain.l1.access_line(line, LineState::Exclusive) {
-            domain.stats.l1_hits += 1;
-            if store {
-                // MESI-lite write-hit transition for the line the hit
-                // just stamped MRU.
-                match domain.l1.mru_state() {
-                    LineState::Modified => {}
-                    LineState::Shared => self.shared_write_upgrade(t, line),
-                    // Silent E→M upgrade: no bus traffic, no counters.
-                    // (A hit line is never Invalid.)
-                    _ => domain.l1.set_mru_state(LineState::Modified),
-                }
-            }
-            return;
+    fn finish_line(&mut self, t: usize, line: u64, store: bool, outcome: L1Outcome) {
+        match outcome {
+            L1Outcome::Done => {}
+            L1Outcome::SharedWriteHit => self.shared_write_upgrade(t, line),
+            L1Outcome::Miss => self.miss_line(t, line, store),
         }
-        domain.stats.l1_misses += 1;
-        self.miss_line(t, line, store);
     }
 
     /// The L1-miss slow path: coherence probe, fill-state fix-up, and the
@@ -570,8 +570,9 @@ impl CoherentHierarchy {
             (false, false) => LineState::Exclusive,
         };
         self.threads[t].l1.set_mru_state(state);
-        // Shared levels: exactly the plain hierarchy's walk (same calls,
-        // same order), so single-thread L2/L3 contents stay bit-identical.
+        // Shared levels. The prefetch fills the spatial neighbours into
+        // L2/L3 without touching the demand counters (an idealised,
+        // always-timely prefetcher).
         let line_bytes = self.line_unit.bytes();
         let line_addr = line * line_bytes;
         let l2_hit = self.l2.access(line_addr);
@@ -620,42 +621,12 @@ impl CoherentHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::CacheHierarchy;
     use crate::timing::TimingModel;
 
     const LINE: u64 = 64;
 
     fn coherent() -> CoherentHierarchy {
         CoherentHierarchy::new(HierarchyConfig::tiny())
-    }
-
-    #[test]
-    fn single_thread_is_bit_identical_to_plain_hierarchy() {
-        // The deterministic core of the differential property suite: same
-        // access stream, never switching threads, must produce the same
-        // counters and the same cycles under both models.
-        for config in [
-            HierarchyConfig::tiny(),
-            HierarchyConfig { adjacent_line_prefetch: true, ..HierarchyConfig::tiny() },
-            HierarchyConfig::xeon_w2195(),
-        ] {
-            let mut plain = CacheHierarchy::new(config);
-            let mut coh = CoherentHierarchy::new(config);
-            for i in 0..4000u64 {
-                let addr = (i * 37) % 8192;
-                let width = 1 + (i % 16) as u8;
-                let store = i % 3 == 0;
-                plain.access(addr, width, store);
-                coh.access(addr, width, store);
-            }
-            assert_eq!(plain.stats(), coh.stats());
-            assert_eq!(coh.coherence(), CoherenceStats::default());
-            let t = TimingModel::skylake_like();
-            assert_eq!(
-                t.cycles(1_000, &plain.stats()),
-                t.cycles_coherent(1_000, &coh.stats(), &coh.coherence())
-            );
-        }
     }
 
     #[test]
@@ -795,5 +766,33 @@ mod tests {
         h.set_thread(0);
         h.access(0, 8, false);
         assert_eq!(h.stats().l1_misses, 3, "post-flush access misses again");
+    }
+
+    #[test]
+    fn access_running_off_the_top_of_the_address_space_touches_its_line() {
+        // The engine forms addresses with `wrapping_add`, so a program can
+        // deliver this. The four bytes that exist are one line and one
+        // page; the span must not wrap to "no line at all" and leave the
+        // MRU filter claiming (line 0, page 0, writable).
+        let mut h = coherent();
+        h.access(u64::MAX - 3, 8, true);
+        let s = h.stats();
+        assert_eq!((s.l1_hits, s.l1_misses, s.tlb_misses), (0, 1, 1));
+        assert_eq!(h.line_state(0, u64::MAX), LineState::Modified);
+        h.access(0, 8, true); // never-touched line 0: a miss, not a filter hit
+        let s = h.stats();
+        assert_eq!((s.stores, s.l1_hits, s.l1_misses, s.tlb_misses), (2, 0, 2, 2));
+    }
+
+    #[test]
+    fn line_state_divides_by_the_l1_line_size() {
+        // L1 32-byte lines over 64-byte L2/L3 lines: byte 32 is L1 line 1
+        // but L2 line 0.
+        let mut config = HierarchyConfig::tiny();
+        config.l1.line_bytes = 32;
+        let mut h = CoherentHierarchy::new(config);
+        h.access(32, 8, true);
+        assert_eq!(h.line_state(0, 32), LineState::Modified);
+        assert_eq!(h.line_state(0, 0), LineState::Invalid);
     }
 }

@@ -14,9 +14,9 @@
 //! # Example
 //!
 //! ```
-//! use halo_cache::{CacheHierarchy, HierarchyConfig};
+//! use halo_cache::{CoherentHierarchy, HierarchyConfig};
 //!
-//! let mut h = CacheHierarchy::new(HierarchyConfig::xeon_w2195());
+//! let mut h = CoherentHierarchy::new(HierarchyConfig::xeon_w2195());
 //! h.access(0x1000, 8, false);
 //! h.access(0x1000, 8, false); // same line: L1 hit
 //! assert_eq!(h.stats().l1_misses, 1);
@@ -25,14 +25,11 @@
 
 mod coherent;
 mod hierarchy;
-mod reference;
 mod set_assoc;
 mod span;
 mod timing;
 
 pub use coherent::{CoherenceStats, CoherentHierarchy, LineState, ThreadAccessStats};
-pub use hierarchy::{AccessStats, CacheHierarchy, HierarchyConfig};
-pub use reference::{ReferenceCoherentHierarchy, ReferenceHierarchy};
+pub use hierarchy::{AccessStats, HierarchyConfig};
 pub use set_assoc::{CacheConfig, SetAssocCache};
-pub use span::{Span, SpanUnit};
 pub use timing::TimingModel;

@@ -1,5 +1,7 @@
 //! A single set-associative, write-allocate, LRU cache.
 
+use crate::span::SetIndex;
+
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -34,11 +36,7 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: u64,
-    /// `Some(sets - 1)` when the set count is a power of two, replacing
-    /// the per-access modulo with a mask (the L3's 36864 sets are not a
-    /// power of two, so the modulo fallback stays live).
-    set_mask: Option<u64>,
+    set_index: SetIndex,
     line_shift: u32,
     ways: usize,
     /// Occupancy of each set (how many of its `ways` slots hold a line).
@@ -60,22 +58,12 @@ impl SetAssocCache {
         let ways = config.ways as usize;
         SetAssocCache {
             config,
-            sets,
-            set_mask: sets.is_power_of_two().then(|| sets - 1),
+            set_index: SetIndex::new(sets),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
             len: vec![0u32; sets as usize].into_boxed_slice(),
             tags: vec![0u64; sets as usize * ways].into_boxed_slice(),
         }
-    }
-
-    /// Set index for a line number.
-    #[inline]
-    fn set_index(&self, line: u64) -> usize {
-        (match self.set_mask {
-            Some(mask) => line & mask,
-            None => line % self.sets,
-        }) as usize
     }
 
     /// The geometry this cache was built with.
@@ -94,7 +82,7 @@ impl SetAssocCache {
     /// evicted line address is returned through `evicted`.
     #[inline]
     pub fn access_line(&mut self, line: u64) -> (bool, Option<u64>) {
-        let set_idx = self.set_index(line);
+        let set_idx = self.set_index.of(line);
         let occ = self.len[set_idx] as usize;
         let base = set_idx * self.ways;
         if let Some(pos) = self.tags[base..base + occ].iter().position(|&t| t == line) {
@@ -138,7 +126,7 @@ impl SetAssocCache {
     /// update recency).
     pub fn contains(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set_idx = self.set_index(line);
+        let set_idx = self.set_index.of(line);
         let base = set_idx * self.ways;
         self.tags[base..base + self.len[set_idx] as usize].contains(&line)
     }
@@ -148,7 +136,7 @@ impl SetAssocCache {
     /// the coherence hook: a remote write kills local copies without
     /// touching recency of the survivors.
     pub fn invalidate_line(&mut self, line: u64) -> bool {
-        let set_idx = self.set_index(line);
+        let set_idx = self.set_index.of(line);
         let occ = self.len[set_idx] as usize;
         let base = set_idx * self.ways;
         if let Some(pos) = self.tags[base..base + occ].iter().position(|&t| t == line) {

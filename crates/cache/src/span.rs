@@ -1,33 +1,32 @@
-//! Shared line/page span computation for the hierarchy hot loops.
+//! Precomputed address arithmetic for the hierarchy hot loop.
 //!
-//! Both [`CacheHierarchy`](crate::CacheHierarchy) and
-//! [`CoherentHierarchy`](crate::CoherentHierarchy) split every access into
-//! the cache lines (and pages) it touches. Before this module each of them
-//! spelled the split out inline as
-//! `(addr + width.max(1) - 1) / line_bytes`, paying a 64-bit division per
-//! access per level. [`SpanUnit`] hoists that computation into one place
-//! and replaces the division with a shift whenever the unit size is a
-//! power of two (always true for cache lines — [`CacheConfig::sets`]
-//! asserts it — and true for every realistic page size; non-power-of-two
-//! units fall back to the division, bit-for-bit identical).
+//! [`CoherentHierarchy`](crate::CoherentHierarchy) splits every access into
+//! the cache lines (and pages) it touches, and every cache level reduces a
+//! line number to a set index. Spelled out per access these are 64-bit
+//! divisions and modulos; [`SpanUnit`] and [`SetIndex`] decide once, at
+//! construction, whether a shift or a mask is exact (the size is a power of
+//! two: always true for cache lines — [`CacheConfig::sets`] asserts it —
+//! and for every realistic page size and most set counts) and otherwise
+//! keep the division or modulo, bit-for-bit identical (the L3's 36864 sets
+//! are not a power of two, so that fallback stays live).
 //!
 //! [`CacheConfig::sets`]: crate::CacheConfig::sets
 
 /// The half-open unit count is never needed: a span is the *inclusive*
 /// range `[first, last]` of line (or page) numbers an access touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     /// Unit number containing the first byte of the access.
-    pub first: u64,
+    pub(crate) first: u64,
     /// Unit number containing the last byte of the access.
-    pub last: u64,
+    pub(crate) last: u64,
 }
 
 impl Span {
     /// Whether the access stayed inside one line/page — the common case
-    /// the hierarchies fast-path.
+    /// the hierarchy fast-paths.
     #[inline]
-    pub fn is_single(self) -> bool {
+    pub(crate) fn is_single(self) -> bool {
         self.first == self.last
     }
 }
@@ -35,7 +34,7 @@ impl Span {
 /// A precomputed divider for one span unit (a line size or a page size),
 /// built once per hierarchy instead of re-deriving per access.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanUnit {
+pub(crate) struct SpanUnit {
     bytes: u64,
     /// `Some(log2(bytes))` when `bytes` is a power of two; `None` keeps
     /// the exact division fallback for irregular unit sizes.
@@ -48,20 +47,20 @@ impl SpanUnit {
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
-    pub fn new(bytes: u64) -> Self {
+    pub(crate) fn new(bytes: u64) -> Self {
         assert!(bytes > 0, "span unit must be non-zero");
         SpanUnit { bytes, shift: bytes.is_power_of_two().then(|| bytes.trailing_zeros()) }
     }
 
     /// Unit size in bytes.
     #[inline]
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         self.bytes
     }
 
     /// Unit number containing byte address `addr`.
     #[inline]
-    pub fn index_of(self, addr: u64) -> u64 {
+    pub(crate) fn index_of(self, addr: u64) -> u64 {
         match self.shift {
             Some(s) => addr >> s,
             None => addr / self.bytes,
@@ -69,12 +68,44 @@ impl SpanUnit {
     }
 
     /// The units a `width`-byte access at `addr` touches. Zero-width
-    /// accesses are clamped to one byte, exactly as the hierarchies always
-    /// did (`width.max(1)`).
+    /// accesses are clamped to one byte (`width.max(1)`), and the last byte
+    /// is clipped at `u64::MAX`: the engine forms addresses with
+    /// `wrapping_add`, so a program can deliver an access that runs off
+    /// the top of the address space, and it must still touch the units up
+    /// to the last one rather than wrap to an empty span.
     #[inline]
-    pub fn lines_touched(self, addr: u64, width: u8) -> Span {
-        let last_byte = addr + (width.max(1) as u64 - 1);
+    pub(crate) fn lines_touched(self, addr: u64, width: u8) -> Span {
+        let last_byte = addr.saturating_add(width.max(1) as u64 - 1);
         Span { first: self.index_of(addr), last: self.index_of(last_byte) }
+    }
+}
+
+/// A precomputed reducer from line number to set index for a cache of
+/// `sets` sets, shared by every cache structure in the crate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetIndex {
+    sets: u64,
+    /// `Some(sets - 1)` when `sets` is a power of two; `None` keeps the
+    /// exact modulo.
+    mask: Option<u64>,
+}
+
+impl SetIndex {
+    /// Build a reducer for `sets` sets (non-zero: [`CacheConfig::sets`]
+    /// asserts at least one).
+    ///
+    /// [`CacheConfig::sets`]: crate::CacheConfig::sets
+    pub(crate) fn new(sets: u64) -> Self {
+        SetIndex { sets, mask: sets.is_power_of_two().then(|| sets - 1) }
+    }
+
+    /// Set that holds line number `line`.
+    #[inline]
+    pub(crate) fn of(self, line: u64) -> usize {
+        (match self.mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        }) as usize
     }
 }
 
@@ -131,6 +162,31 @@ mod tests {
         assert_eq!(p.index_of(4095), 0);
         assert_eq!(p.index_of(4096), 1);
         assert_eq!(p.lines_touched(4090, 16), Span { first: 0, last: 1 });
+    }
+
+    #[test]
+    fn span_is_clipped_at_the_top_of_the_address_space() {
+        // u64::MAX - 3, width 8: bytes MAX-3..=MAX exist, the other four
+        // do not. The span ends on the unit holding u64::MAX instead of
+        // wrapping round to unit 0.
+        let u = SpanUnit::new(64);
+        let top = u64::MAX >> 6;
+        assert_eq!(u.lines_touched(u64::MAX - 3, 8), Span { first: top, last: top });
+        assert_eq!(u.lines_touched(u64::MAX - 70, u8::MAX), Span { first: top - 1, last: top });
+        assert_eq!(u.lines_touched(u64::MAX, 0), Span { first: top, last: top });
+        let odd = SpanUnit::new(3000);
+        let s = odd.lines_touched(u64::MAX - 3, 8);
+        assert_eq!(s, Span { first: u64::MAX / 3000, last: u64::MAX / 3000 });
+    }
+
+    #[test]
+    fn set_index_masks_powers_of_two_and_divides_the_rest() {
+        for sets in [1u64, 2, 3, 64, 36864] {
+            let index = SetIndex::new(sets);
+            for line in [0u64, 1, 63, 64, 36863, 36864, u64::MAX >> 6, u64::MAX] {
+                assert_eq!(index.of(line), (line % sets) as usize, "{line} in {sets} sets");
+            }
+        }
     }
 
     #[test]

@@ -1,32 +1,36 @@
-//! Differential property suite: the fused fast-path hierarchies against
-//! the retained reference walks.
+//! Differential property suite: the fused fast-path hierarchy against the
+//! retained reference walk.
 //!
-//! The fast paths ([`CacheHierarchy`]'s precomputed shift/mask geometry,
-//! single-line short-circuit, and MRU line filter; [`CoherentHierarchy`]'s
-//! per-thread filter and timestamp-LRU L1) are all claimed to be *exactly*
-//! equivalent to the original per-access division-based walk preserved in
-//! `halo_cache::reference`. These properties prove it on randomized traces
-//! across geometries (including ways=1, non-power-of-two set counts and
-//! page sizes, and prefetch on/off) and thread interleavings — counter for
-//! counter, MESI-lite state for state.
+//! [`CoherentHierarchy`]'s fast paths (precomputed shift/mask geometry,
+//! single-line short-circuit, per-thread MRU line filter, timestamp-LRU L1)
+//! are all claimed to be *exactly* equivalent to the original per-access
+//! division-based walk preserved in `reference/mod.rs`. These properties
+//! prove it on randomized traces across geometries (including ways=1,
+//! non-power-of-two set counts and page sizes, an L1 line narrower than the
+//! L2/L3 line, and prefetch on/off), thread interleavings (one thread and
+//! four) and interleaved flushes — counter for counter, MESI-lite state
+//! for state.
 //!
 //! Case count per property follows the vendored proptest's config and the
 //! `HALO_PROPTEST_CASES` override (CI trims it, soak runs raise it).
 
-use halo_cache::{
-    CacheConfig, CacheHierarchy, CoherentHierarchy, HierarchyConfig, ReferenceCoherentHierarchy,
-    ReferenceHierarchy,
-};
+mod reference;
+
+use halo_cache::{CacheConfig, CoherenceStats, CoherentHierarchy, HierarchyConfig, TimingModel};
 use proptest::prelude::*;
+use reference::ReferenceCoherentHierarchy;
 
 /// A small geometry from the generated knobs. L1 set counts of 3 exercise
 /// the modulo fallback (no mask); sets=1 exercises the degenerate
-/// fully-associative corner; ways=1 the direct-mapped one. The L2/L3 stay
-/// small so evictions and prefetch interactions actually happen within a
-/// few hundred accesses.
+/// fully-associative corner; ways=1 the direct-mapped one. `outer_line` is
+/// the L2/L3 line size, never below the L1's: the mixed case (32 B over
+/// 64 B) is where a line number derived with the wrong level's shift
+/// shows. The L2/L3 stay small so evictions and prefetch interactions
+/// actually happen within a few hundred accesses.
 #[allow(clippy::too_many_arguments)]
 fn geometry(
     line: u64,
+    outer_line: u64,
     l1_ways: u32,
     l1_sets: u64,
     prefetch: bool,
@@ -34,14 +38,15 @@ fn geometry(
     tlb_ways: u32,
     tlb_sets: u32,
 ) -> HierarchyConfig {
+    let outer = outer_line.max(line);
     HierarchyConfig {
         l1: CacheConfig {
             size_bytes: line * u64::from(l1_ways) * l1_sets,
             line_bytes: line,
             ways: l1_ways,
         },
-        l2: CacheConfig { size_bytes: line * 4 * 8, line_bytes: line, ways: 4 },
-        l3: CacheConfig { size_bytes: line * 8 * 16, line_bytes: line, ways: 8 },
+        l2: CacheConfig { size_bytes: outer * 4 * 8, line_bytes: outer, ways: 4 },
+        l3: CacheConfig { size_bytes: outer * 8 * 16, line_bytes: outer, ways: 8 },
         tlb_entries: tlb_ways * tlb_sets,
         tlb_ways,
         page_bytes,
@@ -63,98 +68,80 @@ fn widths(step_exp: u8) -> u8 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Single-threaded fast path ≡ reference walk, including across
-    /// interleaved flushes (which reset the MRU filter).
+    /// Fast path ≡ reference MESI-lite walk: aggregate counters,
+    /// coherence traffic, per-thread breakdowns, and the MESI-lite state of
+    /// every touched line in every thread's L1D, including across
+    /// interleaved flushes (which reset every MRU filter). A quarter of the
+    /// accesses revisit the previous address — by the same thread that is
+    /// the MRU-filter hit, by another it is true sharing — which uniform
+    /// addresses almost never produce. On one thread the model is the
+    /// plain single-core hierarchy: no coherence counter may move and the
+    /// coherent cycle formula must reduce to the plain one.
     #[test]
-    fn plain_hierarchy_matches_reference(
+    fn coherent_hierarchy_matches_reference(
         line_exp in 5u32..7,
+        outer_line_exp in 5u32..7,
         l1_ways in 1u32..5,
         l1_sets in 1u64..5,
         prefetch in any::<bool>(),
         page_sel in 0usize..3,
         tlb_ways in 1u32..3,
         tlb_sets in 1u32..5,
-        trace in proptest::collection::vec((0u64..8192, 0u8..5, any::<bool>()) , 1..400),
+        threads in prop_oneof![Just(1u16), Just(4u16)],
+        trace in proptest::collection::vec(
+            (0u16..4, 0u64..8192, 0u8..5, any::<bool>(), 0u8..4), 1..400),
     ) {
         let config = geometry(
-            1 << line_exp, l1_ways, l1_sets, prefetch, PAGES[page_sel], tlb_ways, tlb_sets,
+            1 << line_exp, 1 << outer_line_exp, l1_ways, l1_sets, prefetch, PAGES[page_sel],
+            tlb_ways, tlb_sets,
         );
-        let mut fast = CacheHierarchy::new(config);
-        let mut reference = ReferenceHierarchy::new(config);
-        for (i, &(addr, wexp, store)) in trace.iter().enumerate() {
-            let width = widths(wexp);
-            fast.access(addr, width, store);
-            reference.access(addr, width, store);
+        // Four threads share a 2 KiB universe so that lines really are
+        // contended; one thread roams the full 8 KiB so that the TLB and
+        // the shared levels evict.
+        let universe = 8192 / u64::from(threads);
+        let mut fast = CoherentHierarchy::new(config);
+        let mut reference = ReferenceCoherentHierarchy::new(config);
+        let mut touched = Vec::with_capacity(trace.len());
+        for (i, &(thread, addr, wexp, store, revisit)) in trace.iter().enumerate() {
+            let addr = match touched.last() {
+                Some(&previous) if revisit == 0 => previous,
+                _ => addr % universe,
+            };
+            touched.push(addr);
+            fast.set_thread(thread % threads);
+            reference.set_thread(thread % threads);
+            fast.access(addr, widths(wexp), store);
+            reference.access(addr, widths(wexp), store);
             if i % 97 == 96 {
                 fast.flush();
                 reference.flush();
             }
-            prop_assert_eq!(fast.stats(), reference.stats(), "diverged at step {}", i);
-        }
-    }
-
-    /// `access_batch` ≡ the same accesses delivered one at a time, at
-    /// arbitrary batch boundaries.
-    #[test]
-    fn plain_batch_matches_per_access(
-        l1_ways in 1u32..5,
-        l1_sets in 1u64..5,
-        prefetch in any::<bool>(),
-        chunk in 1usize..48,
-        trace in proptest::collection::vec((0u64..8192, 0u8..5, any::<bool>()), 1..400),
-    ) {
-        let config = geometry(64, l1_ways, l1_sets, prefetch, 4096, 2, 4);
-        let mut batched = CacheHierarchy::new(config);
-        let mut serial = CacheHierarchy::new(config);
-        let addrs: Vec<u64> = trace.iter().map(|&(a, _, _)| a).collect();
-        let ws: Vec<u8> = trace.iter().map(|&(_, w, _)| widths(w)).collect();
-        let stores: Vec<bool> = trace.iter().map(|&(_, _, s)| s).collect();
-        for start in (0..trace.len()).step_by(chunk) {
-            let end = (start + chunk).min(trace.len());
-            batched.access_batch(&addrs[start..end], &ws[start..end], &stores[start..end]);
-        }
-        for i in 0..trace.len() {
-            serial.access(addrs[i], ws[i], stores[i]);
-        }
-        prop_assert_eq!(batched.stats(), serial.stats());
-    }
-
-    /// Thread-aware fast path ≡ reference MESI-lite walk: aggregate
-    /// counters, coherence traffic, per-thread breakdowns, and the
-    /// MESI-lite state of every touched line in every thread's L1D.
-    #[test]
-    fn coherent_hierarchy_matches_reference(
-        line_exp in 5u32..7,
-        l1_ways in 1u32..5,
-        l1_sets in 1u64..5,
-        prefetch in any::<bool>(),
-        page_sel in 0usize..3,
-        trace in proptest::collection::vec(
-            (0u16..4, 0u64..2048, 0u8..5, any::<bool>()), 1..400),
-    ) {
-        let config =
-            geometry(1 << line_exp, l1_ways, l1_sets, prefetch, PAGES[page_sel], 2, 4);
-        let mut fast = CoherentHierarchy::new(config);
-        let mut reference = ReferenceCoherentHierarchy::new(config);
-        for (i, &(thread, addr, wexp, store)) in trace.iter().enumerate() {
-            let width = widths(wexp);
-            fast.set_thread(thread);
-            reference.set_thread(thread);
-            fast.access(addr, width, store);
-            reference.access(addr, width, store);
             prop_assert_eq!(fast.stats(), reference.stats(), "stats diverged at step {}", i);
             prop_assert_eq!(
                 fast.coherence(), reference.coherence(), "coherence diverged at step {}", i);
         }
         prop_assert_eq!(fast.thread_stats(), reference.thread_stats());
-        for &(_, addr, _, _) in &trace {
-            for t in 0..4u16 {
+        for &addr in &touched {
+            for t in 0..threads {
                 prop_assert_eq!(
                     fast.line_state(t, addr),
                     reference.line_state(t, addr),
                     "state of addr {:#x} in thread {} diverged", addr, t
                 );
             }
+        }
+        if threads == 1 {
+            prop_assert_eq!(fast.coherence(), CoherenceStats::default());
+            let per = fast.thread_stats();
+            prop_assert_eq!(per.len(), 1);
+            prop_assert_eq!((per[0].thread, per[0].stats), (0, fast.stats()));
+            let t = TimingModel::skylake_like();
+            let instructions = trace.len() as u64;
+            prop_assert_eq!(
+                t.cycles_coherent(instructions, &fast.stats(), &fast.coherence()),
+                t.cycles(instructions, &fast.stats()),
+                "single-thread cycles must not change under the coherent model"
+            );
         }
     }
 
@@ -169,7 +156,7 @@ proptest! {
         trace in proptest::collection::vec(
             (0u16..4, 0u64..2048, 0u8..5, any::<bool>()), 1..400),
     ) {
-        let config = geometry(64, l1_ways, l1_sets, true, 4096, 2, 4);
+        let config = geometry(64, 64, l1_ways, l1_sets, true, 4096, 2, 4);
         let mut batched = CoherentHierarchy::new(config);
         let mut serial = CoherentHierarchy::new(config);
         // Split the trace into same-thread runs, then feed each run in

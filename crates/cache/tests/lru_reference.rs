@@ -1,7 +1,7 @@
 //! Property test: the set-associative cache agrees with a naive reference
 //! model, and the hierarchy obeys basic conservation laws.
 
-use halo_cache::{CacheConfig, CacheHierarchy, HierarchyConfig, SetAssocCache, TimingModel};
+use halo_cache::{CacheConfig, CoherentHierarchy, HierarchyConfig, SetAssocCache, TimingModel};
 use proptest::prelude::*;
 
 /// The simplest possible LRU cache: per set, a vector ordered by recency,
@@ -61,7 +61,7 @@ proptest! {
     fn hierarchy_counters_are_conserved(
         accesses in proptest::collection::vec((0u64..100_000, 1u8..9, any::<bool>()), 1..500),
     ) {
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         for &(addr, width, store) in &accesses {
             h.access(addr, width, store);
         }
@@ -86,7 +86,7 @@ proptest! {
         // Replaying the same (small-footprint) sequence twice: the second
         // pass over a working set that fits in L3 never increases the
         // DRAM-level miss count.
-        let mut h = CacheHierarchy::new(HierarchyConfig::tiny());
+        let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         for &a in &accesses {
             h.access(a * 64, 8, false);
         }

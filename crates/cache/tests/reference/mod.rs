@@ -1,118 +1,22 @@
-//! The pre-fast-path hierarchy walks, retained verbatim as behavioural
-//! oracles.
+//! The pre-fast-path hierarchy walk, retained verbatim as the behavioural
+//! oracle for `differential.rs`.
 //!
-//! [`CacheHierarchy`](crate::CacheHierarchy) and
-//! [`CoherentHierarchy`](crate::CoherentHierarchy) now carry precomputed
-//! shift/mask geometry, a single-line fast path, and a per-thread MRU line
-//! filter. Every one of those is claimed to be *exactly* equivalent to the
-//! original per-access walk — same counters, same LRU contents, same
-//! MESI-lite states. This module keeps that original walk alive, division
-//! by division, so the differential property suite can prove the claim on
-//! randomized traces instead of trusting it.
-//!
-//! Nothing here is reachable from the measurement pipeline; the reference
-//! models exist only to be compared against.
+//! [`CoherentHierarchy`](halo_cache::CoherentHierarchy) carries precomputed
+//! shift/mask geometry, a single-line fast path, a per-thread MRU line
+//! filter and a timestamp-LRU L1 with inline MESI-lite states. Every one of
+//! those is claimed to be *exactly* equivalent to the original per-access
+//! walk — same counters, same LRU contents, same MESI-lite states. This
+//! module keeps that original walk alive, division by division, on nothing
+//! but [`SetAssocCache`]'s public API and a side `HashMap` of states, so
+//! the differential properties can prove the claim on randomized traces
+//! instead of trusting it. On one thread it is the original single-core
+//! walk, call for call.
 
-use crate::hierarchy::{AccessStats, HierarchyConfig};
-use crate::set_assoc::{CacheConfig, SetAssocCache};
-use crate::{CoherenceStats, LineState, ThreadAccessStats};
+use halo_cache::{
+    AccessStats, CacheConfig, CoherenceStats, HierarchyConfig, LineState, SetAssocCache,
+    ThreadAccessStats,
+};
 use std::collections::HashMap;
-
-/// The original single-threaded three-level walk: one division per level
-/// per access, no fast paths. Mirrors the public API of
-/// [`CacheHierarchy`](crate::CacheHierarchy) that the tests need.
-#[derive(Debug)]
-pub struct ReferenceHierarchy {
-    config: HierarchyConfig,
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    l3: SetAssocCache,
-    tlb: SetAssocCache,
-    stats: AccessStats,
-}
-
-impl ReferenceHierarchy {
-    /// Build an empty reference hierarchy.
-    pub fn new(config: HierarchyConfig) -> Self {
-        ReferenceHierarchy {
-            config,
-            l1: SetAssocCache::new(config.l1),
-            l2: SetAssocCache::new(config.l2),
-            l3: SetAssocCache::new(config.l3),
-            tlb: SetAssocCache::new(CacheConfig {
-                size_bytes: (config.tlb_entries as u64).max(config.tlb_ways as u64),
-                line_bytes: 1,
-                ways: config.tlb_ways,
-            }),
-            stats: AccessStats::default(),
-        }
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> AccessStats {
-        self.stats
-    }
-
-    /// Reset counters, keep contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::default();
-    }
-
-    /// The original `access`: division-based page/line splitting, inclusive
-    /// range loop, no filter.
-    pub fn access(&mut self, addr: u64, width: u8, store: bool) {
-        if store {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        let first_page = addr / self.config.page_bytes;
-        let last_page = (addr + width.max(1) as u64 - 1) / self.config.page_bytes;
-        for page in first_page..=last_page {
-            if !self.tlb.access(page) {
-                self.stats.tlb_misses += 1;
-            }
-        }
-        let line_bytes = self.config.l1.line_bytes;
-        let first_line = addr / line_bytes;
-        let last_line = (addr + width.max(1) as u64 - 1) / line_bytes;
-        for line in first_line..=last_line {
-            self.access_one_line(line * line_bytes);
-        }
-    }
-
-    fn access_one_line(&mut self, line_addr: u64) {
-        if self.l1.access(line_addr) {
-            self.stats.l1_hits += 1;
-            return;
-        }
-        self.stats.l1_misses += 1;
-        let line_bytes = self.config.l1.line_bytes;
-        let l2_hit = self.l2.access(line_addr);
-        if !l2_hit {
-            self.stats.l2_misses += 1;
-            if !self.l3.access(line_addr) {
-                self.stats.l3_misses += 1;
-            }
-        }
-        if self.config.adjacent_line_prefetch {
-            for neighbour in
-                [line_addr.wrapping_add(line_bytes), line_addr.wrapping_sub(line_bytes)]
-            {
-                self.l2.access(neighbour);
-                self.l3.access(neighbour);
-            }
-        }
-    }
-
-    /// Flush all levels and the TLB (counters are preserved).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.tlb.flush();
-    }
-}
 
 /// One logical thread's private structures in the reference coherent
 /// model, mirroring the original `ThreadDomain`.
@@ -150,7 +54,7 @@ impl RefThreadDomain {
 
 /// The original thread-aware MESI-lite walk, per-access and
 /// division-based: the oracle the fast-path
-/// [`CoherentHierarchy`](crate::CoherentHierarchy) is differentially
+/// [`CoherentHierarchy`](halo_cache::CoherentHierarchy) is differentially
 /// tested against, line state by line state.
 #[derive(Debug)]
 pub struct ReferenceCoherentHierarchy {
@@ -211,12 +115,15 @@ impl ReferenceCoherentHierarchy {
         let Some(domain) = self.threads.get(thread as usize) else {
             return LineState::Invalid;
         };
-        let line = self.l2.line_of(addr);
+        let line = domain.l1.line_of(addr);
         domain.states.get(&line).copied().unwrap_or(LineState::Invalid)
     }
 
     /// The original coherent `access`, division-based and filter-free.
+    /// The last byte is clipped at `u64::MAX` (an access may run off the
+    /// top of the address space), the same rule the fast path applies.
     pub fn access(&mut self, addr: u64, width: u8, store: bool) {
+        let last_byte = addr.saturating_add(width.max(1) as u64 - 1);
         if store {
             self.stats.stores += 1;
             self.threads[self.current].stats.stores += 1;
@@ -225,7 +132,7 @@ impl ReferenceCoherentHierarchy {
             self.threads[self.current].stats.loads += 1;
         }
         let first_page = addr / self.config.page_bytes;
-        let last_page = (addr + width.max(1) as u64 - 1) / self.config.page_bytes;
+        let last_page = last_byte / self.config.page_bytes;
         for page in first_page..=last_page {
             if !self.threads[self.current].tlb.access(page) {
                 self.stats.tlb_misses += 1;
@@ -234,7 +141,7 @@ impl ReferenceCoherentHierarchy {
         }
         let line_bytes = self.config.l1.line_bytes;
         let first_line = addr / line_bytes;
-        let last_line = (addr + width.max(1) as u64 - 1) / line_bytes;
+        let last_line = last_byte / line_bytes;
         for line in first_line..=last_line {
             self.access_one_line(line * line_bytes, store);
         }

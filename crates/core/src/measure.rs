@@ -27,10 +27,9 @@ pub struct MeasureConfig {
 /// A [`Monitor`] feeding data accesses into a [`CoherentHierarchy`],
 /// routing each access through the private L1D/dTLB of the logical thread
 /// the engine most recently announced (`Op::ThreadSwitch` →
-/// [`Monitor::on_thread_switch`]). Programs that never switch threads see
-/// counters bit-identical to the plain
-/// [`CacheHierarchy`](halo_cache::CacheHierarchy) — the differential
-/// property suite pins that.
+/// [`Monitor::on_thread_switch`]). Programs that never switch threads stay
+/// on thread 0's L1D/dTLB, which is the plain single-core hierarchy: no
+/// coherence counter ever moves.
 #[derive(Debug)]
 pub struct CacheMonitor {
     hierarchy: CoherentHierarchy,

@@ -1,9 +1,7 @@
 //! Property-based tests over the core data structures and invariants
 //! listed in DESIGN.md §8.
 
-use halo::cache::{
-    CacheHierarchy, CoherenceStats, CoherentHierarchy, HierarchyConfig, LineState, TimingModel,
-};
+use halo::cache::{CoherentHierarchy, HierarchyConfig, LineState};
 use halo::graph::{group, AffinityGraph, Granularity, GroupingParams, NodeId};
 use halo::hds::Grammar;
 use halo::mem::{
@@ -12,7 +10,6 @@ use halo::mem::{
 };
 use halo::profile::{AffinityQueue, ObjectTracker, ProfileConfig, Profiler, QueueEntry};
 use halo::vm::{AllocKind, CallSite, FuncId, GroupState, Memory, Monitor, VmAllocator};
-use halo_bench::ReferenceAffinityQueue;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -90,6 +87,57 @@ impl ReferenceMesi {
                 self.states.insert((t, line), fill);
             }
         }
+    }
+}
+
+/// Straightforward reference implementation of the §4.1 affinity queue —
+/// the seed code's shape (`VecDeque` scan, fresh `HashSet` + `Vec` per
+/// `record`) — the oracle of the ring-buffer equivalence property
+/// (DESIGN.md §8).
+struct ReferenceAffinityQueue {
+    distance: u64,
+    /// Live entries, oldest first; the equivalence test compares eviction
+    /// behaviour entry-for-entry.
+    entries: VecDeque<QueueEntry>,
+    total_bytes: u64,
+}
+
+impl ReferenceAffinityQueue {
+    /// Create a reference queue with affinity distance `A` bytes.
+    fn new(distance: u64) -> Self {
+        ReferenceAffinityQueue { distance, entries: Default::default(), total_bytes: 0 }
+    }
+
+    /// Enumerate affinitive partners (newest first) and push the entry —
+    /// the seed algorithm, allocation-per-call and all.
+    fn record(&mut self, entry: QueueEntry) -> Vec<QueueEntry> {
+        if self.entries.back().is_some_and(|e| e.obj == entry.obj) {
+            return Vec::new();
+        }
+        let mut partners = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut accumulated = 0u64;
+        for e in self.entries.iter().rev() {
+            accumulated += e.size;
+            if accumulated >= self.distance {
+                break;
+            }
+            if e.obj == entry.obj {
+                continue;
+            }
+            if seen.insert(e.obj) {
+                partners.push(*e);
+            }
+        }
+        self.total_bytes += entry.size;
+        self.entries.push_back(entry);
+        while self.total_bytes > self.distance {
+            match self.entries.pop_front() {
+                Some(old) => self.total_bytes -= old.size,
+                None => break,
+            }
+        }
+        partners
     }
 }
 
@@ -682,42 +730,6 @@ proptest! {
         let remote = sharded.sharded_stats();
         prop_assert_eq!(remote.remote_frees, 0, "one shard: every free is local");
         prop_assert_eq!(sharded.remote_pending(), 0);
-    }
-
-    #[test]
-    fn coherent_hierarchy_on_one_thread_is_bit_identical_to_plain(
-        trace in proptest::collection::vec((0u64..32_768, 1u8..17, any::<bool>()), 1..500),
-        config_idx in 0usize..3,
-    ) {
-        // The differential identity behind the coherent hierarchy (the
-        // PR-5 shards=1 test's shape at the cache layer): driven by a
-        // single logical thread there is no peer to cohere with, so the
-        // MESI-lite machinery must be behaviourally invisible — every
-        // counter matches the plain hierarchy after every access, the
-        // coherence counters stay zero, and the cycle model agrees.
-        let config = [
-            HierarchyConfig::tiny(),
-            HierarchyConfig { adjacent_line_prefetch: true, ..HierarchyConfig::tiny() },
-            HierarchyConfig::xeon_w2195(),
-        ][config_idx];
-        let mut plain = CacheHierarchy::new(config);
-        let mut coh = CoherentHierarchy::new(config);
-        for (step, &(addr, width, store)) in trace.iter().enumerate() {
-            plain.access(addr, width, store);
-            coh.access(addr, width, store);
-            prop_assert_eq!(plain.stats(), coh.stats(), "counters diverge at step {}", step);
-        }
-        prop_assert_eq!(coh.coherence(), CoherenceStats::default());
-        let t = TimingModel::skylake_like();
-        prop_assert_eq!(
-            t.cycles(trace.len() as u64, &plain.stats()),
-            t.cycles_coherent(trace.len() as u64, &coh.stats(), &coh.coherence()),
-            "single-thread cycles must not change under the coherent model"
-        );
-        let per = coh.thread_stats();
-        prop_assert_eq!(per.len(), 1);
-        prop_assert_eq!(per[0].thread, 0);
-        prop_assert_eq!(per[0].stats, coh.stats());
     }
 
     #[test]
