@@ -10,6 +10,7 @@
 use crate::faults::{DegradeStats, FaultInjector, FaultPlan};
 use crate::group_alloc::{FragReport, GroupAllocStats};
 use crate::sharded::ShardedAllocStats;
+use crate::stats::AllocatorStats;
 use crate::{
     BoundaryTagAllocator, BumpAllocator, HaloGroupAllocator, RandomGroupAllocator,
     ShardedHaloAllocator, SizeClassAllocator,
@@ -55,7 +56,7 @@ impl BackendAllocator for BoundaryTagAllocator {}
 impl BackendAllocator for BumpAllocator {}
 impl BackendAllocator for RandomGroupAllocator {}
 
-impl<F: VmAllocator> BackendAllocator for HaloGroupAllocator<F> {
+impl<F: VmAllocator + AllocatorStats> BackendAllocator for HaloGroupAllocator<F> {
     fn backend_frag(&self) -> Option<FragReport> {
         Some(self.frag_report())
     }

@@ -10,7 +10,7 @@
 
 use crate::stats::AllocatorStats;
 use crate::vmm::Vmm;
-use halo_vm::{CallSite, GroupState, Memory, VmAllocator};
+use halo_vm::{CallSite, FastIntState, GroupState, Memory, VmAllocator};
 use std::collections::{BTreeMap, HashMap};
 
 /// Inline header bytes preceding every allocated chunk.
@@ -25,7 +25,7 @@ pub struct BoundaryTagAllocator {
     /// Free chunks by base address → size (chunk includes its header span).
     free_by_addr: BTreeMap<u64, u64>,
     /// Live chunks: payload pointer → (chunk base, chunk size, requested).
-    live: HashMap<u64, (u64, u64, u64)>,
+    live: HashMap<u64, (u64, u64, u64), FastIntState>,
     /// Top of the allocated heap (wilderness pointer).
     top: u64,
     heap_base: u64,
@@ -49,7 +49,7 @@ impl BoundaryTagAllocator {
         BoundaryTagAllocator {
             vmm,
             free_by_addr: BTreeMap::new(),
-            live: HashMap::new(),
+            live: HashMap::default(),
             top: heap_base,
             heap_base,
             live_bytes: 0,
@@ -152,9 +152,12 @@ impl VmAllocator for BoundaryTagAllocator {
         payload
     }
 
+    /// A pointer with no live chunk behind it (double free, interior or
+    /// never-allocated address) is absorbed as a no-op; a composing
+    /// allocator sees a free that did not lower
+    /// [`AllocatorStats::live_objects`].
     fn free(&mut self, ptr: u64, mem: &mut Memory) {
         let Some((base, chunk, requested)) = self.live.remove(&ptr) else {
-            debug_assert!(false, "free of unknown pointer {ptr:#x}");
             return;
         };
         self.live_bytes -= requested;

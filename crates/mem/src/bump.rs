@@ -2,7 +2,7 @@
 
 use crate::stats::AllocatorStats;
 use crate::vmm::Vmm;
-use halo_vm::{CallSite, GroupState, Memory, VmAllocator};
+use halo_vm::{CallSite, FastIntState, GroupState, Memory, VmAllocator};
 use std::collections::HashMap;
 
 /// Allocates by bumping a pointer through a reserved span; `free` releases
@@ -15,7 +15,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct BumpAllocator {
     vmm: Vmm,
-    sizes: HashMap<u64, u64>,
+    sizes: HashMap<u64, u64, FastIntState>,
     live_bytes: u64,
 }
 
@@ -30,7 +30,7 @@ impl BumpAllocator {
 
     /// Create a bump allocator rooted at `base`.
     pub fn with_base(base: u64) -> Self {
-        BumpAllocator { vmm: Vmm::new(base, 1 << 36), sizes: HashMap::new(), live_bytes: 0 }
+        BumpAllocator { vmm: Vmm::new(base, 1 << 36), sizes: HashMap::default(), live_bytes: 0 }
     }
 
     /// Total bytes ever handed out (live + freed).

@@ -25,6 +25,7 @@
 //! VMM span exhaustion, chunk acquisition, remote-free queue capacity,
 //! and a thread panicking while holding a shard lock.
 
+use halo_vm::mix64;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,15 +96,6 @@ impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix, used to turn
-/// `(seed, site, count)` into a reproducible decision.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A declarative, seeded fault schedule.
@@ -403,5 +395,19 @@ mod tests {
             assert!(FaultPlan::parse(bad).is_err(), "'{bad}' must be rejected");
         }
         assert!(FaultPlan::parse("").expect("empty spec is the empty plan").is_empty());
+    }
+
+    #[test]
+    fn rate_schedule_is_pinned() {
+        // The first 64 decisions of `seed=7,queue~0.25` and
+        // `seed=7,vmm~0.25`, bit n−1 = occurrence n. Recorded before the
+        // mixer moved to `halo_vm::mix64`: a recorded `--inject` spec must
+        // keep replaying the run it was recorded against.
+        let bits = |site| {
+            let plan = FaultPlan::new(7).rate(site, 0.25);
+            (1..=64).fold(0u64, |acc, n| acc | u64::from(plan.decides(site, n)) << (n - 1))
+        };
+        assert_eq!(bits(FaultSite::RemoteQueue), 0x2484_8c40_0010_0094);
+        assert_eq!(bits(FaultSite::VmmReserve), 0x8e41_1108_040c_2000);
     }
 }

@@ -12,8 +12,14 @@
 //! may run its own chunk size, spare-chunk budget, and in-chunk reuse
 //! policy (bump vs mimalloc-style sharded free lists), so a per-group
 //! layout plan — not one global decision — shapes the heap. Chunk sizes may
-//! therefore differ per group; a freed pointer finds its chunk through an
-//! ordered base-address index rather than pointer masking.
+//! therefore differ per group; a freed pointer finds its chunk through a
+//! page-granular address index rather than pointer masking.
+//!
+//! Metadata is address-indexed throughout (DESIGN.md §6): chunks live in an
+//! append-only table, a dense page table maps a pointer's page to its chunk,
+//! and each chunk carries one cell per 8-byte granule holding the requested
+//! size of the region that starts there. `malloc` and `free` hash nothing
+//! and walk no tree.
 //!
 //! Allocations that are not grouped — selector mismatch, size at or above
 //! the page-size cap, or too large for the group's own chunks — forward to
@@ -26,8 +32,8 @@ use crate::stats::AllocatorStats;
 use crate::vmm::{ReserveError, Vmm};
 use crate::SizeClassAllocator;
 use halo_graph::ReusePolicy;
-use halo_vm::{CallSite, GroupState, Memory, VmAllocator, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use halo_vm::{CallSite, FastIntState, GroupState, Memory, VmAllocator, PAGE_SIZE};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tunables of the group allocator, mirroring the artefact's flags
@@ -143,31 +149,73 @@ impl PoolUsage {
     }
 }
 
+/// Regions start on 8-byte boundaries (§4.4's minimum alignment), so one
+/// metadata cell per 8-byte granule can describe every region of a chunk.
+const GRANULE: u64 = 8;
+
+/// Page-table entry of a page no chunk covers.
+const NO_CHUNK: u32 = u32::MAX;
+
+/// Bytes of chunk a region of `size` requested bytes occupies: whole
+/// granules, at least one.
+fn round_to_granules(size: u64) -> u64 {
+    size.max(1).next_multiple_of(GRANULE)
+}
+
+/// The granule cell of a live region of `size` requested bytes: `size + 1`,
+/// so that `0` can mean "no live region starts here". `None` when the tag
+/// does not fit a cell — such a request is not groupable and forwards to
+/// the fallback (it would need a chunk of 4 GiB or more).
+fn size_tag(size: u64) -> Option<u32> {
+    u32::try_from(size).ok()?.checked_add(1)
+}
+
+/// A chunk carved from a slab. Chunks are never returned to the OS span, so
+/// a chunk record — and its place in the page table — is permanent; it
+/// cycles between *in use* (owned by `group`, possibly its current chunk),
+/// *spare* (empty but dirty, on `spare`) and *clean* (purged, on `clean`).
 #[derive(Debug)]
 struct Chunk {
+    base: u64,
+    /// One past the last usable byte.
+    end: u64,
+    /// The owning group; for a spare chunk, the group that last used it
+    /// (its dirty pages stay attributed there until the chunk is purged or
+    /// handed to another group).
     group: usize,
     /// Next bump address.
     bump: u64,
-    /// One past the last usable byte.
-    end: u64,
     /// Regions allocated and not yet freed.
     live_regions: u64,
-    /// Highest bump address ever reached (dirty extent).
+    /// Highest bump address reached since the chunk was last clean (dirty
+    /// extent).
     high_water: u64,
     /// Sharded free lists: rounded size → freed region addresses
     /// (only populated under [`ReusePolicy::ShardedFreeLists`]).
-    shards: HashMap<u64, Vec<u64>>,
+    shards: HashMap<u64, Vec<u64>, FastIntState>,
+    /// One cell per granule: [`size_tag`] of the live region starting at
+    /// that granule, `0` everywhere else. The real allocator needs no
+    /// per-object metadata for `free` (only `live_regions`), but `realloc`
+    /// must know how many bytes to copy; a native implementation gets this
+    /// from the C library's usable-size machinery, which the simulation
+    /// does not model, so it is kept out of band here. The non-zero cell is
+    /// also what tells a valid free from a double or interior one. Every
+    /// free zeroes its own cell, so an empty chunk's array is all zero and
+    /// rides along through spare and clean reuse untouched.
+    cells: Box<[u32]>,
 }
 
-/// An empty-but-dirty chunk waiting for reuse. Its pages stay resident and
-/// are attributed to `owner` (the group that last used it) until the chunk
-/// is purged or handed to another group.
-#[derive(Debug, Clone, Copy)]
-struct SpareChunk {
-    base: u64,
-    high_water: u64,
-    size: u64,
-    owner: usize,
+impl Chunk {
+    fn size(&self) -> u64 {
+        self.end - self.base
+    }
+
+    /// Index of the granule cell for `ptr` (which lies inside the chunk),
+    /// or `None` when `ptr` is not on a granule boundary.
+    fn cell_of(&self, ptr: u64) -> Option<usize> {
+        let off = ptr - self.base;
+        off.is_multiple_of(GRANULE).then_some((off / GRANULE) as usize)
+    }
 }
 
 /// The specialised allocator synthesised by the HALO pipeline. Generic over
@@ -190,21 +238,25 @@ pub struct HaloGroupAllocator<F = SizeClassAllocator> {
     /// End of the highest slab reserved so far; pointers below `config.base`
     /// or at/above this are fallback-owned.
     slabs_end: u64,
-    /// In-use chunks, ordered by base address so a freed pointer locates
-    /// its (possibly group-sized) chunk by predecessor lookup.
-    chunks: BTreeMap<u64, Chunk>,
-    /// Current chunk base per group.
-    current: Vec<Option<u64>>,
+    /// Every chunk ever carved, in address order; the index is the
+    /// chunk's handle.
+    chunks: Vec<Chunk>,
+    /// Page `(addr - origin) / PAGE_SIZE` → handle of the chunk covering
+    /// it, or [`NO_CHUNK`]. Page granular because chunk sizes vary per plan
+    /// and a page is the smallest chunk [`Self::validate_chunk`] admits;
+    /// relative to the slab span's base, so it costs 4 bytes per page of
+    /// carved slab space and nothing for the address space below it.
+    page_chunk: Vec<u32>,
+    /// Page-aligned address of page-table entry 0.
+    origin: u64,
+    /// Current chunk handle per group.
+    current: Vec<Option<u32>>,
     /// Empty-but-dirty chunks available for reuse, oldest first.
-    spare: Vec<SpareChunk>,
-    /// Purged (clean) chunks available for reuse: `(base, size)`.
-    clean: Vec<(u64, u64)>,
-    /// Requested size per live grouped region. The real allocator needs no
-    /// per-object metadata for `free` (only `live_regions`), but `realloc`
-    /// must know how many bytes to copy; a native implementation gets this
-    /// from the C library's usable-size machinery, which the simulation
-    /// does not model, so it is kept out of band here.
-    region_sizes: HashMap<u64, u64>,
+    spare: Vec<u32>,
+    /// Purged (clean) chunks available for reuse.
+    clean: Vec<u32>,
+    /// Live grouped regions across all chunks.
+    live_regions: u64,
     fallback: F,
     /// Allocator-wide usage and Table 1 snapshot.
     usage: PoolUsage,
@@ -309,12 +361,14 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
             vmm: Vmm::new(config.base, 1 << 38),
             slab_cursor: None,
             slabs_end: config.base,
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
+            page_chunk: Vec::new(),
+            origin: config.base & !(PAGE_SIZE - 1),
             current: vec![None; num_groups],
             site_groups: HashMap::new(),
             spare: Vec::new(),
             clean: Vec::new(),
-            region_sizes: HashMap::new(),
+            live_regions: 0,
             fallback,
             usage: PoolUsage::default(),
             group_usage: vec![PoolUsage::default(); num_groups],
@@ -432,7 +486,32 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
         (high_water - base).div_ceil(PAGE_SIZE) * PAGE_SIZE
     }
 
-    fn carve_chunk(&mut self, cs: u64) -> Result<u64, ReserveError> {
+    /// Carve a fresh chunk of `cs` bytes for `group`, enter it in the chunk
+    /// table and the page table, and return its handle.
+    fn carve_chunk(&mut self, group: usize, cs: u64) -> Option<u32> {
+        let handle = u32::try_from(self.chunks.len()).ok().filter(|&h| h != NO_CHUNK)?;
+        let cells = usize::try_from(cs / GRANULE).ok()?;
+        let base = self.carve_span(cs).ok()?;
+        let first = usize::try_from((base - self.origin) / PAGE_SIZE).ok()?;
+        let last = first + usize::try_from(cs / PAGE_SIZE).ok()?;
+        if self.page_chunk.len() < last {
+            self.page_chunk.resize(last, NO_CHUNK);
+        }
+        self.page_chunk[first..last].fill(handle);
+        self.chunks.push(Chunk {
+            base,
+            end: base + cs,
+            group,
+            bump: base,
+            live_regions: 0,
+            high_water: base,
+            shards: HashMap::default(),
+            cells: vec![0; cells].into_boxed_slice(),
+        });
+        Some(handle)
+    }
+
+    fn carve_span(&mut self, cs: u64) -> Result<u64, ReserveError> {
         if let Some((next, end)) = self.slab_cursor {
             // Chunks of different groups may differ in size; align each to
             // its own size within the slab.
@@ -454,90 +533,79 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
         Ok(slab)
     }
 
-    /// Supply a chunk for `group`, or `None` when the chunk map cannot
+    /// Supply a chunk for `group`, or `None` when the chunk table cannot
     /// grow or the slab span is exhausted — the caller's cue to degrade
     /// the group, never a panic.
-    fn acquire_chunk(&mut self, group: usize) -> Option<u64> {
+    fn acquire_chunk(&mut self, group: usize) -> Option<u32> {
         if self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::ChunkAlloc)) {
             return None;
         }
         let cs = self.group_cfg[group].chunk_size;
         // Reuse pools are shared between groups, but only a chunk of the
         // group's own size qualifies.
-        let (base, high_water) = if let Some(i) = self.spare.iter().position(|s| s.size == cs) {
-            let s = self.spare.remove(i);
+        let chunks = &self.chunks;
+        let of_size = |&h: &u32| chunks[h as usize].size() == cs;
+        let handle = if let Some(i) = self.spare.iter().position(of_size) {
+            let h = self.spare.remove(i);
             self.stats.chunks_reused += 1;
-            let dirty = Self::dirty_bytes(s.base, s.high_water);
-            if s.owner != group && dirty > 0 {
+            let c = &self.chunks[h as usize];
+            let dirty = Self::dirty_bytes(c.base, c.high_water);
+            if c.group != group && dirty > 0 {
                 // The dirty pages change hands with the chunk.
-                self.group_usage[s.owner].resident -= dirty;
+                self.group_usage[c.group].resident -= dirty;
                 self.group_usage[group].resident += dirty;
             }
-            (s.base, s.high_water)
-        } else if let Some(i) = self.clean.iter().position(|&(_, size)| size == cs) {
-            let (base, _) = self.clean.remove(i);
+            h
+        } else if let Some(i) = self.clean.iter().position(of_size) {
             self.stats.chunks_reused += 1;
-            (base, base)
+            self.clean.remove(i)
         } else {
-            let base = self.carve_chunk(cs).ok()?;
+            let h = self.carve_chunk(group, cs)?;
             self.stats.chunks_created += 1;
-            (base, base)
+            h
         };
-        self.chunks.insert(
-            base,
-            Chunk {
-                group,
-                bump: base,
-                end: base + cs,
-                live_regions: 0,
-                high_water,
-                shards: HashMap::new(),
-            },
-        );
-        self.current[group] = Some(base);
-        Some(base)
+        // An empty chunk is already reset (bump at base, no live regions,
+        // cells zero); it only changes owner.
+        self.chunks[handle as usize].group = group;
+        self.current[group] = Some(handle);
+        Some(handle)
     }
 
-    /// Serve a grouped request, or `None` when the group's chunk supply
-    /// failed (the degradation path: the caller routes to the fallback).
-    fn group_malloc(&mut self, group: usize, size: u64) -> Option<u64> {
+    /// Serve a grouped request of `size` bytes (granule cell `tag`), or
+    /// `None` when the group's chunk supply failed (the degradation path:
+    /// the caller routes to the fallback).
+    fn group_malloc(&mut self, group: usize, size: u64, tag: u32) -> Option<u64> {
         let cfg = self.group_cfg[group];
-        let rounded = (size.max(1) + 7) & !7;
+        let rounded = round_to_granules(size);
         // Sharded reuse: recycle a freed same-size region from the group's
         // current chunk before bumping (mimalloc-style, §6 future work).
-        if cfg.reuse_policy == ReusePolicy::ShardedFreeLists {
-            if let Some(base) = self.current[group] {
-                if let Some(chunk) = self.chunks.get_mut(&base) {
-                    if let Some(list) = chunk.shards.get_mut(&rounded) {
-                        if let Some(ptr) = list.pop() {
-                            chunk.live_regions += 1;
-                            self.region_sizes.insert(ptr, size);
-                            self.usage.live += size;
-                            self.group_usage[group].live += size;
-                            self.stats.grouped_allocs += 1;
-                            self.note_usage(group);
-                            return Some(ptr);
-                        }
-                    }
-                }
-            }
-        }
-        let chunk_base = match self.current[group] {
-            Some(base) if self.chunks.get(&base).is_some_and(|c| c.bump + rounded <= c.end) => base,
+        let recycled = if cfg.reuse_policy == ReusePolicy::ShardedFreeLists {
+            self.current[group]
+                .and_then(|h| self.chunks[h as usize].shards.get_mut(&rounded))
+                .and_then(Vec::pop)
+        } else {
+            None
+        };
+        let fits = |c: &Chunk| recycled.is_some() || c.bump + rounded <= c.end;
+        let handle = match self.current[group] {
+            Some(h) if fits(&self.chunks[h as usize]) => h,
             _ => self.acquire_chunk(group)?,
         };
-        let c = self.chunks.get_mut(&chunk_base)?;
-        let ptr = c.bump;
-        c.bump += rounded;
-        c.live_regions += 1;
-        if c.bump > c.high_water {
-            let old_dirty = Self::dirty_bytes(chunk_base, c.high_water);
-            c.high_water = c.bump;
-            let new_dirty = Self::dirty_bytes(chunk_base, c.high_water);
-            self.usage.resident += new_dirty - old_dirty;
-            self.group_usage[group].resident += new_dirty - old_dirty;
+        let c = &mut self.chunks[handle as usize];
+        let ptr = recycled.unwrap_or(c.bump);
+        if recycled.is_none() {
+            c.bump += rounded;
+            if c.bump > c.high_water {
+                let old_dirty = Self::dirty_bytes(c.base, c.high_water);
+                c.high_water = c.bump;
+                let new_dirty = Self::dirty_bytes(c.base, c.high_water);
+                self.usage.resident += new_dirty - old_dirty;
+                self.group_usage[group].resident += new_dirty - old_dirty;
+            }
         }
-        self.region_sizes.insert(ptr, size);
+        c.live_regions += 1;
+        c.cells[((ptr - c.base) / GRANULE) as usize] = tag;
+        self.live_regions += 1;
         self.usage.live += size;
         self.group_usage[group].live += size;
         self.stats.grouped_allocs += 1;
@@ -551,24 +619,31 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
         self.group_usage[group].note();
     }
 
+    /// The live grouped region starting exactly at `ptr`: its chunk's
+    /// handle, its granule cell and its requested size. A pointer in the
+    /// slab range with no live region (double free, interior or misaligned
+    /// address, a page no chunk covers) has none.
+    fn live_region(&self, ptr: u64) -> Option<(u32, usize, u64)> {
+        let page = usize::try_from(ptr.checked_sub(self.origin)? / PAGE_SIZE).ok()?;
+        let handle = *self.page_chunk.get(page).filter(|&&h| h != NO_CHUNK)?;
+        let chunk = &self.chunks[handle as usize];
+        let cell = chunk.cell_of(ptr)?;
+        let size = chunk.cells[cell].checked_sub(1)?;
+        Some((handle, cell, u64::from(size)))
+    }
+
     fn group_free(&mut self, ptr: u64, mem: &mut Memory) {
-        // A pointer in the slab range with no live region (double free,
-        // free of an interior address) is absorbed as a counted no-op —
-        // the invalid free must not corrupt accounting or take the
-        // process down with it.
-        let Some(&size) = self.region_sizes.get(&ptr) else {
+        // An invalid free is absorbed as a counted no-op — it must not
+        // corrupt accounting or take the process down with it.
+        let Some((handle, cell, size)) = self.live_region(ptr) else {
             self.degrade.invalid_frees += 1;
             return;
         };
-        // Chunk sizes vary per group: locate the containing chunk by
-        // predecessor lookup on the ordered base index.
-        let Some((&chunk_base, chunk)) =
-            self.chunks.range_mut(..=ptr).next_back().filter(|(_, c)| ptr < c.end)
-        else {
-            self.degrade.invalid_frees += 1;
-            return;
-        };
-        self.region_sizes.remove(&ptr);
+        // Chunk sizes vary per group and per plan epoch; the chunk found
+        // by address recycles under its group's configuration in force now.
+        let chunk = &mut self.chunks[handle as usize];
+        chunk.cells[cell] = 0;
+        self.live_regions -= 1;
         let group = chunk.group;
         let cfg = self.group_cfg[group];
         self.usage.live -= size;
@@ -578,49 +653,45 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
         chunk.live_regions -= 1;
         if chunk.live_regions > 0 {
             if cfg.reuse_policy == ReusePolicy::ShardedFreeLists {
-                let rounded = (size.max(1) + 7) & !7;
-                chunk.shards.entry(rounded).or_default().push(ptr);
+                chunk.shards.entry(round_to_granules(size)).or_default().push(ptr);
             }
             self.note_usage(group);
             return;
         }
-        // Chunk is empty: reuse or free (§4.4).
-        if self.current[group] == Some(chunk_base) {
-            // Still the group's current chunk: reset the bump pointer and
-            // keep using it in place (its pages stay dirty/resident).
-            chunk.bump = chunk_base;
-            chunk.shards.clear();
+        // Chunk is empty: reuse or free (§4.4). Either way it starts over
+        // from its base with no free lists.
+        chunk.bump = chunk.base;
+        chunk.shards.clear();
+        if self.current[group] == Some(handle) {
+            // Still the group's current chunk: keep using it in place (its
+            // pages stay dirty/resident).
             self.stats.chunks_reused += 1;
             self.note_usage(group);
             return;
         }
-        let Some(chunk) = self.chunks.remove(&chunk_base) else {
-            return; // just observed above; nothing sane to do if gone
-        };
-        self.spare.push(SpareChunk {
-            base: chunk_base,
-            high_water: chunk.high_water,
-            size: chunk.end - chunk_base,
-            owner: group,
-        });
+        self.spare.push(handle);
         // Each group keeps at most its own spare-chunk budget in the pool;
         // the oldest excess donation is purged back to the OS. Under the
         // "always reuse" budget (usize::MAX) no donation can ever exceed
         // it, so skip the ownership scan entirely — the pool is unbounded
         // precisely in that configuration, and an O(pool) count per
         // emptied chunk would make teardown quadratic.
+        let chunks = &mut self.chunks;
         while cfg.max_spare_chunks != usize::MAX
-            && self.spare.iter().filter(|s| s.owner == group).count() > cfg.max_spare_chunks
+            && self.spare.iter().filter(|&&h| chunks[h as usize].group == group).count()
+                > cfg.max_spare_chunks
         {
-            let Some(i) = self.spare.iter().position(|s| s.owner == group) else {
+            let Some(i) = self.spare.iter().position(|&h| chunks[h as usize].group == group) else {
                 break; // counted above; bail rather than spin if gone
             };
-            let s = self.spare.remove(i);
-            let dirty = Self::dirty_bytes(s.base, s.high_water);
+            let h = self.spare.remove(i);
+            let c = &mut chunks[h as usize];
+            let dirty = Self::dirty_bytes(c.base, c.high_water);
             self.usage.resident -= dirty;
-            self.group_usage[s.owner].resident -= dirty;
-            mem.discard(s.base, s.size);
-            self.clean.push((s.base, s.size));
+            self.group_usage[group].resident -= dirty;
+            mem.discard(c.base, c.size());
+            c.high_water = c.base;
+            self.clean.push(h);
             self.stats.chunks_purged += 1;
         }
         self.note_usage(group);
@@ -683,30 +754,30 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     }
 
     /// Cheap structural self-check, run when recovering a poisoned lock:
-    /// every chunk's bump/high-water within its span, the live-region
-    /// count in agreement with the region-size table, and every current
-    /// chunk present and owned by its group.
+    /// every chunk's bump/high-water within its span, the per-chunk
+    /// live-region counts in agreement with the allocator-wide counter,
+    /// and every current chunk present and owned by its group.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), &'static str> {
         let mut live_regions: u64 = 0;
-        for (&base, c) in &self.chunks {
-            if c.bump < base || c.bump > c.end {
+        for c in &self.chunks {
+            if c.bump < c.base || c.bump > c.end {
                 return Err("chunk bump pointer outside its span");
             }
-            if c.high_water < base || c.high_water > c.end {
+            if c.high_water < c.base || c.high_water > c.end {
                 return Err("chunk high-water mark outside its span");
             }
             live_regions += c.live_regions;
         }
-        if live_regions != self.region_sizes.len() as u64 {
-            return Err("live-region count disagrees with the region-size table");
+        if live_regions != self.live_regions {
+            return Err("per-chunk live-region counts disagree with the allocator-wide counter");
         }
         for (g, cur) in self.current.iter().enumerate() {
-            if let Some(base) = cur {
-                match self.chunks.get(base) {
+            if let Some(handle) = cur {
+                match self.chunks.get(*handle as usize) {
                     Some(c) if c.group == g => {}
                     _ => return Err("current chunk missing or owned by another group"),
                 }
@@ -725,11 +796,11 @@ where
     }
 
     fn live_objects(&self) -> usize {
-        self.region_sizes.len() + self.fallback.live_objects()
+        self.live_regions as usize + self.fallback.live_objects()
     }
 }
 
-impl<F: VmAllocator> VmAllocator for HaloGroupAllocator<F> {
+impl<F: VmAllocator + AllocatorStats> VmAllocator for HaloGroupAllocator<F> {
     fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
         // §4.4: the allocator "compares the size of the allocation with the
         // maximum grouped object size, and checks the contents of the group
@@ -741,15 +812,18 @@ impl<F: VmAllocator> VmAllocator for HaloGroupAllocator<F> {
             {
                 // A request too large for the group's own (possibly
                 // plan-shrunken) chunks forwards like any other
-                // non-groupable request.
-                let rounded = (size.max(1) + 7) & !7;
-                if rounded <= self.group_cfg[group].chunk_size {
+                // non-groupable request; so does one whose size has no
+                // granule cell (which also keeps the rounding below from
+                // overflowing when the cap is lifted to `u64::MAX`).
+                let groupable = size_tag(size)
+                    .filter(|_| round_to_granules(size) <= self.group_cfg[group].chunk_size);
+                if let Some(tag) = groupable {
                     if self.is_degraded(group) {
                         // Degradation ladder: a group whose chunk supply
                         // failed serves from the fallback (the ungrouped
                         // path of §4.4) instead of crashing or refusing.
                         self.degrade.fallback_routes += 1;
-                    } else if let Some(ptr) = self.group_malloc(group, size) {
+                    } else if let Some(ptr) = self.group_malloc(group, size, tag) {
                         return ptr;
                     } else {
                         self.degrade_group(group);
@@ -765,9 +839,18 @@ impl<F: VmAllocator> VmAllocator for HaloGroupAllocator<F> {
     fn free(&mut self, ptr: u64, mem: &mut Memory) {
         if self.is_group_allocated(ptr) {
             self.group_free(ptr, mem);
-        } else {
+            return;
+        }
+        // `VmAllocator::free` has no error channel; whether the fallback
+        // knew the pointer shows in its live-object count. A free that
+        // released nothing (double free, never-allocated address, null) is
+        // an invalid free, not a fallback free.
+        let live_before = self.fallback.live_objects();
+        self.fallback.free(ptr, mem);
+        if self.fallback.live_objects() < live_before {
             self.stats.fallback_frees += 1;
-            self.fallback.free(ptr, mem);
+        } else {
+            self.degrade.invalid_frees += 1;
         }
     }
 
@@ -780,7 +863,7 @@ impl<F: VmAllocator> VmAllocator for HaloGroupAllocator<F> {
         mem: &mut Memory,
     ) -> u64 {
         if self.is_group_allocated(ptr) {
-            let old_size = self.region_sizes.get(&ptr).copied().unwrap_or(0);
+            let old_size = self.live_region(ptr).map_or(0, |(_, _, size)| size);
             let newp = self.malloc(size, site, gs, mem);
             mem.copy(newp, ptr, old_size.min(size));
             self.group_free(ptr, mem);
@@ -1378,6 +1461,204 @@ mod tests {
         assert_eq!(a.degrade_stats().invalid_frees, 2);
         assert_eq!(a.live_bytes(), 0);
         a.check_invariants().expect("no-op frees leave a consistent state");
+    }
+
+    #[test]
+    fn invalid_fallback_free_is_a_counted_noop() {
+        let (mut a, gs, mut mem) = setup();
+        let p = a.malloc(64, site(), &gs, &mut mem);
+        assert!(!a.is_group_allocated(p), "no group bit set: served by the fallback");
+        a.free(p, &mut mem);
+        let stats = a.stats();
+        assert_eq!(stats.fallback_frees, 1);
+        // A double free, an interior address, an address the fallback
+        // never handed out, and null all land in the fallback's range.
+        for bad in [p, p + 8, p + (1 << 20), 0] {
+            a.free(bad, &mut mem);
+        }
+        assert_eq!(a.degrade_stats().invalid_frees, 4);
+        assert_eq!(a.stats(), stats, "an invalid free is not a fallback free");
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+        // The double free did not queue the slot for reuse a second time.
+        let q = a.malloc(64, site(), &gs, &mut mem);
+        let r = a.malloc(64, site(), &gs, &mut mem);
+        assert_eq!(q, p);
+        assert_ne!(r, p);
+        a.check_invariants().expect("no-op frees leave a consistent state");
+    }
+
+    // --- address-indexed metadata: the seams the tables create ----------
+
+    #[test]
+    fn region_may_end_on_the_chunks_last_granule() {
+        let (mut a, mut gs, mut mem) = setup();
+        gs.set(0);
+        let cs = small_config().chunk_size;
+        // 4088 + 4088 + 8 + 8 fill the 8 KiB chunk to its last byte.
+        let ptrs: Vec<u64> =
+            [4088, 4088, 8, 8].iter().map(|&n| a.malloc(n, site(), &gs, &mut mem)).collect();
+        let chunk = ptrs[0] & !(cs - 1);
+        assert_eq!(ptrs[3], chunk + cs - 8, "the last region sits on the last granule");
+        let next = a.malloc(8, site(), &gs, &mut mem);
+        assert_ne!(next & !(cs - 1), chunk, "a full chunk rolls over");
+        assert_eq!(a.live_objects(), 5);
+        // The last granule frees like any other, exactly once.
+        a.free(ptrs[3], &mut mem);
+        a.free(ptrs[3], &mut mem);
+        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        for &p in &ptrs[..3] {
+            a.free(p, &mut mem);
+        }
+        a.free(next, &mut mem);
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+        a.check_invariants().expect("consistent");
+    }
+
+    #[test]
+    fn whole_chunk_regions_group_when_the_cap_is_lifted() {
+        // Page granularity lifts `max_grouped_size`; a request of exactly
+        // the chunk size then owns a whole chunk.
+        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..small_config() };
+        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
+        let mut gs = GroupState::new(2);
+        let mut mem = Memory::new();
+        gs.set(0);
+        let cs = cfg.chunk_size;
+        let p = a.malloc(cs, site(), &gs, &mut mem);
+        let q = a.malloc(cs, site(), &gs, &mut mem);
+        assert!(a.is_group_allocated(p) && a.is_group_allocated(q));
+        assert_eq!((p % cs, q % cs), (0, 0), "each fills one chunk");
+        assert_ne!(p, q);
+        let over = a.malloc(cs + 1, site(), &gs, &mut mem);
+        assert!(!a.is_group_allocated(over), "one byte more than a chunk forwards");
+        assert_eq!(a.live_bytes(), 3 * cs + 1);
+        // The size recorded for the whole-chunk region is exact: realloc
+        // copies the last byte too.
+        mem.write(p + cs - 8, 8, 0xfeed);
+        let moved = a.realloc(p, cs, site(), &gs, &mut mem);
+        assert_eq!(mem.read(moved + cs - 8, 8), 0xfeed);
+        for ptr in [moved, q, over] {
+            a.free(ptr, &mut mem);
+        }
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+        assert_eq!(a.degrade_stats().invalid_frees, 0);
+    }
+
+    #[test]
+    fn sizes_without_a_granule_cell_forward_instead_of_overflowing() {
+        // With the cap lifted to u64::MAX nothing above stops an absurd
+        // request from reaching the rounding arithmetic.
+        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..small_config() };
+        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
+        let mut gs = GroupState::new(2);
+        let mut mem = Memory::new();
+        gs.set(0);
+        assert_eq!(size_tag(0), Some(1));
+        assert_eq!(size_tag(u64::from(u32::MAX) - 1), Some(u32::MAX));
+        assert_eq!(size_tag(u64::from(u32::MAX)), None);
+        // 4 GiB − 1 has no cell: the fallback's large path serves it.
+        let p = a.malloc(u64::from(u32::MAX), site(), &gs, &mut mem);
+        assert!(p != 0 && !a.is_group_allocated(p));
+        a.free(p, &mut mem);
+        for size in [u64::MAX - 7, u64::MAX - 1] {
+            assert_eq!(a.malloc(size, site(), &gs, &mut mem), 0, "no span holds {size} bytes");
+        }
+        assert_eq!(a.stats().fallback_allocs, 3);
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+    }
+
+    #[test]
+    fn zero_sized_regions_are_live_objects() {
+        let (mut a, mut gs, mut mem) = setup();
+        gs.set(0);
+        let p = a.malloc(0, site(), &gs, &mut mem);
+        let q = a.malloc(0, site(), &gs, &mut mem);
+        assert_eq!(q, p + 8, "a zero-byte request still owns a granule");
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 2));
+        a.free(p, &mut mem);
+        a.free(p, &mut mem);
+        assert_eq!(a.degrade_stats().invalid_frees, 1, "the cell tells live-and-empty from freed");
+        assert_eq!(a.live_objects(), 1);
+        a.free(q, &mut mem);
+        assert_eq!(a.stats().grouped_frees, 2);
+    }
+
+    #[test]
+    fn misaligned_and_interior_pointers_are_invalid_frees() {
+        let (mut a, mut gs, mut mem) = setup();
+        gs.set(0);
+        let p = a.malloc(64, site(), &gs, &mut mem);
+        let live = a.live_bytes();
+        // Inside the live region: off the granule grid, on it, and on its
+        // last byte; then past the bump pointer, and in a page of the slab
+        // no chunk covers yet.
+        for bad in [p + 1, p + 4, p + 8, p + 63, p + 64, p + small_config().chunk_size] {
+            assert!(a.is_group_allocated(bad));
+            a.free(bad, &mut mem);
+            assert_eq!(a.realloc(bad, 0, site(), &GroupState::new(2), &mut mem), 0x10_0000_0000);
+            a.free(0x10_0000_0000, &mut mem);
+        }
+        assert_eq!(a.degrade_stats().invalid_frees, 12, "each bad free and each realloc's free");
+        assert_eq!(a.live_bytes(), live, "accounting untouched");
+        a.free(p, &mut mem);
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+    }
+
+    #[test]
+    fn the_last_chunk_of_a_slab_is_indexed_to_its_last_page() {
+        let (mut a, mut gs, mut mem) = setup();
+        gs.set(0);
+        let cfg = small_config();
+        // Eight 8 KiB chunks fill the 64 KiB slab; the ninth opens a new one.
+        let per_chunk = cfg.chunk_size / 2048;
+        let ptrs: Vec<u64> = (0..cfg.slab_size / 2048 + per_chunk)
+            .map(|_| a.malloc(2048, site(), &gs, &mut mem))
+            .collect();
+        assert_eq!(a.stats().chunks_created, 9);
+        let slab_end = cfg.base + cfg.slab_size;
+        let last_of_slab = ptrs[(cfg.slab_size / 2048 - 1) as usize];
+        assert_eq!(last_of_slab, slab_end - 2048, "last region of the slab's last chunk");
+        assert_eq!(ptrs[(cfg.slab_size / 2048) as usize], slab_end, "next slab follows on");
+        for &p in ptrs.iter().rev() {
+            a.free(p, &mut mem);
+        }
+        assert_eq!(a.degrade_stats().invalid_frees, 0);
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+        // One past the highest slab belongs to the fallback's side.
+        assert!(!a.is_group_allocated(slab_end + cfg.slab_size));
+        a.free(slab_end + cfg.slab_size, &mut mem);
+        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        a.check_invariants().expect("consistent");
+    }
+
+    #[test]
+    fn free_finds_an_older_larger_chunk_after_the_plan_shrank_the_group() {
+        let global = GroupAllocConfig { slab_size: 16384 * 8, ..small_config() };
+        let big = GroupAllocConfig { chunk_size: 16384, ..global };
+        let small = GroupAllocConfig { chunk_size: 4096, ..global };
+        let mut a = HaloGroupAllocator::with_group_configs(global, two_group_table(), vec![big]);
+        let mut gs = GroupState::new(2);
+        let mut mem = Memory::new();
+        gs.set(0);
+        // Seven regions in the 16 KiB chunk: the later ones lie beyond
+        // where a 4 KiB-chunk view of the address would look.
+        let old: Vec<u64> = (0..7).map(|_| a.malloc(2048, site(), &gs, &mut mem)).collect();
+        a.install_plan(two_group_table(), vec![small]);
+        let new = a.malloc(2048, site(), &gs, &mut mem);
+        assert_ne!(new & !(16384 - 1), old[0] & !(16384 - 1), "a fresh 4 KiB chunk");
+        for &p in old.iter().rev() {
+            a.free(p, &mut mem);
+        }
+        assert_eq!(a.degrade_stats().invalid_frees, 0);
+        assert_eq!(a.stats().grouped_frees, 7);
+        assert_eq!(a.live_bytes(), 2048);
+        // The emptied 16 KiB chunk went spare; the 4 KiB plan cannot take it.
+        let again = a.malloc(4000, site(), &gs, &mut mem);
+        assert!(!(old[0]..old[0] + 16384).contains(&again));
+        a.free(new, &mut mem);
+        a.free(again, &mut mem);
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+        a.check_invariants().expect("consistent");
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   operation) and never takes any global lock: the pointer is pushed
 //!   onto the owner's dedicated remote queue (its own small mutex), and
 //!   the owner applies the queued frees the next time it enters its shard
-//!   — mimalloc's deferred-free protocol.
+//!   — mimalloc's deferred-free protocol. The queue and the owner trade
+//!   two buffers back and forth, so a drain allocates nothing.
 //!
 //! Aggregation (`frag_report`, `group_frag_reports`, `stats`) sums the
 //! per-shard snapshots; DESIGN.md §10 explains why that preserves the
@@ -102,12 +103,32 @@ struct ThreadRegistry {
     next_slot: usize,
 }
 
+/// What a shard's allocator lock protects.
 #[derive(Debug)]
-struct Shard {
-    inner: Mutex<HaloGroupAllocator<SizeClassAllocator>>,
+struct ShardState {
+    alloc: HaloGroupAllocator<SizeClassAllocator>,
+    /// The drained half of the remote-free double buffer: empty between
+    /// drains, swapped with the queue's buffer when the owner drains (so
+    /// the queue keeps the capacity it grew and a drain allocates nothing).
+    drain_buf: Vec<u64>,
+}
+
+/// A shard's remote-free queue and the push-side counters its lock covers.
+#[derive(Debug, Default)]
+struct RemoteQueue {
     /// Pointers freed by threads mapped to other shards, waiting for this
     /// shard to apply them ("remote frees").
-    remote: Mutex<Vec<u64>>,
+    ptrs: Vec<u64>,
+    /// Frees ever pushed onto this queue.
+    queued: u64,
+    /// Deepest this queue has been, observed at push time.
+    peak: u64,
+}
+
+#[derive(Debug)]
+struct Shard {
+    inner: Mutex<ShardState>,
+    remote: Mutex<RemoteQueue>,
     /// Lock-free view of the remote queue's length, written while the
     /// queue lock is held: lets the hot path skip the queue mutex
     /// entirely when nothing is pending (mimalloc's deferred-free flag).
@@ -151,9 +172,7 @@ pub struct ShardedHaloAllocator {
     fallback_base: u64,
     shards: Vec<Shard>,
     threads: Mutex<ThreadRegistry>,
-    remote_frees: AtomicU64,
     remote_drained: AtomicU64,
-    remote_peak_queue: AtomicU64,
     /// Bound on each shard's remote-free queue; a push that would exceed
     /// it falls back to a direct owner-lock free (backpressure instead of
     /// unbounded growth under a free-storm). Atomic so an operator (or
@@ -212,13 +231,16 @@ impl ShardedHaloAllocator {
                     FALLBACK_SHARD_STRIDE,
                 );
                 Shard {
-                    inner: Mutex::new(HaloGroupAllocator::with_group_configs_and_fallback(
-                        shard_cfg,
-                        selectors.clone(),
-                        shard_overrides,
-                        fallback,
-                    )),
-                    remote: Mutex::new(Vec::new()),
+                    inner: Mutex::new(ShardState {
+                        alloc: HaloGroupAllocator::with_group_configs_and_fallback(
+                            shard_cfg,
+                            selectors.clone(),
+                            shard_overrides,
+                            fallback,
+                        ),
+                        drain_buf: Vec::new(),
+                    }),
+                    remote: Mutex::new(RemoteQueue::default()),
                     pending: AtomicUsize::new(0),
                     degraded: AtomicBool::new(false),
                 }
@@ -230,9 +252,7 @@ impl ShardedHaloAllocator {
             fallback_base,
             shards,
             threads: Mutex::new(ThreadRegistry::default()),
-            remote_frees: AtomicU64::new(0),
             remote_drained: AtomicU64::new(0),
-            remote_peak_queue: AtomicU64::new(0),
             remote_queue_cap: AtomicUsize::new(Self::DEFAULT_REMOTE_QUEUE_CAP),
             queue_overflows: AtomicU64::new(0),
             poisoned_recovered: AtomicU64::new(0),
@@ -283,7 +303,7 @@ impl ShardedHaloAllocator {
             let base = self.config.base + i as u64 * GROUP_SHARD_STRIDE;
             let shard_overrides =
                 overrides.iter().map(|o| GroupAllocConfig { base, ..*o }).collect();
-            guard.install_plan(selectors.clone(), shard_overrides);
+            guard.alloc.install_plan(selectors.clone(), shard_overrides);
         }
         let epoch = self.plan_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guards);
@@ -314,7 +334,7 @@ impl ShardedHaloAllocator {
     /// draws its reservation/chunk faults from the same schedule.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         for s in 0..self.shards.len() {
-            self.lock_shard(s).set_fault_injector(Arc::clone(&injector));
+            self.lock_shard(s).alloc.set_fault_injector(Arc::clone(&injector));
         }
         self.faults = Some(injector);
     }
@@ -326,7 +346,7 @@ impl ShardedHaloAllocator {
     pub fn degrade_stats(&self) -> DegradeStats {
         let mut d = DegradeStats::default();
         for s in 0..self.shards.len() {
-            d.merge(self.lock_shard(s).degrade_raw());
+            d.merge(self.lock_shard(s).alloc.degrade_raw());
         }
         d.queue_overflows += self.queue_overflows.load(Ordering::Relaxed);
         d.poisoned_recovered += self.poisoned_recovered.load(Ordering::Relaxed);
@@ -346,14 +366,14 @@ impl ShardedHaloAllocator {
     /// every group degraded, all its traffic on the fallback — and
     /// counted in [`DegradeStats::degraded_shards`]. Either way, other
     /// threads are never wedged.
-    fn lock_shard(&self, s: usize) -> MutexGuard<'_, HaloGroupAllocator<SizeClassAllocator>> {
+    fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardState> {
         match self.shards[s].inner.lock() {
             Ok(inner) => inner,
             Err(poisoned) => {
                 self.poisoned_recovered.fetch_add(1, Ordering::Relaxed);
                 let mut inner = poisoned.into_inner();
-                if inner.check_invariants().is_err() {
-                    inner.quarantine();
+                if inner.alloc.check_invariants().is_err() {
+                    inner.alloc.quarantine();
                     self.shards[s].degraded.store(true, Ordering::Relaxed);
                 }
                 self.shards[s].inner.clear_poison();
@@ -363,10 +383,10 @@ impl ShardedHaloAllocator {
     }
 
     /// Take shard `s`'s remote-queue lock, recovering from poisoning. The
-    /// queue is a plain list of pointers — there is no partial state a
-    /// panicking pusher could leave behind — so recovery keeps the
-    /// contents.
-    fn lock_remote(&self, s: usize) -> MutexGuard<'_, Vec<u64>> {
+    /// queue is a plain list of pointers and two counters — there is no
+    /// partial state a panicking pusher could leave behind — so recovery
+    /// keeps the contents.
+    fn lock_remote(&self, s: usize) -> MutexGuard<'_, RemoteQueue> {
         match self.shards[s].remote.lock() {
             Ok(queue) => queue,
             Err(poisoned) => {
@@ -466,40 +486,37 @@ impl ShardedHaloAllocator {
         }
     }
 
-    /// Take shard `s`'s queued remote frees. The hot path (`force` off)
-    /// reads the lock-free pending flag first and skips the queue mutex
-    /// when it shows empty; `drain_remote` forces the lock so the
-    /// join-time flush is authoritative even against a racing push.
-    fn take_remote(&self, s: usize, force: bool) -> Vec<u64> {
-        let shard = &self.shards[s];
-        if !force && shard.pending.load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
-        let mut queue = self.lock_remote(s);
-        shard.pending.store(0, Ordering::Release);
-        std::mem::take(&mut *queue)
-    }
-
-    /// Enter shard `s`: apply its queued remote frees (the owner services
-    /// its queue on every entry, so queues drain as long as the shard
-    /// stays active), then return the held allocator lock.
+    /// Enter shard `s`: take its allocator lock, apply its queued remote
+    /// frees (the owner services its queue on every entry, so queues drain
+    /// as long as the shard stays active), and return the held lock.
     ///
-    /// Lock discipline: the remote queue's mutex and the allocator's mutex
-    /// are taken strictly one after the other, never nested, and no
-    /// operation ever holds two shards' allocator locks — so there is no
-    /// ordering to violate.
-    fn service_shard(
-        &self,
-        s: usize,
-        mem: &mut Memory,
-        force: bool,
-    ) -> MutexGuard<'_, HaloGroupAllocator<SizeClassAllocator>> {
-        let pending = self.take_remote(s, force);
+    /// The hot path (`force` off) reads the lock-free pending flag first
+    /// and skips the queue mutex when it shows empty; `drain_remote` forces
+    /// the lock so the join-time flush is authoritative even against a
+    /// racing push.
+    ///
+    /// Lock discipline: the queue's mutex is only ever taken *inside* the
+    /// owner's allocator lock (here, for the length of a buffer swap) or
+    /// on its own (a push, which releases it before touching any allocator
+    /// lock), and no operation ever holds two shards' allocator locks — so
+    /// there is no ordering to violate.
+    fn service_shard(&self, s: usize, mem: &mut Memory, force: bool) -> MutexGuard<'_, ShardState> {
+        let shard = &self.shards[s];
         let mut inner = self.lock_shard(s);
-        if !pending.is_empty() {
-            self.remote_drained.fetch_add(pending.len() as u64, Ordering::Relaxed);
-            for ptr in pending {
-                inner.free(ptr, mem);
+        if force || shard.pending.load(Ordering::Acquire) != 0 {
+            let state = &mut *inner;
+            {
+                let mut queue = self.lock_remote(s);
+                shard.pending.store(0, Ordering::Release);
+                // Hand the queue the buffer the last drain emptied and
+                // take the full one: neither side ever regrows.
+                std::mem::swap(&mut queue.ptrs, &mut state.drain_buf);
+            }
+            if !state.drain_buf.is_empty() {
+                self.remote_drained.fetch_add(state.drain_buf.len() as u64, Ordering::Relaxed);
+                for ptr in state.drain_buf.drain(..) {
+                    state.alloc.free(ptr, mem);
+                }
             }
         }
         inner
@@ -516,7 +533,7 @@ impl ShardedHaloAllocator {
             panic!("injected fault: thread panicked holding shard {s}'s allocator lock");
         }
         let mut inner = inner;
-        inner.malloc(size, site, gs, mem)
+        inner.alloc.malloc(size, site, gs, mem)
     }
 
     /// Free `ptr`, reporting — rather than absorbing — a pointer no shard
@@ -531,7 +548,7 @@ impl ShardedHaloAllocator {
         let owner = self.owner_of(ptr)?;
         if owner == self.current_shard() {
             let mut inner = self.service_shard(owner, mem, false);
-            inner.free(ptr, mem);
+            inner.alloc.free(ptr, mem);
             return Ok(());
         }
         let shard = &self.shards[owner];
@@ -539,16 +556,19 @@ impl ShardedHaloAllocator {
             let mut queue = self.lock_remote(owner);
             let forced_overflow =
                 self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::RemoteQueue));
-            if !forced_overflow && queue.len() < self.remote_queue_cap.load(Ordering::Relaxed) {
-                // Count before queueing so a concurrent drain can never
-                // observe more frees applied than were ever queued.
-                self.remote_frees.fetch_add(1, Ordering::Relaxed);
-                queue.push(ptr);
-                shard.pending.store(queue.len(), Ordering::Release);
-                // Depth is read under the queue lock, so the max over all
-                // pushes is exact per shard; across shards it is the
-                // deepest queue ever observed, the pressure signal wanted.
-                self.remote_peak_queue.fetch_max(queue.len() as u64, Ordering::Relaxed);
+            if !forced_overflow && queue.ptrs.len() < self.remote_queue_cap.load(Ordering::Relaxed)
+            {
+                // The counters are plain fields: the queue lock this push
+                // already holds orders them against every other push, and
+                // a drain takes the same lock, so it can never observe
+                // more frees applied than were ever queued.
+                queue.queued += 1;
+                queue.ptrs.push(ptr);
+                shard.pending.store(queue.ptrs.len(), Ordering::Release);
+                // The max over all pushes is exact per shard; across
+                // shards it is the deepest queue ever observed, the
+                // pressure signal wanted.
+                queue.peak = queue.peak.max(queue.ptrs.len() as u64);
                 return Ok(());
             }
         }
@@ -557,7 +577,7 @@ impl ShardedHaloAllocator {
         // lock — slower (it contends with the owner) but bounded.
         self.queue_overflows.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.service_shard(owner, mem, false);
-        inner.free(ptr, mem);
+        inner.alloc.free(ptr, mem);
         Ok(())
     }
 
@@ -588,7 +608,7 @@ impl ShardedHaloAllocator {
             return self.malloc_impl(size, site, gs, mem);
         };
         let mut inner = self.service_shard(owner, mem, false);
-        inner.realloc(ptr, size, site, gs, mem)
+        inner.alloc.realloc(ptr, size, site, gs, mem)
     }
 
     /// Apply every queued remote free on every shard — the join-time
@@ -605,17 +625,21 @@ impl ShardedHaloAllocator {
 
     /// Remote frees queued and not yet applied, across all shards.
     pub fn remote_pending(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.lock_remote(s).len()).sum()
+        (0..self.shards.len()).map(|s| self.lock_remote(s).ptrs.len()).sum()
     }
 
     /// Summed per-shard event counters plus the remote-free counters.
     pub fn sharded_stats(&self) -> ShardedAllocStats {
-        // Load drained before queued: a queue+drain racing between the
-        // two loads then inflates `remote_frees`, never `remote_drained`,
+        // Read drained before queued: a queue+drain racing between the
+        // two reads then inflates `remote_frees`, never `remote_drained`,
         // so a snapshot can never show more frees applied than queued.
         let remote_drained = self.remote_drained.load(Ordering::Acquire);
-        let remote_frees = self.remote_frees.load(Ordering::Acquire);
-        let remote_peak_queue = self.remote_peak_queue.load(Ordering::Relaxed);
+        let (mut remote_frees, mut remote_peak_queue) = (0, 0);
+        for s in 0..self.shards.len() {
+            let queue = self.lock_remote(s);
+            remote_frees += queue.queued;
+            remote_peak_queue = remote_peak_queue.max(queue.peak);
+        }
         ShardedAllocStats {
             alloc: self.stats(),
             remote_frees,
@@ -640,7 +664,7 @@ impl ShardedHaloAllocator {
                 chunks_created,
                 chunks_reused,
                 chunks_purged,
-            } = self.lock_shard(s).stats();
+            } = self.lock_shard(s).alloc.stats();
             total.grouped_allocs += grouped_allocs;
             total.fallback_allocs += fallback_allocs;
             total.grouped_frees += grouped_frees;
@@ -659,7 +683,7 @@ impl ShardedHaloAllocator {
     pub fn frag_report(&self) -> FragReport {
         let mut total = FragReport::default();
         for s in 0..self.shards.len() {
-            let r = self.lock_shard(s).frag_report();
+            let r = self.lock_shard(s).alloc.frag_report();
             Self::accumulate_frag(&mut total, r);
         }
         total
@@ -670,7 +694,7 @@ impl ShardedHaloAllocator {
     pub fn group_frag_reports(&self) -> Vec<FragReport> {
         let mut totals: Vec<FragReport> = Vec::new();
         for s in 0..self.shards.len() {
-            let reports = self.lock_shard(s).group_frag_reports();
+            let reports = self.lock_shard(s).alloc.group_frag_reports();
             if reports.len() > totals.len() {
                 totals.resize(reports.len(), FragReport::default());
             }
@@ -693,12 +717,12 @@ impl ShardedHaloAllocator {
     /// Bytes of grouped data currently live, across all shards. Remote
     /// frees still queued count as live — they have not been applied yet.
     pub fn live_grouped_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).live_grouped_bytes()).sum()
+        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_grouped_bytes()).sum()
     }
 
     /// Resident bytes attributed to group chunks, across all shards.
     pub fn resident_grouped_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).resident_grouped_bytes()).sum()
+        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.resident_grouped_bytes()).sum()
     }
 
     /// Whether `ptr` lies in any shard's group slabs.
@@ -708,7 +732,7 @@ impl ShardedHaloAllocator {
             return false;
         }
         let owner = ((ptr - self.config.base) / GROUP_SHARD_STRIDE) as usize;
-        self.lock_shard(owner).is_group_allocated(ptr)
+        self.lock_shard(owner).alloc.is_group_allocated(ptr)
     }
 }
 
@@ -779,11 +803,11 @@ impl VmAllocator for ShardedHaloAllocator {
 
 impl AllocatorStats for ShardedHaloAllocator {
     fn live_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).live_bytes()).sum()
+        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_bytes()).sum()
     }
 
     fn live_objects(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).live_objects()).sum()
+        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_objects()).sum()
     }
 }
 
@@ -1025,6 +1049,60 @@ mod tests {
         SyncVmAllocator::free(&a, 0x10, &mut mem);
         assert_eq!(a.degrade_stats().invalid_frees, 1);
         SyncVmAllocator::free(&a, p, &mut mem);
+        assert_eq!(a.live_bytes(), 0);
+    }
+
+    #[test]
+    fn invalid_fallback_free_is_counted_on_the_local_and_remote_paths() {
+        let (a, gs, mut mem) = sharded(2);
+        // No group bit: shard 0's fallback serves it.
+        SyncVmAllocator::thread_switched(&a, 0);
+        let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        assert!(!a.is_group_allocated(p));
+        SyncVmAllocator::free(&a, p, &mut mem);
+        let before = a.stats();
+        assert_eq!(before.fallback_frees, 1);
+        // Local path: the owner's own thread double-frees.
+        SyncVmAllocator::free(&a, p, &mut mem);
+        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        // Remote path: another thread double-frees; the pointer rides the
+        // owner's queue and is recognised when the owner drains it.
+        SyncVmAllocator::thread_switched(&a, 1);
+        SyncVmAllocator::free(&a, p, &mut mem);
+        SyncVmAllocator::free(&a, p + 8, &mut mem);
+        assert_eq!(a.remote_pending(), 2);
+        assert_eq!(a.degrade_stats().invalid_frees, 1, "not applied yet");
+        a.drain_remote(&mut mem);
+        assert_eq!(a.degrade_stats().invalid_frees, 3);
+        assert_eq!(a.stats(), before, "an invalid free is not a fallback free");
+        assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
+    }
+
+    #[test]
+    fn drained_queue_buffer_is_handed_back() {
+        let (a, mut gs, mut mem) = sharded(2);
+        gs.set(0);
+        let mut capacity = 0;
+        for round in 0..3 {
+            SyncVmAllocator::thread_switched(&a, 0);
+            let ptrs: Vec<u64> =
+                (0..64).map(|_| SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem)).collect();
+            SyncVmAllocator::thread_switched(&a, 1);
+            for p in ptrs {
+                SyncVmAllocator::free(&a, p, &mut mem);
+            }
+            let queue = a.lock_remote(0).ptrs.capacity();
+            let drain = a.lock_shard(0).drain_buf.capacity();
+            if round > 0 {
+                assert_eq!(queue, capacity, "the queue refills the buffer it grew, round {round}");
+                assert_eq!(drain, capacity, "both halves of the double buffer are warm");
+            }
+            capacity = queue;
+            assert!(capacity >= 64);
+        }
+        a.drain_remote(&mut mem);
+        let s = a.sharded_stats();
+        assert_eq!((s.remote_frees, s.remote_drained, s.remote_peak_queue), (192, 192, 64));
         assert_eq!(a.live_bytes(), 0);
     }
 
