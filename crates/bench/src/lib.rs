@@ -162,7 +162,7 @@ pub fn run_backend_pair(
     let spec = halo_core::backend_spec(id)
         .unwrap_or_else(|| panic!("unknown backend '{id}' (see halo_core::BACKENDS)"));
     assert!(
-        !spec.rewritten && !spec.needs_pipeline,
+        spec.needs == halo_core::BackendNeeds::Nothing,
         "backend '{id}' needs the full evaluate() path"
     );
     let config = paper_config(workload);

@@ -22,8 +22,9 @@ use halo_mem::{
 ///
 /// The pipeline artefacts are optional so light-weight harnesses (the
 /// Fig. 15 and §5.1 allocator comparisons, which never run the pipeline)
-/// can still construct registry backends; specs with
-/// [`BackendSpec::needs_pipeline`] set panic without them.
+/// can still construct registry backends; a spec panics without the
+/// artefact its [`BackendSpec::needs`] names. `evaluate` fills in exactly
+/// that artefact and leaves the other `None`.
 pub struct BackendCtx<'a> {
     /// The evaluation configuration (allocator knobs, measurement seed).
     pub config: &'a EvalConfig,
@@ -35,6 +36,20 @@ pub struct BackendCtx<'a> {
     pub hds: Option<&'a HdsResult>,
 }
 
+/// The evaluation artefact a backend's allocator is built from — its edge
+/// in `evaluate`'s dependency graph (DESIGN.md §14). A backend that needs
+/// nothing never waits on the pipeline or the hot-data-streams analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackendNeeds {
+    /// The configuration alone (the baselines, the random allocator).
+    Nothing,
+    /// The HALO pipeline's output: selector table and per-group plans,
+    /// plus the rewritten binary for [`BackendSpec::rewritten`] backends.
+    Optimised,
+    /// The hot-data-streams analysis (its site map).
+    Hds,
+}
+
 /// One evaluation backend: how to build its allocator and how the
 /// evaluation should treat it.
 pub struct BackendSpec {
@@ -43,14 +58,14 @@ pub struct BackendSpec {
     /// Human-readable name for tables.
     pub label: &'static str,
     /// Whether this backend measures the rewritten binary (`true`) or the
-    /// unmodified one.
+    /// unmodified one. `true` requires [`BackendNeeds::Optimised`], which
+    /// is where the rewritten binary lives.
     pub rewritten: bool,
     /// `false`: measured on every evaluation. `true`: measured only when
     /// [`EvalConfig::extras`] names this backend's id.
     pub optional: bool,
-    /// Whether construction requires the pipeline artefacts in
-    /// [`BackendCtx`].
-    pub needs_pipeline: bool,
+    /// Which artefact in [`BackendCtx`] construction requires.
+    pub needs: BackendNeeds,
     make: fn(&BackendCtx) -> Box<dyn BackendAllocator>,
 }
 
@@ -59,8 +74,8 @@ impl BackendSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec [`needs_pipeline`](Self::needs_pipeline) and the
-    /// context carries no pipeline artefacts.
+    /// Panics if the context lacks the artefact the spec
+    /// [`needs`](Self::needs).
     pub fn make_allocator(&self, ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
         (self.make)(ctx)
     }
@@ -108,7 +123,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "jemalloc-style baseline",
         rewritten: false,
         optional: false,
-        needs_pipeline: false,
+        needs: BackendNeeds::Nothing,
         make: make_baseline,
     },
     BackendSpec {
@@ -116,7 +131,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "HALO",
         rewritten: true,
         optional: false,
-        needs_pipeline: true,
+        needs: BackendNeeds::Optimised,
         make: make_halo,
     },
     BackendSpec {
@@ -124,7 +139,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "hot data streams",
         rewritten: false,
         optional: false,
-        needs_pipeline: true,
+        needs: BackendNeeds::Hds,
         make: make_hds,
     },
     BackendSpec {
@@ -132,7 +147,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "HALO (sharded)",
         rewritten: true,
         optional: true,
-        needs_pipeline: true,
+        needs: BackendNeeds::Optimised,
         make: make_halo_sharded,
     },
     BackendSpec {
@@ -140,7 +155,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "random four-pool",
         rewritten: false,
         optional: true,
-        needs_pipeline: false,
+        needs: BackendNeeds::Nothing,
         make: make_random,
     },
     BackendSpec {
@@ -148,7 +163,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         label: "ptmalloc2-style baseline",
         rewritten: false,
         optional: true,
-        needs_pipeline: false,
+        needs: BackendNeeds::Nothing,
         make: make_ptmalloc,
     },
 ];
@@ -192,8 +207,20 @@ mod tests {
     fn pipeline_free_backends_construct_without_artefacts() {
         let config = EvalConfig::default();
         let ctx = BackendCtx { config: &config, halo: None, optimised: None, hds: None };
-        for spec in BACKENDS.iter().filter(|s| !s.needs_pipeline) {
+        let free: Vec<_> = BACKENDS.iter().filter(|s| s.needs == BackendNeeds::Nothing).collect();
+        for spec in &free {
             let _ = spec.make_allocator(&ctx);
+        }
+        let ids: Vec<&str> = free.iter().map(|s| s.id).collect();
+        assert_eq!(ids, ["baseline", "random", "ptmalloc"]);
+    }
+
+    #[test]
+    fn rewritten_backends_declare_the_artefact_that_holds_their_binary() {
+        // `evaluate` takes a rewritten backend's program from the
+        // `Optimised` it obtained for the spec's declared dependency.
+        for spec in BACKENDS.iter().filter(|s| s.rewritten) {
+            assert_eq!(spec.needs, BackendNeeds::Optimised, "backend {}", spec.id);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! configurations — each produced by the [`crate::backend`] registry
 //! rather than a hand-written arm per configuration.
 
-use crate::backend::{BackendCtx, BackendSpec, BACKENDS};
+use crate::backend::{BackendCtx, BackendNeeds, BackendSpec, BACKENDS};
 use crate::measure::{measure_detailed, MeasureConfig, Measurement};
 use crate::parallel::par_map;
 use crate::pipeline::{Halo, HaloConfig, Optimised, PipelineError};
@@ -14,6 +14,7 @@ use halo_mem::{
 };
 use halo_profile::TraceCollector;
 use halo_vm::{Engine, Program, VmError};
+use std::sync::OnceLock;
 
 /// What to run and with which knobs.
 #[derive(Debug, Clone)]
@@ -174,71 +175,125 @@ pub fn evaluate_with_arg(
     train_arg: i64,
     config: &EvalConfig,
 ) -> Result<EvalResult, PipelineError> {
-    // --- HALO pipeline on the train input. The auto policies (granularity
-    // and per-group reuse) validate candidates by measurement, so they
-    // must see the same memory-subsystem geometry the final measurements
-    // use.
+    // The auto policies (granularity and per-group reuse) validate
+    // candidates by measurement, so they must see the same
+    // memory-subsystem geometry the final measurements use.
     let mut halo_config = config.halo;
     halo_config.hierarchy = config.measure.hierarchy;
     halo_config.timing = config.measure.timing;
     let halo = Halo::new(halo_config);
-    let optimised = halo.optimise_with_arg(program, train_seed, train_arg)?;
 
-    // --- Hot-data-streams analysis on the train input.
-    let mut collector = TraceCollector::new();
-    {
-        let mut alloc = SizeClassAllocator::new();
-        Engine::new(program)
-            .with_seed(train_seed)
-            .with_entry_arg(train_arg)
-            .with_limits(config.halo.limits)
-            .run(&mut alloc, &mut collector)?;
-    }
-    let trace = collector.finish();
-    let hds_analysis = analyze(&trace, &config.hds);
+    // One job list (DESIGN.md §14): the two artefact producers, then the
+    // enabled backends in registry order. Each job owns everything it
+    // mutates (allocator, engine, simulated memory, cache model); the
+    // artefacts are shared read-only through the cells below. A backend
+    // takes the artefact it declares with `get_or_init`: it finds it,
+    // waits for the thread computing it, or computes it itself — never
+    // waits on a job nobody runs — and each artefact is still computed
+    // exactly once. `HALO_THREADS=1` walks the list front to back.
+    let optimised = OnceLock::<Result<Optimised, PipelineError>>::new();
+    let hds_analysis = OnceLock::<Result<HdsResult, VmError>>::new();
+    let optimise = || halo.optimise_with_arg(program, train_seed, train_arg);
+    let analyse = || hot_data_streams(program, train_seed, train_arg, config);
 
-    // --- Measurement runs on the ref input: every enabled registry
-    // backend. Each backend owns its whole measurement (allocator,
-    // engine, simulated memory, cache model) and shares only read-only
-    // artefacts, so the backends fan out across threads
-    // (`HALO_THREADS`-governed, like the workload sweeps); results are
-    // collected in registry order, keeping every downstream table and
-    // JSON document byte-identical to the old serial loop.
-    let ctx = BackendCtx {
-        config,
-        halo: Some(&halo),
-        optimised: Some(&optimised),
-        hds: Some(&hds_analysis),
-    };
-    let enabled: Vec<&BackendSpec> = BACKENDS.iter().filter(|s| s.enabled(config)).collect();
-    let measured = par_map(&enabled, |spec| -> Result<(&'static str, ConfigResult), VmError> {
-        let mut alloc = spec.make_allocator(&ctx);
-        if let Some(plan) = &config.faults {
-            // Each backend replays the schedule from occurrence zero;
-            // backends without a degradation ladder (the baselines)
-            // decline and run clean.
-            alloc.backend_inject(plan);
+    let mut jobs = vec![Job::Optimise, Job::HdsAnalysis];
+    jobs.extend(BACKENDS.iter().filter(|s| s.enabled(config)).map(Job::Measure));
+    let measured = par_map(&jobs, |job| {
+        let spec = match job {
+            Job::Optimise => {
+                optimised.get_or_init(optimise);
+                return None;
+            }
+            Job::HdsAnalysis => {
+                hds_analysis.get_or_init(analyse);
+                return None;
+            }
+            Job::Measure(spec) => spec,
+        };
+        let mut ctx = BackendCtx { config, halo: Some(&halo), optimised: None, hds: None };
+        // `.ok()?`: a failed artefact leaves nothing to measure, and its
+        // error outranks every backend's below.
+        match spec.needs {
+            BackendNeeds::Nothing => {}
+            BackendNeeds::Optimised => {
+                ctx.optimised = Some(optimised.get_or_init(optimise).as_ref().ok()?);
+            }
+            BackendNeeds::Hds => ctx.hds = Some(hds_analysis.get_or_init(analyse).as_ref().ok()?),
         }
-        let target = if spec.rewritten { &optimised.program } else { program };
-        let d = measure_detailed(target, &mut alloc, &config.measure)?;
-        Ok((
-            spec.id,
-            ConfigResult {
-                measurement: d.measurement,
-                frag: alloc.backend_frag(),
-                alloc_stats: alloc.backend_stats(),
-                sharded: alloc.backend_sharded_stats(),
-                degrade: alloc.backend_degrade(),
-                thread_stats: d.thread_stats,
-            },
-        ))
+        Some(measure_backend(spec, &ctx, program))
     });
-    let mut backends = Vec::with_capacity(measured.len());
-    for result in measured {
-        backends.push(result?);
-    }
+
+    // Assembled after the fan-in in (pipeline, analysis, registry) order,
+    // so the first failing stage in that order decides the error — and
+    // every table and JSON document downstream — whatever order the jobs
+    // finished in.
+    let optimised = optimised.into_inner().expect("the optimise job ran")?;
+    let hds_analysis = hds_analysis.into_inner().expect("the analysis job ran")?;
+    let backends = measured.into_iter().flatten().collect::<Result<Vec<_>, VmError>>()?;
 
     Ok(EvalResult { name: name.to_string(), backends, optimised, hds_analysis })
+}
+
+/// One entry of [`evaluate_with_arg`]'s job list.
+enum Job {
+    /// Produce the HALO pipeline artefacts on the train input.
+    Optimise,
+    /// Produce the hot-data-streams analysis on the train input.
+    HdsAnalysis,
+    /// Measure one enabled backend on the ref input.
+    Measure(&'static BackendSpec),
+}
+
+/// The hot-data-streams comparison's offline half: record the train
+/// input's heap-access trace and run SEQUITUR over it. The trace is by far
+/// the largest artefact of an evaluation and dies here.
+fn hot_data_streams(
+    program: &Program,
+    train_seed: u64,
+    train_arg: i64,
+    config: &EvalConfig,
+) -> Result<HdsResult, VmError> {
+    let mut collector = TraceCollector::new();
+    Engine::new(program)
+        .with_seed(train_seed)
+        .with_entry_arg(train_arg)
+        .with_limits(config.halo.limits)
+        .run(&mut SizeClassAllocator::new(), &mut collector)?;
+    Ok(analyze(&collector.finish(), &config.hds))
+}
+
+/// Measure one backend on the ref input, on the rewritten binary when the
+/// spec asks for it.
+fn measure_backend(
+    spec: &BackendSpec,
+    ctx: &BackendCtx,
+    program: &Program,
+) -> Result<(&'static str, ConfigResult), VmError> {
+    let config = ctx.config;
+    let mut alloc = spec.make_allocator(ctx);
+    if let Some(plan) = &config.faults {
+        // Each backend replays the schedule from occurrence zero;
+        // backends without a degradation ladder (the baselines)
+        // decline and run clean.
+        alloc.backend_inject(plan);
+    }
+    let target = if spec.rewritten {
+        &ctx.optimised.expect("a rewritten backend declares BackendNeeds::Optimised").program
+    } else {
+        program
+    };
+    let d = measure_detailed(target, &mut alloc, &config.measure)?;
+    Ok((
+        spec.id,
+        ConfigResult {
+            measurement: d.measurement,
+            frag: alloc.backend_frag(),
+            alloc_stats: alloc.backend_stats(),
+            sharded: alloc.backend_sharded_stats(),
+            degrade: alloc.backend_degrade(),
+            thread_stats: d.thread_stats,
+        },
+    ))
 }
 
 #[cfg(test)]

@@ -121,6 +121,13 @@ pub struct Optimised {
     pub rewrite: RewriteReport,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Profiling runs started on this thread, so a test can tell how many
+    /// a caller paid for.
+    pub(crate) static PROFILING_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The HALO optimiser: configure once, apply to binaries.
 #[derive(Debug, Clone, Default)]
 pub struct Halo {
@@ -160,6 +167,8 @@ impl Halo {
         train_seed: u64,
         train_arg: i64,
     ) -> Result<Profile, PipelineError> {
+        #[cfg(test)]
+        PROFILING_RUNS.set(PROFILING_RUNS.get() + 1);
         let mut profiler = Profiler::new(program, self.config.profile);
         // Profiling observes the program under the default allocator, as
         // the paper's Pin tool does.

@@ -174,12 +174,14 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let halo = Halo::new(halo_config);
 
     // Initial optimisation on phase 0 — both the serve plan and the
-    // static twin start here.
+    // static twin start from this one result. The twin keeps its own copy
+    // of the rewritten binary: `initial` moves into the active plan and
+    // is dropped at the first swap.
     let first = &phases[0];
     let initial = halo.optimise_with_arg(&first.program, first.train_seed, first.train_arg)?;
-    let static_opt = halo.optimise_with_arg(&first.program, first.train_seed, first.train_arg)?;
     let serve_alloc = halo.make_sharded_allocator(&initial, config.shards);
-    let static_alloc = halo.make_sharded_allocator(&static_opt, config.shards);
+    let static_alloc = halo.make_sharded_allocator(&initial, config.shards);
+    let static_program = initial.program.clone();
 
     let mut stream = ProfileStream::new(config.decay);
     stream.absorb(&initial.profile);
@@ -267,7 +269,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             };
             let static_m = measure_serving(
                 &static_alloc,
-                if phase_idx == 0 { &static_opt.program } else { &phase.program },
+                if phase_idx == 0 { &static_program } else { &phase.program },
                 &mcfg,
             )?;
             let serve_m = measure_serving(
@@ -403,9 +405,13 @@ mod tests {
 
     #[test]
     fn steady_phase_never_swaps() {
+        let profiled = crate::pipeline::PROFILING_RUNS.get();
         let report = serve(&[phase("steady", phased_program(2, 48), 3)], &serve_config())
             .expect("serve runs");
         assert_eq!(report.rows.len(), 3);
+        // One optimisation of phase 0 feeds both the serve allocator and
+        // the static twin, then one streamed profile per window.
+        assert_eq!(crate::pipeline::PROFILING_RUNS.get() - profiled, 1 + 3);
         assert_eq!(report.swaps, 0, "a stable workload triggers no swap: {:?}", report.rows);
         assert!(report.rows.iter().all(|row| row.plan_epoch == 0));
         // Drift is measured every window (regroup_every = 1) and stays

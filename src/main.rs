@@ -727,14 +727,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// per OS thread sharing the sharded allocator, and the wall-clock ratio
 /// is reported. On a single-core host the mode degrades gracefully: it
 /// prints why and exits successfully, so scripted invocations stay green.
-/// `HALO_THREADS` overrides the detected core count (as everywhere else),
-/// which also makes the multi-engine path testable on any host.
+/// `HALO_THREADS` overrides the detected core count through the same
+/// reader as everywhere else (an invalid value warns and falls back to the
+/// hardware count), which also makes the multi-engine path testable on any
+/// host.
 fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
     use halo::vm::{Engine, NullMonitor};
-    let cores = match std::env::var("HALO_THREADS") {
-        Ok(v) => halo::core::parse_halo_threads(&v)?,
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    };
+    // Uncapped by a job count: the engine count is capped per workload.
+    let cores = halo::core::thread_count(usize::MAX);
     if cores < 2 {
         println!(
             "--measure real needs a multi-core host (available_parallelism reports {cores}); \

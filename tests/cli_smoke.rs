@@ -2,7 +2,9 @@
 //! framing, driving the real executable (libtest exposes its path as
 //! `CARGO_BIN_EXE_halo`). The heavyweight evaluation paths are covered by
 //! `pipeline_end_to_end.rs`; here we only run cheap workloads (`toy`,
-//! plus `povray`/`analyzer` in the parallel-plot determinism check).
+//! plus `povray`/`analyzer` in the parallel-plot determinism check) —
+//! except the evaluate-schedule matrix, which needs `roms` and `omnetpp`
+//! for their `auto` policies.
 
 use std::process::{Command, Output};
 
@@ -321,6 +323,76 @@ fn measure_real_gates_on_core_count_and_runs_when_multicore() {
     ] {
         assert!(text.contains(key), "real-mode JSON is missing {key}: {text}");
     }
+}
+
+#[test]
+fn measure_real_reads_halo_threads_like_every_other_command() {
+    // An unusable value is not a hard error here and a warning elsewhere:
+    // one reader, one policy — warn once, fall back to the hardware count.
+    let out = Command::new(env!("CARGO_BIN_EXE_halo"))
+        .args(["run", "--benchmark", "toy", "--shards", "2", "--measure", "real"])
+        .env("HALO_THREADS", "max")
+        .output()
+        .expect("the halo binary must spawn");
+    assert!(out.status.success(), "an invalid HALO_THREADS must not fail: {}", stderr(&out));
+    let err = stderr(&out);
+    let warnings: Vec<&str> = err.lines().filter(|l| l.contains("HALO_THREADS")).collect();
+    assert_eq!(
+        warnings,
+        ["warning: HALO_THREADS=max is invalid: expected a positive integer, \
+          e.g. HALO_THREADS=1 for the serial path; using hardware parallelism"],
+        "exactly one warning line: {err}"
+    );
+    // On the hardware count: a one-core host still gets the gate message,
+    // any other measures.
+    let text = stdout(&out);
+    assert!(
+        text.contains("needs a multi-core host") || text.contains(" real: "),
+        "neither gated nor measured: {text}"
+    );
+}
+
+/// `halo run` over three programs that between them take every branch of
+/// the evaluation's job list — `roms` and `omnetpp` resolve both `auto`
+/// policies (page fallback, declined grouping), every backend kind is on,
+/// and `halo-sharded` is an extra that lands on a worker thread — at
+/// `HALO_THREADS` 1, 2, 3 and 8: fewer workers than jobs, as many, more.
+fn assert_schedule_is_invisible(extra_args: &[&str]) {
+    let mut args =
+        "run --benchmark roms,omnetpp,povray --hds --random --ptmalloc --shards 4 --json"
+            .split(' ')
+            .collect::<Vec<_>>();
+    args.extend(extra_args);
+    let run = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_halo"))
+            .args(&args)
+            .env("HALO_THREADS", threads)
+            .output()
+            .expect("the halo binary must spawn");
+        assert!(out.status.success(), "HALO_THREADS={threads} failed: {}", stderr(&out));
+        out.stdout
+    };
+    let serial = run("1");
+    let text = String::from_utf8(serial.clone()).expect("stdout is UTF-8");
+    for key in ["\"benchmark\":\"roms\"", "\"halo-sharded\":{", "\"random\":{", "\"ptmalloc\":{"] {
+        assert!(text.contains(key), "sweep output is missing {key}:\n{text}");
+    }
+    for threads in ["2", "3", "8"] {
+        assert!(
+            run(threads) == serial,
+            "HALO_THREADS={threads} must print the serial run's bytes:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn evaluation_output_is_byte_identical_at_every_thread_count() {
+    assert_schedule_is_invisible(&[]);
+}
+
+#[test]
+fn injected_evaluation_output_is_byte_identical_at_every_thread_count() {
+    assert_schedule_is_invisible(&["--inject", "seed=7,vmm@1"]);
 }
 
 #[test]
