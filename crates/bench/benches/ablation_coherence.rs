@@ -8,10 +8,9 @@
 //! the per-thread miss breakdown, then states the sharded-vs-plain
 //! invalidation verdict the acceptance gate checks.
 //!
-//! Like the Criterion micro-benches, the first non-flag CLI argument
-//! filters the benchmark list (`cargo bench --bench ablation_coherence
-//! -- server` runs just the server rows) — CI's bench-smoke step relies
-//! on this to stay cheap.
+//! The first non-flag CLI argument filters the benchmark list (`cargo
+//! bench --bench ablation_coherence -- server` runs just the server
+//! rows) — CI's bench-smoke step relies on this to stay cheap.
 
 use halo_core::ConfigResult;
 

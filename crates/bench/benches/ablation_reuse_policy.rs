@@ -7,10 +7,9 @@
 //! per group: flips are validated on the train input and kept only where
 //! they cut fragmentation without costing misses.
 //!
-//! Like the Criterion micro-benches, the first non-flag CLI argument
-//! filters the benchmark list (`cargo bench --bench ablation_reuse_policy
-//! -- leela` runs just the leela rows) — CI's bench-smoke step relies on
-//! this to stay cheap.
+//! The first non-flag CLI argument filters the benchmark list (`cargo
+//! bench --bench ablation_reuse_policy -- leela` runs just the leela
+//! rows) — CI's bench-smoke step relies on this to stay cheap.
 
 use halo_core::{measure, Halo};
 use halo_graph::ReusePolicyChoice;

@@ -1,14 +1,12 @@
 //! One policy for environment-variable overrides, used by every tunable
-//! in the workspace (`HALO_THREADS`, `HALO_GRAPH_BENCH_NODES`,
-//! `HALO_PROPTEST_CASES`).
+//! in the workspace (`HALO_THREADS`, `HALO_PROPTEST_CASES`).
 //!
 //! The rule: a *valid* value overrides, an *unset* variable is silently
 //! ignored, and an *invalid* value warns loudly on stderr — once per
-//! process per variable — and falls back. Before this helper the three
-//! consumers each rolled their own: `HALO_THREADS` warned,
-//! `HALO_GRAPH_BENCH_NODES` silently ignored typos, and
+//! process per variable — and falls back. Before this helper each
+//! consumer rolled its own: `HALO_THREADS` warned and
 //! `HALO_PROPTEST_CASES` panicked — so the same mistake (`=max`, `=0`)
-//! produced three different behaviours.
+//! produced different behaviours.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};

@@ -79,6 +79,25 @@ impl Default for GroupAllocConfig {
     }
 }
 
+impl GroupAllocConfig {
+    /// Whether chunks of `chunk_size` bytes can be carved from this
+    /// configuration's slabs; the `Err` names the broken rule. The
+    /// constructors and plan swaps panic with that text, so whoever holds
+    /// user input (the CLI's `--chunk-size`) checks here first.
+    pub fn check_chunk_size(&self, chunk_size: u64) -> Result<(), &'static str> {
+        if !chunk_size.is_power_of_two() {
+            return Err("chunk size must be a power of two");
+        }
+        if chunk_size < PAGE_SIZE {
+            return Err("chunks must be at least a page");
+        }
+        if !self.slab_size.is_multiple_of(chunk_size) {
+            return Err("slabs must hold whole chunks");
+        }
+        Ok(())
+    }
+}
+
 /// Event counters exposed for experiments and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupAllocStats {
@@ -380,9 +399,9 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     }
 
     pub(crate) fn validate_chunk(config: &GroupAllocConfig, chunk_size: u64) {
-        assert!(chunk_size.is_power_of_two(), "chunk size must be a power of two");
-        assert!(chunk_size >= PAGE_SIZE, "chunks must be at least a page");
-        assert_eq!(config.slab_size % chunk_size, 0, "slabs must hold whole chunks");
+        if let Err(rule) = config.check_chunk_size(chunk_size) {
+            panic!("{rule}");
+        }
     }
 
     /// Grow the per-group tables to at least `n` groups (new groups run
@@ -1696,5 +1715,15 @@ mod tests {
             two_group_table(),
             vec![GroupAllocConfig { chunk_size: 12288, ..cfg }],
         );
+    }
+
+    #[test]
+    fn chunk_size_check_names_the_broken_rule() {
+        let cfg = small_config();
+        assert_eq!(cfg.check_chunk_size(cfg.chunk_size), Ok(()));
+        assert_eq!(cfg.check_chunk_size(0), Err("chunk size must be a power of two"));
+        assert_eq!(cfg.check_chunk_size(12288), Err("chunk size must be a power of two"));
+        assert_eq!(cfg.check_chunk_size(PAGE_SIZE / 2), Err("chunks must be at least a page"));
+        assert_eq!(cfg.check_chunk_size(cfg.slab_size * 2), Err("slabs must hold whole chunks"));
     }
 }

@@ -18,6 +18,7 @@ use halo::core::{
 use halo::graph::{Granularity, ReusePolicyChoice};
 use halo::mem::{FaultPlan, SizeClassAllocator};
 use halo::workloads::{all, Workload};
+use halo_bench::pct;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -52,7 +53,6 @@ fn main() -> ExitCode {
         "baseline" => cmd_baseline(&args[1..]),
         "run" => cmd_run(&args[1..]),
         "plot" => cmd_plot(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             usage();
@@ -79,7 +79,6 @@ fn usage() {
          \thalo baseline --benchmark <name>\n\
          \thalo run --benchmark <name[,name…]|all> [options]\n\
          \thalo plot [--metric misses|speedup]\n\
-         \thalo bench [--json] [--out <path>] [--compare <old.json>]\n\
          \thalo serve --phases <name:windows[,name:windows…]> [options]\n\
          \n\
          Multi-workload sweeps (run/plot/baseline over several benchmarks)\n\
@@ -122,12 +121,6 @@ fn usage() {
          \t--ptmalloc                    also run the ptmalloc2-style baseline\n\
          \t--json                        machine-readable output\n\
          \n\
-         BENCH OPTIONS:\n\
-         \t--out <path>                  baseline file to write (default BENCH_profile.json)\n\
-         \t--compare <old.json>          after measuring, print a per-row delta table\n\
-         \t                              against a previous baseline file\n\
-         \t--json                        also print the JSON document to stdout\n\
-         \n\
          SERVE OPTIONS (online re-optimisation, DESIGN.md §15):\n\
          \t--phases <script>             the scripted workload-mix shift: comma-\n\
          \t                              separated name:windows pairs served in\n\
@@ -152,7 +145,8 @@ fn usage() {
 struct Flags {
     benchmark: Option<String>,
     affinity_distance: Option<u64>,
-    chunk_size: Option<u64>,
+    /// `--chunk-size` and the slab size derived from it.
+    chunk_size: Option<(u64, u64)>,
     max_spare_chunks: Option<usize>,
     max_groups: Option<usize>,
     merge_tolerance: Option<f64>,
@@ -166,15 +160,60 @@ struct Flags {
     ptmalloc: bool,
     json: bool,
     metric: String,
-    out: Option<String>,
-    compare: Option<String>,
     phases: Option<String>,
     decay: Option<f64>,
     drift_threshold: Option<f64>,
     regroup_every: Option<u64>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags each command reads. One `Flags` struct serves them all, so a
+/// flag outside the calling command's list is an error rather than a
+/// setting that silently does nothing.
+const BASELINE_FLAGS: &[&str] = &["--benchmark", "--json"];
+const RUN_FLAGS: &[&str] = &[
+    "--benchmark",
+    "--affinity-distance",
+    "--chunk-size",
+    "--max-spare-chunks",
+    "--max-groups",
+    "--merge-tolerance",
+    "--granularity",
+    "--reuse-policy",
+    "--shards",
+    "--inject",
+    "--measure",
+    "--hds",
+    "--random",
+    "--ptmalloc",
+    "--json",
+];
+/// `plot` draws the HALO and HDS bars only: the flags that shape them.
+const PLOT_FLAGS: &[&str] = &[
+    "--benchmark",
+    "--metric",
+    "--affinity-distance",
+    "--chunk-size",
+    "--max-spare-chunks",
+    "--max-groups",
+    "--merge-tolerance",
+    "--granularity",
+    "--reuse-policy",
+    "--inject",
+];
+const SERVE_FLAGS: &[&str] =
+    &["--phases", "--shards", "--decay", "--drift-threshold", "--regroup-every", "--json"];
+
+/// Parse `flag`'s value as a fraction in `[0, 1]` (which excludes NaN).
+fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
+    let what = flag.trim_start_matches('-').replace('-', " ");
+    let f: f64 = v.parse().map_err(|_| format!("invalid {what} '{v}' (a fraction in [0, 1])"))?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err(format!("{flag} {v} is out of range (a fraction in [0, 1])"));
+    }
+    Ok(f)
+}
+
+fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         benchmark: None,
         affinity_distance: None,
@@ -192,8 +231,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         ptmalloc: false,
         json: false,
         metric: "misses".to_string(),
-        out: None,
-        compare: None,
         phases: None,
         decay: None,
         drift_threshold: None,
@@ -201,6 +238,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if !allowed.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown flag '{arg}': halo {command} only accepts {}",
+                allowed.join(", ")
+            ));
+        }
         let mut value = |name: &str| {
             it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
         };
@@ -211,7 +254,19 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     Some(value("--affinity-distance")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--chunk-size" => {
-                flags.chunk_size = Some(value("--chunk-size")?.parse().map_err(|e| format!("{e}"))?)
+                let v = value("--chunk-size")?;
+                let chunk_size: u64 = v.parse().map_err(|e| format!("{e}"))?;
+                // A slab holds 64 chunks, and at least 4 MiB. The check is
+                // the allocator's own, made here so a bad size is a parse
+                // error and not a constructor panic on a worker thread.
+                let slab_size = chunk_size
+                    .checked_mul(64)
+                    .ok_or_else(|| format!("--chunk-size {v}: a slab of 64 chunks overflows"))?
+                    .max(4 << 20);
+                halo::mem::GroupAllocConfig { slab_size, ..Default::default() }
+                    .check_chunk_size(chunk_size)
+                    .map_err(|rule| format!("--chunk-size {v}: {rule}"))?;
+                flags.chunk_size = Some((chunk_size, slab_size));
             }
             "--max-spare-chunks" => {
                 let v = value("--max-spare-chunks")?;
@@ -225,8 +280,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.max_groups = Some(value("--max-groups")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--merge-tolerance" => {
-                flags.merge_tolerance =
-                    Some(value("--merge-tolerance")?.parse().map_err(|e| format!("{e}"))?)
+                let v = value("--merge-tolerance")?;
+                flags.merge_tolerance = Some(parse_fraction("--merge-tolerance", &v)?);
             }
             "--granularity" => flags.granularity = Some(value("--granularity")?.parse()?),
             "--reuse-policy" => flags.reuse_policy = Some(value("--reuse-policy")?.parse()?),
@@ -260,29 +315,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.measure = v;
             }
             "--metric" => flags.metric = value("--metric")?,
-            "--out" => flags.out = Some(value("--out")?),
-            "--compare" => flags.compare = Some(value("--compare")?),
             "--phases" => flags.phases = Some(value("--phases")?),
             "--decay" => {
                 let v = value("--decay")?;
-                let d: f64 =
-                    v.parse().map_err(|_| format!("invalid decay '{v}' (a fraction in [0, 1])"))?;
-                if !(0.0..=1.0).contains(&d) {
-                    return Err(format!("--decay {v} is out of range (a fraction in [0, 1])"));
-                }
-                flags.decay = Some(d);
+                flags.decay = Some(parse_fraction("--decay", &v)?);
             }
             "--drift-threshold" => {
                 let v = value("--drift-threshold")?;
-                let d: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid drift threshold '{v}' (a fraction in [0, 1])"))?;
-                if !(0.0..=1.0).contains(&d) {
-                    return Err(format!(
-                        "--drift-threshold {v} is out of range (a fraction in [0, 1])"
-                    ));
-                }
-                flags.drift_threshold = Some(d);
+                flags.drift_threshold = Some(parse_fraction("--drift-threshold", &v)?);
             }
             "--regroup-every" => {
                 let v = value("--regroup-every")?;
@@ -298,7 +338,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--random" => flags.random = true,
             "--ptmalloc" => flags.ptmalloc = true,
             "--json" => flags.json = true,
-            other => return Err(format!("unknown flag '{other}'")),
+            other => unreachable!("{other} is on an allow-list but has no parser"),
         }
     }
     Ok(flags)
@@ -330,14 +370,18 @@ fn find_workloads(selector: Option<&str>) -> Result<Vec<Workload>, String> {
     }
 }
 
+/// The §5.1 defaults with the §A.8 per-benchmark flags — from
+/// `halo_bench::paper_config`, the single source of the per-benchmark
+/// policy, so `halo run` and the bench harnesses cannot drift apart — with
+/// the command line's overrides applied.
 fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
-    let mut config = paper_defaults(workload);
+    let mut config = halo_bench::paper_config(workload);
     if let Some(a) = flags.affinity_distance {
         config.halo.profile.affinity_distance = a;
     }
-    if let Some(c) = flags.chunk_size {
-        config.halo.alloc.chunk_size = c;
-        config.halo.alloc.slab_size = (c * 64).max(4 << 20);
+    if let Some((chunk_size, slab_size)) = flags.chunk_size {
+        config.halo.alloc.chunk_size = chunk_size;
+        config.halo.alloc.slab_size = slab_size;
     }
     if let Some(s) = flags.max_spare_chunks {
         config.halo.alloc.max_spare_chunks = s;
@@ -367,14 +411,6 @@ fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
         config.extras.push("ptmalloc");
     }
     config
-}
-
-/// The §5.1 defaults with the §A.8 per-benchmark flags — delegated to
-/// `halo_bench::paper_config`, the single source of the per-benchmark
-/// policy, so `halo run` and the bench harnesses cannot drift apart (the
-/// binary already links `halo_bench` for `halo bench`).
-fn paper_defaults(workload: &Workload) -> EvalConfig {
-    halo_bench::paper_config(workload)
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -418,7 +454,7 @@ fn run_sweep<T: Sync>(
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("baseline", BASELINE_FLAGS, args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     run_sweep(&workloads, |w| {
         let config = config_for(w, &flags);
@@ -703,7 +739,7 @@ fn render_run(r: &EvalResult, flags: &Flags) -> String {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("run", RUN_FLAGS, args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     if flags.measure == "real" {
         if flags.inject.is_some() {
@@ -807,7 +843,7 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("plot", PLOT_FLAGS, args)?;
     let metric_is_speedup = match flags.metric.as_str() {
         "misses" => false,
         "speedup" => true,
@@ -833,202 +869,6 @@ fn cmd_plot(args: &[String]) -> Result<(), String> {
     })
 }
 
-/// One row of the `halo bench` baseline file.
-struct BenchRow {
-    name: &'static str,
-    samples: u32,
-    best_ns: u128,
-    mean_ns: u128,
-    /// Units of work one sample performs and what they are called, for
-    /// rows whose natural unit is a rate (stdout only; the file keeps
-    /// whole-sample nanoseconds so every row compares the same way).
-    work: Option<(u64, &'static str)>,
-}
-
-/// Run `routine` `samples` times; report best and mean wall-clock.
-fn time_samples(name: &'static str, samples: u32, mut routine: impl FnMut()) -> BenchRow {
-    let (mut best, mut total) = (u128::MAX, 0u128);
-    for _ in 0..samples {
-        let start = Instant::now();
-        routine();
-        let ns = start.elapsed().as_nanos();
-        best = best.min(ns);
-        total += ns;
-    }
-    BenchRow {
-        name,
-        samples,
-        best_ns: best,
-        mean_ns: total / u128::from(samples.max(1)),
-        work: None,
-    }
-}
-
-/// `halo bench`: machine-readable performance baselines for the profiling
-/// hot path and the end-to-end pipeline, written to `BENCH_profile.json`
-/// so the perf trajectory is tracked across PRs.
-///
-/// Always measures the §5.1 paper defaults — run-configuration flags are
-/// rejected so a flagged invocation can't silently write rows measured
-/// under a different configuration into the committed baseline file.
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.benchmark.is_some()
-        || flags.affinity_distance.is_some()
-        || flags.chunk_size.is_some()
-        || flags.max_spare_chunks.is_some()
-        || flags.max_groups.is_some()
-        || flags.merge_tolerance.is_some()
-        || flags.granularity.is_some()
-        || flags.reuse_policy.is_some()
-        || flags.shards.is_some()
-        || flags.inject.is_some()
-        || flags.measure != "sim" // the parse-time default
-        || flags.metric != "misses" // the parse-time default
-        || flags.hds
-        || flags.random
-        || flags.ptmalloc
-        || flags.phases.is_some()
-        || flags.decay.is_some()
-        || flags.drift_threshold.is_some()
-        || flags.regroup_every.is_some()
-    {
-        return Err("halo bench only accepts --out, --compare, and --json (baselines \
-                    always measure the paper-default configuration)"
-            .to_string());
-    }
-    // Read (and validate) the old baseline *before* spending a minute
-    // measuring, so a bad path or stale schema fails fast.
-    let old_rows = match &flags.compare {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Some(halo_bench::compare::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let mut rows = Vec::new();
-
-    // Hot-path micro-workloads — the bodies live in halo_bench and are
-    // shared with the Criterion micro-benches of the same names, so the
-    // rows stay comparable.
-    rows.push(time_samples("profile/affinity_queue_100k", 10, || {
-        std::hint::black_box(halo_bench::affinity_queue_100k());
-    }));
-    rows.push(time_samples("profile/object_find_100k", 10, || {
-        std::hint::black_box(halo_bench::object_find_100k());
-    }));
-    rows.push(time_samples("mem/group_alloc_malloc_free_100k", 10, || {
-        std::hint::black_box(halo_bench::group_alloc_malloc_free_100k());
-    }));
-    rows.push(time_samples("mem/sharded_alloc_mt", 10, || {
-        std::hint::black_box(halo_bench::sharded_alloc_mt());
-    }));
-    rows.push(time_samples("serve/plan_swap", 10, || {
-        std::hint::black_box(halo_bench::serve_plan_swap());
-    }));
-    rows.push(time_samples("cache/coherent_access_100k", 10, || {
-        std::hint::black_box(halo_bench::coherent_access_100k());
-    }));
-
-    // The interpreter with no monitor attached (health's ref input, the
-    // longest of the 11) and simulated memory alone.
-    let health = halo::workloads::health::build();
-    let mut instructions = 0;
-    let mut row = time_samples("vm/null_run_health", 3, || {
-        instructions = std::hint::black_box(halo_bench::vm_null_run(&health));
-    });
-    row.work = Some((instructions, "instr"));
-    rows.push(row);
-    let mut row = time_samples("vm/memory_rw_1m", 10, || {
-        std::hint::black_box(halo_bench::vm_memory_rw_1m());
-    });
-    row.work = Some((halo_bench::VM_MEMORY_RW_OPS, "op"));
-    rows.push(row);
-
-    // Million-node graph pipeline (DESIGN.md §13): sharded generation →
-    // parallel subgraph union → CSR finalise, then one Fig. 6 grouping
-    // pass. The grouping row times grouping alone on a pre-built graph.
-    let spec = halo_bench::GraphSpec::million();
-    rows.push(time_samples("graph/build_csr_1m", 3, || {
-        std::hint::black_box(halo_bench::build_graph(&spec).len());
-    }));
-    let graph = halo_bench::build_graph(&spec);
-    rows.push(time_samples("graph/group_1m_nodes", 3, || {
-        std::hint::black_box(halo_bench::group_graph_nodes(&graph));
-    }));
-    drop(graph);
-
-    // Fig. 10 identification alone: 2 048 clustered depth-5 contexts.
-    let profile = halo_bench::identify_profile_2k();
-    rows.push(time_samples("ident/identify_2k", 10, || {
-        std::hint::black_box(halo_bench::identify_2k(&profile));
-    }));
-
-    // End-to-end pipeline (profile → group → identify → rewrite →
-    // measure) on the two cheapest workloads.
-    for name in ["toy", "povray"] {
-        let workloads = find_workloads(Some(name))?;
-        let w = &workloads[0];
-        let config = paper_defaults(w);
-        let label: &'static str =
-            if name == "toy" { "pipeline/evaluate_toy" } else { "pipeline/evaluate_povray" };
-        rows.push(time_samples(label, 3, || {
-            let r = evaluate_with_arg(&w.program, w.name, w.train.seed, w.train.arg, &config)
-                .expect("bench workload runs");
-            std::hint::black_box(r.halo().measurement.stats.l1_misses);
-        }));
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"halo-bench/v1\",\n  \"benches\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"samples\": {}, \"best_ns\": {}, \"mean_ns\": {}}}{}",
-            row.name,
-            row.samples,
-            row.best_ns,
-            row.mean_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = flags.out.as_deref().unwrap_or("BENCH_profile.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-
-    for row in &rows {
-        let rate = row.work.map_or(String::new(), |(units, unit)| {
-            format!("  {:.2} ns/{unit}", row.best_ns as f64 / units.max(1) as f64)
-        });
-        println!(
-            "{:<32} best {:>10.3}ms  mean {:>10.3}ms  ({} samples){rate}",
-            row.name,
-            row.best_ns as f64 / 1e6,
-            row.mean_ns as f64 / 1e6,
-            row.samples
-        );
-    }
-    println!("wrote {path}");
-    if let Some(old) = old_rows {
-        let new: Vec<halo_bench::compare::BaselineRow> = rows
-            .iter()
-            .map(|r| halo_bench::compare::BaselineRow {
-                name: r.name.to_string(),
-                samples: u64::from(r.samples),
-                best_ns: r.best_ns,
-                mean_ns: r.mean_ns,
-            })
-            .collect();
-        let lines = halo_bench::compare::compare(&old, &new);
-        let old_path = flags.compare.as_deref().unwrap_or_default();
-        print!("{}", halo_bench::compare::render_comparison(old_path, &lines));
-    }
-    if flags.json {
-        print!("{json}");
-    }
-    Ok(())
-}
-
 /// `halo serve`: the online re-optimisation loop (DESIGN.md §15) over a
 /// scripted workload-mix shift. Each phase of the `--phases` script serves
 /// a workload for a number of windows; every window streams a decayed
@@ -1042,28 +882,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// except the `swap_latency_us` wall-clock fields (CI strips them before
 /// comparing replays).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.benchmark.is_some()
-        || flags.affinity_distance.is_some()
-        || flags.chunk_size.is_some()
-        || flags.max_spare_chunks.is_some()
-        || flags.max_groups.is_some()
-        || flags.merge_tolerance.is_some()
-        || flags.granularity.is_some()
-        || flags.reuse_policy.is_some()
-        || flags.inject.is_some()
-        || flags.measure != "sim" // the parse-time default
-        || flags.metric != "misses" // the parse-time default
-        || flags.out.is_some()
-        || flags.compare.is_some()
-        || flags.hds
-        || flags.random
-        || flags.ptmalloc
-    {
-        return Err("halo serve only accepts --phases, --shards, --decay, \
-                    --drift-threshold, --regroup-every, and --json"
-            .to_string());
-    }
+    let flags = parse_flags("serve", SERVE_FLAGS, args)?;
     let script = flags
         .phases
         .as_deref()
@@ -1175,10 +994,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-fn pct(fraction: f64) -> String {
-    format!("{:+.1}%", fraction * 100.0)
 }
 
 fn bar(fraction: f64, fill: char) -> String {

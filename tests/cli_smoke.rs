@@ -191,22 +191,6 @@ fn shards_flag_enables_the_sharded_backend() {
 }
 
 #[test]
-fn bench_rejects_run_configuration_flags() {
-    let out = halo(&["bench", "--reuse-policy", "sharded"]);
-    assert!(!out.status.success(), "bench must reject run-configuration flags");
-    assert!(stderr(&out).contains("halo bench only accepts"), "{}", stderr(&out));
-    let sharded = halo(&["bench", "--shards", "4"]);
-    assert!(!sharded.status.success(), "bench must reject --shards");
-    assert!(stderr(&sharded).contains("halo bench only accepts"), "{}", stderr(&sharded));
-    let real = halo(&["bench", "--measure", "real"]);
-    assert!(!real.status.success(), "bench must reject --measure real");
-    assert!(stderr(&real).contains("halo bench only accepts"), "{}", stderr(&real));
-    let inject = halo(&["bench", "--inject", "vmm@1"]);
-    assert!(!inject.status.success(), "bench must reject --inject");
-    assert!(stderr(&inject).contains("halo bench only accepts"), "{}", stderr(&inject));
-}
-
-#[test]
 fn inject_surfaces_the_degradation_ladder() {
     // An exact-occurrence schedule fires deterministically; the JSON row
     // gains a `degradation` section whose counters show the fault was
@@ -473,25 +457,6 @@ fn plot_parallel_output_is_byte_identical_to_serial() {
 }
 
 #[test]
-fn bench_writes_the_baseline_json() {
-    let path = std::env::temp_dir().join(format!("halo_bench_smoke_{}.json", std::process::id()));
-    let out = halo(&["bench", "--out", path.to_str().unwrap()]);
-    assert!(out.status.success(), "halo bench failed: {}", stderr(&out));
-    let json = std::fs::read_to_string(&path).expect("bench baseline file written");
-    std::fs::remove_file(&path).ok();
-    for key in [
-        "\"schema\": \"halo-bench/v1\"",
-        "profile/affinity_queue_100k",
-        "mem/group_alloc_malloc_free_100k",
-        "pipeline/evaluate_toy",
-        "\"best_ns\"",
-        "\"mean_ns\"",
-    ] {
-        assert!(json.contains(key), "bench JSON is missing {key}:\n{json}");
-    }
-}
-
-#[test]
 fn serve_runs_a_steady_phase_and_reports_epochs() {
     // A steady toy phase: no drift, no swaps, serve and static identical.
     let out = halo(&["serve", "--phases", "toy:2", "--shards", "2", "--json"]);
@@ -563,15 +528,50 @@ fn serve_validates_its_flags_and_script() {
         stderr(&regroup)
     );
 
-    // Run-configuration flags are rejected like `halo bench` does, so a
-    // serve report always reflects the paper-default pipeline.
+    // Run-configuration flags are rejected, so a serve report always
+    // reflects the paper-default pipeline.
     let cfg = halo(&["serve", "--phases", "toy:1", "--chunk-size", "65536"]);
     assert!(!cfg.status.success());
     assert!(stderr(&cfg).contains("halo serve only accepts"), "{}", stderr(&cfg));
-    // And `halo bench` rejects the serve-only flags in return.
-    let bench = halo(&["bench", "--phases", "toy:1"]);
-    assert!(!bench.status.success());
-    assert!(stderr(&bench).contains("halo bench only accepts"), "{}", stderr(&bench));
+}
+
+#[test]
+fn chunk_size_and_merge_tolerance_are_validated_at_parse_time() {
+    // The allocator's own chunk rule, reported as a parse error instead of
+    // a constructor panic on a worker thread (2^60 wraps the slab size).
+    for (size, needle) in [
+        ("1000", "--chunk-size 1000: chunk size must be a power of two"),
+        ("0", "--chunk-size 0: chunk size must be a power of two"),
+        ("2048", "--chunk-size 2048: chunks must be at least a page"),
+        ("1152921504606846976", "--chunk-size 1152921504606846976: a slab of 64 chunks overflows"),
+    ] {
+        let out = halo(&["run", "--benchmark", "toy", "--chunk-size", size]);
+        assert_eq!(out.status.code(), Some(1), "--chunk-size {size}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(needle), "for {size}: {err}");
+        assert_eq!(err.matches("error:").count(), 1, "one error line for {size}: {err}");
+        assert!(!err.contains("panicked at"), "for {size}: {err}");
+    }
+    // The smallest legal chunk runs, and so does one whose slab exceeds the
+    // group span: that degrades to the fallback, which is not a parse error.
+    let runs = |size: &str| {
+        let out = halo(&["run", "--benchmark", "toy", "--chunk-size", size]);
+        assert!(out.status.success(), "--chunk-size {size} failed: {}", stderr(&out));
+        stdout(&out)
+    };
+    runs("4096");
+    let huge = runs("8589934592");
+    assert!(huge.contains("degradation (halo): 0 injected,"), "{huge}");
+
+    for bad in ["nan", "1.5", "-0.1"] {
+        let out = halo(&["run", "--benchmark", "toy", "--merge-tolerance", bad]);
+        assert!(!out.status.success(), "--merge-tolerance {bad} must be rejected");
+        assert!(
+            stderr(&out).contains(&format!("--merge-tolerance {bad} is out of range")),
+            "{}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]
@@ -587,6 +587,32 @@ fn errors_are_reported_with_usage() {
     let unknown_flag = halo(&["run", "--frobnicate"]);
     assert!(!unknown_flag.status.success());
     assert!(stderr(&unknown_flag).contains("unknown flag '--frobnicate'"));
+
+    // One `Flags` struct serves every command; a flag the command never
+    // reads must fail, naming the command, not exit 0 having done nothing.
+    for (args, command) in [
+        (&["run", "--benchmark", "toy", "--phases", "toy:1"][..], "halo run only accepts"),
+        (
+            &["baseline", "--benchmark", "toy", "--shards", "3", "--chunk-size", "65536"][..],
+            "halo baseline only accepts --benchmark, --json",
+        ),
+        (&["plot", "--benchmark", "toy", "--json"][..], "halo plot only accepts"),
+    ] {
+        let out = halo(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.stdout.len(), 0, "no result rows before the error ({args:?})");
+        assert!(stderr(&out).contains(command), "for {args:?}: {}", stderr(&out));
+    }
+
+    // The retired `halo bench` is an unknown command like any other, and
+    // the usage text no longer advertises it or its flags.
+    let bench = halo(&["bench"]);
+    assert!(!bench.status.success());
+    let err = stderr(&bench);
+    assert!(err.contains("unknown command 'bench'"), "{err}");
+    for gone in ["halo bench", "--out", "--compare"] {
+        assert!(!err.contains(gone), "usage still lists {gone}: {err}");
+    }
 
     let missing_value = halo(&["run", "--benchmark"]);
     assert!(!missing_value.status.success());
