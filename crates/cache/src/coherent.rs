@@ -35,7 +35,7 @@
 //! differential suite's one-thread stratum pins it against the slow walk.
 
 use crate::hierarchy::{AccessStats, HierarchyConfig};
-use crate::set_assoc::{CacheConfig, SetAssocCache};
+use crate::set_assoc::{self, CacheConfig, SetAssocCache};
 use crate::span::{SetIndex, SpanUnit};
 
 /// MESI-lite state of a line in one thread's private L1D.
@@ -100,30 +100,26 @@ struct LineFilter {
     writable: bool,
 }
 
-/// A private L1D whose lines carry their MESI-lite state inline: each set
-/// is a `(tag, state)` list ordered MRU → LRU, replicating
-/// [`SetAssocCache`]'s true-LRU maths exactly while making every state
-/// lookup the same short way-scan as the hit check. This replaces the
-/// former side `HashMap<u64, LineState>` — whose hashing dominated the
-/// coherent hot loop — with zero-cost state access on the paths that need
-/// it (write hits read the MRU slot directly; probes and invalidations
-/// scan one set).
+/// A private L1D whose lines carry their MESI-lite state inline: the
+/// crate's one set-walk kernel ([`set_assoc::walk`]) over its own tags
+/// and packed order words, plus a `states` array indexed by slot. A tag
+/// never leaves the way it was filled into, so a line's state is found
+/// by the same walk that finds the line (write hits read the slot the
+/// walk just returned; probes and invalidations scan one set).
+///
+/// Unlike [`SetAssocCache`] it must free a way in the middle of a set (a
+/// remote write), so free ways are marked by an [`EMPTY`](Self::EMPTY)
+/// tag instead of an occupancy count, and a freed way's nibble is sent
+/// to the LRU end, where the free ways live: the victim is always the
+/// last nibble.
 #[derive(Debug)]
 struct StatefulL1 {
     set_index: SetIndex,
     ways: usize,
-    /// Monotone access clock driving the timestamp-LRU replacement.
-    clock: u64,
-    /// Tag storage, `sets × ways`, empty slots holding [`Self::EMPTY`].
-    /// Slots have **no positional recency meaning**: recency lives in
-    /// `stamps`, so a hit is one timestamp store instead of the memmove a
-    /// move-to-front list needs — element shuffling was the single
-    /// largest term in the coherent hot loop.
+    /// Tag storage, `sets × ways`, free ways holding [`Self::EMPTY`].
     tags: Box<[u64]>,
-    /// Last-touch clock value per slot (`0` = never touched, so empty
-    /// ways are always preferred victims). Min stamp in a set is the
-    /// true-LRU victim — the same line a move-to-front list would evict.
-    stamps: Box<[u64]>,
+    /// Packed recency order of each set, as [`set_assoc::walk`] keeps it.
+    order: Box<[u64]>,
     /// MESI-lite state of the line whose tag sits at the same flat index.
     /// Slots whose tag is [`Self::EMPTY`] hold garbage states that are
     /// never read (the sentinel can never match a probe).
@@ -137,61 +133,58 @@ struct StatefulL1 {
 }
 
 impl StatefulL1 {
-    /// Sentinel tag for an empty way. Unreachable as a real tag: a line
+    /// Sentinel tag for a free way. Unreachable as a real tag: a line
     /// number is `addr >> line_shift` with `line_bytes ≥ 1`, and even at
     /// `line_bytes = 1` the tag `u64::MAX` would denote the last byte of
     /// the address space, which no modelled allocator hands out.
     const EMPTY: u64 = u64::MAX;
 
     fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
+        let sets = config.sets() as usize;
         let ways = config.ways as usize;
         StatefulL1 {
-            set_index: SetIndex::new(sets),
+            set_index: SetIndex::new(sets as u64),
             ways,
-            clock: 0,
-            tags: vec![Self::EMPTY; sets as usize * ways].into_boxed_slice(),
-            stamps: vec![0u64; sets as usize * ways].into_boxed_slice(),
-            states: vec![LineState::Invalid; sets as usize * ways].into_boxed_slice(),
+            tags: vec![Self::EMPTY; sets * ways].into_boxed_slice(),
+            order: vec![0u64; sets].into_boxed_slice(),
+            states: vec![LineState::Invalid; sets * ways].into_boxed_slice(),
             mru: 0,
         }
     }
 
-    /// Position of `line` in its set, if resident.
+    /// Flat index of the slot holding `line`, if resident (no recency
+    /// update).
     #[inline]
-    fn find(&self, base: usize, line: u64) -> Option<usize> {
-        self.tags[base..base + self.ways].iter().position(|&t| t == line)
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.set_index.of(line) * self.ways;
+        let mask = set_assoc::match_mask(&self.tags[base..base + self.ways], line);
+        (mask != 0).then(|| base + mask.trailing_zeros() as usize)
     }
 
     /// Touch `line`, filling it with `fill_state` on a miss (the LRU
     /// victim's state leaves with its tag). Returns whether it hit; on a
     /// hit the line keeps its state (read it via [`Self::mru_state`],
-    /// update it via [`Self::set_mru_state`]). Victim choice is identical
-    /// to [`SetAssocCache::access_line`]'s move-to-front list: the
-    /// minimum stamp is the least-recently-touched resident way, with
-    /// never-touched (stamp 0) empty ways preferred outright.
+    /// update it via [`Self::set_mru_state`]). Every way counts as
+    /// occupied — [`Self::EMPTY`] cannot match — and the victim is the
+    /// last recency position: a free way while there is one (which one is
+    /// unobservable), else the LRU line.
     #[inline]
     fn access_line(&mut self, line: u64, fill_state: LineState) -> bool {
-        let base = self.set_index.of(line) * self.ways;
-        self.clock += 1;
-        if let Some(pos) = self.find(base, line) {
-            self.stamps[base + pos] = self.clock;
-            self.mru = base + pos;
-            true
-        } else {
-            let set = &self.stamps[base..base + self.ways];
-            let mut victim = 0;
-            for i in 1..self.ways {
-                if set[i] < set[victim] {
-                    victim = i;
-                }
-            }
-            self.tags[base + victim] = line;
-            self.stamps[base + victim] = self.clock;
-            self.states[base + victim] = fill_state;
-            self.mru = base + victim;
-            false
+        let set_idx = self.set_index.of(line);
+        let base = set_idx * self.ways;
+        let (hit, way) = set_assoc::walk(
+            &self.tags[base..base + self.ways],
+            &mut self.order[set_idx],
+            line,
+            u32::MAX,
+            self.ways - 1,
+        );
+        self.mru = base + way;
+        if !hit {
+            self.tags[self.mru] = line;
+            self.states[self.mru] = fill_state;
         }
+        hit
     }
 
     /// State of the slot the immediately preceding
@@ -212,40 +205,36 @@ impl StatefulL1 {
     /// read).
     #[inline]
     fn state_of(&self, line: u64) -> Option<LineState> {
-        let base = self.set_index.of(line) * self.ways;
-        self.find(base, line).map(|pos| self.states[base + pos])
+        self.find(line).map(|slot| self.states[slot])
     }
 
     /// Downgrade `line` to Shared if resident, without touching recency
     /// (the remote read-downgrade); returns whether a copy was found.
     #[inline]
     fn share_if_resident(&mut self, line: u64) -> bool {
-        let base = self.set_index.of(line) * self.ways;
-        if let Some(pos) = self.find(base, line) {
-            self.states[base + pos] = LineState::Shared;
-            true
-        } else {
-            false
+        let slot = self.find(line);
+        if let Some(slot) = slot {
+            self.states[slot] = LineState::Shared;
         }
+        slot.is_some()
     }
 
-    /// Remove `line` if resident (recency of survivors untouched — their
-    /// stamps keep their relative order); returns whether a copy was
-    /// dropped.
+    /// Remove `line` if resident; returns whether a copy was dropped. The
+    /// freed way goes to the LRU end of its set's order, the survivors
+    /// keep theirs.
     fn invalidate_line(&mut self, line: u64) -> bool {
-        let base = self.set_index.of(line) * self.ways;
-        if let Some(pos) = self.find(base, line) {
-            self.tags[base + pos] = Self::EMPTY;
-            self.stamps[base + pos] = 0;
-            true
-        } else {
-            false
+        let slot = self.find(line);
+        if let Some(slot) = slot {
+            let set_idx = self.set_index.of(line);
+            self.tags[slot] = Self::EMPTY;
+            set_assoc::retire(&mut self.order[set_idx], slot - set_idx * self.ways, self.ways);
         }
+        slot.is_some()
     }
 
     fn flush(&mut self) {
         self.tags.fill(Self::EMPTY);
-        self.stamps.fill(0);
+        self.order.fill(0);
     }
 }
 
@@ -310,7 +299,7 @@ impl ThreadDomain {
         self.stats.l1_hits += 1;
         if store {
             // MESI-lite write-hit transition for the line the hit just
-            // stamped MRU. (A hit line is never Invalid.)
+            // made MRU. (A hit line is never Invalid.)
             match self.l1.mru_state() {
                 LineState::Modified => {}
                 LineState::Shared => return L1Outcome::SharedWriteHit,
@@ -475,14 +464,23 @@ impl CoherentHierarchy {
             // MRU promotions are no-ops, and — for stores — a
             // Modified-state write hit, which is a MESI no-op too. Remote
             // invalidations clear the filter and remote reads drop its
-            // write permission, so the state machine stays exact.
+            // write permission, so the state machine stays exact. On the
+            // filter's page but another line, the dTLB half still holds:
+            // the page is the MRU entry of its dTLB set (only this
+            // thread's own accesses and `flush` touch its dTLB, and both
+            // rewrite or clear the filter), so consulting it would hit
+            // and move nothing.
+            let mut page_is_mru = false;
             if let Some(f) = domain.filter {
-                if f.line == lines.first && f.page == pages.first && (!store || f.writable) {
-                    domain.stats.l1_hits += 1;
-                    return;
+                if f.page == pages.first {
+                    if f.line == lines.first && (!store || f.writable) {
+                        domain.stats.l1_hits += 1;
+                        return;
+                    }
+                    page_is_mru = true;
                 }
             }
-            if !domain.tlb.access(pages.first) {
+            if !page_is_mru && !domain.tlb.access(pages.first) {
                 domain.stats.tlb_misses += 1;
             }
             let outcome = domain.touch_line(lines.first, store);
@@ -766,6 +764,52 @@ mod tests {
         h.set_thread(0);
         h.access(0, 8, false);
         assert_eq!(h.stats().l1_misses, 3, "post-flush access misses again");
+    }
+
+    #[test]
+    fn an_invalidated_way_is_refilled_before_anything_is_evicted() {
+        // One 4-way set. Killing a line in the middle of the recency order
+        // must leave a free way the next fill takes, and the survivors in
+        // the order they had.
+        let mut l1 =
+            StatefulL1::new(CacheConfig { size_bytes: 4 * LINE, line_bytes: LINE, ways: 4 });
+        for line in 0..4 {
+            assert!(!l1.access_line(line, LineState::Exclusive));
+        }
+        assert!(l1.invalidate_line(2));
+        assert!(!l1.invalidate_line(2), "already gone");
+        assert_eq!(l1.state_of(2), None);
+        assert!(!l1.access_line(9, LineState::Modified));
+        for survivor in [0, 1, 3] {
+            assert_eq!(l1.state_of(survivor), Some(LineState::Exclusive), "line {survivor}");
+        }
+        // Full again; the victims come in the survivors' old order.
+        for (fill, victim) in [(10, 0), (11, 1), (12, 3), (13, 9)] {
+            assert!(l1.state_of(victim).is_some());
+            assert!(!l1.access_line(fill, LineState::Exclusive));
+            assert_eq!(l1.state_of(victim), None, "filling {fill} evicts {victim}");
+        }
+    }
+
+    #[test]
+    fn the_same_page_dtlb_skip_dies_with_the_filter() {
+        // On the filter's page but another line the dTLB is not consulted.
+        // Emptying it behind the hierarchy's back makes a consultation
+        // show as a miss.
+        let mut h = coherent();
+        h.access(0, 8, false); // t0: filter = (line 0, page 0)
+        h.threads[0].tlb.flush();
+        h.access(LINE, 8, false); // same page, other line: skipped
+        assert_eq!(h.stats().tlb_misses, 1, "the filter vouches for its page");
+        // A remote write to the filter's line clears the filter, and with
+        // it the licence to skip: the next access on that page — again
+        // another line — goes back to the dTLB.
+        h.set_thread(1);
+        h.access(LINE, 8, true);
+        assert!(h.threads[0].filter.is_none());
+        h.set_thread(0);
+        h.access(2 * LINE, 8, false);
+        assert_eq!(h.thread_stats()[0].stats.tlb_misses, 2, "the dTLB is consulted again");
     }
 
     #[test]

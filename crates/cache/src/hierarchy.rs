@@ -13,7 +13,8 @@ pub struct HierarchyConfig {
     pub l3: CacheConfig,
     /// Data-TLB entry count.
     pub tlb_entries: u32,
-    /// Data-TLB associativity.
+    /// Data-TLB associativity, 1 to 16 like [`CacheConfig::ways`] (the
+    /// dTLB is a [`SetAssocCache`](crate::SetAssocCache) of page numbers).
     pub tlb_ways: u32,
     /// Page size in bytes.
     pub page_bytes: u64,

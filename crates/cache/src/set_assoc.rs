@@ -1,6 +1,126 @@
-//! A single set-associative, write-allocate, LRU cache.
+//! A single set-associative, write-allocate, LRU cache, and the set-walk
+//! kernel every structure in the crate shares.
+//!
+//! **One recency representation.** Tags stay in the way they were filled
+//! into; a set's recency order is one `u64` permutation, nibble *k*
+//! holding the way at recency *k* (nibble 0 = MRU). The L1D, the dTLB, L2
+//! and L3 all walk a set with [`walk`]: compare the MRU way and return on
+//! a match (re-touching a set's MRU line moves nothing), otherwise build
+//! a match mask over **all** ways with no early exit and move the chosen
+//! way's nibble to the front in constant time. Free ways are kept at the
+//! LRU end, so the victim is one nibble read. DESIGN.md §14 has the
+//! argument and the measurements behind the shape (where the early exit
+//! pays and where it does not).
 
 use crate::span::SetIndex;
+
+/// The identity permutation: nibble *k* = *k*. Order words are stored XOR
+/// this, so an all-zero word *is* the identity and a freshly `calloc`ed
+/// array needs no initialising write (the 405 k-slot L3 stays lazy zero
+/// pages). Nibbles at positions `ways..16` never move, so in a narrower
+/// set they stay the identity's and the word stays a permutation of all
+/// sixteen values — which is what lets [`position_bit`] expect exactly
+/// one match.
+const IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
+const NIBBLE_LOWS: u64 = 0x1111_1111_1111_1111;
+const NIBBLE_HIGHS: u64 = 0x8888_8888_8888_8888;
+
+/// The way at recency position `pos` (0 = MRU) of permutation `perm`.
+#[inline(always)]
+fn way_at(perm: u64, pos: usize) -> usize {
+    ((perm >> (4 * pos)) & 0xF) as usize
+}
+
+/// The top bit (`1 << (4p + 3)`) of the nibble at position `p` that holds
+/// `way`: SWAR zero-nibble search on `perm ^ way·0x1111…`. The borrow of
+/// the subtraction can raise false flags only *above* a true zero nibble,
+/// and a permutation has exactly one, so the lowest flag is exact.
+#[inline(always)]
+fn position_bit(perm: u64, way: usize) -> u64 {
+    let x = perm ^ (way as u64 * NIBBLE_LOWS);
+    let flags = x.wrapping_sub(NIBBLE_LOWS) & !x & NIBBLE_HIGHS;
+    flags & flags.wrapping_neg()
+}
+
+/// Move `way`'s nibble to position 0, sliding the nibbles that were in
+/// front of it back by one — a move-to-front in constant time. The masks
+/// are built from the nibble's own top bit, so position 15 needs no
+/// shift by 64.
+#[inline(always)]
+fn promote(perm: u64, way: usize) -> u64 {
+    let top = position_bit(perm, way);
+    let below = (top >> 3) - 1; // nibbles 0..p
+    let through = top | (top - 1); // nibbles 0..=p
+    (perm & !through) | ((perm & below) << 4) | way as u64
+}
+
+/// Move `way`'s nibble to position `ways − 1`, sliding the nibbles behind
+/// it forward by one: how a way freed in the middle of a set joins the
+/// free ways at the LRU end without disturbing the survivors' order.
+#[inline(always)]
+fn demote(perm: u64, way: usize, ways: usize) -> u64 {
+    let below = (position_bit(perm, way) >> 3) - 1; // nibbles 0..p
+    let set = u64::MAX >> (64 - 4 * ways); // nibbles 0..ways
+    (perm & (below | !set)) | (((perm & set) >> 4) & !below) | ((way as u64) << (4 * (ways - 1)))
+}
+
+/// Bit `i` set iff `set[i] == line`, every way compared — the one
+/// tag-match loop in the crate. No early exit: where hits land deep in
+/// full sets the exit branch mispredicts, and the cheap case (the MRU
+/// way) has been answered before this runs. At the shipped widths (dTLB
+/// 4, L1D 8, L3 11, L2 16) the loop runs over a slice of constant length
+/// so that it unrolls flat; any other width runs the same loop over the
+/// slice as it comes.
+#[inline(always)]
+pub(crate) fn match_mask(set: &[u64], line: u64) -> u32 {
+    #[inline(always)]
+    fn over(set: &[u64], line: u64) -> u32 {
+        let mut mask = 0;
+        for (way, &tag) in set.iter().enumerate() {
+            mask |= u32::from(tag == line) << way;
+        }
+        mask
+    }
+    match set.len() {
+        4 => over(&set[..4], line),
+        8 => over(&set[..8], line),
+        11 => over(&set[..11], line),
+        16 => over(&set[..16], line),
+        _ => over(set, line),
+    }
+}
+
+/// Walk one set for `line` and make the way it lands in the MRU; returns
+/// `(hit, way)`. `order` is the set's stored order word, `occupied` the
+/// mask of ways whose tag is live, and `victim_pos` the recency position
+/// to take on a miss. On a miss the caller fills `set[way]`; the order
+/// word already names it MRU.
+#[inline(always)]
+pub(crate) fn walk(
+    set: &[u64],
+    order: &mut u64,
+    line: u64,
+    occupied: u32,
+    victim_pos: usize,
+) -> (bool, usize) {
+    let perm = *order ^ IDENTITY;
+    let mru = way_at(perm, 0);
+    if occupied & (1 << mru) != 0 && set[mru] == line {
+        return (true, mru);
+    }
+    let mask = match_mask(set, line) & occupied;
+    let hit = mask != 0;
+    let way = if hit { mask.trailing_zeros() as usize } else { way_at(perm, victim_pos) };
+    *order = promote(perm, way) ^ IDENTITY;
+    (hit, way)
+}
+
+/// Send `way` to the LRU end of a `ways`-wide set's order word (see
+/// [`demote`]).
+#[inline]
+pub(crate) fn retire(order: &mut u64, way: usize, ways: usize) {
+    *order = demote(*order ^ IDENTITY, way, ways) ^ IDENTITY;
+}
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,7 +129,8 @@ pub struct CacheConfig {
     pub size_bytes: u64,
     /// Line size in bytes (power of two).
     pub line_bytes: u64,
-    /// Associativity (lines per set).
+    /// Associativity (lines per set), 1 to 16: a set's recency order is
+    /// one packed `u64`, a nibble per way.
     pub ways: u32,
 }
 
@@ -18,9 +139,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible into
-    /// `ways`-line sets, or line size not a power of two).
+    /// Panics if the geometry is inconsistent (`ways` outside 1..=16,
+    /// capacity not divisible into `ways`-line sets, or line size not a
+    /// power of two).
     pub fn sets(&self) -> u64 {
+        assert!(
+            (1..=16).contains(&self.ways),
+            "ways must be 1..=16 (a set's recency order is packed a nibble per way into one u64), got {}",
+            self.ways
+        );
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         let lines = self.size_bytes / self.line_bytes;
         assert_eq!(lines % self.ways as u64, 0, "capacity must divide into whole sets");
@@ -39,30 +166,34 @@ pub struct SetAssocCache {
     set_index: SetIndex,
     line_shift: u32,
     ways: usize,
-    /// Occupancy of each set (how many of its `ways` slots hold a line).
-    len: Box<[u32]>,
-    /// Tag storage, `sets × ways`, each set's occupied prefix ordered
-    /// most- to least-recently used. One flat allocation instead of the
-    /// former per-set `Vec`s: a set scan is one pointer chase, not two.
-    /// (All-zero at rest, so construction of even the 442k-slot L3 is a
-    /// calloc of lazy zero pages, and one cache stays one pair of touched
-    /// regions per set — a per-slot timestamp scheme was measurably
-    /// slower here purely from the extra pages it dirtied.)
+    /// Occupancy of each set. Ways fill in index order and are only ever
+    /// freed all at once (`flush`), so the live ways of a set are exactly
+    /// its low `len` ways and they hold its first `len` recency
+    /// positions.
+    len: Box<[u8]>,
+    /// Recency order of each set, packed and stored XOR the identity (see
+    /// the module docs).
+    order: Box<[u64]>,
+    /// Tag storage, `sets × ways`; a tag never moves between ways. One
+    /// flat allocation: a set scan is one pointer chase. (All three
+    /// arrays are all-zero at rest, so constructing even the 405k-slot L3
+    /// is a calloc of lazy zero pages.)
     tags: Box<[u64]>,
 }
 
 impl SetAssocCache {
     /// Build an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
+        let sets = config.sets() as usize;
         let ways = config.ways as usize;
         SetAssocCache {
             config,
-            set_index: SetIndex::new(sets),
+            set_index: SetIndex::new(sets as u64),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
-            len: vec![0u32; sets as usize].into_boxed_slice(),
-            tags: vec![0u64; sets as usize * ways].into_boxed_slice(),
+            len: vec![0u8; sets].into_boxed_slice(),
+            order: vec![0u64; sets].into_boxed_slice(),
+            tags: vec![0u64; sets * ways].into_boxed_slice(),
         }
     }
 
@@ -77,86 +208,50 @@ impl SetAssocCache {
         addr >> self.line_shift
     }
 
-    /// Touch the line containing `addr`; returns `true` on hit. On miss the
-    /// line is filled, evicting the LRU line of its set if necessary; the
-    /// evicted line address is returned through `evicted`.
-    #[inline]
+    /// Touch line number `line`; returns `true` on hit. On miss the line
+    /// is filled — into the next free way, else over the LRU line of its
+    /// set, whose line number is returned alongside.
+    ///
+    /// `always`: mask-or-modulo set indexing and [`match_mask`]'s width
+    /// dispatch (an indirect jump) are constants of one cache but differ
+    /// between the dTLB, L2 and L3. One out-of-line copy shared by all
+    /// three mispredicts both on nearly every call — `health`'s ref trace
+    /// replays in 1 600 ms that way, 850 ms with a copy per call site.
+    #[inline(always)]
     pub fn access_line(&mut self, line: u64) -> (bool, Option<u64>) {
         let set_idx = self.set_index.of(line);
         let occ = self.len[set_idx] as usize;
         let base = set_idx * self.ways;
-        if let Some(pos) = self.tags[base..base + occ].iter().position(|&t| t == line) {
-            // Promote to MRU with an explicit shift: on these small sets
-            // a handful of element moves beats `slice::rotate_right`'s
-            // generic block machinery. Order is identical to
-            // remove+insert(0).
-            let mut i = pos;
-            while i > 0 {
-                self.tags[base + i] = self.tags[base + i - 1];
-                i -= 1;
-            }
-            self.tags[base] = line;
-            (true, None)
-        } else {
-            // Miss: shift the survivors right one slot (dropping the LRU
-            // tag when the set is full) and fill the MRU slot.
-            let (keep, evicted) = if occ == self.ways {
-                (occ - 1, Some(self.tags[base + occ - 1]))
-            } else {
-                self.len[set_idx] = occ as u32 + 1;
-                (occ, None)
-            };
-            let mut i = keep;
-            while i > 0 {
-                self.tags[base + i] = self.tags[base + i - 1];
-                i -= 1;
-            }
-            self.tags[base] = line;
-            (false, evicted)
+        let set = &mut self.tags[base..base + self.ways];
+        // Free ways sit at the LRU end in index order, so position `occ`
+        // is the next free way and, once the set is full, `ways − 1` the
+        // LRU one.
+        let (hit, way) =
+            walk(set, &mut self.order[set_idx], line, (1 << occ) - 1, occ.min(self.ways - 1));
+        if hit {
+            return (true, None);
         }
+        let evicted = if occ == self.ways {
+            Some(set[way])
+        } else {
+            self.len[set_idx] += 1;
+            None
+        };
+        set[way] = line;
+        (false, evicted)
     }
 
     /// Touch the byte address `addr`; returns `true` on hit.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         self.access_line(self.line_of(addr)).0
     }
 
-    /// Whether the line containing `addr` is currently resident (does not
-    /// update recency).
-    pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_index.of(line);
-        let base = set_idx * self.ways;
-        self.tags[base..base + self.len[set_idx] as usize].contains(&line)
-    }
-
-    /// Remove `line` (a line number, as passed to [`Self::access_line`])
-    /// if resident; returns whether a copy was actually dropped. This is
-    /// the coherence hook: a remote write kills local copies without
-    /// touching recency of the survivors.
-    pub fn invalidate_line(&mut self, line: u64) -> bool {
-        let set_idx = self.set_index.of(line);
-        let occ = self.len[set_idx] as usize;
-        let base = set_idx * self.ways;
-        if let Some(pos) = self.tags[base..base + occ].iter().position(|&t| t == line) {
-            // Close the gap, preserving recency order of the survivors.
-            self.tags.copy_within(base + pos + 1..base + occ, base + pos);
-            self.len[set_idx] = occ as u32 - 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Invalidate everything.
+    /// Invalidate everything, back to the constructed (all-zero) state.
     pub fn flush(&mut self) {
         self.len.fill(0);
-    }
-
-    /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
-        self.len.iter().map(|&n| n as usize).sum()
+        self.order.fill(0);
+        self.tags.fill(0);
     }
 }
 
@@ -181,6 +276,71 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size_panics() {
         CacheConfig { size_bytes: 256, line_bytes: 48, ways: 2 }.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be 1..=16")]
+    fn zero_ways_panics_with_the_reason() {
+        CacheConfig { size_bytes: 256, line_bytes: 64, ways: 0 }.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be 1..=16")]
+    fn seventeen_ways_panics_with_the_reason() {
+        CacheConfig { size_bytes: 17 * 64, line_bytes: 64, ways: 17 }.sets();
+    }
+
+    /// Nibbles of `perm`, position by position.
+    fn unpack(perm: u64) -> Vec<usize> {
+        (0..16).map(|pos| way_at(perm, pos)).collect()
+    }
+
+    fn pack(ways: &[usize]) -> u64 {
+        ways.iter().rev().fold(0, |perm, &way| perm << 4 | way as u64)
+    }
+
+    #[test]
+    fn promote_and_demote_match_a_vec_move_to_front() {
+        // Every width, every position (so every way), from the identity
+        // and from the scrambled orders a walk of promotes and demotes
+        // leaves behind — including width 16 position 15, where a mask
+        // built as `(1 << 4(p + 1)) − 1` would shift by 64.
+        for ways in 1..=16usize {
+            let mut perm = IDENTITY;
+            for round in 0..4 * ways {
+                let model = unpack(perm);
+                assert_eq!(pack(&model), perm);
+                for pos in 0..ways {
+                    let way = model[pos];
+                    assert_eq!(position_bit(perm, way), 1 << (4 * pos + 3));
+                    let mut front = model.clone();
+                    front.remove(pos);
+                    front.insert(0, way);
+                    assert_eq!(promote(perm, way), pack(&front), "{ways} ways, promote {pos}");
+                    let mut back = model.clone();
+                    back.remove(pos);
+                    back.insert(ways - 1, way);
+                    assert_eq!(demote(perm, way, ways), pack(&back), "{ways} ways, demote {pos}");
+                    // Positions past the set's width are never disturbed.
+                    assert_eq!(front[ways..], model[ways..]);
+                    assert_eq!(back[ways..], model[ways..]);
+                }
+                let way = model[(round * 5 + 3) % ways];
+                perm = if round % 3 == 2 { demote(perm, way, ways) } else { promote(perm, way) };
+            }
+        }
+    }
+
+    #[test]
+    fn match_mask_flags_exactly_the_matching_ways_at_every_width() {
+        for ways in 1..=16usize {
+            let set: Vec<u64> = (0..ways as u64).map(|way| 100 + way).collect();
+            for way in 0..ways {
+                assert_eq!(match_mask(&set, 100 + way as u64), 1 << way, "{ways} ways");
+            }
+            assert_eq!(match_mask(&set, 7), 0);
+            assert_eq!(match_mask(&vec![7; ways], 7), (1 << ways) - 1);
+        }
     }
 
     #[test]
@@ -209,6 +369,21 @@ mod tests {
     }
 
     #[test]
+    fn a_set_fills_every_way_before_it_evicts() {
+        // Line 0 lives in set 0, whose untouched ways also hold tag 0:
+        // the occupancy mask, not the tag, says what is resident.
+        let mut c =
+            SetAssocCache::new(CacheConfig { size_bytes: 16 * 64, line_bytes: 64, ways: 16 });
+        for line in 0..16 {
+            assert_eq!(c.access_line(line), (false, None), "line {line} takes a free way");
+        }
+        for line in 0..16 {
+            assert_eq!(c.access_line(line), (true, None));
+        }
+        assert_eq!(c.access_line(16), (false, Some(0)));
+    }
+
+    #[test]
     fn sets_are_independent() {
         let mut c = tiny();
         c.access(0 * 64); // set 0
@@ -224,35 +399,29 @@ mod tests {
         let mut c = tiny();
         c.access(0);
         c.access(64);
-        assert_eq!(c.resident_lines(), 2);
         c.flush();
-        assert_eq!(c.resident_lines(), 0);
         assert!(!c.access(0));
+        assert!(!c.access(64));
     }
 
     #[test]
-    fn invalidate_line_removes_only_its_target() {
-        let mut c = tiny();
-        c.access(0 * 64); // set 0
-        c.access(2 * 64); // set 0
-        assert!(c.invalidate_line(0));
-        assert!(!c.invalidate_line(0), "already gone");
-        assert!(!c.contains(0 * 64));
-        assert!(c.contains(2 * 64), "peer line survives");
-        // The freed way is reusable without evicting the survivor.
-        let (_, evicted) = c.access_line(4);
-        assert_eq!(evicted, None);
-    }
-
-    #[test]
-    fn contains_does_not_touch_recency() {
-        let mut c = tiny();
-        c.access(0 * 64);
-        c.access(2 * 64);
-        assert!(c.contains(0 * 64));
-        // `contains` must not have promoted line 0: line 0 is still LRU, so
-        // filling line 4 evicts it.
-        let (_, evicted) = c.access_line(4);
-        assert_eq!(evicted, Some(0));
+    fn fresh_and_flushed_caches_are_all_zero() {
+        // DESIGN.md §14 "all-zero at rest": an order word resting at the
+        // plain identity would turn the L3's lazily zeroed pages into
+        // written ones and show up only as `peak_rss_mb`.
+        let all_zero = |c: &SetAssocCache| {
+            c.len.iter().all(|&n| n == 0)
+                && c.order.iter().all(|&word| word == 0)
+                && c.tags.iter().all(|&tag| tag == 0)
+        };
+        let mut c =
+            SetAssocCache::new(CacheConfig { size_bytes: 3 * 11 * 64, line_bytes: 64, ways: 11 });
+        assert!(all_zero(&c));
+        for line in 0..100 {
+            c.access_line(line * 7);
+        }
+        assert!(!all_zero(&c));
+        c.flush();
+        assert!(all_zero(&c));
     }
 }

@@ -2,14 +2,16 @@
 //! retained reference walk.
 //!
 //! [`CoherentHierarchy`]'s fast paths (precomputed shift/mask geometry,
-//! single-line short-circuit, per-thread MRU line filter, timestamp-LRU L1)
-//! are all claimed to be *exactly* equivalent to the original per-access
-//! division-based walk preserved in `reference/mod.rs`. These properties
-//! prove it on randomized traces across geometries (including ways=1,
-//! non-power-of-two set counts and page sizes, an L1 line narrower than the
-//! L2/L3 line, and prefetch on/off), thread interleavings (one thread and
-//! four) and interleaved flushes — counter for counter, MESI-lite state
-//! for state.
+//! single-line short-circuit, per-thread MRU line filter with its
+//! same-page dTLB skip, and the packed-order set-walk kernel under the
+//! L1D, the dTLB, L2 and L3) are all claimed to be *exactly* equivalent to
+//! the original per-access division-based walk over move-to-front lists
+//! preserved in `reference/`. These properties prove it on randomized
+//! traces across geometries (ways 1–4 and the evaluation machine's 8, 11
+//! and 16 at every level, non-power-of-two set counts and page sizes, an
+//! L1 line narrower than the L2/L3 line, and prefetch on/off), thread
+//! interleavings (one thread and four) and interleaved flushes — counter
+//! for counter, MESI-lite state for state.
 //!
 //! Case count per property follows the vendored proptest's config and the
 //! `HALO_PROPTEST_CASES` override (CI trims it, soak runs raise it).
@@ -19,6 +21,9 @@ mod reference;
 use halo_cache::{CacheConfig, CoherenceStats, CoherentHierarchy, HierarchyConfig, TimingModel};
 use proptest::prelude::*;
 use reference::ReferenceCoherentHierarchy;
+
+/// Ways and sets of one L2 or L3.
+type Shape = (u32, u64);
 
 /// A small geometry from the generated knobs. L1 set counts of 3 exercise
 /// the modulo fallback (no mask); sets=1 exercises the degenerate
@@ -33,25 +38,45 @@ fn geometry(
     outer_line: u64,
     l1_ways: u32,
     l1_sets: u64,
+    (l2_ways, l2_sets): Shape,
+    (l3_ways, l3_sets): Shape,
     prefetch: bool,
     page_bytes: u64,
     tlb_ways: u32,
     tlb_sets: u32,
 ) -> HierarchyConfig {
     let outer = outer_line.max(line);
+    let level = |line_bytes: u64, ways: u32, sets: u64| CacheConfig {
+        size_bytes: line_bytes * u64::from(ways) * sets,
+        line_bytes,
+        ways,
+    };
     HierarchyConfig {
-        l1: CacheConfig {
-            size_bytes: line * u64::from(l1_ways) * l1_sets,
-            line_bytes: line,
-            ways: l1_ways,
-        },
-        l2: CacheConfig { size_bytes: outer * 4 * 8, line_bytes: outer, ways: 4 },
-        l3: CacheConfig { size_bytes: outer * 8 * 16, line_bytes: outer, ways: 8 },
+        l1: level(line, l1_ways, l1_sets),
+        l2: level(outer, l2_ways, l2_sets),
+        l3: level(outer, l3_ways, l3_sets),
         tlb_entries: tlb_ways * tlb_sets,
         tlb_ways,
         page_bytes,
         adjacent_line_prefetch: prefetch,
     }
+}
+
+/// The L2 and L3 every case had before the wide strata were added.
+const NARROW_L2: Shape = (4, 8);
+const NARROW_L3: Shape = (8, 16);
+
+/// Associativities of the evaluation machine (L1D 8, L3 11, L2 16): the
+/// widths the set-walk kernel is instantiated at, 16 filling the packed
+/// order word to its last nibble.
+fn wide_ways() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(8u32), Just(11u32), Just(16u32)]
+}
+
+/// An L2 or L3: the narrow shape, or a wide one of one to three sets (two
+/// mask, three divides).
+fn outer_shape(narrow: Shape) -> impl Strategy<Value = Shape> {
+    prop_oneof![Just(narrow), (wide_ways(), 1u64..4)]
 }
 
 /// Page sizes under test: the real 4 KiB, a non-power-of-two (the page
@@ -81,24 +106,32 @@ proptest! {
     fn coherent_hierarchy_matches_reference(
         line_exp in 5u32..7,
         outer_line_exp in 5u32..7,
-        l1_ways in 1u32..5,
+        l1_ways in prop_oneof![1u32..5, wide_ways()],
         l1_sets in 1u64..5,
+        l2 in outer_shape(NARROW_L2),
+        l3 in outer_shape(NARROW_L3),
         prefetch in any::<bool>(),
         page_sel in 0usize..3,
-        tlb_ways in 1u32..3,
+        tlb_ways in 1u32..5,
         tlb_sets in 1u32..5,
         threads in prop_oneof![Just(1u16), Just(4u16)],
         trace in proptest::collection::vec(
-            (0u16..4, 0u64..8192, 0u8..5, any::<bool>(), 0u8..4), 1..400),
+            (0u16..4, 0u64..8192, 0u8..5, any::<bool>(), 0u8..4), 1..1000),
     ) {
+        let l1_sets = if l1_ways >= 8 { l1_sets.min(3) } else { l1_sets };
         let config = geometry(
-            1 << line_exp, 1 << outer_line_exp, l1_ways, l1_sets, prefetch, PAGES[page_sel],
-            tlb_ways, tlb_sets,
+            1 << line_exp, 1 << outer_line_exp, l1_ways, l1_sets, l2, l3, prefetch,
+            PAGES[page_sel], tlb_ways, tlb_sets,
         );
         // Four threads share a 2 KiB universe so that lines really are
         // contended; one thread roams the full 8 KiB so that the TLB and
-        // the shared levels evict.
-        let universe = 8192 / u64::from(threads);
+        // the shared levels evict. A case with a wide level gets 4 KiB
+        // either way — 64 to 128 lines over at most 48 ways — so that a
+        // 16-way set fills, evicts and is hit at every recency depth
+        // (counted once on the oracle at 300 cases: every depth of every
+        // wide width at L1, L2 and L3, in both thread universes).
+        let wide = l1_ways >= 8 || l2 != NARROW_L2 || l3 != NARROW_L3;
+        let universe = if wide { 4096 } else { 8192 / u64::from(threads) };
         let mut fast = CoherentHierarchy::new(config);
         let mut reference = ReferenceCoherentHierarchy::new(config);
         let mut touched = Vec::with_capacity(trace.len());
@@ -156,7 +189,7 @@ proptest! {
         trace in proptest::collection::vec(
             (0u16..4, 0u64..2048, 0u8..5, any::<bool>()), 1..400),
     ) {
-        let config = geometry(64, 64, l1_ways, l1_sets, true, 4096, 2, 4);
+        let config = geometry(64, 64, l1_ways, l1_sets, NARROW_L2, NARROW_L3, true, 4096, 2, 4);
         let mut batched = CoherentHierarchy::new(config);
         let mut serial = CoherentHierarchy::new(config);
         // Split the trace into same-thread runs, then feed each run in

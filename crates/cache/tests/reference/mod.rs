@@ -3,27 +3,31 @@
 //!
 //! [`CoherentHierarchy`](halo_cache::CoherentHierarchy) carries precomputed
 //! shift/mask geometry, a single-line fast path, a per-thread MRU line
-//! filter and a timestamp-LRU L1 with inline MESI-lite states. Every one of
-//! those is claimed to be *exactly* equivalent to the original per-access
-//! walk — same counters, same LRU contents, same MESI-lite states. This
-//! module keeps that original walk alive, division by division, on nothing
-//! but [`SetAssocCache`]'s public API and a side `HashMap` of states, so
-//! the differential properties can prove the claim on randomized traces
-//! instead of trusting it. On one thread it is the original single-core
-//! walk, call for call.
+//! filter (with its same-page dTLB skip) and, in all four of its
+//! structures, the packed-order set-walk kernel, with the L1D's MESI-lite
+//! states inline. Every one of those is claimed to be *exactly*
+//! equivalent to the original per-access walk — same counters, same LRU
+//! contents, same MESI-lite states. This module keeps that original walk
+//! alive, division by division, and shares no code with what it checks:
+//! its L1, dTLB, L2 and L3 are [`lru::MoveToFrontCache`], the
+//! move-to-front list the shipped `SetAssocCache` used to be, and line
+//! states live in a side `HashMap`. On one thread it is the original
+//! single-core walk, call for call.
+
+pub mod lru;
 
 use halo_cache::{
-    AccessStats, CacheConfig, CoherenceStats, HierarchyConfig, LineState, SetAssocCache,
-    ThreadAccessStats,
+    AccessStats, CacheConfig, CoherenceStats, HierarchyConfig, LineState, ThreadAccessStats,
 };
+use lru::MoveToFrontCache;
 use std::collections::HashMap;
 
 /// One logical thread's private structures in the reference coherent
 /// model, mirroring the original `ThreadDomain`.
 #[derive(Debug)]
 struct RefThreadDomain {
-    l1: SetAssocCache,
-    tlb: SetAssocCache,
+    l1: MoveToFrontCache,
+    tlb: MoveToFrontCache,
     states: HashMap<u64, LineState>,
     stats: AccessStats,
 }
@@ -31,8 +35,8 @@ struct RefThreadDomain {
 impl RefThreadDomain {
     fn new(config: &HierarchyConfig) -> Self {
         RefThreadDomain {
-            l1: SetAssocCache::new(config.l1),
-            tlb: SetAssocCache::new(CacheConfig {
+            l1: MoveToFrontCache::new(config.l1),
+            tlb: MoveToFrontCache::new(CacheConfig {
                 size_bytes: (config.tlb_entries as u64).max(config.tlb_ways as u64),
                 line_bytes: 1,
                 ways: config.tlb_ways,
@@ -59,8 +63,8 @@ impl RefThreadDomain {
 #[derive(Debug)]
 pub struct ReferenceCoherentHierarchy {
     config: HierarchyConfig,
-    l2: SetAssocCache,
-    l3: SetAssocCache,
+    l2: MoveToFrontCache,
+    l3: MoveToFrontCache,
     threads: Vec<RefThreadDomain>,
     current: usize,
     stats: AccessStats,
@@ -72,8 +76,8 @@ impl ReferenceCoherentHierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         ReferenceCoherentHierarchy {
             config,
-            l2: SetAssocCache::new(config.l2),
-            l3: SetAssocCache::new(config.l3),
+            l2: MoveToFrontCache::new(config.l2),
+            l3: MoveToFrontCache::new(config.l3),
             threads: vec![RefThreadDomain::new(&config)],
             current: 0,
             stats: AccessStats::default(),
