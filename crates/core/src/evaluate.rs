@@ -283,14 +283,17 @@ fn measure_backend(
         program
     };
     let d = measure_detailed(target, &mut alloc, &config.measure)?;
+    // One report, lowered four ways: a sharded backend's grouped rows are
+    // its sharded row's, not a second reading.
+    let report = alloc.backend_report();
     Ok((
         spec.id,
         ConfigResult {
             measurement: d.measurement,
-            frag: alloc.backend_frag(),
-            alloc_stats: alloc.backend_stats(),
-            sharded: alloc.backend_sharded_stats(),
-            degrade: alloc.backend_degrade(),
+            frag: report.map(|r| r.frag),
+            alloc_stats: report.map(|r| r.stats.alloc),
+            sharded: report.filter(|r| r.sharded).map(|r| r.stats),
+            degrade: report.map(|r| r.stats.degrade),
             thread_stats: d.thread_stats,
         },
     ))
@@ -429,6 +432,9 @@ mod tests {
         assert_eq!(sharded.measurement.cycles, halo.measurement.cycles);
         assert_eq!(sharded.frag, halo.frag, "one active shard: aggregate equals plain");
         assert_eq!(sharded.alloc_stats, halo.alloc_stats);
+        let stats = sharded.sharded.expect("a sharded backend reports queue pressure");
+        assert_eq!(sharded.alloc_stats, Some(stats.alloc));
+        assert_eq!(sharded.degrade, Some(stats.degrade));
     }
 
     /// A cross-thread malloc/free stream: logical thread 1 builds a list,

@@ -28,27 +28,15 @@ pub struct HaloConfig {
     pub alloc: GroupAllocConfig,
     /// Limits for the profiling run.
     pub limits: EngineLimits,
-    /// `auto` granularity keeps a grouping only if its measured L1D miss
-    /// reduction on the *train* input exceeds this fraction; otherwise it
-    /// falls back (object → page → decline to group). The ref input is
-    /// never consulted, preserving the §5.1 train/ref separation.
-    pub auto_min_gain: f64,
     /// Which in-chunk reuse policy group plans start from. `Bump` and
     /// `Sharded` stamp every group uniformly; `Auto` runs the per-group
     /// train-input validator: groups whose own chunks fragment beyond
-    /// `reuse_min_frag` are trialled with mimalloc-style sharded free
+    /// `REUSE_MIN_FRAG` are trialled with mimalloc-style sharded free
     /// lists (and smaller chunks), and a flip is kept only when it cuts
     /// the measured fragmentation without costing more than
-    /// `reuse_miss_tolerance` of the train-input L1D misses.
+    /// `REUSE_MISS_TOLERANCE` of the train-input L1D misses (both bars are
+    /// constants of `Halo::resolve_reuse`).
     pub reuse: ReusePolicyChoice,
-    /// Per-group fragmentation fraction (of that group's own peak
-    /// resident chunks) above which the `auto` reuse policy considers the
-    /// group a flip candidate.
-    pub reuse_min_frag: f64,
-    /// Miss budget for an `auto` reuse flip: a candidate plan is rejected
-    /// if it raises train-input L1D misses by more than this fraction over
-    /// the all-bump plan — contiguity keeps the group at bump.
-    pub reuse_miss_tolerance: f64,
     /// Memory-subsystem geometry the `auto` policy validates against.
     /// Must match the geometry the final measurement uses, or auto's
     /// accept/decline decision is made on the wrong cache;
@@ -66,10 +54,7 @@ impl Default for HaloConfig {
             grouping: GroupingParams::default(),
             alloc: GroupAllocConfig::default(),
             limits: EngineLimits::default(),
-            auto_min_gain: 0.01,
             reuse: ReusePolicyChoice::Bump,
-            reuse_min_frag: 0.10,
-            reuse_miss_tolerance: 0.01,
             hierarchy: halo_cache::HierarchyConfig::default(),
             timing: halo_cache::TimingModel::default(),
         }
@@ -112,7 +97,7 @@ pub struct Optimised {
     /// [`Granularity::Auto`]: the policy resolves to a concrete mode).
     pub granularity: Granularity,
     /// Whether the `auto` policy declined to group: neither granularity's
-    /// grouping beat `auto_min_gain` on the train input, so the binary
+    /// grouping beat `AUTO_MIN_GAIN` on the train input, so the binary
     /// passes through unmodified (`groups` is empty).
     pub auto_declined: bool,
     /// Selectors, monitored sites, and the runtime table.
@@ -201,7 +186,7 @@ impl Halo {
     /// object granularity first and checks the grouping's measured L1D
     /// miss reduction **on the train input** (profiling data only — the
     /// ref input is never consulted); if the gain is below
-    /// `auto_min_gain` it retries at page granularity, and if that also
+    /// `AUTO_MIN_GAIN` it retries at page granularity, and if that also
     /// fails to clear the bar it declines to group at all, leaving the
     /// binary untouched (the omnetpp case, where grouping per-module
     /// contexts splits each event wave across chunks).
@@ -281,6 +266,11 @@ impl Halo {
         train_seed: u64,
         train_arg: i64,
     ) -> Result<Optimised, PipelineError> {
+        /// A grouping is kept only if its measured L1D miss reduction on
+        /// the *train* input exceeds this fraction; otherwise the policy
+        /// falls back (object → page → decline to group). The ref input is
+        /// never consulted, preserving the §5.1 train/ref separation.
+        const AUTO_MIN_GAIN: f64 = 0.01;
         let train_measure = MeasureConfig {
             hierarchy: self.config.hierarchy,
             timing: self.config.timing,
@@ -298,7 +288,7 @@ impl Halo {
             }
             let mut alloc = self.make_allocator(&candidate);
             let measured = measure(&candidate.program, &mut alloc, &train_measure)?;
-            if measured.miss_reduction_vs(&baseline) > self.config.auto_min_gain {
+            if measured.miss_reduction_vs(&baseline) > AUTO_MIN_GAIN {
                 return Ok(candidate);
             }
         }
@@ -315,7 +305,7 @@ impl Halo {
     /// (small chunks let survivor-pinned memory purge back to the OS). A
     /// candidate plan is kept only if the measured whole-allocator
     /// fragmentation fraction strictly improves while train-input L1D
-    /// misses stay within `reuse_miss_tolerance` of the all-bump run —
+    /// misses stay within `REUSE_MISS_TOLERANCE` of the all-bump run —
     /// groups whose contiguity is winning misses keep bump. The ref input
     /// is never consulted (§5.1 train/ref separation).
     fn resolve_reuse(
@@ -324,6 +314,13 @@ impl Halo {
         train_seed: u64,
         train_arg: i64,
     ) -> Result<Optimised, PipelineError> {
+        /// Per-group fragmentation fraction (of that group's own peak
+        /// resident chunks) above which the group is a flip candidate.
+        const REUSE_MIN_FRAG: f64 = 0.10;
+        /// Miss budget for a flip: a candidate plan is rejected if it
+        /// raises train-input L1D misses by more than this fraction over
+        /// the all-bump plan — contiguity keeps the group at bump.
+        const REUSE_MISS_TOLERANCE: f64 = 0.01;
         let train_measure = MeasureConfig {
             hierarchy: self.config.hierarchy,
             timing: self.config.timing,
@@ -335,15 +332,14 @@ impl Halo {
         let bump = measure(&optimised.program, &mut alloc, &train_measure)?;
         let group_frags = alloc.group_frag_reports();
         let mut best = (alloc.frag_report().frag_fraction(), bump.stats.l1_misses);
-        let miss_cap =
-            (bump.stats.l1_misses as f64 * (1.0 + self.config.reuse_miss_tolerance)) as u64;
+        let miss_cap = (bump.stats.l1_misses as f64 * (1.0 + REUSE_MISS_TOLERANCE)) as u64;
 
         // Fragmentation-heavy groups first (their flips move the total
         // most); groups below the threshold — or wasting less than a page —
         // are never touched.
         let mut candidates: Vec<usize> = (0..optimised.groups.len())
             .filter(|&i| {
-                group_frags[i].frag_fraction() >= self.config.reuse_min_frag
+                group_frags[i].frag_fraction() >= REUSE_MIN_FRAG
                     && group_frags[i].wasted_bytes() >= PAGE_SIZE
             })
             .collect();

@@ -49,7 +49,8 @@ pub struct ServePhase {
     /// Profiling-window entry argument.
     pub train_arg: i64,
     /// Base measurement seed; window `w` (globally numbered) measures
-    /// with `ref_seed + w`.
+    /// with `ref_seed + w`, wrapping — a seed names an RNG stream, it is
+    /// not a quantity.
     pub ref_seed: u64,
     /// Measurement entry argument.
     pub ref_arg: i64,
@@ -74,10 +75,11 @@ pub struct ServeConfig {
     pub regroup_every: u64,
     /// Re-optimise when grouping drift exceeds this (in `[0, 1]`).
     pub drift_threshold: f64,
-    /// Re-optimise when the window's miss reduction falls this far below
-    /// the best seen since the last swap.
-    pub regression_tolerance: f64,
 }
+
+/// Re-optimise when the window's miss reduction falls this far below the
+/// best seen since the last swap.
+const REGRESSION_TOLERANCE: f64 = 0.1;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -88,7 +90,6 @@ impl Default for ServeConfig {
             decay: 0.5,
             regroup_every: 1,
             drift_threshold: 0.3,
-            regression_tolerance: 0.1,
         }
     }
 }
@@ -225,7 +226,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             }
             let regressed = active.best_miss_reduction.is_finite()
                 && rows.last().is_some_and(|r: &EpochRow| {
-                    r.miss_reduction < active.best_miss_reduction - config.regression_tolerance
+                    r.miss_reduction < active.best_miss_reduction - REGRESSION_TOLERANCE
                 });
 
             // 3. Re-optimise and hot-swap when triggered.
@@ -259,7 +260,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
 
             // 4. Measure the window: baseline, static twin, serve.
             let mcfg = MeasureConfig {
-                seed: phase.ref_seed + window,
+                seed: phase.ref_seed.wrapping_add(window),
                 entry_arg: phase.ref_arg,
                 ..config.measure
             };
@@ -460,6 +461,18 @@ mod tests {
         // Well-formed report plumbing.
         assert_eq!(report.final_miss_reduction, report.rows.last().unwrap().miss_reduction);
         assert!(report.rows.iter().filter(|row| row.swapped).count() as u64 == report.swaps);
+    }
+
+    #[test]
+    fn a_ref_seed_at_the_type_limit_wraps_instead_of_overflowing() {
+        // Window 1 measures with `u64::MAX + 1`: a checked add panics in
+        // this (overflow-checked) test profile.
+        let top = ServePhase { ref_seed: u64::MAX, ..phase("top", phased_program(2, 16), 2) };
+        let wrapped = ServePhase { ref_seed: 0, ..phase("wrapped", phased_program(2, 16), 1) };
+        let report = serve(&[top], &serve_config()).expect("serve runs");
+        let at_zero = serve(&[wrapped], &serve_config()).expect("serve runs");
+        assert_eq!(report.rows.len(), 2);
+        assert_eq!(report.rows[1].miss_reduction, at_zero.rows[0].miss_reduction);
     }
 
     #[test]

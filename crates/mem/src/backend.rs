@@ -2,13 +2,12 @@
 //!
 //! Every allocator a `BackendSpec` (in `halo_core`) can construct
 //! implements [`BackendAllocator`]: the plain [`VmAllocator`] interface
-//! plus uniform, optional access to the technique-specific diagnostics the
-//! evaluation reports (fragmentation and group-allocator event counters).
-//! Allocators without grouped pools simply report `None`, so the
+//! plus one reader for the technique-specific diagnostics the evaluation
+//! reports (fragmentation, event counters, the degradation ladder), so the
 //! evaluation loop needs no per-backend downcasting or special arms.
 
-use crate::faults::{DegradeStats, FaultInjector, FaultPlan};
-use crate::group_alloc::{FragReport, GroupAllocStats};
+use crate::faults::{FaultInjector, FaultPlan};
+use crate::group_alloc::FragReport;
 use crate::sharded::ShardedAllocStats;
 use crate::stats::AllocatorStats;
 use crate::{
@@ -17,23 +16,23 @@ use crate::{
 };
 use halo_vm::VmAllocator;
 
+/// What an allocator with grouped pools reports after a measured run.
+#[derive(Debug, Clone, Copy)]
+pub struct BackendReport {
+    /// Fragmentation of grouped data at peak (Table 1).
+    pub frag: FragReport,
+    /// Event and degradation-ladder counters, and the remote-free queue
+    /// pressure — all zero for an allocator that is one arena.
+    pub stats: ShardedAllocStats,
+    /// Whether the allocator shards by thread.
+    pub sharded: bool,
+}
+
 /// A [`VmAllocator`] measurable as an evaluation backend.
 pub trait BackendAllocator: VmAllocator {
-    /// Fragmentation of grouped data at peak (Table 1), if this allocator
-    /// maintains grouped pools.
-    fn backend_frag(&self) -> Option<FragReport> {
-        None
-    }
-
-    /// Group-allocator event counters, if this allocator maintains grouped
-    /// pools.
-    fn backend_stats(&self) -> Option<GroupAllocStats> {
-        None
-    }
-
-    /// Cross-shard remote-free pressure counters (queue pushes, drains,
-    /// peak depth), if this allocator shards by thread.
-    fn backend_sharded_stats(&self) -> Option<ShardedAllocStats> {
+    /// The diagnostics of an allocator that maintains grouped pools; the
+    /// baselines have none.
+    fn backend_report(&self) -> Option<BackendReport> {
         None
     }
 
@@ -44,11 +43,6 @@ pub trait BackendAllocator: VmAllocator {
     fn backend_inject(&mut self, _plan: &FaultPlan) -> bool {
         false
     }
-
-    /// Degradation-ladder counters, if this backend maintains them.
-    fn backend_degrade(&self) -> Option<DegradeStats> {
-        None
-    }
 }
 
 impl BackendAllocator for SizeClassAllocator {}
@@ -57,43 +51,28 @@ impl BackendAllocator for BumpAllocator {}
 impl BackendAllocator for RandomGroupAllocator {}
 
 impl<F: VmAllocator + AllocatorStats> BackendAllocator for HaloGroupAllocator<F> {
-    fn backend_frag(&self) -> Option<FragReport> {
-        Some(self.frag_report())
-    }
-
-    fn backend_stats(&self) -> Option<GroupAllocStats> {
-        Some(self.stats())
+    fn backend_report(&self) -> Option<BackendReport> {
+        let stats = ShardedAllocStats {
+            alloc: self.stats(),
+            degrade: self.degrade_stats(),
+            ..ShardedAllocStats::default()
+        };
+        Some(BackendReport { frag: self.frag_report(), stats, sharded: false })
     }
 
     fn backend_inject(&mut self, plan: &FaultPlan) -> bool {
         self.set_fault_injector(std::sync::Arc::new(FaultInjector::new(plan.clone())));
         true
-    }
-
-    fn backend_degrade(&self) -> Option<DegradeStats> {
-        Some(self.degrade_stats())
     }
 }
 
 impl BackendAllocator for ShardedHaloAllocator {
-    fn backend_frag(&self) -> Option<FragReport> {
-        Some(self.frag_report())
-    }
-
-    fn backend_stats(&self) -> Option<GroupAllocStats> {
-        Some(self.stats())
-    }
-
-    fn backend_sharded_stats(&self) -> Option<ShardedAllocStats> {
-        Some(self.sharded_stats())
+    fn backend_report(&self) -> Option<BackendReport> {
+        Some(self.report())
     }
 
     fn backend_inject(&mut self, plan: &FaultPlan) -> bool {
         self.set_fault_injector(std::sync::Arc::new(FaultInjector::new(plan.clone())));
         true
-    }
-
-    fn backend_degrade(&self) -> Option<DegradeStats> {
-        Some(self.degrade_stats())
     }
 }

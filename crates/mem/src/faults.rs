@@ -301,7 +301,7 @@ impl DegradeStats {
 
     /// Field-wise sum. Fully destructured: a field added to
     /// [`DegradeStats`] must be accounted for here or this stops
-    /// compiling (the same guard `ShardedHaloAllocator::stats` uses).
+    /// compiling (the same guard as `GroupAllocStats::merge`).
     pub fn merge(&mut self, other: DegradeStats) {
         let DegradeStats {
             fallback_routes,

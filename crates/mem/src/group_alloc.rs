@@ -27,6 +27,7 @@
 //! allocator; composition plays that role here).
 
 use crate::faults::{DegradeStats, FaultInjector, FaultSite};
+use crate::page_index::PageIndex;
 use crate::selector::SelectorTable;
 use crate::stats::AllocatorStats;
 use crate::vmm::{ReserveError, Vmm};
@@ -117,6 +118,31 @@ pub struct GroupAllocStats {
     pub chunks_purged: u64,
 }
 
+impl GroupAllocStats {
+    /// Field-wise sum. Fully destructured (no `..`): a field added to
+    /// [`GroupAllocStats`] must be accounted for here or this stops
+    /// compiling — a silently-unsummed counter would poison every
+    /// aggregate.
+    pub fn merge(&mut self, other: GroupAllocStats) {
+        let GroupAllocStats {
+            grouped_allocs,
+            fallback_allocs,
+            grouped_frees,
+            fallback_frees,
+            chunks_created,
+            chunks_reused,
+            chunks_purged,
+        } = other;
+        self.grouped_allocs += grouped_allocs;
+        self.fallback_allocs += fallback_allocs;
+        self.grouped_frees += grouped_frees;
+        self.fallback_frees += fallback_frees;
+        self.chunks_created += chunks_created;
+        self.chunks_reused += chunks_reused;
+        self.chunks_purged += chunks_purged;
+    }
+}
+
 /// Fragmentation at the peak, in the format of the paper's Table 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FragReport {
@@ -127,6 +153,14 @@ pub struct FragReport {
 }
 
 impl FragReport {
+    /// Field-wise sum of two arenas' snapshots, fully destructured like
+    /// [`GroupAllocStats::merge`].
+    pub fn merge(&mut self, other: FragReport) {
+        let FragReport { peak_resident_bytes, live_at_peak_bytes } = other;
+        self.peak_resident_bytes += peak_resident_bytes;
+        self.live_at_peak_bytes += live_at_peak_bytes;
+    }
+
     /// Wasted bytes: resident but not live (Table 1 "Frag. (bytes)").
     pub fn wasted_bytes(&self) -> u64 {
         self.peak_resident_bytes.saturating_sub(self.live_at_peak_bytes)
@@ -171,9 +205,6 @@ impl PoolUsage {
 /// Regions start on 8-byte boundaries (§4.4's minimum alignment), so one
 /// metadata cell per 8-byte granule can describe every region of a chunk.
 const GRANULE: u64 = 8;
-
-/// Page-table entry of a page no chunk covers.
-const NO_CHUNK: u32 = u32::MAX;
 
 /// Bytes of chunk a region of `size` requested bytes occupies: whole
 /// granules, at least one.
@@ -260,14 +291,10 @@ pub struct HaloGroupAllocator<F = SizeClassAllocator> {
     /// Every chunk ever carved, in address order; the index is the
     /// chunk's handle.
     chunks: Vec<Chunk>,
-    /// Page `(addr - origin) / PAGE_SIZE` → handle of the chunk covering
-    /// it, or [`NO_CHUNK`]. Page granular because chunk sizes vary per plan
-    /// and a page is the smallest chunk [`Self::validate_chunk`] admits;
-    /// relative to the slab span's base, so it costs 4 bytes per page of
-    /// carved slab space and nothing for the address space below it.
-    page_chunk: Vec<u32>,
-    /// Page-aligned address of page-table entry 0.
-    origin: u64,
+    /// Page → handle of the chunk covering it. Page granular because
+    /// chunk sizes vary per plan and a page is the smallest chunk
+    /// [`Self::validate_chunk`] admits.
+    pages: PageIndex,
     /// Current chunk handle per group.
     current: Vec<Option<u32>>,
     /// Empty-but-dirty chunks available for reuse, oldest first.
@@ -381,8 +408,7 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
             slab_cursor: None,
             slabs_end: config.base,
             chunks: Vec::new(),
-            page_chunk: Vec::new(),
-            origin: config.base & !(PAGE_SIZE - 1),
+            pages: PageIndex::new(config.base),
             current: vec![None; num_groups],
             site_groups: HashMap::new(),
             spare: Vec::new(),
@@ -508,15 +534,10 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     /// Carve a fresh chunk of `cs` bytes for `group`, enter it in the chunk
     /// table and the page table, and return its handle.
     fn carve_chunk(&mut self, group: usize, cs: u64) -> Option<u32> {
-        let handle = u32::try_from(self.chunks.len()).ok().filter(|&h| h != NO_CHUNK)?;
+        let handle = u32::try_from(self.chunks.len()).ok()?;
         let cells = usize::try_from(cs / GRANULE).ok()?;
         let base = self.carve_span(cs).ok()?;
-        let first = usize::try_from((base - self.origin) / PAGE_SIZE).ok()?;
-        let last = first + usize::try_from(cs / PAGE_SIZE).ok()?;
-        if self.page_chunk.len() < last {
-            self.page_chunk.resize(last, NO_CHUNK);
-        }
-        self.page_chunk[first..last].fill(handle);
+        self.pages.cover(base, cs, self.chunks.len())?;
         self.chunks.push(Chunk {
             base,
             end: base + cs,
@@ -643,12 +664,11 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     /// slab range with no live region (double free, interior or misaligned
     /// address, a page no chunk covers) has none.
     fn live_region(&self, ptr: u64) -> Option<(u32, usize, u64)> {
-        let page = usize::try_from(ptr.checked_sub(self.origin)? / PAGE_SIZE).ok()?;
-        let handle = *self.page_chunk.get(page).filter(|&&h| h != NO_CHUNK)?;
-        let chunk = &self.chunks[handle as usize];
+        let handle = self.pages.find(ptr)?;
+        let chunk = &self.chunks[handle];
         let cell = chunk.cell_of(ptr)?;
         let size = chunk.cells[cell].checked_sub(1)?;
-        Some((handle, cell, u64::from(size)))
+        Some((u32::try_from(handle).ok()?, cell, u64::from(size)))
     }
 
     fn group_free(&mut self, ptr: u64, mem: &mut Memory) {

@@ -45,6 +45,7 @@ mod boundary_tag;
 mod bump;
 mod faults;
 mod group_alloc;
+mod page_index;
 mod random_group;
 pub mod rt;
 mod selector;
@@ -53,7 +54,7 @@ mod size_class;
 mod stats;
 mod vmm;
 
-pub use backend::BackendAllocator;
+pub use backend::{BackendAllocator, BackendReport};
 pub use boundary_tag::BoundaryTagAllocator;
 pub use bump::BumpAllocator;
 pub use faults::{DegradeStats, FaultInjector, FaultPlan, FaultSite};

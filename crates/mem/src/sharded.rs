@@ -30,12 +30,14 @@
 //!   — mimalloc's deferred-free protocol. The queue and the owner trade
 //!   two buffers back and forth, so a drain allocates nothing.
 //!
-//! Aggregation (`frag_report`, `group_frag_reports`, `stats`) sums the
-//! per-shard snapshots; DESIGN.md §10 explains why that preserves the
-//! Table 1 peak-snapshot semantics per shard (each shard is an
-//! independent arena, exactly as jemalloc's per-thread arenas are counted
-//! in practice).
+//! Every reader (`sharded_stats`, `frag_report`, `live_bytes`, …) is a
+//! projection of one sweep over the shards (`read_shards`) that sums the
+//! per-shard snapshots; DESIGN.md §10 says what a snapshot guarantees and
+//! why summing preserves the Table 1 peak-snapshot semantics per shard
+//! (each shard is an independent arena, exactly as jemalloc's per-thread
+//! arenas are counted in practice).
 
+use crate::backend::BackendReport;
 use crate::faults::{DegradeStats, FaultInjector, FaultSite};
 use crate::group_alloc::{FragReport, GroupAllocConfig, GroupAllocStats};
 use crate::selector::SelectorTable;
@@ -97,6 +99,13 @@ thread_local! {
         const { Cell::new((usize::MAX, ThreadState { slot: 0, logical: 0 })) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Shard allocator locks this thread has taken, so a test can tell how
+    /// many a reader paid for.
+    static SHARD_LOCKS_TAKEN: Cell<u64> = const { Cell::new(0) };
+}
+
 #[derive(Debug, Default)]
 struct ThreadRegistry {
     slots: HashMap<ThreadId, ThreadState>,
@@ -111,6 +120,8 @@ struct ShardState {
     /// drains, swapped with the queue's buffer when the owner drains (so
     /// the queue keeps the capacity it grew and a drain allocates nothing).
     drain_buf: Vec<u64>,
+    /// Queued remote frees this shard has applied so far.
+    drained: u64,
 }
 
 /// A shard's remote-free queue and the push-side counters its lock covers.
@@ -172,7 +183,6 @@ pub struct ShardedHaloAllocator {
     fallback_base: u64,
     shards: Vec<Shard>,
     threads: Mutex<ThreadRegistry>,
-    remote_drained: AtomicU64,
     /// Bound on each shard's remote-free queue; a push that would exceed
     /// it falls back to a direct owner-lock free (backpressure instead of
     /// unbounded growth under a free-storm). Atomic so an operator (or
@@ -222,10 +232,7 @@ impl ShardedHaloAllocator {
         );
         let shards = (0..shards)
             .map(|i| {
-                let base = config.base + i as u64 * GROUP_SHARD_STRIDE;
-                let shard_cfg = GroupAllocConfig { base, ..config };
-                let shard_overrides =
-                    overrides.iter().map(|o| GroupAllocConfig { base, ..*o }).collect();
+                let (shard_cfg, shard_overrides) = Self::shard_plan(&config, &overrides, i);
                 let fallback = SizeClassAllocator::with_base_span(
                     fallback_base + i as u64 * FALLBACK_SHARD_STRIDE,
                     FALLBACK_SHARD_STRIDE,
@@ -239,6 +246,7 @@ impl ShardedHaloAllocator {
                             fallback,
                         ),
                         drain_buf: Vec::new(),
+                        drained: 0,
                     }),
                     remote: Mutex::new(RemoteQueue::default()),
                     pending: AtomicUsize::new(0),
@@ -252,7 +260,6 @@ impl ShardedHaloAllocator {
             fallback_base,
             shards,
             threads: Mutex::new(ThreadRegistry::default()),
-            remote_drained: AtomicU64::new(0),
             remote_queue_cap: AtomicUsize::new(Self::DEFAULT_REMOTE_QUEUE_CAP),
             queue_overflows: AtomicU64::new(0),
             poisoned_recovered: AtomicU64::new(0),
@@ -260,6 +267,19 @@ impl ShardedHaloAllocator {
             plan_epoch: AtomicU64::new(0),
             faults: None,
         }
+    }
+
+    /// Shard `shard`'s copy of a plan expressed against the shard-0 base:
+    /// the same knobs, rooted at the shard's own slice of the group
+    /// address space.
+    fn shard_plan(
+        config: &GroupAllocConfig,
+        overrides: &[GroupAllocConfig],
+        shard: usize,
+    ) -> (GroupAllocConfig, Vec<GroupAllocConfig>) {
+        let base = config.base + shard as u64 * GROUP_SHARD_STRIDE;
+        let rebase = |c: &GroupAllocConfig| GroupAllocConfig { base, ..*c };
+        (rebase(config), overrides.iter().map(rebase).collect())
     }
 
     /// The number of plan hot-swaps applied so far; epoch `0` is the
@@ -300,9 +320,7 @@ impl ShardedHaloAllocator {
         }
         let mut guards: Vec<_> = (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
         for (i, guard) in guards.iter_mut().enumerate() {
-            let base = self.config.base + i as u64 * GROUP_SHARD_STRIDE;
-            let shard_overrides =
-                overrides.iter().map(|o| GroupAllocConfig { base, ..*o }).collect();
+            let (_, shard_overrides) = Self::shard_plan(&self.config, &overrides, i);
             guard.alloc.install_plan(selectors.clone(), shard_overrides);
         }
         let epoch = self.plan_epoch.fetch_add(1, Ordering::AcqRel) + 1;
@@ -339,24 +357,9 @@ impl ShardedHaloAllocator {
         self.faults = Some(injector);
     }
 
-    /// Degradation-ladder counters: per-shard rungs summed, the sharded
-    /// runtime's own rungs added, and the injected-fault count taken from
-    /// the shared injector exactly once (per-shard sums would multiply
-    /// it).
+    /// Degradation-ladder counters ([`ShardedAllocStats::degrade`]).
     pub fn degrade_stats(&self) -> DegradeStats {
-        let mut d = DegradeStats::default();
-        for s in 0..self.shards.len() {
-            d.merge(self.lock_shard(s).alloc.degrade_raw());
-        }
-        d.queue_overflows += self.queue_overflows.load(Ordering::Relaxed);
-        d.poisoned_recovered += self.poisoned_recovered.load(Ordering::Relaxed);
-        d.invalid_frees += self.invalid_frees.load(Ordering::Relaxed);
-        d.degraded_shards =
-            self.shards.iter().filter(|s| s.degraded.load(Ordering::Relaxed)).count() as u64;
-        if let Some(f) = &self.faults {
-            d.injected_faults = f.fired();
-        }
-        d
+        self.sharded_stats().degrade
     }
 
     /// Take shard `s`'s allocator lock, recovering from poisoning: a
@@ -367,6 +370,8 @@ impl ShardedHaloAllocator {
     /// counted in [`DegradeStats::degraded_shards`]. Either way, other
     /// threads are never wedged.
     fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardState> {
+        #[cfg(test)]
+        SHARD_LOCKS_TAKEN.set(SHARD_LOCKS_TAKEN.get() + 1);
         match self.shards[s].inner.lock() {
             Ok(inner) => inner,
             Err(poisoned) => {
@@ -512,11 +517,9 @@ impl ShardedHaloAllocator {
                 // take the full one: neither side ever regrows.
                 std::mem::swap(&mut queue.ptrs, &mut state.drain_buf);
             }
-            if !state.drain_buf.is_empty() {
-                self.remote_drained.fetch_add(state.drain_buf.len() as u64, Ordering::Relaxed);
-                for ptr in state.drain_buf.drain(..) {
-                    state.alloc.free(ptr, mem);
-                }
+            state.drained += state.drain_buf.len() as u64;
+            for ptr in state.drain_buf.drain(..) {
+                state.alloc.free(ptr, mem);
             }
         }
         inner
@@ -560,14 +563,10 @@ impl ShardedHaloAllocator {
             {
                 // The counters are plain fields: the queue lock this push
                 // already holds orders them against every other push, and
-                // a drain takes the same lock, so it can never observe
-                // more frees applied than were ever queued.
+                // a drain and a reader take the same lock.
                 queue.queued += 1;
                 queue.ptrs.push(ptr);
                 shard.pending.store(queue.ptrs.len(), Ordering::Release);
-                // The max over all pushes is exact per shard; across
-                // shards it is the deepest queue ever observed, the
-                // pressure signal wanted.
                 queue.peak = queue.peak.max(queue.ptrs.len() as u64);
                 return Ok(());
             }
@@ -623,57 +622,70 @@ impl ShardedHaloAllocator {
         }
     }
 
+    /// The one place shard locks are taken for reading: fold `read` over
+    /// the shards, each under one hold of its allocator lock with its queue
+    /// lock nested inside (allocator → queue, the nesting a drain uses). A
+    /// shard's allocator counters, its `drained` count and its queue are
+    /// therefore read at one instant; different shards are read at
+    /// different instants, so cross-shard sums are exact only when the
+    /// allocator is quiescent (DESIGN.md §10).
+    fn read_shards<T>(
+        &self,
+        mut acc: T,
+        mut read: impl FnMut(&mut T, &ShardState, &RemoteQueue),
+    ) -> T {
+        for s in 0..self.shards.len() {
+            let inner = self.lock_shard(s);
+            let queue = self.lock_remote(s);
+            read(&mut acc, &inner, &queue);
+        }
+        acc
+    }
+
+    /// Everything a measured backend reports, from one sweep: the
+    /// aggregate Table 1 snapshot and the summed counters.
+    pub(crate) fn report(&self) -> BackendReport {
+        let empty = BackendReport {
+            frag: FragReport::default(),
+            stats: ShardedAllocStats::default(),
+            sharded: true,
+        };
+        let mut report =
+            self.read_shards(empty, |BackendReport { frag, stats, .. }, shard, queue| {
+                frag.merge(shard.alloc.frag_report());
+                stats.alloc.merge(shard.alloc.stats());
+                // Without the injected-fault count: every shard draws from one
+                // shared injector, so per-shard sums would multiply it.
+                stats.degrade.merge(shard.alloc.degrade_raw());
+                stats.remote_frees += queue.queued;
+                stats.remote_drained += shard.drained;
+                // The max over all pushes is exact per shard; across shards it
+                // is the deepest queue ever observed.
+                stats.remote_peak_queue = stats.remote_peak_queue.max(queue.peak);
+            });
+        let d = &mut report.stats.degrade;
+        d.queue_overflows += self.queue_overflows.load(Ordering::Relaxed);
+        d.poisoned_recovered += self.poisoned_recovered.load(Ordering::Relaxed);
+        d.invalid_frees += self.invalid_frees.load(Ordering::Relaxed);
+        d.degraded_shards =
+            self.shards.iter().filter(|s| s.degraded.load(Ordering::Relaxed)).count() as u64;
+        d.injected_faults = self.faults.as_ref().map_or(0, |f| f.fired());
+        report
+    }
+
     /// Remote frees queued and not yet applied, across all shards.
     pub fn remote_pending(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.lock_remote(s).ptrs.len()).sum()
+        self.read_shards(0, |n, _, queue| *n += queue.ptrs.len())
     }
 
     /// Summed per-shard event counters plus the remote-free counters.
     pub fn sharded_stats(&self) -> ShardedAllocStats {
-        // Read drained before queued: a queue+drain racing between the
-        // two reads then inflates `remote_frees`, never `remote_drained`,
-        // so a snapshot can never show more frees applied than queued.
-        let remote_drained = self.remote_drained.load(Ordering::Acquire);
-        let (mut remote_frees, mut remote_peak_queue) = (0, 0);
-        for s in 0..self.shards.len() {
-            let queue = self.lock_remote(s);
-            remote_frees += queue.queued;
-            remote_peak_queue = remote_peak_queue.max(queue.peak);
-        }
-        ShardedAllocStats {
-            alloc: self.stats(),
-            remote_frees,
-            remote_drained,
-            remote_peak_queue,
-            degrade: self.degrade_stats(),
-        }
+        self.report().stats
     }
 
     /// Per-shard group-allocator counters, summed across shards.
     pub fn stats(&self) -> GroupAllocStats {
-        let mut total = GroupAllocStats::default();
-        for s in 0..self.shards.len() {
-            // Full destructuring (no `..`): a field added to
-            // GroupAllocStats must show up here or this stops compiling —
-            // a silently-unsummed counter would poison every aggregate.
-            let GroupAllocStats {
-                grouped_allocs,
-                fallback_allocs,
-                grouped_frees,
-                fallback_frees,
-                chunks_created,
-                chunks_reused,
-                chunks_purged,
-            } = self.lock_shard(s).alloc.stats();
-            total.grouped_allocs += grouped_allocs;
-            total.fallback_allocs += fallback_allocs;
-            total.grouped_frees += grouped_frees;
-            total.fallback_frees += fallback_frees;
-            total.chunks_created += chunks_created;
-            total.chunks_reused += chunks_reused;
-            total.chunks_purged += chunks_purged;
-        }
-        total
+        self.read_shards(GroupAllocStats::default(), |t, shard, _| t.merge(shard.alloc.stats()))
     }
 
     /// Aggregate Table 1 snapshot: the field-wise sum of each shard's own
@@ -681,58 +693,37 @@ impl ShardedHaloAllocator {
     /// keeps the paper's semantics exactly; the sum is the standard
     /// per-arena accounting (see DESIGN.md §10).
     pub fn frag_report(&self) -> FragReport {
-        let mut total = FragReport::default();
-        for s in 0..self.shards.len() {
-            let r = self.lock_shard(s).alloc.frag_report();
-            Self::accumulate_frag(&mut total, r);
-        }
-        total
+        self.read_shards(FragReport::default(), |t, shard, _| t.merge(shard.alloc.frag_report()))
     }
 
     /// Per-group fragmentation snapshots summed across shards (group `g`'s
     /// report aggregates every shard's group-`g` pool).
     pub fn group_frag_reports(&self) -> Vec<FragReport> {
-        let mut totals: Vec<FragReport> = Vec::new();
-        for s in 0..self.shards.len() {
-            let reports = self.lock_shard(s).alloc.group_frag_reports();
+        self.read_shards(Vec::new(), |totals: &mut Vec<FragReport>, shard, _| {
+            let reports = shard.alloc.group_frag_reports();
             if reports.len() > totals.len() {
                 totals.resize(reports.len(), FragReport::default());
             }
             for (total, r) in totals.iter_mut().zip(reports) {
-                Self::accumulate_frag(total, r);
+                total.merge(r);
             }
-        }
-        totals
-    }
-
-    /// Field-wise snapshot sum, fully destructured like [`Self::stats`]:
-    /// a field added to [`FragReport`] must be accounted for here or this
-    /// stops compiling.
-    fn accumulate_frag(total: &mut FragReport, r: FragReport) {
-        let FragReport { peak_resident_bytes, live_at_peak_bytes } = r;
-        total.peak_resident_bytes += peak_resident_bytes;
-        total.live_at_peak_bytes += live_at_peak_bytes;
+        })
     }
 
     /// Bytes of grouped data currently live, across all shards. Remote
     /// frees still queued count as live — they have not been applied yet.
     pub fn live_grouped_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_grouped_bytes()).sum()
+        self.read_shards(0, |n, shard, _| *n += shard.alloc.live_grouped_bytes())
     }
 
     /// Resident bytes attributed to group chunks, across all shards.
     pub fn resident_grouped_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.resident_grouped_bytes()).sum()
+        self.read_shards(0, |n, shard, _| *n += shard.alloc.resident_grouped_bytes())
     }
 
     /// Whether `ptr` lies in any shard's group slabs.
     pub fn is_group_allocated(&self, ptr: u64) -> bool {
-        let n = self.shards.len() as u64;
-        if !(self.config.base..self.config.base + n * GROUP_SHARD_STRIDE).contains(&ptr) {
-            return false;
-        }
-        let owner = ((ptr - self.config.base) / GROUP_SHARD_STRIDE) as usize;
-        self.lock_shard(owner).alloc.is_group_allocated(ptr)
+        self.owner_of(ptr).is_ok_and(|owner| self.lock_shard(owner).alloc.is_group_allocated(ptr))
     }
 }
 
@@ -803,11 +794,11 @@ impl VmAllocator for ShardedHaloAllocator {
 
 impl AllocatorStats for ShardedHaloAllocator {
     fn live_bytes(&self) -> u64 {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_bytes()).sum()
+        self.read_shards(0, |n, shard, _| *n += shard.alloc.live_bytes())
     }
 
     fn live_objects(&self) -> usize {
-        (0..self.shards.len()).map(|s| self.lock_shard(s).alloc.live_objects()).sum()
+        self.read_shards(0, |n, shard, _| *n += shard.alloc.live_objects())
     }
 }
 
@@ -1019,6 +1010,30 @@ mod tests {
         }
         assert_eq!(a.stats(), plain.stats());
         assert_eq!(a.frag_report(), plain.frag_report());
+    }
+
+    #[test]
+    fn a_snapshot_takes_each_shard_lock_once() {
+        let (a, mut gs, mut mem) = sharded(4);
+        gs.set(0);
+        let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        SyncVmAllocator::thread_switched(&a, 1);
+        SyncVmAllocator::free(&a, p, &mut mem);
+        let locks_taken_by = |read: &dyn Fn()| {
+            let before = SHARD_LOCKS_TAKEN.get();
+            read();
+            SHARD_LOCKS_TAKEN.get() - before
+        };
+        assert_eq!(locks_taken_by(&|| assert_eq!(a.sharded_stats().remote_frees, 1)), 4);
+        // What `evaluate` reads off a measured sharded backend.
+        let measured = || assert!(crate::BackendAllocator::backend_report(&a).is_some());
+        assert_eq!(locks_taken_by(&measured), 4);
+        let BackendReport { frag, stats, .. } = a.report();
+        assert_eq!((stats.remote_frees, stats.remote_drained), (1, 0), "queued, not applied yet");
+        assert_eq!(
+            (frag, stats.alloc, stats.degrade),
+            (a.frag_report(), a.stats(), a.degrade_stats())
+        );
     }
 
     // --- faults, bounded queues, and the degradation ladder -------------

@@ -13,6 +13,7 @@
 //! run, and the run holds one small cell per slot. No pointer is ever
 //! hashed, and a pointer with no live slot behind it is recognised as such.
 
+use crate::page_index::PageIndex;
 use crate::stats::AllocatorStats;
 use crate::vmm::Vmm;
 use halo_vm::{CallSite, GroupState, Memory, VmAllocator, PAGE_SIZE};
@@ -53,9 +54,6 @@ fn class_index(size: u64) -> Option<usize> {
     CLASS_OF_STEP.get(step).map(|&class| usize::from(class))
 }
 
-/// Page-table entry of a page no run covers.
-const NO_RUN: u32 = u32::MAX;
-
 // A slot cell holds `requested + 1`, and `requested` never exceeds the
 // slot's class.
 const _: () = assert!(SMALL_MAX < u16::MAX as u64);
@@ -92,12 +90,9 @@ pub struct SizeClassAllocator {
     runs: Vec<Option<(u64, u64)>>,
     /// Every reservation made so far, in address order.
     run_table: Vec<Run>,
-    /// Page `(addr - origin) / PAGE_SIZE` → index into `run_table`, or
-    /// [`NO_RUN`]. Dense because `vmm` hands out page-aligned,
-    /// page-multiple reservations back to back; 4 bytes per reserved page.
-    page_run: Vec<u32>,
-    /// Page-aligned address of page-table entry 0.
-    origin: u64,
+    /// Page → index into `run_table`. Dense because `vmm` hands out
+    /// page-aligned, page-multiple reservations back to back.
+    pages: PageIndex,
     live_bytes: u64,
     live_objects: usize,
 }
@@ -127,8 +122,7 @@ impl SizeClassAllocator {
             free_slots: vec![BinaryHeap::new(); SIZE_CLASSES.len()],
             runs: vec![None; SIZE_CLASSES.len()],
             run_table: Vec::new(),
-            page_run: Vec::new(),
-            origin: base & !(PAGE_SIZE - 1),
+            pages: PageIndex::new(base),
             live_bytes: 0,
             live_objects: 0,
         }
@@ -144,29 +138,16 @@ impl SizeClassAllocator {
     /// in the page table. `None` when the span is exhausted — genuine OOM,
     /// which the callers report as a null pointer.
     fn reserve_run(&mut self, bytes: u64, run: impl FnOnce(u64) -> Run) -> Option<u64> {
-        let id = u32::try_from(self.run_table.len()).ok().filter(|&id| id != NO_RUN)?;
         let base = self.vmm.reserve(bytes, PAGE_SIZE).ok()?;
-        let first = usize::try_from((base - self.origin) / PAGE_SIZE).ok()?;
-        let pages = usize::try_from(bytes / PAGE_SIZE).ok()?;
-        // Reservations are back to back, so `first` is the table's length
-        // (the first one may sit a page above an unaligned `origin`).
-        debug_assert!(first >= self.page_run.len(), "the span only grows upwards");
-        self.page_run.resize(first, NO_RUN);
-        self.page_run.resize(first + pages, id);
+        self.pages.cover(base, bytes, self.run_table.len())?;
         self.run_table.push(run(base));
         Some(base)
-    }
-
-    /// The run whose reservation contains `ptr`.
-    fn run_of(&self, ptr: u64) -> Option<usize> {
-        let page = usize::try_from(ptr.checked_sub(self.origin)? / PAGE_SIZE).ok()?;
-        self.page_run.get(page).filter(|&&id| id != NO_RUN).map(|&id| id as usize)
     }
 
     /// The live allocation starting exactly at `ptr`. An address inside a
     /// slot, on a free slot, or outside every run is not one.
     fn live_slot(&self, ptr: u64) -> Option<SlotInfo> {
-        let run = self.run_of(ptr)?;
+        let run = self.pages.find(ptr)?;
         match &self.run_table[run] {
             Run::Small { base, class, cells } => {
                 let (off, csize) = (ptr - base, SIZE_CLASSES[*class]);
@@ -216,7 +197,7 @@ impl SizeClassAllocator {
                 }
             }
         };
-        if let Some(run) = self.run_of(ptr) {
+        if let Some(run) = self.pages.find(ptr) {
             if let Run::Small { base, .. } = self.run_table[run] {
                 self.set_cell(run, ((ptr - base) / csize) as usize, Some(requested));
             }

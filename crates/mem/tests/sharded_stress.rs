@@ -89,6 +89,13 @@ fn producers_allocate_consumers_free_and_everything_drains() {
                     );
                     alloc.free(ptr, &mut mem);
                     count += 1;
+                    if count.is_multiple_of(256) {
+                        // A snapshot taken mid-traffic reads each shard's
+                        // queued and drained counts at one instant, so it
+                        // never shows more frees applied than queued.
+                        let s = alloc.sharded_stats();
+                        assert!(s.remote_drained <= s.remote_frees, "torn snapshot: {s:?}");
+                    }
                 }
                 *freed.lock().expect("freed count") += count;
             });

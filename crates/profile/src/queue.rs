@@ -11,8 +11,8 @@
 //! # Implementation notes
 //!
 //! This is the innermost loop of the whole pipeline (one traversal per
-//! macro-access), so `record`/`record_with` are engineered to perform **no
-//! heap allocation in steady state**:
+//! macro-access), so `record_with` is engineered to perform **no heap
+//! allocation in steady state**:
 //!
 //! * entries live in a power-of-two **ring buffer** (the paper's §4.1 queue
 //!   is a ring); it doubles only while the window is still growing toward
@@ -20,15 +20,13 @@
 //! * the *no double counting* constraint uses an **epoch-stamped open-
 //!   addressing table** instead of a fresh `HashSet` per call — bumping the
 //!   epoch invalidates every stale slot in O(1);
-//! * partners are streamed to a caller-supplied closure ([`record_with`])
-//!   or into a reusable scratch buffer ([`record`]), never into a fresh
-//!   `Vec`.
+//! * partners are streamed to a caller-supplied closure ([`record_with`]),
+//!   never into a fresh `Vec`.
 //!
 //! `tests/no_alloc_steady_state.rs` (in this crate) verifies the
 //! steady-state claim with a counting global allocator.
 //!
 //! [`record_with`]: AffinityQueue::record_with
-//! [`record`]: AffinityQueue::record
 
 use halo_graph::NodeId;
 use halo_vm::mix64;
@@ -109,9 +107,6 @@ pub struct AffinityQueue {
     total_bytes: u64,
     work: u64,
     dedup: DedupTable,
-    /// Reused by [`AffinityQueue::record`] so steady-state calls stay
-    /// allocation-free.
-    scratch: Vec<QueueEntry>,
 }
 
 impl AffinityQueue {
@@ -125,7 +120,6 @@ impl AffinityQueue {
             total_bytes: 0,
             work: 0,
             dedup: DedupTable::with_capacity_for(INITIAL_RING),
-            scratch: Vec::new(),
         }
     }
 
@@ -208,16 +202,6 @@ impl AffinityQueue {
         true
     }
 
-    /// [`AffinityQueue::record_with`], materialized: returns the partners
-    /// (newest first) in a scratch buffer reused across calls.
-    pub fn record(&mut self, entry: QueueEntry) -> &[QueueEntry] {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        self.record_with(entry, |e| scratch.push(*e));
-        self.scratch = scratch;
-        &self.scratch
-    }
-
     fn push(&mut self, entry: QueueEntry) {
         if self.len == self.ring.len() {
             self.grow();
@@ -255,6 +239,13 @@ mod tests {
         QueueEntry { obj, ctx: NodeId(ctx), alloc_seq: obj, size }
     }
 
+    /// Record `entry` and collect its partners, newest first.
+    fn record(q: &mut AffinityQueue, entry: QueueEntry) -> Vec<QueueEntry> {
+        let mut partners = Vec::new();
+        q.record_with(entry, |p| partners.push(*p));
+        partners
+    }
+
     #[test]
     fn figure5_example_seven_partners() {
         // "a program iterates over 10 objects making 4-byte accesses …
@@ -262,9 +253,9 @@ mod tests {
         // the seven others to its left."
         let mut q = AffinityQueue::new(32);
         for i in 0..9 {
-            q.record(e(i, i as u32, 4));
+            record(&mut q, e(i, i as u32, 4));
         }
-        let partners = q.record(e(9, 9, 4));
+        let partners = record(&mut q, e(9, 9, 4));
         assert_eq!(partners.len(), 7);
         // The partners are the immediately preceding seven objects.
         let ids: Vec<u64> = partners.iter().map(|p| p.obj).collect();
@@ -274,10 +265,10 @@ mod tests {
     #[test]
     fn dedup_consecutive_same_object() {
         let mut q = AffinityQueue::new(64);
-        q.record(e(1, 0, 8));
-        q.record(e(2, 1, 8));
+        record(&mut q, e(1, 0, 8));
+        record(&mut q, e(2, 1, 8));
         // Second consecutive access to object 2: same macro access.
-        let partners = q.record(e(2, 1, 8));
+        let partners = record(&mut q, e(2, 1, 8));
         assert!(partners.is_empty());
         assert_eq!(q.len(), 2, "no duplicate entry enqueued");
     }
@@ -285,11 +276,11 @@ mod tests {
     #[test]
     fn no_self_affinity_through_interleaving() {
         let mut q = AffinityQueue::new(64);
-        q.record(e(1, 0, 8));
-        q.record(e(2, 1, 8));
+        record(&mut q, e(1, 0, 8));
+        record(&mut q, e(2, 1, 8));
         // Object 1 again (not consecutive → traversed): object 1 deeper in
         // the queue must not appear as its own partner.
-        let partners = q.record(e(1, 0, 8));
+        let partners = record(&mut q, e(1, 0, 8));
         assert_eq!(partners.len(), 1);
         assert_eq!(partners[0].obj, 2);
     }
@@ -297,11 +288,11 @@ mod tests {
     #[test]
     fn no_double_counting_of_one_partner() {
         let mut q = AffinityQueue::new(128);
-        q.record(e(2, 1, 8));
-        q.record(e(1, 0, 8));
-        q.record(e(2, 1, 8));
+        record(&mut q, e(2, 1, 8));
+        record(&mut q, e(1, 0, 8));
+        record(&mut q, e(2, 1, 8));
         // Object 2 appears twice within range; counted once.
-        let partners = q.record(e(3, 2, 8));
+        let partners = record(&mut q, e(3, 2, 8));
         let twos = partners.iter().filter(|p| p.obj == 2).count();
         assert_eq!(twos, 1);
         assert_eq!(partners.len(), 2);
@@ -310,10 +301,10 @@ mod tests {
     #[test]
     fn distance_bounds_partners_by_bytes_not_count() {
         let mut q = AffinityQueue::new(32);
-        q.record(e(1, 0, 16));
-        q.record(e(2, 1, 16));
+        record(&mut q, e(1, 0, 16));
+        record(&mut q, e(2, 1, 16));
         // 16 + 16 = 32 ≥ A: only the nearest previous entry qualifies.
-        let partners = q.record(e(3, 2, 4));
+        let partners = record(&mut q, e(3, 2, 4));
         assert_eq!(partners.len(), 1);
         assert_eq!(partners[0].obj, 2);
     }
@@ -322,7 +313,7 @@ mod tests {
     fn queue_is_implicitly_sized_by_a() {
         let mut q = AffinityQueue::new(32);
         for i in 0..100 {
-            q.record(e(i, 0, 8));
+            record(&mut q, e(i, 0, 8));
         }
         // At 8 bytes per entry and A = 32, at most 4 entries survive.
         assert!(q.len() <= 4);
@@ -331,25 +322,7 @@ mod tests {
     #[test]
     fn empty_queue_has_no_partners() {
         let mut q = AffinityQueue::new(32);
-        assert!(q.record(e(1, 0, 8)).is_empty());
-    }
-
-    #[test]
-    fn record_with_streams_the_same_partners_as_record() {
-        let mut with = AffinityQueue::new(64);
-        let mut materialized = AffinityQueue::new(64);
-        let mut last = None;
-        for i in 0..200u64 {
-            // (i·i) mod 5 repeats consecutively, exercising the dedup path.
-            let obj = (i * i) % 5;
-            let entry = e(obj, obj as u32, 1 + i % 7);
-            let mut streamed = Vec::new();
-            let recorded = with.record_with(entry, |p| streamed.push(*p));
-            let partners = materialized.record(entry);
-            assert_eq!(streamed, partners);
-            assert_eq!(recorded, last != Some(entry.obj));
-            last = Some(entry.obj);
-        }
+        assert!(record(&mut q, e(1, 0, 8)).is_empty());
     }
 
     #[test]
@@ -366,7 +339,7 @@ mod tests {
         // INITIAL_RING; the ring must grow without losing order.
         let mut q = AffinityQueue::new(4096);
         for i in 0..3000u64 {
-            q.record(e(i, 0, 1));
+            record(&mut q, e(i, 0, 1));
         }
         assert!(q.len() > INITIAL_RING);
         let entries: Vec<u64> = q.iter().map(|p| p.obj).collect();
@@ -377,10 +350,10 @@ mod tests {
     #[test]
     fn oversized_single_access_empties_the_queue() {
         let mut q = AffinityQueue::new(32);
-        q.record(e(1, 0, 8));
-        q.record(e(2, 1, 64)); // alone exceeds A: evicts everything, itself included
+        record(&mut q, e(1, 0, 8));
+        record(&mut q, e(2, 1, 64)); // alone exceeds A: evicts everything, itself included
         assert!(q.is_empty());
-        assert_eq!(q.record(e(3, 2, 8)).len(), 0);
+        assert_eq!(record(&mut q, e(3, 2, 8)).len(), 0);
     }
 
     #[test]
@@ -392,7 +365,7 @@ mod tests {
         for i in 0..10_000u64 {
             let obj = i % 5;
             let partners: Vec<u64> =
-                q.record(e(obj, obj as u32, 8)).iter().map(|p| p.obj).collect();
+                record(&mut q, e(obj, obj as u32, 8)).iter().map(|p| p.obj).collect();
             let mut sorted = partners.clone();
             sorted.sort_unstable();
             sorted.dedup();

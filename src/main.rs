@@ -11,17 +11,19 @@
 //! halo plot
 //! ```
 
+mod json;
+
 use halo::core::{
-    evaluate_with_arg, measure, par_each_ordered, serve, EvalConfig, EvalResult, ServeConfig,
-    ServePhase,
+    evaluate_with_arg, measure, par_each_ordered, serve, ConfigResult, EpochRow, EvalConfig,
+    EvalResult, Measurement, ServeConfig, ServePhase,
 };
 use halo::graph::{Granularity, ReusePolicyChoice};
-use halo::mem::{FaultPlan, SizeClassAllocator};
+use halo::mem::{DegradeStats, FaultPlan, ShardedAllocStats, SizeClassAllocator};
 use halo::workloads::{all, Workload};
 use halo_bench::pct;
-use std::fmt::Write as _;
+use json::Json;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Rust ignores SIGPIPE by default, which turns `halo list | head` into a
 /// broken-pipe panic; restore the default disposition so the process just
@@ -142,6 +144,7 @@ fn usage() {
     );
 }
 
+#[derive(Default)]
 struct Flags {
     benchmark: Option<String>,
     affinity_distance: Option<u64>,
@@ -154,12 +157,13 @@ struct Flags {
     reuse_policy: Option<ReusePolicyChoice>,
     shards: Option<usize>,
     inject: Option<FaultPlan>,
-    measure: String,
+    /// `--measure real` (the default is `sim`).
+    measure_real: bool,
     hds: bool,
     random: bool,
     ptmalloc: bool,
     json: bool,
-    metric: String,
+    metric: Option<String>,
     phases: Option<String>,
     decay: Option<f64>,
     drift_threshold: Option<f64>,
@@ -214,28 +218,7 @@ fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
 }
 
 fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        benchmark: None,
-        affinity_distance: None,
-        chunk_size: None,
-        max_spare_chunks: None,
-        max_groups: None,
-        merge_tolerance: None,
-        granularity: None,
-        reuse_policy: None,
-        shards: None,
-        inject: None,
-        measure: "sim".to_string(),
-        hds: false,
-        random: false,
-        ptmalloc: false,
-        json: false,
-        metric: "misses".to_string(),
-        phases: None,
-        decay: None,
-        drift_threshold: None,
-        regroup_every: None,
-    };
+    let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if !allowed.contains(&arg.as_str()) {
@@ -307,14 +290,12 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 flags.shards = Some(n);
             }
             "--inject" => flags.inject = Some(FaultPlan::parse(&value("--inject")?)?),
-            "--measure" => {
-                let v = value("--measure")?;
-                if v != "sim" && v != "real" {
-                    return Err(format!("unknown measurement mode '{v}' (sim|real)"));
-                }
-                flags.measure = v;
-            }
-            "--metric" => flags.metric = value("--metric")?,
+            "--measure" => match value("--measure")?.as_str() {
+                "sim" => flags.measure_real = false,
+                "real" => flags.measure_real = true,
+                v => return Err(format!("unknown measurement mode '{v}' (sim|real)")),
+            },
+            "--metric" => flags.metric = Some(value("--metric")?),
             "--phases" => flags.phases = Some(value("--phases")?),
             "--decay" => {
                 let v = value("--decay")?;
@@ -461,20 +442,17 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
         let mut alloc = SizeClassAllocator::new();
         let m = measure(&w.program, &mut alloc, &config.measure)
             .map_err(|e| format!("{}: {e}", w.name))?;
-        if flags.json {
-            Ok(format!(
-                "{{\"benchmark\":\"{}\",\"config\":\"baseline\",\"l1d_misses\":{},\"cycles\":{:.0},\"instructions\":{},\"allocs\":{}}}\n",
-                w.name, m.stats.l1_misses, m.cycles, m.instructions, m.allocs
-            ))
-        } else {
-            Ok(format!(
-                "{:<10} baseline: {} L1D misses, {:.2} Mcycles, {} allocs\n",
-                w.name,
-                m.stats.l1_misses,
-                m.cycles / 1e6,
-                m.allocs
-            ))
-        }
+        let row = [
+            Field::new("benchmark", Json::str(w.name), format!("{:<10}", w.name)),
+            Field::str("config", "baseline"),
+            Field::count("l1d_misses", m.stats.l1_misses),
+            Field::cycles("cycles", m.cycles),
+            Field::count("instructions", m.instructions),
+            Field::count("allocs", m.allocs),
+        ];
+        let text =
+            "{benchmark} {config}: {l1d_misses} L1D misses, {cycles} Mcycles, {allocs} allocs";
+        Ok(if flags.json { json_of(row).to_string() } else { text_of(row, text) } + "\n")
     })
 }
 
@@ -484,256 +462,219 @@ fn run_one(w: &Workload, flags: &Flags) -> Result<EvalResult, String> {
         .map_err(|e| format!("{}: {e}", w.name))
 }
 
-/// The resolved per-group plan summary as a JSON array.
-fn plans_json(r: &EvalResult) -> String {
-    let mut out = String::from("[");
-    for (i, g) in r.optimised.groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let spare = if g.plan.max_spare_chunks == usize::MAX {
-            "\"inf\"".to_string()
-        } else {
-            g.plan.max_spare_chunks.to_string()
+/// One value of a row that `--json` and the text report both print: named
+/// and computed once, rendered by whichever mode runs.
+struct Field {
+    key: &'static str,
+    json: Json,
+    /// The value as a text row shows it.
+    text: String,
+}
+
+impl Field {
+    fn new(key: &'static str, json: Json, text: String) -> Field {
+        Field { key, json, text }
+    }
+
+    /// A name: the same text in both modes.
+    fn str(key: &'static str, s: impl std::fmt::Display) -> Field {
+        Field::new(key, Json::str(&s), s.to_string())
+    }
+
+    fn count<N: Into<Json> + ToString>(key: &'static str, n: N) -> Field {
+        let text = n.to_string();
+        Field::new(key, n.into(), text)
+    }
+
+    /// A fraction: four decimals in JSON, a signed percentage in text.
+    fn fraction(key: &'static str, x: f64) -> Field {
+        Field::new(key, Json::fixed(x, 4), pct(x))
+    }
+
+    /// A cycle count: whole cycles in JSON, millions in text.
+    fn cycles(key: &'static str, cycles: f64) -> Field {
+        Field::new(key, Json::fixed(cycles, 0), format!("{:.2}", cycles / 1e6))
+    }
+}
+
+/// The JSON object of a row: every field, in order.
+fn json_of(fields: impl IntoIterator<Item = Field>) -> Json {
+    Json::object(fields.into_iter().map(|f| (f.key, f.json)))
+}
+
+/// The text of a row: `template` with each `{key}` replaced by that field's
+/// text form (a field the template does not name is JSON only).
+fn text_of(fields: impl IntoIterator<Item = Field>, template: &str) -> String {
+    fields
+        .into_iter()
+        .fold(template.to_string(), |row, f| row.replace(&format!("{{{}}}", f.key), &f.text))
+}
+
+/// The resolved per-group plan summary: a JSON array, and in text e.g.
+/// `, plans [g0 sharded@8KiB, g1 bump@1MiB]` (nothing when nothing grouped).
+fn plans_field(r: &EvalResult) -> Field {
+    let groups = r.optimised.groups.iter().enumerate();
+    let json = Json::array(groups.clone().map(|(i, g)| {
+        let spare = match g.plan.max_spare_chunks {
+            usize::MAX => Json::str("inf"),
+            n => n.into(),
         };
-        let _ = write!(
-            out,
-            "{{\"group\":{},\"members\":{},\"granularity\":\"{}\",\"reuse\":\"{}\",\"chunk_size\":{},\"max_spare_chunks\":{}}}",
-            i,
-            g.members.len(),
-            g.plan.granularity,
-            g.plan.reuse,
-            g.plan.chunk_size,
-            spare,
-        );
-    }
-    out.push(']');
-    out
+        Json::object([
+            ("group", i.into()),
+            ("members", g.members.len().into()),
+            ("granularity", Json::str(g.plan.granularity)),
+            ("reuse", Json::str(g.plan.reuse)),
+            ("chunk_size", g.plan.chunk_size.into()),
+            ("max_spare_chunks", spare),
+        ])
+    }));
+    let text: Vec<String> = groups.map(|(i, g)| format!("g{i} {}", g.plan)).collect();
+    let text =
+        if text.is_empty() { String::new() } else { format!(", plans [{}]", text.join(", ")) };
+    Field::new("plans", json, text)
 }
 
-/// The resolved per-group plan summary for the human-readable row, e.g.
-/// `[g0 sharded@8KiB, g1 bump@1MiB]`.
-fn plans_text(r: &EvalResult) -> String {
-    let body: Vec<String> =
-        r.optimised.groups.iter().enumerate().map(|(i, g)| format!("g{i} {}", g.plan)).collect();
-    format!("[{}]", body.join(", "))
+/// A backend's misses and how it compares to `base`.
+fn compared_fields(m: &Measurement, base: &Measurement) -> [Field; 3] {
+    [
+        Field::count("l1d_misses", m.stats.l1_misses),
+        Field::fraction("miss_reduction", m.miss_reduction_vs(base)),
+        Field::fraction("speedup", m.speedup_vs(base)),
+    ]
 }
+const COMPARED_TEXT: &str = "{l1d_misses} L1D misses ({miss_reduction}), speedup {speedup}";
+const HALO_TEXT: &str = "  HALO:     {l1d_misses} L1D misses ({miss_reduction}), {cycles} Mcycles \
+    ({speedup}), {groups} groups via {monitored_sites} sites, {granularity} \
+    granularity{auto_declined}{plans}";
 
-/// The `"coherence"` object of `halo run --json`: the logical thread
-/// count plus one entry per measured backend (registry order) with its
-/// MESI-lite counters and per-thread L1D miss breakdown. Single-threaded
-/// workloads report `"threads":1` and all-zero counters, so the field is
-/// schema-stable across workloads.
-fn coherence_json(r: &EvalResult) -> String {
-    let threads = r.backends.iter().map(|(_, res)| res.thread_stats.len()).max().unwrap_or(1);
-    let mut out = format!("{{\"threads\":{},\"backends\":[", threads.max(1));
-    for (i, (id, res)) in r.backends.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let c = res.measurement.coherence;
-        let misses: Vec<String> =
-            res.thread_stats.iter().map(|t| t.stats.l1_misses.to_string()).collect();
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"invalidations\":{},\"upgrades\":{},\"remote_fills\":{},\"thread_misses\":[{}]}}",
-            id,
-            c.invalidations,
-            c.upgrades,
-            c.remote_fills,
-            misses.join(","),
-        );
-    }
-    out.push_str("]}");
-    out
+/// One backend's MESI-lite counters and per-thread L1D miss breakdown.
+fn coherence_fields(id: &'static str, res: &ConfigResult) -> [Field; 5] {
+    let c = res.measurement.coherence;
+    let misses = res.thread_stats.iter().map(|t| t.stats.l1_misses.into());
+    [
+        Field::str("id", id),
+        Field::count("invalidations", c.invalidations),
+        Field::count("upgrades", c.upgrades),
+        Field::count("remote_fills", c.remote_fills),
+        Field::new("thread_misses", Json::array(misses), String::new()),
+    ]
 }
+const COHERENCE_TEXT: &str = "{id} {invalidations} inval/{upgrades} upgr";
 
-/// The `"remote_free"` object of `halo run --json` — cross-shard
-/// remote-free queue pressure of the sharded runtime, present only when a
-/// sharded backend was measured (`--shards`).
-fn remote_free_json(r: &EvalResult) -> String {
-    let Some(s) = r.backends.iter().find_map(|(_, res)| res.sharded.as_ref()) else {
-        return String::new();
-    };
-    format!(
-        ",\"remote_free\":{{\"pushes\":{},\"drained\":{},\"max_queue_depth\":{}}}",
-        s.remote_frees, s.remote_drained, s.remote_peak_queue
-    )
+/// Cross-shard remote-free queue pressure of the sharded runtime.
+fn remote_free_fields(s: &ShardedAllocStats) -> [Field; 3] {
+    [
+        Field::count("pushes", s.remote_frees),
+        Field::count("drained", s.remote_drained),
+        Field::count("max_queue_depth", s.remote_peak_queue),
+    ]
 }
+const REMOTE_FREE_TEXT: &str =
+    "  remote-free queues: {pushes} pushes, {drained} drained, peak depth {max_queue_depth}";
 
-/// The `"degradation"` object of `halo run --json` — the degradation
-/// ladder's counters per backend that maintains them (registry order).
-/// Emitted only for `--inject` runs or when a run genuinely degraded, so
-/// fault-free output stays byte-identical to builds without fault
-/// support.
-fn degradation_json(r: &EvalResult, flags: &Flags) -> String {
-    let entries: Vec<_> =
-        r.backends.iter().filter_map(|(id, res)| res.degrade.map(|d| (id, d))).collect();
-    if flags.inject.is_none() && !entries.iter().any(|(_, d)| d.any()) {
-        return String::new();
-    }
-    let mut out = String::from(",\"degradation\":{\"backends\":[");
-    for (i, (id, d)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"injected_faults\":{},\"fallback_routes\":{},\"degraded_groups\":{},\"degraded_shards\":{},\"queue_overflows\":{},\"poisoned_recovered\":{},\"invalid_frees\":{}}}",
-            id,
-            d.injected_faults,
-            d.fallback_routes,
-            d.degraded_groups,
-            d.degraded_shards,
-            d.queue_overflows,
-            d.poisoned_recovered,
-            d.invalid_frees,
-        );
-    }
-    out.push_str("]}");
-    out
+/// One backend's degradation-ladder counters.
+fn degradation_fields(id: &'static str, d: &DegradeStats) -> [Field; 8] {
+    [
+        Field::str("id", id),
+        Field::count("injected_faults", d.injected_faults),
+        Field::count("fallback_routes", d.fallback_routes),
+        Field::count("degraded_groups", d.degraded_groups),
+        Field::count("degraded_shards", d.degraded_shards),
+        Field::count("queue_overflows", d.queue_overflows),
+        Field::count("poisoned_recovered", d.poisoned_recovered),
+        Field::count("invalid_frees", d.invalid_frees),
+    ]
 }
+const DEGRADATION_TEXT: &str = "  degradation ({id}): {injected_faults} injected, \
+    {fallback_routes} fallback routes, {degraded_groups} degraded groups, \
+    {degraded_shards} degraded shards, {queue_overflows} queue overflows, \
+    {poisoned_recovered} poisoned recovered, {invalid_frees} invalid frees";
 
 fn render_run(r: &EvalResult, flags: &Flags) -> String {
-    let (hds_mr, halo_mr) = r.miss_reduction_row();
-    let (hds_su, halo_su) = r.speedup_row();
-    let base = r.baseline();
-    let halo = r.halo();
-    let hds = r.hds();
+    let base = &r.baseline().measurement;
+    let halo = &r.halo().measurement;
+    let opt = &r.optimised;
+    let frag = r.halo().frag.unwrap_or_default();
+    let baseline_row =
+        [Field::count("l1d_misses", base.stats.l1_misses), Field::cycles("cycles", base.cycles)];
+    let declined = if opt.auto_declined { " (auto declined to group)" } else { "" };
+    let halo_row = [
+        Field::count("l1d_misses", halo.stats.l1_misses),
+        Field::cycles("cycles", halo.cycles),
+        Field::fraction("miss_reduction", halo.miss_reduction_vs(base)),
+        Field::fraction("speedup", halo.speedup_vs(base)),
+        Field::count("groups", opt.groups.len()),
+        Field::count("monitored_sites", opt.ident.site_bits.len()),
+        Field::str("granularity", opt.granularity),
+        Field::new("auto_declined", opt.auto_declined.into(), declined.to_string()),
+        Field::new("frag_fraction", Json::fixed(frag.frag_fraction(), 4), String::new()),
+        Field::count("wasted_bytes", frag.wasted_bytes()),
+        plans_field(r),
+    ];
+    let hot_streams = Field::count("hot_streams", r.hds_analysis.stats.hot_streams);
+    let hds_row = compared_fields(&r.hds().measurement, base).into_iter().chain([hot_streams]);
     // Optional backends render generically from the registry — a new
     // backend is one registry entry, not a new arm here.
-    let extras = || {
-        r.backends.iter().filter_map(|(id, res)| {
-            let spec = halo::core::backend_spec(id).expect("measured backends are registered");
-            spec.optional.then_some((spec, res))
-        })
-    };
-    let mut out = String::new();
+    let extras = r.backends.iter().filter_map(|(id, res)| {
+        let spec = halo::core::backend_spec(id).expect("measured backends are registered");
+        spec.optional.then_some((spec.id, compared_fields(&res.measurement, base)))
+    });
+    let threads = r.backends.iter().map(|(_, res)| res.thread_stats.len()).max().unwrap_or(1);
+    let coherence = r.backends.iter().map(|(id, res)| coherence_fields(id, res));
+    // Present only when a sharded backend was measured (`--shards`).
+    let remote_free =
+        r.backends.iter().find_map(|(_, res)| res.sharded.as_ref()).map(remote_free_fields);
+    // The degradation ladder, per backend that keeps its counters
+    // (registry order) — only for `--inject` runs or a run that genuinely
+    // degraded, so fault-free output stays byte-identical to builds without
+    // fault support.
+    let ladders: Vec<_> =
+        r.backends.iter().filter_map(|(id, res)| res.degrade.map(|d| (*id, d))).collect();
+    let degraded = |d: &DegradeStats| flags.inject.is_some() || d.any();
     if flags.json {
-        let frag = halo.frag.unwrap_or_default();
-        let mut extra_json = String::new();
-        for (spec, res) in extras() {
-            let _ = write!(
-                extra_json,
-                ",\"{}\":{{\"l1d_misses\":{},\"miss_reduction\":{:.4},\"speedup\":{:.4}}}",
-                spec.id,
-                res.measurement.stats.l1_misses,
-                res.measurement.miss_reduction_vs(&base.measurement),
-                res.measurement.speedup_vs(&base.measurement),
-            );
+        let mut doc = vec![
+            ("benchmark", Json::str(&r.name)),
+            ("halo", json_of(halo_row)),
+            ("hds", json_of(hds_row)),
+            ("baseline", json_of(baseline_row)),
+        ];
+        doc.extend(extras.map(|(id, fields)| (id, json_of(fields))));
+        // Single-threaded workloads report one thread and all-zero
+        // counters, so the section is schema-stable across workloads.
+        let coherence = [
+            Field::count("threads", threads.max(1)),
+            Field::new("backends", Json::array(coherence.map(json_of)), String::new()),
+        ];
+        doc.push(("coherence", json_of(coherence)));
+        doc.extend(remote_free.map(|fields| ("remote_free", json_of(fields))));
+        if ladders.iter().any(|(_, d)| degraded(d)) {
+            let backends = ladders.iter().map(|(id, d)| json_of(degradation_fields(id, d)));
+            doc.push(("degradation", Json::object([("backends", Json::array(backends))])));
         }
-        let _ = writeln!(
-            out,
-            "{{\"benchmark\":\"{}\",\"halo\":{{\"l1d_misses\":{},\"cycles\":{:.0},\"miss_reduction\":{:.4},\"speedup\":{:.4},\"groups\":{},\"monitored_sites\":{},\"granularity\":\"{}\",\"auto_declined\":{},\"frag_fraction\":{:.4},\"wasted_bytes\":{},\"plans\":{}}},\"hds\":{{\"l1d_misses\":{},\"miss_reduction\":{:.4},\"speedup\":{:.4},\"hot_streams\":{}}},\"baseline\":{{\"l1d_misses\":{},\"cycles\":{:.0}}}{},\"coherence\":{}{}{}}}",
-            r.name,
-            halo.measurement.stats.l1_misses,
-            halo.measurement.cycles,
-            halo_mr,
-            halo_su,
-            r.optimised.groups.len(),
-            r.optimised.ident.site_bits.len(),
-            r.optimised.granularity,
-            r.optimised.auto_declined,
-            frag.frag_fraction(),
-            frag.wasted_bytes(),
-            plans_json(r),
-            hds.measurement.stats.l1_misses,
-            hds_mr,
-            hds_su,
-            r.hds_analysis.stats.hot_streams,
-            base.measurement.stats.l1_misses,
-            base.measurement.cycles,
-            extra_json,
-            coherence_json(r),
-            remote_free_json(r),
-            degradation_json(r, flags),
-        );
-    } else {
-        let _ = writeln!(out, "=== {} ===", r.name);
-        let _ = writeln!(
-            out,
-            "  baseline: {} L1D misses, {:.2} Mcycles",
-            base.measurement.stats.l1_misses,
-            base.measurement.cycles / 1e6
-        );
-        let _ = writeln!(
-            out,
-            "  HALO:     {} L1D misses ({:+.1}%), {:.2} Mcycles ({:+.1}%), {} groups via {} sites, {} granularity{}{}",
-            halo.measurement.stats.l1_misses,
-            halo_mr * 100.0,
-            halo.measurement.cycles / 1e6,
-            halo_su * 100.0,
-            r.optimised.groups.len(),
-            r.optimised.ident.site_bits.len(),
-            r.optimised.granularity,
-            if r.optimised.auto_declined { " (auto declined to group)" } else { "" },
-            if r.optimised.groups.is_empty() {
-                String::new()
-            } else {
-                format!(", plans {}", plans_text(r))
-            },
-        );
-        if flags.hds {
-            let _ = writeln!(
-                out,
-                "  HDS:      {} L1D misses ({:+.1}%), speedup {:+.1}%, {} hot streams",
-                hds.measurement.stats.l1_misses,
-                hds_mr * 100.0,
-                hds_su * 100.0,
-                r.hds_analysis.stats.hot_streams,
-            );
+        return format!("{}\n", Json::object(doc));
+    }
+    let mut out = format!("=== {} ===\n", r.name);
+    let mut line = |text: String| out.extend([text.as_str(), "\n"]);
+    line(text_of(baseline_row, "  baseline: {l1d_misses} L1D misses, {cycles} Mcycles"));
+    line(text_of(halo_row, HALO_TEXT));
+    if flags.hds {
+        let text = format!("  HDS:      {COMPARED_TEXT}, {{hot_streams}} hot streams");
+        line(text_of(hds_row, &text));
+    }
+    for (id, fields) in extras {
+        line(format!("  {:<9} {}", format!("{id}:"), text_of(fields, COMPARED_TEXT)));
+    }
+    // Coherence traffic only exists once a second logical thread runs, so
+    // single-threaded rows stay byte-identical to the pre-coherence output.
+    if threads > 1 {
+        let parts: Vec<String> = coherence.map(|fields| text_of(fields, COHERENCE_TEXT)).collect();
+        line(format!("  coherence ({threads} threads): {}", parts.join(", ")));
+        if let Some(fields) = remote_free {
+            line(text_of(fields, REMOTE_FREE_TEXT));
         }
-        for (spec, res) in extras() {
-            let _ = writeln!(
-                out,
-                "  {:<9} {} L1D misses ({:+.1}%), speedup {:+.1}%",
-                format!("{}:", spec.id),
-                res.measurement.stats.l1_misses,
-                res.measurement.miss_reduction_vs(&base.measurement) * 100.0,
-                res.measurement.speedup_vs(&base.measurement) * 100.0,
-            );
-        }
-        // Coherence traffic only exists once a second logical thread runs,
-        // so single-threaded rows stay byte-identical to the pre-coherence
-        // output.
-        let threads = r.backends.iter().map(|(_, res)| res.thread_stats.len()).max().unwrap_or(1);
-        if threads > 1 {
-            let parts: Vec<String> = r
-                .backends
-                .iter()
-                .map(|(id, res)| {
-                    let c = res.measurement.coherence;
-                    format!("{id} {} inval/{} upgr", c.invalidations, c.upgrades)
-                })
-                .collect();
-            let _ = writeln!(out, "  coherence ({threads} threads): {}", parts.join(", "));
-            if let Some(s) = r.backends.iter().find_map(|(_, res)| res.sharded.as_ref()) {
-                let _ = writeln!(
-                    out,
-                    "  remote-free queues: {} pushes, {} drained, peak depth {}",
-                    s.remote_frees, s.remote_drained, s.remote_peak_queue
-                );
-            }
-        }
-        // Degradation-ladder summary — same gating as the JSON section:
-        // only `--inject` runs and genuinely degraded runs print it, so
-        // ordinary output stays byte-identical.
-        for (id, d) in r.backends.iter().filter_map(|(id, res)| res.degrade.map(|d| (id, d))) {
-            if flags.inject.is_some() || d.any() {
-                let _ = writeln!(
-                    out,
-                    "  degradation ({id}): {} injected, {} fallback routes, {} degraded groups, \
-                     {} degraded shards, {} queue overflows, {} poisoned recovered, {} invalid frees",
-                    d.injected_faults,
-                    d.fallback_routes,
-                    d.degraded_groups,
-                    d.degraded_shards,
-                    d.queue_overflows,
-                    d.poisoned_recovered,
-                    d.invalid_frees,
-                );
-            }
-        }
+    }
+    for (id, d) in ladders.iter().filter(|(_, d)| degraded(d)) {
+        line(text_of(degradation_fields(id, d), DEGRADATION_TEXT));
     }
     out
 }
@@ -741,7 +682,7 @@ fn render_run(r: &EvalResult, flags: &Flags) -> String {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let flags = parse_flags("run", RUN_FLAGS, args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
-    if flags.measure == "real" {
+    if flags.measure_real {
         if flags.inject.is_some() {
             // Wall-clock rows have no degradation report to surface the
             // schedule in, so silently measuring a degraded run would
@@ -816,35 +757,30 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
             r?;
         }
         let speedup = serial.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
-        if flags.json {
-            println!(
-                "{{\"benchmark\":\"{}\",\"measure\":\"real\",\"engines\":{},\"shards\":{},\"instructions\":{},\"serial_ms\":{:.3},\"parallel_ms\":{:.3},\"speedup\":{:.3}}}",
-                w.name,
-                runs,
-                shards,
-                instructions,
-                serial.as_secs_f64() * 1e3,
-                parallel.as_secs_f64() * 1e3,
-                speedup,
-            );
-        } else {
-            println!(
-                "{:<10} real: {} engines over {} shards, serial {:.1}ms, parallel {:.1}ms, speedup {:.2}x",
-                w.name,
-                runs,
-                shards,
-                serial.as_secs_f64() * 1e3,
-                parallel.as_secs_f64() * 1e3,
-                speedup,
-            );
-        }
+        let ms = |key, elapsed: Duration| {
+            let ms = elapsed.as_secs_f64() * 1e3;
+            Field::new(key, Json::fixed(ms, 3), format!("{ms:.1}"))
+        };
+        let row = [
+            Field::new("benchmark", Json::str(w.name), format!("{:<10}", w.name)),
+            Field::str("measure", "real"),
+            Field::count("engines", runs),
+            Field::count("shards", shards),
+            Field::count("instructions", instructions),
+            ms("serial_ms", serial),
+            ms("parallel_ms", parallel),
+            Field::new("speedup", Json::fixed(speedup, 3), format!("{speedup:.2}")),
+        ];
+        let text = "{benchmark} {measure}: {engines} engines over {shards} shards, \
+                    serial {serial_ms}ms, parallel {parallel_ms}ms, speedup {speedup}x";
+        println!("{}", if flags.json { json_of(row).to_string() } else { text_of(row, text) });
     }
     Ok(())
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), String> {
     let flags = parse_flags("plot", PLOT_FLAGS, args)?;
-    let metric_is_speedup = match flags.metric.as_str() {
+    let metric_is_speedup = match flags.metric.as_deref().unwrap_or("misses") {
         "misses" => false,
         "speedup" => true,
         other => return Err(format!("unknown metric '{other}' (misses|speedup)")),
@@ -932,68 +868,58 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let report = serve(&phases, &config).map_err(|e| format!("serve: {e}"))?;
 
-    if flags.json {
-        let mut epochs = String::from("[");
-        for (i, row) in report.rows.iter().enumerate() {
-            if i > 0 {
-                epochs.push(',');
-            }
-            let drift = row.drift.map_or("null".to_string(), |d| format!("{d:.4}"));
-            let _ = write!(
-                epochs,
-                "{{\"window\":{},\"phase\":\"{}\",\"plan_epoch\":{},\"drift\":{},\"swapped\":{},\"swap_latency_us\":{:.1},\"miss_reduction\":{:.4},\"static_miss_reduction\":{:.4}}}",
-                row.window,
-                row.phase,
-                row.plan_epoch,
-                drift,
-                row.swapped,
-                row.swap_latency_us,
-                row.miss_reduction,
-                row.static_miss_reduction,
-            );
-        }
-        epochs.push(']');
-        println!(
-            "{{\"windows\":{},\"swaps\":{},\"final_miss_reduction\":{:.4},\"final_static_miss_reduction\":{:.4},\"recovered\":{},\"epochs\":{}}}",
-            report.rows.len(),
-            report.swaps,
-            report.final_miss_reduction,
-            report.final_static_miss_reduction,
-            report.recovered,
-            epochs,
-        );
+    let swaps = format!("{} swap{}", report.swaps, if report.swaps == 1 { "" } else { "s" });
+    let verdict = if report.recovered {
+        "serve recovered the phase shift"
     } else {
+        "serve did not end ahead of the static plan"
+    };
+    let epochs = report.rows.iter().map(epoch_fields);
+    let summary = [
+        Field::count("windows", report.rows.len()),
+        Field::new("swaps", report.swaps.into(), swaps),
+        Field::fraction("final_miss_reduction", report.final_miss_reduction),
+        Field::fraction("final_static_miss_reduction", report.final_static_miss_reduction),
+        Field::new("recovered", report.recovered.into(), verdict.to_string()),
+    ];
+    if flags.json {
+        let epochs = Field::new("epochs", Json::array(epochs.map(json_of)), String::new());
+        println!("{}", json_of(summary.into_iter().chain([epochs])));
+        return Ok(());
+    }
+    // The header's labels and a window's cells, padded to one set of widths.
+    let table_row = |c: [&str; 8]| {
         println!(
             "{:<6} {:<10} {:>5} {:>6} {:>4} {:>12} {:>8} {:>8}",
-            "window", "phase", "epoch", "drift", "swap", "latency(us)", "serve", "static"
-        );
-        for row in &report.rows {
-            println!(
-                "{:<6} {:<10} {:>5} {:>6} {:>4} {:>12.1} {:>8} {:>8}",
-                row.window,
-                row.phase,
-                row.plan_epoch,
-                row.drift.map_or("-".to_string(), |d| format!("{d:.2}")),
-                if row.swapped { "yes" } else { "-" },
-                row.swap_latency_us,
-                pct(row.miss_reduction),
-                pct(row.static_miss_reduction),
-            );
-        }
-        println!(
-            "\n{} swap{} applied; final miss reduction: serve {} vs static {} — {}",
-            report.swaps,
-            if report.swaps == 1 { "" } else { "s" },
-            pct(report.final_miss_reduction),
-            pct(report.final_static_miss_reduction),
-            if report.recovered {
-                "serve recovered the phase shift"
-            } else {
-                "serve did not end ahead of the static plan"
-            },
-        );
+            c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+        )
+    };
+    table_row(["window", "phase", "epoch", "drift", "swap", "latency(us)", "serve", "static"]);
+    for row in epochs {
+        table_row(row.each_ref().map(|f| f.text.as_str()));
     }
+    let text = "\n{swaps} applied; final miss reduction: serve {final_miss_reduction} \
+                vs static {final_static_miss_reduction} — {recovered}";
+    println!("{}", text_of(summary, text));
     Ok(())
+}
+
+/// One serve window: the fields of its JSON epoch object, which in text are
+/// the cells of its table row.
+fn epoch_fields(row: &EpochRow) -> [Field; 8] {
+    let drift = row.drift.map_or("-".to_string(), |d| format!("{d:.2}"));
+    let swapped = if row.swapped { "yes" } else { "-" };
+    let latency = row.swap_latency_us;
+    [
+        Field::count("window", row.window),
+        Field::str("phase", &row.phase),
+        Field::count("plan_epoch", row.plan_epoch),
+        Field::new("drift", row.drift.map_or(Json::null(), |d| Json::fixed(d, 4)), drift),
+        Field::new("swapped", row.swapped.into(), swapped.to_string()),
+        Field::new("swap_latency_us", Json::fixed(latency, 1), format!("{latency:.1}")),
+        Field::fraction("miss_reduction", row.miss_reduction),
+        Field::fraction("static_miss_reduction", row.static_miss_reduction),
+    ]
 }
 
 fn bar(fraction: f64, fill: char) -> String {

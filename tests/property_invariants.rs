@@ -359,12 +359,9 @@ proptest! {
         for (obj, size_exp) in accesses {
             let size = 1u64 << size_exp; // 2..16 bytes
             let was_consecutive = last == Some(obj);
-            let partners = q.record(QueueEntry {
-                obj,
-                ctx: NodeId(obj as u32),
-                alloc_seq: obj,
-                size,
-            });
+            let entry = QueueEntry { obj, ctx: NodeId(obj as u32), alloc_seq: obj, size };
+            let mut partners = Vec::new();
+            q.record_with(entry, |p| partners.push(*p));
             if was_consecutive {
                 prop_assert!(partners.is_empty(), "dedup violated");
             } else {
@@ -373,7 +370,7 @@ proptest! {
             // No self-affinity and no double counting.
             let mut seen = std::collections::HashSet::new();
             let mut bytes = 0u64;
-            for p in partners {
+            for p in &partners {
                 prop_assert_ne!(p.obj, obj, "self-affinity");
                 prop_assert!(seen.insert(p.obj), "double counting");
                 bytes += p.size;
@@ -395,8 +392,7 @@ proptest! {
             let entry = QueueEntry { obj, ctx: NodeId(obj as u32), alloc_seq: obj, size };
             let was_consecutive = reference.entries.back().is_some_and(|e| e.obj == obj);
             let expected = reference.record(entry);
-            // Same partners, in the same (newest-first) order — via both
-            // the materializing and the streaming API.
+            // Same partners, in the same (newest-first) order.
             let mut streamed = Vec::new();
             let recorded = ring.record_with(entry, |p| streamed.push(*p));
             prop_assert_eq!(&streamed, &expected, "streamed partners diverge at step {}", step);
