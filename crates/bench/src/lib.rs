@@ -127,12 +127,7 @@ pub fn run_halo_only(
     workload: &Workload,
     config: &EvalConfig,
 ) -> (halo_core::Measurement, halo_core::Measurement, halo_core::Optimised) {
-    // Mirror evaluate_with_arg: the auto-granularity policy validates by
-    // measurement and must see the same memory-subsystem geometry.
-    let mut halo_config = config.halo;
-    halo_config.hierarchy = config.measure.hierarchy;
-    halo_config.timing = config.measure.timing;
-    let halo = halo_core::Halo::new(halo_config);
+    let halo = halo_core::Halo::for_measurement(&config.halo, &config.measure);
     let optimised = halo
         .optimise_with_arg(&workload.program, workload.train.seed, workload.train.arg)
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", workload.name));
@@ -160,17 +155,14 @@ pub fn run_backend_pair(
 ) -> (halo_core::Measurement, halo_core::Measurement) {
     let spec = halo_core::backend_spec(id)
         .unwrap_or_else(|| panic!("unknown backend '{id}' (see halo_core::BACKENDS)"));
-    assert!(
-        spec.needs == halo_core::BackendNeeds::Nothing,
-        "backend '{id}' needs the full evaluate() path"
-    );
+    let halo_core::BackendMake::Plain(make) = spec.make else {
+        panic!("backend '{id}' needs the full evaluate() path");
+    };
     let config = paper_config(workload);
     let mut base_alloc = halo_mem::SizeClassAllocator::new();
     let base = halo_core::measure(&workload.program, &mut base_alloc, &config.measure)
         .unwrap_or_else(|e| panic!("{}: baseline run failed: {e}", workload.name));
-    let ctx = halo_core::BackendCtx { config: &config, halo: None, optimised: None, hds: None };
-    let mut other = spec.make_allocator(&ctx);
-    let m = halo_core::measure(&workload.program, &mut other, &config.measure)
+    let m = halo_core::measure(&workload.program, &mut *make(&config), &config.measure)
         .unwrap_or_else(|e| panic!("{}: comparison run failed: {e}", workload.name));
     (base, m)
 }

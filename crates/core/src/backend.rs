@@ -14,40 +14,32 @@ use crate::evaluate::EvalConfig;
 use crate::pipeline::{Halo, Optimised};
 use halo_hds::HdsResult;
 use halo_mem::{
-    BackendAllocator, BoundaryTagAllocator, HaloGroupAllocator, RandomGroupAllocator,
-    SizeClassAllocator,
+    BackendAllocator, BoundaryTagAllocator, FaultInjector, HaloGroupAllocator,
+    RandomGroupAllocator, SizeClassAllocator,
 };
+use std::sync::Arc;
 
-/// Everything a backend may draw on when constructing its allocator.
-///
-/// The pipeline artefacts are optional so light-weight harnesses (the
-/// Fig. 15 and §5.1 allocator comparisons, which never run the pipeline)
-/// can still construct registry backends; a spec panics without the
-/// artefact its [`BackendSpec::needs`] names. `evaluate` fills in exactly
-/// that artefact and leaves the other `None`.
-pub struct BackendCtx<'a> {
-    /// The evaluation configuration (allocator knobs, measurement seed).
-    pub config: &'a EvalConfig,
-    /// The configured pipeline (for allocator synthesis).
-    pub halo: Option<&'a Halo>,
-    /// The pipeline's artefacts (selector table, per-group plans).
-    pub optimised: Option<&'a Optimised>,
-    /// The hot-data-streams analysis (site map).
-    pub hds: Option<&'a HdsResult>,
-}
-
-/// The evaluation artefact a backend's allocator is built from — its edge
-/// in `evaluate`'s dependency graph (DESIGN.md §14). A backend that needs
-/// nothing never waits on the pipeline or the hot-data-streams analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendNeeds {
-    /// The configuration alone (the baselines, the random allocator).
-    Nothing,
-    /// The HALO pipeline's output: selector table and per-group plans,
-    /// plus the rewritten binary for [`BackendSpec::rewritten`] backends.
-    Optimised,
-    /// The hot-data-streams analysis (its site map).
-    Hds,
+/// How a backend's allocator is built, by the evaluation artefact it is
+/// built from — the backend's edge in `evaluate`'s dependency graph
+/// (DESIGN.md §14). A [`Plain`](Self::Plain) backend never waits on the
+/// pipeline or the hot-data-streams analysis, and light-weight harnesses
+/// (Fig. 15, the §5.1 allocator comparison) construct it without either.
+#[derive(Clone, Copy)]
+pub enum BackendMake {
+    /// From the configuration alone (the baselines, the random allocator).
+    Plain(fn(&EvalConfig) -> Box<dyn BackendAllocator>),
+    /// From the HALO pipeline's output: selector table and per-group
+    /// plans — and, when `rewritten`, measured on the rewritten binary,
+    /// which lives in the same artefact.
+    Optimised {
+        /// Whether this backend measures the rewritten binary (`true`) or
+        /// the unmodified one.
+        rewritten: bool,
+        /// The constructor.
+        make: fn(&EvalConfig, &Halo, &Optimised) -> Box<dyn BackendAllocator>,
+    },
+    /// From the hot-data-streams analysis (its site map).
+    Hds(fn(&EvalConfig, &HdsResult) -> Box<dyn BackendAllocator>),
 }
 
 /// One evaluation backend: how to build its allocator and how the
@@ -57,61 +49,61 @@ pub struct BackendSpec {
     pub id: &'static str,
     /// Human-readable name for tables.
     pub label: &'static str,
-    /// Whether this backend measures the rewritten binary (`true`) or the
-    /// unmodified one. `true` requires [`BackendNeeds::Optimised`], which
-    /// is where the rewritten binary lives.
-    pub rewritten: bool,
     /// `false`: measured on every evaluation. `true`: measured only when
     /// [`EvalConfig::extras`] names this backend's id.
     pub optional: bool,
-    /// Which artefact in [`BackendCtx`] construction requires.
-    pub needs: BackendNeeds,
-    make: fn(&BackendCtx) -> Box<dyn BackendAllocator>,
+    /// The allocator's constructor and the artefact it takes.
+    pub make: BackendMake,
 }
 
 impl BackendSpec {
-    /// Construct this backend's allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context lacks the artefact the spec
-    /// [`needs`](Self::needs).
-    pub fn make_allocator(&self, ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
-        (self.make)(ctx)
-    }
-
     /// Whether this backend is measured under `config`.
     pub fn enabled(&self, config: &EvalConfig) -> bool {
         !self.optional || config.extras.contains(&self.id)
     }
 }
 
-fn make_baseline(_ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
+/// Hand `attach` a fresh injector replaying [`EvalConfig::faults`], if a
+/// schedule is set — for the backends with a degradation ladder: each
+/// replays the schedule from occurrence zero. The baselines predate the
+/// ladder, are not what the robustness claim is about, and run clean.
+fn inject(config: &EvalConfig, attach: impl FnOnce(Arc<FaultInjector>)) {
+    if let Some(plan) = &config.faults {
+        attach(Arc::new(FaultInjector::new(plan.clone())));
+    }
+}
+
+fn make_baseline(_config: &EvalConfig) -> Box<dyn BackendAllocator> {
     Box::new(SizeClassAllocator::new())
 }
 
-fn make_halo(ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
-    let halo = ctx.halo.expect("halo backend needs the configured pipeline");
-    let optimised = ctx.optimised.expect("halo backend needs the pipeline artefacts");
-    Box::new(halo.make_allocator(optimised))
+fn make_halo(config: &EvalConfig, halo: &Halo, optimised: &Optimised) -> Box<dyn BackendAllocator> {
+    let mut alloc = halo.make_allocator(optimised);
+    inject(config, |injector| alloc.set_fault_injector(injector));
+    Box::new(alloc)
 }
 
-fn make_hds(ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
-    let hds = ctx.hds.expect("hds backend needs the hot-data-streams analysis");
-    Box::new(HaloGroupAllocator::with_site_groups(ctx.config.halo.alloc, hds.site_map.clone()))
+fn make_hds(config: &EvalConfig, hds: &HdsResult) -> Box<dyn BackendAllocator> {
+    let mut alloc = HaloGroupAllocator::with_site_groups(config.halo.alloc, hds.site_map.clone());
+    inject(config, |injector| alloc.set_fault_injector(injector));
+    Box::new(alloc)
 }
 
-fn make_halo_sharded(ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
-    let halo = ctx.halo.expect("halo-sharded backend needs the configured pipeline");
-    let optimised = ctx.optimised.expect("halo-sharded backend needs the pipeline artefacts");
-    Box::new(halo.make_sharded_allocator(optimised, ctx.config.shards))
+fn make_halo_sharded(
+    config: &EvalConfig,
+    halo: &Halo,
+    optimised: &Optimised,
+) -> Box<dyn BackendAllocator> {
+    let mut alloc = halo.make_sharded_allocator(optimised, config.shards);
+    inject(config, |injector| alloc.set_fault_injector(injector));
+    Box::new(alloc)
 }
 
-fn make_random(ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
-    Box::new(RandomGroupAllocator::new(ctx.config.measure.seed ^ 0x5eed))
+fn make_random(config: &EvalConfig) -> Box<dyn BackendAllocator> {
+    Box::new(RandomGroupAllocator::new(config.measure.seed ^ 0x5eed))
 }
 
-fn make_ptmalloc(_ctx: &BackendCtx) -> Box<dyn BackendAllocator> {
+fn make_ptmalloc(_config: &EvalConfig) -> Box<dyn BackendAllocator> {
     Box::new(BoundaryTagAllocator::new())
 }
 
@@ -121,50 +113,38 @@ pub const BACKENDS: &[BackendSpec] = &[
     BackendSpec {
         id: "baseline",
         label: "jemalloc-style baseline",
-        rewritten: false,
         optional: false,
-        needs: BackendNeeds::Nothing,
-        make: make_baseline,
+        make: BackendMake::Plain(make_baseline),
     },
     BackendSpec {
         id: "halo",
         label: "HALO",
-        rewritten: true,
         optional: false,
-        needs: BackendNeeds::Optimised,
-        make: make_halo,
+        make: BackendMake::Optimised { rewritten: true, make: make_halo },
     },
     BackendSpec {
         id: "hds",
         label: "hot data streams",
-        rewritten: false,
         optional: false,
-        needs: BackendNeeds::Hds,
-        make: make_hds,
+        make: BackendMake::Hds(make_hds),
     },
     BackendSpec {
         id: "halo-sharded",
         label: "HALO (sharded)",
-        rewritten: true,
         optional: true,
-        needs: BackendNeeds::Optimised,
-        make: make_halo_sharded,
+        make: BackendMake::Optimised { rewritten: true, make: make_halo_sharded },
     },
     BackendSpec {
         id: "random",
         label: "random four-pool",
-        rewritten: false,
         optional: true,
-        needs: BackendNeeds::Nothing,
-        make: make_random,
+        make: BackendMake::Plain(make_random),
     },
     BackendSpec {
         id: "ptmalloc",
         label: "ptmalloc2-style baseline",
-        rewritten: false,
         optional: true,
-        needs: BackendNeeds::Nothing,
-        make: make_ptmalloc,
+        make: BackendMake::Plain(make_ptmalloc),
     },
 ];
 
@@ -205,22 +185,15 @@ mod tests {
 
     #[test]
     fn pipeline_free_backends_construct_without_artefacts() {
+        // What `halo_bench::run_backend_pair` (Fig. 15, §5.1) builds on.
         let config = EvalConfig::default();
-        let ctx = BackendCtx { config: &config, halo: None, optimised: None, hds: None };
-        let free: Vec<_> = BACKENDS.iter().filter(|s| s.needs == BackendNeeds::Nothing).collect();
-        for spec in &free {
-            let _ = spec.make_allocator(&ctx);
+        let mut ids = Vec::new();
+        for spec in BACKENDS {
+            if let BackendMake::Plain(make) = spec.make {
+                let _ = make(&config);
+                ids.push(spec.id);
+            }
         }
-        let ids: Vec<&str> = free.iter().map(|s| s.id).collect();
         assert_eq!(ids, ["baseline", "random", "ptmalloc"]);
-    }
-
-    #[test]
-    fn rewritten_backends_declare_the_artefact_that_holds_their_binary() {
-        // `evaluate` takes a rewritten backend's program from the
-        // `Optimised` it obtained for the spec's declared dependency.
-        for spec in BACKENDS.iter().filter(|s| s.rewritten) {
-            assert_eq!(spec.needs, BackendNeeds::Optimised, "backend {}", spec.id);
-        }
     }
 }

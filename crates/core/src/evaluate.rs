@@ -3,14 +3,15 @@
 //! configurations — each produced by the [`crate::backend`] registry
 //! rather than a hand-written arm per configuration.
 
-use crate::backend::{BackendCtx, BackendNeeds, BackendSpec, BACKENDS};
+use crate::backend::{BackendMake, BackendSpec, BACKENDS};
 use crate::measure::{measure_detailed, MeasureConfig, Measurement};
 use crate::parallel::par_map;
 use crate::pipeline::{Halo, HaloConfig, Optimised, PipelineError};
 use halo_cache::ThreadAccessStats;
 use halo_hds::{analyze, HdsConfig, HdsResult};
 use halo_mem::{
-    DegradeStats, FaultPlan, FragReport, GroupAllocStats, ShardedAllocStats, SizeClassAllocator,
+    BackendAllocator, DegradeStats, FaultPlan, FragReport, GroupAllocStats, ShardedAllocStats,
+    SizeClassAllocator,
 };
 use halo_profile::TraceCollector;
 use halo_vm::{Engine, Program, VmError};
@@ -175,19 +176,13 @@ pub fn evaluate_with_arg(
     train_arg: i64,
     config: &EvalConfig,
 ) -> Result<EvalResult, PipelineError> {
-    // The auto policies (granularity and per-group reuse) validate
-    // candidates by measurement, so they must see the same
-    // memory-subsystem geometry the final measurements use.
-    let mut halo_config = config.halo;
-    halo_config.hierarchy = config.measure.hierarchy;
-    halo_config.timing = config.measure.timing;
-    let halo = Halo::new(halo_config);
+    let halo = Halo::for_measurement(&config.halo, &config.measure);
 
     // One job list (DESIGN.md §14): the two artefact producers, then the
     // enabled backends in registry order. Each job owns everything it
     // mutates (allocator, engine, simulated memory, cache model); the
     // artefacts are shared read-only through the cells below. A backend
-    // takes the artefact it declares with `get_or_init`: it finds it,
+    // takes the artefact its constructor names with `get_or_init`: it finds it,
     // waits for the thread computing it, or computes it itself — never
     // waits on a job nobody runs — and each artefact is still computed
     // exactly once. `HALO_THREADS=1` walks the list front to back.
@@ -210,17 +205,22 @@ pub fn evaluate_with_arg(
             }
             Job::Measure(spec) => spec,
         };
-        let mut ctx = BackendCtx { config, halo: Some(&halo), optimised: None, hds: None };
         // `.ok()?`: a failed artefact leaves nothing to measure, and its
         // error outranks every backend's below.
-        match spec.needs {
-            BackendNeeds::Nothing => {}
-            BackendNeeds::Optimised => {
-                ctx.optimised = Some(optimised.get_or_init(optimise).as_ref().ok()?);
+        let (alloc, target) = match spec.make {
+            BackendMake::Plain(make) => (make(config), program),
+            BackendMake::Optimised { rewritten, make } => {
+                let optimised = optimised.get_or_init(optimise).as_ref().ok()?;
+                (
+                    make(config, &halo, optimised),
+                    if rewritten { &optimised.program } else { program },
+                )
             }
-            BackendNeeds::Hds => ctx.hds = Some(hds_analysis.get_or_init(analyse).as_ref().ok()?),
-        }
-        Some(measure_backend(spec, &ctx, program))
+            BackendMake::Hds(make) => {
+                (make(config, hds_analysis.get_or_init(analyse).as_ref().ok()?), program)
+            }
+        };
+        Some(measure_backend(spec.id, alloc, target, &config.measure))
     });
 
     // Assembled after the fan-in in (pipeline, analysis, registry) order,
@@ -262,32 +262,20 @@ fn hot_data_streams(
     Ok(analyze(&collector.finish(), &config.hds))
 }
 
-/// Measure one backend on the ref input, on the rewritten binary when the
-/// spec asks for it.
+/// Measure backend `id`'s freshly built allocator on the ref input of
+/// `target` (the rewritten binary when the spec asks for it).
 fn measure_backend(
-    spec: &BackendSpec,
-    ctx: &BackendCtx,
-    program: &Program,
+    id: &'static str,
+    mut alloc: Box<dyn BackendAllocator>,
+    target: &Program,
+    config: &MeasureConfig,
 ) -> Result<(&'static str, ConfigResult), VmError> {
-    let config = ctx.config;
-    let mut alloc = spec.make_allocator(ctx);
-    if let Some(plan) = &config.faults {
-        // Each backend replays the schedule from occurrence zero;
-        // backends without a degradation ladder (the baselines)
-        // decline and run clean.
-        alloc.backend_inject(plan);
-    }
-    let target = if spec.rewritten {
-        &ctx.optimised.expect("a rewritten backend declares BackendNeeds::Optimised").program
-    } else {
-        program
-    };
-    let d = measure_detailed(target, &mut alloc, &config.measure)?;
+    let d = measure_detailed(target, &mut *alloc, config)?;
     // One report, lowered four ways: a sharded backend's grouped rows are
     // its sharded row's, not a second reading.
     let report = alloc.backend_report();
     Ok((
-        spec.id,
+        id,
         ConfigResult {
             measurement: d.measurement,
             frag: report.map(|r| r.frag),

@@ -82,7 +82,7 @@ mod parallel;
 mod pipeline;
 mod serve;
 
-pub use backend::{backend_spec, BackendCtx, BackendNeeds, BackendSpec, BACKENDS};
+pub use backend::{backend_spec, BackendMake, BackendSpec, BACKENDS};
 pub use env::{env_warning, parse_env_or_warn};
 pub use evaluate::{evaluate, evaluate_with_arg, ConfigResult, EvalConfig, EvalResult};
 pub use measure::{

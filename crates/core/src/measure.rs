@@ -129,7 +129,7 @@ impl Measurement {
 /// # Errors
 ///
 /// Returns the [`VmError`] if the program traps or exceeds limits.
-pub fn measure<A: VmAllocator>(
+pub fn measure<A: VmAllocator + ?Sized>(
     program: &Program,
     alloc: &mut A,
     config: &MeasureConfig,
@@ -142,7 +142,7 @@ pub fn measure<A: VmAllocator>(
 /// # Errors
 ///
 /// Returns the [`VmError`] if the program traps or exceeds limits.
-pub fn measure_with<A: VmAllocator>(
+pub fn measure_with<A: VmAllocator + ?Sized>(
     program: &Program,
     alloc: &mut A,
     config: &MeasureConfig,
@@ -169,7 +169,7 @@ pub struct MeasureDetail {
 /// # Errors
 ///
 /// Returns the [`VmError`] if the program traps or exceeds limits.
-pub fn measure_detailed<A: VmAllocator>(
+pub fn measure_detailed<A: VmAllocator + ?Sized>(
     program: &Program,
     alloc: &mut A,
     config: &MeasureConfig,
@@ -202,7 +202,7 @@ pub fn measure_detailed<A: VmAllocator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_mem::{BumpAllocator, SizeClassAllocator};
+    use halo_mem::SizeClassAllocator;
     use halo_vm::{Cond, ProgramBuilder, Reg, Width};
 
     fn r(n: u8) -> Reg {
@@ -284,7 +284,7 @@ mod tests {
         let p = interleaved_sweep();
         let mut a1 = SizeClassAllocator::new();
         let base = measure(&p, &mut a1, &MeasureConfig::default()).expect("runs");
-        let mut a2 = BumpAllocator::new();
+        let mut a2 = halo_vm::MallocOnlyAllocator::new();
         let opt = measure(&p, &mut a2, &MeasureConfig::default()).expect("runs");
         let mr = opt.miss_reduction_vs(&base);
         assert!((-1.0..=1.0).contains(&mr));

@@ -125,6 +125,17 @@ impl Halo {
         Halo { config }
     }
 
+    /// The pipeline whose results `measure` will measure: `config` with
+    /// the measurement's memory-subsystem geometry. The auto policies
+    /// (granularity and per-group reuse) validate candidates by
+    /// measurement, so they must see the hierarchy and timing the final
+    /// measurements use.
+    pub fn for_measurement(config: &HaloConfig, measure: &MeasureConfig) -> Self {
+        Halo {
+            config: HaloConfig { hierarchy: measure.hierarchy, timing: measure.timing, ..*config },
+        }
+    }
+
     /// The configuration in use.
     pub fn config(&self) -> &HaloConfig {
         &self.config

@@ -167,12 +167,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     assert!(phases.iter().all(|p| p.windows > 0), "every phase needs at least one window");
     assert!(config.regroup_every > 0, "regroup_every must be at least 1");
 
-    // The auto policies validate against the measurement geometry, as in
-    // `evaluate_with_arg`.
-    let mut halo_config = config.halo;
-    halo_config.hierarchy = config.measure.hierarchy;
-    halo_config.timing = config.measure.timing;
-    let halo = Halo::new(halo_config);
+    let halo = Halo::for_measurement(&config.halo, &config.measure);
 
     // Initial optimisation on phase 0 — both the serve plan and the
     // static twin start from this one result. The twin keeps its own copy

@@ -6,13 +6,11 @@
 //! reports (fragmentation, event counters, the degradation ladder), so the
 //! evaluation loop needs no per-backend downcasting or special arms.
 
-use crate::faults::{FaultInjector, FaultPlan};
 use crate::group_alloc::FragReport;
 use crate::sharded::ShardedAllocStats;
-use crate::stats::AllocatorStats;
 use crate::{
-    BoundaryTagAllocator, BumpAllocator, HaloGroupAllocator, RandomGroupAllocator,
-    ShardedHaloAllocator, SizeClassAllocator,
+    BoundaryTagAllocator, HaloGroupAllocator, RandomGroupAllocator, ShardedHaloAllocator,
+    SizeClassAllocator,
 };
 use halo_vm::VmAllocator;
 
@@ -35,22 +33,13 @@ pub trait BackendAllocator: VmAllocator {
     fn backend_report(&self) -> Option<BackendReport> {
         None
     }
-
-    /// Attach a fault injector replaying `plan` (chaos runs / `halo run
-    /// --inject`). Returns whether this backend supports injection; the
-    /// baselines do not — they predate the degradation ladder and are not
-    /// what the robustness claim is about.
-    fn backend_inject(&mut self, _plan: &FaultPlan) -> bool {
-        false
-    }
 }
 
 impl BackendAllocator for SizeClassAllocator {}
 impl BackendAllocator for BoundaryTagAllocator {}
-impl BackendAllocator for BumpAllocator {}
 impl BackendAllocator for RandomGroupAllocator {}
 
-impl<F: VmAllocator + AllocatorStats> BackendAllocator for HaloGroupAllocator<F> {
+impl BackendAllocator for HaloGroupAllocator {
     fn backend_report(&self) -> Option<BackendReport> {
         let stats = ShardedAllocStats {
             alloc: self.stats(),
@@ -59,20 +48,10 @@ impl<F: VmAllocator + AllocatorStats> BackendAllocator for HaloGroupAllocator<F>
         };
         Some(BackendReport { frag: self.frag_report(), stats, sharded: false })
     }
-
-    fn backend_inject(&mut self, plan: &FaultPlan) -> bool {
-        self.set_fault_injector(std::sync::Arc::new(FaultInjector::new(plan.clone())));
-        true
-    }
 }
 
 impl BackendAllocator for ShardedHaloAllocator {
     fn backend_report(&self) -> Option<BackendReport> {
         Some(self.report())
-    }
-
-    fn backend_inject(&mut self, plan: &FaultPlan) -> bool {
-        self.set_fault_injector(std::sync::Arc::new(FaultInjector::new(plan.clone())));
-        true
     }
 }

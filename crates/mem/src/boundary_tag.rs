@@ -10,7 +10,7 @@
 
 use crate::stats::AllocatorStats;
 use crate::vmm::Vmm;
-use halo_vm::{CallSite, FastIntState, GroupState, Memory, VmAllocator};
+use halo_vm::{realloc_by_move, CallSite, FastIntState, GroupState, Memory, VmAllocator};
 use std::collections::{BTreeMap, HashMap};
 
 /// Inline header bytes preceding every allocated chunk.
@@ -153,9 +153,7 @@ impl VmAllocator for BoundaryTagAllocator {
     }
 
     /// A pointer with no live chunk behind it (double free, interior or
-    /// never-allocated address) is absorbed as a no-op; a composing
-    /// allocator sees a free that did not lower
-    /// [`AllocatorStats::live_objects`].
+    /// never-allocated address) is absorbed as a no-op.
     fn free(&mut self, ptr: u64, mem: &mut Memory) {
         let Some((base, chunk, requested)) = self.live.remove(&ptr) else {
             return;
@@ -163,6 +161,10 @@ impl VmAllocator for BoundaryTagAllocator {
         self.live_bytes -= requested;
         mem.write(base + 8, 8, 0);
         self.insert_free_coalescing(base, chunk);
+    }
+
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        self.live.get(&ptr).map(|&(_, _, requested)| requested)
     }
 
     fn realloc(
@@ -173,21 +175,15 @@ impl VmAllocator for BoundaryTagAllocator {
         gs: &GroupState,
         mem: &mut Memory,
     ) -> u64 {
-        let Some(&(_, chunk, requested)) = self.live.get(&ptr) else {
-            return self.malloc(size, site, gs, mem);
-        };
-        let size = size.max(1);
-        if Self::chunk_size_for(size) <= chunk {
-            self.live_bytes = self.live_bytes - requested + size;
-            if let Some(entry) = self.live.get_mut(&ptr) {
-                entry.2 = size;
+        if let Some((_, chunk, requested)) = self.live.get_mut(&ptr) {
+            let size = size.max(1);
+            if Self::chunk_size_for(size) <= *chunk {
+                self.live_bytes = self.live_bytes - *requested + size;
+                *requested = size;
+                return ptr;
             }
-            return ptr;
         }
-        let newp = self.malloc(size, site, gs, mem);
-        mem.copy(newp, ptr, requested.min(size));
-        self.free(ptr, mem);
-        newp
+        realloc_by_move(self, ptr, size, site, gs, mem)
     }
 }
 

@@ -33,7 +33,9 @@ use crate::stats::AllocatorStats;
 use crate::vmm::{ReserveError, Vmm};
 use crate::SizeClassAllocator;
 use halo_graph::ReusePolicy;
-use halo_vm::{CallSite, FastIntState, GroupState, Memory, VmAllocator, PAGE_SIZE};
+use halo_vm::{
+    realloc_by_move, CallSite, FastIntState, GroupState, Memory, VmAllocator, PAGE_SIZE,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -220,6 +222,21 @@ fn size_tag(size: u64) -> Option<u32> {
     u32::try_from(size).ok()?.checked_add(1)
 }
 
+/// A chunk's granule table, all zero, or `None` when the host has no memory
+/// for it — the `ChunkAlloc` rung of the degradation ladder, not an abort
+/// (`vec![0; n]` aborts). Zeroed by the host allocator rather than written,
+/// so the cells of granules a chunk never reaches cost no resident page.
+fn zeroed_cells(n: usize) -> Option<Box<[u32]>> {
+    let layout = std::alloc::Layout::array::<u32>(n).ok().filter(|l| l.size() > 0)?;
+    // SAFETY: `layout` has non-zero size. A non-null result is `n` zeroed,
+    // `u32`-aligned words from the global allocator, which is what a
+    // `Box<[u32]>` of that length owns and later frees with this layout.
+    unsafe {
+        let cells = std::alloc::alloc_zeroed(layout).cast::<u32>();
+        (!cells.is_null()).then(|| Box::from_raw(std::ptr::slice_from_raw_parts_mut(cells, n)))
+    }
+}
+
 /// A chunk carved from a slab. Chunks are never returned to the OS span, so
 /// a chunk record — and its place in the page table — is permanent; it
 /// cycles between *in use* (owned by `group`, possibly its current chunk),
@@ -268,10 +285,10 @@ impl Chunk {
     }
 }
 
-/// The specialised allocator synthesised by the HALO pipeline. Generic over
-/// the fallback allocator `F` (defaults to the jemalloc-style baseline).
+/// The specialised allocator synthesised by the HALO pipeline. Whatever it
+/// does not group goes to the jemalloc-style baseline, its fallback.
 #[derive(Debug)]
-pub struct HaloGroupAllocator<F = SizeClassAllocator> {
+pub struct HaloGroupAllocator {
     config: GroupAllocConfig,
     /// Effective configuration per group (the global `config` unless a
     /// per-group plan overrode it).
@@ -303,7 +320,7 @@ pub struct HaloGroupAllocator<F = SizeClassAllocator> {
     clean: Vec<u32>,
     /// Live grouped regions across all chunks.
     live_regions: u64,
-    fallback: F,
+    fallback: SizeClassAllocator,
     /// Allocator-wide usage and Table 1 snapshot.
     usage: PoolUsage,
     /// Per-group usage and Table 1 snapshots (what the per-group `auto`
@@ -323,7 +340,7 @@ pub struct HaloGroupAllocator<F = SizeClassAllocator> {
     faults: Option<Arc<FaultInjector>>,
 }
 
-impl HaloGroupAllocator<SizeClassAllocator> {
+impl HaloGroupAllocator {
     /// Create an allocator with the default jemalloc-style fallback.
     pub fn new(config: GroupAllocConfig, selectors: SelectorTable) -> Self {
         Self::build(config, selectors, Vec::new(), SizeClassAllocator::new())
@@ -358,40 +375,15 @@ impl HaloGroupAllocator<SizeClassAllocator> {
         a.site_groups = site_groups;
         a
     }
-}
 
-impl<F: VmAllocator> HaloGroupAllocator<F> {
-    /// Create an allocator forwarding non-grouped requests to `fallback`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is not a power of two or `slab_size` is not a
-    /// multiple of it.
-    pub fn with_fallback(config: GroupAllocConfig, selectors: SelectorTable, fallback: F) -> Self {
-        Self::build(config, selectors, Vec::new(), fallback)
-    }
-
-    /// [`Self::with_group_configs`] with an explicit fallback — the shape
+    /// [`Self::with_group_configs`] over an explicit fallback — the shape
     /// [`crate::ShardedHaloAllocator`] needs: per-shard plans *and* a
     /// per-shard fallback rooted at a shard-private base address.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::with_group_configs`].
-    pub fn with_group_configs_and_fallback(
+    pub(crate) fn build(
         config: GroupAllocConfig,
         selectors: SelectorTable,
         overrides: Vec<GroupAllocConfig>,
-        fallback: F,
-    ) -> Self {
-        Self::build(config, selectors, overrides, fallback)
-    }
-
-    fn build(
-        config: GroupAllocConfig,
-        selectors: SelectorTable,
-        overrides: Vec<GroupAllocConfig>,
-        fallback: F,
+        fallback: SizeClassAllocator,
     ) -> Self {
         Self::validate_chunk(&config, config.chunk_size);
         let num_groups = selectors.num_groups().max(overrides.len());
@@ -506,7 +498,7 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     }
 
     /// The fallback allocator (for its own statistics).
-    pub fn fallback(&self) -> &F {
+    pub fn fallback(&self) -> &SizeClassAllocator {
         &self.fallback
     }
 
@@ -535,7 +527,7 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     /// table and the page table, and return its handle.
     fn carve_chunk(&mut self, group: usize, cs: u64) -> Option<u32> {
         let handle = u32::try_from(self.chunks.len()).ok()?;
-        let cells = usize::try_from(cs / GRANULE).ok()?;
+        let cells = zeroed_cells(usize::try_from(cs / GRANULE).ok()?)?;
         let base = self.carve_span(cs).ok()?;
         self.pages.cover(base, cs, self.chunks.len())?;
         self.chunks.push(Chunk {
@@ -546,7 +538,7 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
             live_regions: 0,
             high_water: base,
             shards: HashMap::default(),
-            cells: vec![0; cells].into_boxed_slice(),
+            cells,
         });
         Some(handle)
     }
@@ -826,10 +818,7 @@ impl<F: VmAllocator> HaloGroupAllocator<F> {
     }
 }
 
-impl<F: VmAllocator> AllocatorStats for HaloGroupAllocator<F>
-where
-    F: AllocatorStats,
-{
+impl AllocatorStats for HaloGroupAllocator {
     fn live_bytes(&self) -> u64 {
         self.usage.live + self.fallback.live_bytes()
     }
@@ -839,7 +828,7 @@ where
     }
 }
 
-impl<F: VmAllocator + AllocatorStats> VmAllocator for HaloGroupAllocator<F> {
+impl VmAllocator for HaloGroupAllocator {
     fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
         // §4.4: the allocator "compares the size of the allocation with the
         // maximum grouped object size, and checks the contents of the group
@@ -880,16 +869,20 @@ impl<F: VmAllocator + AllocatorStats> VmAllocator for HaloGroupAllocator<F> {
             self.group_free(ptr, mem);
             return;
         }
-        // `VmAllocator::free` has no error channel; whether the fallback
-        // knew the pointer shows in its live-object count. A free that
-        // released nothing (double free, never-allocated address, null) is
-        // an invalid free, not a fallback free.
-        let live_before = self.fallback.live_objects();
-        self.fallback.free(ptr, mem);
-        if self.fallback.live_objects() < live_before {
+        // A free that released nothing (double free, never-allocated
+        // address, null) is an invalid free, not a fallback free.
+        if self.fallback.release(ptr) {
             self.stats.fallback_frees += 1;
         } else {
             self.degrade.invalid_frees += 1;
+        }
+    }
+
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        if self.is_group_allocated(ptr) {
+            self.live_region(ptr).map(|(_, _, size)| size)
+        } else {
+            self.fallback.live_size(ptr)
         }
     }
 
@@ -901,12 +894,10 @@ impl<F: VmAllocator + AllocatorStats> VmAllocator for HaloGroupAllocator<F> {
         gs: &GroupState,
         mem: &mut Memory,
     ) -> u64 {
+        // What the fallback placed stays the fallback's: it may grow in
+        // its slot, and is not re-classified into a group.
         if self.is_group_allocated(ptr) {
-            let old_size = self.live_region(ptr).map_or(0, |(_, _, size)| size);
-            let newp = self.malloc(size, site, gs, mem);
-            mem.copy(newp, ptr, old_size.min(size));
-            self.group_free(ptr, mem);
-            newp
+            realloc_by_move(self, ptr, size, site, gs, mem)
         } else {
             self.fallback.realloc(ptr, size, site, gs, mem)
         }
@@ -1637,7 +1628,7 @@ mod tests {
             assert_eq!(a.realloc(bad, 0, site(), &GroupState::new(2), &mut mem), 0x10_0000_0000);
             a.free(0x10_0000_0000, &mut mem);
         }
-        assert_eq!(a.degrade_stats().invalid_frees, 12, "each bad free and each realloc's free");
+        assert_eq!(a.degrade_stats().invalid_frees, 6, "each bad free; the reallocs free nothing");
         assert_eq!(a.live_bytes(), live, "accounting untouched");
         a.free(p, &mut mem);
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));

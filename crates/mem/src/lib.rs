@@ -9,10 +9,9 @@
 //! * [`BoundaryTagAllocator`] — a ptmalloc2/dlmalloc-style best-fit
 //!   free-list allocator with inline chunk headers, for the §5.1
 //!   jemalloc-vs-ptmalloc2 baseline comparison.
-//! * [`BumpAllocator`] — trivial contiguous allocation, used by tests and
-//!   as the building block of pool-based schemes.
 //! * [`RandomGroupAllocator`] — the deliberately terrible allocator of
-//!   Fig. 15: small objects go to one of four bump pools at random.
+//!   Fig. 15: small objects go to one of four bump pools
+//!   ([`halo_vm::MallocOnlyAllocator`]) at random.
 //! * [`HaloGroupAllocator`] — the paper's specialised allocator: group
 //!   selectors evaluated against the shared group-state vector route
 //!   allocations into group-owned, size-aligned chunks carved from large
@@ -42,7 +41,6 @@
 
 mod backend;
 mod boundary_tag;
-mod bump;
 mod faults;
 mod group_alloc;
 mod page_index;
@@ -56,7 +54,6 @@ mod vmm;
 
 pub use backend::{BackendAllocator, BackendReport};
 pub use boundary_tag::BoundaryTagAllocator;
-pub use bump::BumpAllocator;
 pub use faults::{DegradeStats, FaultInjector, FaultPlan, FaultSite};
 pub use group_alloc::{FragReport, GroupAllocConfig, GroupAllocStats, HaloGroupAllocator};
 /// Re-exported from `halo_graph`, where per-group layout plans live.

@@ -37,8 +37,7 @@ impl PageIndex {
         Some(())
     }
 
-    /// The id of the extent containing `ptr`. On every `free`; `inline`
-    /// because `HaloGroupAllocator<F>` is instantiated in downstream crates.
+    /// The id of the extent containing `ptr`. On every `free`.
     #[inline]
     pub(crate) fn find(&self, ptr: u64) -> Option<usize> {
         let page = usize::try_from(ptr.checked_sub(self.origin)? / PAGE_SIZE).ok()?;

@@ -6,10 +6,11 @@
 //! poor grouping algorithm might." Benchmarks sensitive to this extreme
 //! policy are exactly the ones where layout matters — and where HALO helps.
 
-use crate::bump::BumpAllocator;
 use crate::stats::AllocatorStats;
 use crate::SizeClassAllocator;
-use halo_vm::{CallSite, GroupState, Memory, SplitMix64, VmAllocator, PAGE_SIZE};
+use halo_vm::{
+    CallSite, GroupState, MallocOnlyAllocator, Memory, SplitMix64, VmAllocator, PAGE_SIZE,
+};
 
 /// Number of random pools, per the paper.
 const POOLS: usize = 4;
@@ -20,7 +21,7 @@ const POOL_SPAN: u64 = 1 << 34;
 /// page-sized and larger requests go to a jemalloc-style fallback.
 #[derive(Debug)]
 pub struct RandomGroupAllocator {
-    pools: Vec<BumpAllocator>,
+    pools: Vec<MallocOnlyAllocator>,
     pools_base: u64,
     rng: SplitMix64,
     fallback: SizeClassAllocator,
@@ -35,7 +36,7 @@ impl RandomGroupAllocator {
         let pools_base = Self::DEFAULT_BASE;
         RandomGroupAllocator {
             pools: (0..POOLS as u64)
-                .map(|i| BumpAllocator::with_base(pools_base + i * POOL_SPAN))
+                .map(|i| MallocOnlyAllocator::with_base_span(pools_base + i * POOL_SPAN, POOL_SPAN))
                 .collect(),
             pools_base,
             rng: SplitMix64::new(seed),
@@ -79,22 +80,11 @@ impl VmAllocator for RandomGroupAllocator {
         }
     }
 
-    fn realloc(
-        &mut self,
-        ptr: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        let old_size = match self.pool_of(ptr) {
-            Some(pool) => self.pools[pool].size_of(ptr).unwrap_or(0),
-            None => self.fallback.usable_size(ptr).unwrap_or(0),
-        };
-        let newp = self.malloc(size, site, gs, mem);
-        mem.copy(newp, ptr, old_size.min(size));
-        self.free(ptr, mem);
-        newp
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        match self.pool_of(ptr) {
+            Some(pool) => self.pools[pool].live_size(ptr),
+            None => self.fallback.live_size(ptr),
+        }
     }
 }
 

@@ -115,7 +115,7 @@ struct ThreadRegistry {
 /// What a shard's allocator lock protects.
 #[derive(Debug)]
 struct ShardState {
-    alloc: HaloGroupAllocator<SizeClassAllocator>,
+    alloc: HaloGroupAllocator,
     /// The drained half of the remote-free double buffer: empty between
     /// drains, swapped with the queue's buffer when the owner drains (so
     /// the queue keeps the capacity it grew and a drain allocates nothing).
@@ -239,7 +239,7 @@ impl ShardedHaloAllocator {
                 );
                 Shard {
                     inner: Mutex::new(ShardState {
-                        alloc: HaloGroupAllocator::with_group_configs_and_fallback(
+                        alloc: HaloGroupAllocator::build(
                             shard_cfg,
                             selectors.clone(),
                             shard_overrides,
@@ -316,7 +316,7 @@ impl ShardedHaloAllocator {
     /// every shard unchanged.
     pub fn swap_plans(&self, selectors: SelectorTable, overrides: Vec<GroupAllocConfig>) -> u64 {
         for over in &overrides {
-            HaloGroupAllocator::<SizeClassAllocator>::validate_chunk(&self.config, over.chunk_size);
+            HaloGroupAllocator::validate_chunk(&self.config, over.chunk_size);
         }
         let mut guards: Vec<_> = (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
         for (i, guard) in guards.iter_mut().enumerate() {
@@ -525,20 +525,6 @@ impl ShardedHaloAllocator {
         inner
     }
 
-    fn malloc_impl(&self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
-        let s = self.current_shard();
-        let inner = self.service_shard(s, mem, false);
-        if self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::ShardPanic)) {
-            // The injected mid-operation panic: this thread dies holding
-            // the shard's allocator lock, poisoning it for everyone else.
-            // No structure has been touched yet, so the invariant re-check
-            // in `lock_shard` will pass and recovery is clean.
-            panic!("injected fault: thread panicked holding shard {s}'s allocator lock");
-        }
-        let mut inner = inner;
-        inner.alloc.malloc(size, site, gs, mem)
-    }
-
     /// Free `ptr`, reporting — rather than absorbing — a pointer no shard
     /// owns. The allocator's state is untouched on the error path: no
     /// counter moves, nothing is queued, later operations are unaffected.
@@ -580,36 +566,6 @@ impl ShardedHaloAllocator {
         Ok(())
     }
 
-    fn free_impl(&self, ptr: u64, mem: &mut Memory) {
-        if self.try_free(ptr, mem).is_err() {
-            // The infallible face absorbs the invalid free as a counted
-            // no-op (see DESIGN.md §12) — matching `libc::free`, which has
-            // no error channel either.
-            self.invalid_frees.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn realloc_impl(
-        &self,
-        ptr: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        // The whole operation runs on the owning shard (which knows the
-        // old region's size); ownership of the object stays with its
-        // original shard even when a foreign thread grows it.
-        let Ok(owner) = self.owner_of(ptr) else {
-            // realloc of a pointer no shard owns: serve a fresh block
-            // (there is nothing to copy or free) and count the anomaly.
-            self.invalid_frees.fetch_add(1, Ordering::Relaxed);
-            return self.malloc_impl(size, site, gs, mem);
-        };
-        let mut inner = self.service_shard(owner, mem, false);
-        inner.alloc.realloc(ptr, size, site, gs, mem)
-    }
-
     /// Apply every queued remote free on every shard — the join-time
     /// flush (a shard left idle forever would otherwise never service its
     /// queue). [`halo_vm::Engine`] invokes this automatically when an
@@ -635,11 +591,16 @@ impl ShardedHaloAllocator {
         mut read: impl FnMut(&mut T, &ShardState, &RemoteQueue),
     ) -> T {
         for s in 0..self.shards.len() {
-            let inner = self.lock_shard(s);
-            let queue = self.lock_remote(s);
-            read(&mut acc, &inner, &queue);
+            self.read_shard(s, |shard, queue| read(&mut acc, shard, queue));
         }
         acc
+    }
+
+    /// One shard's step of [`Self::read_shards`].
+    fn read_shard<T>(&self, s: usize, read: impl FnOnce(&ShardState, &RemoteQueue) -> T) -> T {
+        let inner = self.lock_shard(s);
+        let queue = self.lock_remote(s);
+        read(&inner, &queue)
     }
 
     /// Everything a measured backend reports, from one sweep: the
@@ -723,17 +684,46 @@ impl ShardedHaloAllocator {
 
     /// Whether `ptr` lies in any shard's group slabs.
     pub fn is_group_allocated(&self, ptr: u64) -> bool {
-        self.owner_of(ptr).is_ok_and(|owner| self.lock_shard(owner).alloc.is_group_allocated(ptr))
+        self.owner_of(ptr).is_ok_and(|owner| {
+            self.read_shard(owner, |shard, _| shard.alloc.is_group_allocated(ptr))
+        })
     }
 }
 
 impl SyncVmAllocator for ShardedHaloAllocator {
     fn malloc(&self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
-        self.malloc_impl(size, site, gs, mem)
+        let s = self.current_shard();
+        let inner = self.service_shard(s, mem, false);
+        if self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::ShardPanic)) {
+            // The injected mid-operation panic: this thread dies holding
+            // the shard's allocator lock, poisoning it for everyone else.
+            // No structure has been touched yet, so the invariant re-check
+            // in `lock_shard` will pass and recovery is clean.
+            panic!("injected fault: thread panicked holding shard {s}'s allocator lock");
+        }
+        let mut inner = inner;
+        inner.alloc.malloc(size, site, gs, mem)
     }
 
     fn free(&self, ptr: u64, mem: &mut Memory) {
-        self.free_impl(ptr, mem)
+        if self.try_free(ptr, mem).is_err() {
+            // The infallible face absorbs the invalid free as a counted
+            // no-op (see DESIGN.md §12) — matching `libc::free`, which has
+            // no error channel either.
+            self.invalid_frees.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A free still on its owner's remote queue has happened as far as the
+    /// program can tell (the owner applies it before its next operation),
+    /// so the pointer already reads as not live. Linear in that queue: a
+    /// reader for tests and oracles, on no request's path (`realloc` asks
+    /// the owning shard's allocator after the drain).
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        let owner = self.owner_of(ptr).ok()?;
+        self.read_shard(owner, |shard, queue| {
+            shard.alloc.live_size(ptr).filter(|_| !queue.ptrs.contains(&ptr))
+        })
     }
 
     fn realloc(
@@ -744,7 +734,17 @@ impl SyncVmAllocator for ShardedHaloAllocator {
         gs: &GroupState,
         mem: &mut Memory,
     ) -> u64 {
-        self.realloc_impl(ptr, size, site, gs, mem)
+        // The whole operation runs on the owning shard (which knows the
+        // old region's size); ownership of the object stays with its
+        // original shard even when a foreign thread grows it.
+        let Ok(owner) = self.owner_of(ptr) else {
+            // realloc of a pointer no shard owns: serve a fresh block
+            // (there is nothing to copy or free) and count the anomaly.
+            self.invalid_frees.fetch_add(1, Ordering::Relaxed);
+            return SyncVmAllocator::malloc(self, size, site, gs, mem);
+        };
+        let mut inner = self.service_shard(owner, mem, false);
+        inner.alloc.realloc(ptr, size, site, gs, mem)
     }
 
     fn thread_switched(&self, thread: u16) {
@@ -762,14 +762,18 @@ impl SyncVmAllocator for ShardedHaloAllocator {
 
 /// The exclusive-access face, so the sharded runtime plugs into every
 /// existing single-threaded harness (`measure`, the backend registry)
-/// unchanged.
+/// unchanged: each method is the shared one.
 impl VmAllocator for ShardedHaloAllocator {
     fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
-        self.malloc_impl(size, site, gs, mem)
+        SyncVmAllocator::malloc(self, size, site, gs, mem)
     }
 
     fn free(&mut self, ptr: u64, mem: &mut Memory) {
-        self.free_impl(ptr, mem)
+        SyncVmAllocator::free(self, ptr, mem)
+    }
+
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        SyncVmAllocator::live_size(self, ptr)
     }
 
     fn realloc(
@@ -780,15 +784,15 @@ impl VmAllocator for ShardedHaloAllocator {
         gs: &GroupState,
         mem: &mut Memory,
     ) -> u64 {
-        self.realloc_impl(ptr, size, site, gs, mem)
+        SyncVmAllocator::realloc(self, ptr, size, site, gs, mem)
     }
 
     fn thread_switched(&mut self, thread: u16) {
-        self.set_logical(thread)
+        SyncVmAllocator::thread_switched(self, thread)
     }
 
     fn run_finished(&mut self, mem: &mut Memory) {
-        SyncVmAllocator::run_finished(&*self, mem)
+        SyncVmAllocator::run_finished(self, mem)
     }
 }
 

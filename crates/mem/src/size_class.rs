@@ -16,7 +16,7 @@
 use crate::page_index::PageIndex;
 use crate::stats::AllocatorStats;
 use crate::vmm::Vmm;
-use halo_vm::{CallSite, GroupState, Memory, VmAllocator, PAGE_SIZE};
+use halo_vm::{realloc_by_move, CallSite, GroupState, Memory, VmAllocator, PAGE_SIZE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -63,7 +63,7 @@ const _: () = assert!(SMALL_MAX < u16::MAX as u64);
 enum Run {
     /// A slab run of one size class. `cells[slot]` is the slot's requested
     /// size plus one, `0` while the slot is free — so the cell is both the
-    /// size record `realloc` needs and the liveness bit that makes an
+    /// size record `live_size` reads and the liveness bit that makes an
     /// invalid free detectable.
     Small { base: u64, class: usize, cells: Box<[u16]> },
     /// One page-rounded large extent; `requested` is `None` once freed
@@ -224,6 +224,31 @@ impl SizeClassAllocator {
             SlotInfo::Large { requested, .. } => requested.div_ceil(PAGE_SIZE) * PAGE_SIZE,
         })
     }
+
+    /// `free`, saying whether `ptr` was live — what a composing allocator
+    /// needs to tell a fallback free from an invalid one.
+    pub(crate) fn release(&mut self, ptr: u64) -> bool {
+        let requested = match self.live_slot(ptr) {
+            Some(SlotInfo::Small { run, slot, class, requested }) => {
+                self.set_cell(run, slot, None);
+                self.free_slots[class].push(Reverse(ptr));
+                requested
+            }
+            Some(SlotInfo::Large { run, requested }) => {
+                // Large extents are not recycled; reservation bookkeeping
+                // only (the pages can be discarded by the caller if the
+                // experiment models purging).
+                if let Run::Large { requested, .. } = &mut self.run_table[run] {
+                    *requested = None;
+                }
+                requested
+            }
+            None => return false,
+        };
+        self.live_bytes -= requested;
+        self.live_objects -= 1;
+        true
+    }
 }
 
 impl Default for SizeClassAllocator {
@@ -259,28 +284,15 @@ impl VmAllocator for SizeClassAllocator {
 
     /// A pointer with no live allocation behind it — double free, interior
     /// or never-allocated address — is absorbed as a no-op: nothing is
-    /// counted, nothing is queued for reuse. A composing allocator sees it
-    /// as a free that did not lower [`AllocatorStats::live_objects`].
+    /// counted, nothing is queued for reuse.
     fn free(&mut self, ptr: u64, _mem: &mut Memory) {
-        let requested = match self.live_slot(ptr) {
-            Some(SlotInfo::Small { run, slot, class, requested }) => {
-                self.set_cell(run, slot, None);
-                self.free_slots[class].push(Reverse(ptr));
-                requested
-            }
-            Some(SlotInfo::Large { run, requested }) => {
-                // Large extents are not recycled; reservation bookkeeping
-                // only (the pages can be discarded by the caller if the
-                // experiment models purging).
-                if let Run::Large { requested, .. } = &mut self.run_table[run] {
-                    *requested = None;
-                }
-                requested
-            }
-            None => return,
-        };
-        self.live_bytes -= requested;
-        self.live_objects -= 1;
+        self.release(ptr);
+    }
+
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        self.live_slot(ptr).map(|s| match s {
+            SlotInfo::Small { requested, .. } | SlotInfo::Large { requested, .. } => requested,
+        })
     }
 
     fn realloc(
@@ -291,30 +303,17 @@ impl VmAllocator for SizeClassAllocator {
         gs: &GroupState,
         mem: &mut Memory,
     ) -> u64 {
-        let Some(info) = self.live_slot(ptr) else {
-            return self.malloc(size, site, gs, mem);
-        };
-        let size = size.max(1);
-        let old_requested = match info {
-            SlotInfo::Small { run, slot, class, requested } => {
-                if size <= SIZE_CLASSES[class] {
-                    // Same slot suffices: update requested-size accounting
-                    // in place.
-                    self.live_bytes = self.live_bytes - requested + size;
-                    self.set_cell(run, slot, Some(size));
-                    return ptr;
-                }
-                requested
+        if let Some(SlotInfo::Small { run, slot, class, requested }) = self.live_slot(ptr) {
+            let size = size.max(1);
+            if size <= SIZE_CLASSES[class] {
+                // Same slot suffices: update requested-size accounting
+                // in place.
+                self.live_bytes = self.live_bytes - requested + size;
+                self.set_cell(run, slot, Some(size));
+                return ptr;
             }
-            SlotInfo::Large { requested, .. } => requested,
-        };
-        let newp = self.malloc(size, site, gs, mem);
-        if newp == 0 {
-            return 0; // growth failed: the old region stays live and intact
         }
-        mem.copy(newp, ptr, old_requested.min(size));
-        self.free(ptr, mem);
-        newp
+        realloc_by_move(self, ptr, size, site, gs, mem)
     }
 }
 

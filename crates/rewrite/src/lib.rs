@@ -260,15 +260,8 @@ mod tests {
         fn free(&mut self, ptr: u64, mem: &mut Memory) {
             self.inner.free(ptr, mem)
         }
-        fn realloc(
-            &mut self,
-            ptr: u64,
-            size: u64,
-            site: CallSite,
-            gs: &GroupState,
-            mem: &mut Memory,
-        ) -> u64 {
-            self.inner.realloc(ptr, size, site, gs, mem)
+        fn live_size(&self, ptr: u64) -> Option<u64> {
+            self.inner.live_size(ptr)
         }
     }
 

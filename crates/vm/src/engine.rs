@@ -207,8 +207,16 @@ pub trait VmAllocator {
     /// called with 0.
     fn free(&mut self, ptr: u64, mem: &mut Memory);
 
+    /// The requested size of the live region starting exactly at `ptr`;
+    /// `None` for a freed, interior, misaligned or never-allocated
+    /// address. The one lookup [`realloc_by_move`] copies by, and the
+    /// oracle every allocator answers the same way.
+    fn live_size(&self, ptr: u64) -> Option<u64>;
+
     /// Resize an allocation, moving it if necessary, and return the new
-    /// address. Called with `ptr != 0` and `size > 0`.
+    /// address. Called with `ptr != 0` and `size > 0`. The default is
+    /// [`realloc_by_move`]; an allocator overrides it only to say what the
+    /// move does not (growth in place, routing to an owner) and ends there.
     fn realloc(
         &mut self,
         ptr: u64,
@@ -216,7 +224,9 @@ pub trait VmAllocator {
         site: CallSite,
         gs: &GroupState,
         mem: &mut Memory,
-    ) -> u64;
+    ) -> u64 {
+        realloc_by_move(self, ptr, size, site, gs, mem)
+    }
 
     /// Allocate and zero `count * size` bytes. The default forwards to
     /// [`VmAllocator::malloc`] and zeroes the region.
@@ -274,7 +284,12 @@ pub trait SyncVmAllocator: Sync {
     /// called from a different thread than the allocating one.
     fn free(&self, ptr: u64, mem: &mut Memory);
 
-    /// Resize an allocation, moving it if necessary.
+    /// The requested size of the live region starting exactly at `ptr`
+    /// (see [`VmAllocator::live_size`]).
+    fn live_size(&self, ptr: u64) -> Option<u64>;
+
+    /// Resize an allocation, moving it if necessary (defaults to
+    /// [`realloc_by_move`] over the shared handle).
     fn realloc(
         &self,
         ptr: u64,
@@ -282,7 +297,9 @@ pub trait SyncVmAllocator: Sync {
         site: CallSite,
         gs: &GroupState,
         mem: &mut Memory,
-    ) -> u64;
+    ) -> u64 {
+        realloc_by_move(&mut &*self, ptr, size, site, gs, mem)
+    }
 
     /// Allocate and zero `count * size` bytes (defaults to malloc+zero).
     fn calloc(
@@ -319,13 +336,17 @@ pub trait SyncVmAllocator: Sync {
 /// Shared references to thread-safe allocators run anywhere a plain
 /// [`VmAllocator`] is expected — this is the bridge that lets one
 /// allocator serve many engines.
-impl<A: SyncVmAllocator> VmAllocator for &A {
+impl<A: SyncVmAllocator + ?Sized> VmAllocator for &A {
     fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
         SyncVmAllocator::malloc(*self, size, site, gs, mem)
     }
 
     fn free(&mut self, ptr: u64, mem: &mut Memory) {
         SyncVmAllocator::free(*self, ptr, mem)
+    }
+
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        SyncVmAllocator::live_size(*self, ptr)
     }
 
     fn realloc(
@@ -359,47 +380,29 @@ impl<A: SyncVmAllocator> VmAllocator for &A {
     }
 }
 
-/// Boxed (possibly trait-object) allocators forward wholesale, so harness
-/// code can hold heterogeneous backends as `Box<dyn …>` and still hand
-/// them to the engine.
-impl<A: VmAllocator + ?Sized> VmAllocator for Box<A> {
-    fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64 {
-        (**self).malloc(size, site, gs, mem)
+/// `realloc` as a move — the one place a region's bytes are copied. A
+/// `ptr` with no live region behind it is a plain `malloc`; when the new
+/// block cannot be had the result is 0 and the old region stays live and
+/// intact; otherwise the first `min(old, new)` *requested* bytes move and
+/// the old region is freed. Calls only `live_size`, `malloc` and `free`,
+/// never `realloc`, so an override may end here.
+pub fn realloc_by_move<A: VmAllocator + ?Sized>(
+    alloc: &mut A,
+    ptr: u64,
+    size: u64,
+    site: CallSite,
+    gs: &GroupState,
+    mem: &mut Memory,
+) -> u64 {
+    let Some(old) = alloc.live_size(ptr) else {
+        return alloc.malloc(size, site, gs, mem);
+    };
+    let newp = alloc.malloc(size, site, gs, mem);
+    if newp != 0 {
+        mem.copy(newp, ptr, old.min(size));
+        alloc.free(ptr, mem);
     }
-
-    fn free(&mut self, ptr: u64, mem: &mut Memory) {
-        (**self).free(ptr, mem)
-    }
-
-    fn realloc(
-        &mut self,
-        ptr: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        (**self).realloc(ptr, size, site, gs, mem)
-    }
-
-    fn calloc(
-        &mut self,
-        count: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        (**self).calloc(count, size, site, gs, mem)
-    }
-
-    fn thread_switched(&mut self, thread: u16) {
-        (**self).thread_switched(thread)
-    }
-
-    fn run_finished(&mut self, mem: &mut Memory) {
-        (**self).run_finished(mem)
-    }
+    newp
 }
 
 /// Execution limits protecting against runaway workloads.
@@ -575,7 +578,7 @@ impl<'p> Engine<'p> {
     /// # Errors
     ///
     /// Returns a [`VmError`] if the program traps or exceeds a limit.
-    pub fn run<A: VmAllocator, M: Monitor>(
+    pub fn run<A: VmAllocator + ?Sized, M: Monitor>(
         &mut self,
         alloc: &mut A,
         monitor: &mut M,
@@ -838,26 +841,50 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// A trivial bump allocator with `realloc` support, for tests, doctests,
-/// and semantics-preservation oracles. It never reuses memory.
+/// The bump allocator: 8-byte-aligned regions (the paper's minimum
+/// alignment, §4.4) handed out back to back through `[base, base + span)`.
+/// `free` releases accounting but never reuses memory. For tests, doctests
+/// and semantics-preservation oracles, and the pool inside `halo_mem`'s
+/// random four-pool allocator.
 #[derive(Debug)]
 pub struct MallocOnlyAllocator {
     next: u64,
-    sizes: std::collections::HashMap<u64, u64>,
+    /// One past the span, in whole granules: a request that would cross it
+    /// fails (returns 0) instead of aliasing whatever lies beyond.
+    limit: u64,
+    sizes: std::collections::HashMap<u64, u64, crate::hash::FastIntState>,
+    live_bytes: u64,
 }
 
 impl MallocOnlyAllocator {
-    /// Heap base address used by this allocator.
+    /// Heap base address used by [`Self::new`].
     pub const BASE: u64 = 0x1000_0000;
 
     /// Create an allocator bumping from [`Self::BASE`].
     pub fn new() -> Self {
-        MallocOnlyAllocator { next: Self::BASE, sizes: std::collections::HashMap::new() }
+        Self::with_base_span(Self::BASE, 1 << 36)
     }
 
-    /// Total bytes handed out.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next - Self::BASE
+    /// Create an allocator bumping through `[base, base + span)`; `base`
+    /// is 8-byte aligned and not 0.
+    pub fn with_base_span(base: u64, span: u64) -> Self {
+        assert!(base > 0 && base.is_multiple_of(8), "bump base must be aligned and non-null");
+        MallocOnlyAllocator {
+            next: base,
+            limit: base.saturating_add(span) & !7,
+            sizes: Default::default(),
+            live_bytes: 0,
+        }
+    }
+
+    /// Bytes currently live, as requested.
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
+    /// Number of live allocations.
+    pub fn live_objects(&self) -> usize {
+        self.sizes.len()
     }
 }
 
@@ -871,28 +898,23 @@ impl VmAllocator for MallocOnlyAllocator {
     fn malloc(&mut self, size: u64, _site: CallSite, _gs: &GroupState, _mem: &mut Memory) -> u64 {
         let size = size.max(1);
         let ptr = self.next;
-        self.next += (size + 7) & !7;
+        let Some(end) = ptr.checked_add(size).filter(|&end| end <= self.limit) else {
+            return 0; // span exhausted: allocation failure, not aliasing
+        };
+        self.next = end.next_multiple_of(8);
         self.sizes.insert(ptr, size);
+        self.live_bytes += size;
         ptr
     }
 
     fn free(&mut self, ptr: u64, _mem: &mut Memory) {
-        self.sizes.remove(&ptr);
+        if let Some(size) = self.sizes.remove(&ptr) {
+            self.live_bytes -= size;
+        }
     }
 
-    fn realloc(
-        &mut self,
-        ptr: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        let old_size = self.sizes.get(&ptr).copied().unwrap_or(0);
-        let newp = self.malloc(size, site, gs, mem);
-        mem.copy(newp, ptr, old_size.min(size));
-        self.sizes.remove(&ptr);
-        newp
+    fn live_size(&self, ptr: u64) -> Option<u64> {
+        self.sizes.get(&ptr).copied()
     }
 }
 
@@ -1205,15 +1227,8 @@ mod tests {
             fn free(&mut self, ptr: u64, m: &mut Memory) {
                 self.inner.free(ptr, m)
             }
-            fn realloc(
-                &mut self,
-                p: u64,
-                s: u64,
-                site: CallSite,
-                g: &GroupState,
-                m: &mut Memory,
-            ) -> u64 {
-                self.inner.realloc(p, s, site, g, m)
+            fn live_size(&self, ptr: u64) -> Option<u64> {
+                self.inner.live_size(ptr)
             }
             fn thread_switched(&mut self, thread: u16) {
                 self.switches.push(thread);
@@ -1263,15 +1278,8 @@ mod tests {
             fn free(&self, ptr: u64, m: &mut Memory) {
                 self.0.lock().unwrap().free(ptr, m)
             }
-            fn realloc(
-                &self,
-                p: u64,
-                s: u64,
-                site: CallSite,
-                g: &GroupState,
-                m: &mut Memory,
-            ) -> u64 {
-                self.0.lock().unwrap().realloc(p, s, site, g, m)
+            fn live_size(&self, ptr: u64) -> Option<u64> {
+                self.0.lock().unwrap().live_size(ptr)
             }
         }
         let mut pb = ProgramBuilder::new();
@@ -1476,5 +1484,58 @@ mod tests {
         let mut expected = vec!["alloc", "call"];
         expected.extend(["access", "call"].repeat(7));
         assert_eq!(kinds, expected);
+    }
+
+    fn site() -> CallSite {
+        CallSite::new(FuncId(0), 0)
+    }
+
+    #[test]
+    fn consecutive_allocations_are_contiguous_modulo_alignment() {
+        let mut a = MallocOnlyAllocator::new();
+        let gs = GroupState::default();
+        let mut mem = Memory::new();
+        let p1 = a.malloc(24, site(), &gs, &mut mem);
+        let p2 = a.malloc(8, site(), &gs, &mut mem);
+        assert_eq!(p2, p1 + 24);
+        let p3 = a.malloc(5, site(), &gs, &mut mem);
+        assert_eq!(p3 % 8, 0);
+        assert_eq!(p3, p2 + 8);
+    }
+
+    #[test]
+    fn free_updates_accounting_but_not_reuse() {
+        let mut a = MallocOnlyAllocator::new();
+        let gs = GroupState::default();
+        let mut mem = Memory::new();
+        let p1 = a.malloc(100, site(), &gs, &mut mem);
+        assert_eq!(a.live_bytes(), 100);
+        a.free(p1, &mut mem);
+        assert_eq!(a.live_bytes(), 0);
+        let p2 = a.malloc(100, site(), &gs, &mut mem);
+        assert_ne!(p1, p2, "bump allocators never reuse");
+    }
+
+    #[test]
+    fn realloc_copies_contents() {
+        let mut a = MallocOnlyAllocator::new();
+        let gs = GroupState::default();
+        let mut mem = Memory::new();
+        let p = a.malloc(16, site(), &gs, &mut mem);
+        mem.write(p, 8, 0xfeed);
+        let q = a.realloc(p, 64, site(), &gs, &mut mem);
+        assert_eq!(mem.read(q, 8), 0xfeed);
+        assert_eq!(a.live_objects(), 1);
+    }
+
+    #[test]
+    fn a_request_past_the_span_fails_instead_of_aliasing_the_neighbour() {
+        let mut a = MallocOnlyAllocator::with_base_span(0x1000, 64);
+        let gs = GroupState::default();
+        let mut mem = Memory::new();
+        assert_eq!(a.malloc(60, site(), &gs, &mut mem), 0x1000);
+        assert_eq!(a.malloc(8, site(), &gs, &mut mem), 0, "64 + 8 would cross into 0x1040");
+        assert_eq!(a.live_objects(), 1, "a failed request is not accounted");
+        assert_eq!(MallocOnlyAllocator::new().malloc(u64::MAX, site(), &gs, &mut mem), 0);
     }
 }

@@ -71,8 +71,8 @@ mod rng;
 
 pub use builder::{FunctionBuilder, Label, ProgramBuilder};
 pub use engine::{
-    AccessBatch, AllocKind, Engine, EngineLimits, ExitStats, MallocOnlyAllocator, Monitor,
-    NullMonitor, SyncVmAllocator, VmAllocator, VmError,
+    realloc_by_move, AccessBatch, AllocKind, Engine, EngineLimits, ExitStats, MallocOnlyAllocator,
+    Monitor, NullMonitor, SyncVmAllocator, VmAllocator, VmError,
 };
 pub use group_state::GroupState;
 pub use hash::{mix64, FastIntHasher, FastIntState};

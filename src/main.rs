@@ -722,7 +722,7 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
     // Wall-clock rows are noise-sensitive; never fan the sweep out.
     for w in workloads {
         let config = config_for(w, flags);
-        let halo = halo::core::Halo::new(config.halo);
+        let halo = halo::core::Halo::for_measurement(&config.halo, &config.measure);
         let opt = halo
             .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
             .map_err(|e| format!("{}: {e}", w.name))?;

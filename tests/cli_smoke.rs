@@ -574,6 +574,27 @@ fn chunk_size_and_merge_tolerance_are_validated_at_parse_time() {
     }
 }
 
+/// A 4 GiB chunk wants a 2 GiB granule table; a host that refuses it takes
+/// the `ChunkAlloc` rung of the degradation ladder (the group serves from
+/// the fallback), not an abort inside `vec![0; cells]`.
+#[cfg(unix)]
+#[test]
+fn a_granule_table_the_host_refuses_degrades_the_group() {
+    let cmd = format!(
+        "ulimit -v 4000000; HALO_THREADS=1 exec '{}' run --benchmark toy --chunk-size 4294967296 --json",
+        env!("CARGO_BIN_EXE_halo")
+    );
+    let out = Command::new("sh").args(["-c", &cmd]).output().expect("sh must spawn");
+    assert!(out.status.success(), "{:?}: {}", out.status, stderr(&out));
+    let text = stdout(&out);
+    let degraded: u64 = text
+        .split("\"degraded_groups\":")
+        .skip(1)
+        .map(|rest| rest.split(',').next().and_then(|n| n.parse::<u64>().ok()).expect("a count"))
+        .sum();
+    assert!(degraded >= 1, "no group degraded: {text}");
+}
+
 #[test]
 fn errors_are_reported_with_usage() {
     let no_command = halo(&[]);
