@@ -12,22 +12,15 @@ fn main() {
     );
     let workloads = halo_workloads::all();
     let w = workloads.iter().find(|w| w.name == "health").expect("health exists");
+    // The sweep moves allocator knobs only: one baseline serves every row.
+    let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
     for chunk_size in [64 << 10, 256 << 10, 1 << 20, 4 << 20] {
         for (label, spare) in [("0", 0usize), ("1", 1), ("inf", usize::MAX)] {
             let mut config = halo_bench::paper_config(w);
             config.halo.alloc.chunk_size = chunk_size;
             config.halo.alloc.slab_size = (chunk_size * 64).max(1 << 22);
             config.halo.alloc.max_spare_chunks = spare;
-            let halo = halo_core::Halo::new(config.halo);
-            let opt = halo
-                .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
-                .expect("pipeline runs");
-            let mut base_alloc = halo_mem::SizeClassAllocator::new();
-            let base = halo_core::measure(&w.program, &mut base_alloc, &config.measure)
-                .expect("base runs");
-            let mut alloc = halo.make_allocator(&opt);
-            let m =
-                halo_core::measure(&opt.program, &mut alloc, &config.measure).expect("halo runs");
+            let (_, _, alloc, m) = halo_bench::halo_run(w, &config);
             let frag = alloc.frag_report();
             println!(
                 "{:>10} {:>8} {:>14} {:>10} {:>9.2}% {:>12}",

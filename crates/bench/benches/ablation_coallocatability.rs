@@ -4,8 +4,6 @@
 //! unrealisable affinities and the allocator's layout no longer matches
 //! the graph's promises.
 
-use halo_core::Halo;
-
 fn main() {
     halo_bench::banner("Ablation: co-allocatability constraint on/off");
     println!(
@@ -15,14 +13,11 @@ fn main() {
     let workloads = halo_workloads::all();
     for name in ["health", "ft", "omnetpp"] {
         let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         for enforce in [true, false] {
             let mut config = halo_bench::paper_config(w);
             config.halo.profile.enforce_coallocatability = enforce;
-            let halo = Halo::new(config.halo);
-            let opt = halo
-                .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
-                .expect("pipeline runs");
-            let (base, m, _) = halo_bench::run_halo_only(w, &config);
+            let (_, opt, _, m) = halo_bench::halo_run(w, &config);
             println!(
                 "{:<10} {:<6} {:>8} {:>12} {:>14} {:>10}",
                 name,

@@ -7,10 +7,6 @@
 //! shards), printing misses, simulated cycles, the coherence counters, and
 //! the per-thread miss breakdown, then states the sharded-vs-plain
 //! invalidation verdict the acceptance gate checks.
-//!
-//! The first non-flag CLI argument filters the benchmark list (`cargo
-//! bench --bench ablation_coherence -- server` runs just the server
-//! rows) — CI's bench-smoke step relies on this to stay cheap.
 
 use halo_core::ConfigResult;
 
@@ -36,16 +32,12 @@ fn row(name: &str, id: &str, r: &ConfigResult) {
 }
 
 fn main() {
-    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     halo_bench::banner("Ablation: coherence traffic, sharded vs plain HALO");
     println!(
         "{:<10} {:<13} {:>12} {:>14} {:>8} {:>8} {:>8}   per-thread L1D misses",
         "benchmark", "backend", "L1D misses", "cycles", "inval", "upgrade", "rfill"
     );
     for w in halo_workloads::multithreaded() {
-        if filter.as_deref().is_some_and(|needle| !w.name.contains(needle)) {
-            continue;
-        }
         let result = halo_bench::run_workload(&w, &["halo-sharded"]);
         let plain = result.halo();
         let sharded = result.get("halo-sharded").expect("extra backend measured");

@@ -27,10 +27,11 @@ fn main() {
     );
     let workloads = halo_workloads::all();
     for row in halo_core::par_map(&workloads, |w| {
+        let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         let run = |granularity: Granularity| {
             let mut config = halo_bench::paper_config(w);
             config.halo.profile.granularity = granularity;
-            let (base, opt, optimised) = halo_bench::run_halo_only(w, &config);
+            let (_, optimised, _, opt) = halo_bench::halo_run(w, &config);
             (opt.miss_reduction_vs(&base), optimised)
         };
         let (object, _) = run(Granularity::Object);

@@ -4,7 +4,7 @@
 //! cut-based clustering techniques". This harness swaps the clusterer while
 //! keeping every other stage fixed and measures the end-to-end result.
 
-use halo_core::{measure, Halo};
+use halo_core::measure;
 use halo_graph::{group, hcs_clusters, modularity_clusters, AffinityGraph, Group, NodeId};
 use halo_ident::{contexts_from_profile, identify};
 use halo_rewrite::instrument;
@@ -35,11 +35,11 @@ fn main() {
     for name in ["health", "ft", "povray", "xalanc"] {
         let w = workloads.iter().find(|w| w.name == name).expect("known");
         let config = halo_bench::paper_config(w);
-        let halo = Halo::new(config.halo);
-        let profile =
-            halo.profile_with_arg(&w.program, w.train.seed, w.train.arg).expect("profiling runs");
-        let mut base_alloc = halo_mem::SizeClassAllocator::new();
-        let base = measure(&w.program, &mut base_alloc, &config.measure).expect("base runs");
+        // The profile every clusterer reads is the pipeline's own; the
+        // stages after grouping are re-run per candidate below, which is
+        // the point of this harness.
+        let profile = halo_bench::optimise(w, &config).1.profile;
+        let base = halo_bench::baseline(w, &config);
 
         let candidates: Vec<(&str, Vec<Group>)> = vec![
             ("density", group(&profile.graph, &config.halo.grouping)),

@@ -3,7 +3,7 @@
 //! allocation. Wrapper-heavy benchmarks collapse under immediate-site
 //! identification because unrelated contexts share their final site.
 
-use halo_core::{measure, Halo};
+use halo_core::measure;
 use std::collections::HashMap;
 
 fn main() {
@@ -13,15 +13,10 @@ fn main() {
     for name in ["health", "povray", "xalanc", "leela"] {
         let w = workloads.iter().find(|w| w.name == name).expect("known");
         let config = halo_bench::paper_config(w);
-        let halo = Halo::new(config.halo);
-        let opt =
-            halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).expect("pipeline runs");
-        let mut base_alloc = halo_mem::SizeClassAllocator::new();
-        let base = measure(&w.program, &mut base_alloc, &config.measure).expect("base runs");
+        let base = halo_bench::baseline(w, &config);
 
         // Full context: the real HALO configuration.
-        let mut alloc = halo.make_allocator(&opt);
-        let full = measure(&opt.program, &mut alloc, &config.measure).expect("runs");
+        let (_, opt, _, full) = halo_bench::halo_run(w, &config);
         println!(
             "{:<10} {:<14} {:>14} {:>10}",
             name,

@@ -4,8 +4,6 @@
 //! behaviour would be too strict, and the majority of groups would consist
 //! only of one or two nodes around the strongest edges."
 
-use halo_core::Halo;
-
 fn main() {
     halo_bench::banner("Ablation: merge tolerance T (grouping slack)");
     println!(
@@ -15,14 +13,11 @@ fn main() {
     let workloads = halo_workloads::all();
     for name in ["povray", "health", "xalanc"] {
         let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         for t in [0.0, 0.01, 0.05, 0.15, 0.40] {
             let mut config = halo_bench::paper_config(w);
             config.halo.grouping.merge_tolerance = t;
-            let halo = Halo::new(config.halo);
-            let opt = halo
-                .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
-                .expect("pipeline runs");
-            let (base, m, _) = halo_bench::run_halo_only(w, &config);
+            let (_, opt, _, m) = halo_bench::halo_run(w, &config);
             let max_members = opt.groups.iter().map(|g| g.members.len()).max().unwrap_or(0);
             println!(
                 "{:<10} {:>6.2} {:>8} {:>12} {:>14} {:>10}",

@@ -4,15 +4,11 @@
 //! this harness prints the same structure textually: each group with its
 //! member contexts, plus the strong inter-context edges.
 
-use halo_core::{Halo, HaloConfig};
-
 fn main() {
     halo_bench::banner("Figure 9: allocation groups for the povray test workload");
     let ws = halo_workloads::all();
     let w = ws.iter().find(|w| w.name == "povray").expect("povray exists");
-    let cfg = halo_bench::paper_config(w);
-    let halo = Halo::new(HaloConfig { ..cfg.halo });
-    let opt = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).expect("pipeline runs");
+    let (_, opt) = halo_bench::optimise(w, &halo_bench::paper_config(w));
 
     // Hide weak edges, like the paper's figure. Our simulated profile is
     // smaller, so scale the threshold with the observed total weight.

@@ -19,9 +19,7 @@ fn main() {
         let w = workloads.iter().find(|w| w.name == name).expect("known benchmark");
         let config = halo_bench::paper_config(w);
         // Baseline reference (the dashed line in the paper's figure).
-        let mut base_alloc = halo_mem::SizeClassAllocator::new();
-        let base = halo_core::measure(&w.program, &mut base_alloc, &config.measure)
-            .expect("baseline runs");
+        let base = halo_bench::baseline(w, &config);
         println!("\n--- {name}: baseline {:.2} Mcycles ---", base.cycles / 1e6);
         println!(
             "{:>10} {:>14} {:>10} {:>8} {:>16}",
@@ -31,7 +29,7 @@ fn main() {
         for row in halo_core::par_map(&distances, |&a| {
             let mut cfg = config.clone();
             cfg.halo.profile.affinity_distance = a;
-            let (_, halo, optimised) = halo_bench::run_halo_only(w, &cfg);
+            let (_, optimised, _, halo) = halo_bench::halo_run(w, &cfg);
             format!(
                 "{:>10} {:>14.2} {:>10} {:>8} {:>16.2}",
                 a,

@@ -7,10 +7,13 @@
 //! not taken here: the `benchmark/` package is the one instrument, and
 //! links [`paper_config`] from this crate.
 
-use halo_core::{evaluate_with_arg, EvalConfig, EvalResult, HaloConfig, MeasureConfig};
+use halo_core::{
+    evaluate_with_arg, measure, EvalConfig, EvalResult, Halo, HaloConfig, MeasureConfig,
+    Measurement, Optimised,
+};
 use halo_graph::{Granularity, GroupingParams, ReusePolicyChoice};
 use halo_hds::HdsConfig;
-use halo_mem::GroupAllocConfig;
+use halo_mem::{GroupAllocConfig, HaloGroupAllocator, SizeClassAllocator};
 use halo_profile::ProfileConfig;
 use halo_vm::EngineLimits;
 use halo_workloads::Workload;
@@ -120,24 +123,40 @@ pub fn run_workload(workload: &Workload, extras: &[&'static str]) -> EvalResult 
     .unwrap_or_else(|e| panic!("workload {} failed: {e}", workload.name))
 }
 
-/// Measure only the jemalloc-style baseline and the HALO configuration for
-/// a workload under `config` — the light-weight path used by sweeps
-/// (Fig. 12 and the ablations), which do not need the comparison technique.
-pub fn run_halo_only(
-    workload: &Workload,
-    config: &EvalConfig,
-) -> (halo_core::Measurement, halo_core::Measurement, halo_core::Optimised) {
-    let halo = halo_core::Halo::for_measurement(&config.halo, &config.measure);
+/// Run the HALO pipeline on `workload`'s train input under `config`. The
+/// [`Halo`] comes back configured for `config.measure`'s geometry
+/// ([`Halo::for_measurement`]), so the `auto` policies validated on the
+/// caches the caller is about to measure on.
+pub fn optimise(workload: &Workload, config: &EvalConfig) -> (Halo, Optimised) {
+    let halo = Halo::for_measurement(&config.halo, &config.measure);
     let optimised = halo
         .optimise_with_arg(&workload.program, workload.train.seed, workload.train.arg)
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", workload.name));
-    let mut base_alloc = halo_mem::SizeClassAllocator::new();
-    let base = halo_core::measure(&workload.program, &mut base_alloc, &config.measure)
-        .unwrap_or_else(|e| panic!("{}: baseline run failed: {e}", workload.name));
-    let mut halo_alloc = halo.make_allocator(&optimised);
-    let opt = halo_core::measure(&optimised.program, &mut halo_alloc, &config.measure)
+    (halo, optimised)
+}
+
+/// Measure `workload`'s unmodified binary under the jemalloc-style
+/// baseline on `config.measure` (the ref input). It depends on nothing
+/// else in `config`: a sweep over pipeline knobs measures it once.
+pub fn baseline(workload: &Workload, config: &EvalConfig) -> Measurement {
+    measure(&workload.program, &mut SizeClassAllocator::new(), &config.measure)
+        .unwrap_or_else(|e| panic!("{}: baseline run failed: {e}", workload.name))
+}
+
+/// [`optimise`], then measure the rewritten binary under the synthesised
+/// allocator on the ref input — the light-weight path of the sweeps
+/// (Fig. 12 and the ablations), which need neither the comparison
+/// technique nor a baseline per row. The allocator comes back as measured,
+/// for its `frag_report()`.
+pub fn halo_run(
+    workload: &Workload,
+    config: &EvalConfig,
+) -> (Halo, Optimised, HaloGroupAllocator, Measurement) {
+    let (halo, optimised) = optimise(workload, config);
+    let mut alloc = halo.make_allocator(&optimised);
+    let measured = measure(&optimised.program, &mut alloc, &config.measure)
         .unwrap_or_else(|e| panic!("{}: HALO run failed: {e}", workload.name));
-    (base, opt, optimised)
+    (halo, optimised, alloc, measured)
 }
 
 /// Measure the baseline against one registry backend on the unmodified
@@ -149,22 +168,16 @@ pub fn run_halo_only(
 ///
 /// Panics if `id` is not a registry backend, or names one that needs the
 /// rewritten binary or the pipeline artefacts.
-pub fn run_backend_pair(
-    workload: &Workload,
-    id: &str,
-) -> (halo_core::Measurement, halo_core::Measurement) {
+pub fn run_backend_pair(workload: &Workload, id: &str) -> (Measurement, Measurement) {
     let spec = halo_core::backend_spec(id)
         .unwrap_or_else(|| panic!("unknown backend '{id}' (see halo_core::BACKENDS)"));
     let halo_core::BackendMake::Plain(make) = spec.make else {
-        panic!("backend '{id}' needs the full evaluate() path");
+        panic!("backend '{id}' needs the full evaluate_with_arg() path");
     };
     let config = paper_config(workload);
-    let mut base_alloc = halo_mem::SizeClassAllocator::new();
-    let base = halo_core::measure(&workload.program, &mut base_alloc, &config.measure)
-        .unwrap_or_else(|e| panic!("{}: baseline run failed: {e}", workload.name));
-    let m = halo_core::measure(&workload.program, &mut *make(&config), &config.measure)
+    let m = measure(&workload.program, &mut *make(&config), &config.measure)
         .unwrap_or_else(|e| panic!("{}: comparison run failed: {e}", workload.name));
-    (base, m)
+    (baseline(workload, &config), m)
 }
 
 /// Format a fraction as a signed percentage with one decimal.

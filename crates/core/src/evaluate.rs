@@ -145,26 +145,11 @@ impl EvalResult {
 
 /// Run the full methodology for one workload program.
 ///
-/// `train_seed` drives the profiling runs (the paper's *test/train*
-/// inputs); the measurement seed in `config.measure` drives the *ref*
+/// `train_seed` and `train_arg` (the entry function's scale argument)
+/// drive the profiling runs (the paper's *test/train* inputs); the
+/// measurement seed and argument in `config.measure` drive the *ref*
 /// runs. All runs are deterministic, standing in for the paper's
 /// 11-trial medians (see DESIGN.md).
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if any execution traps.
-pub fn evaluate(
-    program: &Program,
-    name: &str,
-    train_seed: u64,
-    config: &EvalConfig,
-) -> Result<EvalResult, PipelineError> {
-    evaluate_with_arg(program, name, train_seed, 0, config)
-}
-
-/// Like [`evaluate`], passing a scale argument to the entry function for
-/// the profiling (train) runs. The measurement (ref) argument lives in
-/// `config.measure.entry_arg`.
 ///
 /// # Errors
 ///
@@ -363,7 +348,7 @@ mod tests {
             extras: vec!["random", "ptmalloc"],
             ..Default::default()
         };
-        let result = evaluate(&p, "fig2", 1, &cfg).expect("evaluation runs");
+        let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation runs");
         let (hds_mr, halo_mr) = result.miss_reduction_row();
         let (_, halo_su) = result.speedup_row();
         // HALO must reduce misses and not meaningfully slow the program
@@ -387,7 +372,7 @@ mod tests {
         // inline headers.
         let p = workload();
         let cfg = EvalConfig { extras: vec!["ptmalloc"], ..Default::default() };
-        let result = evaluate(&p, "fig2", 1, &cfg).expect("runs");
+        let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("runs");
         let pt = result.ptmalloc().expect("requested");
         assert!(
             result.baseline().measurement.stats.l1_misses <= pt.measurement.stats.l1_misses,
@@ -413,7 +398,7 @@ mod tests {
             shards: 4,
             ..Default::default()
         };
-        let result = evaluate(&p, "fig2", 1, &cfg).expect("evaluation runs");
+        let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation runs");
         let sharded = result.get("halo-sharded").expect("requested backend");
         let halo = result.halo();
         assert_eq!(sharded.measurement.stats.l1_misses, halo.measurement.stats.l1_misses);
@@ -472,7 +457,7 @@ mod tests {
         // appears to leak.
         let p = cross_thread_workload();
         let cfg = EvalConfig { extras: vec!["halo-sharded"], shards: 2, ..EvalConfig::default() };
-        let result = evaluate(&p, "mt", 1, &cfg).expect("evaluation runs");
+        let result = evaluate_with_arg(&p, "mt", 1, 0, &cfg).expect("evaluation runs");
         let s = result.get("halo-sharded").expect("requested").alloc_stats.expect("grouped");
         assert_eq!(
             s.grouped_allocs + s.fallback_allocs,
@@ -494,7 +479,8 @@ mod tests {
             faults: Some(FaultPlan::new(3).at(halo_mem::FaultSite::VmmReserve, 1)),
             ..Default::default()
         };
-        let result = evaluate(&p, "fig2", 1, &cfg).expect("evaluation survives injected faults");
+        let result =
+            evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation survives injected faults");
         // The HALO backend's first slab reservation failed: its group
         // degraded, the run completed on the fallback, and the ladder's
         // counters surfaced in the result.
@@ -509,19 +495,19 @@ mod tests {
         assert!(result.baseline().degrade.is_none());
         // An empty plan attaches an injector that never fires.
         let clean = EvalConfig { faults: Some(FaultPlan::default()), ..EvalConfig::default() };
-        let clean_result = evaluate(&p, "fig2", 1, &clean).expect("runs");
+        let clean_result = evaluate_with_arg(&p, "fig2", 1, 0, &clean).expect("runs");
         assert_eq!(clean_result.halo().degrade, Some(DegradeStats::default()));
     }
 
     #[test]
     fn backends_follow_registry_order_and_gating() {
         let p = workload();
-        let plain = evaluate(&p, "fig2", 1, &EvalConfig::default()).expect("runs");
+        let plain = evaluate_with_arg(&p, "fig2", 1, 0, &EvalConfig::default()).expect("runs");
         let ids: Vec<&str> = plain.backends.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, ["baseline", "halo", "hds"], "extras absent unless requested");
         assert!(plain.random().is_none() && plain.ptmalloc().is_none());
         let cfg = EvalConfig { extras: vec!["random"], ..Default::default() };
-        let with_random = evaluate(&p, "fig2", 1, &cfg).expect("runs");
+        let with_random = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("runs");
         let ids: Vec<&str> = with_random.backends.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, ["baseline", "halo", "hds", "random"]);
         // Non-grouped backends report no grouped-pool diagnostics.

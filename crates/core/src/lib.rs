@@ -11,7 +11,7 @@
 //!
 //! The [`measure`] runner executes any program under any allocator on the
 //! simulated memory hierarchy and reports the paper's two metrics (L1D
-//! misses and simulated time), and [`evaluate`] runs the full §5
+//! misses and simulated time), and [`evaluate_with_arg`] runs the full §5
 //! methodology for one workload: profile on the *train* seed, measure on
 //! the *ref* seed, for the jemalloc-style baseline, HALO, hot data streams,
 //! the random four-pool allocator (Fig. 15), and the ptmalloc-style
@@ -67,7 +67,7 @@
 //! # }
 //! let program = fig2();
 //! let halo = Halo::new(HaloConfig::default());
-//! let optimised = halo.optimise(&program, 1)?;
+//! let optimised = halo.optimise_with_arg(&program, 1, 0)?;
 //! let mut alloc = halo.make_allocator(&optimised);
 //! let m = measure(&optimised.program, &mut alloc, &MeasureConfig::default())?;
 //! assert!(m.stats.accesses() > 0);
@@ -84,10 +84,9 @@ mod serve;
 
 pub use backend::{backend_spec, BackendMake, BackendSpec, BACKENDS};
 pub use env::{env_warning, parse_env_or_warn};
-pub use evaluate::{evaluate, evaluate_with_arg, ConfigResult, EvalConfig, EvalResult};
+pub use evaluate::{evaluate_with_arg, ConfigResult, EvalConfig, EvalResult};
 pub use measure::{
-    measure, measure_detailed, measure_with, CacheMonitor, MeasureConfig, MeasureDetail,
-    Measurement,
+    measure, measure_detailed, CacheMonitor, MeasureConfig, MeasureDetail, Measurement,
 };
 pub use parallel::{
     par_each_ordered, par_map, par_merge_subgraphs, parse_halo_threads, thread_count,

@@ -134,20 +134,7 @@ pub fn measure<A: VmAllocator + ?Sized>(
     alloc: &mut A,
     config: &MeasureConfig,
 ) -> Result<Measurement, VmError> {
-    measure_with(program, alloc, config).map(|(m, _)| m)
-}
-
-/// Like [`measure`], but also returns the raw [`ExitStats`].
-///
-/// # Errors
-///
-/// Returns the [`VmError`] if the program traps or exceeds limits.
-pub fn measure_with<A: VmAllocator + ?Sized>(
-    program: &Program,
-    alloc: &mut A,
-    config: &MeasureConfig,
-) -> Result<(Measurement, ExitStats), VmError> {
-    measure_detailed(program, alloc, config).map(|d| (d.measurement, d.exit))
+    measure_detailed(program, alloc, config).map(|d| d.measurement)
 }
 
 /// A [`Measurement`] plus the per-thread breakdown behind it (not `Copy`:

@@ -2,8 +2,10 @@
 //! (§6's page-granularity fallback, which the paper sketches but never
 //! builds).
 
-use crate::measure::{measure, MeasureConfig};
-use halo_graph::{group, Granularity, Group, GroupPlan, GroupingParams, ReusePolicyChoice};
+use crate::measure::{measure, MeasureConfig, Measurement};
+use halo_graph::{
+    group, AffinityGraph, Granularity, Group, GroupPlan, GroupingParams, ReusePolicyChoice,
+};
 use halo_ident::{contexts_from_profile, identify, Identification};
 use halo_mem::{
     GroupAllocConfig, HaloGroupAllocator, ReusePolicy, ShardedHaloAllocator, SizeClassAllocator,
@@ -141,18 +143,9 @@ impl Halo {
         &self.config
     }
 
-    /// Profile `program` (one run with `train_seed`) and return the raw
+    /// Profile `program` (one run with `train_seed`, passing `train_arg` —
+    /// the *train* input size — to the entry function) and return the raw
     /// profile — the first pipeline stage alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Vm`] if the profiling run traps.
-    pub fn profile(&self, program: &Program, train_seed: u64) -> Result<Profile, PipelineError> {
-        self.profile_with_arg(program, train_seed, 0)
-    }
-
-    /// Like [`Halo::profile`], passing a scale argument to the entry
-    /// function (the *train* input size).
     ///
     /// # Errors
     ///
@@ -180,17 +173,9 @@ impl Halo {
         Ok(profiler.finish_with(crate::parallel::par_merge_subgraphs))
     }
 
-    /// Run the whole pipeline: profile → group → identify → rewrite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Vm`] if the profiling run traps.
-    pub fn optimise(&self, program: &Program, train_seed: u64) -> Result<Optimised, PipelineError> {
-        self.optimise_with_arg(program, train_seed, 0)
-    }
-
-    /// Like [`Halo::optimise`], passing a scale argument to the entry
-    /// function for the profiling run.
+    /// Run the whole pipeline — profile → group → identify → rewrite — on
+    /// one train input (`train_arg` is the entry function's scale
+    /// argument for the profiling run).
     ///
     /// The configured granularity policy (`config.profile.granularity`)
     /// decides which affinity graph grouping consumes. `Auto` groups at
@@ -204,8 +189,8 @@ impl Halo {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::Vm`] if the profiling run (or, under
-    /// `Auto`, a train-input validation run) traps.
+    /// Returns [`PipelineError::Vm`] if the profiling run (or, under an
+    /// `Auto` policy, a train-input validation run) traps.
     pub fn optimise_with_arg(
         &self,
         program: &Program,
@@ -213,99 +198,110 @@ impl Halo {
         train_arg: i64,
     ) -> Result<Optimised, PipelineError> {
         let profile = self.profile_with_arg(program, train_seed, train_arg)?;
-        let optimised = match self.config.profile.granularity {
-            Granularity::Object => self.assemble(program, profile, Granularity::Object, false),
-            Granularity::Page => self.assemble(program, profile, Granularity::Page, false),
-            Granularity::Auto => self.resolve_auto(program, profile, train_seed, train_arg)?,
-        };
-        if self.config.reuse == ReusePolicyChoice::Auto && !optimised.groups.is_empty() {
-            self.resolve_reuse(optimised, train_seed, train_arg)
-        } else {
-            Ok(optimised)
-        }
-    }
-
-    /// Group `profile` at one concrete granularity, stamp every group's
-    /// layout plan from the configuration, and build the rewritten binary
-    /// plus selector machinery. `pub(crate)` for the serve loop, which
-    /// re-assembles from a *streamed* graph instead of a fresh profile.
-    pub(crate) fn assemble(
-        &self,
-        program: &Program,
-        profile: Profile,
-        granularity: Granularity,
-        auto_declined: bool,
-    ) -> Optimised {
-        let graph = match granularity {
-            Granularity::Page => &profile.page_graph,
-            _ => &profile.graph,
-        };
-        let resolved =
-            if granularity == Granularity::Auto { Granularity::Object } else { granularity };
-        let mut groups =
-            if auto_declined { Vec::new() } else { group(graph, &self.config.grouping) };
-        let plan = GroupPlan {
-            granularity: resolved,
-            reuse: self.config.reuse.initial_policy(),
-            chunk_size: self.config.alloc.chunk_size,
-            max_spare_chunks: self.config.alloc.max_spare_chunks,
-        };
-        for g in &mut groups {
-            g.plan = plan;
-        }
-        let contexts = contexts_from_profile(&profile);
-        let ident = identify(&groups, &contexts);
-        let (rewritten, rewrite) = instrument(program, &ident.site_bits);
-        Optimised {
-            program: rewritten,
-            profile,
-            groups,
-            granularity: resolved,
-            auto_declined,
-            ident,
-            rewrite,
-        }
-    }
-
-    /// The `auto` policy: object granularity, then page, then decline —
-    /// each step validated by measuring the grouping against the plain
-    /// baseline on the *train* input.
-    fn resolve_auto(
-        &self,
-        program: &Program,
-        profile: Profile,
-        train_seed: u64,
-        train_arg: i64,
-    ) -> Result<Optimised, PipelineError> {
-        /// A grouping is kept only if its measured L1D miss reduction on
-        /// the *train* input exceeds this fraction; otherwise the policy
-        /// falls back (object → page → decline to group). The ref input is
-        /// never consulted, preserving the §5.1 train/ref separation.
-        const AUTO_MIN_GAIN: f64 = 0.01;
-        let train_measure = MeasureConfig {
+        // What both `auto` validators measure candidates on: the *train*
+        // input, on the geometry the final measurement uses.
+        let train = MeasureConfig {
             hierarchy: self.config.hierarchy,
             timing: self.config.timing,
             limits: self.config.limits,
             seed: train_seed,
             entry_arg: train_arg,
         };
-        let mut baseline_alloc = SizeClassAllocator::new();
-        let baseline = measure(program, &mut baseline_alloc, &train_measure)?;
+        let policy = self.config.profile.granularity;
+        let (granularity, mut plan) = match policy {
+            Granularity::Auto => self.resolve_auto(program, &profile, &train)?,
+            g => (g, self.assemble(program, &profile, graph_at(&profile, g), g)),
+        };
+        if self.config.reuse == ReusePolicyChoice::Auto && !plan.groups.is_empty() {
+            self.resolve_reuse(&mut plan, granularity, &train)?;
+        }
+        Ok(Optimised {
+            auto_declined: policy == Granularity::Auto && plan.groups.is_empty(),
+            program: plan.program,
+            profile,
+            groups: plan.groups,
+            granularity,
+            ident: plan.ident,
+            rewrite: plan.rewrite,
+        })
+    }
 
+    /// The one path from a graph to a plan: group `graph` (over
+    /// `profile`'s context ids), stamp every group's layout plan from the
+    /// configuration at the concrete `granularity` the graph was recorded
+    /// at, and build the selector machinery plus the rewritten binary.
+    /// Everything is borrowed: the `auto` validators try several graphs of
+    /// one profile, and the serve loop passes its *streamed* graph.
+    pub(crate) fn assemble(
+        &self,
+        program: &Program,
+        profile: &Profile,
+        graph: &AffinityGraph,
+        granularity: Granularity,
+    ) -> Plan {
+        let mut groups = group(graph, &self.config.grouping);
+        let stamp = GroupPlan {
+            granularity,
+            reuse: self.config.reuse.initial_policy(),
+            chunk_size: self.config.alloc.chunk_size,
+            max_spare_chunks: self.config.alloc.max_spare_chunks,
+        };
+        for g in &mut groups {
+            g.plan = stamp;
+        }
+        let ident = identify(&groups, &contexts_from_profile(profile));
+        let (program, rewrite) = instrument(program, &ident.site_bits);
+        Plan { groups, ident, program, rewrite }
+    }
+
+    /// One train-input trial, the step both `auto` validators take:
+    /// synthesise `plan`'s allocator and measure its rewritten binary on
+    /// the train input. The allocator comes back for its fragmentation
+    /// reports.
+    fn train_trial(
+        &self,
+        plan: &Plan,
+        granularity: Granularity,
+        train: &MeasureConfig,
+    ) -> Result<(Measurement, HaloGroupAllocator), PipelineError> {
+        let (alloc, overrides) = self.alloc_plan(&plan.groups, granularity);
+        let mut alloc =
+            HaloGroupAllocator::with_group_configs(alloc, plan.ident.table.clone(), overrides);
+        let measured = measure(&plan.program, &mut alloc, train)?;
+        Ok((measured, alloc))
+    }
+
+    /// The `auto` granularity policy: object granularity, then page, then
+    /// decline — each candidate validated by measuring its grouping
+    /// against the plain baseline on the *train* input.
+    fn resolve_auto(
+        &self,
+        program: &Program,
+        profile: &Profile,
+        train: &MeasureConfig,
+    ) -> Result<(Granularity, Plan), PipelineError> {
+        /// A grouping is kept only if its measured L1D miss reduction on
+        /// the *train* input exceeds this fraction; otherwise the policy
+        /// falls back (object → page → decline to group). The ref input is
+        /// never consulted, preserving the §5.1 train/ref separation.
+        const AUTO_MIN_GAIN: f64 = 0.01;
+        let baseline = measure(program, &mut SizeClassAllocator::new(), train)?;
         for granularity in [Granularity::Object, Granularity::Page] {
-            let candidate = self.assemble(program, profile.clone(), granularity, false);
+            let candidate =
+                self.assemble(program, profile, graph_at(profile, granularity), granularity);
             if candidate.groups.is_empty() {
                 continue;
             }
-            let mut alloc = self.make_allocator(&candidate);
-            let measured = measure(&candidate.program, &mut alloc, &train_measure)?;
+            let (measured, _) = self.train_trial(&candidate, granularity, train)?;
             if measured.miss_reduction_vs(&baseline) > AUTO_MIN_GAIN {
-                return Ok(candidate);
+                return Ok((granularity, candidate));
             }
         }
-        // Neither granularity demonstrated a train-input win: decline to
-        // group and leave the binary untouched.
-        Ok(self.assemble(program, profile, Granularity::Object, true))
+        // Neither granularity demonstrated a train-input win: decline. A
+        // decline is the plan of a graph with nothing in it — no groups,
+        // no monitored sites, the binary untouched.
+        let declined = self.assemble(program, profile, &AffinityGraph::new(), Granularity::Object);
+        Ok((Granularity::Object, declined))
     }
 
     /// The per-group `auto` reuse policy: starting from the all-bump plans
@@ -321,10 +317,10 @@ impl Halo {
     /// is never consulted (§5.1 train/ref separation).
     fn resolve_reuse(
         &self,
-        mut optimised: Optimised,
-        train_seed: u64,
-        train_arg: i64,
-    ) -> Result<Optimised, PipelineError> {
+        plan: &mut Plan,
+        granularity: Granularity,
+        train: &MeasureConfig,
+    ) -> Result<(), PipelineError> {
         /// Per-group fragmentation fraction (of that group's own peak
         /// resident chunks) above which the group is a flip candidate.
         const REUSE_MIN_FRAG: f64 = 0.10;
@@ -332,15 +328,7 @@ impl Halo {
         /// raises train-input L1D misses by more than this fraction over
         /// the all-bump plan — contiguity keeps the group at bump.
         const REUSE_MISS_TOLERANCE: f64 = 0.01;
-        let train_measure = MeasureConfig {
-            hierarchy: self.config.hierarchy,
-            timing: self.config.timing,
-            limits: self.config.limits,
-            seed: train_seed,
-            entry_arg: train_arg,
-        };
-        let mut alloc = self.make_allocator(&optimised);
-        let bump = measure(&optimised.program, &mut alloc, &train_measure)?;
+        let (bump, alloc) = self.train_trial(plan, granularity, train)?;
         let group_frags = alloc.group_frag_reports();
         let mut best = (alloc.frag_report().frag_fraction(), bump.stats.l1_misses);
         let miss_cap = (bump.stats.l1_misses as f64 * (1.0 + REUSE_MISS_TOLERANCE)) as u64;
@@ -348,7 +336,7 @@ impl Halo {
         // Fragmentation-heavy groups first (their flips move the total
         // most); groups below the threshold — or wasting less than a page —
         // are never touched.
-        let mut candidates: Vec<usize> = (0..optimised.groups.len())
+        let mut candidates: Vec<usize> = (0..plan.groups.len())
             .filter(|&i| {
                 group_frags[i].frag_fraction() >= REUSE_MIN_FRAG
                     && group_frags[i].wasted_bytes() >= PAGE_SIZE
@@ -357,7 +345,7 @@ impl Halo {
         candidates.sort_by_key(|&i| std::cmp::Reverse(group_frags[i].wasted_bytes()));
 
         for i in candidates {
-            let bump_plan = optimised.groups[i].plan;
+            let bump_plan = plan.groups[i].plan;
             let mut accepted: Option<(GroupPlan, (f64, u64))> = None;
             let mut tried: Vec<GroupPlan> = Vec::new();
             for chunk_size in
@@ -370,9 +358,8 @@ impl Halo {
                     continue; // the floor collapsed two ladder rungs into one
                 }
                 tried.push(candidate);
-                optimised.groups[i].plan = candidate;
-                let mut alloc = self.make_allocator(&optimised);
-                let measured = measure(&optimised.program, &mut alloc, &train_measure)?;
+                plan.groups[i].plan = candidate;
+                let (measured, alloc) = self.train_trial(plan, granularity, train)?;
                 let score = (alloc.frag_report().frag_fraction(), measured.stats.l1_misses);
                 if measured.stats.l1_misses <= miss_cap
                     && score.0 < best.0
@@ -382,14 +369,14 @@ impl Halo {
                 }
             }
             match accepted {
-                Some((plan, score)) => {
-                    optimised.groups[i].plan = plan;
+                Some((flipped, score)) => {
+                    plan.groups[i].plan = flipped;
                     best = score;
                 }
-                None => optimised.groups[i].plan = bump_plan,
+                None => plan.groups[i].plan = bump_plan,
             }
         }
-        Ok(optimised)
+        Ok(())
     }
 
     /// Synthesise the specialised allocator for an optimisation result
@@ -402,7 +389,7 @@ impl Halo {
     /// lifted to the chunk size: the §6 fallback exists precisely to lay
     /// out objects the object-granularity cap excludes.
     pub fn make_allocator(&self, optimised: &Optimised) -> HaloGroupAllocator {
-        let (alloc, overrides) = self.alloc_plan(optimised);
+        let (alloc, overrides) = self.alloc_plan(&optimised.groups, optimised.granularity);
         HaloGroupAllocator::with_group_configs(alloc, optimised.ident.table.clone(), overrides)
     }
 
@@ -416,24 +403,24 @@ impl Halo {
         optimised: &Optimised,
         shards: usize,
     ) -> ShardedHaloAllocator {
-        let (alloc, overrides) = self.alloc_plan(optimised);
+        let (alloc, overrides) = self.alloc_plan(&optimised.groups, optimised.granularity);
         ShardedHaloAllocator::new(shards, alloc, optimised.ident.table.clone(), overrides)
     }
 
     /// The global allocator configuration plus one per-group override per
-    /// plan — the translation both allocator constructors share, and the
+    /// plan — the translation every allocator constructor shares, and the
     /// shape [`halo_mem::ShardedHaloAllocator::swap_plans`] accepts from
     /// the serve loop.
     pub(crate) fn alloc_plan(
         &self,
-        optimised: &Optimised,
+        groups: &[Group],
+        granularity: Granularity,
     ) -> (GroupAllocConfig, Vec<GroupAllocConfig>) {
         let mut alloc = self.config.alloc;
-        if optimised.granularity == Granularity::Page {
+        if granularity == Granularity::Page {
             alloc.max_grouped_size = alloc.max_grouped_size.max(alloc.chunk_size);
         }
-        let overrides = optimised
-            .groups
+        let overrides = groups
             .iter()
             .map(|g| GroupAllocConfig {
                 chunk_size: g.plan.chunk_size,
@@ -443,6 +430,24 @@ impl Halo {
             })
             .collect();
         (alloc, overrides)
+    }
+}
+
+/// What [`Halo::assemble`] builds from one graph: the groups with their
+/// stamped [`GroupPlan`]s, the selector machinery identifying them, and
+/// the binary rewritten to drive it.
+pub(crate) struct Plan {
+    pub(crate) groups: Vec<Group>,
+    pub(crate) ident: Identification,
+    pub(crate) program: Program,
+    pub(crate) rewrite: RewriteReport,
+}
+
+/// The graph `profile` recorded at a concrete `granularity`.
+pub(crate) fn graph_at(profile: &Profile, granularity: Granularity) -> &AffinityGraph {
+    match granularity {
+        Granularity::Page => &profile.page_graph,
+        _ => &profile.graph,
     }
 }
 
@@ -512,7 +517,7 @@ mod tests {
             grouping: GroupingParams { min_weight: 2, ..Default::default() },
             ..Default::default()
         });
-        let opt = halo.optimise(&p, 7).expect("pipeline runs");
+        let opt = halo.optimise_with_arg(&p, 7, 0).expect("pipeline runs");
         assert!(!opt.groups.is_empty(), "A and B should form a group");
         // The rewritten binary grew by instrumentation.
         assert!(opt.rewrite.sites_instrumented > 0);
@@ -528,7 +533,7 @@ mod tests {
             grouping: GroupingParams { min_weight: 2, ..Default::default() },
             ..Default::default()
         });
-        let opt = halo.optimise(&p, 7).expect("pipeline runs");
+        let opt = halo.optimise_with_arg(&p, 7, 0).expect("pipeline runs");
         let mut alloc = halo.make_allocator(&opt);
         let mut monitor = halo_vm::NullMonitor;
         Engine::new(&opt.program)
@@ -545,11 +550,33 @@ mod tests {
     fn pipeline_is_deterministic() {
         let p = fig2_program(32);
         let halo = Halo::new(HaloConfig::default());
-        let a = halo.optimise(&p, 3).expect("runs");
-        let b = halo.optimise(&p, 3).expect("runs");
+        let a = halo.optimise_with_arg(&p, 3, 0).expect("runs");
+        let b = halo.optimise_with_arg(&p, 3, 0).expect("runs");
         assert_eq!(a.groups, b.groups);
         assert_eq!(a.ident.site_bits, b.ident.site_bits);
         assert_eq!(a.program.code_size(), b.program.code_size());
+    }
+
+    #[test]
+    fn both_auto_validators_share_the_one_profiling_run() {
+        // Object and page candidates, the all-bump trial and every reuse
+        // flip are assembled from — and measured beside — one borrowed
+        // profile: the validators cost train *measurements*, never a
+        // second profiling run (or a copy of the first).
+        let p = fig2_program(256);
+        let mut config = HaloConfig {
+            grouping: GroupingParams { min_weight: 2, ..Default::default() },
+            reuse: ReusePolicyChoice::Auto,
+            // Small enough that the hot pair's layout shows in L1D misses.
+            hierarchy: halo_cache::HierarchyConfig::tiny(),
+            ..Default::default()
+        };
+        config.profile.granularity = Granularity::Auto;
+        let profiled = PROFILING_RUNS.get();
+        let opt = Halo::new(config).optimise_with_arg(&p, 7, 0).expect("pipeline runs");
+        assert_eq!(PROFILING_RUNS.get() - profiled, 1);
+        assert!(!opt.groups.is_empty() && !opt.auto_declined);
+        assert_eq!(opt.granularity, Granularity::Object);
     }
 
     #[test]
@@ -564,7 +591,7 @@ mod tests {
         let main = m.finish();
         let p = pb.finish(main);
         let halo = Halo::new(HaloConfig::default());
-        let opt = halo.optimise(&p, 1).expect("runs");
+        let opt = halo.optimise_with_arg(&p, 1, 0).expect("runs");
         assert!(opt.groups.is_empty());
         assert_eq!(opt.program.code_size(), p.code_size(), "no instrumentation");
         // The allocator degenerates to pure fallback.
@@ -588,6 +615,9 @@ mod tests {
             limits: EngineLimits { max_instructions: 1000, max_call_depth: 8 },
             ..Default::default()
         });
-        assert!(matches!(halo.optimise(&p, 0), Err(PipelineError::Vm(VmError::FuelExhausted))));
+        assert!(matches!(
+            halo.optimise_with_arg(&p, 0, 0),
+            Err(PipelineError::Vm(VmError::FuelExhausted))
+        ));
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! 1. **streams** one bounded profiling run into a [`ProfileStream`]
 //!    (exponential decay, so the graph tracks the current phase instead
-//!    of averaging over history);
+//!    of averaging over history) — the run's graph at the granularity the
+//!    plans are grouped at, so drift and a swapped plan read one graph;
 //! 2. **detects**: every `regroup_every` windows the decayed graph is
 //!    re-grouped and compared against the grouping the active plan was
 //!    built on ([`halo_graph::grouping_drift`]); drift beyond the
@@ -29,8 +30,8 @@
 //! report is deterministic except the swap wall-clock latencies.
 
 use crate::measure::{measure, MeasureConfig, Measurement};
-use crate::pipeline::{Halo, HaloConfig, Optimised, PipelineError};
-use halo_graph::{group, grouping_drift, Granularity, Group};
+use crate::pipeline::{graph_at, Halo, HaloConfig, PipelineError};
+use halo_graph::{group, grouping_drift, Group};
 use halo_mem::{ShardedHaloAllocator, SizeClassAllocator};
 use halo_profile::ProfileStream;
 use halo_vm::Program;
@@ -136,7 +137,8 @@ pub struct ServeReport {
 
 /// State the serve loop carries for the currently active plan.
 struct ActivePlan {
-    optimised: Optimised,
+    /// The binary rewritten for this plan.
+    program: Program,
     /// Index into the phase script of the binary this plan was built
     /// for. Measurement runs the rewritten binary only while the serving
     /// phase still executes that binary; after a phase shift the new
@@ -147,6 +149,14 @@ struct ActivePlan {
     groups: Vec<Group>,
     /// Best miss reduction observed since this plan was installed.
     best_miss_reduction: f64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The groups of every plan swapped in on this thread, in swap order,
+    /// so a test can tell which graph a swap was grouped from.
+    static INSTALLED_GROUPS: std::cell::RefCell<Vec<Vec<Group>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Run the serve loop over a phase script. See the module docs for the
@@ -171,19 +181,23 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
 
     // Initial optimisation on phase 0 — both the serve plan and the
     // static twin start from this one result. The twin keeps its own copy
-    // of the rewritten binary: `initial` moves into the active plan and
-    // is dropped at the first swap.
+    // of the rewritten binary: the active plan's is dropped at the first
+    // swap.
     let first = &phases[0];
     let initial = halo.optimise_with_arg(&first.program, first.train_seed, first.train_arg)?;
     let serve_alloc = halo.make_sharded_allocator(&initial, config.shards);
     let static_alloc = halo.make_sharded_allocator(&initial, config.shards);
     let static_program = initial.program.clone();
 
+    // Every plan of the run is grouped at the granularity phase 0 resolved
+    // to, and the stream absorbs each window's graph of that granularity:
+    // drift is read off the very graph a swap would be grouped from.
+    let granularity = initial.granularity;
     let mut stream = ProfileStream::new(config.decay);
-    stream.absorb(&initial.profile);
+    stream.absorb_graph(graph_at(&initial.profile, granularity));
     let mut active = ActivePlan {
-        groups: initial.groups.clone(),
-        optimised: initial,
+        program: initial.program,
+        groups: initial.groups,
         source_phase: 0,
         best_miss_reduction: f64::NEG_INFINITY,
     };
@@ -202,7 +216,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             // 1. Stream one profiling window.
             let profile =
                 halo.profile_with_arg(&phase.program, phase.train_seed, phase.train_arg)?;
-            stream.absorb(&profile);
+            stream.absorb_graph(graph_at(&profile, granularity));
 
             // 2. Phase detection on re-grouping windows.
             let mut drift = None;
@@ -228,26 +242,22 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             let mut swapped = false;
             let mut swap_latency_us = 0.0;
             if drift.is_some_and(|d| d > config.drift_threshold) || regressed {
-                let granularity = match halo.config().profile.granularity {
-                    Granularity::Auto => Granularity::Object,
-                    g => g,
-                };
                 // Re-assemble from the *streamed* (decayed) graph: the
                 // window profile supplies the context table — same
                 // interning order, so ids line up — and the stream
                 // supplies the edge structure.
-                let mut streamed = profile.clone();
-                streamed.graph = stream.graph().clone();
-                let reopt = halo.assemble(&phase.program, streamed, granularity, false);
-                let (_, overrides) = halo.alloc_plan(&reopt);
+                let reopt = halo.assemble(&phase.program, &profile, stream.graph(), granularity);
+                let (_, overrides) = halo.alloc_plan(&reopt.groups, granularity);
                 let start = std::time::Instant::now();
-                serve_alloc.swap_plans(reopt.ident.table.clone(), overrides);
+                serve_alloc.swap_plans(reopt.ident.table, overrides);
                 swap_latency_us = start.elapsed().as_secs_f64() * 1e6;
                 swaps += 1;
                 swapped = true;
+                #[cfg(test)]
+                INSTALLED_GROUPS.with_borrow_mut(|log| log.push(reopt.groups.clone()));
                 active = ActivePlan {
-                    groups: reopt.groups.clone(),
-                    optimised: reopt,
+                    program: reopt.program,
+                    groups: reopt.groups,
                     source_phase: phase_idx,
                     best_miss_reduction: f64::NEG_INFINITY,
                 };
@@ -270,11 +280,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             )?;
             let serve_m = measure_serving(
                 &serve_alloc,
-                if active.source_phase == phase_idx {
-                    &active.optimised.program
-                } else {
-                    &phase.program
-                },
+                if active.source_phase == phase_idx { &active.program } else { &phase.program },
                 &mcfg,
             )?;
             let miss_reduction = serve_m.miss_reduction_vs(&baseline);
@@ -320,7 +326,7 @@ fn measure_serving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_graph::GroupingParams;
+    use halo_graph::{Granularity, GroupingParams};
     use halo_vm::{Cond, ProgramBuilder, Reg, Width};
 
     fn r(n: u8) -> Reg {
@@ -456,6 +462,78 @@ mod tests {
         // Well-formed report plumbing.
         assert_eq!(report.final_miss_reduction, report.rows.last().unwrap().miss_reduction);
         assert!(report.rows.iter().filter(|row| row.swapped).count() as u64 == report.swaps);
+    }
+
+    /// Two allocation contexts of 8 KiB arrays, touched alternately one
+    /// page apart: invisible below the 4 KiB object cap, affinitive at
+    /// page granularity (the roms shape).
+    fn paged_program(rounds: i64) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let makers = [pb.declare("mk_a"), pb.declare("mk_b")];
+        for f in makers {
+            let mut fb = pb.define(f);
+            fb.imm(r(0), 8192);
+            fb.malloc(r(0), r(1));
+            fb.ret(Some(r(1)));
+            fb.finish();
+        }
+        let mut m = pb.function("main");
+        m.imm(r(10), 0);
+        m.imm(r(11), rounds);
+        let top = m.label();
+        let done = m.label();
+        m.bind(top);
+        m.branch(Cond::Ge, r(10), r(11), done);
+        m.call(makers[0], &[], Some(r(1)));
+        m.call(makers[1], &[], Some(r(2)));
+        for offset in [0, 4096] {
+            m.store(r(10), r(1), offset, Width::W8);
+            m.store(r(10), r(2), offset, Width::W8);
+        }
+        m.add_imm(r(10), r(10), 1);
+        m.jump(top);
+        m.bind(done);
+        m.ret(None);
+        let main = m.finish();
+        pb.finish(main)
+    }
+
+    #[test]
+    fn page_granularity_swaps_in_the_grouping_of_the_streamed_page_graph() {
+        let mut config = ServeConfig { regroup_every: 2, ..serve_config() };
+        config.halo.profile.granularity = Granularity::Page;
+        let paged = phase("paged", paged_program(32), 4);
+        // Windows 0 (steady), 1-4 (paged); detection runs on 0, 2 and 4.
+        // Window 2 sees the new binary and swaps, two decayed windows into
+        // the paged phase's stream.
+        INSTALLED_GROUPS.take();
+        let report = serve(&[phase("steady", phased_program(2, 48), 1), paged.clone()], &config)
+            .expect("serve runs");
+        let installed = INSTALLED_GROUPS.take();
+
+        let halo = Halo::for_measurement(&config.halo, &config.measure);
+        let window = halo.profile_with_arg(&paged.program, paged.train_seed, 0).expect("profiles");
+        let mut stream = ProfileStream::new(config.decay);
+        stream.absorb_graph(&window.page_graph);
+        stream.absorb_graph(&window.page_graph);
+        let shape = |groups: &[Group]| -> Vec<_> {
+            groups.iter().map(|g| (g.members.clone(), g.weight, g.accesses)).collect()
+        };
+        let streamed = group(stream.graph(), &config.halo.grouping);
+        assert!(!streamed.is_empty(), "the arrays group at page granularity");
+        assert!(group(&window.graph, &config.halo.grouping).is_empty(), "and only there");
+        assert_ne!(shape(&streamed), shape(&group(&window.page_graph, &config.halo.grouping)));
+        assert_eq!(installed.len(), 1, "{:?}", report.rows);
+        assert_eq!(
+            shape(&installed[0]),
+            shape(&streamed),
+            "the plan is the stream's, decay and all"
+        );
+        // Drift is read off that same graph: the next detection window
+        // finds the grouping it installed, not an (empty) object-level one.
+        assert!(report.rows[2].swapped);
+        assert_eq!(report.rows[4].drift, Some(0.0), "{:?}", report.rows);
+        assert_eq!(report.swaps, 1);
     }
 
     #[test]

@@ -135,37 +135,92 @@ fn coallocatable(contexts: &[ContextData], x: NodeId, sx: u64, y: NodeId, sy: u6
     x == y || !violates(y)
 }
 
+/// One recording lane: the affinity queue of one identity (objects, or
+/// 4 KiB pages), the edges it found and its macro-access total. Both
+/// granularities record through [`Lane::record`] and finish through
+/// [`Lane::finish`]; they differ only in the [`QueueEntry::obj`] they key
+/// the queue by.
+struct Lane {
+    queue: AffinityQueue,
+    /// Per-logical-thread graph deltas (DESIGN.md §13): every edge
+    /// increment is attributed to the thread that caused it, and
+    /// [`Lane::finish`] unions the shards — by summed weights, so the
+    /// result is identical to single-graph recording for *any*
+    /// thread-switch pattern. Indexed by thread id; single-threaded runs
+    /// only ever touch shard 0.
+    shards: Vec<SubGraph>,
+    /// Macro-accesses recorded.
+    total: u64,
+}
+
+impl Lane {
+    fn new(distance: u64) -> Self {
+        Lane { queue: AffinityQueue::new(distance), shards: vec![SubGraph::new()], total: 0 }
+    }
+
+    /// Offer one access to the queue on behalf of logical thread `thread`.
+    /// The queue applies the consecutiveness (macro-access) check once;
+    /// partners that pass the co-allocatability test (when `enforce`d)
+    /// stream straight into edge updates, nothing materializes. Returns
+    /// whether the access counted as a macro-access.
+    fn record(
+        &mut self,
+        thread: usize,
+        entry: QueueEntry,
+        contexts: &[ContextData],
+        enforce: bool,
+    ) -> bool {
+        let shard = &mut self.shards[thread];
+        let QueueEntry { ctx, alloc_seq, .. } = entry;
+        let recorded = self.queue.record_with(entry, |partner| {
+            if !enforce || coallocatable(contexts, ctx, alloc_seq, partner.ctx, partner.alloc_seq) {
+                shard.add_edge_weight(ctx, partner.ctx, 1);
+            }
+        });
+        self.total += u64::from(recorded);
+        recorded
+    }
+
+    /// Union the shards with `merge`, give every context its node and its
+    /// access count (`accesses` picks this lane's counter), and adopt the
+    /// merged delta as the graph — no edge is hashed a second time — with
+    /// the cold-node filter applied.
+    fn finish(
+        self,
+        merge: &impl Fn(Vec<SubGraph>) -> SubGraph,
+        contexts: &[ContextData],
+        accesses: impl Fn(&ContextInfo) -> u64,
+        keep_fraction: f64,
+    ) -> AffinityGraph {
+        let mut merged = merge(self.shards);
+        for c in contexts {
+            merged.add_accesses(c.info.id, accesses(&c.info));
+        }
+        let mut graph = merged.into_graph();
+        graph.discard_cold_nodes(keep_fraction);
+        graph
+    }
+}
+
 /// A [`Monitor`] implementing the paper's profiling stage. Drive a program
 /// through it with [`halo_vm::Engine::run`], then call
 /// [`Profiler::finish`].
 pub struct Profiler<'p> {
     program: &'p Program,
     config: ProfileConfig,
-    /// Whether the page-granularity trace is recorded alongside the
-    /// object-level one (derived from `config.granularity`).
-    track_pages: bool,
     shadow: ShadowStack<'p>,
     objects: ObjectTracker,
-    queue: AffinityQueue,
-    /// Page-identity affinity queue (unused in object-only mode).
-    page_queue: AffinityQueue,
-    graph: AffinityGraph,
-    /// Page-granularity graph over the same node ids as `graph`.
-    page_graph: AffinityGraph,
-    /// Per-logical-thread object-graph deltas (DESIGN.md §13): every edge
-    /// increment is attributed to the thread that caused it, and
-    /// [`Profiler::finish_with`] unions the shards — by summed weights, so
-    /// the result is identical to single-graph recording for *any*
-    /// thread-switch pattern. Indexed by thread id; single-threaded runs
-    /// only ever touch shard 0.
-    shards: Vec<SubGraph>,
-    /// Index into `shards` for the currently executing logical thread.
-    current_shard: usize,
+    /// The object-identity lane.
+    object: Lane,
+    /// The page-identity lane, over the same node ids; recorded only when
+    /// `config.granularity` tracks pages.
+    page: Option<Lane>,
+    /// The currently executing logical thread: the shard both lanes
+    /// record into.
+    thread: usize,
     intern: HashMap<RawContext, NodeId>,
     contexts: Vec<ContextData>,
     next_seq: u64,
-    total_accesses: u64,
-    total_page_accesses: u64,
     total_allocs: u64,
 }
 
@@ -175,20 +230,14 @@ impl<'p> Profiler<'p> {
         Profiler {
             program,
             config,
-            track_pages: config.granularity.tracks_pages(),
             shadow: ShadowStack::new(program),
             objects: ObjectTracker::new(),
-            queue: AffinityQueue::new(config.affinity_distance),
-            page_queue: AffinityQueue::new(config.affinity_distance),
-            graph: AffinityGraph::new(),
-            page_graph: AffinityGraph::new(),
-            shards: vec![SubGraph::new()],
-            current_shard: 0,
+            object: Lane::new(config.affinity_distance),
+            page: config.granularity.tracks_pages().then(|| Lane::new(config.affinity_distance)),
+            thread: 0,
             intern: HashMap::new(),
             contexts: Vec::new(),
             next_seq: 0,
-            total_accesses: 0,
-            total_page_accesses: 0,
             total_allocs: 0,
         }
     }
@@ -197,14 +246,9 @@ impl<'p> Profiler<'p> {
         if let Some(&id) = self.intern.get(&raw) {
             return id;
         }
-        let id = self.graph.add_node(0);
-        if self.track_pages {
-            // The page graph shares `graph`'s id space so groups from
-            // either granularity index the same context table.
-            let page_id = self.page_graph.add_node(0);
-            debug_assert_eq!(page_id, id);
-        }
-        debug_assert_eq!(id.index(), self.contexts.len());
+        // Both lanes' graphs are built over this one id space, so groups
+        // from either granularity index the same context table.
+        let id = NodeId(u32::try_from(self.contexts.len()).expect("context ids fit NodeId's u32"));
         let name = self.context_name(&raw);
         self.contexts.push(ContextData {
             info: ContextInfo {
@@ -242,21 +286,17 @@ impl<'p> Profiler<'p> {
     /// strategy — `halo_core` injects its `par_map`-based tree merge here.
     /// Because [`SubGraph::merge`] is commutative and associative, every
     /// strategy yields the same profile byte for byte.
-    pub fn finish_with(mut self, merge: impl FnOnce(Vec<SubGraph>) -> SubGraph) -> Profile {
-        let shard_count = self.shards.len();
-        let merged = merge(std::mem::take(&mut self.shards));
-        merged.apply_to(&mut self.graph);
-        for c in &self.contexts {
-            self.graph.add_accesses(c.info.id, c.info.accesses);
-            if self.track_pages {
-                self.page_graph.add_accesses(c.info.id, c.info.page_accesses);
-            }
-        }
-        self.graph.discard_cold_nodes(self.config.keep_fraction);
-        if self.track_pages {
-            self.page_graph.discard_cold_nodes(self.config.keep_fraction);
-        }
-        let graph = self.graph;
+    pub fn finish_with(self, merge: impl Fn(Vec<SubGraph>) -> SubGraph) -> Profile {
+        let keep = self.config.keep_fraction;
+        let shard_count = self.object.shards.len();
+        let total_accesses = self.object.total;
+        let total_page_accesses = self.page.as_ref().map_or(0, |lane| lane.total);
+        let queue_work = self.object.queue.traversal_work()
+            + self.page.as_ref().map_or(0, |lane| lane.queue.traversal_work());
+        let graph = self.object.finish(&merge, &self.contexts, |c| c.accesses, keep);
+        let page_graph = self.page.map_or_else(AffinityGraph::new, |lane| {
+            lane.finish(&merge, &self.contexts, |c| c.page_accesses, keep)
+        });
         let contexts: Vec<ContextInfo> = self
             .contexts
             .into_iter()
@@ -267,12 +307,12 @@ impl<'p> Profiler<'p> {
             .collect();
         Profile {
             graph,
-            page_graph: self.page_graph,
+            page_graph,
             contexts,
-            total_accesses: self.total_accesses,
-            total_page_accesses: self.total_page_accesses,
+            total_accesses,
+            total_page_accesses,
             total_allocs: self.total_allocs,
-            queue_work: self.queue.traversal_work() + self.page_queue.traversal_work(),
+            queue_work,
             shard_count,
         }
     }
@@ -303,7 +343,7 @@ impl Monitor for Profiler<'_> {
         // §6 fallback exists for. The object-granularity path re-applies the
         // cap per access (`on_access`), so object-mode behaviour is
         // unchanged by the wider tracking.
-        if size <= self.config.max_tracked_size || self.track_pages {
+        if size <= self.config.max_tracked_size || self.page.is_some() {
             self.objects.insert(seq, ptr, size, ctx);
         }
     }
@@ -313,71 +353,37 @@ impl Monitor for Profiler<'_> {
     }
 
     fn on_thread_switch(&mut self, thread: u16) {
-        // Each logical thread records its affinity-edge increments into
-        // its own SubGraph shard; finish() unions them, so the totals are
-        // independent of the switch pattern.
-        let t = thread as usize;
-        if self.shards.len() <= t {
-            self.shards.resize_with(t + 1, SubGraph::new);
+        self.thread = thread as usize;
+        for lane in std::iter::once(&mut self.object).chain(&mut self.page) {
+            if lane.shards.len() <= self.thread {
+                lane.shards.resize_with(self.thread + 1, SubGraph::new);
+            }
         }
-        self.current_shard = t;
     }
 
     fn on_access(&mut self, addr: u64, width: u8, _store: bool) {
         let Some(obj) = self.objects.find(addr) else { return };
-        let Profiler {
-            queue,
-            page_queue,
-            page_graph,
-            shards,
-            current_shard,
-            contexts,
-            config,
-            track_pages,
-            total_accesses,
-            total_page_accesses,
-            ..
-        } = self;
-        let shard = &mut shards[*current_shard];
-        // Object-granularity path: the tracked-size cap applies here (large
-        // objects may be in the tracker for the page path's benefit). The
-        // queue applies the consecutiveness (macro-access) check once;
-        // partners stream straight into edge updates, nothing materializes.
-        if obj.size() <= config.max_tracked_size {
-            let entry =
-                QueueEntry { obj: obj.id, ctx: obj.ctx, alloc_seq: obj.id, size: width as u64 };
-            let recorded = queue.record_with(entry, |partner| {
-                if !config.enforce_coallocatability
-                    || coallocatable(contexts, obj.ctx, obj.id, partner.ctx, partner.alloc_seq)
-                {
-                    shard.add_edge_weight(obj.ctx, partner.ctx, 1);
-                }
-            });
-            if recorded {
-                *total_accesses += 1;
-                contexts[obj.ctx.index()].info.accesses += 1;
-            }
+        let enforce = self.config.enforce_coallocatability;
+        // Whatever the identity, an access is attributed to the allocation
+        // context owning the address, and co-allocatability is judged on
+        // the owning objects' allocation order.
+        let entry = |identity| QueueEntry {
+            obj: identity,
+            ctx: obj.ctx,
+            alloc_seq: obj.id,
+            size: width as u64,
+        };
+        // The tracked-size cap applies to the object lane only (large
+        // objects may be in the tracker for the page lane's benefit).
+        if obj.size() <= self.config.max_tracked_size
+            && self.object.record(self.thread, entry(obj.id), &self.contexts, enforce)
+        {
+            self.contexts[obj.ctx.index()].info.accesses += 1;
         }
-        // Page-granularity path: identity is the 4 KiB page, attributed to
-        // the allocation context owning the address; co-allocatability uses
-        // the owning objects' allocation order, as at object granularity.
-        if *track_pages {
-            let entry = QueueEntry {
-                obj: addr >> PAGE_GRANULARITY_SHIFT,
-                ctx: obj.ctx,
-                alloc_seq: obj.id,
-                size: width as u64,
-            };
-            let recorded = page_queue.record_with(entry, |partner| {
-                if !config.enforce_coallocatability
-                    || coallocatable(contexts, obj.ctx, obj.id, partner.ctx, partner.alloc_seq)
-                {
-                    page_graph.add_edge_weight(obj.ctx, partner.ctx, 1);
-                }
-            });
-            if recorded {
-                *total_page_accesses += 1;
-                contexts[obj.ctx.index()].info.page_accesses += 1;
+        if let Some(page) = &mut self.page {
+            let identity = addr >> PAGE_GRANULARITY_SHIFT;
+            if page.record(self.thread, entry(identity), &self.contexts, enforce) {
+                self.contexts[obj.ctx.index()].info.page_accesses += 1;
             }
         }
     }

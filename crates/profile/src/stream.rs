@@ -42,22 +42,28 @@ impl ProfileStream {
         ProfileStream { graph: AffinityGraph::new(), decay, windows: 0 }
     }
 
-    /// Decay the stream by one window and fold `window`'s object-level
-    /// graph on top. Every context alive or dead in the window keeps its
-    /// node id; the stream grows its node table as new contexts appear.
+    /// [`ProfileStream::absorb_graph`] of `window`'s object-level graph.
     pub fn absorb(&mut self, window: &Profile) {
+        self.absorb_graph(&window.graph);
+    }
+
+    /// Decay the stream by one window and fold `window` — one profiling
+    /// window's graph, at whichever granularity the stream follows — on
+    /// top. Every context alive or dead in the window keeps its node id;
+    /// the stream grows its node table as new contexts appear.
+    pub fn absorb_graph(&mut self, window: &AffinityGraph) {
         self.graph.decay(self.decay);
-        while self.graph.len() < window.graph.len() {
+        while self.graph.len() < window.len() {
             self.graph.add_node(0);
         }
-        for n in window.graph.nodes() {
-            let acc = window.graph.accesses(n);
+        for n in window.nodes() {
+            let acc = window.accesses(n);
             if acc > 0 {
                 self.graph.add_accesses(n, acc);
             }
         }
-        self.graph.reserve_edges(window.graph.edge_count());
-        for (u, v, w) in window.graph.edges() {
+        self.graph.reserve_edges(window.edge_count());
+        for (u, v, w) in window.edges() {
             self.graph.add_edge_weight(u, v, w);
         }
         self.windows += 1;

@@ -28,9 +28,7 @@ pub enum AllocKind {
 /// exit is about to happen. Those flush points mean a batch never crosses
 /// a non-access event: relative order between accesses and every other
 /// event kind is exactly what a per-access monitor observed before
-/// batching existed. The one deliberate exception is
-/// [`Monitor::on_instruction`], which keeps firing per retired op and is
-/// therefore *not* ordered against buffered accesses.
+/// batching existed.
 ///
 /// Parallel arrays rather than an array-of-structs so a consumer's hot
 /// loop reads three dense streams (the cache model walks `addrs` while
@@ -180,10 +178,6 @@ pub trait Monitor {
     fn on_thread_switch(&mut self, thread: u16) {
         let _ = thread;
     }
-
-    /// One instruction retired (fired for every executed op, including the
-    /// ops that also fire a more specific event).
-    fn on_instruction(&mut self) {}
 }
 
 /// A monitor that ignores every event.
@@ -624,7 +618,6 @@ impl<'p> Engine<'p> {
                 let here = CallSite::new(func, pc);
 
                 stats.instructions += 1;
-                monitor.on_instruction();
                 if stats.instructions > limits.max_instructions {
                     flush_accesses!();
                     return Err(VmError::FuelExhausted);

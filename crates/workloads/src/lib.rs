@@ -64,13 +64,6 @@ pub struct Workload {
     pub note: &'static str,
 }
 
-impl Workload {
-    /// Convenience: `train.seed` (most callers profile with this).
-    pub fn train_seed(&self) -> u64 {
-        self.train.seed
-    }
-}
-
 /// All 11 evaluated benchmarks, in the figures' order.
 pub fn all() -> Vec<Workload> {
     vec![

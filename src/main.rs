@@ -14,11 +14,11 @@
 mod json;
 
 use halo::core::{
-    evaluate_with_arg, measure, par_each_ordered, serve, ConfigResult, EpochRow, EvalConfig,
-    EvalResult, Measurement, ServeConfig, ServePhase,
+    evaluate_with_arg, par_each_ordered, serve, ConfigResult, EpochRow, EvalConfig, EvalResult,
+    Measurement, ServeConfig, ServePhase,
 };
 use halo::graph::{Granularity, ReusePolicyChoice};
-use halo::mem::{DegradeStats, FaultPlan, ShardedAllocStats, SizeClassAllocator};
+use halo::mem::{DegradeStats, FaultPlan, ShardedAllocStats};
 use halo::workloads::{all, Workload};
 use halo_bench::pct;
 use json::Json;
@@ -111,7 +111,7 @@ fn usage() {
          \t                              the degradation ladder's counters.\n\
          \t                              Comma-separated seed=N, site@N (exact\n\
          \t                              1-based occurrence), site~P (rate);\n\
-         \t                              sites: vmm, chunk, queue, panic\n\
+         \t                              sites: vmm, chunk, queue\n\
          \t                              (e.g. seed=7,vmm@3,queue~0.01)\n\
          \t--measure sim|real            sim (default): the simulated hierarchy\n\
          \t                              with the MESI-lite coherence model.\n\
@@ -289,7 +289,21 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 }
                 flags.shards = Some(n);
             }
-            "--inject" => flags.inject = Some(FaultPlan::parse(&value("--inject")?)?),
+            "--inject" => {
+                let spec = value("--inject")?;
+                // `FaultPlan` knows a fourth site, for the chaos suite's
+                // worker threads. Here it would fire on the one thread
+                // there is.
+                if spec.split(',').any(|e| e.trim().split(['@', '~']).next() == Some("panic")) {
+                    return Err(format!(
+                        "--inject {spec}: the panic site kills the thread holding a shard \
+                         lock, and a simulated measurement runs on one engine thread, so \
+                         nothing would be left to report; it is driven from worker threads by \
+                         crates/mem/tests/chaos_faults.rs (CLI sites: vmm, chunk, queue)"
+                    ));
+                }
+                flags.inject = Some(FaultPlan::parse(&spec)?);
+            }
             "--measure" => match value("--measure")?.as_str() {
                 "sim" => flags.measure_real = false,
                 "real" => flags.measure_real = true,
@@ -438,10 +452,7 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
     let flags = parse_flags("baseline", BASELINE_FLAGS, args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     run_sweep(&workloads, |w| {
-        let config = config_for(w, &flags);
-        let mut alloc = SizeClassAllocator::new();
-        let m = measure(&w.program, &mut alloc, &config.measure)
-            .map_err(|e| format!("{}: {e}", w.name))?;
+        let m = halo_bench::baseline(w, &config_for(w, &flags));
         let row = [
             Field::new("benchmark", Json::str(w.name), format!("{:<10}", w.name)),
             Field::str("config", "baseline"),
@@ -722,10 +733,7 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
     // Wall-clock rows are noise-sensitive; never fan the sweep out.
     for w in workloads {
         let config = config_for(w, flags);
-        let halo = halo::core::Halo::for_measurement(&config.halo, &config.measure);
-        let opt = halo
-            .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
-            .map_err(|e| format!("{}: {e}", w.name))?;
+        let (halo, opt) = halo_bench::optimise(w, &config);
         let shards = config.shards; // config_for applied --shards already
         let runs = cores.min(shards.max(2));
         let alloc = halo.make_sharded_allocator(&opt, shards);

@@ -244,12 +244,21 @@ fn inject_parse_errors_reach_stderr_with_failure_exit() {
         ("queue~1.5", "rate in 'queue~1.5' must be within [0, 1]"),
         ("vmm", "malformed fault entry 'vmm'"),
         ("seed=abc", "invalid fault seed 'abc'"),
+        // The chaos suite's fourth site: on the CLI the one engine thread
+        // would be the one to die (exit 101 and a backtrace, once).
+        ("seed=1,panic@1", "error: --inject seed=1,panic@1: the panic site kills the thread"),
+        ("vmm@1, panic~0.5", "runs on one engine thread"),
     ] {
-        let out = halo(&["run", "--benchmark", "toy", "--inject", spec]);
-        assert!(!out.status.success(), "halo run must reject --inject {spec}");
+        let out = halo(&["run", "--benchmark", "xalanc-mt", "--shards", "3", "--inject", spec]);
+        assert_eq!(out.status.code(), Some(1), "halo run must reject --inject {spec}");
         assert_eq!(out.stdout.len(), 0, "no result rows before the error ({spec})");
         assert!(stderr(&out).contains(needle), "for {spec}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked at"), "for {spec}: {}", stderr(&out));
     }
+    // Every site the usage text lists still parses and runs.
+    let listed = halo(&["run", "--benchmark", "toy", "--inject", "vmm@9,chunk@9,queue~0.5"]);
+    assert!(listed.status.success(), "{}", stderr(&listed));
+    assert!(stderr(&halo(&["help"])).contains("sites: vmm, chunk, queue\n"));
     let missing = halo(&["run", "--benchmark", "toy", "--inject"]);
     assert!(!missing.status.success());
     assert!(stderr(&missing).contains("--inject needs a value"), "{}", stderr(&missing));

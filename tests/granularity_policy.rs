@@ -6,7 +6,8 @@
 //! ref-scale numbers are reproduced by `halo run` and the
 //! `ablation_granularity` harness.
 
-use halo::core::EvalConfig;
+use halo::cache::HierarchyConfig;
+use halo::core::{evaluate_with_arg, EvalConfig, Halo};
 use halo::graph::Granularity;
 use halo::workloads::{all, Workload};
 
@@ -24,10 +25,11 @@ fn workload(name: &str) -> Workload {
 #[test]
 fn roms_is_unmovable_at_object_granularity_but_wins_at_page() {
     let w = workload("roms");
+    let base = halo_bench::baseline(&w, &train_scale_config(&w));
     let run = |granularity: Granularity| {
         let mut config = train_scale_config(&w);
         config.halo.profile.granularity = granularity;
-        let (base, opt, optimised) = halo_bench::run_halo_only(&w, &config);
+        let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
         (opt.miss_reduction_vs(&base), optimised)
     };
 
@@ -62,7 +64,8 @@ fn omnetpp_auto_declines_to_group_and_is_not_negative() {
     // paper_config already selects Auto for omnetpp (the pinned default).
     let config = train_scale_config(&w);
     assert_eq!(config.halo.profile.granularity, Granularity::Auto);
-    let (base, opt, optimised) = halo_bench::run_halo_only(&w, &config);
+    let base = halo_bench::baseline(&w, &config);
+    let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
     assert!(
         optimised.auto_declined,
         "grouping regresses omnetpp at both granularities; auto must decline"
@@ -78,8 +81,34 @@ fn auto_keeps_object_granularity_where_it_already_wins() {
     let w = workload("health");
     let mut config = train_scale_config(&w);
     config.halo.profile.granularity = Granularity::Auto;
-    let (base, opt, optimised) = halo_bench::run_halo_only(&w, &config);
+    let base = halo_bench::baseline(&w, &config);
+    let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
     assert_eq!(optimised.granularity, Granularity::Object);
     assert!(!optimised.auto_declined);
     assert!(opt.miss_reduction_vs(&base) > 0.05, "health keeps its object-granularity win");
+}
+
+/// `halo_bench`'s door hands the `auto` validators the geometry it is
+/// about to measure on, like `evaluate_with_arg`: on the tiny hierarchy
+/// roms's page grouping fails the train-input bar it clears on the
+/// default caches, so both decline — where a pipeline built by hand from
+/// `config.halo` alone validates on the default caches and groups.
+#[test]
+fn the_bench_door_validates_auto_on_the_geometry_it_measures() {
+    let w = workload("roms");
+    let mut config = train_scale_config(&w);
+    assert_eq!(config.halo.profile.granularity, Granularity::Auto);
+    config.measure.hierarchy = HierarchyConfig::tiny();
+
+    let (_, optimised, _, measured) = halo_bench::halo_run(&w, &config);
+    let evaluated = evaluate_with_arg(&w.program, w.name, w.train.seed, w.train.arg, &config)
+        .expect("evaluation runs");
+    assert_eq!(measured, evaluated.halo().measurement);
+    assert_eq!(optimised.groups, evaluated.optimised.groups);
+    assert!(optimised.auto_declined && evaluated.optimised.auto_declined);
+
+    let by_hand = Halo::new(config.halo)
+        .optimise_with_arg(&w.program, w.train.seed, w.train.arg)
+        .expect("pipeline runs");
+    assert_eq!(by_hand.granularity, Granularity::Page, "the default caches reward page grouping");
 }

@@ -111,8 +111,9 @@ fn allocator_accounting_is_consistent_across_pipeline() {
     let halo = Halo::new(pipeline_config());
     let opt = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).expect("pipeline");
     let mut alloc = halo.make_allocator(&opt);
-    let (_, exit) =
-        halo::core::measure_with(&opt.program, &mut alloc, &measure_config(&w)).expect("runs");
+    let exit = halo::core::measure_detailed(&opt.program, &mut alloc, &measure_config(&w))
+        .expect("runs")
+        .exit;
     let live = exit.allocs - exit.frees;
     assert_eq!(alloc.live_objects() as u64, live);
 }

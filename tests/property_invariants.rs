@@ -466,7 +466,7 @@ proptest! {
 
     #[test]
     fn page_granularity_profiler_matches_the_reference_implementation(
-        ops in proptest::collection::vec((0u8..8, 0u8..4, 0u64..100_000), 1..300),
+        ops in proptest::collection::vec((0u8..9, 0u8..4, 0u64..100_000), 1..300),
         distance in 16u64..512,
     ) {
         // A trivial one-function program so the Profiler can be driven
@@ -525,6 +525,10 @@ proptest! {
                         reference.on_free(start);
                     }
                 }
+                // Hand the run to another logical thread. The reference
+                // has no threads: which per-thread shard an edge lands
+                // in must not show in the merged graph.
+                8 => profiler.on_thread_switch((raw % 4) as u16),
                 // Access a random offset inside a random live object.
                 _ => {
                     if let Some(&(start, size)) = live.get(raw as usize % live.len().max(1)) {
