@@ -20,7 +20,7 @@ fn main() {
             config.halo.alloc.chunk_size = chunk_size;
             config.halo.alloc.slab_size = (chunk_size * 64).max(1 << 22);
             config.halo.alloc.max_spare_chunks = spare;
-            let (_, _, alloc, m) = halo_bench::halo_run(w, &config);
+            let (_, alloc, m) = halo_bench::halo_run(w, &config);
             let frag = alloc.frag_report();
             println!(
                 "{:>10} {:>8} {:>14} {:>10} {:>9.2}% {:>12}",

@@ -17,7 +17,7 @@ fn main() {
         for enforce in [true, false] {
             let mut config = halo_bench::paper_config(w);
             config.halo.profile.enforce_coallocatability = enforce;
-            let (_, opt, _, m) = halo_bench::halo_run(w, &config);
+            let (opt, _, m) = halo_bench::halo_run(w, &config);
             println!(
                 "{:<10} {:<6} {:>8} {:>12} {:>14} {:>10}",
                 name,

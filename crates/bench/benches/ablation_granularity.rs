@@ -31,7 +31,7 @@ fn main() {
         let run = |granularity: Granularity| {
             let mut config = halo_bench::paper_config(w);
             config.halo.profile.granularity = granularity;
-            let (_, optimised, _, opt) = halo_bench::halo_run(w, &config);
+            let (optimised, _, opt) = halo_bench::halo_run(w, &config);
             (opt.miss_reduction_vs(&base), optimised)
         };
         let (object, _) = run(Granularity::Object);

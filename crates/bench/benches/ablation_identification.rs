@@ -16,7 +16,7 @@ fn main() {
         let base = halo_bench::baseline(w, &config);
 
         // Full context: the real HALO configuration.
-        let (_, opt, _, full) = halo_bench::halo_run(w, &config);
+        let (opt, _, full) = halo_bench::halo_run(w, &config);
         println!(
             "{:<10} {:<14} {:>14} {:>10}",
             name,

@@ -17,7 +17,7 @@ fn main() {
         for t in [0.0, 0.01, 0.05, 0.15, 0.40] {
             let mut config = halo_bench::paper_config(w);
             config.halo.grouping.merge_tolerance = t;
-            let (_, opt, _, m) = halo_bench::halo_run(w, &config);
+            let (opt, _, m) = halo_bench::halo_run(w, &config);
             let max_members = opt.groups.iter().map(|g| g.members.len()).max().unwrap_or(0);
             println!(
                 "{:<10} {:>6.2} {:>8} {:>12} {:>14} {:>10}",

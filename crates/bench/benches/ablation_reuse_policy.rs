@@ -22,7 +22,7 @@ fn main() {
         for choice in ReusePolicyChoice::ALL {
             let mut config = halo_bench::paper_config(w);
             config.halo.reuse = choice;
-            let (_, opt, alloc, m) = halo_bench::halo_run(w, &config);
+            let (opt, alloc, m) = halo_bench::halo_run(w, &config);
             let frag = alloc.frag_report();
             let plans: Vec<String> =
                 opt.groups.iter().enumerate().map(|(i, g)| format!("g{i} {}", g.plan)).collect();

@@ -29,7 +29,7 @@ fn main() {
         for row in halo_core::par_map(&distances, |&a| {
             let mut cfg = config.clone();
             cfg.halo.profile.affinity_distance = a;
-            let (_, optimised, _, halo) = halo_bench::halo_run(w, &cfg);
+            let (optimised, _, halo) = halo_bench::halo_run(w, &cfg);
             format!(
                 "{:>10} {:>14.2} {:>10} {:>8} {:>16.2}",
                 a,

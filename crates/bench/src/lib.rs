@@ -151,12 +151,12 @@ pub fn baseline(workload: &Workload, config: &EvalConfig) -> Measurement {
 pub fn halo_run(
     workload: &Workload,
     config: &EvalConfig,
-) -> (Halo, Optimised, HaloGroupAllocator, Measurement) {
+) -> (Optimised, HaloGroupAllocator, Measurement) {
     let (halo, optimised) = optimise(workload, config);
     let mut alloc = halo.make_allocator(&optimised);
     let measured = measure(&optimised.program, &mut alloc, &config.measure)
         .unwrap_or_else(|e| panic!("{}: HALO run failed: {e}", workload.name));
-    (halo, optimised, alloc, measured)
+    (optimised, alloc, measured)
 }
 
 /// Measure the baseline against one registry backend on the unmodified

@@ -18,7 +18,7 @@ use halo::core::{
     Measurement, ServeConfig, ServePhase,
 };
 use halo::graph::{Granularity, ReusePolicyChoice};
-use halo::mem::{DegradeStats, FaultPlan, ShardedAllocStats};
+use halo::mem::{DegradeStats, FaultPlan, FaultSite, ShardedAllocStats};
 use halo::workloads::{all, Workload};
 use halo_bench::pct;
 use json::Json;
@@ -290,19 +290,20 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 flags.shards = Some(n);
             }
             "--inject" => {
-                let spec = value("--inject")?;
+                let plan = FaultPlan::parse(&value("--inject")?)?;
                 // `FaultPlan` knows a fourth site, for the chaos suite's
                 // worker threads. Here it would fire on the one thread
-                // there is.
-                if spec.split(',').any(|e| e.trim().split(['@', '~']).next() == Some("panic")) {
+                // there is. (A plan prints as its entries, so a site it
+                // names is in the text.)
+                if plan.to_string().contains(FaultSite::ShardPanic.name()) {
                     return Err(format!(
-                        "--inject {spec}: the panic site kills the thread holding a shard \
+                        "--inject {plan}: the panic site kills the thread holding a shard \
                          lock, and a simulated measurement runs on one engine thread, so \
                          nothing would be left to report; it is driven from worker threads by \
                          crates/mem/tests/chaos_faults.rs (CLI sites: vmm, chunk, queue)"
                     ));
                 }
-                flags.inject = Some(FaultPlan::parse(&spec)?);
+                flags.inject = Some(plan);
             }
             "--measure" => match value("--measure")?.as_str() {
                 "sim" => flags.measure_real = false,

@@ -29,7 +29,7 @@ fn roms_is_unmovable_at_object_granularity_but_wins_at_page() {
     let run = |granularity: Granularity| {
         let mut config = train_scale_config(&w);
         config.halo.profile.granularity = granularity;
-        let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
+        let (optimised, _, opt) = halo_bench::halo_run(&w, &config);
         (opt.miss_reduction_vs(&base), optimised)
     };
 
@@ -65,7 +65,7 @@ fn omnetpp_auto_declines_to_group_and_is_not_negative() {
     let config = train_scale_config(&w);
     assert_eq!(config.halo.profile.granularity, Granularity::Auto);
     let base = halo_bench::baseline(&w, &config);
-    let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
+    let (optimised, _, opt) = halo_bench::halo_run(&w, &config);
     assert!(
         optimised.auto_declined,
         "grouping regresses omnetpp at both granularities; auto must decline"
@@ -82,7 +82,7 @@ fn auto_keeps_object_granularity_where_it_already_wins() {
     let mut config = train_scale_config(&w);
     config.halo.profile.granularity = Granularity::Auto;
     let base = halo_bench::baseline(&w, &config);
-    let (_, optimised, _, opt) = halo_bench::halo_run(&w, &config);
+    let (optimised, _, opt) = halo_bench::halo_run(&w, &config);
     assert_eq!(optimised.granularity, Granularity::Object);
     assert!(!optimised.auto_declined);
     assert!(opt.miss_reduction_vs(&base) > 0.05, "health keeps its object-granularity win");
@@ -100,7 +100,7 @@ fn the_bench_door_validates_auto_on_the_geometry_it_measures() {
     assert_eq!(config.halo.profile.granularity, Granularity::Auto);
     config.measure.hierarchy = HierarchyConfig::tiny();
 
-    let (_, optimised, _, measured) = halo_bench::halo_run(&w, &config);
+    let (optimised, _, measured) = halo_bench::halo_run(&w, &config);
     let evaluated = evaluate_with_arg(&w.program, w.name, w.train.seed, w.train.arg, &config)
         .expect("evaluation runs");
     assert_eq!(measured, evaluated.halo().measurement);
