@@ -14,13 +14,14 @@
 //! Thread count: `HALO_THREADS` if set (a positive integer; `1` forces the
 //! serial path), else [`std::thread::available_parallelism`], capped at
 //! the number of jobs. No crates.io dependency — just `std::thread::scope`,
-//! an atomic work-stealing cursor, and a mutex/condvar for in-order
-//! delivery.
+//! an atomic work-stealing cursor, and one `mpsc` channel the calling
+//! thread reorders for in-order delivery.
 
 use halo_graph::SubGraph;
-use std::cell::Cell;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{mpsc, Mutex};
 
 /// Parse a `HALO_THREADS` value: a positive integer (`1` forces the
 /// serial path). `Err` describes why the value is unusable — `0` and
@@ -54,37 +55,15 @@ pub fn thread_count(jobs: usize) -> usize {
     requested.min(jobs).max(1)
 }
 
-/// Sets the shared panic flag if its thread unwinds, so the delivering
-/// thread stops waiting on the condvar instead of deadlocking, and
-/// publishes which item the worker was running so the caller can re-raise
-/// the panic of the earliest item.
-struct PanicSignal<'a> {
-    flag: &'a AtomicBool,
-    ready: &'a Condvar,
-    /// The item this worker is currently running.
-    item: Cell<usize>,
-    /// This worker's slot for the item it panicked on.
-    panicked_at: &'a AtomicUsize,
-}
-
-impl Drop for PanicSignal<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.panicked_at.store(self.item.get(), Ordering::Release);
-            self.flag.store(true, Ordering::Release);
-            self.ready.notify_all();
-        }
-    }
-}
-
 /// Apply `f` to every item on a pool of scoped threads, handing each
 /// result to `sink` in input order as soon as its prefix is complete
 /// (item N's result is delivered once items 0..N have been delivered).
 ///
 /// `sink` returns `false` to cancel the sweep: jobs not yet claimed are
 /// skipped, already-running jobs finish but their results are dropped.
-/// A panic in `f` reaches the caller with its original payload; when
-/// several jobs panic, the one on the lowest-index item wins.
+/// A panic in `f` cancels the sweep the same way and reaches the caller
+/// with its original payload; when several jobs panic, the one on the
+/// lowest-index item wins.
 pub fn par_each_ordered<T, R, F, S>(items: &[T], f: F, mut sink: S)
 where
     T: Sync,
@@ -103,81 +82,52 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-    let panicked = AtomicBool::new(false);
-    let ready = Condvar::new();
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let slots = Mutex::new(slots);
-    let panicked_at: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+    let (results, inbox) = mpsc::channel();
     std::thread::scope(|scope| {
-        let (f, slots, cursor, cancelled, panicked, ready) =
-            (&f, &slots, &cursor, &cancelled, &panicked, &ready);
-        let spawn = |panicked_at| {
+        for _ in 0..threads {
+            let (f, cursor, cancelled, results) = (&f, &cursor, &cancelled, results.clone());
             scope.spawn(move || {
-                let signal = PanicSignal { flag: panicked, ready, item: Cell::new(0), panicked_at };
-                loop {
-                    if cancelled.load(Ordering::Acquire) {
-                        break;
-                    }
+                while !cancelled.load(Ordering::Acquire) {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    signal.item.set(i);
-                    let result = f(item); // off-lock: jobs run concurrently
-                    let mut guard = slots.lock().expect("sweep mutex");
-                    guard[i] = Some(result);
-                    drop(guard);
-                    ready.notify_all();
-                }
-            })
-        };
-        let workers: Vec<_> = panicked_at.iter().map(spawn).collect();
-        // This (the spawning) thread delivers results in order while the
-        // workers fill slots.
-        let mut next = 0;
-        let mut guard = slots.lock().expect("sweep mutex");
-        while next < items.len() {
-            if panicked.load(Ordering::Acquire) {
-                // Stop surviving workers from claiming further jobs; the
-                // joins below re-raise the worker's panic.
-                cancelled.store(true, Ordering::Release);
-                break;
-            }
-            match guard[next].take() {
-                Some(result) => {
-                    drop(guard);
-                    let keep_going = sink(result);
-                    guard = slots.lock().expect("sweep mutex");
-                    if !keep_going {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
+                    if outcome.is_err() {
                         cancelled.store(true, Ordering::Release);
+                    }
+                    // Fails only once the caller has unwound out of `sink`
+                    // and dropped the receiver: nobody is left to deliver to.
+                    if results.send((i, outcome)).is_err() {
                         break;
                     }
-                    next += 1;
                 }
-                // Timed wait: the panic flag is stored without the lock,
-                // so a pure `wait` could miss its notification; the
-                // timeout bounds delivery latency on that (rare) path.
-                None => {
-                    guard = ready
-                        .wait_timeout(guard, std::time::Duration::from_millis(50))
-                        .expect("sweep mutex")
-                        .0
+            });
+        }
+        drop(results);
+        // This (the spawning) thread reorders into `sink` until the last
+        // worker hangs up.
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        let mut next = 0;
+        let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
+        for (i, outcome) in inbox {
+            match outcome {
+                Ok(result) => slots[i] = Some(result),
+                Err(payload) => {
+                    if first_panic.as_ref().is_none_or(|&(earliest, _)| i < earliest) {
+                        first_panic = Some((i, payload));
+                    }
                 }
             }
-        }
-        drop(guard);
-        // Join here rather than letting the scope do it: the scope would
-        // replace a worker's payload with "a scoped thread panicked".
-        let mut first: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        for (worker, at) in workers.into_iter().zip(&panicked_at) {
-            if let Err(payload) = worker.join() {
-                let item = at.load(Ordering::Acquire);
-                if first.as_ref().is_none_or(|&(earliest, _)| item < earliest) {
-                    first = Some((item, payload));
+            while !cancelled.load(Ordering::Acquire) {
+                let Some(result) = slots.get_mut(next).and_then(Option::take) else { break };
+                if !sink(result) {
+                    cancelled.store(true, Ordering::Release);
                 }
+                next += 1;
             }
         }
-        if let Some((_, payload)) = first {
-            std::panic::resume_unwind(payload);
+        if let Some((_, payload)) = first_panic {
+            resume_unwind(payload);
         }
     });
 }
@@ -198,12 +148,17 @@ where
     results
 }
 
-/// Union per-thread profiling shards into one [`SubGraph`] by parallel
+/// Union independently built [`SubGraph`] deltas into one by parallel
 /// tree reduction: each round pairs adjacent shards and merges the pairs
 /// concurrently (an odd tail passes through), halving the count until one
 /// remains. Because [`SubGraph::merge`] is commutative and associative,
 /// the result is observably identical to the serial left fold at any
 /// thread count — `tests/property_invariants.rs` pins that down.
+///
+/// This is the scale path for profiles recorded in pieces (trace
+/// partitions, generator workers): `benchmark/`'s `graph-scale` workload
+/// times it on eight 1 M-node shards. The serial profiler does not come
+/// through here — its lanes record one delta each.
 ///
 /// `par_map` borrows its items, but `merge` consumes both sides; each
 /// pair rides in a `Mutex<Option<_>>` cell the worker takes ownership

@@ -167,10 +167,7 @@ impl Halo {
             .with_entry_arg(train_arg)
             .with_limits(self.config.limits)
             .run(&mut alloc, &mut profiler)?;
-        // Per-thread profiling shards union in a parallel tree; SubGraph's
-        // merge is commutative, so this is observably identical to the
-        // serial fold `Profiler::finish` would do.
-        Ok(profiler.finish_with(crate::parallel::par_merge_subgraphs))
+        Ok(profiler.finish())
     }
 
     /// Run the whole pipeline — profile → group → identify → rewrite — on

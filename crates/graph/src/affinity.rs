@@ -313,33 +313,6 @@ impl AffinityGraph {
         }
     }
 
-    /// Neighbours of `n` (excluding `n` itself) with edge weights, in
-    /// ascending neighbour order. O(degree) on a finalised graph.
-    pub fn neighbours(&self, n: NodeId) -> Vec<(NodeId, u64)> {
-        match &self.store {
-            EdgeStore::Finalised(csr) => {
-                let (nbrs, wts) = csr.row(n.index());
-                nbrs.iter()
-                    .zip(wts)
-                    .filter(|&(&v, _)| v != n.0)
-                    .map(|(&v, &w)| (NodeId(v), w))
-                    .collect()
-            }
-            EdgeStore::Building(_) => self
-                .edges()
-                .filter_map(|(u, v, w)| {
-                    if u == n && v != n {
-                        Some((v, w))
-                    } else if v == n && u != n {
-                        Some((u, w))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Drop edges lighter than `min_weight` (the noise-reduction edge
     /// thresholding of §4.2). Leaves the graph finalised.
     pub fn threshold_edges(&mut self, min_weight: u64) {
@@ -382,7 +355,17 @@ impl AffinityGraph {
     /// discard the rest along with their edges (§4.1: "after 90% of all
     /// observed accesses have been accounted for, any remaining nodes are
     /// discarded"). Returns the discarded ids. Leaves the graph finalised.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `keep_fraction` is outside `[0, 1]` — NaN or a negative
+    /// fraction would make the coverage target 0 and silently discard
+    /// every node.
     pub fn discard_cold_nodes(&mut self, keep_fraction: f64) -> Vec<NodeId> {
+        assert!(
+            (0.0..=1.0).contains(&keep_fraction),
+            "keep_fraction {keep_fraction} must be within [0, 1]"
+        );
         let total = self.total_accesses();
         let target = (total as f64 * keep_fraction).ceil() as u64;
         let mut order: Vec<NodeId> = self.nodes().collect();
@@ -399,23 +382,6 @@ impl AffinityGraph {
         }
         self.store = EdgeStore::Finalised(self.thresholded(0)); // drops the dead nodes' edges
         discarded
-    }
-
-    /// Build an adjacency table over alive nodes: `adj[n]` lists
-    /// `(neighbour, weight)` pairs, excluding loops. Loops are returned
-    /// separately as `loops[n]`.
-    pub fn adjacency(&self) -> (Vec<Vec<(NodeId, u64)>>, Vec<u64>) {
-        let mut adj = vec![Vec::new(); self.len()];
-        let mut loops = vec![0u64; self.len()];
-        for (u, v, w) in self.edges() {
-            if u == v {
-                loops[u.index()] = w;
-            } else {
-                adj[u.index()].push((v, w));
-                adj[v.index()].push((u, w));
-            }
-        }
-        (adj, loops)
     }
 }
 
@@ -442,9 +408,7 @@ mod tests {
         let a = g.add_node(10);
         g.add_edge_weight(a, a, 7);
         assert_eq!(g.weight(a, a), 7);
-        let (adj, loops) = g.adjacency();
-        assert!(adj[0].is_empty());
-        assert_eq!(loops[0], 7);
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(a, a, 7)]);
     }
 
     #[test]
@@ -487,6 +451,27 @@ mod tests {
     }
 
     #[test]
+    fn discard_drops_everything_when_fraction_is_zero() {
+        let mut g = AffinityGraph::new();
+        let a = g.add_node(5);
+        let b = g.add_node(5);
+        // A target of 0 accesses is met before the first node: all go.
+        assert_eq!(g.discard_cold_nodes(0.0), vec![a, b]);
+    }
+
+    #[test]
+    fn discard_rejects_fractions_outside_the_unit_interval() {
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let mut g = AffinityGraph::new();
+            g.add_node(5);
+            let err = std::panic::catch_unwind(move || g.discard_cold_nodes(bad))
+                .expect_err("an out-of-range fraction is rejected");
+            let msg = err.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("must be within [0, 1]"), "{bad}: {msg}");
+        }
+    }
+
+    #[test]
     fn coverage_fraction_is_bounded_and_empty_safe() {
         let mut g = AffinityGraph::new();
         assert_eq!(g.coverage_of([]), 0.0);
@@ -503,17 +488,6 @@ mod tests {
         assert!(!g.is_alive(b));
         assert_eq!(g.coverage_of([a, b]), 1.0);
         assert_eq!(g.coverage_of([b]), 0.25);
-    }
-
-    #[test]
-    fn neighbours_excludes_loops() {
-        let mut g = AffinityGraph::new();
-        let a = g.add_node(1);
-        let b = g.add_node(1);
-        g.add_edge_weight(a, a, 3);
-        g.add_edge_weight(a, b, 4);
-        let n = g.neighbours(a);
-        assert_eq!(n, vec![(b, 4)]);
     }
 
     #[test]
@@ -670,7 +644,7 @@ mod tests {
         let late = g.add_node(9);
         assert_eq!(g.weight(late, a), 0);
         assert_eq!(g.weight(late, late), 0);
-        assert!(g.neighbours(late).is_empty());
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(a, a, 2)]);
         assert!(g.is_alive(late));
         g.add_edge_weight(late, a, 4);
         assert_eq!(g.weight(late, a), 4);

@@ -11,6 +11,13 @@ use std::fmt::Write;
 const COLOURS: &[&str] =
     &["skyblue", "salmon", "palegreen", "gold", "plum", "khaki", "lightcyan", "orange"];
 
+/// `label` as the inside of a DOT quoted string: a `"` would end the
+/// string, a `\` would start an escape sequence (or swallow the closing
+/// quote) and a raw line break splits the statement.
+fn escape_label(label: &str) -> String {
+    label.replace('\\', "\\\\").replace('"', "'").replace('\n', "\\n")
+}
+
 /// Render `graph` as a DOT document.
 ///
 /// * `labels` supplies per-node text (e.g. context names from the
@@ -45,7 +52,7 @@ pub fn to_dot(
             out,
             "  n{} [label=\"{}\\n{} accesses\", style=filled, fillcolor={}];",
             n.0,
-            labels(n).replace('"', "'"),
+            escape_label(&labels(n)),
             graph.accesses(n),
             colour
         );
@@ -136,5 +143,10 @@ mod tests {
         let dot = to_dot(&g, &|_| "say \"hi\"".to_string(), &groups, 1);
         assert!(!dot.contains("\"say \"hi\"\""), "double quotes escaped");
         assert!(dot.contains("say 'hi'"));
+        // A trailing backslash must not swallow the label's closing quote,
+        // and a line break must not split the node statement.
+        let dot = to_dot(&g, &|_| "a\\b\nc\\".to_string(), &groups, 1);
+        assert!(dot.contains("[label=\"a\\\\b\\nc\\\\\\n100 accesses\","), "{dot}");
+        assert_eq!(dot.lines().count(), to_dot(&g, &|_| String::new(), &groups, 1).lines().count());
     }
 }

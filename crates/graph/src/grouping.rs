@@ -13,8 +13,9 @@
 //!   again, and the cursor's next valid edge *is* the old per-iteration
 //!   `max_by_key`;
 //! * candidate weights are integer sums, so accumulating them one member
-//!   at a time equals the old per-candidate rescan exactly, and the score
-//!   arithmetic goes through the same `score.rs` float helpers;
+//!   at a time equals the old per-candidate rescan exactly, and every score
+//!   goes through the two float helpers below (`score_parts`,
+//!   `merge_benefit_parts`);
 //! * a candidate *not* adjacent to any member can still win the old full
 //!   scan in rare corners (tiny scores, or a tolerance so large the
 //!   benefit grows with the candidate's loop weight). An analytic upper
@@ -24,7 +25,35 @@
 
 use crate::affinity::{AffinityGraph, NodeId};
 use crate::csr::{pack, Csr};
-use crate::score::{merge_benefit_parts, score_parts};
+
+/// The group-quality score (paper Fig. 7) of an induced subgraph
+/// `G = (V, E)`, from its integer parts:
+///
+/// ```text
+/// s(G) = Σ w(u,v) / (|L| + |V|·(|V|−1)/2)
+/// ```
+///
+/// `weight_sum` runs over the edges inside the subgraph, loops included,
+/// and `denom` counts the positive-weight loops `L` plus the member pairs.
+/// Empty or edge-free subgraphs (`denom == 0`) score 0.
+#[inline]
+fn score_parts(weight_sum: u64, denom: u64) -> f64 {
+    if denom == 0 {
+        0.0
+    } else {
+        weight_sum as f64 / denom as f64
+    }
+}
+
+/// The merge benefit (paper Fig. 8) from the three scores:
+/// `m(A, B) = s(G[A ∪ B]) − (1 − T)·max(s(G[A]), s(G[B]))`. Positive only
+/// if the merged subgraph scores higher than either side in isolation, up
+/// to the tolerance `T` that deliberately permits fractionally
+/// score-lowering merges to encourage group formation (§4.2).
+#[inline]
+fn merge_benefit_parts(sa: f64, sb: f64, sc: f64, tolerance: f64) -> f64 {
+    sc - (1.0 - tolerance) * sa.max(sb)
+}
 
 /// Tunables of the Fig. 6 algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,9 +143,8 @@ impl Grower {
         }
     }
 
-    /// The Fig. 8 benefit of adding `c` to the current group, via exactly
-    /// the float expressions of `score.rs` (`sa` and the pair counts are
-    /// precomputed per growth step).
+    /// The Fig. 8 benefit of adding `c` to the current group (`sa` and the
+    /// pair counts are precomputed per growth step).
     #[inline]
     fn benefit_of(&self, c: usize, sa: f64, sum: u64, loops: u64, pairs1: u64, tol: f64) -> f64 {
         let lw = self.loop_w[c];
@@ -152,8 +180,8 @@ fn consider(best: &mut Option<(NodeId, f64)>, stranger: NodeId, benefit: f64) {
 /// 1. drop edges below `min_weight`;
 /// 2. while any ungrouped edge remains, seed a group with the hotter
 ///    endpoint of the strongest available edge;
-/// 3. grow it greedily by maximum [`crate::merge_benefit`] while positive
-///    and the group is under `max_group_members`;
+/// 3. grow it greedily by maximum merge benefit (Fig. 8) while positive and
+///    the group is under `max_group_members`;
 /// 4. keep the group if its internal weight reaches
 ///    `total_accesses × group_threshold`.
 ///
@@ -327,6 +355,64 @@ mod tests {
         }
         g.add_edge_weight(left[2], right[0], 3); // weak bridge
         (g, left, right)
+    }
+
+    #[test]
+    fn score_matches_figure7_formula() {
+        // Triangle of 30 + 20 + 10, no loops: 60 / (0 + 3·2/2).
+        assert_eq!(score_parts(60, 3), 20.0);
+        // One pair: 30 / 1.
+        assert_eq!(score_parts(30, 1), 30.0);
+        // A loop-free singleton has an empty denominator: 0, not NaN.
+        assert_eq!(score_parts(0, 0), 0.0);
+    }
+
+    #[test]
+    fn loops_enter_both_numerator_and_denominator() {
+        let mut g = AffinityGraph::new();
+        let a = g.add_node(10);
+        let b = g.add_node(10);
+        g.add_edge_weight(a, a, 12);
+        g.add_edge_weight(a, b, 6);
+        // {a}: 12 / (1 loop) = 12. {a, b}: (12 + 6) / (1 loop + 1 pair) = 9,
+        // which loses to 0.95 · 12 — without the loop in the denominator it
+        // would be 18 and `b` would join.
+        let groups = group(&g, &params());
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].members, vec![a]);
+        assert_eq!(groups[0].weight, 12);
+    }
+
+    #[test]
+    fn merge_benefit_negative_for_weakly_connected_candidates() {
+        let mut g = AffinityGraph::new();
+        let a = g.add_node(10);
+        let b = g.add_node(10);
+        let c = g.add_node(10);
+        g.add_edge_weight(a, b, 100);
+        g.add_edge_weight(b, c, 1);
+        // Adding c to {a, b}: s = 101/3 ≈ 33.7 vs (1−T)·100 = 95 → negative.
+        let groups = group(&g, &params());
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].members, vec![a, b]);
+    }
+
+    #[test]
+    fn tolerance_allows_fractionally_worse_merges() {
+        let mut g = AffinityGraph::new();
+        let a = g.add_node(10);
+        let b = g.add_node(10);
+        let c = g.add_node(10);
+        // Perfect triangle of equal edges: adding c to {a,b} keeps score
+        // at w (s({a,b}) = w, s({a,b,c}) = 3w/3 = w). With T=0 the benefit
+        // is exactly 0 (not positive); any positive T makes it positive.
+        for (u, v) in [(a, b), (b, c), (a, c)] {
+            g.add_edge_weight(u, v, 50);
+        }
+        let strict = group(&g, &GroupingParams { merge_tolerance: 0.0, ..params() });
+        assert_eq!(strict[0].members, vec![a, b]);
+        let tolerant = group(&g, &params());
+        assert_eq!(tolerant[0].members, vec![a, b, c]);
     }
 
     #[test]

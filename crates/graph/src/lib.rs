@@ -5,20 +5,20 @@
 //! observed between objects of the two contexts. On top of the graph this
 //! crate implements:
 //!
-//! * the **score** function — a loop-aware variant of weighted graph
-//!   density (paper Fig. 7);
-//! * the **merge benefit** function with tolerance `T` (paper Fig. 8);
 //! * the **greedy grouping algorithm** (paper Fig. 6), rewritten on CSR
-//!   adjacency so grouping a million-node graph finishes in seconds;
+//!   adjacency so grouping a million-node graph finishes in seconds. Its
+//!   **score** — a loop-aware variant of weighted graph density (paper
+//!   Fig. 7) — and **merge benefit** with tolerance `T` (paper Fig. 8) are
+//!   private to [`group`], their one caller;
 //! * two alternative clusterers the paper compares against in prose
 //!   (greedy modularity maximisation and HCS via Stoer–Wagner min-cut),
 //!   used by the grouping ablation bench.
 //!
 //! Edge storage is flat (DESIGN.md §13): writes accumulate in a hash
 //! table, reads run on compressed sparse rows after
-//! [`AffinityGraph::finalise`], and [`SubGraph`] deltas let profiling
-//! shards build pieces of a graph independently and merge them in any
-//! order.
+//! [`AffinityGraph::finalise`], and a [`SubGraph`] delta is what a
+//! profiling lane records into and [`SubGraph::into_graph`] adopts; deltas
+//! built independently merge in any order.
 //!
 //! # Example
 //!
@@ -44,7 +44,6 @@ mod drift;
 mod granularity;
 mod grouping;
 mod plan;
-mod score;
 mod subgraph;
 
 pub use affinity::{AffinityGraph, NodeId};
@@ -54,5 +53,4 @@ pub use drift::grouping_drift;
 pub use granularity::Granularity;
 pub use grouping::{group, Group, GroupingParams};
 pub use plan::{GroupPlan, ReusePolicy, ReusePolicyChoice};
-pub use score::{merge_benefit, score_of_members, SubgraphScore};
 pub use subgraph::SubGraph;

@@ -1,25 +1,26 @@
-//! Mergeable per-shard affinity deltas (DESIGN.md §13).
+//! Mergeable affinity deltas (DESIGN.md §13).
 //!
-//! A [`SubGraph`] is the write-side slice of an [`AffinityGraph`] that one
-//! profiling shard (a logical thread, a trace partition, a generator
-//! worker) builds independently: node access counts keyed by the *global*
-//! stable [`NodeId`] space plus an edge-weight accumulator. Because every
-//! field merges by pointwise integer sum (and the node set by union of id
-//! ranges), [`SubGraph::merge`] is commutative and associative — any
-//! partition of an event stream over any number of shards, merged in any
-//! order or tree shape, yields the same graph as single-pass recording.
-//! That is what lets `halo_core` union shards with `par_map` and stay
+//! A [`SubGraph`] is the write side of an [`AffinityGraph`]: node access
+//! counts keyed by the *global* stable [`NodeId`] space plus an edge-weight
+//! accumulator. A profiling lane records one and
+//! [`SubGraph::into_graph`] adopts it. Because every field merges by
+//! pointwise integer sum (and the node set by union of id ranges),
+//! [`SubGraph::merge`] is commutative and associative — any partition of an
+//! event stream over any number of deltas (trace partitions, generator
+//! workers), merged in any order or tree shape, yields the same graph as
+//! single-pass recording. That is what lets
+//! `halo_core::par_merge_subgraphs` union deltas with `par_map` and stay
 //! byte-identical to the serial fold (`tests/property_invariants.rs`).
 
 use crate::affinity::{AffinityGraph, NodeId};
 use crate::csr::EdgeAccumulator;
 
-/// One shard's contribution to an affinity graph: dense per-node access
+/// One recorder's contribution to an affinity graph: dense per-node access
 /// deltas and an edge-weight accumulator over global node ids.
 #[derive(Debug, Clone, Default)]
 pub struct SubGraph {
     /// Access deltas, indexed by `NodeId`; the vector length is the
-    /// highest node id this shard has seen plus one.
+    /// highest node id this delta has seen plus one.
     accesses: Vec<u64>,
     edges: EdgeAccumulator,
 }
@@ -30,12 +31,12 @@ impl SubGraph {
         Self::default()
     }
 
-    /// Number of nodes this shard knows about (highest seen id + 1).
+    /// Number of nodes this delta knows about (highest seen id + 1).
     pub fn len(&self) -> usize {
         self.accesses.len()
     }
 
-    /// Whether the shard recorded nothing at all.
+    /// Whether the delta recorded nothing at all.
     pub fn is_empty(&self) -> bool {
         self.accesses.is_empty() && self.edges.len() == 0
     }
@@ -75,7 +76,7 @@ impl SubGraph {
     }
 
     /// The recorded edges as sorted `(u, v, weight)` triples with
-    /// `u <= v` — the canonical form two shards are compared in.
+    /// `u <= v` — the canonical form two deltas are compared in.
     pub fn edges(&self) -> Vec<(NodeId, NodeId, u64)> {
         let mut out = Vec::with_capacity(self.edges.len());
         self.edges.for_each(|u, v, w| out.push((NodeId(u), NodeId(v), w)));
@@ -103,28 +104,11 @@ impl SubGraph {
         self
     }
 
-    /// Apply this delta to a full graph: missing nodes are appended (with
-    /// zero initial accesses), then access counts and edge weights are
-    /// added. The graph ends in build phase; callers finalise when done.
-    pub fn apply_to(&self, graph: &mut AffinityGraph) {
-        while graph.len() < self.accesses.len() {
-            graph.add_node(0);
-        }
-        for (i, &a) in self.accesses.iter().enumerate() {
-            if a > 0 {
-                graph.add_accesses(NodeId(i as u32), a);
-            }
-        }
-        graph.reserve_edges(self.edges.len());
-        self.edges.for_each(|u, v, w| {
-            graph.add_edge_weight(NodeId(u), NodeId(v), w);
-        });
-    }
-
-    /// Materialise the delta as a standalone, finalised graph —
-    /// observably `apply_to` on an empty graph plus `finalise`, but the
-    /// graph adopts this delta's access vector and edge accumulator
-    /// instead of re-hashing every edge into a second table.
+    /// Materialise the delta as a standalone, finalised graph — observably
+    /// replaying every access count and edge into an empty graph and
+    /// finalising it (the oracle in `tests/csr_reference.rs`), but the graph
+    /// adopts this delta's access vector and edge accumulator instead of
+    /// re-hashing every edge into a second table.
     pub fn into_graph(self) -> AffinityGraph {
         let mut graph = AffinityGraph::from_parts(self.accesses, self.edges);
         graph.finalise();
@@ -184,24 +168,6 @@ mod tests {
         let g = s.into_graph();
         assert_eq!(g.len(), 5);
         assert_eq!(g.total_accesses(), 0);
-    }
-
-    #[test]
-    fn apply_to_extends_and_sums() {
-        let mut g = AffinityGraph::new();
-        let a = g.add_node(100);
-        g.add_edge_weight(a, a, 1);
-        let mut s = SubGraph::new();
-        s.add_accesses(n(0), 11);
-        s.add_accesses(n(1), 22);
-        s.add_edge_weight(n(0), n(0), 2);
-        s.add_edge_weight(n(0), n(1), 3);
-        s.apply_to(&mut g);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.accesses(n(0)), 111);
-        assert_eq!(g.accesses(n(1)), 22);
-        assert_eq!(g.weight(n(0), n(0)), 3);
-        assert_eq!(g.weight(n(0), n(1)), 3);
     }
 
     #[test]

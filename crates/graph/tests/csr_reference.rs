@@ -14,7 +14,8 @@
 //!
 //! The last two properties pin the offline-stage fast paths to the slow
 //! ones they replaced: `SubGraph::into_graph` (adopts the accumulator) ≡
-//! `apply_to` on an empty graph + `finalise` (re-inserts every edge), and
+//! [`apply_to`] on an empty graph + `finalise` (re-inserts every edge;
+//! shipped until PR 24, kept here over the public API as the oracle), and
 //! the CSR → CSR row filter behind `threshold_edges` / `group` ≡ the
 //! reference, on the graphs where the two could differ — dead nodes,
 //! nodes added after finalisation, loops at exactly `min_weight`, a
@@ -242,6 +243,111 @@ fn ref_group(graph: &RefGraph, params: &GroupingParams) -> Vec<(Vec<NodeId>, u64
     groups
 }
 
+/// The slow delta → graph path `SubGraph::into_graph` replaced: missing
+/// nodes are appended (with zero initial accesses), then every access
+/// count and edge weight is added through the graph's own write API. The
+/// graph ends in build phase; callers finalise when done.
+fn apply_to(delta: &SubGraph, graph: &mut AffinityGraph) {
+    while graph.len() < delta.len() {
+        graph.add_node(0);
+    }
+    for n in (0..delta.len() as u32).map(NodeId) {
+        if delta.accesses(n) > 0 {
+            graph.add_accesses(n, delta.accesses(n));
+        }
+    }
+    for (u, v, w) in delta.edges() {
+        graph.add_edge_weight(u, v, w);
+    }
+}
+
+/// Neighbours of `n` (excluding `n` itself) with edge weights, in
+/// ascending neighbour order, read off the public edge list.
+fn neighbours(g: &AffinityGraph, n: NodeId) -> Vec<(NodeId, u64)> {
+    g.edges()
+        .filter_map(|(u, v, w)| match (u == n, v == n) {
+            (true, false) => Some((v, w)),
+            (false, true) => Some((u, w)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `delta.into_graph()` against `oracle` on an empty graph + `finalise`:
+/// same nodes, same access counts, same rows, same edge list.
+fn assert_into_graph_matches(delta: SubGraph, oracle: fn(&SubGraph, &mut AffinityGraph)) {
+    let mut slow = AffinityGraph::new();
+    oracle(&delta, &mut slow);
+    slow.finalise();
+    let recorded = (delta.len(), delta.edges());
+    let fast = delta.into_graph();
+
+    assert!(fast.is_finalised() && slow.is_finalised());
+    assert_eq!(fast.len(), recorded.0, "node count");
+    assert_eq!(fast.len(), slow.len());
+    assert_eq!(fast.nodes().collect::<Vec<_>>(), slow.nodes().collect::<Vec<_>>(), "all alive");
+    for n in slow.nodes() {
+        assert_eq!(fast.accesses(n), slow.accesses(n), "accesses of {n}");
+        assert_eq!(neighbours(&fast, n), neighbours(&slow, n), "row of {n}");
+    }
+    assert_eq!(fast.total_accesses(), slow.total_accesses());
+    assert_eq!(fast.edge_count(), slow.edge_count(), "edge count");
+    assert_eq!(fast.edges().collect::<Vec<_>>(), slow.edges().collect::<Vec<_>>());
+    assert_eq!(fast.edges().collect::<Vec<_>>(), recorded.1, "the delta's own edge list");
+    for (u, v, w) in slow.edges() {
+        assert_eq!(fast.weight(u, v), w);
+        assert_eq!(fast.weight(v, u), w);
+    }
+}
+
+#[test]
+fn apply_to_extends_and_sums() {
+    let n = NodeId;
+    let mut g = AffinityGraph::new();
+    let a = g.add_node(100);
+    g.add_edge_weight(a, a, 1);
+    let mut s = SubGraph::new();
+    s.add_accesses(n(0), 11);
+    s.add_accesses(n(1), 22);
+    s.add_edge_weight(n(0), n(0), 2);
+    s.add_edge_weight(n(0), n(1), 3);
+    apply_to(&s, &mut g);
+    assert_eq!(g.len(), 2);
+    assert_eq!(g.accesses(n(0)), 111);
+    assert_eq!(g.accesses(n(1)), 22);
+    assert_eq!(g.weight(n(0), n(0)), 3);
+    assert_eq!(g.weight(n(0), n(1)), 3);
+}
+
+#[test]
+fn neighbours_excludes_loops() {
+    let mut g = AffinityGraph::new();
+    let a = g.add_node(1);
+    let b = g.add_node(1);
+    g.add_edge_weight(a, a, 3);
+    g.add_edge_weight(a, b, 4);
+    assert_eq!(neighbours(&g, a), vec![(b, 4)]);
+    g.finalise();
+    assert_eq!(neighbours(&g, a), vec![(b, 4)]);
+}
+
+/// The seeded mutation for the `into_graph` check: an oracle that forgets
+/// loop edges must not pass it.
+#[test]
+#[should_panic(expected = "edge count")]
+fn a_loop_dropping_oracle_fails_the_into_graph_check() {
+    let mut delta = SubGraph::new();
+    delta.add_edge_weight(NodeId(0), NodeId(1), 2);
+    delta.add_edge_weight(NodeId(1), NodeId(1), 5);
+    assert_into_graph_matches(delta, |delta, graph| {
+        let mut loop_free = SubGraph::new();
+        for (u, v, w) in delta.edges().into_iter().filter(|(u, v, _)| u != v) {
+            loop_free.add_edge_weight(u, v, w);
+        }
+        apply_to(&loop_free, graph);
+    });
+}
+
 /// A random graph script: per-node initial accesses plus a stream of edge
 /// increments (indices are taken modulo the node count).
 fn build_pair(
@@ -384,28 +490,7 @@ proptest! {
             merged.add_accesses(NodeId(trailing), 0);
         }
 
-        let mut slow = AffinityGraph::new();
-        merged.apply_to(&mut slow);
-        slow.finalise();
-        let recorded = (merged.len(), merged.edges());
-        let fast = merged.into_graph();
-
-        assert!(fast.is_finalised() && slow.is_finalised());
-        assert_eq!(fast.len(), recorded.0, "node count");
-        assert_eq!(fast.len(), slow.len());
-        assert_eq!(fast.nodes().collect::<Vec<_>>(), slow.nodes().collect::<Vec<_>>(), "all alive");
-        for n in slow.nodes() {
-            assert_eq!(fast.accesses(n), slow.accesses(n), "accesses of {n}");
-            assert_eq!(fast.neighbours(n), slow.neighbours(n), "row of {n}");
-        }
-        assert_eq!(fast.total_accesses(), slow.total_accesses());
-        assert_eq!(fast.edge_count(), slow.edge_count());
-        assert_eq!(fast.edges().collect::<Vec<_>>(), slow.edges().collect::<Vec<_>>());
-        assert_eq!(fast.edges().collect::<Vec<_>>(), recorded.1, "the shard's own edge list");
-        for (u, v, w) in slow.edges() {
-            assert_eq!(fast.weight(u, v), w);
-            assert_eq!(fast.weight(v, u), w);
-        }
+        assert_into_graph_matches(merged, apply_to);
     }
 
     #[test]
@@ -480,7 +565,7 @@ proptest! {
         assert!(g.is_finalised());
         assert_same_edges(&g, &r, "after threshold_edges");
         for u in (0..g.len() as u32).map(NodeId) {
-            let row: Vec<_> = g.neighbours(u);
+            let row = neighbours(&g, u);
             let want: Vec<_> = (0..g.len() as u32)
                 .map(NodeId)
                 .filter(|&v| v != u && r.is_alive(u) && r.is_alive(v) && r.weight(u, v) > 0)

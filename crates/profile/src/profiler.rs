@@ -94,9 +94,6 @@ pub struct Profile {
     /// queues combined) — the overhead that grows with the affinity
     /// distance (§5.1, Fig. 12 trade-off).
     pub queue_work: u64,
-    /// Number of per-thread [`SubGraph`] shards the object graph was
-    /// merged from (1 for a single-threaded run).
-    pub shard_count: usize,
 }
 
 impl Profile {
@@ -142,61 +139,49 @@ fn coallocatable(contexts: &[ContextData], x: NodeId, sx: u64, y: NodeId, sy: u6
 /// the queue by.
 struct Lane {
     queue: AffinityQueue,
-    /// Per-logical-thread graph deltas (DESIGN.md §13): every edge
-    /// increment is attributed to the thread that caused it, and
-    /// [`Lane::finish`] unions the shards — by summed weights, so the
-    /// result is identical to single-graph recording for *any*
-    /// thread-switch pattern. Indexed by thread id; single-threaded runs
-    /// only ever touch shard 0.
-    shards: Vec<SubGraph>,
+    /// Every edge increment so far (DESIGN.md §13). Thread-agnostic: an
+    /// increment weighs the same whichever logical thread caused it, so a
+    /// program's thread switches never reach the lane.
+    delta: SubGraph,
     /// Macro-accesses recorded.
     total: u64,
 }
 
 impl Lane {
     fn new(distance: u64) -> Self {
-        Lane { queue: AffinityQueue::new(distance), shards: vec![SubGraph::new()], total: 0 }
+        Lane { queue: AffinityQueue::new(distance), delta: SubGraph::new(), total: 0 }
     }
 
-    /// Offer one access to the queue on behalf of logical thread `thread`.
-    /// The queue applies the consecutiveness (macro-access) check once;
-    /// partners that pass the co-allocatability test (when `enforce`d)
-    /// stream straight into edge updates, nothing materializes. Returns
-    /// whether the access counted as a macro-access.
-    fn record(
-        &mut self,
-        thread: usize,
-        entry: QueueEntry,
-        contexts: &[ContextData],
-        enforce: bool,
-    ) -> bool {
-        let shard = &mut self.shards[thread];
+    /// Offer one access to the queue. The queue applies the
+    /// consecutiveness (macro-access) check once; partners that pass the
+    /// co-allocatability test (when `enforce`d) stream straight into edge
+    /// updates, nothing materializes. Returns whether the access counted
+    /// as a macro-access.
+    fn record(&mut self, entry: QueueEntry, contexts: &[ContextData], enforce: bool) -> bool {
+        let delta = &mut self.delta;
         let QueueEntry { ctx, alloc_seq, .. } = entry;
         let recorded = self.queue.record_with(entry, |partner| {
             if !enforce || coallocatable(contexts, ctx, alloc_seq, partner.ctx, partner.alloc_seq) {
-                shard.add_edge_weight(ctx, partner.ctx, 1);
+                delta.add_edge_weight(ctx, partner.ctx, 1);
             }
         });
         self.total += u64::from(recorded);
         recorded
     }
 
-    /// Union the shards with `merge`, give every context its node and its
-    /// access count (`accesses` picks this lane's counter), and adopt the
-    /// merged delta as the graph — no edge is hashed a second time — with
-    /// the cold-node filter applied.
+    /// Give every context its node and its access count (`accesses` picks
+    /// this lane's counter) and adopt the delta as the graph — no edge is
+    /// hashed a second time — with the cold-node filter applied.
     fn finish(
-        self,
-        merge: &impl Fn(Vec<SubGraph>) -> SubGraph,
+        mut self,
         contexts: &[ContextData],
         accesses: impl Fn(&ContextInfo) -> u64,
         keep_fraction: f64,
     ) -> AffinityGraph {
-        let mut merged = merge(self.shards);
         for c in contexts {
-            merged.add_accesses(c.info.id, accesses(&c.info));
+            self.delta.add_accesses(c.info.id, accesses(&c.info));
         }
-        let mut graph = merged.into_graph();
+        let mut graph = self.delta.into_graph();
         graph.discard_cold_nodes(keep_fraction);
         graph
     }
@@ -215,9 +200,6 @@ pub struct Profiler<'p> {
     /// The page-identity lane, over the same node ids; recorded only when
     /// `config.granularity` tracks pages.
     page: Option<Lane>,
-    /// The currently executing logical thread: the shard both lanes
-    /// record into.
-    thread: usize,
     intern: HashMap<RawContext, NodeId>,
     contexts: Vec<ContextData>,
     next_seq: u64,
@@ -226,7 +208,14 @@ pub struct Profiler<'p> {
 
 impl<'p> Profiler<'p> {
     /// Create a profiler for one run of `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.keep_fraction` is outside `[0, 1]` — before the
+    /// run, not in the cold-node filter after it.
     pub fn new(program: &'p Program, config: ProfileConfig) -> Self {
+        let keep = config.keep_fraction;
+        assert!((0.0..=1.0).contains(&keep), "keep_fraction {keep} must be within [0, 1]");
         Profiler {
             program,
             config,
@@ -234,7 +223,6 @@ impl<'p> Profiler<'p> {
             objects: ObjectTracker::new(),
             object: Lane::new(config.affinity_distance),
             page: config.granularity.tracks_pages().then(|| Lane::new(config.affinity_distance)),
-            thread: 0,
             intern: HashMap::new(),
             contexts: Vec::new(),
             next_seq: 0,
@@ -275,27 +263,17 @@ impl<'p> Profiler<'p> {
         parts.join("→")
     }
 
-    /// Finish profiling: union the per-thread edge shards (serially), fix
-    /// node access counts, apply the 90% filter (to each granularity's
-    /// graph independently), and emit the [`Profile`].
+    /// Finish profiling: fix node access counts, apply the 90% filter (to
+    /// each granularity's graph independently), and emit the [`Profile`].
     pub fn finish(self) -> Profile {
-        self.finish_with(|shards| shards.into_iter().fold(SubGraph::new(), SubGraph::merge))
-    }
-
-    /// Like [`Profiler::finish`], but the caller supplies the shard-union
-    /// strategy — `halo_core` injects its `par_map`-based tree merge here.
-    /// Because [`SubGraph::merge`] is commutative and associative, every
-    /// strategy yields the same profile byte for byte.
-    pub fn finish_with(self, merge: impl Fn(Vec<SubGraph>) -> SubGraph) -> Profile {
         let keep = self.config.keep_fraction;
-        let shard_count = self.object.shards.len();
         let total_accesses = self.object.total;
         let total_page_accesses = self.page.as_ref().map_or(0, |lane| lane.total);
         let queue_work = self.object.queue.traversal_work()
             + self.page.as_ref().map_or(0, |lane| lane.queue.traversal_work());
-        let graph = self.object.finish(&merge, &self.contexts, |c| c.accesses, keep);
+        let graph = self.object.finish(&self.contexts, |c| c.accesses, keep);
         let page_graph = self.page.map_or_else(AffinityGraph::new, |lane| {
-            lane.finish(&merge, &self.contexts, |c| c.page_accesses, keep)
+            lane.finish(&self.contexts, |c| c.page_accesses, keep)
         });
         let contexts: Vec<ContextInfo> = self
             .contexts
@@ -313,7 +291,6 @@ impl<'p> Profiler<'p> {
             total_page_accesses,
             total_allocs: self.total_allocs,
             queue_work,
-            shard_count,
         }
     }
 }
@@ -352,15 +329,6 @@ impl Monitor for Profiler<'_> {
         self.objects.remove(ptr);
     }
 
-    fn on_thread_switch(&mut self, thread: u16) {
-        self.thread = thread as usize;
-        for lane in std::iter::once(&mut self.object).chain(&mut self.page) {
-            if lane.shards.len() <= self.thread {
-                lane.shards.resize_with(self.thread + 1, SubGraph::new);
-            }
-        }
-    }
-
     fn on_access(&mut self, addr: u64, width: u8, _store: bool) {
         let Some(obj) = self.objects.find(addr) else { return };
         let enforce = self.config.enforce_coallocatability;
@@ -376,13 +344,13 @@ impl Monitor for Profiler<'_> {
         // The tracked-size cap applies to the object lane only (large
         // objects may be in the tracker for the page lane's benefit).
         if obj.size() <= self.config.max_tracked_size
-            && self.object.record(self.thread, entry(obj.id), &self.contexts, enforce)
+            && self.object.record(entry(obj.id), &self.contexts, enforce)
         {
             self.contexts[obj.ctx.index()].info.accesses += 1;
         }
         if let Some(page) = &mut self.page {
             let identity = addr >> PAGE_GRANULARITY_SHIFT;
-            if page.record(self.thread, entry(identity), &self.contexts, enforce) {
+            if page.record(entry(identity), &self.contexts, enforce) {
                 self.contexts[obj.ctx.index()].info.page_accesses += 1;
             }
         }
@@ -400,6 +368,7 @@ mod tests {
 
     /// Figure 2's shape: create_a/create_b allocate hot objects, create_c
     /// cold ones; the access loop touches only a/b objects, interleaved.
+    /// The work hops between logical threads, which no lane may notice.
     fn fig2_program(rounds: i64) -> halo_vm::Program {
         let mut pb = ProgramBuilder::new();
         let create_a = pb.declare("create_a");
@@ -425,12 +394,15 @@ mod tests {
         let done = m.label();
         m.bind(top);
         m.branch(halo_vm::Cond::Ge, r(10), r(11), done);
+        m.thread_switch(1);
         m.call(create_a, &[], Some(r(3)));
         m.store(list, r(3), 0, Width::W8); // a->next = list
         m.mov(list, r(3));
+        m.thread_switch(u16::MAX);
         m.call(create_b, &[], Some(r(4)));
         m.store(list, r(4), 0, Width::W8); // b->next = list
         m.mov(list, r(4));
+        m.thread_switch(0);
         m.call(create_c, &[], Some(r(5)));
         m.store(r(10), r(5), 8, Width::W8); // touch c once
         m.add_imm(r(10), r(10), 1);
@@ -448,7 +420,9 @@ mod tests {
         m.bind(walk);
         m.branch(halo_vm::Cond::Eq, r(6), r(13), walk_done); // r13 == 0
         m.load(r(7), r(6), 8, Width::W8); // touch payload
+        m.thread_switch(2);
         m.load(r(6), r(6), 0, Width::W8); // next
+        m.thread_switch(3);
         m.jump(walk);
         m.bind(walk_done);
         m.add_imm(r(12), r(12), 1);
@@ -514,6 +488,45 @@ mod tests {
         assert!(c.discarded, "create_c covers <10% of accesses");
         assert!(!profile.graph.is_alive(c.id));
         assert_eq!(profile.alive_contexts().count(), 2);
+    }
+
+    /// A lane is thread-agnostic by construction: a program and its twin
+    /// with a no-op in each switch's place (so call-site pcs agree) profile
+    /// the same, at either granularity.
+    #[test]
+    fn thread_switches_do_not_change_the_profile() {
+        let cfg = ProfileConfig { granularity: Granularity::Page, ..Default::default() };
+        let program = fig2_program(96);
+        let mut twin = program.clone();
+        for op in twin.functions.iter_mut().flat_map(|f| &mut f.code) {
+            if matches!(op, halo_vm::Op::ThreadSwitch(_)) {
+                *op = halo_vm::Op::Nop;
+            }
+        }
+        let (threaded, serial) = (profile(&program, cfg), profile(&twin, cfg));
+        let edges = |g: &AffinityGraph| g.edges().collect::<Vec<_>>();
+        assert!(threaded.graph.edge_count() > 0 && threaded.page_graph.edge_count() > 0);
+        assert_eq!(edges(&threaded.graph), edges(&serial.graph));
+        assert_eq!(edges(&threaded.page_graph), edges(&serial.page_graph));
+        assert_eq!(threaded.contexts, serial.contexts);
+        let totals =
+            |p: &Profile| (p.total_accesses, p.total_page_accesses, p.total_allocs, p.queue_work);
+        assert_eq!(totals(&threaded), totals(&serial));
+    }
+
+    #[test]
+    fn keep_fraction_is_checked_before_the_run() {
+        let p = fig2_program(4);
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let cfg = ProfileConfig { keep_fraction: bad, ..Default::default() };
+            let err = std::panic::catch_unwind(|| drop(Profiler::new(&p, cfg)))
+                .expect_err("an out-of-range fraction is rejected");
+            let msg = err.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("must be within [0, 1]"), "{bad}: {msg}");
+        }
+        let keep = |f| profile(&p, ProfileConfig { keep_fraction: f, ..Default::default() });
+        assert_eq!(keep(0.0).alive_contexts().count(), 0, "0.0 keeps nothing");
+        assert_eq!(keep(1.0).alive_contexts().count(), 3, "1.0 keeps everything");
     }
 
     #[test]
