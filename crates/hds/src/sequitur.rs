@@ -12,10 +12,25 @@
 //! extract hot data streams from the resulting grammar; this implementation
 //! follows the classic pointer-based formulation, translated to an
 //! index-based arena.
+//!
+//! The digram index is probed once or twice per appended symbol, so its key
+//! is one packed `u64` — `(enc(a) << 32) | enc(b)`, where bit 31 of `enc`
+//! tags a rule reference — hashed by one `mix64` ([`FastIntState`]).
+//! Terminals must therefore stay below the tag bit; [`Sequitur::push`]
+//! checks it (DESIGN.md §18).
 
+use halo_vm::FastIntState;
 use std::collections::HashMap;
 
 const NIL: u32 = u32::MAX;
+
+/// Bit 31 of a packed symbol: set for a rule reference, clear for a
+/// terminal. Terminals and rule ids both stay below it.
+const RULE_TAG: u32 = 1 << 31;
+
+// The trace collector stops recording at exactly the ids SEQUITUR cannot
+// encode.
+const _: () = assert!(RULE_TAG as u64 == halo_profile::TRACE_SYMBOL_LIMIT);
 
 /// A grammar symbol: terminal or rule reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,6 +39,24 @@ pub enum Sym {
     T(u32),
     /// A reference to rule `r`.
     R(u32),
+}
+
+impl Sym {
+    /// The 32-bit half of a digram key: a terminal as itself, a rule with
+    /// [`RULE_TAG`] set.
+    #[inline]
+    fn packed(self) -> u64 {
+        u64::from(match self {
+            Sym::T(t) => t,
+            Sym::R(r) => RULE_TAG | r,
+        })
+    }
+}
+
+/// The digram index key of `a b`.
+#[inline]
+fn digram(a: Sym, b: Sym) -> u64 {
+    a.packed() << 32 | b.packed()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +80,8 @@ pub struct Sequitur {
     /// Guard node per rule; `NIL` marks a dead (inlined) rule.
     guards: Vec<u32>,
     uses: Vec<u32>,
-    digrams: HashMap<(Sym, Sym), u32>,
+    /// Packed digram ([`digram`]) → the node heading its one occurrence.
+    digrams: HashMap<u64, u32, FastIntState>,
 }
 
 impl Sequitur {
@@ -60,6 +94,7 @@ impl Sequitur {
 
     fn new_rule(&mut self) -> u32 {
         let r = self.guards.len() as u32;
+        assert!(r < RULE_TAG, "rule id {r} must be below 2^31: bit 31 tags rule references");
         let g = self.alloc(NodeSym::Guard(r));
         self.nodes[g as usize].prev = g;
         self.nodes[g as usize].next = g;
@@ -110,10 +145,10 @@ impl Sequitur {
         }
     }
 
-    fn digram_key(&self, n: u32) -> Option<(Sym, Sym)> {
+    fn digram_key(&self, n: u32) -> Option<u64> {
         let a = self.sym(n)?;
         let b = self.sym(self.next(n))?;
-        Some((a, b))
+        Some(digram(a, b))
     }
 
     fn delete_digram(&mut self, n: u32) {
@@ -149,7 +184,13 @@ impl Sequitur {
     }
 
     /// Append a terminal to the start rule, restoring both invariants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not below 2^31: the digram key would confuse it
+    /// with a rule reference.
     pub fn push(&mut self, t: u32) {
+        assert!(t < RULE_TAG, "terminal {t} must be below 2^31: bit 31 tags rule references");
         let g = self.guards[0];
         let last = self.prev(g);
         let n = self.alloc(NodeSym::Sym(Sym::T(t)));
@@ -280,7 +321,7 @@ impl Sequitur {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen: HashMap<(Sym, Sym), (u32, usize)> = HashMap::new();
+        let mut seen: HashMap<u64, (u32, usize), FastIntState> = HashMap::default();
         for r in self.live_rules() {
             let body = self.body(r);
             if r != 0 {
@@ -292,16 +333,16 @@ impl Sequitur {
                 }
             }
             for (i, w) in body.windows(2).enumerate() {
-                let key = (w[0], w[1]);
                 if w[0] == w[1] {
                     continue; // overlapping digrams like "aaa" are exempt
                 }
-                if let Some(&(or, oi)) = seen.get(&key) {
+                if let Some(&(or, oi)) = seen.get(&digram(w[0], w[1])) {
                     return Err(format!(
-                        "digram {key:?} appears in rule {or}@{oi} and rule {r}@{i}"
+                        "digram ({:?}, {:?}) appears in rule {or}@{oi} and rule {r}@{i}",
+                        w[0], w[1]
                     ));
                 }
-                seen.insert(key, (r, i));
+                seen.insert(digram(w[0], w[1]), (r, i));
             }
         }
         Ok(())
@@ -364,8 +405,6 @@ impl Grammar {
             }
             if !advanced && stack.last().map(|&(rr, _)| rr) == Some(r) {
                 // All children visited.
-                let body_len = bodies[r as usize].as_ref().expect("body").len();
-                let _ = body_len;
                 state[r as usize] = 2;
                 order.push(r);
                 stack.pop();
@@ -529,6 +568,26 @@ mod tests {
         let mut g1 = Grammar::build(&[42]);
         assert_eq!(g1.expand_input(), vec![42]);
         assert_eq!(g1.num_rules(), 0);
+    }
+
+    #[test]
+    fn terminals_up_to_the_tag_bit_stay_apart_from_rules() {
+        // The largest terminal against rule ids 0 and 1: the tag bit keeps
+        // `T(2^31 - 1)` and `T(0)`/`T(1)` apart from `R(…)` in the index.
+        let top = RULE_TAG - 1;
+        let input = [top, 0, top, 0, 1, top, 0, 1, 0, top, top, 1];
+        let g = build_checked(&input);
+        assert!(g.num_rules() >= 1);
+    }
+
+    #[test]
+    fn terminals_at_and_past_the_tag_bit_are_rejected() {
+        for bad in [RULE_TAG, RULE_TAG + 1, u32::MAX] {
+            let err = std::panic::catch_unwind(|| Sequitur::new().push(bad))
+                .expect_err("an unencodable terminal is rejected");
+            let msg = err.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("must be below 2^31"), "{bad}: {msg}");
+        }
     }
 
     #[test]

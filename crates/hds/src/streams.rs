@@ -9,6 +9,8 @@
 //! 90% of all heap accesses" (§5.1).
 
 use crate::sequitur::Grammar;
+use halo_vm::FastIntState;
+use std::collections::{BTreeSet, HashSet};
 
 /// Stream-extraction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,6 +27,17 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig { min_len: 2, max_len: 20, coverage: 0.9 }
+    }
+}
+
+impl StreamConfig {
+    /// Panics with the broken rule's text unless `1 ≤ max_len`,
+    /// `min_len ≤ max_len` and `coverage` is within `[0, 1]`.
+    fn check(&self) {
+        let StreamConfig { min_len, max_len, coverage } = *self;
+        assert!(max_len >= 1, "max_len {max_len} must be at least 1");
+        assert!(min_len <= max_len, "min_len {min_len} must not exceed max_len {max_len}");
+        assert!((0.0..=1.0).contains(&coverage), "coverage {coverage} must be within [0, 1]");
     }
 }
 
@@ -51,8 +64,70 @@ pub struct StreamAnalysis {
     pub achieved_coverage: f64,
 }
 
+/// The runs of `len` consecutive symbols of `s` (`len ≤ s.len()`).
+fn runs(s: &[u32], len: usize) -> impl Iterator<Item = &[u32]> {
+    (0..=s.len() - len).map(move |i| &s[i..i + len])
+}
+
+/// The streams selected so far, indexed for the minimality test: each
+/// stream whole, and its strictly shorter runs at the lengths candidates
+/// have been probed at. Both sides are indexed only at lengths that occur,
+/// so a handful of long streams does not pay for every run of every one.
+#[derive(Default)]
+struct Selected {
+    whole: HashSet<Box<[u32]>, FastIntState>,
+    /// The lengths present in `whole`.
+    lengths: BTreeSet<usize>,
+    /// Every run of a selected stream, strictly shorter than it, of a
+    /// length in `run_lengths`.
+    runs: HashSet<Box<[u32]>, FastIntState>,
+    /// The candidate lengths probed so far.
+    run_lengths: BTreeSet<usize>,
+}
+
+/// Add the runs of `len` symbols of `s` to `set`.
+fn index_runs(set: &mut HashSet<Box<[u32]>, FastIntState>, s: &[u32], len: usize) {
+    for r in runs(s, len) {
+        if !set.contains(r) {
+            set.insert(r.into());
+        }
+    }
+}
+
+impl Selected {
+    /// Whether `c` contains a selected stream as a contiguous run, or is a
+    /// strictly shorter run of one. (Of equal length, both mean `c` *is*
+    /// one.)
+    fn overlaps(&mut self, c: &[u32]) -> bool {
+        if self.run_lengths.insert(c.len()) {
+            for s in self.whole.iter().filter(|s| s.len() > c.len()) {
+                index_runs(&mut self.runs, s, c.len());
+            }
+        }
+        self.runs.contains(c)
+            || self
+                .lengths
+                .range(..=c.len())
+                .any(|&len| runs(c, len).any(|r| self.whole.contains(r)))
+    }
+
+    fn insert(&mut self, s: &[u32]) {
+        for &len in self.run_lengths.range(..s.len()) {
+            index_runs(&mut self.runs, s, len);
+        }
+        self.lengths.insert(s.len());
+        self.whole.insert(s.into());
+    }
+}
+
 /// Extract minimal hot data streams from `trace`.
+///
+/// # Panics
+///
+/// Panics with the broken rule's text unless `1 ≤ max_len`,
+/// `min_len ≤ max_len` and `coverage` is within `[0, 1]`.
 pub fn extract_streams(trace: &[u32], config: &StreamConfig) -> StreamAnalysis {
+    config.check();
     if trace.is_empty() {
         return StreamAnalysis::default();
     }
@@ -86,6 +161,7 @@ pub fn extract_streams(trace: &[u32], config: &StreamConfig) -> StreamAnalysis {
     let target = (total_heat as f64 * config.coverage).ceil() as u64;
     let mut covered = 0u64;
     let mut streams: Vec<Stream> = Vec::new();
+    let mut selected = Selected::default();
     for c in candidates {
         if covered >= target {
             break;
@@ -94,17 +170,10 @@ pub fn extract_streams(trace: &[u32], config: &StreamConfig) -> StreamAnalysis {
         // stream — either containing one as a contiguous subsequence
         // (covered by it) or being contained in one (its heat was already
         // accounted for by the enclosing selection).
-        let overlaps_selected = streams.iter().any(|s| {
-            let (short, long) = if s.symbols.len() <= c.symbols.len() {
-                (&s.symbols, &c.symbols)
-            } else {
-                (&c.symbols, &s.symbols)
-            };
-            long.windows(short.len()).any(|w| w == short.as_slice())
-        });
-        if overlaps_selected {
+        if selected.overlaps(&c.symbols) {
             continue;
         }
+        selected.insert(&c.symbols);
         covered = covered.saturating_add(c.heat);
         streams.push(Stream { symbols: c.symbols, frequency: c.frequency, heat: c.heat });
     }
@@ -204,8 +273,47 @@ mod tests {
             trace.extend_from_slice(&[7, 8, 9]);
         }
         let a = extract_streams(&trace, &cfg());
-        for w in a.streams.windows(2) {
-            assert!(w[0].heat >= w[1].heat);
+        assert!(a.streams.is_sorted_by(|x, y| x.heat >= y.heat));
+    }
+
+    fn rejection(config: StreamConfig) -> String {
+        let err = std::panic::catch_unwind(|| extract_streams(&[1, 2, 1, 2], &config))
+            .expect_err("a broken config is rejected");
+        err.downcast_ref::<String>().expect("assert message").clone()
+    }
+
+    #[test]
+    fn an_empty_window_is_rejected() {
+        let msg = rejection(StreamConfig { min_len: 0, max_len: 0, coverage: 0.9 });
+        assert!(msg.contains("max_len 0 must be at least 1"), "{msg}");
+    }
+
+    #[test]
+    fn an_inverted_window_is_rejected() {
+        let msg = rejection(StreamConfig { min_len: 30, max_len: 20, coverage: 0.9 });
+        assert!(msg.contains("min_len 30 must not exceed max_len 20"), "{msg}");
+    }
+
+    #[test]
+    fn a_coverage_outside_the_unit_interval_is_rejected() {
+        for bad in [f64::NAN, -0.5, 1.5] {
+            let msg = rejection(StreamConfig { coverage: bad, ..cfg() });
+            assert!(msg.contains("must be within [0, 1]"), "{bad}: {msg}");
         }
+    }
+
+    #[test]
+    fn the_default_config_and_the_interval_ends_are_accepted() {
+        assert_eq!(StreamConfig::default(), cfg());
+        let trace = [1, 2, 1, 2, 1, 2];
+        assert!(!extract_streams(&trace, &StreamConfig::default()).streams.is_empty());
+        assert!(extract_streams(&trace, &StreamConfig { coverage: 0.0, ..cfg() })
+            .streams
+            .is_empty());
+        let all = StreamConfig { min_len: 1, max_len: 1, coverage: 1.0 };
+        assert!(extract_streams(&trace, &all).streams.iter().all(|s| s.symbols.len() == 1));
+        // The window is checked before the trace is looked at.
+        std::panic::catch_unwind(|| extract_streams(&[], &StreamConfig { max_len: 0, ..cfg() }))
+            .expect_err("an empty trace does not bypass the check");
     }
 }

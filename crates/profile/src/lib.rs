@@ -72,4 +72,4 @@ pub use profiler::{ContextInfo, Profile, ProfileConfig, Profiler, PAGE_GRANULARI
 pub use queue::{AffinityQueue, QueueEntry};
 pub use shadow::{RawContext, ShadowStack};
 pub use stream::ProfileStream;
-pub use trace::{HeapTrace, TraceCollector, TraceObject};
+pub use trace::{HeapTrace, TraceCollector, TraceObject, TRACE_SYMBOL_LIMIT};

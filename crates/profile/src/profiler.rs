@@ -108,28 +108,59 @@ impl Profile {
     }
 }
 
-struct ContextData {
-    info: ContextInfo,
-    alloc_seqs: Vec<u64>,
+/// The allocation history co-allocatability is judged on: each context's
+/// allocation sequence numbers, ascending, and each allocation's position
+/// among its context's. Sequence numbers are dense: the n-th allocation
+/// observed is n.
+#[derive(Default)]
+struct AllocOrder {
+    /// Per context, its allocations.
+    seqs: Vec<Vec<u64>>,
+    /// Per allocation, its index in its context's `seqs` (4 B each).
+    ranks: Vec<u32>,
 }
 
-/// Co-allocatability (§4.1): "no allocations made between u and v
-/// chronologically can originate from either x or y". Were that violated,
-/// u and v could not end up adjacent in a shared bump pool. A free
-/// function (not a method) so the access hot path can borrow the context
-/// table alongside the queue and graph.
-fn coallocatable(contexts: &[ContextData], x: NodeId, sx: u64, y: NodeId, sy: u64) -> bool {
-    let (lo, hi) = (sx.min(sy), sx.max(sy));
-    let violates = |ctx: NodeId| {
-        let seqs = &contexts[ctx.index()].alloc_seqs;
-        let from = seqs.partition_point(|&s| s <= lo);
-        let to = seqs.partition_point(|&s| s < hi);
-        to > from
-    };
-    if violates(x) {
-        return false;
+impl AllocOrder {
+    /// Record the next allocation, made from `ctx`; returns its sequence
+    /// number.
+    fn push(&mut self, ctx: NodeId) -> u64 {
+        if self.seqs.len() <= ctx.index() {
+            self.seqs.resize_with(ctx.index() + 1, Vec::new);
+        }
+        let seq = self.len();
+        let seqs = &mut self.seqs[ctx.index()];
+        self.ranks.push(u32::try_from(seqs.len()).expect("a context's allocations fit u32"));
+        seqs.push(seq);
+        seq
     }
-    x == y || !violates(y)
+
+    /// Allocations recorded.
+    fn len(&self) -> u64 {
+        self.ranks.len() as u64
+    }
+
+    /// Whether `ctx` made an allocation strictly between `own` — one of
+    /// `ctx`'s own allocations — and `other`. The one candidate is `own`'s
+    /// neighbour in `ctx`'s ascending sequence, on `other`'s side
+    /// (DESIGN.md §7).
+    #[inline]
+    fn allocated_between(&self, ctx: NodeId, own: u64, other: u64) -> bool {
+        let seqs = &self.seqs[ctx.index()];
+        let rank = self.ranks[own as usize] as usize;
+        if own < other {
+            seqs.get(rank + 1).is_some_and(|&next| next < other)
+        } else {
+            rank > 0 && seqs[rank - 1] > other
+        }
+    }
+
+    /// Co-allocatability (§4.1): "no allocations made between u and v
+    /// chronologically can originate from either x or y". Were that
+    /// violated, u and v could not end up adjacent in a shared bump pool.
+    #[inline]
+    fn coallocatable(&self, x: NodeId, sx: u64, y: NodeId, sy: u64) -> bool {
+        !self.allocated_between(x, sx, sy) && (x == y || !self.allocated_between(y, sy, sx))
+    }
 }
 
 /// One recording lane: the affinity queue of one identity (objects, or
@@ -157,11 +188,11 @@ impl Lane {
     /// co-allocatability test (when `enforce`d) stream straight into edge
     /// updates, nothing materializes. Returns whether the access counted
     /// as a macro-access.
-    fn record(&mut self, entry: QueueEntry, contexts: &[ContextData], enforce: bool) -> bool {
+    fn record(&mut self, entry: QueueEntry, order: &AllocOrder, enforce: bool) -> bool {
         let delta = &mut self.delta;
         let QueueEntry { ctx, alloc_seq, .. } = entry;
         let recorded = self.queue.record_with(entry, |partner| {
-            if !enforce || coallocatable(contexts, ctx, alloc_seq, partner.ctx, partner.alloc_seq) {
+            if !enforce || order.coallocatable(ctx, alloc_seq, partner.ctx, partner.alloc_seq) {
                 delta.add_edge_weight(ctx, partner.ctx, 1);
             }
         });
@@ -174,12 +205,12 @@ impl Lane {
     /// hashed a second time — with the cold-node filter applied.
     fn finish(
         mut self,
-        contexts: &[ContextData],
+        contexts: &[ContextInfo],
         accesses: impl Fn(&ContextInfo) -> u64,
         keep_fraction: f64,
     ) -> AffinityGraph {
         for c in contexts {
-            self.delta.add_accesses(c.info.id, accesses(&c.info));
+            self.delta.add_accesses(c.id, accesses(c));
         }
         let mut graph = self.delta.into_graph();
         graph.discard_cold_nodes(keep_fraction);
@@ -201,9 +232,8 @@ pub struct Profiler<'p> {
     /// `config.granularity` tracks pages.
     page: Option<Lane>,
     intern: HashMap<RawContext, NodeId>,
-    contexts: Vec<ContextData>,
-    next_seq: u64,
-    total_allocs: u64,
+    contexts: Vec<ContextInfo>,
+    order: AllocOrder,
 }
 
 impl<'p> Profiler<'p> {
@@ -225,8 +255,7 @@ impl<'p> Profiler<'p> {
             page: config.granularity.tracks_pages().then(|| Lane::new(config.affinity_distance)),
             intern: HashMap::new(),
             contexts: Vec::new(),
-            next_seq: 0,
-            total_allocs: 0,
+            order: AllocOrder::default(),
         }
     }
 
@@ -238,18 +267,15 @@ impl<'p> Profiler<'p> {
         // from either granularity index the same context table.
         let id = NodeId(u32::try_from(self.contexts.len()).expect("context ids fit NodeId's u32"));
         let name = self.context_name(&raw);
-        self.contexts.push(ContextData {
-            info: ContextInfo {
-                id,
-                frames: raw.frames.clone(),
-                chain: raw.chain(),
-                name,
-                allocs: 0,
-                accesses: 0,
-                page_accesses: 0,
-                discarded: false,
-            },
-            alloc_seqs: Vec::new(),
+        self.contexts.push(ContextInfo {
+            id,
+            frames: raw.frames.clone(),
+            chain: raw.chain(),
+            name,
+            allocs: 0,
+            accesses: 0,
+            page_accesses: 0,
+            discarded: false,
         });
         self.intern.insert(raw, id);
         id
@@ -275,21 +301,17 @@ impl<'p> Profiler<'p> {
         let page_graph = self.page.map_or_else(AffinityGraph::new, |lane| {
             lane.finish(&self.contexts, |c| c.page_accesses, keep)
         });
-        let contexts: Vec<ContextInfo> = self
-            .contexts
-            .into_iter()
-            .map(|mut c| {
-                c.info.discarded = !graph.is_alive(c.info.id);
-                c.info
-            })
-            .collect();
+        let mut contexts = self.contexts;
+        for c in &mut contexts {
+            c.discarded = !graph.is_alive(c.id);
+        }
         Profile {
             graph,
             page_graph,
             contexts,
             total_accesses,
             total_page_accesses,
-            total_allocs: self.total_allocs,
+            total_allocs: self.order.len(),
             queue_work,
         }
     }
@@ -310,12 +332,8 @@ impl Monitor for Profiler<'_> {
         }
         let raw = self.shadow.capture(site).reduced();
         let ctx = self.intern_context(raw);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.total_allocs += 1;
-        let data = &mut self.contexts[ctx.index()];
-        data.info.allocs += 1;
-        data.alloc_seqs.push(seq);
+        let seq = self.order.push(ctx);
+        self.contexts[ctx.index()].allocs += 1;
         // Page tracking has no size cap — large arrays are exactly what the
         // §6 fallback exists for. The object-granularity path re-applies the
         // cap per access (`on_access`), so object-mode behaviour is
@@ -344,14 +362,14 @@ impl Monitor for Profiler<'_> {
         // The tracked-size cap applies to the object lane only (large
         // objects may be in the tracker for the page lane's benefit).
         if obj.size() <= self.config.max_tracked_size
-            && self.object.record(entry(obj.id), &self.contexts, enforce)
+            && self.object.record(entry(obj.id), &self.order, enforce)
         {
-            self.contexts[obj.ctx.index()].info.accesses += 1;
+            self.contexts[obj.ctx.index()].accesses += 1;
         }
         if let Some(page) = &mut self.page {
             let identity = addr >> PAGE_GRANULARITY_SHIFT;
-            if page.record(entry(identity), &self.contexts, enforce) {
-                self.contexts[obj.ctx.index()].info.page_accesses += 1;
+            if page.record(entry(identity), &self.order, enforce) {
+                self.contexts[obj.ctx.index()].page_accesses += 1;
             }
         }
     }

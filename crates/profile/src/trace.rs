@@ -11,6 +11,18 @@ use crate::objects::ObjectTracker;
 use halo_graph::NodeId;
 use halo_vm::{AllocKind, CallSite, Monitor};
 
+/// Trace symbols are object ids below this bound: SEQUITUR's packed digram
+/// key (`halo_hds`) tags rule references with bit 31, so a terminal must
+/// leave it clear.
+pub const TRACE_SYMBOL_LIMIT: u64 = 1 << 31;
+
+/// The trace symbol of object `id`, or `None` when the id is not
+/// encodable — a plain `as u32` would alias ids past `u32::MAX` onto
+/// other objects, and ids from 2³¹ on onto rule references.
+fn trace_symbol(id: u64) -> Option<u32> {
+    (id < TRACE_SYMBOL_LIMIT).then_some(id as u32)
+}
+
 /// Per-object record in a [`HeapTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceObject {
@@ -28,7 +40,8 @@ pub struct TraceObject {
 /// The collected reference trace.
 #[derive(Debug, Clone, Default)]
 pub struct HeapTrace {
-    /// Object ids in access order, consecutive duplicates collapsed.
+    /// Object ids in access order, consecutive duplicates collapsed; all
+    /// below [`TRACE_SYMBOL_LIMIT`].
     pub symbols: Vec<u32>,
     /// Object table indexed by symbol.
     pub objects: Vec<TraceObject>,
@@ -50,7 +63,8 @@ pub struct TraceCollector {
     objects: ObjectTracker,
     table: Vec<TraceObject>,
     symbols: Vec<u32>,
-    last_symbol: Option<u32>,
+    /// The object of the current macro-access.
+    last_object: Option<u64>,
     max_len: usize,
 }
 
@@ -60,14 +74,15 @@ impl TraceCollector {
         Self::with_capacity(4_000_000)
     }
 
-    /// Create a collector that stops recording symbols past `max_len`
-    /// (object accounting continues).
+    /// Create a collector that stops recording symbols past `max_len`, or
+    /// at the first access to an object whose id is not below
+    /// [`TRACE_SYMBOL_LIMIT`] (object accounting continues either way).
     pub fn with_capacity(max_len: usize) -> Self {
         TraceCollector {
             objects: ObjectTracker::new(),
             table: Vec::new(),
             symbols: Vec::new(),
-            last_symbol: None,
+            last_object: None,
             max_len,
         }
     }
@@ -94,14 +109,18 @@ impl Monitor for TraceCollector {
 
     fn on_access(&mut self, addr: u64, _width: u8, _store: bool) {
         let Some(obj) = self.objects.find(addr) else { return };
-        let sym = obj.id as u32;
-        if self.last_symbol == Some(sym) {
+        if self.last_object == Some(obj.id) {
             return; // same macro-access
         }
-        self.last_symbol = Some(sym);
+        self.last_object = Some(obj.id);
         self.table[obj.id as usize].accesses += 1;
         if self.symbols.len() < self.max_len {
-            self.symbols.push(sym);
+            match trace_symbol(obj.id) {
+                Some(sym) => self.symbols.push(sym),
+                // The trace ends here, as at the length cap: skipping the
+                // symbol would splice its neighbours into a false digram.
+                None => self.max_len = self.symbols.len(),
+            }
         }
     }
 }
@@ -191,5 +210,16 @@ mod tests {
         let trace = tc.finish();
         assert_eq!(trace.symbols.len(), 2);
         assert_eq!(trace.total_accesses(), 6);
+    }
+
+    #[test]
+    fn symbols_stop_below_the_rule_tag_bit() {
+        let limit = TRACE_SYMBOL_LIMIT;
+        assert_eq!(trace_symbol(0), Some(0));
+        assert_eq!(trace_symbol(limit - 1), Some((1 << 31) - 1));
+        assert_eq!(trace_symbol(limit), None, "2^31 would read as a rule reference");
+        assert_eq!(trace_symbol(u64::from(u32::MAX)), None);
+        assert_eq!(trace_symbol(1 << 32), None, "`as u32` would alias object 0");
+        assert_eq!(trace_symbol(u64::MAX), None);
     }
 }
