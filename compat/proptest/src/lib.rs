@@ -1,7 +1,6 @@
 //! Minimal stand-in for the subset of the proptest API used by this
-//! workspace, with no dependencies outside the workspace itself (see
-//! `compat/README.md` for the rationale; `halo_core` supplies the shared
-//! `HALO_*` env-override policy).
+//! workspace, with no dependencies at all (see `compat/README.md` for the
+//! rationale), so testing a crate never builds the crates above it.
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
@@ -16,6 +15,7 @@
 
 pub mod test_runner {
     use std::fmt;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Mirrors `proptest::test_runner::Config` (aliased to
     /// `ProptestConfig` in the prelude).
@@ -101,16 +101,33 @@ pub mod test_runner {
         /// The case count actually executed: the configured count, unless
         /// `HALO_PROPTEST_CASES` overrides it (CI lowers the counts to
         /// trim the suite's long pole; set it higher locally for soak
-        /// runs). An invalid value warns once on stderr and falls back to
-        /// the configured count — the workspace-wide env-override policy
-        /// of [`halo_core::parse_env_or_warn`].
+        /// runs). An invalid value warns once per process on stderr and
+        /// falls back to the configured count — the workspace's one
+        /// env-override rule, which `HALO_THREADS` follows too.
         pub fn effective_cases(&self) -> u32 {
-            halo_core::parse_env_or_warn(
-                "HALO_PROPTEST_CASES",
-                "using the configured case count",
-                Self::parse_cases,
-            )
-            .unwrap_or(self.config.cases)
+            static WARNED: AtomicBool = AtomicBool::new(false);
+            let value = std::env::var("HALO_PROPTEST_CASES").ok();
+            Self::override_cases(value.as_deref(), self.config.cases, &WARNED)
+        }
+
+        /// [`TestRunner::effective_cases`] for the variable's `value`
+        /// (`None` when unset): the override if it parses, else
+        /// `configured`, warning the first time `warned` sees a bad value.
+        pub(crate) fn override_cases(
+            value: Option<&str>,
+            configured: u32,
+            warned: &AtomicBool,
+        ) -> u32 {
+            match value.map(Self::parse_cases) {
+                None => configured,
+                Some(Ok(cases)) => cases,
+                Some(Err(reason)) => {
+                    if !warned.swap(true, Ordering::Relaxed) {
+                        eprintln!("warning: {reason}; using the configured case count");
+                    }
+                    configured
+                }
+            }
         }
 
         /// [`TestRunner::effective_cases`]'s pure core, split out so the
@@ -521,6 +538,21 @@ mod tests {
                 "the warning must name the variable and the offending value"
             );
         }
+    }
+
+    #[test]
+    fn a_bad_case_count_warns_once_and_falls_back() {
+        use crate::test_runner::TestRunner;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let warned = AtomicBool::new(false);
+        assert_eq!(TestRunner::override_cases(None, 7, &warned), 7, "unset: the configured count");
+        assert_eq!(TestRunner::override_cases(Some("16"), 7, &warned), 16, "valid: the override");
+        assert!(!warned.load(Ordering::Relaxed), "neither case warns");
+        assert_eq!(TestRunner::override_cases(Some("lots"), 7, &warned), 7, "invalid: fall back");
+        assert!(warned.load(Ordering::Relaxed), "and say so");
+        // Later bad values still fall back; the latch keeps them quiet.
+        assert_eq!(TestRunner::override_cases(Some("0"), 7, &warned), 7);
+        assert!(warned.load(Ordering::Relaxed));
     }
 
     proptest! {

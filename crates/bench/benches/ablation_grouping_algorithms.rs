@@ -4,8 +4,9 @@
 //! cut-based clustering techniques". This harness swaps the clusterer while
 //! keeping every other stage fixed and measures the end-to-end result.
 
+use halo_bench::alt::{hcs_clusters, modularity_clusters};
 use halo_core::measure;
-use halo_graph::{group, hcs_clusters, modularity_clusters, AffinityGraph, Group, NodeId};
+use halo_graph::{group, AffinityGraph, Group, NodeId};
 use halo_ident::{contexts_from_profile, identify};
 use halo_rewrite::instrument;
 

@@ -2,8 +2,9 @@
 //!
 //! §4.2 claims the Fig. 6 greedy-density algorithm produces clusters "more
 //! amenable to region-based co-allocation than standard modularity, HCS, or
-//! cut-based clustering techniques". To let the ablation bench test that
-//! claim, this module implements both comparison algorithms:
+//! cut-based clustering techniques". To let `ablation_grouping_algorithms`
+//! test that claim, this module implements both comparison algorithms over
+//! [`AffinityGraph`]'s public API:
 //!
 //! * [`modularity_clusters`] — greedy agglomerative modularity maximisation
 //!   (Clauset–Newman–Moore style) on the weighted affinity graph;
@@ -13,7 +14,7 @@
 //!   unweighted graphs, so it runs on the skeleton of edges at or above a
 //!   weight threshold.
 
-use crate::affinity::{AffinityGraph, NodeId};
+use halo_graph::{AffinityGraph, NodeId};
 use std::collections::HashMap;
 
 /// Greedy agglomerative modularity clustering.

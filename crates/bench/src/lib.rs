@@ -7,6 +7,8 @@
 //! not taken here: the `benchmark/` package is the one instrument, and
 //! links [`paper_config`] from this crate.
 
+pub mod alt;
+
 use halo_core::{
     evaluate_with_arg, measure, EvalConfig, EvalResult, Halo, HaloConfig, MeasureConfig,
     Measurement, Optimised,

@@ -433,14 +433,6 @@ impl CoherentHierarchy {
         domain.l1.state_of(self.line_unit.index_of(addr)).unwrap_or(LineState::Invalid)
     }
 
-    /// Reset all counters but keep cache contents and states.
-    pub fn reset_stats(&mut self) {
-        self.coherence = CoherenceStats::default();
-        for domain in &mut self.threads {
-            domain.stats = AccessStats::default();
-        }
-    }
-
     /// Simulate a data access of `width` bytes at `addr` on the current
     /// logical thread.
     #[inline]

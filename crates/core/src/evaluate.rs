@@ -115,18 +115,6 @@ impl EvalResult {
         self.expect_backend("hds")
     }
 
-    /// Unmodified binary under the random four-pool allocator (Fig. 15),
-    /// when the `random` extra was enabled.
-    pub fn random(&self) -> Option<&ConfigResult> {
-        self.get("random")
-    }
-
-    /// Unmodified binary under the ptmalloc-style baseline (§5.1), when
-    /// the `ptmalloc` extra was enabled.
-    pub fn ptmalloc(&self) -> Option<&ConfigResult> {
-        self.get("ptmalloc")
-    }
-
     /// Fig. 13 row: L1D miss reduction (fractions) for (HDS, HALO).
     pub fn miss_reduction_row(&self) -> (f64, f64) {
         let base = &self.baseline().measurement;
@@ -359,7 +347,7 @@ mod tests {
         // HDS with distinct immediate call sites also gets improvement.
         assert!(hds_mr > 0.0, "HDS miss reduction {hds_mr}");
         // Extras are present.
-        assert!(result.random().is_some() && result.ptmalloc().is_some());
+        assert!(result.get("random").is_some() && result.get("ptmalloc").is_some());
         assert!(result.halo().frag.is_some());
         assert!(result.optimised.rewrite.sites_instrumented > 0);
         assert!(result.hds_analysis.stats.hot_streams > 0);
@@ -373,7 +361,7 @@ mod tests {
         let p = workload();
         let cfg = EvalConfig { extras: vec!["ptmalloc"], ..Default::default() };
         let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("runs");
-        let pt = result.ptmalloc().expect("requested");
+        let pt = result.get("ptmalloc").expect("requested");
         assert!(
             result.baseline().measurement.stats.l1_misses <= pt.measurement.stats.l1_misses,
             "jemalloc {} vs ptmalloc {}",
@@ -505,14 +493,14 @@ mod tests {
         let plain = evaluate_with_arg(&p, "fig2", 1, 0, &EvalConfig::default()).expect("runs");
         let ids: Vec<&str> = plain.backends.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, ["baseline", "halo", "hds"], "extras absent unless requested");
-        assert!(plain.random().is_none() && plain.ptmalloc().is_none());
+        assert!(plain.get("random").is_none() && plain.get("ptmalloc").is_none());
         let cfg = EvalConfig { extras: vec!["random"], ..Default::default() };
         let with_random = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("runs");
         let ids: Vec<&str> = with_random.backends.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, ["baseline", "halo", "hds", "random"]);
         // Non-grouped backends report no grouped-pool diagnostics.
         assert!(with_random.baseline().frag.is_none());
-        assert!(with_random.random().expect("requested").frag.is_none());
+        assert!(with_random.get("random").expect("requested").frag.is_none());
         assert!(with_random.halo().frag.is_some());
     }
 }

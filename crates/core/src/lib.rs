@@ -75,7 +75,6 @@
 //! ```
 
 mod backend;
-mod env;
 mod evaluate;
 mod measure;
 mod parallel;
@@ -83,13 +82,8 @@ mod pipeline;
 mod serve;
 
 pub use backend::{backend_spec, BackendMake, BackendSpec, BACKENDS};
-pub use env::{env_warning, parse_env_or_warn};
 pub use evaluate::{evaluate_with_arg, ConfigResult, EvalConfig, EvalResult};
-pub use measure::{
-    measure, measure_detailed, CacheMonitor, MeasureConfig, MeasureDetail, Measurement,
-};
-pub use parallel::{
-    par_each_ordered, par_map, par_merge_subgraphs, parse_halo_threads, thread_count,
-};
+pub use measure::{measure, measure_detailed, MeasureConfig, MeasureDetail, Measurement};
+pub use parallel::{par_each_ordered, par_map, par_merge_subgraphs, thread_count};
 pub use pipeline::{Halo, HaloConfig, Optimised, PipelineError};
 pub use serve::{serve, EpochRow, ServeConfig, ServePhase, ServeReport};

@@ -31,31 +31,8 @@ pub struct MeasureConfig {
 /// on thread 0's L1D/dTLB, which is the plain single-core hierarchy: no
 /// coherence counter ever moves.
 #[derive(Debug)]
-pub struct CacheMonitor {
+struct CacheMonitor {
     hierarchy: CoherentHierarchy,
-}
-
-impl CacheMonitor {
-    /// Wrap a hierarchy.
-    pub fn new(config: HierarchyConfig) -> Self {
-        CacheMonitor { hierarchy: CoherentHierarchy::new(config) }
-    }
-
-    /// The accumulated statistics, aggregated over all logical threads.
-    pub fn stats(&self) -> AccessStats {
-        self.hierarchy.stats()
-    }
-
-    /// Coherence-traffic counters (all zero for single-threaded runs).
-    pub fn coherence(&self) -> CoherenceStats {
-        self.hierarchy.coherence()
-    }
-
-    /// Per-thread counters, one entry per logical thread that touched
-    /// memory, in thread-id order.
-    pub fn thread_stats(&self) -> Vec<ThreadAccessStats> {
-        self.hierarchy.thread_stats()
-    }
 }
 
 impl Monitor for CacheMonitor {
@@ -113,15 +90,6 @@ impl Measurement {
     pub fn speedup_vs(&self, baseline: &Measurement) -> f64 {
         TimingModel::speedup(baseline.cycles, self.cycles)
     }
-
-    /// Heap allocations per million instructions (the benchmark-selection
-    /// criterion of §5.1).
-    pub fn allocs_per_million_instructions(&self) -> f64 {
-        if self.instructions == 0 {
-            return 0.0;
-        }
-        self.allocs as f64 * 1e6 / self.instructions as f64
-    }
 }
 
 /// Run `program` under `alloc` and measure it.
@@ -161,14 +129,15 @@ pub fn measure_detailed<A: VmAllocator + ?Sized>(
     alloc: &mut A,
     config: &MeasureConfig,
 ) -> Result<MeasureDetail, VmError> {
-    let mut monitor = CacheMonitor::new(config.hierarchy);
+    let mut monitor = CacheMonitor { hierarchy: CoherentHierarchy::new(config.hierarchy) };
     let exit = Engine::new(program)
         .with_seed(config.seed)
         .with_entry_arg(config.entry_arg)
         .with_limits(config.limits)
         .run(alloc, &mut monitor)?;
-    let stats = monitor.stats();
-    let coherence = monitor.coherence();
+    let CacheMonitor { hierarchy } = monitor;
+    let stats = hierarchy.stats();
+    let coherence = hierarchy.coherence();
     // With zero invalidations (every single-threaded program) this is
     // exactly `timing.cycles`, preserving all pre-coherence timings.
     let cycles = config.timing.cycles_coherent(exit.instructions, &stats, &coherence);
@@ -181,7 +150,7 @@ pub fn measure_detailed<A: VmAllocator + ?Sized>(
             frees: exit.frees,
             coherence,
         },
-        thread_stats: monitor.thread_stats(),
+        thread_stats: hierarchy.thread_stats(),
         exit,
     })
 }
@@ -246,7 +215,7 @@ mod tests {
         assert!(m.stats.l1_misses > 0);
         assert!(m.cycles > 0.0);
         assert_eq!(m.allocs, 1024);
-        assert!(m.allocs_per_million_instructions() > 1.0);
+        assert!(m.allocs as f64 * 1e6 / m.instructions as f64 > 1.0, "heap-intensive (§5.1)");
     }
 
     #[test]

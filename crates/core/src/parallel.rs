@@ -27,7 +27,7 @@ use std::sync::{mpsc, Mutex};
 /// serial path). `Err` describes why the value is unusable — `0` and
 /// non-numeric strings used to be silently ignored, which made typos like
 /// `HALO_THREADS=max` run at full parallelism without a word.
-pub fn parse_halo_threads(value: &str) -> Result<usize, String> {
+fn parse_halo_threads(value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(0) => Err(format!(
             "HALO_THREADS={value} is invalid: thread count must be at least 1 \
@@ -43,16 +43,31 @@ pub fn parse_halo_threads(value: &str) -> Result<usize, String> {
 
 /// Worker threads to use for `jobs` independent jobs (≥ 1).
 ///
-/// Honours `HALO_THREADS` when set to a valid positive integer; an invalid
-/// value is reported on stderr via [`crate::parse_env_or_warn`] (once per
-/// process) and falls back to the hardware parallelism instead of being
-/// silently ignored.
+/// Honours `HALO_THREADS` when set to a valid positive integer. An unset
+/// variable is ignored silently; an invalid value warns on stderr (once
+/// per process) and falls back to the hardware parallelism instead of
+/// being silently ignored — the workspace's one env-override rule, which
+/// `HALO_PROPTEST_CASES` follows too.
 pub fn thread_count(jobs: usize) -> usize {
-    let hw = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    let requested =
-        crate::parse_env_or_warn("HALO_THREADS", "using hardware parallelism", parse_halo_threads)
-            .unwrap_or_else(hw);
+    static WARNED: AtomicBool = AtomicBool::new(false);
+    let value = std::env::var("HALO_THREADS").ok();
+    let requested = threads_override(value.as_deref(), &WARNED)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     requested.min(jobs).max(1)
+}
+
+/// The thread count `HALO_THREADS=value` asks for (`None` when unset or
+/// invalid), warning the first time `warned` sees an invalid value.
+fn threads_override(value: Option<&str>, warned: &AtomicBool) -> Option<usize> {
+    match parse_halo_threads(value?) {
+        Ok(threads) => Some(threads),
+        Err(reason) => {
+            if !warned.swap(true, Ordering::Relaxed) {
+                eprintln!("warning: {reason}; using hardware parallelism");
+            }
+            None
+        }
+    }
 }
 
 /// Apply `f` to every item on a pool of scoped threads, handing each
@@ -226,6 +241,25 @@ mod tests {
             assert!(err.contains("HALO_THREADS"), "error names the variable: {err}");
             assert!(err.contains("invalid"), "error says why: {err}");
         }
+    }
+
+    #[test]
+    fn unset_variables_are_silently_ignored() {
+        let warned = AtomicBool::new(false);
+        assert_eq!(threads_override(None, &warned), None);
+        assert!(!warned.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn set_variables_parse_or_fall_back() {
+        let warned = AtomicBool::new(false);
+        assert_eq!(threads_override(Some("12"), &warned), Some(12));
+        assert!(!warned.load(Ordering::Relaxed), "a valid value does not warn");
+        assert_eq!(threads_override(Some("max"), &warned), None, "invalid values fall back");
+        assert!(warned.load(Ordering::Relaxed), "and warn");
+        // Warned once; a second failure stays quiet but still falls back.
+        assert_eq!(threads_override(Some("0"), &warned), None);
+        assert!(warned.load(Ordering::Relaxed));
     }
 
     #[test]

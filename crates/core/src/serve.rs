@@ -169,13 +169,23 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics if the script is empty, a phase has zero windows, or the
-/// configuration is out of range (`decay` outside `[0, 1]`,
-/// `regroup_every` of zero).
+/// Panics — before any profiling or optimisation runs — if the script is
+/// empty, a phase has zero windows, or the configuration is out of range:
+/// `decay` or `drift_threshold` outside `[0, 1]` (NaN included),
+/// `regroup_every` of zero, or a shard count outside
+/// `1..=`[`ShardedHaloAllocator::max_shards`].
 pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport, PipelineError> {
     assert!(!phases.is_empty(), "serve needs at least one phase");
     assert!(phases.iter().all(|p| p.windows > 0), "every phase needs at least one window");
     assert!(config.regroup_every > 0, "regroup_every must be at least 1");
+    let (decay, threshold, shards) = (config.decay, config.drift_threshold, config.shards);
+    assert!((0.0..=1.0).contains(&decay), "decay {decay} must be within [0, 1]");
+    assert!((0.0..=1.0).contains(&threshold), "drift_threshold {threshold} must be within [0, 1]");
+    let max_shards = ShardedHaloAllocator::max_shards(&config.halo.alloc);
+    assert!(
+        (1..=max_shards).contains(&shards),
+        "shards {shards} must be within [1, {max_shards}], the address layout's limit"
+    );
 
     let halo = Halo::for_measurement(&config.halo, &config.measure);
 
@@ -552,5 +562,51 @@ mod tests {
     #[should_panic(expected = "at least one phase")]
     fn empty_scripts_are_rejected() {
         let _ = serve(&[], &ServeConfig::default());
+    }
+
+    #[test]
+    fn an_out_of_range_configuration_is_rejected_before_any_work() {
+        let phases = [phase("p", phased_program(2, 16), 1)];
+        let rejection = |config: ServeConfig| -> String {
+            let profiled = crate::pipeline::PROFILING_RUNS.get();
+            let payload = std::panic::catch_unwind(|| serve(&phases, &config))
+                .expect_err("the configuration must be rejected");
+            assert_eq!(crate::pipeline::PROFILING_RUNS.get(), profiled, "nothing was profiled");
+            payload.downcast_ref::<String>().cloned().expect("a formatted message")
+        };
+        for bad in [f64::NAN, -0.1, 1.5] {
+            assert_eq!(
+                rejection(ServeConfig { decay: bad, ..serve_config() }),
+                format!("decay {bad} must be within [0, 1]")
+            );
+            assert_eq!(
+                rejection(ServeConfig { drift_threshold: bad, ..serve_config() }),
+                format!("drift_threshold {bad} must be within [0, 1]")
+            );
+        }
+        let max = ShardedHaloAllocator::max_shards(&serve_config().halo.alloc);
+        for bad in [0, max + 1] {
+            assert_eq!(
+                rejection(ServeConfig { shards: bad, ..serve_config() }),
+                format!("shards {bad} must be within [1, {max}], the address layout's limit")
+            );
+        }
+    }
+
+    #[test]
+    fn the_ends_of_every_range_are_accepted() {
+        let phases = [phase("p", phased_program(2, 16), 1)];
+        let max = ShardedHaloAllocator::max_shards(&serve_config().halo.alloc);
+        let ends = [
+            ServeConfig { decay: 0.0, ..serve_config() },
+            ServeConfig { decay: 1.0, ..serve_config() },
+            ServeConfig { drift_threshold: 0.0, ..serve_config() },
+            ServeConfig { drift_threshold: 1.0, ..serve_config() },
+            ServeConfig { shards: 1, ..serve_config() },
+            ServeConfig { shards: max, ..serve_config() },
+        ];
+        for config in ends {
+            serve(&phases, &config).expect("serve runs");
+        }
     }
 }

@@ -24,7 +24,9 @@ pub(crate) fn pack(u: u32, v: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// SplitMix64 finaliser: a full-avalanche mix of the packed key.
+/// SplitMix64 finaliser: a full-avalanche mix of the packed key. A copy of
+/// `halo_vm::mix64`: depending on `halo_vm` for it would change the lock
+/// file `benchmark/` is built from.
 #[inline]
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -3,16 +3,13 @@
 //! Nodes are allocation contexts (opaque [`NodeId`]s assigned by the
 //! profiler); edges are weighted by the number of contemporaneous accesses
 //! observed between objects of the two contexts. On top of the graph this
-//! crate implements:
-//!
-//! * the **greedy grouping algorithm** (paper Fig. 6), rewritten on CSR
-//!   adjacency so grouping a million-node graph finishes in seconds. Its
-//!   **score** — a loop-aware variant of weighted graph density (paper
-//!   Fig. 7) — and **merge benefit** with tolerance `T` (paper Fig. 8) are
-//!   private to [`group`], their one caller;
-//! * two alternative clusterers the paper compares against in prose
-//!   (greedy modularity maximisation and HCS via Stoer–Wagner min-cut),
-//!   used by the grouping ablation bench.
+//! crate implements the **greedy grouping algorithm** (paper Fig. 6),
+//! rewritten on CSR adjacency so grouping a million-node graph finishes in
+//! seconds. Its **score** — a loop-aware variant of weighted graph density
+//! (paper Fig. 7) — and **merge benefit** with tolerance `T` (paper
+//! Fig. 8) are private to [`group`], their one caller. The clusterers the
+//! paper compares against in prose live with the grouping ablation that
+//! runs them, in `halo_bench::alt`.
 //!
 //! Edge storage is flat (DESIGN.md §13): writes accumulate in a hash
 //! table, reads run on compressed sparse rows after
@@ -37,7 +34,6 @@
 //! ```
 
 mod affinity;
-mod alt;
 mod csr;
 mod dot;
 mod drift;
@@ -47,7 +43,6 @@ mod plan;
 mod subgraph;
 
 pub use affinity::{AffinityGraph, NodeId};
-pub use alt::{hcs_clusters, modularity_clusters, stoer_wagner_min_cut};
 pub use dot::to_dot;
 pub use drift::grouping_drift;
 pub use granularity::Granularity;

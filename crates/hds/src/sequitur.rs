@@ -433,11 +433,6 @@ impl Grammar {
         self.seq.live_rules().filter(|&r| r != 0).collect()
     }
 
-    /// Number of live rules excluding the start rule.
-    pub fn num_rules(&self) -> usize {
-        self.rule_ids().len()
-    }
-
     /// How many times rule `r`'s expansion occurs in the full input
     /// derivation.
     pub fn frequency(&self, r: u32) -> u64 {
@@ -470,6 +465,13 @@ impl Grammar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Grammar {
+        /// Number of live rules excluding the start rule.
+        fn num_rules(&self) -> usize {
+            self.rule_ids().len()
+        }
+    }
 
     fn build_checked(input: &[u32]) -> Grammar {
         let mut seq = Sequitur::new();

@@ -40,7 +40,7 @@
 use halo_graph::Group;
 use halo_mem::{GroupSelector, SelectorTable};
 use halo_vm::CallSite;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The identification-relevant slice of a profiled context: its call-site
 /// chain (outermost first) and how hot it is.
@@ -73,15 +73,6 @@ pub struct SiteSelector {
     pub group: usize,
     /// One conjunction of call sites per group member.
     pub conjunctions: Vec<Vec<CallSite>>,
-}
-
-impl SiteSelector {
-    /// Whether a context with `chain` satisfies this selector (some
-    /// conjunction is a subset of the chain).
-    pub fn matches_chain(&self, chain: &[CallSite]) -> bool {
-        let set: HashSet<CallSite> = chain.iter().copied().collect();
-        self.conjunctions.iter().any(|c| c.iter().all(|s| set.contains(s)))
-    }
 }
 
 /// The output of identification.
@@ -382,6 +373,15 @@ mod tests {
     use super::*;
     use halo_graph::{AffinityGraph, GroupingParams, NodeId};
     use halo_vm::FuncId;
+
+    impl SiteSelector {
+        /// Whether a context with `chain` satisfies this selector (some
+        /// conjunction is a subset of the chain).
+        fn matches_chain(&self, chain: &[CallSite]) -> bool {
+            let set: std::collections::HashSet<CallSite> = chain.iter().copied().collect();
+            self.conjunctions.iter().any(|c| c.iter().all(|s| set.contains(s)))
+        }
+    }
 
     fn site(f: u32, pc: u32) -> CallSite {
         CallSite::new(FuncId(f), pc)

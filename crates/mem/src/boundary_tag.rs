@@ -28,7 +28,6 @@ pub struct BoundaryTagAllocator {
     live: HashMap<u64, (u64, u64, u64), FastIntState>,
     /// Top of the allocated heap (wilderness pointer).
     top: u64,
-    heap_base: u64,
     live_bytes: u64,
 }
 
@@ -51,7 +50,6 @@ impl BoundaryTagAllocator {
             free_by_addr: BTreeMap::new(),
             live: HashMap::default(),
             top: heap_base,
-            heap_base,
             live_bytes: 0,
         }
     }
@@ -93,11 +91,6 @@ impl BoundaryTagAllocator {
         } else {
             self.free_by_addr.insert(addr, size);
         }
-    }
-
-    /// Bytes consumed from the heap span (wilderness high-water mark).
-    pub fn heap_extent(&self) -> u64 {
-        self.top - self.heap_base
     }
 }
 
@@ -239,9 +232,10 @@ mod tests {
     fn top_chunk_absorbs_frees_at_the_end() {
         let (mut a, gs, mut mem) = setup();
         let p1 = a.malloc(64, site(), &gs, &mut mem);
-        let extent_before = a.heap_extent();
+        // The wilderness pointer is the heap's high-water mark.
+        let top_before = a.top;
         a.free(p1, &mut mem);
-        assert!(a.heap_extent() < extent_before);
+        assert!(a.top < top_before);
         // Reallocation grows from the same place.
         assert_eq!(a.malloc(64, site(), &gs, &mut mem), p1);
     }

@@ -248,11 +248,6 @@ impl FaultInjector {
         hit
     }
 
-    /// Occurrences recorded at `site` so far.
-    pub fn occurrences(&self, site: FaultSite) -> u64 {
-        self.counts[site.index()].load(Ordering::Relaxed)
-    }
-
     /// Faults fired at `site` so far.
     pub fn fired_at(&self, site: FaultSite) -> u64 {
         self.fired[site.index()].load(Ordering::Relaxed)
@@ -326,6 +321,13 @@ impl DegradeStats {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl FaultInjector {
+        /// Occurrences recorded at `site` so far.
+        fn occurrences(&self, site: FaultSite) -> u64 {
+            self.counts[site.index()].load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn empty_plan_never_fires() {

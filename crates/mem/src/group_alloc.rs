@@ -497,11 +497,6 @@ impl HaloGroupAllocator {
         self.selectors = selectors;
     }
 
-    /// The fallback allocator (for its own statistics).
-    pub fn fallback(&self) -> &SizeClassAllocator {
-        &self.fallback
-    }
-
     /// Whether `ptr` was group allocated (lies within a slab).
     pub fn is_group_allocated(&self, ptr: u64) -> bool {
         (self.config.base..self.slabs_end).contains(&ptr)
@@ -732,11 +727,6 @@ impl HaloGroupAllocator {
     /// schedule can span an allocator and its shards.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.faults = Some(injector);
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
     }
 
     /// Whether `group` has been degraded (its requests route to the

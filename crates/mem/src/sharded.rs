@@ -46,7 +46,7 @@ use crate::{HaloGroupAllocator, SizeClassAllocator};
 use halo_vm::{CallSite, GroupState, Memory, SyncVmAllocator, VmAllocator};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
@@ -112,6 +112,13 @@ struct ThreadRegistry {
     next_slot: usize,
 }
 
+/// Bound on each shard's remote-free queue: a push that would exceed it
+/// frees directly under the owner's allocator lock instead (backpressure,
+/// not unbounded growth under a free-storm). No measured workload comes
+/// near it (the mt models peak in the thousands), while a runaway
+/// producer is still capped at 512 KiB of queued pointers per shard.
+const REMOTE_QUEUE_CAP: usize = 65_536;
+
 /// What a shard's allocator lock protects.
 #[derive(Debug)]
 struct ShardState {
@@ -122,6 +129,10 @@ struct ShardState {
     drain_buf: Vec<u64>,
     /// Queued remote frees this shard has applied so far.
     drained: u64,
+    /// Set when a poisoned-lock recovery found the shard's invariants
+    /// violated and quarantined it (every group degraded, all traffic on
+    /// the fallback). Feeds [`DegradeStats::degraded_shards`].
+    degraded: bool,
 }
 
 /// A shard's remote-free queue and the push-side counters its lock covers.
@@ -145,10 +156,6 @@ struct Shard {
     /// entirely when nothing is pending (mimalloc's deferred-free flag).
     /// A stale zero read merely defers draining to the next shard entry.
     pending: AtomicUsize,
-    /// Set when a poisoned-lock recovery found the shard's invariants
-    /// violated and quarantined it (every group degraded, all traffic on
-    /// the fallback). Feeds [`DegradeStats::degraded_shards`].
-    degraded: AtomicBool,
 }
 
 /// Cross-shard event counters, alongside the summed per-shard
@@ -183,11 +190,6 @@ pub struct ShardedHaloAllocator {
     fallback_base: u64,
     shards: Vec<Shard>,
     threads: Mutex<ThreadRegistry>,
-    /// Bound on each shard's remote-free queue; a push that would exceed
-    /// it falls back to a direct owner-lock free (backpressure instead of
-    /// unbounded growth under a free-storm). Atomic so an operator (or
-    /// the serve loop) can retune it mid-run through a shared reference.
-    remote_queue_cap: AtomicUsize,
     queue_overflows: AtomicU64,
     poisoned_recovered: AtomicU64,
     invalid_frees: AtomicU64,
@@ -247,10 +249,10 @@ impl ShardedHaloAllocator {
                         ),
                         drain_buf: Vec::new(),
                         drained: 0,
+                        degraded: false,
                     }),
                     remote: Mutex::new(RemoteQueue::default()),
                     pending: AtomicUsize::new(0),
-                    degraded: AtomicBool::new(false),
                 }
             })
             .collect();
@@ -260,7 +262,6 @@ impl ShardedHaloAllocator {
             fallback_base,
             shards,
             threads: Mutex::new(ThreadRegistry::default()),
-            remote_queue_cap: AtomicUsize::new(Self::DEFAULT_REMOTE_QUEUE_CAP),
             queue_overflows: AtomicU64::new(0),
             poisoned_recovered: AtomicU64::new(0),
             invalid_frees: AtomicU64::new(0),
@@ -328,25 +329,6 @@ impl ShardedHaloAllocator {
         epoch
     }
 
-    /// Default bound on each shard's remote-free queue: generous enough
-    /// that no measured workload ever hits it (the mt models peak in the
-    /// thousands), so default-configuration runs are byte-identical to
-    /// the unbounded-queue behaviour — while a runaway producer is still
-    /// capped at ~512 KiB of queued pointers per shard instead of
-    /// unbounded growth.
-    pub const DEFAULT_REMOTE_QUEUE_CAP: usize = 65_536;
-
-    /// Bound each shard's remote-free queue at `cap` entries; a push that
-    /// would exceed it frees directly under the owner's allocator lock
-    /// instead. `0` disables queueing entirely (every foreign free goes
-    /// direct). Takes `&self`: the cap may be retuned mid-run while
-    /// worker threads allocate through the same shared allocator —
-    /// in-flight pushes see either the old or the new bound, never a torn
-    /// one, and overflow accounting is unaffected.
-    pub fn set_remote_queue_cap(&self, cap: usize) {
-        self.remote_queue_cap.store(cap, Ordering::Relaxed);
-    }
-
     /// Attach a fault injector (chaos runs): the sharded runtime draws
     /// its queue/panic faults from it and every shard's inner allocator
     /// draws its reservation/chunk faults from the same schedule.
@@ -366,9 +348,10 @@ impl ShardedHaloAllocator {
     /// panicking holder leaves the data intact more often than not, so
     /// recovery is `PoisonError::into_inner` plus an invariant re-check.
     /// If the structures cannot be trusted the shard is quarantined —
-    /// every group degraded, all its traffic on the fallback — and
-    /// counted in [`DegradeStats::degraded_shards`]. Either way, other
-    /// threads are never wedged.
+    /// every group degraded, all its traffic on the fallback — and marked
+    /// under the lock it was recovered under, for
+    /// [`DegradeStats::degraded_shards`]. Either way, other threads are
+    /// never wedged.
     fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardState> {
         #[cfg(test)]
         SHARD_LOCKS_TAKEN.set(SHARD_LOCKS_TAKEN.get() + 1);
@@ -379,7 +362,7 @@ impl ShardedHaloAllocator {
                 let mut inner = poisoned.into_inner();
                 if inner.alloc.check_invariants().is_err() {
                     inner.alloc.quarantine();
-                    self.shards[s].degraded.store(true, Ordering::Relaxed);
+                    inner.degraded = true;
                 }
                 self.shards[s].inner.clear_poison();
                 inner
@@ -413,11 +396,6 @@ impl ShardedHaloAllocator {
                 poisoned.into_inner()
             }
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Largest shard count the address layout supports for `config`: the
@@ -545,8 +523,7 @@ impl ShardedHaloAllocator {
             let mut queue = self.lock_remote(owner);
             let forced_overflow =
                 self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::RemoteQueue));
-            if !forced_overflow && queue.ptrs.len() < self.remote_queue_cap.load(Ordering::Relaxed)
-            {
+            if !forced_overflow && queue.ptrs.len() < REMOTE_QUEUE_CAP {
                 // The counters are plain fields: the queue lock this push
                 // already holds orders them against every other push, and
                 // a drain and a reader take the same lock.
@@ -623,13 +600,12 @@ impl ShardedHaloAllocator {
                 // The max over all pushes is exact per shard; across shards it
                 // is the deepest queue ever observed.
                 stats.remote_peak_queue = stats.remote_peak_queue.max(queue.peak);
+                stats.degrade.degraded_shards += u64::from(shard.degraded);
             });
         let d = &mut report.stats.degrade;
         d.queue_overflows += self.queue_overflows.load(Ordering::Relaxed);
         d.poisoned_recovered += self.poisoned_recovered.load(Ordering::Relaxed);
         d.invalid_frees += self.invalid_frees.load(Ordering::Relaxed);
-        d.degraded_shards =
-            self.shards.iter().filter(|s| s.degraded.load(Ordering::Relaxed)).count() as u64;
         d.injected_faults = self.faults.as_ref().map_or(0, |f| f.fired());
         report
     }
@@ -1137,63 +1113,36 @@ mod tests {
 
     #[test]
     fn remote_queue_bound_applies_backpressure() {
-        let (a, mut gs, _) = sharded(2);
-        a.set_remote_queue_cap(2); // interior: no &mut needed
-        let mut mem = Memory::new();
-        gs.set(0);
+        let (a, gs, mut mem) = sharded(2);
+        // No group bit: shard 0's fallback serves them, and a foreign
+        // free of a fallback pointer queues like a grouped one.
         SyncVmAllocator::thread_switched(&a, 0);
-        let ptrs: Vec<u64> =
-            (0..4).map(|_| SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem)).collect();
+        let ptrs: Vec<u64> = (0..REMOTE_QUEUE_CAP + 2)
+            .map(|_| SyncVmAllocator::malloc(&a, 16, site(), &gs, &mut mem))
+            .collect();
         SyncVmAllocator::thread_switched(&a, 1);
         for &p in &ptrs {
             SyncVmAllocator::free(&a, p, &mut mem);
+            assert!(
+                a.lock_remote(0).ptrs.len() <= REMOTE_QUEUE_CAP,
+                "the queue never exceeds its cap"
+            );
         }
-        // Frees 1–2 queue; free 3 hits the cap and goes direct — which
-        // services the owner shard, draining the two queued entries on
-        // the way — and free 4 starts a fresh queue.
-        assert_eq!(a.remote_pending(), 1, "the queue never exceeds its cap");
-        let d = a.degrade_stats();
-        assert_eq!(d.queue_overflows, 1);
+        // The first `cap` frees queue; the next one hits the cap and goes
+        // direct — which services the owner shard, draining the backlog
+        // on the way — and the last starts a fresh queue.
+        assert_eq!(a.remote_pending(), 1);
+        assert_eq!(a.degrade_stats().queue_overflows, 1, "exactly one push overflowed");
         let s = a.sharded_stats();
-        assert_eq!(s.remote_frees, 3, "only queued frees count as remote");
-        assert_eq!(s.remote_drained, 2, "the overflow's direct free drained the backlog");
+        assert_eq!(s.remote_peak_queue, REMOTE_QUEUE_CAP as u64);
+        assert_eq!(
+            s.remote_frees,
+            REMOTE_QUEUE_CAP as u64 + 1,
+            "only queued frees count as remote"
+        );
+        assert_eq!(s.remote_drained, REMOTE_QUEUE_CAP as u64, "the overflow drained the backlog");
         a.drain_remote(&mut mem);
-        assert_eq!(a.sharded_stats().remote_drained, 3);
-        assert_eq!(a.live_bytes(), 0, "overflowed frees were applied directly");
-    }
-
-    #[test]
-    fn remote_queue_cap_can_change_mid_run() {
-        let (a, mut gs, _) = sharded(2);
-        let mut mem = Memory::new();
-        gs.set(0);
-        SyncVmAllocator::thread_switched(&a, 0);
-        let ptrs: Vec<u64> =
-            (0..6).map(|_| SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem)).collect();
-        SyncVmAllocator::thread_switched(&a, 1);
-        // Default cap: the first two foreign frees queue without overflow.
-        SyncVmAllocator::free(&a, ptrs[0], &mut mem);
-        SyncVmAllocator::free(&a, ptrs[1], &mut mem);
-        assert_eq!(a.remote_pending(), 2);
-        assert_eq!(a.degrade_stats().queue_overflows, 0);
-        // Tighten the cap *through a shared reference, mid-run*, below the
-        // current backlog: the very next push must take the overflow
-        // fallback (which drains the backlog as a side effect of
-        // servicing the owner shard under its lock).
-        a.set_remote_queue_cap(1);
-        SyncVmAllocator::free(&a, ptrs[2], &mut mem);
-        assert_eq!(a.remote_pending(), 0, "overflow free serviced the owner and drained");
-        assert_eq!(a.degrade_stats().queue_overflows, 1);
-        // Loosening applies just as immediately.
-        a.set_remote_queue_cap(ShardedHaloAllocator::DEFAULT_REMOTE_QUEUE_CAP);
-        for &p in &ptrs[3..] {
-            SyncVmAllocator::free(&a, p, &mut mem);
-        }
-        assert_eq!(a.remote_pending(), 3, "restored cap queues again");
-        assert_eq!(a.degrade_stats().queue_overflows, 1, "no further overflow counted");
-        let s = a.sharded_stats();
-        assert_eq!(s.remote_frees, 5, "only queued frees count as remote");
-        a.drain_remote(&mut mem);
+        assert_eq!(a.remote_pending(), 0);
         assert_eq!(a.live_bytes(), 0, "every path applied its free exactly once");
     }
 

@@ -128,12 +128,6 @@ impl SizeClassAllocator {
         }
     }
 
-    /// The size class (rounded size) that a request of `size` bytes lands
-    /// in, or `None` for the large path.
-    pub fn class_of(size: u64) -> Option<u64> {
-        class_index(size.max(1)).map(|i| SIZE_CLASSES[i])
-    }
-
     /// Reserve `bytes` (a page multiple) as a new run and enter its pages
     /// in the page table. `None` when the span is exhausted — genuine OOM,
     /// which the callers report as a null pointer.
@@ -329,15 +323,21 @@ mod tests {
         (SizeClassAllocator::new(), GroupState::default(), Memory::new())
     }
 
+    /// The size class (rounded size) that a request of `size` bytes lands
+    /// in, or `None` for the large path.
+    fn class_of(size: u64) -> Option<u64> {
+        class_index(size.max(1)).map(|i| SIZE_CLASSES[i])
+    }
+
     #[test]
     fn size_class_table_is_sorted_and_capped() {
         assert!(SIZE_CLASSES.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*SIZE_CLASSES.last().unwrap(), SMALL_MAX);
-        assert_eq!(SizeClassAllocator::class_of(1), Some(8));
-        assert_eq!(SizeClassAllocator::class_of(9), Some(16));
-        assert_eq!(SizeClassAllocator::class_of(128), Some(128));
-        assert_eq!(SizeClassAllocator::class_of(129), Some(160));
-        assert_eq!(SizeClassAllocator::class_of(SMALL_MAX + 1), None);
+        assert_eq!(class_of(1), Some(8));
+        assert_eq!(class_of(9), Some(16));
+        assert_eq!(class_of(128), Some(128));
+        assert_eq!(class_of(129), Some(160));
+        assert_eq!(class_of(SMALL_MAX + 1), None);
     }
 
     #[test]

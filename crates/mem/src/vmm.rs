@@ -95,11 +95,6 @@ impl Vmm {
         Ok(addr)
     }
 
-    /// Bytes reserved so far (including alignment padding).
-    pub fn reserved_bytes(&self) -> u64 {
-        self.next - self.base
-    }
-
     /// Whether `addr` falls inside any reservation made so far.
     pub fn contains(&self, addr: u64) -> bool {
         (self.base..self.next).contains(&addr)
@@ -109,6 +104,13 @@ impl Vmm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vmm {
+        /// Bytes reserved so far (including alignment padding).
+        fn reserved_bytes(&self) -> u64 {
+            self.next - self.base
+        }
+    }
 
     #[test]
     fn reservations_do_not_overlap() {

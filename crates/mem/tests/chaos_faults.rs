@@ -25,20 +25,15 @@ use halo_mem::{
     HaloGroupAllocator, SelectorTable, ShardedHaloAllocator,
 };
 use halo_vm::{CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator};
+use proptest::prelude::{ProptestConfig, TestRunner};
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex};
 
-/// Schedules per property loop; `HALO_PROPTEST_CASES` overrides it (the
-/// same knob the compat proptest runner honours; invalid values panic
-/// loudly rather than silently shrinking coverage).
-fn cases(default: u64) -> u64 {
-    match std::env::var("HALO_PROPTEST_CASES").ok().as_deref() {
-        None => default,
-        Some(s) => match s.parse() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("HALO_PROPTEST_CASES must be a positive integer, got {s:?}"),
-        },
-    }
+/// Schedules per property loop; `HALO_PROPTEST_CASES` overrides it through
+/// the proptest runner's own reader (an invalid value warns once and
+/// falls back to `default`).
+fn cases(default: u32) -> u64 {
+    TestRunner::new(ProptestConfig::with_cases(default)).effective_cases().into()
 }
 
 fn site() -> CallSite {
@@ -183,7 +178,8 @@ fn multithreaded_chaos_with_panicking_threads_never_leaks() {
     for case in 0..cases {
         let mut rng = SplitMix64::new(0xBAD_5EED ^ (case * 0x51_F15E));
         // All four sites, including the mid-operation panicking thread
-        // and remote-free-queue overflow.
+        // and remote-free-queue overflow (the one way a run this small
+        // reaches the queue's bound).
         let plan = random_plan(
             &mut rng,
             &[
@@ -196,7 +192,6 @@ fn multithreaded_chaos_with_panicking_threads_never_leaks() {
         let injector = Arc::new(FaultInjector::new(plan.clone()));
         let mut owned = ShardedHaloAllocator::new(4, small_config(), two_group_table(), Vec::new());
         owned.set_fault_injector(Arc::clone(&injector));
-        owned.set_remote_queue_cap(64);
         let a = &owned;
         let live: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
         let mut panicked = 0u64;

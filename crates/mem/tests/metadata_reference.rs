@@ -25,16 +25,11 @@ use halo_mem::{
 use halo_vm::{
     CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator, PAGE_SIZE,
 };
+use proptest::prelude::{ProptestConfig, TestRunner};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-fn cases(default: u64) -> u64 {
-    match std::env::var("HALO_PROPTEST_CASES").ok().as_deref() {
-        None => default,
-        Some(s) => match s.parse() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("HALO_PROPTEST_CASES must be a positive integer, got {s:?}"),
-        },
-    }
+fn cases(default: u32) -> u64 {
+    TestRunner::new(ProptestConfig::with_cases(default)).effective_cases().into()
 }
 
 fn site() -> CallSite {

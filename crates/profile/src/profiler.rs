@@ -53,9 +53,8 @@ impl Default for ProfileConfig {
 pub struct ContextInfo {
     /// Graph node / context id.
     pub id: NodeId,
-    /// Reduced shadow frames, outermost first.
-    pub frames: Vec<(FuncId, CallSite)>,
-    /// Call-site chain (frames' sites plus the allocation site) — the
+    /// Call-site chain (reduced shadow frames' sites, outermost first,
+    /// plus the allocation site) — the
     /// "member" fed to identification.
     pub chain: Vec<CallSite>,
     /// Human-readable name for reports (Fig. 9 labels).
@@ -269,7 +268,6 @@ impl<'p> Profiler<'p> {
         let name = self.context_name(&raw);
         self.contexts.push(ContextInfo {
             id,
-            frames: raw.frames.clone(),
             chain: raw.chain(),
             name,
             allocs: 0,

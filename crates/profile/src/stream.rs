@@ -25,7 +25,6 @@ use halo_graph::AffinityGraph;
 pub struct ProfileStream {
     graph: AffinityGraph,
     decay: f64,
-    windows: u64,
 }
 
 impl ProfileStream {
@@ -39,7 +38,7 @@ impl ProfileStream {
     /// Panics if `decay` is outside `[0, 1]` (via
     /// [`AffinityGraph::decay`] on the first absorb).
     pub fn new(decay: f64) -> Self {
-        ProfileStream { graph: AffinityGraph::new(), decay, windows: 0 }
+        ProfileStream { graph: AffinityGraph::new(), decay }
     }
 
     /// [`ProfileStream::absorb_graph`] of `window`'s object-level graph.
@@ -66,23 +65,12 @@ impl ProfileStream {
         for (u, v, w) in window.edges() {
             self.graph.add_edge_weight(u, v, w);
         }
-        self.windows += 1;
     }
 
     /// The current streaming graph (decayed history plus the most recent
     /// window).
     pub fn graph(&self) -> &AffinityGraph {
         &self.graph
-    }
-
-    /// Number of windows absorbed so far.
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// The configured per-window retention factor.
-    pub fn decay(&self) -> f64 {
-        self.decay
     }
 }
 
@@ -123,7 +111,6 @@ mod tests {
         // An empty window still decays what is there.
         s.absorb(&window(2, &[]));
         assert_eq!(s.graph().weight(NodeId(0), NodeId(1)), 75);
-        assert_eq!(s.windows(), 3);
     }
 
     #[test]

@@ -330,12 +330,6 @@ impl FunctionBuilder<'_> {
         self
     }
 
-    /// No-op.
-    pub fn nop(&mut self) -> &mut Self {
-        self.emit(Op::Nop);
-        self
-    }
-
     /// Emit a raw op (escape hatch for tests).
     pub fn raw(&mut self, op: Op) -> u32 {
         self.emit(op)

@@ -10,10 +10,13 @@
 
 use std::hash::{BuildHasher, Hasher};
 
+/// SplitMix64's increment, 2⁶⁴ divided by the golden ratio.
+pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// The SplitMix64 finalizer: bijective, full-avalanche integer mixing.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = x.wrapping_add(GOLDEN);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

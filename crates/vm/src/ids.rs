@@ -29,12 +29,6 @@ impl fmt::Display for FuncId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(pub u8);
 
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
 /// A static call site: the location of a call (or allocation-routine call)
 /// instruction in the *original* program.
 ///
@@ -86,12 +80,6 @@ impl Width {
             Width::W4 => 4,
             Width::W8 => 8,
         }
-    }
-}
-
-impl fmt::Display for Width {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}b", self.bytes())
     }
 }
 

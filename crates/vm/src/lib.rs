@@ -59,7 +59,6 @@
 //! [Savage & Jones, CGO 2020]: https://doi.org/10.1145/3368826.3377914
 
 mod builder;
-mod disasm;
 mod engine;
 mod group_state;
 mod hash;

@@ -168,13 +168,6 @@ impl Op {
         )
     }
 
-    /// Whether this instruction is one of the allocation-routine call sites
-    /// (`malloc`, `calloc`, `realloc`, `free`).
-    #[inline]
-    pub fn is_alloc_routine(&self) -> bool {
-        matches!(self, Op::Malloc { .. } | Op::Calloc { .. } | Op::Realloc { .. } | Op::Free { .. })
-    }
-
     /// The intra-function branch target, if this is a control-flow
     /// instruction with one.
     #[inline]
@@ -200,6 +193,17 @@ impl Op {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Op {
+        /// Whether this instruction is one of the allocation-routine call
+        /// sites (`malloc`, `calloc`, `realloc`, `free`).
+        fn is_alloc_routine(&self) -> bool {
+            matches!(
+                self,
+                Op::Malloc { .. } | Op::Calloc { .. } | Op::Realloc { .. } | Op::Free { .. }
+            )
+        }
+    }
 
     #[test]
     fn call_site_classification() {

@@ -115,12 +115,6 @@ impl Program {
         self.functions.iter().map(|f| f.code.len()).sum()
     }
 
-    /// Find a function id by name. Names are not required to be unique;
-    /// the first match wins.
-    pub fn find_function(&self, name: &str) -> Option<FuncId> {
-        self.functions.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
-    }
-
     /// Enumerate every call site in the program.
     pub fn call_sites(&self) -> Vec<CallSite> {
         let mut out = Vec::new();
@@ -219,6 +213,14 @@ fn regs_in_range(op: &Op) -> bool {
 mod tests {
     use super::*;
     use crate::ids::Reg;
+
+    impl Program {
+        /// Find a function id by name. Names are not required to be
+        /// unique; the first match wins.
+        fn find_function(&self, name: &str) -> Option<FuncId> {
+            self.functions.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
+        }
+    }
 
     fn ret_fn(name: &str) -> Function {
         Function { name: name.into(), external: false, argc: 0, code: vec![Op::Ret(None)] }

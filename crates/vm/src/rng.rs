@@ -6,6 +6,8 @@
 //! povray's scanner sees next), which the [`crate::Op::Rand`] instruction
 //! draws from this generator, seeded per run.
 
+use crate::hash::{mix64, GOLDEN};
+
 /// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al., 2014).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -18,14 +20,12 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// Next raw 64-bit value.
+    /// Next raw 64-bit value: the finaliser of the advanced state.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = mix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN);
+        z
     }
 
     /// Uniform value in `[0, bound)`.

@@ -340,15 +340,27 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
     Ok(flags)
 }
 
-fn find_workloads(selector: Option<&str>) -> Result<Vec<Workload>, String> {
+/// The `--benchmark all` sweep: the paper set plus the Fig. 2 example.
+fn default_sweep() -> Vec<Workload> {
     let mut workloads = all();
-    workloads.push(halo::workloads::toy::build()); // the Fig. 2 example
+    workloads.push(halo::workloads::toy::build());
+    workloads
+}
+
+/// Every workload a name can select: the default sweep, then the
+/// multi-threaded models, which are selectable by name but do not change
+/// the figure sweeps.
+fn universe() -> Vec<Workload> {
+    let mut workloads = default_sweep();
+    workloads.extend(halo::workloads::multithreaded());
+    workloads
+}
+
+fn find_workloads(selector: Option<&str>) -> Result<Vec<Workload>, String> {
     match selector {
-        // The default sweep stays the paper set (+ toy): the mt models
-        // are selectable by name but do not change the figure sweeps.
-        None | Some("all") => Ok(workloads),
+        None | Some("all") => Ok(default_sweep()),
         Some(names) => {
-            workloads.extend(halo::workloads::multithreaded());
+            let mut workloads = universe();
             // Comma-separated selection, e.g. `--benchmark toy,povray`.
             let mut picked: Vec<Workload> = Vec::new();
             for name in names.split(',') {
@@ -836,9 +848,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Any listed workload can serve; phases may revisit a name, so the
     // script resolves against the full universe rather than the
     // duplicate-rejecting `find_workloads` selector.
-    let mut universe = all();
-    universe.push(halo::workloads::toy::build());
-    universe.extend(halo::workloads::multithreaded());
+    let universe = universe();
     let mut phases = Vec::new();
     for part in script.split(',') {
         let (name, windows) = part
