@@ -87,7 +87,6 @@ pub fn paper_config(workload: &Workload) -> EvalConfig {
         halo: HaloConfig {
             profile: ProfileConfig {
                 affinity_distance: 128,
-                max_tracked_size: 4096,
                 keep_fraction: 0.9,
                 enforce_coallocatability: true,
                 granularity,

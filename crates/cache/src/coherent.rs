@@ -34,7 +34,7 @@
 //! prefetch. That is the only single-thread model there is; the
 //! differential suite's one-thread stratum pins it against the slow walk.
 
-use crate::hierarchy::{AccessStats, HierarchyConfig};
+use crate::hierarchy::{AccessStats, HierarchyConfig, PAGE_BYTES};
 use crate::set_assoc::{self, CacheConfig, SetAssocCache};
 use crate::span::{SetIndex, SpanUnit};
 
@@ -350,12 +350,12 @@ pub struct CoherentHierarchy {
     threads: Vec<ThreadDomain>,
     current: usize,
     coherence: CoherenceStats,
-    /// Precomputed shift/mask divider for L1 lines.
+    /// Precomputed shift for L1 lines.
     line_unit: SpanUnit,
-    /// Precomputed divider for pages (division fallback when the page
-    /// size is not a power of two).
-    page_unit: SpanUnit,
 }
+
+/// The dTLB's unit: one [`PAGE_BYTES`] page.
+const PAGE_UNIT: SpanUnit = SpanUnit::new(PAGE_BYTES);
 
 impl CoherentHierarchy {
     /// Build an empty hierarchy; accesses are attributed to logical
@@ -370,7 +370,6 @@ impl CoherentHierarchy {
             current: 0,
             coherence: CoherenceStats::default(),
             line_unit: SpanUnit::new(config.l1.line_bytes),
-            page_unit: SpanUnit::new(config.page_bytes),
         }
     }
 
@@ -438,7 +437,7 @@ impl CoherentHierarchy {
     #[inline]
     pub fn access(&mut self, addr: u64, width: u8, store: bool) {
         let lines = self.line_unit.lines_touched(addr, width);
-        let pages = self.page_unit.lines_touched(addr, width);
+        let pages = PAGE_UNIT.lines_touched(addr, width);
         let t = self.current;
         let domain = &mut self.threads[t];
         if store {

@@ -2,6 +2,12 @@
 
 use crate::set_assoc::CacheConfig;
 
+/// Page size of the simulated machine in bytes: the unit the dTLB
+/// translates. One value for every geometry — the VM's pages, the
+/// allocators' purges and the profiler's page identities are all 4 KiB —
+/// so it is a constant of the model, not a field of [`HierarchyConfig`].
+pub const PAGE_BYTES: u64 = 4096;
+
 /// Geometry of the whole simulated memory subsystem.
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyConfig {
@@ -16,8 +22,6 @@ pub struct HierarchyConfig {
     /// Data-TLB associativity, 1 to 16 like [`CacheConfig::ways`] (the
     /// dTLB is a [`SetAssocCache`](crate::SetAssocCache) of page numbers).
     pub tlb_ways: u32,
-    /// Page size in bytes.
-    pub page_bytes: u64,
     /// Adjacent-line prefetching into L2: on an L1 demand miss for line
     /// `L`, lines `L±1` are brought into L2/L3. Models the spatial
     /// prefetchers of the evaluation hardware — the reason sequential
@@ -29,7 +33,7 @@ pub struct HierarchyConfig {
 impl HierarchyConfig {
     /// The evaluation machine from §5.1: Intel Xeon W-2195 — 32 KiB 8-way
     /// L1D, 1024 KiB 16-way L2, 25344 KiB 11-way shared L3, 64-byte lines,
-    /// 64-entry 4-way dTLB over 4 KiB pages.
+    /// 64-entry 4-way dTLB over [`PAGE_BYTES`] pages.
     pub fn xeon_w2195() -> Self {
         HierarchyConfig {
             l1: CacheConfig { size_bytes: 32 * 1024, line_bytes: 64, ways: 8 },
@@ -37,7 +41,6 @@ impl HierarchyConfig {
             l3: CacheConfig { size_bytes: 25344 * 1024, line_bytes: 64, ways: 11 },
             tlb_entries: 64,
             tlb_ways: 4,
-            page_bytes: 4096,
             adjacent_line_prefetch: true,
         }
     }
@@ -51,7 +54,6 @@ impl HierarchyConfig {
             l3: CacheConfig { size_bytes: 32 * 1024, line_bytes: 64, ways: 8 },
             tlb_entries: 8,
             tlb_ways: 2,
-            page_bytes: 4096,
             adjacent_line_prefetch: false,
         }
     }
@@ -135,7 +137,7 @@ mod tests {
     fn tlb_misses_per_new_page() {
         let mut h = CoherentHierarchy::new(HierarchyConfig::tiny());
         h.access(0, 8, false);
-        h.access(4096, 8, false);
+        h.access(PAGE_BYTES, 8, false);
         h.access(0, 8, false); // still resident (8 entries)
         assert_eq!(h.stats().tlb_misses, 2);
     }

@@ -30,6 +30,6 @@ mod span;
 mod timing;
 
 pub use coherent::{CoherenceStats, CoherentHierarchy, LineState, ThreadAccessStats};
-pub use hierarchy::{AccessStats, HierarchyConfig};
+pub use hierarchy::{AccessStats, HierarchyConfig, PAGE_BYTES};
 pub use set_assoc::{CacheConfig, SetAssocCache};
 pub use timing::TimingModel;

@@ -3,12 +3,12 @@
 //! [`CoherentHierarchy`](crate::CoherentHierarchy) splits every access into
 //! the cache lines (and pages) it touches, and every cache level reduces a
 //! line number to a set index. Spelled out per access these are 64-bit
-//! divisions and modulos; [`SpanUnit`] and [`SetIndex`] decide once, at
-//! construction, whether a shift or a mask is exact (the size is a power of
-//! two: always true for cache lines — [`CacheConfig::sets`] asserts it —
-//! and for every realistic page size and most set counts) and otherwise
-//! keep the division or modulo, bit-for-bit identical (the L3's 36864 sets
-//! are not a power of two, so that fallback stays live).
+//! divisions and modulos. A line or a page is always a power of two
+//! ([`CacheConfig::sets`] asserts it for lines, and the page is the 4 KiB
+//! [`PAGE_BYTES`](crate::PAGE_BYTES)), so [`SpanUnit`] is a shift. A set
+//! count need not be one (the L3's 36864 sets are not), so [`SetIndex`]
+//! decides once, at construction, whether a mask is exact and otherwise
+//! keeps the modulo, bit-for-bit identical.
 //!
 //! [`CacheConfig::sets`]: crate::CacheConfig::sets
 
@@ -31,14 +31,12 @@ impl Span {
     }
 }
 
-/// A precomputed divider for one span unit (a line size or a page size),
-/// built once per hierarchy instead of re-deriving per access.
+/// A divider for one power-of-two span unit (a line size or the page
+/// size), built once per hierarchy instead of re-deriving per access.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanUnit {
-    bytes: u64,
-    /// `Some(log2(bytes))` when `bytes` is a power of two; `None` keeps
-    /// the exact division fallback for irregular unit sizes.
-    shift: Option<u32>,
+    /// `log2` of the unit size in bytes.
+    shift: u32,
 }
 
 impl SpanUnit {
@@ -46,25 +44,22 @@ impl SpanUnit {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
-    pub(crate) fn new(bytes: u64) -> Self {
-        assert!(bytes > 0, "span unit must be non-zero");
-        SpanUnit { bytes, shift: bytes.is_power_of_two().then(|| bytes.trailing_zeros()) }
+    /// Panics if `bytes` is not a power of two.
+    pub(crate) const fn new(bytes: u64) -> Self {
+        assert!(bytes.is_power_of_two(), "span unit must be a power of two");
+        SpanUnit { shift: bytes.trailing_zeros() }
     }
 
     /// Unit size in bytes.
     #[inline]
     pub(crate) fn bytes(self) -> u64 {
-        self.bytes
+        1 << self.shift
     }
 
     /// Unit number containing byte address `addr`.
     #[inline]
     pub(crate) fn index_of(self, addr: u64) -> u64 {
-        match self.shift {
-            Some(s) => addr >> s,
-            None => addr / self.bytes,
-        }
+        addr >> self.shift
     }
 
     /// The units a `width`-byte access at `addr` touches. Zero-width
@@ -150,21 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn non_power_of_two_units_divide_exactly() {
-        // Page sizes are not asserted to be powers of two anywhere, so the
-        // fallback division must agree with the shift path's semantics.
-        let u = SpanUnit::new(3000);
-        assert_eq!(u.index_of(2999), 0);
-        assert_eq!(u.index_of(3000), 1);
-        assert_eq!(u.lines_touched(2998, 8), Span { first: 0, last: 1 });
-        // And a power-of-two unit built the same way uses the shift.
-        let p = SpanUnit::new(4096);
-        assert_eq!(p.index_of(4095), 0);
-        assert_eq!(p.index_of(4096), 1);
-        assert_eq!(p.lines_touched(4090, 16), Span { first: 0, last: 1 });
-    }
-
-    #[test]
     fn span_is_clipped_at_the_top_of_the_address_space() {
         // u64::MAX - 3, width 8: bytes MAX-3..=MAX exist, the other four
         // do not. The span ends on the unit holding u64::MAX instead of
@@ -174,9 +154,6 @@ mod tests {
         assert_eq!(u.lines_touched(u64::MAX - 3, 8), Span { first: top, last: top });
         assert_eq!(u.lines_touched(u64::MAX - 70, u8::MAX), Span { first: top - 1, last: top });
         assert_eq!(u.lines_touched(u64::MAX, 0), Span { first: top, last: top });
-        let odd = SpanUnit::new(3000);
-        let s = odd.lines_touched(u64::MAX - 3, 8);
-        assert_eq!(s, Span { first: u64::MAX / 3000, last: u64::MAX / 3000 });
     }
 
     #[test]
@@ -191,12 +168,15 @@ mod tests {
 
     #[test]
     fn shift_and_division_agree_across_a_sweep() {
-        let shifted = SpanUnit::new(64);
-        for addr in 0..1024u64 {
-            for width in [0u8, 1, 7, 8, 63, 64, 65, 255] {
-                let last_byte = addr + width.max(1) as u64 - 1;
-                let expect = Span { first: addr / 64, last: last_byte / 64 };
-                assert_eq!(shifted.lines_touched(addr, width), expect);
+        for unit in [32u64, 64, 4096] {
+            let shifted = SpanUnit::new(unit);
+            assert_eq!(shifted.bytes(), unit);
+            for addr in (0..1024u64).chain(unit * 16 - 300..unit * 16 + 300) {
+                for width in [0u8, 1, 7, 8, 63, 64, 65, 255] {
+                    let last_byte = addr + width.max(1) as u64 - 1;
+                    let expect = Span { first: addr / unit, last: last_byte / unit };
+                    assert_eq!(shifted.lines_touched(addr, width), expect, "{unit}-byte units");
+                }
             }
         }
     }

@@ -8,8 +8,10 @@
 //! the original per-access division-based walk over move-to-front lists
 //! preserved in `reference/`. These properties prove it on randomized
 //! traces across geometries (ways 1–4 and the evaluation machine's 8, 11
-//! and 16 at every level, non-power-of-two set counts and page sizes, an
-//! L1 line narrower than the L2/L3 line, and prefetch on/off), thread
+//! and 16 at every level, non-power-of-two set counts, an L1 line narrower
+//! than the L2/L3 line, and prefetch on/off), three address layouts (dense,
+//! and two that give every 128-byte block a page of its own so the dTLB
+//! thrashes and accesses straddle pages), thread
 //! interleavings (one thread and four) and interleaved flushes — counter
 //! for counter, MESI-lite state for state.
 //!
@@ -18,7 +20,9 @@
 
 mod reference;
 
-use halo_cache::{CacheConfig, CoherenceStats, CoherentHierarchy, HierarchyConfig, TimingModel};
+use halo_cache::{
+    CacheConfig, CoherenceStats, CoherentHierarchy, HierarchyConfig, TimingModel, PAGE_BYTES,
+};
 use proptest::prelude::*;
 use reference::ReferenceCoherentHierarchy;
 
@@ -41,7 +45,6 @@ fn geometry(
     (l2_ways, l2_sets): Shape,
     (l3_ways, l3_sets): Shape,
     prefetch: bool,
-    page_bytes: u64,
     tlb_ways: u32,
     tlb_sets: u32,
 ) -> HierarchyConfig {
@@ -57,7 +60,6 @@ fn geometry(
         l3: level(outer, l3_ways, l3_sets),
         tlb_entries: tlb_ways * tlb_sets,
         tlb_ways,
-        page_bytes,
         adjacent_line_prefetch: prefetch,
     }
 }
@@ -79,10 +81,26 @@ fn outer_shape(narrow: Shape) -> impl Strategy<Value = Shape> {
     prop_oneof![Just(narrow), (wide_ways(), 1u64..4)]
 }
 
-/// Page sizes under test: the real 4 KiB, a non-power-of-two (the page
-/// divider must fall back to division), and one small enough that most
-/// accesses touch several pages.
-const PAGES: [u64; 3] = [4096, 1000, 128];
+/// Bytes of the dense address universe each page holds in the spread
+/// layouts.
+const BLOCK: u64 = 128;
+
+/// Where a dense-universe address lands under `layout`:
+/// - 0, dense: where it is.
+/// - 1, block at page end: every [`BLOCK`]-byte block at the end of its
+///   own page, so an access running off a block's end straddles into the
+///   next page — the page pattern the universe had under 128-byte pages,
+///   though every line then falls in the last sets of a small cache.
+/// - 2, block in place: every block on its own page at its dense in-page
+///   offset, so lines still spread over every set while the dTLB evicts.
+fn place(addr: u64, layout: u8) -> u64 {
+    let (block, offset) = (addr / BLOCK, addr % BLOCK);
+    match layout {
+        0 => addr,
+        1 => (block + 1) * PAGE_BYTES - BLOCK + offset,
+        _ => block * PAGE_BYTES + addr % PAGE_BYTES,
+    }
+}
 
 /// Width from a generated exponent: 1..=16 bytes, so wide accesses
 /// straddle lines and pages.
@@ -111,7 +129,7 @@ proptest! {
         l2 in outer_shape(NARROW_L2),
         l3 in outer_shape(NARROW_L3),
         prefetch in any::<bool>(),
-        page_sel in 0usize..3,
+        layout in 0u8..3,
         tlb_ways in 1u32..5,
         tlb_sets in 1u32..5,
         threads in prop_oneof![Just(1u16), Just(4u16)],
@@ -121,7 +139,7 @@ proptest! {
         let l1_sets = if l1_ways >= 8 { l1_sets.min(3) } else { l1_sets };
         let config = geometry(
             1 << line_exp, 1 << outer_line_exp, l1_ways, l1_sets, l2, l3, prefetch,
-            PAGES[page_sel], tlb_ways, tlb_sets,
+            tlb_ways, tlb_sets,
         );
         // Four threads share a 2 KiB universe so that lines really are
         // contended; one thread roams the full 8 KiB so that the TLB and
@@ -138,7 +156,7 @@ proptest! {
         for (i, &(thread, addr, wexp, store, revisit)) in trace.iter().enumerate() {
             let addr = match touched.last() {
                 Some(&previous) if revisit == 0 => previous,
-                _ => addr % universe,
+                _ => place(addr % universe, layout),
             };
             touched.push(addr);
             fast.set_thread(thread % threads);
@@ -189,7 +207,7 @@ proptest! {
         trace in proptest::collection::vec(
             (0u16..4, 0u64..2048, 0u8..5, any::<bool>()), 1..400),
     ) {
-        let config = geometry(64, 64, l1_ways, l1_sets, NARROW_L2, NARROW_L3, true, 4096, 2, 4);
+        let config = geometry(64, 64, l1_ways, l1_sets, NARROW_L2, NARROW_L3, true, 2, 4);
         let mut batched = CoherentHierarchy::new(config);
         let mut serial = CoherentHierarchy::new(config);
         // Split the trace into same-thread runs, then feed each run in

@@ -18,6 +18,7 @@ pub mod lru;
 
 use halo_cache::{
     AccessStats, CacheConfig, CoherenceStats, HierarchyConfig, LineState, ThreadAccessStats,
+    PAGE_BYTES,
 };
 use lru::MoveToFrontCache;
 use std::collections::HashMap;
@@ -135,8 +136,8 @@ impl ReferenceCoherentHierarchy {
             self.stats.loads += 1;
             self.threads[self.current].stats.loads += 1;
         }
-        let first_page = addr / self.config.page_bytes;
-        let last_page = last_byte / self.config.page_bytes;
+        let first_page = addr / PAGE_BYTES;
+        let last_page = last_byte / PAGE_BYTES;
         for page in first_page..=last_page {
             if !self.threads[self.current].tlb.access(page) {
                 self.stats.tlb_misses += 1;

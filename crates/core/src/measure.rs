@@ -8,6 +8,10 @@ use halo_vm::{
     AccessBatch, Engine, EngineLimits, ExitStats, Monitor, Program, VmAllocator, VmError,
 };
 
+// The cache model's dTLB page and the VM's page are one page; the two
+// crates share no dependency, so this is where they meet.
+const _: () = assert!(halo_cache::PAGE_BYTES == halo_vm::PAGE_SIZE);
+
 /// Measurement-run parameters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MeasureConfig {

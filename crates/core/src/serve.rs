@@ -173,7 +173,7 @@ thread_local! {
 /// empty, a phase has zero windows, or the configuration is out of range:
 /// `decay` or `drift_threshold` outside `[0, 1]` (NaN included),
 /// `regroup_every` of zero, or a shard count outside
-/// `1..=`[`ShardedHaloAllocator::max_shards`].
+/// `1..=`[`ShardedHaloAllocator::MAX_SHARDS`].
 pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport, PipelineError> {
     assert!(!phases.is_empty(), "serve needs at least one phase");
     assert!(phases.iter().all(|p| p.windows > 0), "every phase needs at least one window");
@@ -181,7 +181,7 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let (decay, threshold, shards) = (config.decay, config.drift_threshold, config.shards);
     assert!((0.0..=1.0).contains(&decay), "decay {decay} must be within [0, 1]");
     assert!((0.0..=1.0).contains(&threshold), "drift_threshold {threshold} must be within [0, 1]");
-    let max_shards = ShardedHaloAllocator::max_shards(&config.halo.alloc);
+    let max_shards = ShardedHaloAllocator::MAX_SHARDS;
     assert!(
         (1..=max_shards).contains(&shards),
         "shards {shards} must be within [1, {max_shards}], the address layout's limit"
@@ -584,7 +584,7 @@ mod tests {
                 format!("drift_threshold {bad} must be within [0, 1]")
             );
         }
-        let max = ShardedHaloAllocator::max_shards(&serve_config().halo.alloc);
+        let max = ShardedHaloAllocator::MAX_SHARDS;
         for bad in [0, max + 1] {
             assert_eq!(
                 rejection(ServeConfig { shards: bad, ..serve_config() }),
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn the_ends_of_every_range_are_accepted() {
         let phases = [phase("p", phased_program(2, 16), 1)];
-        let max = ShardedHaloAllocator::max_shards(&serve_config().halo.alloc);
+        let max = ShardedHaloAllocator::MAX_SHARDS;
         let ends = [
             ServeConfig { decay: 0.0, ..serve_config() },
             ServeConfig { decay: 1.0, ..serve_config() },

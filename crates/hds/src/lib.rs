@@ -34,13 +34,12 @@ use halo_profile::HeapTrace;
 use halo_vm::CallSite;
 use std::collections::HashMap;
 
-/// End-to-end configuration of the comparison technique.
+/// End-to-end configuration of the comparison technique. Every set the
+/// packing chooses becomes a group: the technique has no group cap.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HdsConfig {
     /// Stream extraction parameters (§5.1 defaults).
     pub stream: StreamConfig,
-    /// Optional cap on the number of groups.
-    pub max_groups: Option<usize>,
 }
 
 /// Statistics from an analysis, for the evaluation discussion (§5.2).
@@ -79,9 +78,6 @@ pub fn analyze(trace: &HeapTrace, config: &HdsConfig) -> HdsResult {
     let mut site_map: HashMap<CallSite, usize> = HashMap::new();
     let mut site_groups: Vec<Vec<CallSite>> = Vec::new();
     for &set_idx in &chosen {
-        if site_groups.len() >= config.max_groups.unwrap_or(usize::MAX) {
-            break;
-        }
         let group = site_groups.len();
         let mut sites = Vec::new();
         for &obj in &sets[set_idx].objects {
@@ -100,8 +96,6 @@ pub fn analyze(trace: &HeapTrace, config: &HdsConfig) -> HdsResult {
         }
         site_groups.push(sites);
     }
-    // Compact the map in case trailing groups were dropped.
-    site_map.retain(|_, g| *g < site_groups.len());
 
     HdsResult {
         site_groups,
@@ -172,24 +166,29 @@ mod tests {
     }
 
     #[test]
-    fn max_groups_caps_output() {
-        // Several independent hot pairs → several groups; cap to 1.
+    fn independent_hot_pairs_form_separate_groups() {
+        // Six pairs, each from its own two sites, each hot in its own phase:
+        // six disjoint hot streams, six sets, six groups. (Interleaved, the
+        // pairs form one stream over all twelve objects and one group.)
         let mut objects = Vec::new();
         let mut symbols = Vec::new();
         for g in 0..6u32 {
             objects.push(TraceObject { site: site(g, 0), size: 16, accesses: 64 });
             objects.push(TraceObject { site: site(g, 1), size: 16, accesses: 64 });
         }
-        for _ in 0..64 {
-            for g in 0..6u32 {
+        for g in 0..6u32 {
+            for _ in 0..64 {
                 symbols.push(2 * g);
                 symbols.push(2 * g + 1);
             }
         }
         let trace = HeapTrace { symbols, objects };
-        let capped = analyze(&trace, &HdsConfig { max_groups: Some(1), ..Default::default() });
-        assert_eq!(capped.site_groups.len(), 1);
-        assert!(capped.site_map.values().all(|&g| g == 0));
+        let result = analyze(&trace, &HdsConfig::default());
+        assert_eq!(result.site_groups.len(), 6, "{:?}", result.site_groups);
+        for (g, sites) in result.site_groups.iter().enumerate() {
+            assert_eq!(sites.len(), 2, "one pair per group");
+            assert!(sites.iter().all(|s| result.site_map[s] == g));
+        }
     }
 
     #[test]

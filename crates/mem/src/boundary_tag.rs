@@ -32,17 +32,12 @@ pub struct BoundaryTagAllocator {
 }
 
 impl BoundaryTagAllocator {
-    /// Default base address for standalone use.
-    pub const DEFAULT_BASE: u64 = 0x30_0000_0000;
+    /// Where the heap starts: clear of every other allocator's span.
+    pub const BASE: u64 = 0x30_0000_0000;
 
-    /// Create an allocator rooted at [`Self::DEFAULT_BASE`].
+    /// Create an allocator rooted at [`Self::BASE`].
     pub fn new() -> Self {
-        Self::with_base(Self::DEFAULT_BASE)
-    }
-
-    /// Create an allocator rooted at `base`.
-    pub fn with_base(base: u64) -> Self {
-        let mut vmm = Vmm::new(base, 1 << 38);
+        let mut vmm = Vmm::new(Self::BASE, 1 << 38);
         let heap_base =
             vmm.reserve(0, 16).unwrap_or_else(|_| unreachable!("fresh span cannot be exhausted"));
         BoundaryTagAllocator {

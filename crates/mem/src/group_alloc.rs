@@ -45,7 +45,8 @@ use std::sync::Arc;
 /// One value acts as the allocator-wide default; [`HaloGroupAllocator`]
 /// additionally accepts per-group overrides, of which the **per-group**
 /// fields are `chunk_size`, `max_spare_chunks`, and `reuse_policy` —
-/// `max_grouped_size`, `slab_size`, and `base` remain allocator-global.
+/// `max_grouped_size` and `slab_size` remain allocator-global. Where the
+/// slabs live is not a knob: [`HaloGroupAllocator::SLAB_BASE`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupAllocConfig {
     /// Chunk size in bytes; must be a power of two of at least a page.
@@ -62,8 +63,6 @@ pub struct GroupAllocConfig {
     /// Bytes reserved per slab. Paper: "large, demand-paged slabs".
     /// Allocator-global.
     pub slab_size: u64,
-    /// Base of the slab address span. Allocator-global.
-    pub base: u64,
     /// In-chunk recycling policy (the paper's future-work axis; see
     /// [`ReusePolicy`]).
     pub reuse_policy: ReusePolicy,
@@ -76,7 +75,6 @@ impl Default for GroupAllocConfig {
             max_spare_chunks: 1,
             max_grouped_size: 4096,
             slab_size: 64 << 20,
-            base: 0x70_0000_0000,
             reuse_policy: ReusePolicy::Bump,
         }
     }
@@ -94,7 +92,7 @@ impl GroupAllocConfig {
         if chunk_size < PAGE_SIZE {
             return Err("chunks must be at least a page");
         }
-        if !self.slab_size.is_multiple_of(chunk_size) {
+        if self.slab_size == 0 || !self.slab_size.is_multiple_of(chunk_size) {
             return Err("slabs must hold whole chunks");
         }
         Ok(())
@@ -302,9 +300,6 @@ pub struct HaloGroupAllocator {
     vmm: Vmm,
     /// Cursor into the current slab: `(next_free_byte, slab_end)`.
     slab_cursor: Option<(u64, u64)>,
-    /// End of the highest slab reserved so far; pointers below `config.base`
-    /// or at/above this are fallback-owned.
-    slabs_end: u64,
     /// Every chunk ever carved, in address order; the index is the
     /// chunk's handle.
     chunks: Vec<Chunk>,
@@ -341,9 +336,15 @@ pub struct HaloGroupAllocator {
 }
 
 impl HaloGroupAllocator {
+    /// Where the slabs of a standalone allocator start: above every
+    /// fallback allocator's span, so a pointer's owner is a range check.
+    /// A sharded allocator roots shard `i` at
+    /// `SLAB_BASE + i * GROUP_SHARD_STRIDE`.
+    pub const SLAB_BASE: u64 = 0x70_0000_0000;
+
     /// Create an allocator with the default jemalloc-style fallback.
     pub fn new(config: GroupAllocConfig, selectors: SelectorTable) -> Self {
-        Self::build(config, selectors, Vec::new(), SizeClassAllocator::new())
+        Self::with_group_configs(config, selectors, Vec::new())
     }
 
     /// Create an allocator whose group `g` runs under `overrides[g]`
@@ -359,7 +360,7 @@ impl HaloGroupAllocator {
         selectors: SelectorTable,
         overrides: Vec<GroupAllocConfig>,
     ) -> Self {
-        Self::build(config, selectors, overrides, SizeClassAllocator::new())
+        Self::build(config, Self::SLAB_BASE, selectors, overrides, SizeClassAllocator::new())
     }
 
     /// Create an allocator classifying by immediate call site (the
@@ -368,19 +369,20 @@ impl HaloGroupAllocator {
         config: GroupAllocConfig,
         site_groups: HashMap<CallSite, usize>,
     ) -> Self {
-        let mut a =
-            Self::build(config, SelectorTable::empty(), Vec::new(), SizeClassAllocator::new());
+        let mut a = Self::new(config, SelectorTable::empty());
         let num_groups = site_groups.values().map(|&g| g + 1).max().unwrap_or(0);
         a.ensure_groups(num_groups);
         a.site_groups = site_groups;
         a
     }
 
-    /// [`Self::with_group_configs`] over an explicit fallback — the shape
-    /// [`crate::ShardedHaloAllocator`] needs: per-shard plans *and* a
-    /// per-shard fallback rooted at a shard-private base address.
+    /// [`Self::with_group_configs`] with slabs from `slab_base` over an
+    /// explicit fallback — the shape [`crate::ShardedHaloAllocator`]
+    /// needs: per-shard slabs *and* a per-shard fallback, each rooted at a
+    /// shard-private base address.
     pub(crate) fn build(
         config: GroupAllocConfig,
+        slab_base: u64,
         selectors: SelectorTable,
         overrides: Vec<GroupAllocConfig>,
         fallback: SizeClassAllocator,
@@ -396,11 +398,10 @@ impl HaloGroupAllocator {
             config,
             group_cfg,
             selectors,
-            vmm: Vmm::new(config.base, 1 << 38),
+            vmm: Vmm::new(slab_base, 1 << 38),
             slab_cursor: None,
-            slabs_end: config.base,
             chunks: Vec::new(),
-            pages: PageIndex::new(config.base),
+            pages: PageIndex::new(slab_base),
             current: vec![None; num_groups],
             site_groups: HashMap::new(),
             spare: Vec::new(),
@@ -497,9 +498,10 @@ impl HaloGroupAllocator {
         self.selectors = selectors;
     }
 
-    /// Whether `ptr` was group allocated (lies within a slab).
+    /// Whether `ptr` was group allocated (lies within a slab reserved so
+    /// far; anything else is fallback-owned).
     pub fn is_group_allocated(&self, ptr: u64) -> bool {
-        (self.config.base..self.slabs_end).contains(&ptr)
+        self.vmm.contains(ptr)
     }
 
     /// Bytes of grouped data currently live.
@@ -555,7 +557,6 @@ impl HaloGroupAllocator {
             });
         }
         let slab = self.vmm.reserve(self.config.slab_size, cs)?;
-        self.slabs_end = self.slabs_end.max(slab + self.config.slab_size);
         self.slab_cursor = Some((slab + cs, slab + self.config.slab_size));
         Ok(slab)
     }
@@ -1635,7 +1636,7 @@ mod tests {
             .map(|_| a.malloc(2048, site(), &gs, &mut mem))
             .collect();
         assert_eq!(a.stats().chunks_created, 9);
-        let slab_end = cfg.base + cfg.slab_size;
+        let slab_end = HaloGroupAllocator::SLAB_BASE + cfg.slab_size;
         let last_of_slab = ptrs[(cfg.slab_size / 2048 - 1) as usize];
         assert_eq!(last_of_slab, slab_end - 2048, "last region of the slab's last chunk");
         assert_eq!(ptrs[(cfg.slab_size / 2048) as usize], slab_end, "next slab follows on");
@@ -1726,5 +1727,15 @@ mod tests {
         assert_eq!(cfg.check_chunk_size(12288), Err("chunk size must be a power of two"));
         assert_eq!(cfg.check_chunk_size(PAGE_SIZE / 2), Err("chunks must be at least a page"));
         assert_eq!(cfg.check_chunk_size(cfg.slab_size * 2), Err("slabs must hold whole chunks"));
+        // Zero is a multiple of every chunk size, yet holds no chunk.
+        let empty = GroupAllocConfig { slab_size: 0, ..cfg };
+        assert_eq!(empty.check_chunk_size(cfg.chunk_size), Err("slabs must hold whole chunks"));
+    }
+
+    #[test]
+    #[should_panic(expected = "slabs must hold whole chunks")]
+    fn a_zero_slab_size_is_refused_at_construction() {
+        let config = GroupAllocConfig { slab_size: 0, ..small_config() };
+        let _ = HaloGroupAllocator::new(config, two_group_table());
     }
 }

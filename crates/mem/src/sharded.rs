@@ -71,13 +71,17 @@ impl std::error::Error for ForeignPointer {}
 
 /// Group-slab address space per shard. Matches the [`HaloGroupAllocator`]
 /// reservation span exactly, so shard group regions tile with no gaps:
-/// `owner = (ptr - base) / GROUP_SHARD_STRIDE`.
+/// `owner = (ptr - HaloGroupAllocator::SLAB_BASE) / GROUP_SHARD_STRIDE`.
 pub const GROUP_SHARD_STRIDE: u64 = 1 << 38;
 
 /// Fallback address space per shard (16 GiB — orders of magnitude above
 /// any simulated workload; exceeding it is a loud `Vmm` panic, not
 /// aliasing).
 const FALLBACK_SHARD_STRIDE: u64 = 1 << 34;
+
+/// Where shard 0's fallback starts; shard `i`'s is
+/// `FALLBACK_BASE + i * FALLBACK_SHARD_STRIDE`.
+const FALLBACK_BASE: u64 = SizeClassAllocator::DEFAULT_BASE;
 
 /// Process-unique ids so the per-thread shard-slot cache can tell
 /// allocator instances apart.
@@ -184,10 +188,9 @@ pub struct ShardedAllocStats {
 #[derive(Debug)]
 pub struct ShardedHaloAllocator {
     id: usize,
-    /// The shard-0 configuration (shard `i` runs the same knobs at base
-    /// `base + i * GROUP_SHARD_STRIDE`).
+    /// The configuration every shard runs (shard `i`'s slabs start at
+    /// `HaloGroupAllocator::SLAB_BASE + i * GROUP_SHARD_STRIDE`).
     config: GroupAllocConfig,
-    fallback_base: u64,
     shards: Vec<Shard>,
     threads: Mutex<ThreadRegistry>,
     queue_overflows: AtomicU64,
@@ -213,9 +216,8 @@ impl ShardedHaloAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, if the per-shard fallback ranges would
-    /// reach `config.base` (with the default base that allows up to 24
-    /// shards), or under the same override conditions as
+    /// Panics if `shards` is zero or above [`Self::MAX_SHARDS`], or under
+    /// the same override conditions as
     /// [`HaloGroupAllocator::with_group_configs`].
     pub fn new(
         shards: usize,
@@ -224,27 +226,26 @@ impl ShardedHaloAllocator {
         overrides: Vec<GroupAllocConfig>,
     ) -> Self {
         assert!(shards >= 1, "a sharded allocator needs at least one shard");
-        let fallback_base = SizeClassAllocator::DEFAULT_BASE;
         assert!(
-            shards <= Self::max_shards(&config),
+            shards <= Self::MAX_SHARDS,
             "address layout: {shards} shards of fallback space would reach the group base \
-             {:#x} (at most {} fit); lower the shard count or raise the base",
-            config.base,
-            Self::max_shards(&config)
+             {:#x} (at most {} fit); lower the shard count",
+            HaloGroupAllocator::SLAB_BASE,
+            Self::MAX_SHARDS
         );
-        let shards = (0..shards)
+        let shards = (0..shards as u64)
             .map(|i| {
-                let (shard_cfg, shard_overrides) = Self::shard_plan(&config, &overrides, i);
                 let fallback = SizeClassAllocator::with_base_span(
-                    fallback_base + i as u64 * FALLBACK_SHARD_STRIDE,
+                    FALLBACK_BASE + i * FALLBACK_SHARD_STRIDE,
                     FALLBACK_SHARD_STRIDE,
                 );
                 Shard {
                     inner: Mutex::new(ShardState {
                         alloc: HaloGroupAllocator::build(
-                            shard_cfg,
+                            config,
+                            HaloGroupAllocator::SLAB_BASE + i * GROUP_SHARD_STRIDE,
                             selectors.clone(),
-                            shard_overrides,
+                            overrides.clone(),
                             fallback,
                         ),
                         drain_buf: Vec::new(),
@@ -259,7 +260,6 @@ impl ShardedHaloAllocator {
         ShardedHaloAllocator {
             id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
             config,
-            fallback_base,
             shards,
             threads: Mutex::new(ThreadRegistry::default()),
             queue_overflows: AtomicU64::new(0),
@@ -268,19 +268,6 @@ impl ShardedHaloAllocator {
             plan_epoch: AtomicU64::new(0),
             faults: None,
         }
-    }
-
-    /// Shard `shard`'s copy of a plan expressed against the shard-0 base:
-    /// the same knobs, rooted at the shard's own slice of the group
-    /// address space.
-    fn shard_plan(
-        config: &GroupAllocConfig,
-        overrides: &[GroupAllocConfig],
-        shard: usize,
-    ) -> (GroupAllocConfig, Vec<GroupAllocConfig>) {
-        let base = config.base + shard as u64 * GROUP_SHARD_STRIDE;
-        let rebase = |c: &GroupAllocConfig| GroupAllocConfig { base, ..*c };
-        (rebase(config), overrides.iter().map(rebase).collect())
     }
 
     /// The number of plan hot-swaps applied so far; epoch `0` is the
@@ -292,8 +279,7 @@ impl ShardedHaloAllocator {
 
     /// Hot-swap every shard onto a new plan (DESIGN.md §15): replace the
     /// selector table and per-group configuration, then advance the plan
-    /// epoch. Overrides are expressed against the shard-0 base exactly as
-    /// in [`Self::new`] and rebased per shard here.
+    /// epoch. Every shard installs the same overrides, as in [`Self::new`].
     ///
     /// All shard locks are taken in index order and held across the
     /// installation, so the swap is atomic with respect to allocation: no
@@ -320,9 +306,8 @@ impl ShardedHaloAllocator {
             HaloGroupAllocator::validate_chunk(&self.config, over.chunk_size);
         }
         let mut guards: Vec<_> = (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
-        for (i, guard) in guards.iter_mut().enumerate() {
-            let (_, shard_overrides) = Self::shard_plan(&self.config, &overrides, i);
-            guard.alloc.install_plan(selectors.clone(), shard_overrides);
+        for guard in &mut guards {
+            guard.alloc.install_plan(selectors.clone(), overrides.clone());
         }
         let epoch = self.plan_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guards);
@@ -398,14 +383,12 @@ impl ShardedHaloAllocator {
         }
     }
 
-    /// Largest shard count the address layout supports for `config`: the
-    /// per-shard fallback tiles must all fit below the group base.
-    /// Callers validating user input (the CLI's `--shards`) check this
-    /// bound up front; [`Self::new`] asserts it.
-    pub fn max_shards(config: &GroupAllocConfig) -> usize {
-        (config.base.saturating_sub(SizeClassAllocator::DEFAULT_BASE) / FALLBACK_SHARD_STRIDE)
-            as usize
-    }
+    /// Largest shard count the address layout supports: the per-shard
+    /// fallback tiles must all fit below the group slabs. Callers
+    /// validating user input (the CLI's `--shards`) check this bound up
+    /// front; [`Self::new`] asserts it.
+    pub const MAX_SHARDS: usize =
+        ((HaloGroupAllocator::SLAB_BASE - FALLBACK_BASE) / FALLBACK_SHARD_STRIDE) as usize;
 
     /// The calling thread's state, consulting the registry only on a
     /// cache miss (first touch, or after using a different allocator).
@@ -459,11 +442,11 @@ impl ShardedHaloAllocator {
     /// as data instead of a panic so the runtime can absorb it.
     fn owner_of(&self, ptr: u64) -> Result<usize, ForeignPointer> {
         let n = self.shards.len() as u64;
-        if ptr >= self.config.base && ptr < self.config.base + n * GROUP_SHARD_STRIDE {
-            Ok(((ptr - self.config.base) / GROUP_SHARD_STRIDE) as usize)
-        } else if ptr >= self.fallback_base && ptr < self.fallback_base + n * FALLBACK_SHARD_STRIDE
-        {
-            Ok(((ptr - self.fallback_base) / FALLBACK_SHARD_STRIDE) as usize)
+        let slabs = HaloGroupAllocator::SLAB_BASE;
+        if ptr >= slabs && ptr < slabs + n * GROUP_SHARD_STRIDE {
+            Ok(((ptr - slabs) / GROUP_SHARD_STRIDE) as usize)
+        } else if ptr >= FALLBACK_BASE && ptr < FALLBACK_BASE + n * FALLBACK_SHARD_STRIDE {
+            Ok(((ptr - FALLBACK_BASE) / FALLBACK_SHARD_STRIDE) as usize)
         } else {
             Err(ForeignPointer { ptr })
         }

@@ -179,6 +179,7 @@ struct RefSpare {
 /// in-use chunks, over [`RefSizeClass`].
 struct RefGroup {
     config: GroupAllocConfig,
+    slab_base: u64,
     group_cfg: Vec<GroupAllocConfig>,
     vmm: Vmm,
     slab_cursor: Option<(u64, u64)>,
@@ -206,6 +207,7 @@ fn dirty_bytes(base: u64, high_water: u64) -> u64 {
 impl RefGroup {
     fn new(
         config: GroupAllocConfig,
+        slab_base: u64,
         overrides: &[GroupAllocConfig],
         fallback: RefSizeClass,
     ) -> Self {
@@ -214,10 +216,11 @@ impl RefGroup {
         group_cfg[..overrides.len()].copy_from_slice(overrides);
         RefGroup {
             config,
+            slab_base,
             group_cfg,
-            vmm: Vmm::new(config.base, 1 << 38),
+            vmm: Vmm::new(slab_base, 1 << 38),
             slab_cursor: None,
-            slabs_end: config.base,
+            slabs_end: slab_base,
             chunks: BTreeMap::new(),
             current: vec![None; groups],
             spare: Vec::new(),
@@ -243,7 +246,7 @@ impl RefGroup {
     }
 
     fn is_group_allocated(&self, ptr: u64) -> bool {
-        (self.config.base..self.slabs_end).contains(&ptr)
+        (self.slab_base..self.slabs_end).contains(&ptr)
     }
 
     fn carve(&mut self, cs: u64) -> Option<u64> {
@@ -674,7 +677,6 @@ impl Side for ShippedSharded {
 /// The sharded runtime over reference shards: address-arithmetic ownership,
 /// a remote queue per shard that its owner drains on entry.
 struct RefSharded {
-    base: u64,
     shards: Vec<RefGroup>,
     queues: Vec<Vec<u64>>,
     logical: usize,
@@ -687,23 +689,15 @@ impl RefSharded {
     fn new(n: usize, config: GroupAllocConfig, overrides: &[GroupAllocConfig]) -> Self {
         let shards = (0..n as u64)
             .map(|i| {
-                let base = config.base + i * GROUP_SHARD_STRIDE;
-                let rebased: Vec<_> =
-                    overrides.iter().map(|o| GroupAllocConfig { base, ..*o }).collect();
+                let slab_base = HaloGroupAllocator::SLAB_BASE + i * GROUP_SHARD_STRIDE;
                 let fallback = RefSizeClass::new(
                     SizeClassAllocator::DEFAULT_BASE + i * FALLBACK_STRIDE,
                     FALLBACK_STRIDE,
                 );
-                RefGroup::new(GroupAllocConfig { base, ..config }, &rebased, fallback)
+                RefGroup::new(config, slab_base, overrides, fallback)
             })
             .collect();
-        RefSharded {
-            base: config.base,
-            shards,
-            queues: vec![Vec::new(); n],
-            logical: 0,
-            foreign_frees: 0,
-        }
+        RefSharded { shards, queues: vec![Vec::new(); n], logical: 0, foreign_frees: 0 }
     }
 
     fn current(&self) -> usize {
@@ -712,9 +706,10 @@ impl RefSharded {
 
     fn owner_of(&self, ptr: u64) -> Option<usize> {
         let n = self.shards.len() as u64;
-        let fallback_base = SizeClassAllocator::DEFAULT_BASE;
-        if (self.base..self.base + n * GROUP_SHARD_STRIDE).contains(&ptr) {
-            Some(((ptr - self.base) / GROUP_SHARD_STRIDE) as usize)
+        let (slab_base, fallback_base) =
+            (HaloGroupAllocator::SLAB_BASE, SizeClassAllocator::DEFAULT_BASE);
+        if (slab_base..slab_base + n * GROUP_SHARD_STRIDE).contains(&ptr) {
+            Some(((ptr - slab_base) / GROUP_SHARD_STRIDE) as usize)
         } else if (fallback_base..fallback_base + n * FALLBACK_STRIDE).contains(&ptr) {
             Some(((ptr - fallback_base) / FALLBACK_STRIDE) as usize)
         } else {
@@ -752,11 +747,8 @@ impl Side for RefSharded {
         }
     }
     fn install(&mut self, overrides: &[GroupAllocConfig]) {
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let base = self.base + i as u64 * GROUP_SHARD_STRIDE;
-            let rebased: Vec<_> =
-                overrides.iter().map(|o| GroupAllocConfig { base, ..*o }).collect();
-            shard.install_plan(&rebased);
+        for shard in &mut self.shards {
+            shard.install_plan(overrides);
         }
     }
     fn thread(&mut self, logical: u16) {
@@ -895,8 +887,8 @@ fn group_allocator_matches_the_hashed_reference() {
             mem: Memory::new(),
         };
         let fallback = RefSizeClass::new(SizeClassAllocator::DEFAULT_BASE, 1 << 38);
-        let mut oracle = RefGroup::new(global, &plans[0], fallback);
-        drive(seed, global.base, &plans, &mut shipped, &mut oracle);
+        let mut oracle = RefGroup::new(global, HaloGroupAllocator::SLAB_BASE, &plans[0], fallback);
+        drive(seed, HaloGroupAllocator::SLAB_BASE, &plans, &mut shipped, &mut oracle);
         assert_eq!(shipped.observe(), oracle.observe(), "seed {seed}: after teardown");
         assert_eq!(shipped.alloc.live_objects(), 0, "seed {seed}");
     }
@@ -913,7 +905,7 @@ fn sharded_allocator_matches_reference_shards() {
                 ShardedHaloAllocator::new(shards, global, two_group_table(), plans[0].clone());
             let mut shipped = ShippedSharded { alloc, mem: Memory::new() };
             let mut oracle = RefSharded::new(shards, global, &plans[0]);
-            drive(seed, global.base, &plans, &mut shipped, &mut oracle);
+            drive(seed, HaloGroupAllocator::SLAB_BASE, &plans, &mut shipped, &mut oracle);
             shipped.alloc.drain_remote(&mut shipped.mem);
             for s in 0..shards {
                 oracle.enter(s);

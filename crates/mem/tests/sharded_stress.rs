@@ -14,7 +14,8 @@
 //! false-positive-ing on the legitimate recycle-after-drain path.
 
 use halo_mem::{
-    AllocatorStats, GroupAllocConfig, GroupSelector, SelectorTable, ShardedHaloAllocator,
+    AllocatorStats, GroupAllocConfig, GroupSelector, HaloGroupAllocator, SelectorTable,
+    ShardedHaloAllocator, GROUP_SHARD_STRIDE,
 };
 use halo_vm::{CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator};
 use std::collections::HashSet;
@@ -186,7 +187,7 @@ fn concurrent_engines_share_one_sharded_allocator() {
     // distinct shard group ranges.
     assert!(heads.iter().all(|&p| alloc.is_group_allocated(p)), "{heads:?}");
     let shards: HashSet<u64> =
-        heads.iter().map(|&p| (p - config.base) / halo_mem::GROUP_SHARD_STRIDE).collect();
+        heads.iter().map(|&p| (p - HaloGroupAllocator::SLAB_BASE) / GROUP_SHARD_STRIDE).collect();
     assert_eq!(shards.len(), 4, "each engine thread was served by its own shard: {heads:?}");
     assert_eq!(alloc.live_objects(), 4 * 400);
 }

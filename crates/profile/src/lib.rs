@@ -68,7 +68,9 @@ mod stream;
 mod trace;
 
 pub use objects::{ObjectInfo, ObjectTracker};
-pub use profiler::{ContextInfo, Profile, ProfileConfig, Profiler, PAGE_GRANULARITY_SHIFT};
+pub use profiler::{
+    ContextInfo, Profile, ProfileConfig, Profiler, MAX_TRACKED_SIZE, PAGE_GRANULARITY_SHIFT,
+};
 pub use queue::{AffinityQueue, QueueEntry};
 pub use shadow::{RawContext, ShadowStack};
 pub use stream::ProfileStream;

@@ -4,12 +4,17 @@ use crate::objects::ObjectTracker;
 use crate::queue::{AffinityQueue, QueueEntry};
 use crate::shadow::{RawContext, ShadowStack};
 use halo_graph::{AffinityGraph, Granularity, NodeId, SubGraph};
-use halo_vm::{AllocKind, CallSite, FuncId, Monitor, Program};
+use halo_vm::{AllocKind, CallSite, FuncId, Monitor, Program, PAGE_SIZE};
 use std::collections::HashMap;
 
-/// Base-2 log of the page size used for page-granularity identities
-/// (4 KiB, matching the simulated machine and the object tracker's index).
-pub const PAGE_GRANULARITY_SHIFT: u64 = 12;
+/// Base-2 log of the page size used for page-granularity identities: the
+/// simulated machine's 4 KiB page.
+pub const PAGE_GRANULARITY_SHIFT: u64 = PAGE_SIZE.trailing_zeros() as u64;
+
+/// Objects larger than this are not tracked at object granularity (§5.1:
+/// "profiled with a maximum grouped-object size of 4 KiB"). Page-granularity
+/// tracking has no size cap — that is its point (§6).
+pub const MAX_TRACKED_SIZE: u64 = 4096;
 
 /// Profiling-stage parameters (§4.1 and §5.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,11 +22,6 @@ pub struct ProfileConfig {
     /// The affinity distance `A` in bytes. §5.1 selects 128 from the
     /// Fig. 12 sweep.
     pub affinity_distance: u64,
-    /// Objects larger than this are not tracked ("profiled with a maximum
-    /// grouped-object size of 4 KiB"). Applies to the *object*-granularity
-    /// trace only: page-granularity tracking has no size cap — that is its
-    /// point (§6).
-    pub max_tracked_size: u64,
     /// Fraction of accesses the retained contexts must cover; the rest are
     /// discarded (90% in the paper).
     pub keep_fraction: f64,
@@ -40,7 +40,6 @@ impl Default for ProfileConfig {
     fn default() -> Self {
         ProfileConfig {
             affinity_distance: 128,
-            max_tracked_size: 4096,
             keep_fraction: 0.9,
             enforce_coallocatability: true,
             granularity: Granularity::Object,
@@ -336,7 +335,7 @@ impl Monitor for Profiler<'_> {
         // §6 fallback exists for. The object-granularity path re-applies the
         // cap per access (`on_access`), so object-mode behaviour is
         // unchanged by the wider tracking.
-        if size <= self.config.max_tracked_size || self.page.is_some() {
+        if size <= MAX_TRACKED_SIZE || self.page.is_some() {
             self.objects.insert(seq, ptr, size, ctx);
         }
     }
@@ -359,8 +358,7 @@ impl Monitor for Profiler<'_> {
         };
         // The tracked-size cap applies to the object lane only (large
         // objects may be in the tracker for the page lane's benefit).
-        if obj.size() <= self.config.max_tracked_size
-            && self.object.record(entry(obj.id), &self.order, enforce)
+        if obj.size() <= MAX_TRACKED_SIZE && self.object.record(entry(obj.id), &self.order, enforce)
         {
             self.contexts[obj.ctx.index()].accesses += 1;
         }

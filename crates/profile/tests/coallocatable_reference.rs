@@ -13,7 +13,9 @@
 //! macro-access totals and queue work must agree.
 
 use halo_graph::{AffinityGraph, Granularity, NodeId};
-use halo_profile::{AffinityQueue, ProfileConfig, Profiler, QueueEntry, PAGE_GRANULARITY_SHIFT};
+use halo_profile::{
+    AffinityQueue, ProfileConfig, Profiler, QueueEntry, MAX_TRACKED_SIZE, PAGE_GRANULARITY_SHIFT,
+};
 use halo_vm::{AllocKind, CallSite, Monitor, ProgramBuilder};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -116,7 +118,7 @@ fn assert_profile_matches(
                 }
                 history[ctx.index()].push(next_seq);
                 // The profiler tracks what either lane may look up.
-                if size <= config.max_tracked_size || pages {
+                if size <= MAX_TRACKED_SIZE || pages {
                     live.push((next_seq, ptr, size, ctx));
                 }
                 next_seq += 1;
@@ -131,7 +133,7 @@ fn assert_profile_matches(
                 let width = 1 << (b % 4);
                 profiler.on_access(addr, width, false);
                 let entry = |obj| QueueEntry { obj, ctx, alloc_seq: seq, size: u64::from(width) };
-                if size <= config.max_tracked_size {
+                if size <= MAX_TRACKED_SIZE {
                     objects.record(entry(seq), &history, between);
                 }
                 if pages {

@@ -276,12 +276,9 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 if n == 0 {
                     return Err("--shards must be at least 1".to_string());
                 }
-                // The CLI never moves the group base, so the default
-                // layout's bound applies; checking here turns what would
-                // be a constructor panic into a clear parse error.
-                let max = halo::mem::ShardedHaloAllocator::max_shards(
-                    &halo::mem::GroupAllocConfig::default(),
-                );
+                // Checking the address layout's bound here turns what
+                // would be a constructor panic into a clear parse error.
+                let max = halo::mem::ShardedHaloAllocator::MAX_SHARDS;
                 if n > max {
                     return Err(format!(
                         "--shards {n} exceeds the address layout's limit of {max} shards"
