@@ -10,15 +10,14 @@ fn main() {
         "{:>10} {:>8} {:>14} {:>10} {:>10} {:>12}",
         "chunk", "spare", "L1D misses", "vs base", "frag %", "wasted"
     );
-    let workloads = halo_workloads::all();
-    let w = workloads.iter().find(|w| w.name == "health").expect("health exists");
+    let w = &halo_workloads::by_name("health").expect("health exists");
     // The sweep moves allocator knobs only: one baseline serves every row.
     let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
     for chunk_size in [64 << 10, 256 << 10, 1 << 20, 4 << 20] {
         for (label, spare) in [("0", 0usize), ("1", 1), ("inf", usize::MAX)] {
             let mut config = halo_bench::paper_config(w);
-            config.halo.alloc.chunk_size = chunk_size;
-            config.halo.alloc.slab_size = (chunk_size * 64).max(1 << 22);
+            config.halo.alloc =
+                config.halo.alloc.with_chunk_size(chunk_size).expect("swept sizes are valid");
             config.halo.alloc.max_spare_chunks = spare;
             let (_, alloc, m) = halo_bench::halo_run(w, &config);
             let frag = alloc.frag_report();

@@ -10,9 +10,8 @@ fn main() {
         "{:<10} {:<6} {:>8} {:>12} {:>14} {:>10}",
         "benchmark", "constr", "groups", "graph edges", "L1D misses", "vs base"
     );
-    let workloads = halo_workloads::all();
     for name in ["health", "ft", "omnetpp"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let w = &halo_workloads::by_name(name).expect("known");
         let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         for enforce in [true, false] {
             let mut config = halo_bench::paper_config(w);

@@ -32,9 +32,8 @@ fn main() {
         "{:<10} {:<12} {:>8} {:>14} {:>10}",
         "benchmark", "algorithm", "groups", "L1D misses", "vs base"
     );
-    let workloads = halo_workloads::all();
     for name in ["health", "ft", "povray", "xalanc"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let w = &halo_workloads::by_name(name).expect("known");
         let config = halo_bench::paper_config(w);
         // The profile every clusterer reads is the pipeline's own; the
         // stages after grouping are re-run per candidate below, which is

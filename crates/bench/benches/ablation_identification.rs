@@ -9,9 +9,8 @@ use std::collections::HashMap;
 fn main() {
     halo_bench::banner("Ablation: full-context selectors vs immediate call sites");
     println!("{:<10} {:<14} {:>14} {:>10}", "benchmark", "identification", "L1D misses", "vs base");
-    let workloads = halo_workloads::all();
     for name in ["health", "povray", "xalanc", "leela"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let w = &halo_workloads::by_name(name).expect("known");
         let config = halo_bench::paper_config(w);
         let base = halo_bench::baseline(w, &config);
 

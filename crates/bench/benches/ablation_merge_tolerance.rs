@@ -10,9 +10,8 @@ fn main() {
         "{:<10} {:>6} {:>8} {:>12} {:>14} {:>10}",
         "benchmark", "T", "groups", "max members", "L1D misses", "vs base"
     );
-    let workloads = halo_workloads::all();
     for name in ["povray", "health", "xalanc"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let w = &halo_workloads::by_name(name).expect("known");
         let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         for t in [0.0, 0.01, 0.05, 0.15, 0.40] {
             let mut config = halo_bench::paper_config(w);

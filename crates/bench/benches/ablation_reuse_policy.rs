@@ -15,9 +15,8 @@ fn main() {
         "{:<10} {:<10} {:>14} {:>10} {:>10} {:>12}   resolved plans",
         "benchmark", "policy", "L1D misses", "vs base", "frag %", "wasted"
     );
-    let workloads = halo_workloads::all();
     for name in ["leela", "health", "omnetpp", "povray"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known");
+        let w = &halo_workloads::by_name(name).expect("known");
         let base = halo_bench::baseline(w, &halo_bench::paper_config(w));
         for choice in ReusePolicyChoice::ALL {
             let mut config = halo_bench::paper_config(w);

@@ -6,8 +6,7 @@
 
 fn main() {
     halo_bench::banner("Figure 9: allocation groups for the povray test workload");
-    let ws = halo_workloads::all();
-    let w = ws.iter().find(|w| w.name == "povray").expect("povray exists");
+    let w = &halo_workloads::by_name("povray").expect("povray exists");
     let (_, opt) = halo_bench::optimise(w, &halo_bench::paper_config(w));
 
     // Hide weak edges, like the paper's figure. Our simulated profile is

@@ -14,9 +14,8 @@
 
 fn main() {
     halo_bench::banner("Figure 12: simulated time vs affinity distance");
-    let workloads = halo_workloads::all();
     for name in ["omnetpp", "health"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("known benchmark");
+        let w = &halo_workloads::by_name(name).expect("known benchmark");
         let config = halo_bench::paper_config(w);
         // Baseline reference (the dashed line in the paper's figure).
         let base = halo_bench::baseline(w, &config);

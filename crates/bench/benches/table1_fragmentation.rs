@@ -10,9 +10,8 @@ fn main() {
     );
     // The paper lists the nine benchmarks where this could be measured.
     let order = ["health", "equake", "analyzer", "ammp", "art", "ft", "povray", "roms", "leela"];
-    let workloads = halo_workloads::all();
     for name in order {
-        let w = workloads.iter().find(|w| w.name == name).expect("known benchmark");
+        let w = &halo_workloads::by_name(name).expect("known benchmark");
         let r = halo_bench::run_workload(w, &[]);
         let frag = r.halo().frag.expect("HALO config reports fragmentation");
         let stats = r.halo().alloc_stats.expect("HALO config reports allocator stats");

@@ -65,8 +65,7 @@ pub fn paper_config(workload: &Workload) -> EvalConfig {
     let mut reuse = ReusePolicyChoice::Bump;
     match workload.name {
         "omnetpp" => {
-            alloc.chunk_size = 131_072;
-            alloc.slab_size = 131_072 * 64;
+            alloc = alloc.with_chunk_size(131_072).expect("128 KiB chunks are valid");
             alloc.max_spare_chunks = usize::MAX;
             granularity = Granularity::Auto;
         }
@@ -215,12 +214,9 @@ mod tests {
 
     #[test]
     fn per_benchmark_flags_follow_the_artefact() {
-        let ws = halo_workloads::all();
-        let omnetpp = ws.iter().find(|w| w.name == "omnetpp").unwrap();
-        assert_eq!(paper_config(omnetpp).halo.alloc.chunk_size, 131_072);
-        let roms = ws.iter().find(|w| w.name == "roms").unwrap();
-        assert_eq!(paper_config(roms).halo.grouping.max_groups, Some(4));
-        let health = ws.iter().find(|w| w.name == "health").unwrap();
-        assert_eq!(paper_config(health).halo.alloc.chunk_size, 1 << 20);
+        let config = |name| paper_config(&halo_workloads::by_name(name).unwrap());
+        assert_eq!(config("omnetpp").halo.alloc.chunk_size, 131_072);
+        assert_eq!(config("roms").halo.grouping.max_groups, Some(4));
+        assert_eq!(config("health").halo.alloc.chunk_size, 1 << 20);
     }
 }

@@ -61,9 +61,8 @@ pub struct HdsStats {
 /// The analysis output: allocation-site groups plus statistics.
 #[derive(Debug, Clone, Default)]
 pub struct HdsResult {
-    /// Per group: the immediate allocation call sites it claims.
-    pub site_groups: Vec<Vec<CallSite>>,
-    /// Flattened site → group map for the runtime allocator.
+    /// Immediate allocation call site → group, for the runtime allocator.
+    /// Group ids are dense from 0: every group claims at least one site.
     pub site_map: HashMap<CallSite, usize>,
     /// Analysis statistics.
     pub stats: HdsStats,
@@ -76,29 +75,24 @@ pub fn analyze(trace: &HeapTrace, config: &HdsConfig) -> HdsResult {
     let chosen = pack_sets(&sets);
 
     let mut site_map: HashMap<CallSite, usize> = HashMap::new();
-    let mut site_groups: Vec<Vec<CallSite>> = Vec::new();
+    let mut groups = 0;
     for &set_idx in &chosen {
-        let group = site_groups.len();
-        let mut sites = Vec::new();
+        let mut claimed = false;
         for &obj in &sets[set_idx].objects {
             let site = trace.objects[obj as usize].site;
             // A call site can only feed one pool; first (highest-benefit)
             // group claims it.
             if let std::collections::hash_map::Entry::Vacant(e) = site_map.entry(site) {
-                e.insert(group);
-                sites.push(site);
+                e.insert(groups);
+                claimed = true;
             }
         }
-        if sites.is_empty() {
-            // All of this set's sites were claimed by hotter groups: the
-            // group cannot be identified at runtime and is dropped.
-            continue;
-        }
-        site_groups.push(sites);
+        // A set whose sites were all claimed by hotter groups cannot be
+        // identified at runtime and is dropped.
+        groups += usize::from(claimed);
     }
 
     HdsResult {
-        site_groups,
         site_map,
         stats: HdsStats {
             candidates: analysis.candidates,
@@ -118,6 +112,19 @@ mod tests {
 
     fn site(f: u32, pc: u32) -> CallSite {
         CallSite::new(FuncId(f), pc)
+    }
+
+    /// Per group, the sites `site_map` assigns it, in site order.
+    fn groups(result: &HdsResult) -> Vec<Vec<CallSite>> {
+        let n = result.site_map.values().max().map_or(0, |&g| g + 1);
+        let mut groups = vec![Vec::new(); n];
+        for (&s, &g) in &result.site_map {
+            groups[g].push(s);
+        }
+        for sites in &mut groups {
+            sites.sort();
+        }
+        groups
     }
 
     /// Objects 2k from site A, 2k+1 from site B, accessed pairwise:
@@ -142,8 +149,9 @@ mod tests {
     fn distinct_sites_form_a_group() {
         let trace = pairwise_trace(4, 32);
         let result = analyze(&trace, &HdsConfig::default());
-        assert!(!result.site_groups.is_empty());
-        let all_sites: Vec<CallSite> = result.site_groups.iter().flatten().copied().collect();
+        let groups = groups(&result);
+        assert!(!groups.is_empty());
+        let all_sites: Vec<CallSite> = groups.iter().flatten().copied().collect();
         assert!(all_sites.contains(&site(0, 1)));
         assert!(all_sites.contains(&site(0, 2)));
         assert!(result.stats.coverage > 0.5);
@@ -184,10 +192,10 @@ mod tests {
         }
         let trace = HeapTrace { symbols, objects };
         let result = analyze(&trace, &HdsConfig::default());
-        assert_eq!(result.site_groups.len(), 6, "{:?}", result.site_groups);
-        for (g, sites) in result.site_groups.iter().enumerate() {
+        let groups = groups(&result);
+        assert_eq!(groups.len(), 6, "{groups:?}");
+        for sites in &groups {
             assert_eq!(sites.len(), 2, "one pair per group");
-            assert!(sites.iter().all(|s| result.site_map[s] == g));
         }
     }
 
@@ -195,7 +203,7 @@ mod tests {
     fn empty_trace_analyzes_to_nothing() {
         let trace = HeapTrace::default();
         let result = analyze(&trace, &HdsConfig::default());
-        assert!(result.site_groups.is_empty());
+        assert!(result.site_map.is_empty());
         assert_eq!(result.stats.hot_streams, 0);
     }
 
@@ -203,13 +211,8 @@ mod tests {
     fn site_map_is_consistent_with_groups() {
         let trace = pairwise_trace(8, 16);
         let result = analyze(&trace, &HdsConfig::default());
-        for (s, &g) in &result.site_map {
-            assert!(result.site_groups[g].contains(s));
-        }
-        for (g, sites) in result.site_groups.iter().enumerate() {
-            for s in sites {
-                assert_eq!(result.site_map[s], g);
-            }
-        }
+        let groups = groups(&result);
+        assert!(!groups.is_empty());
+        assert!(groups.iter().all(|sites| !sites.is_empty()), "group ids are dense: {groups:?}");
     }
 }

@@ -97,6 +97,18 @@ impl GroupAllocConfig {
         }
         Ok(())
     }
+
+    /// This configuration with `chunk_size`-byte chunks and the slab size
+    /// they imply — 64 chunks, and at least 4 MiB — checked by
+    /// [`check_chunk_size`](Self::check_chunk_size); the `Err` names the
+    /// broken rule.
+    pub fn with_chunk_size(self, chunk_size: u64) -> Result<Self, &'static str> {
+        let slab_size =
+            chunk_size.checked_mul(64).ok_or("a slab of 64 chunks overflows")?.max(4 << 20);
+        let config = GroupAllocConfig { chunk_size, slab_size, ..self };
+        config.check_chunk_size(chunk_size)?;
+        Ok(config)
+    }
 }
 
 /// Event counters exposed for experiments and tests.
@@ -206,10 +218,10 @@ impl PoolUsage {
 /// metadata cell per 8-byte granule can describe every region of a chunk.
 const GRANULE: u64 = 8;
 
-/// Bytes of chunk a region of `size` requested bytes occupies: whole
-/// granules, at least one.
+/// Bytes of chunk a region of `size` (at least 1) requested bytes
+/// occupies: whole granules.
 fn round_to_granules(size: u64) -> u64 {
-    size.max(1).next_multiple_of(GRANULE)
+    size.next_multiple_of(GRANULE)
 }
 
 /// The granule cell of a live region of `size` requested bytes: `size + 1`,
@@ -829,11 +841,13 @@ impl VmAllocator for HaloGroupAllocator {
             if let Some(group) =
                 self.selectors.classify(gs).or_else(|| self.site_groups.get(&site).copied())
             {
-                // A request too large for the group's own (possibly
-                // plan-shrunken) chunks forwards like any other
-                // non-groupable request; so does one whose size has no
-                // granule cell (which also keeps the rounding below from
-                // overflowing when the cap is lifted to `u64::MAX`).
+                // A zero-byte request is a one-byte region, as everywhere
+                // (`VmAllocator::malloc`). A request too large for the
+                // group's own (possibly plan-shrunken) chunks forwards like
+                // any other non-groupable request; so does one whose size
+                // has no granule cell (which also keeps the rounding below
+                // from overflowing when the cap is lifted to `u64::MAX`).
+                let size = size.max(1);
                 let groupable = size_tag(size)
                     .filter(|_| round_to_granules(size) <= self.group_cfg[group].chunk_size);
                 if let Some(tag) = groupable {
@@ -1595,7 +1609,8 @@ mod tests {
         let p = a.malloc(0, site(), &gs, &mut mem);
         let q = a.malloc(0, site(), &gs, &mut mem);
         assert_eq!(q, p + 8, "a zero-byte request still owns a granule");
-        assert_eq!((a.live_bytes(), a.live_objects()), (0, 2));
+        assert_eq!(a.live_size(p), Some(1), "and is a one-byte region");
+        assert_eq!((a.live_bytes(), a.live_objects()), (2, 2));
         a.free(p, &mut mem);
         a.free(p, &mut mem);
         assert_eq!(a.degrade_stats().invalid_frees, 1, "the cell tells live-and-empty from freed");
@@ -1730,6 +1745,18 @@ mod tests {
         // Zero is a multiple of every chunk size, yet holds no chunk.
         let empty = GroupAllocConfig { slab_size: 0, ..cfg };
         assert_eq!(empty.check_chunk_size(cfg.chunk_size), Err("slabs must hold whole chunks"));
+    }
+
+    #[test]
+    fn a_slab_holds_64_chunks_and_at_least_4_mib() {
+        let cfg = GroupAllocConfig::default();
+        let sized = |cs| cfg.with_chunk_size(cs).map(|c| (c.chunk_size, c.slab_size));
+        assert_eq!(sized(131_072), Ok((131_072, 131_072 * 64)));
+        assert_eq!(sized(PAGE_SIZE), Ok((PAGE_SIZE, 4 << 20)));
+        assert_eq!(sized(1 << 60), Err("a slab of 64 chunks overflows"));
+        assert_eq!(sized(12288), Err("chunk size must be a power of two"));
+        let kept = GroupAllocConfig { max_spare_chunks: 0, ..cfg }.with_chunk_size(PAGE_SIZE);
+        assert_eq!(kept.map(|c| c.max_spare_chunks), Ok(0), "other fields are kept");
     }
 
     #[test]

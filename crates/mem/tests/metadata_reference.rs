@@ -342,6 +342,8 @@ impl RefGroup {
 
     fn malloc(&mut self, size: u64, group: Option<usize>) -> u64 {
         if let Some(group) = group.filter(|_| size < self.config.max_grouped_size) {
+            // A zero-byte request is a one-byte region, as in the fallback.
+            let size = size.max(1);
             if rounded(size) <= self.group_cfg[group].chunk_size {
                 if let Some(ptr) = self.group_malloc(group, size) {
                     return ptr;

@@ -195,6 +195,8 @@ impl Monitor for NullMonitor {}
 /// (all-zero when running unrewritten programs).
 pub trait VmAllocator {
     /// Allocate `size` bytes and return the address (never 0 on success).
+    /// A zero-byte request is a one-byte region: it is live on its own,
+    /// `live_size` answers 1 and it counts one live byte.
     fn malloc(&mut self, size: u64, site: CallSite, gs: &GroupState, mem: &mut Memory) -> u64;
 
     /// Release a pointer previously returned by this allocator. Never
@@ -295,23 +297,6 @@ pub trait SyncVmAllocator: Sync {
         realloc_by_move(&mut &*self, ptr, size, site, gs, mem)
     }
 
-    /// Allocate and zero `count * size` bytes (defaults to malloc+zero).
-    fn calloc(
-        &self,
-        count: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        let total = count.saturating_mul(size);
-        let ptr = self.malloc(total, site, gs, mem);
-        if ptr != 0 {
-            mem.zero(ptr, total);
-        }
-        ptr
-    }
-
     /// The calling OS thread's program switched to logical thread
     /// `thread` (see [`VmAllocator::thread_switched`]).
     fn thread_switched(&self, thread: u16) {
@@ -352,17 +337,6 @@ impl<A: SyncVmAllocator + ?Sized> VmAllocator for &A {
         mem: &mut Memory,
     ) -> u64 {
         SyncVmAllocator::realloc(*self, ptr, size, site, gs, mem)
-    }
-
-    fn calloc(
-        &mut self,
-        count: u64,
-        size: u64,
-        site: CallSite,
-        gs: &GroupState,
-        mem: &mut Memory,
-    ) -> u64 {
-        SyncVmAllocator::calloc(*self, count, size, site, gs, mem)
     }
 
     fn thread_switched(&mut self, thread: u16) {
@@ -678,33 +652,19 @@ impl<'p> Engine<'p> {
                             flush_accesses!();
                         }
                     }
-                    Op::Call { func: callee, args, dst } => {
-                        let mut callee_regs = [0i64; NUM_REGS];
-                        for (i, a) in args.iter().enumerate() {
-                            callee_regs[i] = regs[a.0 as usize];
-                        }
-                        frame.pc = next_pc;
-                        flush_accesses!();
-                        monitor.on_call(here, *callee);
-                        stack.push(Frame {
-                            func: *callee,
-                            pc: 0,
-                            regs: callee_regs,
-                            ret_dst: *dst,
-                        });
-                        stats.max_depth = stats.max_depth.max(stack.len());
-                        if stack.len() > limits.max_call_depth {
-                            return Err(VmError::CallDepthExceeded);
-                        }
-                        continue 'frames;
-                    }
-                    Op::CallIndirect { target, args, dst } => {
-                        let tv = regs[target.0 as usize];
-                        if tv < 0 || tv as usize >= program.functions.len() {
-                            flush_accesses!();
-                            return Err(VmError::BadIndirectTarget { at: here, value: tv });
-                        }
-                        let callee = FuncId(tv as u32);
+                    Op::Call { args, dst, .. } | Op::CallIndirect { args, dst, .. } => {
+                        let callee = match op {
+                            Op::Call { func, .. } => *func,
+                            Op::CallIndirect { target, .. } => {
+                                let tv = regs[target.0 as usize];
+                                if tv < 0 || tv as usize >= program.functions.len() {
+                                    flush_accesses!();
+                                    return Err(VmError::BadIndirectTarget { at: here, value: tv });
+                                }
+                                FuncId(tv as u32)
+                            }
+                            _ => unreachable!("matched as a call"),
+                        };
                         let mut callee_regs = [0i64; NUM_REGS];
                         for (i, a) in args.iter().enumerate() {
                             callee_regs[i] = regs[a.0 as usize];

@@ -6,7 +6,10 @@
 //! one direct site, neighbour cells from another, and cold per-atom
 //! residue records (sharing the neighbour-cell size class) interleave.
 
-use crate::util::{counted_loop, list_push, r, walk_list, ZERO};
+use crate::util::{
+    begin_main, counted_loop, end_main, list_push, malloc_wrapper, r, walk_list, while_nonzero,
+    SCALE, ZERO,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -20,35 +23,15 @@ pub fn build() -> Workload {
     let alloc_nbr = pb.declare("alloc_nbr");
     let alloc_residue = pb.declare("alloc_residue");
 
-    {
-        // Atom: [next:8][x:8][y:8][z:8][fx:8][fy:8][fz:8][q:8] ... = 96.
-        let mut f = pb.define(alloc_atom);
-        f.imm(r(0), 96);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Neighbour cell: [next:8][atom:8] = 16.
-        let mut f = pb.define(alloc_nbr);
-        f.imm(r(0), 16);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Residue record: 16 bytes (neighbour size class), written once.
-        let mut f = pb.define(alloc_residue);
-        f.imm(r(0), 16);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Atom: [next:8][x:8][y:8][z:8][fx:8][fy:8][fz:8][q:8] ... = 96.
+    malloc_wrapper(pb.define(alloc_atom), Some(96));
+    // Neighbour cell: [next:8][atom:8] = 16.
+    malloc_wrapper(pb.define(alloc_nbr), Some(16));
+    // Residue record: 16 bytes (neighbour size class), written once.
+    malloc_wrapper(pb.define(alloc_residue), Some(16));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let natoms = r(20);
-    m.mov(natoms, r(0));
+    let mut m = begin_main(&mut pb);
+    let natoms = SCALE;
     // Atom pointer table for random neighbour wiring.
     m.mul_imm(r(1), natoms, 8);
     m.malloc(r(1), r(21));
@@ -96,23 +79,18 @@ pub fn build() -> Workload {
             m.load(r(1), r(6), 8, Width::W8); // x
             m.load(r(2), r(6), 16, Width::W8); // y
             m.load(r(3), r(6), 88, Width::W8); // nbr head
-            let top = m.label();
-            let done = m.label();
-            m.bind(top);
-            m.branch(Cond::Eq, r(3), ZERO, done);
-            m.load(r(4), r(3), 8, Width::W8); // nbr.atom
-            m.load(r(5), r(4), 8, Width::W8); // neighbour x
-            m.sub(r(7), r(1), r(5));
-            m.mul(r(7), r(7), r(7));
-            m.add(r(2), r(2), r(7));
-            m.load(r(3), r(3), 0, Width::W8); // next nbr cell
-            m.jump(top);
-            m.bind(done);
+            while_nonzero(m, r(3), |m| {
+                m.load(r(4), r(3), 8, Width::W8); // nbr.atom
+                m.load(r(5), r(4), 8, Width::W8); // neighbour x
+                m.sub(r(7), r(1), r(5));
+                m.mul(r(7), r(7), r(7));
+                m.add(r(2), r(2), r(7));
+                m.load(r(3), r(3), 0, Width::W8); // next nbr cell
+            });
             m.store(r(2), r(6), 32, Width::W8); // fx
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "ammp",

@@ -5,7 +5,9 @@
 //! timing passes that chase net → gate pointers. Another direct-site
 //! benchmark where both techniques find material.
 
-use crate::util::{counted_loop, list_push, r, walk_list};
+use crate::util::{
+    begin_main, counted_loop, end_main, list_push, malloc_wrapper, r, walk_list, SCALE,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{ProgramBuilder, Width};
 
@@ -18,35 +20,15 @@ pub fn build() -> Workload {
     let alloc_gate = pb.declare("alloc_gate");
     let alloc_label = pb.declare("alloc_label");
 
-    {
-        // Net: [next:8][gate:8][delay:8][slack:8][fanout:8][pad] = 48.
-        let mut f = pb.define(alloc_net);
-        f.imm(r(0), 48);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Gate: [kind:8][delay:8][drive:8][pad:8] = 32.
-        let mut f = pb.define(alloc_gate);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Label: 48 bytes, written once (pollutes the net size class).
-        let mut f = pb.define(alloc_label);
-        f.imm(r(0), 48);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Net: [next:8][gate:8][delay:8][slack:8][fanout:8][pad] = 48.
+    malloc_wrapper(pb.define(alloc_net), Some(48));
+    // Gate: [kind:8][delay:8][drive:8][pad:8] = 32.
+    malloc_wrapper(pb.define(alloc_gate), Some(32));
+    // Label: 48 bytes, written once (pollutes the net size class).
+    malloc_wrapper(pb.define(alloc_label), Some(48));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let nets = r(20);
-    m.mov(nets, r(0));
+    let mut m = begin_main(&mut pb);
+    let nets = SCALE;
     let list = r(9);
     m.imm(list, 0);
     // Parse: net + gate + label per element.
@@ -74,8 +56,7 @@ pub fn build() -> Workload {
             m.compute(60); // arrival-time arithmetic
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "analyzer",

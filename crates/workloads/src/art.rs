@@ -6,7 +6,7 @@
 //! together with its weights — a uniform, array-driven access pattern over
 //! small heap objects.
 
-use crate::util::{counted_loop, r};
+use crate::util::{begin_main, counted_loop, end_main, malloc_wrapper, r, SCALE};
 use crate::{RunSpec, Workload};
 use halo_vm::{ProgramBuilder, Width};
 
@@ -19,35 +19,15 @@ pub fn build() -> Workload {
     let alloc_weights = pb.declare("alloc_weights");
     let alloc_category = pb.declare("alloc_category");
 
-    {
-        // Neuron: [u:8][v:8][w:8][p:8][q:8] = 40.
-        let mut f = pb.define(alloc_neuron);
-        f.imm(r(0), 40);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Weight vector: 24 bytes.
-        let mut f = pb.define(alloc_weights);
-        f.imm(r(0), 24);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Category record: 24 bytes (weight size class), written once.
-        let mut f = pb.define(alloc_category);
-        f.imm(r(0), 24);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Neuron: [u:8][v:8][w:8][p:8][q:8] = 40.
+    malloc_wrapper(pb.define(alloc_neuron), Some(40));
+    // Weight vector: 24 bytes.
+    malloc_wrapper(pb.define(alloc_weights), Some(24));
+    // Category record: 24 bytes (weight size class), written once.
+    malloc_wrapper(pb.define(alloc_category), Some(24));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let n = r(20);
-    m.mov(n, r(0));
+    let mut m = begin_main(&mut pb);
+    let n = SCALE;
     // Two pointer tables: neurons and weights.
     m.mul_imm(r(1), n, 8);
     m.malloc(r(1), r(21)); // neuron table
@@ -82,8 +62,7 @@ pub fn build() -> Workload {
             m.compute(10); // activation arithmetic
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "art",

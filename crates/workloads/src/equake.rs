@@ -6,9 +6,9 @@
 //! (with cold mesh-comment records); the SMVP kernel then walks each row's
 //! element chain touching value block + index block + the dense vector.
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{begin_main, counted_loop, end_main, malloc_wrapper, r, while_nonzero, SCALE};
 use crate::{RunSpec, Workload};
-use halo_vm::{Cond, ProgramBuilder, Width};
+use halo_vm::{ProgramBuilder, Width};
 
 const ELEMS_PER_ROW: i64 = 6;
 const SMVP_STEPS: i64 = 10;
@@ -20,35 +20,15 @@ pub fn build() -> Workload {
     let alloc_idx = pb.declare("alloc_idx");
     let alloc_comment = pb.declare("alloc_comment");
 
-    {
-        // Value block: [next:8][v00..v22: 72] = 80 bytes.
-        let mut f = pb.define(alloc_val);
-        f.imm(r(0), 80);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Index block: [col:8][val:8][pad:8] = 24 bytes.
-        let mut f = pb.define(alloc_idx);
-        f.imm(r(0), 24);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Mesh comment: 80 bytes (value size class), written once.
-        let mut f = pb.define(alloc_comment);
-        f.imm(r(0), 80);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Value block: [next:8][v00..v22: 72] = 80 bytes.
+    malloc_wrapper(pb.define(alloc_val), Some(80));
+    // Index block: [col:8][val:8][pad:8] = 24 bytes.
+    malloc_wrapper(pb.define(alloc_idx), Some(24));
+    // Mesh comment: 80 bytes (value size class), written once.
+    malloc_wrapper(pb.define(alloc_comment), Some(80));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let rows = r(20);
-    m.mov(rows, r(0));
+    let mut m = begin_main(&mut pb);
+    let rows = SCALE;
     // Row-head table and the dense x/y vectors (all large, fallback).
     m.mul_imm(r(1), rows, 8);
     m.malloc(r(1), r(21)); // row heads
@@ -85,28 +65,23 @@ pub fn build() -> Workload {
             m.add(r(1), r(21), r(1));
             m.load(r(2), r(1), 0, Width::W8); // row chain
             m.imm(r(3), 0); // sum
-            let top = m.label();
-            let done = m.label();
-            m.bind(top);
-            m.branch(Cond::Eq, r(2), ZERO, done);
-            m.load(r(4), r(2), 8, Width::W8); // idx block
-            m.load(r(5), r(4), 0, Width::W8); // col
-            m.load(r(6), r(2), 16, Width::W8); // v00
-            m.mul_imm(r(5), r(5), 8);
-            m.add(r(5), r(22), r(5));
-            m.load(r(7), r(5), 0, Width::W8); // x[col]
-            m.mul(r(8), r(6), r(7));
-            m.add(r(3), r(3), r(8));
-            m.load(r(2), r(2), 0, Width::W8); // next element
-            m.jump(top);
-            m.bind(done);
+            while_nonzero(m, r(2), |m| {
+                m.load(r(4), r(2), 8, Width::W8); // idx block
+                m.load(r(5), r(4), 0, Width::W8); // col
+                m.load(r(6), r(2), 16, Width::W8); // v00
+                m.mul_imm(r(5), r(5), 8);
+                m.add(r(5), r(22), r(5));
+                m.load(r(7), r(5), 0, Width::W8); // x[col]
+                m.mul(r(8), r(6), r(7));
+                m.add(r(3), r(3), r(8));
+                m.load(r(2), r(2), 0, Width::W8); // next element
+            });
             m.mul_imm(r(1), r(27), 8);
             m.add(r(1), r(23), r(1));
             m.store(r(3), r(1), 0, Width::W8); // y[i]
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "equake",

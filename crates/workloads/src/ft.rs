@@ -5,7 +5,9 @@
 //! walks vertex → edge cell → neighbour vertex chains repeatedly. A
 //! classic "easy target" for both HALO and hot data streams (§5.2).
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{
+    begin_main, counted_loop, end_main, malloc_wrapper, r, while_nonzero, SCALE, ZERO,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -19,36 +21,16 @@ pub fn build() -> Workload {
     let alloc_edge = pb.declare("alloc_edge");
     let alloc_name = pb.declare("alloc_name");
 
-    {
-        // Vertex: [next:8][key:8][edges:8][parent:8] = 32 bytes.
-        let mut f = pb.define(alloc_vertex);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Edge cell: [next:8][target:8][weight:8] = 24 bytes.
-        let mut f = pb.define(alloc_edge);
-        f.imm(r(0), 24);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Vertex name: 24 bytes, written once at build time (cold, and
-        // sharing the 24→32 size class with edge cells to pollute them).
-        let mut f = pb.define(alloc_name);
-        f.imm(r(0), 24);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Vertex: [next:8][key:8][edges:8][parent:8] = 32 bytes.
+    malloc_wrapper(pb.define(alloc_vertex), Some(32));
+    // Edge cell: [next:8][target:8][weight:8] = 24 bytes.
+    malloc_wrapper(pb.define(alloc_edge), Some(24));
+    // Vertex name: 24 bytes, written once at build time (cold, and
+    // sharing the 24→32 size class with edge cells to pollute them).
+    malloc_wrapper(pb.define(alloc_name), Some(24));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let nv = r(20);
-    m.mov(nv, r(0));
+    let mut m = begin_main(&mut pb);
+    let nv = SCALE;
     // Vertex pointer table (large, fallback-allocated).
     m.mul_imm(r(1), nv, 8);
     m.malloc(r(1), r(21)); // r21 = table base
@@ -92,27 +74,22 @@ pub fn build() -> Workload {
             m.load(r(3), r(2), 0, Width::W8); // vertex
             m.load(r(4), r(3), 8, Width::W8); // key
             m.load(r(5), r(3), 16, Width::W8); // edge head
-            let top = m.label();
-            let done = m.label();
-            m.bind(top);
-            m.branch(Cond::Eq, r(5), ZERO, done);
-            m.load(r(6), r(5), 8, Width::W8); // edge.target
-            m.load(r(7), r(5), 16, Width::W8); // edge.weight
-            m.add(r(8), r(4), r(7));
-            m.load(r(9), r(6), 8, Width::W8); // target.key
-            let no_update = m.label();
-            m.branch(Cond::Ge, r(8), r(9), no_update);
-            m.store(r(8), r(6), 8, Width::W8); // relax
-            m.store(r(3), r(6), 24, Width::W8); // target.parent
-            m.bind(no_update);
-            m.compute(16); // key comparison arithmetic
-            m.load(r(5), r(5), 0, Width::W8); // next edge
-            m.jump(top);
-            m.bind(done);
+            while_nonzero(m, r(5), |m| {
+                m.load(r(6), r(5), 8, Width::W8); // edge.target
+                m.load(r(7), r(5), 16, Width::W8); // edge.weight
+                m.add(r(8), r(4), r(7));
+                m.load(r(9), r(6), 8, Width::W8); // target.key
+                let no_update = m.label();
+                m.branch(Cond::Ge, r(8), r(9), no_update);
+                m.store(r(8), r(6), 8, Width::W8); // relax
+                m.store(r(3), r(6), 24, Width::W8); // target.parent
+                m.bind(no_update);
+                m.compute(16); // key comparison arithmetic
+                m.load(r(5), r(5), 0, Width::W8); // next edge
+            });
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "ft",

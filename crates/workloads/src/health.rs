@@ -10,7 +10,9 @@
 //! where HALO's full-context grouping extracts the largest speedup (~28%
 //! in the paper, ~7 points above hot data streams).
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{
+    begin_main, counted_loop, end_main, malloc_wrapper, r, while_nonzero, SCALE, ZERO,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -27,32 +29,14 @@ pub fn build() -> Workload {
     let treat = pb.declare("treat");
     let discharge = pb.declare("discharge");
 
-    {
-        // Patient: [time:8][hosps:8][severity:8][pad:8] = 40 bytes — a
-        // cell+patient pair (56 B) straddles cache lines, so pool
-        // neighbours share lines and cold neighbours waste them.
-        let mut f = pb.define(alloc_patient);
-        f.imm(r(0), 40);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // List cell: [next:8][patient:8] = 16 bytes.
-        let mut f = pb.define(alloc_cell);
-        f.imm(r(0), 16);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Admission record: 32 bytes, written once, never read again.
-        let mut f = pb.define(alloc_record);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Patient: [time:8][hosps:8][severity:8][pad:8] = 40 bytes — a
+    // cell+patient pair (56 B) straddles cache lines, so pool
+    // neighbours share lines and cold neighbours waste them.
+    malloc_wrapper(pb.define(alloc_patient), Some(40));
+    // List cell: [next:8][patient:8] = 16 bytes.
+    malloc_wrapper(pb.define(alloc_cell), Some(16));
+    // Admission record: 32 bytes, written once, never read again.
+    malloc_wrapper(pb.define(alloc_record), Some(32));
     {
         // admit(slot): new patient at the head of the village list.
         let mut f = pb.define(admit);
@@ -99,19 +83,15 @@ pub fn build() -> Workload {
         f.argc(1);
         let slot = r(0);
         f.load(r(1), slot, 0, Width::W8); // head
-        let top = f.label();
-        let done = f.label();
-        f.bind(top);
-        f.branch(Cond::Eq, r(1), ZERO, done);
-        f.load(r(2), r(1), 8, Width::W8); // cell.patient
-        f.load(r(3), r(2), 8, Width::W8); // patient.time
-        f.load(r(4), r(2), 16, Width::W8); // patient.hosps
-        f.add_imm(r(3), r(3), 1);
-        f.store(r(3), r(2), 8, Width::W8); // patient.time++
-        f.compute(4); // per-patient diagnosis work
-        f.load(r(1), r(1), 0, Width::W8); // next cell
-        f.jump(top);
-        f.bind(done);
+        while_nonzero(&mut f, r(1), |f| {
+            f.load(r(2), r(1), 8, Width::W8); // cell.patient
+            f.load(r(3), r(2), 8, Width::W8); // patient.time
+            f.load(r(4), r(2), 16, Width::W8); // patient.hosps
+            f.add_imm(r(3), r(3), 1);
+            f.store(r(3), r(2), 8, Width::W8); // patient.time++
+            f.compute(4); // per-patient diagnosis work
+            f.load(r(1), r(1), 0, Width::W8); // next cell
+        });
         f.ret(None);
         f.finish();
     }
@@ -133,10 +113,8 @@ pub fn build() -> Workload {
         f.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let steps = r(20);
-    m.mov(steps, r(0));
+    let mut m = begin_main(&mut pb);
+    let steps = SCALE;
     // villages: array of list-head slots, plus emergency overflow slots.
     m.imm(r(1), NUM_VILLAGES);
     m.imm(r(2), 8);
@@ -184,8 +162,7 @@ pub fn build() -> Workload {
         m.jump(ctop);
         m.bind(cdone);
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "health",

@@ -10,7 +10,7 @@
 //! grouped data at peak. Playouts are compute-heavy, so the paper sees
 //! miss reductions without corresponding speedups.
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{begin_main, counted_loop, end_main, malloc_wrapper, r, SCALE, ZERO};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -32,10 +32,8 @@ pub fn build() -> Workload {
         // libstdc++'s operator new: an *external* routine wrapping the
         // single malloc site.
         let mut f = pb.define(operator_new);
-        f.external().argc(1);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
+        f.external();
+        malloc_wrapper(f, None);
     }
     {
         // UCT node: [parent:8][visits:8][wins:8][move:8][pad:8][pad:8] = 48.
@@ -73,10 +71,8 @@ pub fn build() -> Workload {
         f.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let total_iters = r(20);
-    m.mov(total_iters, r(0));
+    let mut m = begin_main(&mut pb);
+    let total_iters = SCALE;
     // Node registry for the mass free at the end of each search.
     m.imm(r(1), ITERS_PER_SEARCH * 8);
     m.malloc(r(1), r(21)); // registry base
@@ -149,8 +145,7 @@ pub fn build() -> Workload {
             m.bind(keep);
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "leela",

@@ -13,11 +13,12 @@
 //! methodology of profiling on small inputs and measuring on larger ones.
 //!
 //! ```
-//! use halo_workloads::{all, health};
+//! use halo_workloads::{all, by_name, health};
 //!
 //! let w = health::build();
 //! assert_eq!(w.name, "health");
 //! assert_eq!(all().len(), 11);
+//! assert_eq!(by_name("xalanc-mt").map(|w| w.name), Some("xalanc-mt"));
 //! ```
 
 pub mod ammp;
@@ -88,6 +89,12 @@ pub fn multithreaded() -> Vec<Workload> {
     vec![server::build(), xalanc_mt::build()]
 }
 
+/// The workload called `name` — one of the paper set, `toy`, or the
+/// multi-threaded models — or `None`.
+pub fn by_name(name: &str) -> Option<Workload> {
+    all().into_iter().chain([toy::build()]).chain(multithreaded()).find(|w| w.name == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +113,15 @@ mod tests {
             assert!(stats.allocs > 0, "{} makes no allocations", w.name);
             assert!(stats.loads + stats.stores > 0, "{} makes no accesses", w.name);
         }
+    }
+
+    #[test]
+    fn by_name_finds_every_model_and_nothing_else() {
+        let paper = all().into_iter().map(|w| w.name);
+        for name in paper.chain(["toy", "server", "xalanc-mt"]) {
+            assert_eq!(by_name(name).map(|w| w.name), Some(name));
+        }
+        assert!(by_name("all").is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ~4% HALO speedup and notes the artefact runs this benchmark with
 //! `--chunk-size 131072` and always-reused chunks.
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{begin_main, counted_loop, end_main, malloc_wrapper, r, SCALE, ZERO};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -28,14 +28,8 @@ pub fn build() -> Workload {
     let module_timer = pb.declare("module_timer");
     let write_log = pb.declare("write_log");
 
-    {
-        // The bottom wrapper: the program's only malloc site.
-        let mut f = pb.define(msg_alloc);
-        f.argc(1);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // The bottom wrapper: the program's only malloc site.
+    malloc_wrapper(pb.define(msg_alloc), None);
     {
         // Middle wrapper: cMessage construction. Every message owns a
         // control-info payload allocated right behind it through the same
@@ -90,10 +84,8 @@ pub fn build() -> Workload {
         f.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let waves = r(20);
-    m.mov(waves, r(0));
+    let mut m = begin_main(&mut pb);
+    let waves = SCALE;
     // Future-event-set: a pointer array holding one wave.
     m.imm(r(1), WAVE * 8);
     m.malloc(r(1), r(21));
@@ -173,8 +165,7 @@ pub fn build() -> Workload {
             m.bind(none_old);
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "omnetpp",

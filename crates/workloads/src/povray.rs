@@ -15,7 +15,9 @@
 //! benchmark is compute-bound enough that even HALO's miss reduction buys
 //! little wall-clock time.
 
-use crate::util::{counted_loop, list_push, r, walk_list, ZERO};
+use crate::util::{
+    begin_main, counted_loop, end_main, list_push, malloc_wrapper, r, walk_list, SCALE, ZERO,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -31,14 +33,8 @@ pub fn build() -> Workload {
     let create_csg = pb.declare("create_csg");
     let create_texture = pb.declare("create_texture");
 
-    {
-        // The wrapper: ONE malloc site for the whole program.
-        let mut f = pb.define(pov_malloc);
-        f.argc(1);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // The wrapper: ONE malloc site for the whole program.
+    malloc_wrapper(pb.define(pov_malloc), None);
     {
         // Plane: [next:8][normal:8][dist:8][tex:8][flags:8][pad] = 56.
         let mut f = pb.define(create_plane);
@@ -72,10 +68,8 @@ pub fn build() -> Workload {
         f.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let tokens = r(20);
-    m.mov(tokens, r(0));
+    let mut m = begin_main(&mut pb);
+    let tokens = SCALE;
     let objects = r(9); // geometry list head
     m.imm(objects, 0);
     m.imm(r(21), 4);
@@ -111,8 +105,7 @@ pub fn build() -> Workload {
             m.compute(SHADE_COMPUTE);
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "povray",

@@ -23,7 +23,7 @@
 //! their pages, groups the grid context, and bump co-location breaks the
 //! page alignment — the odd object size staggers the arrays across sets.
 
-use crate::util::{counted_loop, r, sweep_array};
+use crate::util::{begin_main, counted_loop, end_main, malloc_wrapper, r, sweep_array, SCALE};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -41,35 +41,15 @@ pub fn build() -> Workload {
     let alloc_temp = pb.declare("alloc_temp");
     let alloc_desc = pb.declare("alloc_desc");
 
-    {
-        // Grid array: 16 KiB — far beyond the 4 KiB grouped cap.
-        let mut f = pb.define(alloc_grid);
-        f.imm(r(0), GRID_BYTES);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Per-step work array: 1 KiB.
-        let mut f = pb.define(alloc_temp);
-        f.imm(r(0), TEMP_BYTES);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Field descriptor: 64 bytes, allocated once at startup.
-        let mut f = pb.define(alloc_desc);
-        f.imm(r(0), 64);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Grid array: 16 KiB — far beyond the 4 KiB grouped cap.
+    malloc_wrapper(pb.define(alloc_grid), Some(GRID_BYTES));
+    // Per-step work array: 1 KiB.
+    malloc_wrapper(pb.define(alloc_temp), Some(TEMP_BYTES));
+    // Field descriptor: 64 bytes, allocated once at startup.
+    malloc_wrapper(pb.define(alloc_desc), Some(64));
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let steps = r(20);
-    m.mov(steps, r(0));
+    let mut m = begin_main(&mut pb);
+    let steps = SCALE;
     // Persistent grids + descriptor table.
     m.imm(r(1), NUM_GRIDS * 8);
     m.malloc(r(1), r(21)); // grid table
@@ -157,8 +137,7 @@ pub fn build() -> Workload {
             m.free(r(6));
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "roms",

@@ -25,7 +25,9 @@
 //!
 //! [`Op::ThreadSwitch`]: halo_vm::Op::ThreadSwitch
 
-use crate::util::{counted_loop, r, ZERO};
+use crate::util::{
+    begin_main, counted_loop, end_main, free_list, malloc_wrapper, r, while_nonzero, SCALE, ZERO,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -45,33 +47,15 @@ pub fn build() -> Workload {
     let sweep_sessions = pb.declare("sweep_sessions");
     let expire = pb.declare("expire");
 
-    {
-        // Session header: [next:8][payload:8][tag:8][pad:8] = 32.
-        let mut f = pb.define(make_header);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Session payload: 32 bytes of request state — deliberately the
-        // header's size class, as small request/state pairs are.
-        let mut f = pb.define(make_payload);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Cold log record: 32 bytes, written once, read never — and in
-        // the same size class as the hot pair, so the baseline interleaves
-        // it between them.
-        let mut f = pb.define(make_log);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
+    // Session header: [next:8][payload:8][tag:8][pad:8] = 32.
+    malloc_wrapper(pb.define(make_header), Some(32));
+    // Session payload: 32 bytes of request state — deliberately the
+    // header's size class, as small request/state pairs are.
+    malloc_wrapper(pb.define(make_payload), Some(32));
+    // Cold log record: 32 bytes, written once, read never — and in
+    // the same size class as the hot pair, so the baseline interleaves
+    // it between them.
+    malloc_wrapper(pb.define(make_log), Some(32));
     {
         // produce(session_list_cell, log_list_cell): allocate the header,
         // emit the audit log record (cold, between the hot pair in
@@ -113,20 +97,16 @@ pub fn build() -> Workload {
         f.argc(1);
         f.imm(r(7), 0);
         f.load(r(10), r(0), 0, Width::W8);
-        let top = f.label();
-        let done = f.label();
-        f.bind(top);
-        f.branch(Cond::Eq, r(10), ZERO, done);
-        f.load(r(4), r(10), 16, Width::W8); // header.tag
-        f.load(r(11), r(10), 8, Width::W8); // header.payload
-        f.load(r(5), r(11), 0, Width::W8); // payload words
-        f.load(r(6), r(11), 24, Width::W8);
-        f.add(r(7), r(7), r(4));
-        f.add(r(7), r(7), r(5));
-        f.add(r(7), r(7), r(6));
-        f.load(r(10), r(10), 0, Width::W8); // next header
-        f.jump(top);
-        f.bind(done);
+        while_nonzero(&mut f, r(10), |f| {
+            f.load(r(4), r(10), 16, Width::W8); // header.tag
+            f.load(r(11), r(10), 8, Width::W8); // header.payload
+            f.load(r(5), r(11), 0, Width::W8); // payload words
+            f.load(r(6), r(11), 24, Width::W8);
+            f.add(r(7), r(7), r(4));
+            f.add(r(7), r(7), r(5));
+            f.add(r(7), r(7), r(6));
+            f.load(r(10), r(10), 0, Width::W8); // next header
+        });
         f.ret(Some(r(7)));
         f.finish();
     }
@@ -148,10 +128,8 @@ pub fn build() -> Workload {
         f.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let rounds = r(20);
-    m.mov(rounds, r(0));
+    let mut m = begin_main(&mut pb);
+    let rounds = SCALE;
     // Shared cells: session-list head and log-list head (main thread).
     m.imm(r(1), 16);
     m.malloc(r(1), r(21)); // session list cell
@@ -176,35 +154,15 @@ pub fn build() -> Workload {
     // Teardown on the main thread: every remaining free is cross-thread.
     m.thread_switch(0);
     m.load(r(25), r(21), 0, Width::W8);
-    {
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Eq, r(25), ZERO, done);
-        m.load(r(26), r(25), 0, Width::W8); // next
+    free_list(&mut m, r(25), r(26), |m| {
         m.load(r(11), r(25), 8, Width::W8); // payload
         m.free(r(11));
-        m.free(r(25));
-        m.mov(r(25), r(26));
-        m.jump(top);
-        m.bind(done);
-    }
+    });
     m.load(r(25), r(22), 0, Width::W8);
-    {
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Eq, r(25), ZERO, done);
-        m.load(r(26), r(25), 0, Width::W8);
-        m.free(r(25));
-        m.mov(r(25), r(26));
-        m.jump(top);
-        m.bind(done);
-    }
+    free_list(&mut m, r(25), r(26), |_| {});
     m.free(r(21));
     m.free(r(22));
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "server",

@@ -5,7 +5,9 @@
 //! This is the quickstart workload: small, readable, and exhibiting the
 //! exact pathology HALO fixes (Fig. 3a → Fig. 3b).
 
-use crate::util::{counted_loop, list_push, r, walk_list};
+use crate::util::{
+    begin_main, counted_loop, end_main, list_push, malloc_wrapper, r, walk_list, SCALE,
+};
 use crate::{RunSpec, Workload};
 use halo_vm::{Cond, ProgramBuilder, Width};
 
@@ -20,11 +22,7 @@ pub fn build() -> Workload {
     let process = pb.declare("process");
 
     for f in [create_a, create_b, create_c] {
-        let mut fb = pb.define(f);
-        fb.imm(r(0), 32);
-        fb.malloc(r(0), r(1));
-        fb.ret(Some(r(1)));
-        fb.finish();
+        malloc_wrapper(pb.define(f), Some(32));
     }
     {
         // do_something(obj): write its payload once and forget it.
@@ -47,10 +45,8 @@ pub fn build() -> Workload {
         fb.finish();
     }
 
-    let mut m = pb.function("main");
-    m.argc(1);
-    let tokens = r(20);
-    m.mov(tokens, r(0));
+    let mut m = begin_main(&mut pb);
+    let tokens = SCALE;
     let list = r(9);
     m.imm(list, 0);
     // Allocate: while (!eof) { switch (token.type) { A, B, C } }
@@ -83,8 +79,7 @@ pub fn build() -> Workload {
             m.call(process, &[r(6)], None);
         });
     });
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "toy",

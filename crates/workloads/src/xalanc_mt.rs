@@ -14,9 +14,10 @@
 //! every node a worker allocated: with a sharded backend each free is
 //! routed home through the owner shard's remote queue.
 
-use crate::util::{counted_loop, r, walk_list, ZERO};
+use crate::util::{begin_main, counted_loop, end_main, free_list, r, SCALE, ZERO};
+use crate::xalanc::{normalise_attrs, Parser};
 use crate::{RunSpec, Workload};
-use halo_vm::{Cond, ProgramBuilder, Width};
+use halo_vm::{ProgramBuilder, Width};
 
 /// Worker logical threads 1..=WORKERS (0 is the coordinating main thread).
 const WORKERS: u16 = 4;
@@ -26,87 +27,15 @@ const TRANSFORM_PASSES: i64 = 8;
 /// Build the xalanc-mt workload.
 pub fn build() -> Workload {
     let mut pb = ProgramBuilder::new();
-    let xalan_alloc = pb.declare("xalan_alloc");
-    let create_elem = pb.declare("create_elem");
-    let create_attr = pb.declare("create_attr");
-    let create_text = pb.declare("create_text");
-    let parse: Vec<_> = (0..PARSE_DEPTH).map(|i| pb.declare(&format!("parse{i}"))).collect();
+    let parser = Parser::declare(&mut pb, PARSE_DEPTH);
+    // The text node is linked at parent.text so teardown can return it
+    // (the single-threaded model drops the pointer).
+    parser.define(&mut pb, |f| {
+        f.store(r(1), r(0), 24, Width::W8); // parent.text
+    });
 
-    {
-        // The memory manager: one malloc site for every node kind.
-        let mut f = pb.define(xalan_alloc);
-        f.argc(1);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Element: [next:8][tag:8][attrs:8][text:8][ns:8][pad] = 48.
-        let mut f = pb.define(create_elem);
-        f.argc(1);
-        f.imm(r(2), 48);
-        f.call(xalan_alloc, &[r(2)], Some(r(1)));
-        f.imm(r(3), 5);
-        f.store(r(3), r(1), 8, Width::W8);
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Attribute: [next:8][value:8][norm:8][pad:8] = 32, linked onto
-        // the parent element.
-        let mut f = pb.define(create_attr);
-        f.argc(1);
-        let parent = r(0);
-        f.imm(r(2), 32);
-        f.call(xalan_alloc, &[r(2)], Some(r(1)));
-        f.imm(r(3), 2);
-        f.store(r(3), r(1), 8, Width::W8); // value
-        f.load(r(4), parent, 16, Width::W8); // parent.attrs
-        f.store(r(4), r(1), 0, Width::W8); // attr.next
-        f.store(r(1), parent, 16, Width::W8);
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-    {
-        // Text node: 32 bytes, linked at parent.text so teardown can
-        // return it (the single-threaded model drops the pointer).
-        let mut f = pb.define(create_text);
-        f.argc(1);
-        let parent = r(0);
-        f.imm(r(2), 32);
-        f.call(xalan_alloc, &[r(2)], Some(r(1)));
-        f.imm(r(3), 1);
-        f.store(r(3), r(1), 8, Width::W8);
-        f.store(r(1), parent, 24, Width::W8); // parent.text
-        f.ret(Some(r(1)));
-        f.finish();
-    }
-
-    // The parse chain: parse_i(kind_fn, parent) forwards down; the middle
-    // hop is indirect and the bottom dispatches indirectly through the
-    // kind function id — both call sites shared by every node kind, so
-    // only deep context separates them (the xalanc signature).
-    for i in 0..PARSE_DEPTH {
-        let mut f = pb.define(parse[i]);
-        f.argc(2); // r0 = kind function id, r1 = parent
-        if i + 1 < PARSE_DEPTH {
-            if i == PARSE_DEPTH / 2 {
-                f.imm(r(2), parse[i + 1].0 as i64);
-                f.call_indirect(r(2), &[r(0), r(1)], Some(r(3)));
-            } else {
-                f.call(parse[i + 1], &[r(0), r(1)], Some(r(3)));
-            }
-        } else {
-            f.call_indirect(r(0), &[r(1)], Some(r(3)));
-        }
-        f.ret(Some(r(3)));
-        f.finish();
-    }
-
-    let mut m = pb.function("main");
-    m.argc(1);
-    let rounds = r(20);
-    m.mov(rounds, r(0));
+    let mut m = begin_main(&mut pb);
+    let rounds = SCALE;
     // Per-worker DOM heads live in one heap cell array (8 bytes each).
     let heads = r(27);
     m.imm(r(1), (WORKERS as i64) * 8);
@@ -114,24 +43,19 @@ pub fn build() -> Workload {
     for w in 0..WORKERS {
         m.store(ZERO, heads, (w as i64) * 8, Width::W8);
     }
-    m.imm(r(21), create_elem.0 as i64);
-    m.imm(r(22), create_attr.0 as i64);
-    m.imm(r(23), create_text.0 as i64);
+    parser.load_kinds(&mut m);
     // Parse: each round hands one document (element + two attributes +
     // one text node) to every worker, round-robin — the interleaving a
     // real worker pool produces.
     counted_loop(&mut m, r(24), rounds, |m| {
         for w in 0..WORKERS {
             m.thread_switch(w + 1);
-            m.imm(r(2), 0);
-            m.call(parse[0], &[r(21), r(2)], Some(r(3)));
-            // Push the new element onto the worker's DOM list.
-            m.load(r(8), heads, (w as i64) * 8, Width::W8);
-            m.store(r(8), r(3), 0, Width::W8);
-            m.store(r(3), heads, (w as i64) * 8, Width::W8);
-            m.call(parse[0], &[r(22), r(3)], Some(r(4))); // attr 1
-            m.call(parse[0], &[r(22), r(3)], Some(r(4))); // attr 2
-            m.call(parse[0], &[r(23), r(3)], Some(r(5))); // text (cold)
+            parser.parse_document(m, |m| {
+                // Push the new element onto the worker's DOM list.
+                m.load(r(8), heads, (w as i64) * 8, Width::W8);
+                m.store(r(8), r(3), 0, Width::W8);
+                m.store(r(3), heads, (w as i64) * 8, Width::W8);
+            });
         }
     });
     // Transform: each worker normalises its own partition's attributes.
@@ -140,53 +64,22 @@ pub fn build() -> Workload {
         for w in 0..WORKERS {
             m.thread_switch(w + 1);
             m.load(r(9), heads, (w as i64) * 8, Width::W8);
-            walk_list(m, r(9), r(6), |m| {
-                m.load(r(1), r(6), 8, Width::W8); // tag
-                m.load(r(2), r(6), 16, Width::W8); // attr head
-                let top = m.label();
-                let done = m.label();
-                m.bind(top);
-                m.branch(Cond::Eq, r(2), ZERO, done);
-                m.load(r(3), r(2), 8, Width::W8); // attr.value
-                m.add(r(3), r(3), r(1));
-                m.store(r(3), r(2), 16, Width::W8); // attr.norm
-                m.load(r(2), r(2), 0, Width::W8);
-                m.jump(top);
-                m.bind(done);
-            });
+            normalise_attrs(m, r(9));
         }
     });
     // Teardown on the main thread: free every worker's DOM cross-thread.
     m.thread_switch(0);
     for w in 0..WORKERS {
         m.load(r(9), heads, (w as i64) * 8, Width::W8);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Eq, r(9), ZERO, done);
-        m.load(r(10), r(9), 0, Width::W8); // elem.next
-        m.load(r(2), r(9), 16, Width::W8); // attr chain
-        {
-            let atop = m.label();
-            let adone = m.label();
-            m.bind(atop);
-            m.branch(Cond::Eq, r(2), ZERO, adone);
-            m.load(r(3), r(2), 0, Width::W8);
-            m.free(r(2));
-            m.mov(r(2), r(3));
-            m.jump(atop);
-            m.bind(adone);
-        }
-        m.load(r(4), r(9), 24, Width::W8); // text node
-        m.free(r(4));
-        m.free(r(9));
-        m.mov(r(9), r(10));
-        m.jump(top);
-        m.bind(done);
+        free_list(&mut m, r(9), r(10), |m| {
+            m.load(r(2), r(9), 16, Width::W8); // attr chain
+            free_list(m, r(2), r(3), |_| {});
+            m.load(r(4), r(9), 24, Width::W8); // text node
+            m.free(r(4));
+        });
     }
     m.free(heads);
-    m.ret(None);
-    let main = m.finish();
+    let main = end_main(m);
 
     Workload {
         name: "xalanc-mt",

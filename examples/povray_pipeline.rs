@@ -61,7 +61,7 @@ fn main() {
         "site groups: {} (every allocation shares pov_malloc's one site, so\n\
          pooling it would reproduce the original layout — the analysis\n\
          projects no gain and emits nothing)",
-        result.hds_analysis.site_groups.len()
+        result.hds_analysis.site_map.values().max().map_or(0, |&g| g + 1)
     );
 
     let (hds_mr, halo_mr) = result.miss_reduction_row();

@@ -148,8 +148,7 @@ fn usage() {
 struct Flags {
     benchmark: Option<String>,
     affinity_distance: Option<u64>,
-    /// `--chunk-size` and the slab size derived from it.
-    chunk_size: Option<(u64, u64)>,
+    chunk_size: Option<u64>,
     max_spare_chunks: Option<usize>,
     max_groups: Option<usize>,
     merge_tolerance: Option<f64>,
@@ -239,17 +238,12 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
             "--chunk-size" => {
                 let v = value("--chunk-size")?;
                 let chunk_size: u64 = v.parse().map_err(|e| format!("{e}"))?;
-                // A slab holds 64 chunks, and at least 4 MiB. The check is
-                // the allocator's own, made here so a bad size is a parse
-                // error and not a constructor panic on a worker thread.
-                let slab_size = chunk_size
-                    .checked_mul(64)
-                    .ok_or_else(|| format!("--chunk-size {v}: a slab of 64 chunks overflows"))?
-                    .max(4 << 20);
-                halo::mem::GroupAllocConfig { slab_size, ..Default::default() }
-                    .check_chunk_size(chunk_size)
+                // The allocator's own rule, checked here so a bad size is a
+                // parse error and not a constructor panic on a worker thread.
+                halo::mem::GroupAllocConfig::default()
+                    .with_chunk_size(chunk_size)
                     .map_err(|rule| format!("--chunk-size {v}: {rule}"))?;
-                flags.chunk_size = Some((chunk_size, slab_size));
+                flags.chunk_size = Some(chunk_size);
             }
             "--max-spare-chunks" => {
                 let v = value("--max-spare-chunks")?;
@@ -344,31 +338,24 @@ fn default_sweep() -> Vec<Workload> {
     workloads
 }
 
-/// Every workload a name can select: the default sweep, then the
-/// multi-threaded models, which are selectable by name but do not change
-/// the figure sweeps.
-fn universe() -> Vec<Workload> {
-    let mut workloads = default_sweep();
-    workloads.extend(halo::workloads::multithreaded());
-    workloads
+/// The workload called `name`, or the CLI's error for an unknown one.
+fn by_name(name: &str) -> Result<Workload, String> {
+    halo::workloads::by_name(name)
+        .ok_or_else(|| format!("unknown benchmark '{name}' (try `halo list`)"))
 }
 
 fn find_workloads(selector: Option<&str>) -> Result<Vec<Workload>, String> {
     match selector {
         None | Some("all") => Ok(default_sweep()),
         Some(names) => {
-            let mut workloads = universe();
-            // Comma-separated selection, e.g. `--benchmark toy,povray`.
+            // Comma-separated selection, e.g. `--benchmark toy,povray`; the
+            // multi-threaded models are selectable by name too.
             let mut picked: Vec<Workload> = Vec::new();
             for name in names.split(',') {
                 if picked.iter().any(|w| w.name == name) {
                     return Err(format!("duplicate benchmark '{name}' in --benchmark list"));
                 }
-                let i = workloads
-                    .iter()
-                    .position(|w| w.name == name)
-                    .ok_or_else(|| format!("unknown benchmark '{name}' (try `halo list`)"))?;
-                picked.push(workloads.swap_remove(i));
+                picked.push(by_name(name)?);
             }
             Ok(picked)
         }
@@ -384,9 +371,9 @@ fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
     if let Some(a) = flags.affinity_distance {
         config.halo.profile.affinity_distance = a;
     }
-    if let Some((chunk_size, slab_size)) = flags.chunk_size {
-        config.halo.alloc.chunk_size = chunk_size;
-        config.halo.alloc.slab_size = slab_size;
+    if let Some(chunk_size) = flags.chunk_size {
+        config.halo.alloc =
+            config.halo.alloc.with_chunk_size(chunk_size).expect("checked at parse time");
     }
     if let Some(s) = flags.max_spare_chunks {
         config.halo.alloc.max_spare_chunks = s;
@@ -843,9 +830,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .ok_or("halo serve needs --phases (e.g. --phases server:1,xalanc-mt:2)")?;
 
     // Any listed workload can serve; phases may revisit a name, so the
-    // script resolves against the full universe rather than the
+    // script resolves names one by one rather than through the
     // duplicate-rejecting `find_workloads` selector.
-    let universe = universe();
     let mut phases = Vec::new();
     for part in script.split(',') {
         let (name, windows) = part
@@ -854,13 +840,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let windows: u64 = windows.parse().ok().filter(|&w| w > 0).ok_or_else(|| {
             format!("phase '{part}' needs a positive window count (e.g. server:2)")
         })?;
-        let w = universe
-            .iter()
-            .find(|w| w.name == name)
-            .ok_or_else(|| format!("unknown benchmark '{name}' (try `halo list`)"))?;
+        let w = by_name(name)?;
         phases.push(ServePhase {
             name: w.name.into(),
-            program: w.program.clone(),
+            program: w.program,
             train_seed: w.train.seed,
             train_arg: w.train.arg,
             ref_seed: w.reference.seed,

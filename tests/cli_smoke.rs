@@ -538,7 +538,9 @@ fn serve_validates_its_flags_and_script() {
     );
 
     // Run-configuration flags are rejected, so a serve report always
-    // reflects the paper-default pipeline.
+    // reflects `ServeConfig::default()`'s pipeline: `HaloConfig::default()`
+    // (grouping `min_weight` 8), not `halo run`'s `paper_config`
+    // (`min_weight` 32) — a known drift, ROADMAP direction 4.
     let cfg = halo(&["serve", "--phases", "toy:1", "--chunk-size", "65536"]);
     assert!(!cfg.status.success());
     assert!(stderr(&cfg).contains("halo serve only accepts"), "{}", stderr(&cfg));

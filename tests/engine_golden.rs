@@ -138,13 +138,31 @@ const GOLDEN: [(&str, u64); 11] = [
     ("roms", 0x2fbc69512150cc23),
 ];
 
-#[test]
-fn event_streams_of_the_paper_workloads_match_the_pinned_fingerprints() {
-    let actual: Vec<(&str, u64)> =
-        halo::workloads::all().iter().map(|w| (w.name, fingerprint(w))).collect();
-    if actual != GOLDEN {
+/// `toy` and the multi-threaded models, recorded at the commit before their
+/// builders were folded onto shared emitters (DESIGN.md §4).
+const GOLDEN_EXTRA: [(&str, u64); 3] = [
+    ("toy", 0xb581780557147277),
+    ("server", 0x022977a33da442b9),
+    ("xalanc-mt", 0xa319942912b1e84e),
+];
+
+fn assert_pinned(workloads: Vec<halo::workloads::Workload>, golden: &[(&str, u64)]) {
+    let actual: Vec<(&str, u64)> = workloads.iter().map(|w| (w.name, fingerprint(w))).collect();
+    if actual != golden {
         let table: String =
             actual.iter().map(|(name, fp)| format!("    (\"{name}\", {fp:#018x}),\n")).collect();
         panic!("engine event streams drifted from the pins; observed:\n{table}");
     }
+}
+
+#[test]
+fn event_streams_of_the_paper_workloads_match_the_pinned_fingerprints() {
+    assert_pinned(halo::workloads::all(), &GOLDEN);
+}
+
+#[test]
+fn event_streams_of_toy_and_the_multithreaded_models_match_the_pinned_fingerprints() {
+    let mut workloads = vec![halo::workloads::toy::build()];
+    workloads.extend(halo::workloads::multithreaded());
+    assert_pinned(workloads, &GOLDEN_EXTRA);
 }

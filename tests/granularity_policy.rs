@@ -9,7 +9,7 @@
 use halo::cache::HierarchyConfig;
 use halo::core::{evaluate_with_arg, EvalConfig, Halo};
 use halo::graph::Granularity;
-use halo::workloads::{all, Workload};
+use halo::workloads::{by_name, Workload};
 
 fn train_scale_config(w: &Workload) -> EvalConfig {
     let mut config = halo_bench::paper_config(w);
@@ -18,13 +18,9 @@ fn train_scale_config(w: &Workload) -> EvalConfig {
     config
 }
 
-fn workload(name: &str) -> Workload {
-    all().into_iter().find(|w| w.name == name).unwrap()
-}
-
 #[test]
 fn roms_is_unmovable_at_object_granularity_but_wins_at_page() {
-    let w = workload("roms");
+    let w = by_name("roms").unwrap();
     let base = halo_bench::baseline(&w, &train_scale_config(&w));
     let run = |granularity: Granularity| {
         let mut config = train_scale_config(&w);
@@ -60,7 +56,7 @@ fn roms_is_unmovable_at_object_granularity_but_wins_at_page() {
 
 #[test]
 fn omnetpp_auto_declines_to_group_and_is_not_negative() {
-    let w = workload("omnetpp");
+    let w = by_name("omnetpp").unwrap();
     // paper_config already selects Auto for omnetpp (the pinned default).
     let config = train_scale_config(&w);
     assert_eq!(config.halo.profile.granularity, Granularity::Auto);
@@ -78,7 +74,7 @@ fn omnetpp_auto_declines_to_group_and_is_not_negative() {
 #[test]
 fn auto_keeps_object_granularity_where_it_already_wins() {
     // health is the canonical direct-malloc win: auto must not disturb it.
-    let w = workload("health");
+    let w = by_name("health").unwrap();
     let mut config = train_scale_config(&w);
     config.halo.profile.granularity = Granularity::Auto;
     let base = halo_bench::baseline(&w, &config);
@@ -95,7 +91,7 @@ fn auto_keeps_object_granularity_where_it_already_wins() {
 /// `config.halo` alone validates on the default caches and groups.
 #[test]
 fn the_bench_door_validates_auto_on_the_geometry_it_measures() {
-    let w = workload("roms");
+    let w = by_name("roms").unwrap();
     let mut config = train_scale_config(&w);
     assert_eq!(config.halo.profile.granularity, Granularity::Auto);
     config.measure.hierarchy = HierarchyConfig::tiny();

@@ -123,8 +123,7 @@ fn allocator_accounting_is_consistent_across_pipeline() {
 #[test]
 fn pipeline_determinism_across_workloads() {
     for name in ["health", "povray", "xalanc"] {
-        let all = workloads::all();
-        let w = all.iter().find(|w| w.name == name).unwrap();
+        let w = &workloads::by_name(name).unwrap();
         let halo = Halo::new(pipeline_config());
         let a = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).unwrap();
         let b = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).unwrap();
@@ -138,8 +137,7 @@ fn pipeline_determinism_across_workloads() {
 /// separate geometry from textures (the §3 claim).
 #[test]
 fn povray_wrapper_is_pierced_by_full_context() {
-    let all = workloads::all();
-    let w = all.iter().find(|w| w.name == "povray").unwrap();
+    let w = &workloads::by_name("povray").unwrap();
     let halo = Halo::new(pipeline_config());
     let opt = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).unwrap();
     assert!(!opt.groups.is_empty(), "wrapper did not stop grouping");
@@ -159,8 +157,7 @@ fn povray_wrapper_is_pierced_by_full_context() {
 /// library frame, so node and board allocations are distinguishable.
 #[test]
 fn leela_contexts_pierce_operator_new() {
-    let all = workloads::all();
-    let w = all.iter().find(|w| w.name == "leela").unwrap();
+    let w = &workloads::by_name("leela").unwrap();
     let halo = Halo::new(pipeline_config());
     let profile = halo.profile_with_arg(&w.program, w.train.seed, w.train.arg).unwrap();
     let names: Vec<&str> = profile.alive_contexts().map(|c| c.name.as_str()).collect();

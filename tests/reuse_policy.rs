@@ -8,11 +8,7 @@
 use halo::core::{measure, EvalConfig, Halo};
 use halo::graph::{Granularity, ReusePolicy, ReusePolicyChoice};
 use halo::mem::{FragReport, SizeClassAllocator};
-use halo::workloads::{all, Workload};
-
-fn workload(name: &str) -> Workload {
-    all().into_iter().find(|w| w.name == name).unwrap()
-}
+use halo::workloads::{by_name, Workload};
 
 /// Optimise and measure one workload under `config`, returning the miss
 /// reduction vs the plain baseline, the whole-allocator fragmentation
@@ -33,7 +29,7 @@ fn run(w: &Workload, config: &EvalConfig) -> (f64, FragReport, halo::core::Optim
 /// (PR-3) result.
 #[test]
 fn leela_per_group_auto_cuts_fragmentation_and_keeps_the_miss_win() {
-    let w = workload("leela");
+    let w = by_name("leela").unwrap();
     let auto_config = halo_bench::paper_config(&w);
     assert_eq!(
         auto_config.halo.reuse,
@@ -84,7 +80,7 @@ fn leela_per_group_auto_cuts_fragmentation_and_keeps_the_miss_win() {
 /// intact.
 #[test]
 fn roms_auto_keeps_bump_where_contiguity_wins() {
-    let w = workload("roms");
+    let w = by_name("roms").unwrap();
     let config = halo_bench::paper_config(&w);
     assert_eq!(config.halo.reuse, ReusePolicyChoice::Auto);
     let (mr, _, opt) = run(&w, &config);
@@ -102,7 +98,7 @@ fn roms_auto_keeps_bump_where_contiguity_wins() {
 /// synthesised allocator honours it (leela's wasted bytes collapse).
 #[test]
 fn explicit_sharded_choice_stamps_every_plan() {
-    let w = workload("leela");
+    let w = by_name("leela").unwrap();
     let mut config = halo_bench::paper_config(&w);
     config.halo.reuse = ReusePolicyChoice::Sharded;
     let (_, frag, opt) = run(&w, &config);
