@@ -263,79 +263,19 @@ fn measure_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Cond, ProgramBuilder, Reg, Width};
+    use halo_vm::{Cond, Width};
 
-    fn r(n: u8) -> Reg {
-        Reg(n)
+    #[allow(dead_code)] // each test module uses its own part
+    mod common {
+        use crate::{EvalConfig, HaloConfig};
+        include!("../tests/common/fig2.rs");
     }
-
-    /// A/B hot interleaved with cold C — distinct call sites, so both HALO
-    /// and HDS have material to work with.
-    fn workload() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mk_a = pb.declare("mk_a");
-        let mk_b = pb.declare("mk_b");
-        let mk_c = pb.declare("mk_c");
-        for f in [mk_a, mk_b, mk_c] {
-            let mut fb = pb.define(f);
-            fb.imm(r(0), 24);
-            fb.malloc(r(0), r(1));
-            fb.ret(Some(r(1)));
-            fb.finish();
-        }
-        let mut m = pb.function("main");
-        m.imm(r(9), 0);
-        m.imm(r(10), 0);
-        m.imm(r(11), 256);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        m.call(mk_a, &[], Some(r(1)));
-        m.store(r(9), r(1), 0, Width::W8);
-        m.mov(r(9), r(1));
-        m.call(mk_b, &[], Some(r(2)));
-        m.store(r(9), r(2), 0, Width::W8);
-        m.mov(r(9), r(2));
-        m.call(mk_c, &[], Some(r(3)));
-        m.store(r(10), r(3), 8, Width::W8);
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
-        m.imm(r(12), 0);
-        m.imm(r(14), 40);
-        let sweep = m.label();
-        let sdone = m.label();
-        m.bind(sweep);
-        m.branch(Cond::Ge, r(12), r(14), sdone);
-        m.mov(r(6), r(9));
-        let walk = m.label();
-        let wdone = m.label();
-        m.bind(walk);
-        m.branch(Cond::Eq, r(6), r(13), wdone);
-        m.load(r(7), r(6), 8, Width::W8);
-        m.load(r(6), r(6), 0, Width::W8);
-        m.jump(walk);
-        m.bind(wdone);
-        m.add_imm(r(12), r(12), 1);
-        m.jump(sweep);
-        m.bind(sdone);
-        m.ret(None);
-        let main = m.finish();
-        pb.finish(main)
-    }
+    use common::{counted, fig2, fig2_eval, main_only, r};
 
     #[test]
     fn evaluation_improves_the_motivating_workload() {
-        let p = workload();
-        let cfg = EvalConfig {
-            halo: HaloConfig {
-                grouping: halo_graph::GroupingParams { min_weight: 2, ..Default::default() },
-                ..Default::default()
-            },
-            extras: vec!["random", "ptmalloc"],
-            ..Default::default()
-        };
+        let p = fig2(256, 40);
+        let cfg = fig2_eval(&["random", "ptmalloc"]);
         let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation runs");
         let (hds_mr, halo_mr) = result.miss_reduction_row();
         let (_, halo_su) = result.speedup_row();
@@ -358,7 +298,7 @@ mod tests {
         // The §5.1 claim, at workload scale: the size-class baseline
         // produces no more misses than the boundary-tag allocator with its
         // inline headers.
-        let p = workload();
+        let p = fig2(256, 40);
         let cfg = EvalConfig { extras: vec!["ptmalloc"], ..Default::default() };
         let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("runs");
         let pt = result.get("ptmalloc").expect("requested");
@@ -376,16 +316,8 @@ mod tests {
         // request through shard 0, whose address layout is identical to
         // the plain allocator's — so the sharded backend's measurement
         // must reproduce the halo backend's exactly, at any shard count.
-        let p = workload();
-        let cfg = EvalConfig {
-            halo: HaloConfig {
-                grouping: halo_graph::GroupingParams { min_weight: 2, ..Default::default() },
-                ..Default::default()
-            },
-            extras: vec!["halo-sharded"],
-            shards: 4,
-            ..Default::default()
-        };
+        let p = fig2(256, 40);
+        let cfg = EvalConfig { shards: 4, ..fig2_eval(&["halo-sharded"]) };
         let result = evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation runs");
         let sharded = result.get("halo-sharded").expect("requested backend");
         let halo = result.halo();
@@ -402,37 +334,29 @@ mod tests {
     /// logical thread 2 frees every node — under a sharded backend each
     /// free lands on a foreign shard's remote queue.
     fn cross_thread_workload() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.thread_switch(1);
-        m.imm(r(9), 0);
-        m.imm(r(10), 0);
-        m.imm(r(11), 64);
-        m.imm(r(0), 24);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        m.malloc(r(0), r(1));
-        m.store(r(9), r(1), 0, Width::W8);
-        m.mov(r(9), r(1));
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
-        m.thread_switch(2);
-        m.imm(r(13), 0); // explicit null for the list-walk terminator
-        let ftop = m.label();
-        let fdone = m.label();
-        m.bind(ftop);
-        m.branch(Cond::Eq, r(9), r(13), fdone);
-        m.load(r(2), r(9), 0, Width::W8);
-        m.free(r(9));
-        m.mov(r(9), r(2));
-        m.jump(ftop);
-        m.bind(fdone);
-        m.ret(None);
-        let main = m.finish();
-        pb.finish(main)
+        main_only(|m| {
+            m.thread_switch(1);
+            m.imm(r(9), 0);
+            m.imm(r(11), 64);
+            m.imm(r(0), 24);
+            counted(m, r(10), r(11), |m| {
+                m.malloc(r(0), r(1));
+                m.store(r(9), r(1), 0, Width::W8);
+                m.mov(r(9), r(1));
+            });
+            m.thread_switch(2);
+            m.imm(r(13), 0); // explicit null for the list-walk terminator
+            let ftop = m.label();
+            let fdone = m.label();
+            m.bind(ftop);
+            m.branch(Cond::Eq, r(9), r(13), fdone);
+            m.load(r(2), r(9), 0, Width::W8);
+            m.free(r(9));
+            m.mov(r(9), r(2));
+            m.jump(ftop);
+            m.bind(fdone);
+            m.ret(None);
+        })
     }
 
     #[test]
@@ -457,16 +381,9 @@ mod tests {
 
     #[test]
     fn fault_injection_degrades_but_never_fails_the_evaluation() {
-        let p = workload();
-        let cfg = EvalConfig {
-            halo: HaloConfig {
-                grouping: halo_graph::GroupingParams { min_weight: 2, ..Default::default() },
-                ..Default::default()
-            },
-            extras: vec!["halo-sharded"],
-            faults: Some(FaultPlan::new(3).at(halo_mem::FaultSite::VmmReserve, 1)),
-            ..Default::default()
-        };
+        let p = fig2(256, 40);
+        let faults = Some(FaultPlan::new(3).at(halo_mem::FaultSite::VmmReserve, 1));
+        let cfg = EvalConfig { faults, ..fig2_eval(&["halo-sharded"]) };
         let result =
             evaluate_with_arg(&p, "fig2", 1, 0, &cfg).expect("evaluation survives injected faults");
         // The HALO backend's first slab reservation failed: its group
@@ -489,7 +406,7 @@ mod tests {
 
     #[test]
     fn backends_follow_registry_order_and_gating() {
-        let p = workload();
+        let p = fig2(256, 40);
         let plain = evaluate_with_arg(&p, "fig2", 1, 0, &EvalConfig::default()).expect("runs");
         let ids: Vec<&str> = plain.backends.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, ["baseline", "halo", "hds"], "extras absent unless requested");

@@ -163,62 +163,23 @@ pub fn measure_detailed<A: VmAllocator + ?Sized>(
 mod tests {
     use super::*;
     use halo_mem::SizeClassAllocator;
-    use halo_vm::{Cond, ProgramBuilder, Reg, Width};
+    use halo_vm::Width;
 
-    fn r(n: u8) -> Reg {
-        Reg(n)
+    #[allow(dead_code)] // each test module uses its own part
+    mod common {
+        use crate::{EvalConfig, HaloConfig};
+        include!("../tests/common/fig2.rs");
     }
-
-    /// Interleave two kinds of 16-byte objects, then sweep only one kind.
-    fn interleaved_sweep() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(9), 0);
-        m.imm(r(10), 0);
-        m.imm(r(11), 512);
-        m.imm(r(0), 16);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        m.malloc(r(0), r(1)); // hot
-        m.store(r(9), r(1), 0, Width::W8);
-        m.mov(r(9), r(1));
-        m.malloc(r(0), r(2)); // cold
-        m.store(r(10), r(2), 8, Width::W8);
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
-        m.imm(r(12), 0);
-        m.imm(r(14), 50);
-        let sweep = m.label();
-        let sdone = m.label();
-        m.bind(sweep);
-        m.branch(Cond::Ge, r(12), r(14), sdone);
-        m.mov(r(6), r(9));
-        let walk = m.label();
-        let wdone = m.label();
-        m.bind(walk);
-        m.branch(Cond::Eq, r(6), r(13), wdone);
-        m.load(r(6), r(6), 0, Width::W8);
-        m.jump(walk);
-        m.bind(wdone);
-        m.add_imm(r(12), r(12), 1);
-        m.jump(sweep);
-        m.bind(sdone);
-        m.ret(None);
-        let main = m.finish();
-        pb.finish(main)
-    }
+    use common::{counted, fig2, main_only, r};
 
     #[test]
     fn measurement_captures_misses_and_cycles() {
-        let p = interleaved_sweep();
+        let p = fig2(512, 50);
         let mut alloc = SizeClassAllocator::new();
         let m = measure(&p, &mut alloc, &MeasureConfig::default()).expect("runs");
         assert!(m.stats.l1_misses > 0);
         assert!(m.cycles > 0.0);
-        assert_eq!(m.allocs, 1024);
+        assert_eq!(m.allocs, 3 * 512);
         assert!(m.allocs as f64 * 1e6 / m.instructions as f64 > 1.0, "heap-intensive (§5.1)");
     }
 
@@ -228,7 +189,7 @@ mod tests {
         // interleaved in memory) vs. size classes: both interleave here, so
         // instead compare against a hierarchy with tiny caches to verify
         // monotonicity of the cycle model with misses.
-        let p = interleaved_sweep();
+        let p = fig2(512, 50);
         let mut a1 = SizeClassAllocator::new();
         let big = measure(&p, &mut a1, &MeasureConfig::default()).expect("runs");
         let tiny_cfg =
@@ -241,7 +202,7 @@ mod tests {
 
     #[test]
     fn metric_helpers_match_definitions() {
-        let p = interleaved_sweep();
+        let p = fig2(512, 50);
         let mut a1 = SizeClassAllocator::new();
         let base = measure(&p, &mut a1, &MeasureConfig::default()).expect("runs");
         let mut a2 = halo_vm::MallocOnlyAllocator::new();
@@ -258,27 +219,19 @@ mod tests {
     /// Two logical threads alternately storing to opposite halves of one
     /// 64-byte object: textbook false sharing.
     fn false_sharing_program() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 64);
-        m.malloc(r(0), r(1));
-        m.imm(r(2), 0);
-        m.imm(r(3), 200);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(2), r(3), done);
-        m.thread_switch(1);
-        m.store(r(2), r(1), 0, Width::W8);
-        m.thread_switch(2);
-        m.store(r(2), r(1), 32, Width::W8);
-        m.add_imm(r(2), r(2), 1);
-        m.jump(top);
-        m.bind(done);
-        m.free(r(1));
-        m.ret(None);
-        let main = m.finish();
-        pb.finish(main)
+        main_only(|m| {
+            m.imm(r(0), 64);
+            m.malloc(r(0), r(1));
+            m.imm(r(3), 200);
+            counted(m, r(2), r(3), |m| {
+                m.thread_switch(1);
+                m.store(r(2), r(1), 0, Width::W8);
+                m.thread_switch(2);
+                m.store(r(2), r(1), 32, Width::W8);
+            });
+            m.free(r(1));
+            m.ret(None);
+        })
     }
 
     #[test]
@@ -305,7 +258,7 @@ mod tests {
 
     #[test]
     fn single_threaded_measurements_report_no_coherence_traffic() {
-        let p = interleaved_sweep();
+        let p = fig2(512, 50);
         let mut alloc = SizeClassAllocator::new();
         let config = MeasureConfig::default();
         let d = measure_detailed(&p, &mut alloc, &config).expect("runs");

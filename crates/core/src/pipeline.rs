@@ -451,69 +451,19 @@ pub(crate) fn graph_at(profile: &Profile, granularity: Granularity) -> &Affinity
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Cond, ProgramBuilder, Reg, Width};
+    use halo_vm::Width;
 
-    fn r(n: u8) -> Reg {
-        Reg(n)
+    #[allow(dead_code)] // each test module uses its own part
+    mod common {
+        use crate::{EvalConfig, HaloConfig};
+        include!("../tests/common/fig2.rs");
     }
-
-    /// Fig. 2 at small scale: A/B hot and interleaved with cold C.
-    fn fig2_program(rounds: i64) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let create = pb.declare("create");
-        let mut m = pb.function("main");
-        m.imm(r(9), 0); // list head
-        m.imm(r(10), 0);
-        m.imm(r(11), rounds);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        m.call(create, &[], Some(r(1))); // context A
-        m.store(r(9), r(1), 0, Width::W8);
-        m.mov(r(9), r(1));
-        m.call(create, &[], Some(r(2))); // context B
-        m.store(r(9), r(2), 0, Width::W8);
-        m.mov(r(9), r(2));
-        m.call(create, &[], Some(r(3))); // context C (touched once)
-        m.store(r(10), r(3), 8, Width::W8);
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
-        m.imm(r(12), 0);
-        let sweep = m.label();
-        let sdone = m.label();
-        m.bind(sweep);
-        m.branch(Cond::Ge, r(12), r(11), sdone);
-        m.mov(r(6), r(9));
-        let walk = m.label();
-        let wdone = m.label();
-        m.bind(walk);
-        m.branch(Cond::Eq, r(6), r(13), wdone);
-        m.load(r(7), r(6), 8, Width::W8);
-        m.load(r(6), r(6), 0, Width::W8);
-        m.jump(walk);
-        m.bind(wdone);
-        m.add_imm(r(12), r(12), 1);
-        m.jump(sweep);
-        m.bind(sdone);
-        m.ret(None);
-        let main = m.finish();
-        let mut f = pb.define(create);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-        pb.finish(main)
-    }
+    use common::{fig2, fig2_halo, main_only, r};
 
     #[test]
     fn pipeline_groups_the_hot_pair() {
-        let p = fig2_program(64);
-        let halo = Halo::new(HaloConfig {
-            grouping: GroupingParams { min_weight: 2, ..Default::default() },
-            ..Default::default()
-        });
+        let p = fig2(64, 64);
+        let halo = Halo::new(fig2_halo());
         let opt = halo.optimise_with_arg(&p, 7, 0).expect("pipeline runs");
         assert!(!opt.groups.is_empty(), "A and B should form a group");
         // The rewritten binary grew by instrumentation.
@@ -525,11 +475,8 @@ mod tests {
 
     #[test]
     fn synthesised_allocator_groups_at_runtime() {
-        let p = fig2_program(64);
-        let halo = Halo::new(HaloConfig {
-            grouping: GroupingParams { min_weight: 2, ..Default::default() },
-            ..Default::default()
-        });
+        let p = fig2(64, 64);
+        let halo = Halo::new(fig2_halo());
         let opt = halo.optimise_with_arg(&p, 7, 0).expect("pipeline runs");
         let mut alloc = halo.make_allocator(&opt);
         let mut monitor = halo_vm::NullMonitor;
@@ -545,7 +492,7 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic() {
-        let p = fig2_program(32);
+        let p = fig2(32, 32);
         let halo = Halo::new(HaloConfig::default());
         let a = halo.optimise_with_arg(&p, 3, 0).expect("runs");
         let b = halo.optimise_with_arg(&p, 3, 0).expect("runs");
@@ -560,13 +507,12 @@ mod tests {
         // flip are assembled from — and measured beside — one borrowed
         // profile: the validators cost train *measurements*, never a
         // second profiling run (or a copy of the first).
-        let p = fig2_program(256);
+        let p = fig2(256, 256);
         let mut config = HaloConfig {
-            grouping: GroupingParams { min_weight: 2, ..Default::default() },
             reuse: ReusePolicyChoice::Auto,
             // Small enough that the hot pair's layout shows in L1D misses.
             hierarchy: halo_cache::HierarchyConfig::tiny(),
-            ..Default::default()
+            ..fig2_halo()
         };
         config.profile.granularity = Granularity::Auto;
         let profiled = PROFILING_RUNS.get();
@@ -579,14 +525,12 @@ mod tests {
     #[test]
     fn programs_without_groups_pass_through() {
         // A program with a single allocation and no affinity.
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 64);
-        m.malloc(r(0), r(1));
-        m.store(r(0), r(1), 0, Width::W8);
-        m.ret(None);
-        let main = m.finish();
-        let p = pb.finish(main);
+        let p = main_only(|m| {
+            m.imm(r(0), 64);
+            m.malloc(r(0), r(1));
+            m.store(r(0), r(1), 0, Width::W8);
+            m.ret(None);
+        });
         let halo = Halo::new(HaloConfig::default());
         let opt = halo.optimise_with_arg(&p, 1, 0).expect("runs");
         assert!(opt.groups.is_empty());
@@ -600,14 +544,12 @@ mod tests {
 
     #[test]
     fn profiling_failure_is_reported() {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        let top = m.label();
-        m.bind(top);
-        m.jump(top);
-        m.ret(None);
-        let main = m.finish();
-        let p = pb.finish(main);
+        let p = main_only(|m| {
+            let top = m.label();
+            m.bind(top);
+            m.jump(top);
+            m.ret(None);
+        });
         let halo = Halo::new(HaloConfig {
             limits: EngineLimits { max_instructions: 1000, max_call_depth: 8 },
             ..Default::default()

@@ -336,71 +336,18 @@ fn measure_serving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_graph::{Granularity, GroupingParams};
-    use halo_vm::{Cond, ProgramBuilder, Reg, Width};
+    use halo_graph::Granularity;
+    use halo_vm::{ProgramBuilder, Width};
 
-    fn r(n: u8) -> Reg {
-        Reg(n)
+    #[allow(dead_code)] // each test module uses its own part
+    mod common {
+        use crate::{EvalConfig, HaloConfig};
+        include!("../tests/common/fig2.rs");
     }
-
-    /// A Fig. 2-shaped program: `hot` allocation contexts interleaved
-    /// per round, then a pointer-chasing sweep. Different `hot` counts
-    /// produce different affinity structure (and different binaries).
-    fn phased_program(hot: usize, rounds: i64) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let create = pb.declare("create");
-        let mut m = pb.function("main");
-        m.imm(r(9), 0);
-        m.imm(r(10), 0);
-        m.imm(r(11), rounds);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        for k in 0..hot {
-            let dst = r(1 + k as u8);
-            m.call(create, &[], Some(dst));
-            m.store(r(9), dst, 0, Width::W8);
-            m.mov(r(9), dst);
-        }
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
-        m.imm(r(12), 0);
-        let sweep = m.label();
-        let sdone = m.label();
-        m.bind(sweep);
-        m.branch(Cond::Ge, r(12), r(11), sdone);
-        m.mov(r(6), r(9));
-        let walk = m.label();
-        let wdone = m.label();
-        m.bind(walk);
-        m.branch(Cond::Eq, r(6), r(13), wdone);
-        m.load(r(6), r(6), 0, Width::W8);
-        m.jump(walk);
-        m.bind(wdone);
-        m.add_imm(r(12), r(12), 1);
-        m.jump(sweep);
-        m.bind(sdone);
-        m.ret(None);
-        let main = m.finish();
-        let mut f = pb.define(create);
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        f.finish();
-        pb.finish(main)
-    }
+    use common::{counted, fig2, fig2_halo, r, wrappers};
 
     fn serve_config() -> ServeConfig {
-        ServeConfig {
-            halo: HaloConfig {
-                grouping: GroupingParams { min_weight: 2, ..Default::default() },
-                ..Default::default()
-            },
-            shards: 2,
-            ..Default::default()
-        }
+        ServeConfig { halo: fig2_halo(), shards: 2, ..Default::default() }
     }
 
     fn phase(name: &str, program: Program, windows: u64) -> ServePhase {
@@ -418,8 +365,8 @@ mod tests {
     #[test]
     fn steady_phase_never_swaps() {
         let profiled = crate::pipeline::PROFILING_RUNS.get();
-        let report = serve(&[phase("steady", phased_program(2, 48), 3)], &serve_config())
-            .expect("serve runs");
+        let report =
+            serve(&[phase("steady", fig2(48, 48), 3)], &serve_config()).expect("serve runs");
         assert_eq!(report.rows.len(), 3);
         // One optimisation of phase 0 feeds both the serve allocator and
         // the static twin, then one streamed profile per window.
@@ -479,30 +426,17 @@ mod tests {
     /// page granularity (the roms shape).
     fn paged_program(rounds: i64) -> Program {
         let mut pb = ProgramBuilder::new();
-        let makers = [pb.declare("mk_a"), pb.declare("mk_b")];
-        for f in makers {
-            let mut fb = pb.define(f);
-            fb.imm(r(0), 8192);
-            fb.malloc(r(0), r(1));
-            fb.ret(Some(r(1)));
-            fb.finish();
-        }
+        let makers = wrappers(&mut pb, ["mk_a", "mk_b"], 8192);
         let mut m = pb.function("main");
-        m.imm(r(10), 0);
         m.imm(r(11), rounds);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(Cond::Ge, r(10), r(11), done);
-        m.call(makers[0], &[], Some(r(1)));
-        m.call(makers[1], &[], Some(r(2)));
-        for offset in [0, 4096] {
-            m.store(r(10), r(1), offset, Width::W8);
-            m.store(r(10), r(2), offset, Width::W8);
-        }
-        m.add_imm(r(10), r(10), 1);
-        m.jump(top);
-        m.bind(done);
+        counted(&mut m, r(10), r(11), |m| {
+            m.call(makers[0], &[], Some(r(1)));
+            m.call(makers[1], &[], Some(r(2)));
+            for offset in [0, 4096] {
+                m.store(r(10), r(1), offset, Width::W8);
+                m.store(r(10), r(2), offset, Width::W8);
+            }
+        });
         m.ret(None);
         let main = m.finish();
         pb.finish(main)
@@ -517,8 +451,8 @@ mod tests {
         // Window 2 sees the new binary and swaps, two decayed windows into
         // the paged phase's stream.
         INSTALLED_GROUPS.take();
-        let report = serve(&[phase("steady", phased_program(2, 48), 1), paged.clone()], &config)
-            .expect("serve runs");
+        let report =
+            serve(&[phase("steady", fig2(48, 48), 1), paged.clone()], &config).expect("serve runs");
         let installed = INSTALLED_GROUPS.take();
 
         let halo = Halo::for_measurement(&config.halo, &config.measure);
@@ -550,8 +484,8 @@ mod tests {
     fn a_ref_seed_at_the_type_limit_wraps_instead_of_overflowing() {
         // Window 1 measures with `u64::MAX + 1`: a checked add panics in
         // this (overflow-checked) test profile.
-        let top = ServePhase { ref_seed: u64::MAX, ..phase("top", phased_program(2, 16), 2) };
-        let wrapped = ServePhase { ref_seed: 0, ..phase("wrapped", phased_program(2, 16), 1) };
+        let top = ServePhase { ref_seed: u64::MAX, ..phase("top", fig2(16, 16), 2) };
+        let wrapped = ServePhase { ref_seed: 0, ..phase("wrapped", fig2(16, 16), 1) };
         let report = serve(&[top], &serve_config()).expect("serve runs");
         let at_zero = serve(&[wrapped], &serve_config()).expect("serve runs");
         assert_eq!(report.rows.len(), 2);
@@ -566,7 +500,7 @@ mod tests {
 
     #[test]
     fn an_out_of_range_configuration_is_rejected_before_any_work() {
-        let phases = [phase("p", phased_program(2, 16), 1)];
+        let phases = [phase("p", fig2(16, 16), 1)];
         let rejection = |config: ServeConfig| -> String {
             let profiled = crate::pipeline::PROFILING_RUNS.get();
             let payload = std::panic::catch_unwind(|| serve(&phases, &config))
@@ -595,7 +529,7 @@ mod tests {
 
     #[test]
     fn the_ends_of_every_range_are_accepted() {
-        let phases = [phase("p", phased_program(2, 16), 1)];
+        let phases = [phase("p", fig2(16, 16), 1)];
         let max = ShardedHaloAllocator::MAX_SHARDS;
         let ends = [
             ServeConfig { decay: 0.0, ..serve_config() },

@@ -10,36 +10,23 @@
 //! producer panics. Every fan-out that could strand a consumer runs under
 //! a watchdog so a regression is a failed test, not a hung job.
 
-use halo_core::{
-    evaluate_with_arg, measure, par_map, thread_count, EvalConfig, Halo, HaloConfig, PipelineError,
-};
-use halo_graph::GroupingParams;
+use halo_core::{evaluate_with_arg, measure, par_map, thread_count, Halo, PipelineError};
 use halo_mem::SizeClassAllocator;
-use halo_vm::{Cond, EngineLimits, Program, ProgramBuilder, Reg, VmError, Width};
+use halo_vm::{Cond, EngineLimits, Program, ProgramBuilder, VmError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 use std::time::Duration;
 
-fn r(n: u8) -> Reg {
-    Reg(n)
-}
+#[allow(dead_code)] // each suite uses its own part
+mod common;
+use common::{counted, fig2_eval, fig2_main, r};
 
-/// Hot A/B interleaved with cold C through three distinct call sites in
-/// `main` (so the pipeline instruments `main`), then `depth` nested calls,
-/// a `spin`-iteration busy loop, and finally `1 / entry_arg`.
+/// Fig. 2's hot A/B and cold C from three distinct call sites in `main`
+/// (so the pipeline instruments `main`), then `depth` nested calls, a
+/// `spin`-iteration busy loop, and finally `1 / entry_arg`.
 fn program(depth: i64, spin: i64) -> Program {
     let mut pb = ProgramBuilder::new();
-    let mk_a = pb.declare("mk_a");
-    let mk_b = pb.declare("mk_b");
-    let mk_c = pb.declare("mk_c");
     let dive = pb.declare("dive");
-    for f in [mk_a, mk_b, mk_c] {
-        let mut fb = pb.define(f);
-        fb.imm(r(0), 24);
-        fb.malloc(r(0), r(1));
-        fb.ret(Some(r(1)));
-        fb.finish();
-    }
     {
         // dive(n): n nested frames.
         let mut fb = pb.define(dive);
@@ -52,71 +39,16 @@ fn program(depth: i64, spin: i64) -> Program {
         fb.ret(None);
         fb.finish();
     }
-    let mut m = pb.function("main");
-    m.mov(r(15), r(0)); // the entry argument: the final divisor
-    m.imm(r(9), 0);
-    m.imm(r(10), 0);
-    m.imm(r(11), 128);
-    let top = m.label();
-    let done = m.label();
-    m.bind(top);
-    m.branch(Cond::Ge, r(10), r(11), done);
-    m.call(mk_a, &[], Some(r(1)));
-    m.store(r(9), r(1), 0, Width::W8);
-    m.mov(r(9), r(1));
-    m.call(mk_b, &[], Some(r(2)));
-    m.store(r(9), r(2), 0, Width::W8);
-    m.mov(r(9), r(2));
-    m.call(mk_c, &[], Some(r(3)));
-    m.store(r(10), r(3), 8, Width::W8);
-    m.add_imm(r(10), r(10), 1);
-    m.jump(top);
-    m.bind(done);
-    m.imm(r(12), 0);
-    m.imm(r(14), 20);
-    let sweep = m.label();
-    let sdone = m.label();
-    m.bind(sweep);
-    m.branch(Cond::Ge, r(12), r(14), sdone);
-    m.mov(r(6), r(9));
-    let walk = m.label();
-    let wdone = m.label();
-    m.bind(walk);
-    m.branch(Cond::Eq, r(6), r(13), wdone);
-    m.load(r(7), r(6), 8, Width::W8);
-    m.load(r(6), r(6), 0, Width::W8);
-    m.jump(walk);
-    m.bind(wdone);
-    m.add_imm(r(12), r(12), 1);
-    m.jump(sweep);
-    m.bind(sdone);
+    let mut m = fig2_main(&mut pb, 128, 20);
     m.imm(r(16), depth);
     m.call(dive, &[r(16)], None);
-    m.imm(r(17), 0);
     m.imm(r(18), spin);
-    let stop = m.label();
-    let sstop = m.label();
-    m.bind(stop);
-    m.branch(Cond::Ge, r(17), r(18), sstop);
-    m.add_imm(r(17), r(17), 1);
-    m.jump(stop);
-    m.bind(sstop);
+    counted(&mut m, r(17), r(18), |_| {});
     m.imm(r(19), 1);
-    m.div(r(19), r(19), r(15));
+    m.div(r(19), r(19), r(0));
     m.ret(None);
     let main = m.finish();
     pb.finish(main)
-}
-
-fn grouping_config(extras: &[&'static str]) -> EvalConfig {
-    EvalConfig {
-        halo: HaloConfig {
-            grouping: GroupingParams { min_weight: 2, ..Default::default() },
-            ..Default::default()
-        },
-        extras: extras.to_vec(),
-        ..Default::default()
-    }
 }
 
 #[test]
@@ -127,7 +59,7 @@ fn the_pipelines_error_outranks_every_measurements() {
     // first stage of the list, as the serial chain always did, whichever
     // job failed first in time (a measurement, here: it traps sooner).
     let p = program(32, 1_000_000);
-    let mut cfg = grouping_config(&["halo-sharded", "random", "ptmalloc"]);
+    let mut cfg = fig2_eval(&["halo-sharded", "random", "ptmalloc"]);
     cfg.halo.limits = EngineLimits { max_instructions: 100_000, max_call_depth: 64 };
     cfg.measure.limits = EngineLimits { max_instructions: 50_000_000, max_call_depth: 16 };
     cfg.measure.entry_arg = 1;
@@ -146,7 +78,7 @@ fn a_ref_only_trap_reports_the_baselines_error_not_a_later_backends() {
     // first backend (the baseline) decides, and its last enabled one
     // (`halo-sharded`, on the rewritten binary) must not.
     let p = program(0, 0);
-    let mut cfg = grouping_config(&["halo-sharded"]);
+    let mut cfg = fig2_eval(&["halo-sharded"]);
     cfg.measure.entry_arg = 0;
     let original = measure(&p, &mut SizeClassAllocator::new(), &cfg.measure)
         .expect_err("the ref input divides by zero");

@@ -21,7 +21,7 @@
 //! nodes added after finalisation, loops at exactly `min_weight`, a
 //! build-phase source — with `group(&g)` leaving `g` untouched.
 
-use halo_graph::{group, AffinityGraph, GroupingParams, NodeId, SubGraph};
+use halo_graph::{group, AffinityGraph, Group, GroupingParams, NodeId, SubGraph};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -377,6 +377,29 @@ fn build_pair(
     (g, r)
 }
 
+/// `ours`, `group`'s output, is the reference grouping of `r`: the same
+/// groups in the same order, members in accretion order.
+fn assert_reference_grouping(ours: &[Group], r: &RefGraph, params: &GroupingParams) {
+    let theirs = ref_group(r, params);
+    assert_eq!(ours.len(), theirs.len(), "group count");
+    for (got, want) in ours.iter().zip(&theirs) {
+        assert_eq!(got.members, want.0, "members (accretion order)");
+        assert_eq!(got.weight, want.1, "group weight");
+        assert_eq!(got.accesses, want.2, "group accesses");
+    }
+}
+
+/// Grouping parameters with no threshold and no cap.
+fn params(min_weight: u64, max_group_members: usize, tol_permille: u64) -> GroupingParams {
+    GroupingParams {
+        min_weight,
+        max_group_members,
+        merge_tolerance: tol_permille as f64 / 1000.0,
+        group_threshold: 0.0,
+        max_groups: None,
+    }
+}
+
 fn assert_same_edges(g: &AffinityGraph, r: &RefGraph, what: &str) {
     assert_eq!(g.edges().collect::<Vec<_>>(), r.edges(), "{what}: edge lists differ");
     assert_eq!(g.edge_count(), r.edges().len(), "{what}: edge counts differ");
@@ -447,20 +470,11 @@ proptest! {
     ) {
         let (g, r) = build_pair(&accesses, &edges, finalise_at);
         let params = GroupingParams {
-            min_weight,
-            max_group_members: max_members,
-            merge_tolerance: tol_permille as f64 / 1000.0,
             group_threshold: thresh_permille as f64 / 1000.0,
-            max_groups: if cap == 0 { None } else { Some(cap) },
+            max_groups: (cap > 0).then_some(cap),
+            ..params(min_weight, max_members, tol_permille)
         };
-        let ours = group(&g, &params);
-        let theirs = ref_group(&r, &params);
-        assert_eq!(ours.len(), theirs.len(), "group count");
-        for (got, want) in ours.iter().zip(&theirs) {
-            assert_eq!(got.members, want.0, "members (accretion order)");
-            assert_eq!(got.weight, want.1, "group weight");
-            assert_eq!(got.accesses, want.2, "group accesses");
-        }
+        assert_reference_grouping(&group(&g, &params), &r, &params);
     }
 
     #[test]
@@ -539,26 +553,14 @@ proptest! {
         }
         assert_eq!(g.is_finalised(), !build_phase);
 
-        let params = GroupingParams {
-            min_weight,
-            max_group_members: max_members,
-            merge_tolerance: tol_permille as f64 / 1000.0,
-            group_threshold: 0.0,
-            max_groups: None,
-        };
+        let params = params(min_weight, max_members, tol_permille);
         let before: Vec<_> = g.edges().collect();
         let ours = group(&g, &params);
         assert_eq!(g.is_finalised(), !build_phase, "group() must not change the store's phase");
         assert_eq!(g.edges().collect::<Vec<_>>(), before, "group() must not touch the graph");
         assert_same_edges(&g, &r, "after group()");
 
-        let theirs = ref_group(&r, &params);
-        assert_eq!(ours.len(), theirs.len(), "group count");
-        for (got, want) in ours.iter().zip(&theirs) {
-            assert_eq!(got.members, want.0, "members (accretion order)");
-            assert_eq!(got.weight, want.1, "group weight");
-            assert_eq!(got.accesses, want.2, "group accesses");
-        }
+        assert_reference_grouping(&ours, &r, &params);
 
         g.threshold_edges(min_weight);
         r.threshold_edges(min_weight);

@@ -915,37 +915,14 @@ mod tests {
     use crate::selector::GroupSelector;
     use halo_graph::GroupPlan;
 
-    fn site() -> CallSite {
-        CallSite::new(halo_vm::FuncId(0), 0)
-    }
-
-    /// Two groups: group 0 on bit 0, group 1 on bit 1.
-    fn two_group_table() -> SelectorTable {
-        SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        )
-    }
-
-    fn small_config() -> GroupAllocConfig {
-        GroupAllocConfig {
-            chunk_size: 8192,
-            max_spare_chunks: 1,
-            max_grouped_size: 4096,
-            slab_size: 8192 * 8,
-            ..GroupAllocConfig::default()
-        }
-    }
+    include!("../tests/common/fixtures.rs");
 
     fn setup() -> (HaloGroupAllocator, GroupState, Memory) {
-        (
-            HaloGroupAllocator::new(small_config(), two_group_table()),
-            GroupState::new(2),
-            Memory::new(),
-        )
+        setup_with(tiny_config())
+    }
+
+    fn setup_with(config: GroupAllocConfig) -> (HaloGroupAllocator, GroupState, Memory) {
+        (HaloGroupAllocator::new(config, two_group_table()), GroupState::new(2), Memory::new())
     }
 
     #[test]
@@ -969,7 +946,7 @@ mod tests {
         gs.clear(0);
         gs.set(1);
         let p1 = a.malloc(16, site(), &gs, &mut mem);
-        let cs = small_config().chunk_size;
+        let cs = tiny_config().chunk_size;
         assert_ne!(p0 & !(cs - 1), p1 & !(cs - 1), "different chunks");
         // Interleaving keeps each group contiguous.
         gs.clear(1);
@@ -1004,7 +981,7 @@ mod tests {
         gs.set(0);
         // 8192-byte chunks; 5 × 2048 forces a second chunk.
         let ptrs: Vec<u64> = (0..5).map(|_| a.malloc(2048, site(), &gs, &mut mem)).collect();
-        let cs = small_config().chunk_size;
+        let cs = tiny_config().chunk_size;
         let chunk0 = ptrs[0] & !(cs - 1);
         assert!(ptrs[..4].iter().all(|p| p & !(cs - 1) == chunk0));
         assert_ne!(ptrs[4] & !(cs - 1), chunk0);
@@ -1027,10 +1004,8 @@ mod tests {
 
     #[test]
     fn emptied_non_current_chunk_goes_spare_then_purges() {
-        let cfg = GroupAllocConfig { max_spare_chunks: 0, ..small_config() };
-        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
-        let mut gs = GroupState::new(2);
-        let mut mem = Memory::new();
+        let cfg = GroupAllocConfig { max_spare_chunks: 0, ..tiny_config() };
+        let (mut a, mut gs, mut mem) = setup_with(cfg);
         gs.set(0);
         // Fill chunk 1 fully, so chunk 2 becomes current.
         let big: Vec<u64> = (0..4).map(|_| a.malloc(2048, site(), &gs, &mut mem)).collect();
@@ -1067,8 +1042,8 @@ mod tests {
         gs.set(1);
         let p = a.malloc(16, site(), &gs, &mut mem);
         assert_eq!(
-            p & !(small_config().chunk_size - 1),
-            a_ptrs[0] & !(small_config().chunk_size - 1)
+            p & !(tiny_config().chunk_size - 1),
+            a_ptrs[0] & !(tiny_config().chunk_size - 1)
         );
         assert_eq!(a.stats().chunks_created, created_before);
     }
@@ -1144,11 +1119,8 @@ mod tests {
 
     #[test]
     fn sharded_reuse_recycles_holes_within_the_chunk() {
-        let cfg =
-            GroupAllocConfig { reuse_policy: ReusePolicy::ShardedFreeLists, ..small_config() };
-        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
-        let mut gs = GroupState::new(2);
-        let mut mem = Memory::new();
+        let cfg = GroupAllocConfig { reuse_policy: ReusePolicy::ShardedFreeLists, ..tiny_config() };
+        let (mut a, mut gs, mut mem) = setup_with(cfg);
         gs.set(0);
         let p1 = a.malloc(64, site(), &gs, &mut mem);
         let p2 = a.malloc(64, site(), &gs, &mut mem);
@@ -1170,10 +1142,8 @@ mod tests {
         // The leela scenario: allocate a burst, free all but one survivor,
         // allocate another burst. Bump marches on; sharding backfills.
         let run = |policy: ReusePolicy| {
-            let cfg = GroupAllocConfig { reuse_policy: policy, ..small_config() };
-            let mut a = HaloGroupAllocator::new(cfg, two_group_table());
-            let mut gs = GroupState::new(2);
-            let mut mem = Memory::new();
+            let cfg = GroupAllocConfig { reuse_policy: policy, ..tiny_config() };
+            let (mut a, mut gs, mut mem) = setup_with(cfg);
             gs.set(0);
             for _round in 0..4 {
                 let ptrs: Vec<u64> = (0..32).map(|_| a.malloc(48, site(), &gs, &mut mem)).collect();
@@ -1215,7 +1185,7 @@ mod tests {
 
     /// Group 0 on 8 KiB chunks, group 1 on 16 KiB chunks.
     fn mixed_chunk_alloc() -> HaloGroupAllocator {
-        let global = GroupAllocConfig { slab_size: 16384 * 8, ..small_config() };
+        let global = GroupAllocConfig { slab_size: 16384 * 8, ..tiny_config() };
         HaloGroupAllocator::with_group_configs(
             global,
             two_group_table(),
@@ -1250,7 +1220,7 @@ mod tests {
 
     #[test]
     fn per_group_reuse_policies_are_independent() {
-        let global = small_config();
+        let global = tiny_config();
         let mut a = HaloGroupAllocator::with_group_configs(
             global,
             two_group_table(),
@@ -1278,7 +1248,7 @@ mod tests {
 
     #[test]
     fn per_group_spare_budgets_are_independent() {
-        let global = small_config(); // budget 1
+        let global = tiny_config(); // budget 1
         let mut a = HaloGroupAllocator::with_group_configs(
             global,
             two_group_table(),
@@ -1309,7 +1279,7 @@ mod tests {
         // chunks below the request size: it must forward to the fallback
         // rather than overflow a chunk.
         let global =
-            GroupAllocConfig { max_grouped_size: 16384, slab_size: 16384 * 8, ..small_config() };
+            GroupAllocConfig { max_grouped_size: 16384, slab_size: 16384 * 8, ..tiny_config() };
         let mut a = HaloGroupAllocator::with_group_configs(
             global,
             two_group_table(),
@@ -1348,7 +1318,7 @@ mod tests {
 
     #[test]
     fn per_group_frag_reports_isolate_the_offender() {
-        let global = small_config();
+        let global = tiny_config();
         let mut a = HaloGroupAllocator::new(global, two_group_table());
         let mut gs = GroupState::new(2);
         let mut mem = Memory::new();
@@ -1380,7 +1350,7 @@ mod tests {
     fn homogeneous_overrides_match_the_plain_constructor() {
         // with_group_configs with every entry equal to the global config
         // must behave exactly like new(): same pointers, same stats.
-        let cfg = small_config();
+        let cfg = tiny_config();
         let mut plain = HaloGroupAllocator::new(cfg, two_group_table());
         let mut over =
             HaloGroupAllocator::with_group_configs(cfg, two_group_table(), vec![cfg, cfg]);
@@ -1528,7 +1498,7 @@ mod tests {
     fn region_may_end_on_the_chunks_last_granule() {
         let (mut a, mut gs, mut mem) = setup();
         gs.set(0);
-        let cs = small_config().chunk_size;
+        let cs = tiny_config().chunk_size;
         // 4088 + 4088 + 8 + 8 fill the 8 KiB chunk to its last byte.
         let ptrs: Vec<u64> =
             [4088, 4088, 8, 8].iter().map(|&n| a.malloc(n, site(), &gs, &mut mem)).collect();
@@ -1553,10 +1523,8 @@ mod tests {
     fn whole_chunk_regions_group_when_the_cap_is_lifted() {
         // Page granularity lifts `max_grouped_size`; a request of exactly
         // the chunk size then owns a whole chunk.
-        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..small_config() };
-        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
-        let mut gs = GroupState::new(2);
-        let mut mem = Memory::new();
+        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..tiny_config() };
+        let (mut a, mut gs, mut mem) = setup_with(cfg);
         gs.set(0);
         let cs = cfg.chunk_size;
         let p = a.malloc(cs, site(), &gs, &mut mem);
@@ -1583,10 +1551,8 @@ mod tests {
     fn sizes_without_a_granule_cell_forward_instead_of_overflowing() {
         // With the cap lifted to u64::MAX nothing above stops an absurd
         // request from reaching the rounding arithmetic.
-        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..small_config() };
-        let mut a = HaloGroupAllocator::new(cfg, two_group_table());
-        let mut gs = GroupState::new(2);
-        let mut mem = Memory::new();
+        let cfg = GroupAllocConfig { max_grouped_size: u64::MAX, ..tiny_config() };
+        let (mut a, mut gs, mut mem) = setup_with(cfg);
         gs.set(0);
         assert_eq!(size_tag(0), Some(1));
         assert_eq!(size_tag(u64::from(u32::MAX) - 1), Some(u32::MAX));
@@ -1628,7 +1594,7 @@ mod tests {
         // Inside the live region: off the granule grid, on it, and on its
         // last byte; then past the bump pointer, and in a page of the slab
         // no chunk covers yet.
-        for bad in [p + 1, p + 4, p + 8, p + 63, p + 64, p + small_config().chunk_size] {
+        for bad in [p + 1, p + 4, p + 8, p + 63, p + 64, p + tiny_config().chunk_size] {
             assert!(a.is_group_allocated(bad));
             a.free(bad, &mut mem);
             assert_eq!(a.realloc(bad, 0, site(), &GroupState::new(2), &mut mem), 0x10_0000_0000);
@@ -1644,7 +1610,7 @@ mod tests {
     fn the_last_chunk_of_a_slab_is_indexed_to_its_last_page() {
         let (mut a, mut gs, mut mem) = setup();
         gs.set(0);
-        let cfg = small_config();
+        let cfg = tiny_config();
         // Eight 8 KiB chunks fill the 64 KiB slab; the ninth opens a new one.
         let per_chunk = cfg.chunk_size / 2048;
         let ptrs: Vec<u64> = (0..cfg.slab_size / 2048 + per_chunk)
@@ -1669,7 +1635,7 @@ mod tests {
 
     #[test]
     fn free_finds_an_older_larger_chunk_after_the_plan_shrank_the_group() {
-        let global = GroupAllocConfig { slab_size: 16384 * 8, ..small_config() };
+        let global = GroupAllocConfig { slab_size: 16384 * 8, ..tiny_config() };
         let big = GroupAllocConfig { chunk_size: 16384, ..global };
         let small = GroupAllocConfig { chunk_size: 4096, ..global };
         let mut a = HaloGroupAllocator::with_group_configs(global, two_group_table(), vec![big]);
@@ -1726,7 +1692,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn invalid_override_chunk_size_panics() {
-        let cfg = small_config();
+        let cfg = tiny_config();
         let _ = HaloGroupAllocator::with_group_configs(
             cfg,
             two_group_table(),
@@ -1736,7 +1702,7 @@ mod tests {
 
     #[test]
     fn chunk_size_check_names_the_broken_rule() {
-        let cfg = small_config();
+        let cfg = tiny_config();
         assert_eq!(cfg.check_chunk_size(cfg.chunk_size), Ok(()));
         assert_eq!(cfg.check_chunk_size(0), Err("chunk size must be a power of two"));
         assert_eq!(cfg.check_chunk_size(12288), Err("chunk size must be a power of two"));
@@ -1762,7 +1728,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "slabs must hold whole chunks")]
     fn a_zero_slab_size_is_refused_at_construction() {
-        let config = GroupAllocConfig { slab_size: 0, ..small_config() };
+        let config = GroupAllocConfig { slab_size: 0, ..tiny_config() };
         let _ = HaloGroupAllocator::new(config, two_group_table());
     }
 }

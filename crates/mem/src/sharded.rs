@@ -770,33 +770,11 @@ mod tests {
     use super::*;
     use crate::selector::GroupSelector;
 
-    fn site() -> CallSite {
-        CallSite::new(halo_vm::FuncId(0), 0)
-    }
-
-    fn two_group_table() -> SelectorTable {
-        SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        )
-    }
-
-    fn small_config() -> GroupAllocConfig {
-        GroupAllocConfig {
-            chunk_size: 8192,
-            max_spare_chunks: 1,
-            max_grouped_size: 4096,
-            slab_size: 8192 * 8,
-            ..GroupAllocConfig::default()
-        }
-    }
+    include!("../tests/common/fixtures.rs");
 
     fn sharded(n: usize) -> (ShardedHaloAllocator, GroupState, Memory) {
         (
-            ShardedHaloAllocator::new(n, small_config(), two_group_table(), Vec::new()),
+            ShardedHaloAllocator::new(n, tiny_config(), two_group_table(), Vec::new()),
             GroupState::new(2),
             Memory::new(),
         )
@@ -962,7 +940,7 @@ mod tests {
         // The differential identity in miniature (the property test in
         // tests/property_invariants.rs replays randomized traces).
         let (a, mut gs, mut mem_a) = sharded(1);
-        let mut plain = HaloGroupAllocator::new(small_config(), two_group_table());
+        let mut plain = HaloGroupAllocator::new(tiny_config(), two_group_table());
         let mut mem_b = Memory::new();
         gs.set(0);
         for i in 0..32u64 {
@@ -1151,7 +1129,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_lock_recovers_without_wedging_other_threads() {
-        let mut owned = ShardedHaloAllocator::new(1, small_config(), two_group_table(), Vec::new());
+        let mut owned = ShardedHaloAllocator::new(1, tiny_config(), two_group_table(), Vec::new());
         owned.set_fault_injector(Arc::new(FaultInjector::new(
             FaultPlan::new(9).at(FaultSite::ShardPanic, 1),
         )));
@@ -1187,7 +1165,7 @@ mod tests {
 
     #[test]
     fn shard_degradation_aggregates_without_double_counting_injections() {
-        let mut owned = ShardedHaloAllocator::new(2, small_config(), two_group_table(), Vec::new());
+        let mut owned = ShardedHaloAllocator::new(2, tiny_config(), two_group_table(), Vec::new());
         owned.set_fault_injector(Arc::new(FaultInjector::new(
             FaultPlan::new(2).at(FaultSite::VmmReserve, 1),
         )));
@@ -1218,12 +1196,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        let _ = ShardedHaloAllocator::new(0, small_config(), two_group_table(), Vec::new());
+        let _ = ShardedHaloAllocator::new(0, tiny_config(), two_group_table(), Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "address layout")]
     fn absurd_shard_counts_trip_the_layout_guard() {
-        let _ = ShardedHaloAllocator::new(64, small_config(), two_group_table(), Vec::new());
+        let _ = ShardedHaloAllocator::new(64, tiny_config(), two_group_table(), Vec::new());
     }
 }

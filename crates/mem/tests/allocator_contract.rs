@@ -18,18 +18,22 @@
 //! * **A `realloc` that cannot be served returns 0** and leaves the old
 //!   region live and readable.
 //!
-//! A seeded stream drives each allocator against a `BTreeMap` model of the
-//! live set; regions are filled with a per-allocation byte pattern so any
-//! lost, torn or over-long copy shows.
+//! A seeded stream drives each allocator against the shared live-set
+//! model (`common::LiveSet`), which also rejects every overlapping or
+//! misaligned region; regions are filled with a per-allocation byte
+//! pattern so any lost, torn or over-long copy shows.
 
 use halo_mem::{
-    AllocatorStats, BoundaryTagAllocator, GroupAllocConfig, GroupSelector, HaloGroupAllocator,
-    RandomGroupAllocator, SelectorTable, ShardedHaloAllocator, SizeClassAllocator,
+    AllocatorStats, BoundaryTagAllocator, GroupAllocConfig, HaloGroupAllocator,
+    RandomGroupAllocator, ShardedHaloAllocator, SizeClassAllocator,
 };
 use halo_vm::{
     CallSite, FuncId, GroupState, MallocOnlyAllocator, Memory, SplitMix64, VmAllocator, PAGE_SIZE,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+
+mod common;
+use common::{small_config, two_group_table, LiveSet};
 
 /// Written into a region's slack (requested size up to the next 8-byte
 /// granule, which every allocator here leaves to the region) just before
@@ -40,10 +44,6 @@ const POISON: u8 = 0xFE;
 /// No allocator here has a span this large: a request for it cannot be
 /// served.
 const UNSERVABLE: u64 = 1 << 40;
-
-fn site(n: u32) -> CallSite {
-    CallSite::new(FuncId(0), n)
-}
 
 fn round8(size: u64) -> u64 {
     size.next_multiple_of(8)
@@ -82,50 +82,38 @@ fn random_size(rng: &mut SplitMix64) -> u64 {
     }
 }
 
-/// The stream's view of the heap: live regions by address, and addresses
-/// that were live once.
+/// The stream's view of the heap: the live set, each region with its
+/// pattern tag, and addresses that were live once.
 #[derive(Default)]
 struct Model {
-    /// `ptr → (requested size, pattern tag)`.
-    live: BTreeMap<u64, (u64, u64)>,
+    live: LiveSet<u64>,
     dead: Vec<u64>,
     next_tag: u64,
 }
 
 impl Model {
     fn size_at(&self, addr: u64) -> Option<u64> {
-        self.live.get(&addr).map(|&(size, _)| size)
+        self.live.get(addr).map(|&(size, _)| size)
     }
 
-    /// Enter a region the allocator just handed out, checking it overlaps
-    /// no live one, and fill it.
+    /// Enter a region the allocator just handed out, checking it is
+    /// aligned and overlaps no live one, and fill it.
     fn admit(&mut self, mem: &mut Memory, ptr: u64, size: u64, what: &str) {
         assert!(ptr != 0 && ptr.is_multiple_of(8), "{what}: bad pointer {ptr:#x}");
-        if let Some((&prev, &(prev_size, _))) = self.live.range(..=ptr).next_back() {
-            assert!(prev + prev_size <= ptr, "{what}: {ptr:#x} lies inside live {prev:#x}");
-        }
-        if let Some((&next, _)) = self.live.range(ptr..).next() {
-            assert!(ptr + size <= next, "{what}: {ptr:#x}+{size} runs into live {next:#x}");
-        }
         self.next_tag += 1;
         fill(mem, ptr, size, self.next_tag);
-        self.live.insert(ptr, (size, self.next_tag));
+        self.live.admit(ptr, size, self.next_tag, what);
     }
 
     fn retire(&mut self, ptr: u64) -> (u64, u64) {
         self.dead.push(ptr);
-        self.live.remove(&ptr).expect("the stream only retires live pointers")
-    }
-
-    fn pick_live(&self, rng: &mut SplitMix64) -> Option<u64> {
-        let n = rng.next_below(self.live.len().max(1) as u64) as usize;
-        self.live.keys().nth(n).copied()
+        self.live.retire(ptr)
     }
 
     /// An address with no live region starting at it: once-live, interior,
     /// misaligned, past the end, or wild.
     fn pick_non_live(&self, rng: &mut SplitMix64) -> u64 {
-        let near = self.pick_live(rng).map(|p| (p, self.live[&p].0));
+        let near = self.live.pick(rng).map(|p| (p, self.live.get(p).expect("picked").0));
         let candidates = [
             self.dead.get(rng.next_below(self.dead.len().max(1) as u64) as usize).copied(),
             near.map(|(p, _)| p + 1),
@@ -136,7 +124,7 @@ impl Model {
         let start = rng.next_below(candidates.len() as u64) as usize;
         (0..candidates.len())
             .filter_map(|i| candidates[(start + i) % candidates.len()])
-            .find(|a| !self.live.contains_key(a))
+            .find(|&a| self.live.get(a).is_none())
             .expect("0x1000 is never live")
     }
 
@@ -144,7 +132,7 @@ impl Model {
     /// nearby, once-live and wild address reads as what the model holds
     /// there — `None`, unless another region starts exactly on it.
     fn check_reader<A: VmAllocator + ?Sized>(&self, alloc: &A, mem: &Memory, what: &str) {
-        for (&ptr, &(size, tag)) in &self.live {
+        for (ptr, &(size, tag)) in self.live.iter() {
             assert_eq!(alloc.live_size(ptr), Some(size), "{what}: live {ptr:#x}");
             assert_pattern(mem, ptr, size, tag, what);
             for probe in [ptr + 1, ptr + 8, ptr + size, ptr + round8(size)] {
@@ -169,15 +157,16 @@ fn check_contract<A: VmAllocator + AllocatorStats>(
     let mut mem = Memory::new();
     let mut rng = SplitMix64::new(seed);
     let mut model = Model::default();
-    // Bit 0 / bit 1 / neither, and three call sites: the selector and the
-    // site allocators each route two thirds of the stream into groups.
+    // Neither bit / bit 0 / bit 1 / both, from four call sites: the
+    // selector routes three quarters of the stream into groups, the site
+    // allocators half.
     let route = |rng: &mut SplitMix64| {
-        let k = rng.next_below(3);
+        let k = rng.next_below(4);
         let mut gs = GroupState::new(2);
-        if k < 2 {
-            gs.set(k as u16);
+        for bit in (0..2u16).filter(|&bit| k >> bit & 1 == 1) {
+            gs.set(bit);
         }
-        (gs, site(k as u32))
+        (gs, CallSite::new(FuncId(0), k as u32))
     };
 
     for step in 0..3_000u64 {
@@ -192,15 +181,16 @@ fn check_contract<A: VmAllocator + AllocatorStats>(
                 assert_eq!(alloc.live_size(ptr), Some(size.max(1)), "{what}: fresh region");
             }
             45..=64 => {
-                if let Some(ptr) = model.pick_live(&mut rng) {
+                if let Some(ptr) = model.live.pick(&mut rng) {
+                    let (size, tag) = model.retire(ptr);
+                    assert_pattern(&mem, ptr, size, tag, &what);
                     alloc.free(ptr, &mut mem);
-                    model.retire(ptr);
                     assert_eq!(alloc.live_size(ptr), None, "{what}: freed {ptr:#x}");
                 }
             }
             65..=84 => {
-                let Some(ptr) = model.pick_live(&mut rng) else { continue };
-                let (old, tag) = model.live[&ptr];
+                let Some(ptr) = model.live.pick(&mut rng) else { continue };
+                let (old, tag) = *model.live.get(ptr).expect("picked");
                 let new = random_size(&mut rng);
                 mem.write_bytes(ptr + old, &vec![POISON; (round8(old) - old) as usize]);
                 let newp = alloc.realloc(ptr, new, at, &gs, &mut mem);
@@ -236,8 +226,8 @@ fn check_contract<A: VmAllocator + AllocatorStats>(
     // counts are now the model's.
     alloc.run_finished(&mut mem);
     let what = format!("{name} seed {seed} at rest");
-    let live = |m: &Model| (m.live.len(), m.live.values().map(|&(size, _)| size).sum::<u64>());
-    assert_eq!((alloc.live_objects(), alloc.live_bytes()), live(&model), "{what}");
+    let counts = |alloc: &A| (alloc.live_objects(), alloc.live_bytes());
+    assert_eq!(counts(&alloc), model.live.counts(), "{what}");
 
     // A non-live `realloc` lowers no live count.
     for _ in 0..16 {
@@ -245,35 +235,20 @@ fn check_contract<A: VmAllocator + AllocatorStats>(
         let stale = model.pick_non_live(&mut rng);
         let ptr = alloc.realloc(stale, 24, at, &gs, &mut mem);
         model.admit(&mut mem, ptr, 24, &what);
-        assert_eq!(alloc.live_objects(), model.live.len(), "{what}: realloc({stale:#x})");
+        assert_eq!(counts(&alloc), model.live.counts(), "{what}: realloc({stale:#x})");
     }
 
     // Growth that cannot be served: 0 comes back, nothing else changes.
-    let victims: Vec<u64> = model.live.keys().copied().step_by(7).collect();
+    let victims: Vec<u64> = model.live.iter().map(|(ptr, _)| ptr).step_by(7).collect();
     for ptr in victims {
         let (gs, at) = route(&mut rng);
         assert_eq!(alloc.realloc(ptr, UNSERVABLE, at, &gs, &mut mem), 0, "{what}: {ptr:#x}");
     }
-    let counts = (alloc.live_objects(), alloc.live_bytes());
-    assert_eq!(counts, live(&model), "{what}: an unserved realloc freed its region");
+    assert_eq!(counts(&alloc), model.live.counts(), "{what}: an unserved realloc freed its region");
     model.check_reader(&alloc, &mem, &what);
 }
 
 const SEEDS: [u64; 3] = [1, 0x5eed, 0xa11c_a7ed];
-
-fn small_config() -> GroupAllocConfig {
-    GroupAllocConfig { chunk_size: 65_536, slab_size: 65_536 * 64, ..GroupAllocConfig::default() }
-}
-
-fn two_group_table() -> SelectorTable {
-    SelectorTable::new(
-        vec![
-            GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-            GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-        ],
-        2,
-    )
-}
 
 #[test]
 fn size_class_allocator_honours_the_contract() {
@@ -305,16 +280,20 @@ fn random_group_allocator_honours_the_contract() {
 
 #[test]
 fn group_allocator_honours_the_contract_in_selector_and_site_mode() {
+    let grouped_and_not = |a: &HaloGroupAllocator| {
+        assert!(a.stats().grouped_allocs > 0 && a.stats().fallback_allocs > 0);
+    };
+    // 16 KiB chunks in eight-chunk slabs: slab roll-over within a stream.
+    let chunks_16k =
+        GroupAllocConfig { chunk_size: 16 * 1024, slab_size: 16 * 1024 * 8, ..small_config() };
     for seed in SEEDS {
-        let by_selector = HaloGroupAllocator::new(small_config(), two_group_table());
-        check_contract("group/selectors", by_selector, seed, |a| {
-            assert!(a.stats().grouped_allocs > 0 && a.stats().fallback_allocs > 0);
-        });
-        let sites = HashMap::from([(site(0), 0), (site(1), 1)]);
+        for (name, config) in [("group/selectors", small_config()), ("group/16k", chunks_16k)] {
+            let by_selector = HaloGroupAllocator::new(config, two_group_table());
+            check_contract(name, by_selector, seed, grouped_and_not);
+        }
+        let sites = HashMap::from([0, 1].map(|k| (CallSite::new(FuncId(0), k), k as usize)));
         let by_site = HaloGroupAllocator::with_site_groups(small_config(), sites);
-        check_contract("group/sites", by_site, seed, |a| {
-            assert!(a.stats().grouped_allocs > 0 && a.stats().fallback_allocs > 0);
-        });
+        check_contract("group/sites", by_site, seed, grouped_and_not);
     }
 }
 

@@ -21,46 +21,13 @@
 //! CI greps under pipefail (release mode, the `chaos` job).
 
 use halo_mem::{
-    AllocatorStats, FaultInjector, FaultPlan, FaultSite, GroupAllocConfig, GroupSelector,
-    HaloGroupAllocator, SelectorTable, ShardedHaloAllocator,
+    AllocatorStats, FaultInjector, FaultPlan, FaultSite, HaloGroupAllocator, ShardedHaloAllocator,
 };
-use halo_vm::{CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator};
-use proptest::prelude::{ProptestConfig, TestRunner};
-use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc, Mutex};
+use halo_vm::{GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator};
+use std::sync::Arc;
 
-/// Schedules per property loop; `HALO_PROPTEST_CASES` overrides it through
-/// the proptest runner's own reader (an invalid value warns once and
-/// falls back to `default`).
-fn cases(default: u32) -> u64 {
-    TestRunner::new(ProptestConfig::with_cases(default)).effective_cases().into()
-}
-
-fn site() -> CallSite {
-    CallSite::new(FuncId(0), 0)
-}
-
-fn two_group_table() -> SelectorTable {
-    SelectorTable::new(
-        vec![
-            GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-            GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-        ],
-        2,
-    )
-}
-
-/// Small chunks/slabs so chunk churn (and therefore the injected fault
-/// sites) is exercised by short traces.
-fn small_config() -> GroupAllocConfig {
-    GroupAllocConfig {
-        chunk_size: 8192,
-        max_spare_chunks: 1,
-        max_grouped_size: 4096,
-        slab_size: 8192 * 8,
-        ..GroupAllocConfig::default()
-    }
-}
+mod common;
+use common::{cases, churn, request, site, tiny_config, two_group_table, LiveSet, Storm};
 
 /// A randomized schedule over `sites`: each site independently gets no
 /// entry, an exact `site@n` entry, or a `site~p` rate entry.
@@ -76,61 +43,36 @@ fn random_plan(rng: &mut SplitMix64, sites: &[FaultSite]) -> FaultPlan {
     plan
 }
 
-/// The interval oracle: insert `[ptr, ptr + size)`, panicking if it
-/// overlaps any live region (a double hand-out).
-fn oracle_insert(live: &mut BTreeMap<u64, u64>, ptr: u64, size: u64) {
-    let size = size.max(1);
-    if let Some((&prev, &psz)) = live.range(..=ptr).next_back() {
-        assert!(prev + psz <= ptr, "region {ptr:#x}+{size} overlaps live {prev:#x}+{psz}");
-    }
-    if let Some((&next, _)) = live.range(ptr..).next() {
-        assert!(ptr + size <= next, "region {ptr:#x}+{size} overlaps live {next:#x}");
-    }
-    live.insert(ptr, size);
-}
-
-/// Drive one randomized trace (malloc/free/realloc mix) against `a`,
-/// then free every survivor. Returns the number of requests served.
-fn run_trace(a: &mut HaloGroupAllocator, rng: &mut SplitMix64, ops: u64) -> u64 {
+/// Drive one randomized trace (malloc/free/realloc mix) against `a`
+/// under the live-set model, then free every survivor.
+fn run_trace(a: &mut HaloGroupAllocator, rng: &mut SplitMix64, ops: u64) {
     let mut mem = Memory::new();
     let mut gs = GroupState::new(2);
-    let mut live: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut served = 0;
+    let mut live = LiveSet::<()>::default();
     for i in 0..ops {
-        gs.reset();
-        gs.set((i % 2) as u16);
-        match rng.next_below(4) {
-            // Mostly allocate: grouped sizes with a trickle above the cap
-            // so the fallback participates too.
-            0 | 1 => {
-                let size = if i % 23 == 0 { 5000 } else { 16 + rng.next_below(12) * 16 };
+        let size = request(i, 23, rng, &mut gs);
+        match (rng.next_below(4), live.pick(rng)) {
+            (2, Some(ptr)) => {
+                live.retire(ptr);
+                a.free(ptr, &mut mem);
+            }
+            (3, Some(ptr)) => {
+                live.retire(ptr);
+                let moved = a.realloc(ptr, size, site(), &gs, &mut mem);
+                assert_ne!(moved, 0, "continued service: realloc {i} was refused");
+                live.admit(moved, size, (), "chaos trace");
+            }
+            // Mostly allocate.
+            _ => {
                 let ptr = a.malloc(size, site(), &gs, &mut mem);
                 assert_ne!(ptr, 0, "continued service: request {i} was refused");
-                oracle_insert(&mut live, ptr, size);
-                served += 1;
-            }
-            2 => {
-                if let Some((&ptr, _)) = live.range(rng.next_u64()..).next() {
-                    live.remove(&ptr);
-                    a.free(ptr, &mut mem);
-                }
-            }
-            _ => {
-                if let Some((&ptr, _)) = live.range(rng.next_u64()..).next() {
-                    live.remove(&ptr);
-                    let size = 16 + rng.next_below(12) * 16;
-                    let moved = a.realloc(ptr, size, site(), &gs, &mut mem);
-                    assert_ne!(moved, 0, "continued service: realloc {i} was refused");
-                    oracle_insert(&mut live, moved, size);
-                    served += 1;
-                }
+                live.admit(ptr, size, (), "chaos trace");
             }
         }
     }
-    for &ptr in live.keys() {
+    for (ptr, _) in live.iter() {
         a.free(ptr, &mut mem);
     }
-    served
 }
 
 #[test]
@@ -140,7 +82,7 @@ fn randomized_schedules_degrade_but_never_leak() {
         let mut rng = SplitMix64::new(0xC0_FFEE ^ (case * 0x9E37));
         let plan = random_plan(&mut rng, &[FaultSite::VmmReserve, FaultSite::ChunkAlloc]);
         let injector = Arc::new(FaultInjector::new(plan.clone()));
-        let mut a = HaloGroupAllocator::new(small_config(), two_group_table());
+        let mut a = HaloGroupAllocator::new(tiny_config(), two_group_table());
         a.set_fault_injector(Arc::clone(&injector));
         run_trace(&mut a, &mut rng, 600);
         assert_eq!(a.live_bytes(), 0, "schedule {plan}: live bytes reach exactly zero");
@@ -160,7 +102,7 @@ fn randomized_schedules_degrade_but_never_leak() {
         // Deterministic replay: the same schedule over the same trace
         // fires identically.
         let replay = Arc::new(FaultInjector::new(plan.clone()));
-        let mut b = HaloGroupAllocator::new(small_config(), two_group_table());
+        let mut b = HaloGroupAllocator::new(tiny_config(), two_group_table());
         b.set_fault_injector(Arc::clone(&replay));
         let mut rng2 = SplitMix64::new(0xC0_FFEE ^ (case * 0x9E37));
         let _ = random_plan(&mut rng2, &[FaultSite::VmmReserve, FaultSite::ChunkAlloc]);
@@ -172,8 +114,6 @@ fn randomized_schedules_degrade_but_never_leak() {
 
 #[test]
 fn multithreaded_chaos_with_panicking_threads_never_leaks() {
-    const PRODUCERS: usize = 3;
-    const MALLOCS: u64 = 400;
     let cases = cases(32).div_ceil(4);
     for case in 0..cases {
         let mut rng = SplitMix64::new(0xBAD_5EED ^ (case * 0x51_F15E));
@@ -190,61 +130,16 @@ fn multithreaded_chaos_with_panicking_threads_never_leaks() {
             ],
         );
         let injector = Arc::new(FaultInjector::new(plan.clone()));
-        let mut owned = ShardedHaloAllocator::new(4, small_config(), two_group_table(), Vec::new());
+        let mut owned = ShardedHaloAllocator::new(4, tiny_config(), two_group_table(), Vec::new());
         owned.set_fault_injector(Arc::clone(&injector));
         let a = &owned;
-        let live: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
-        let mut panicked = 0u64;
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<u64>();
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let tx = tx.clone();
-                    let live = &live;
-                    scope.spawn(move || {
-                        let mut mem = Memory::new();
-                        let mut gs = GroupState::new(2);
-                        let mut rng = SplitMix64::new(case * 31 + p as u64);
-                        for i in 0..MALLOCS {
-                            gs.reset();
-                            gs.set((i % 2) as u16);
-                            let size =
-                                if i % 23 == 0 { 5000 } else { 16 + rng.next_below(12) * 16 };
-                            // May hit the injected ShardPanic *inside*
-                            // the shard lock: the pointer was never
-                            // handed out, so the oracle stays exact.
-                            let ptr = SyncVmAllocator::malloc(a, size, site(), &gs, &mut mem);
-                            assert_ne!(ptr, 0, "continued service under faults");
-                            oracle_insert(&mut live.lock().expect("oracle"), ptr, size);
-                            tx.send(ptr).expect("consumer alive");
-                        }
-                    })
-                })
-                .collect();
-            drop(tx);
-            let consumer = scope.spawn(|| {
-                let mut mem = Memory::new();
-                for ptr in rx {
-                    assert!(
-                        live.lock().expect("oracle").remove(&ptr).is_some(),
-                        "freeing {ptr:#x}, which was never handed out"
-                    );
-                    SyncVmAllocator::free(a, ptr, &mut mem);
-                }
-            });
-            for h in producers {
-                // An injected panic propagates to join; that is the
-                // *intended* failure of the faulted thread — the suite
-                // proves everyone else keeps going.
-                if h.join().is_err() {
-                    panicked += 1;
-                }
-            }
-            consumer.join().expect("the consumer never panics");
-        });
-        // Whatever was handed out was freed; a panicked malloc handed
-        // nothing out.
-        assert!(live.lock().expect("oracle").is_empty(), "schedule {plan}: oracle drained");
+        // An injected ShardPanic fires *inside* the shard lock: the
+        // pointer was never handed out, so the live set stays exact, and a
+        // panicked producer is the *intended* failure of the faulted
+        // thread — the suite proves everyone else keeps going.
+        let storm =
+            Storm { producers: 3, consumers: 1, mallocs: 400, cold_every: 23, seed: case * 31 };
+        let panicked = storm.run(a, |_, _| {}, |_| {});
         // Accounting is read while the chaos plan is still attached:
         // `injected_faults` is snapshotted from the live injector.
         let d = a.degrade_stats();
@@ -290,31 +185,9 @@ fn empty_plan_is_pointer_for_pointer_identical_to_no_injector() {
     // The byte-identity half of the acceptance bar, at the allocator
     // level: attaching an injector whose plan never fires must not change
     // a single returned address or counter.
-    let drive = |a: &mut HaloGroupAllocator| -> Vec<u64> {
-        let mut mem = Memory::new();
-        let mut gs = GroupState::new(2);
-        let mut rng = SplitMix64::new(42);
-        let mut ptrs = Vec::new();
-        let mut live = Vec::new();
-        for i in 0..500u64 {
-            gs.reset();
-            gs.set((i % 2) as u16);
-            let size = if i % 23 == 0 { 5000 } else { 16 + rng.next_below(12) * 16 };
-            let p = a.malloc(size, site(), &gs, &mut mem);
-            ptrs.push(p);
-            live.push(p);
-            if i % 3 == 0 {
-                let victim = live.swap_remove((rng.next_below(live.len() as u64)) as usize);
-                a.free(victim, &mut mem);
-            }
-        }
-        for p in live {
-            a.free(p, &mut mem);
-        }
-        ptrs
-    };
-    let mut plain = HaloGroupAllocator::new(small_config(), two_group_table());
-    let mut injected = HaloGroupAllocator::new(small_config(), two_group_table());
+    let drive = |a: &mut HaloGroupAllocator| churn(a, 500, 23, 42, |_| {});
+    let mut plain = HaloGroupAllocator::new(tiny_config(), two_group_table());
+    let mut injected = HaloGroupAllocator::new(tiny_config(), two_group_table());
     injected.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new(7))));
     assert_eq!(drive(&mut plain), drive(&mut injected), "address streams diverge");
     assert_eq!(plain.stats(), injected.stats());

@@ -18,23 +18,14 @@
 //! honours), default 48. A failure names the seed that replays it.
 
 use halo_mem::{
-    AllocatorStats, FragReport, GroupAllocConfig, GroupAllocStats, GroupSelector,
-    HaloGroupAllocator, ReusePolicy, SelectorTable, ShardedHaloAllocator, SizeClassAllocator, Vmm,
-    GROUP_SHARD_STRIDE, SIZE_CLASSES, SMALL_MAX,
+    AllocatorStats, FragReport, GroupAllocConfig, GroupAllocStats, HaloGroupAllocator, ReusePolicy,
+    ShardedHaloAllocator, SizeClassAllocator, Vmm, GROUP_SHARD_STRIDE, SIZE_CLASSES, SMALL_MAX,
 };
-use halo_vm::{
-    CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator, PAGE_SIZE,
-};
-use proptest::prelude::{ProptestConfig, TestRunner};
+use halo_vm::{GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-fn cases(default: u32) -> u64 {
-    TestRunner::new(ProptestConfig::with_cases(default)).effective_cases().into()
-}
-
-fn site() -> CallSite {
-    CallSite::new(FuncId(0), 0)
-}
+mod common;
+use common::{cases, site, two_group_table};
 
 // --- the reference bookkeeping ----------------------------------------------
 
@@ -429,16 +420,6 @@ impl RefGroup {
 }
 
 // --- request streams --------------------------------------------------------
-
-fn two_group_table() -> SelectorTable {
-    SelectorTable::new(
-        vec![
-            GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-            GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-        ],
-        2,
-    )
-}
 
 const SLAB: u64 = 16384 * 4;
 

@@ -14,10 +14,8 @@
 //! by the measuring thread itself are charged — libtest's supervisor
 //! thread may allocate concurrently and must not pollute the count.
 
-use halo_mem::{
-    AllocatorStats, GroupAllocConfig, GroupSelector, SelectorTable, ShardedHaloAllocator,
-};
-use halo_vm::{CallSite, FuncId, GroupState, Memory, SyncVmAllocator};
+use halo_mem::{AllocatorStats, GroupAllocConfig, ShardedHaloAllocator};
+use halo_vm::{GroupState, Memory, SyncVmAllocator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,6 +70,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
+mod common;
+use common::{site, small_config, two_group_table};
+
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
@@ -88,23 +89,12 @@ struct Heap {
 
 impl Heap {
     fn new() -> Heap {
-        let config = GroupAllocConfig {
-            chunk_size: 65_536,
-            slab_size: 65_536 * 64,
-            ..GroupAllocConfig::default()
-        };
-        let table = SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        );
+        let config = small_config();
         // Group 0 on smaller chunks than group 1, so both chunk sizes and
         // both reuse pools are in play.
         let plans = vec![GroupAllocConfig { chunk_size: 16_384, ..config }, config];
         Heap {
-            alloc: ShardedHaloAllocator::new(4, config, table, plans),
+            alloc: ShardedHaloAllocator::new(4, config, two_group_table(), plans),
             mem: Memory::new(),
             gs: GroupState::new(2),
             backlog: [[0; ALLOCS_PER_REQUEST]; LOGICAL_THREADS],
@@ -122,7 +112,6 @@ impl Heap {
 
     fn request(&mut self, request: usize) {
         let thread = request % LOGICAL_THREADS;
-        let site = CallSite::new(FuncId(0), 0);
         let mut fresh = [0; ALLOCS_PER_REQUEST];
         SyncVmAllocator::thread_switched(&self.alloc, thread as u16);
         for (i, slot) in fresh.iter_mut().enumerate() {
@@ -134,7 +123,7 @@ impl Heap {
                 self.gs.set((i % 3) as u16);
             }
             let size = 16 * (1 + (i * 7 + request) as u64 % 12);
-            *slot = SyncVmAllocator::malloc(&self.alloc, size, site, &self.gs, &mut self.mem);
+            *slot = SyncVmAllocator::malloc(&self.alloc, size, site(), &self.gs, &mut self.mem);
         }
         self.free_slots(thread, 0);
         SyncVmAllocator::thread_switched(&self.alloc, ((request + 1) % LOGICAL_THREADS) as u16);

@@ -12,67 +12,18 @@
 //!   zero live bytes at join — old chunks retire through the ordinary
 //!   free machinery while new chunks carve under the new plan.
 
-use halo_mem::{
-    AllocatorStats, GroupAllocConfig, GroupSelector, HaloGroupAllocator, SelectorTable,
-    ShardedHaloAllocator,
-};
-use halo_vm::{CallSite, FuncId, GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator};
-use std::collections::HashSet;
+use halo_mem::{AllocatorStats, GroupAllocConfig, HaloGroupAllocator, ShardedHaloAllocator};
+use halo_vm::{GroupState, Memory, VmAllocator};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
 
-fn site() -> CallSite {
-    CallSite::new(FuncId(0), 0)
-}
+mod common;
+use common::{assert_drains, churn, site, small_config, two_group_table, Storm};
 
-fn two_group_table() -> SelectorTable {
-    SelectorTable::new(
-        vec![
-            GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-            GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-        ],
-        2,
-    )
-}
-
-fn small_config() -> GroupAllocConfig {
-    GroupAllocConfig { chunk_size: 65_536, slab_size: 65_536 * 64, ..GroupAllocConfig::default() }
-}
-
-/// One deterministic malloc/free round against `alloc`, returning the
-/// pointer stream. Mixed grouped/fallback traffic, a rotating free
-/// pattern so chunks retire and recycle, `swap` invoked halfway through.
-fn drive(alloc: &ShardedHaloAllocator, mut swap: impl FnMut(&ShardedHaloAllocator)) -> Vec<u64> {
-    let mut mem = Memory::new();
-    let mut gs = GroupState::new(2);
-    let mut rng = SplitMix64::new(0x91a7_50a9);
-    let mut stream = Vec::new();
-    let mut live = Vec::new();
-    for i in 0..4_000u64 {
-        if i == 2_000 {
-            // Free half the survivors first so the post-swap allocator
-            // sees spare chunks, then swap.
-            for p in live.drain(..1_000) {
-                alloc.free(p, &mut mem);
-            }
-            swap(alloc);
-        }
-        gs.reset();
-        gs.set((i % 2) as u16);
-        let size = if i % 97 == 0 { 5_000 } else { 16 + rng.next_below(12) * 16 };
-        let ptr = alloc.malloc(size, site(), &gs, &mut mem);
-        stream.push(ptr);
-        live.push(ptr);
-        if i % 3 == 0 {
-            let victim = live.swap_remove((rng.next_below(live.len() as u64)) as usize);
-            alloc.free(victim, &mut mem);
-        }
-    }
-    for p in live {
-        alloc.free(p, &mut mem);
-    }
-    alloc.drain_remote(&mut mem);
-    stream
+/// One deterministic malloc/free round against `alloc` (mixed grouped and
+/// fallback traffic, a rotating free pattern so chunks retire and
+/// recycle), `swap` invoked halfway through; the pointer stream.
+fn drive(alloc: &ShardedHaloAllocator, swap: impl FnMut(&mut &ShardedHaloAllocator)) -> Vec<u64> {
+    churn(&mut { alloc }, 4_000, 97, 0x91a7_50a9, swap)
 }
 
 #[test]
@@ -154,85 +105,28 @@ fn changed_plan_applies_to_fresh_chunks_only() {
     assert_eq!(a.live_bytes(), 0, "pre- and post-swap pointers all drain");
 }
 
-const PRODUCERS: usize = 4;
-const CONSUMERS: usize = 2;
-const MALLOCS_PER_PRODUCER: u64 = 10_000;
-
 #[test]
 fn swap_under_load_keeps_the_heap_exact() {
     let config = small_config();
     let alloc = ShardedHaloAllocator::new(4, config, two_group_table(), Vec::new());
-    let live: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
-    let freed = Mutex::new(0u64);
     let swapped = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..CONSUMERS).map(|_| mpsc::channel::<u64>()).unzip();
-        for p in 0..PRODUCERS {
-            let tx = senders[p % CONSUMERS].clone();
-            let (alloc, live, swapped) = (&alloc, &live, &swapped);
-            scope.spawn(move || {
-                let mut mem = Memory::new();
-                let mut gs = GroupState::new(2);
-                let mut rng = SplitMix64::new(p as u64 * 131 + 7);
-                for i in 0..MALLOCS_PER_PRODUCER {
-                    if p == 0 && i == MALLOCS_PER_PRODUCER / 2 {
-                        // Producer 0 doubles as the serve loop: swap the
-                        // whole fleet onto a different plan mid-storm.
-                        alloc.swap_plans(
-                            two_group_table(),
-                            vec![
-                                GroupAllocConfig { chunk_size: 16_384, ..config },
-                                GroupAllocConfig { chunk_size: 131_072, ..config },
-                            ],
-                        );
-                        swapped.store(true, Ordering::Release);
-                    }
-                    gs.reset();
-                    gs.set((i % 2) as u16);
-                    let size = if i % 97 == 0 { 5_000 } else { 16 + rng.next_below(12) * 16 };
-                    let ptr = alloc.malloc(size, site(), &gs, &mut mem);
-                    assert!(
-                        live.lock().expect("live set").insert(ptr),
-                        "pointer {ptr:#x} handed out while still live (double hand-out)"
-                    );
-                    tx.send(ptr).expect("consumer alive");
-                }
-            });
+    let storm = Storm { producers: 4, consumers: 2, mallocs: 10_000, cold_every: 97, seed: 7 };
+    let before = |p, i| {
+        if p == 0 && i == storm.mallocs / 2 {
+            // Producer 0 doubles as the serve loop: swap the whole fleet
+            // onto a different plan mid-storm.
+            alloc.swap_plans(
+                two_group_table(),
+                vec![
+                    GroupAllocConfig { chunk_size: 16_384, ..config },
+                    GroupAllocConfig { chunk_size: 131_072, ..config },
+                ],
+            );
+            swapped.store(true, Ordering::Release);
         }
-        drop(senders);
-        for rx in receivers {
-            let (alloc, live, freed) = (&alloc, &live, &freed);
-            scope.spawn(move || {
-                let mut mem = Memory::new();
-                let mut count = 0u64;
-                for ptr in rx {
-                    assert!(
-                        live.lock().expect("live set").remove(&ptr),
-                        "freeing a pointer that was never handed out"
-                    );
-                    alloc.free(ptr, &mut mem);
-                    count += 1;
-                }
-                *freed.lock().expect("freed count") += count;
-            });
-        }
-    });
-
+    };
+    assert_eq!(storm.run(&alloc, before, |_| {}), 0);
     assert!(swapped.load(Ordering::Acquire), "the mid-storm swap ran");
     assert_eq!(alloc.plan_epoch(), 1, "exactly one swap epoch");
-    let total = PRODUCERS as u64 * MALLOCS_PER_PRODUCER;
-    assert_eq!(*freed.lock().expect("freed count"), total, "every pointer freed exactly once");
-    assert!(live.lock().expect("live set").is_empty(), "no pointer remained live");
-
-    let mut mem = Memory::new();
-    alloc.drain_remote(&mut mem);
-    assert_eq!(alloc.remote_pending(), 0, "all remote-free queues drain across the epoch");
-    assert_eq!(alloc.live_bytes(), 0, "aggregate live bytes reach exactly zero");
-    assert_eq!(alloc.live_objects(), 0);
-    let stats = alloc.sharded_stats();
-    assert_eq!(stats.remote_drained, stats.remote_frees, "every queued free was applied");
-    assert_eq!(stats.alloc.grouped_allocs + stats.alloc.fallback_allocs, total);
-    assert_eq!(stats.alloc.grouped_frees + stats.alloc.fallback_frees, total);
+    assert_drains(&alloc, 4 * 10_000);
 }

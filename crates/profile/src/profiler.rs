@@ -374,7 +374,9 @@ impl Monitor for Profiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, ProgramBuilder, Reg, Width};
+    use halo_vm::{
+        Engine, EngineLimits, FunctionBuilder, MallocOnlyAllocator, ProgramBuilder, Reg, Width,
+    };
 
     fn r(n: u8) -> Reg {
         Reg(n)
@@ -445,6 +447,20 @@ mod tests {
         m.ret(None);
         let main = m.finish();
         pb.finish(main)
+    }
+
+    /// A program of `main` alone, as `body` emits it.
+    fn main_only(body: impl FnOnce(&mut FunctionBuilder)) -> halo_vm::Program {
+        let mut pb = ProgramBuilder::new();
+        let mut m = pb.function("main");
+        body(&mut m);
+        let main = m.finish();
+        pb.finish(main)
+    }
+
+    /// Page granularity, every context kept.
+    fn page_mode() -> ProfileConfig {
+        ProfileConfig { keep_fraction: 1.0, granularity: Granularity::Page, ..Default::default() }
     }
 
     fn profile(p: &halo_vm::Program, cfg: ProfileConfig) -> Profile {
@@ -591,17 +607,15 @@ mod tests {
 
     #[test]
     fn realloc_moves_object_identity() {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 16);
-        m.malloc(r(0), r(1));
-        m.store(r(0), r(1), 0, Width::W8);
-        m.imm(r(2), 64);
-        m.realloc(r(1), r(2), r(3));
-        m.store(r(0), r(3), 0, Width::W8);
-        m.ret(None);
-        let main = m.finish();
-        let p = pb.finish(main);
+        let p = main_only(|m| {
+            m.imm(r(0), 16);
+            m.malloc(r(0), r(1));
+            m.store(r(0), r(1), 0, Width::W8);
+            m.imm(r(2), 64);
+            m.realloc(r(1), r(2), r(3));
+            m.store(r(0), r(3), 0, Width::W8);
+            m.ret(None);
+        });
         let profile = profile(&p, ProfileConfig { keep_fraction: 1.0, ..Default::default() });
         // Two contexts (malloc site, realloc site), each with one access.
         assert_eq!(profile.contexts.len(), 2);
@@ -611,14 +625,12 @@ mod tests {
 
     #[test]
     fn oversized_objects_are_not_tracked() {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 100_000);
-        m.malloc(r(0), r(1));
-        m.store(r(0), r(1), 0, Width::W8);
-        m.ret(None);
-        let main = m.finish();
-        let p = pb.finish(main);
+        let p = main_only(|m| {
+            m.imm(r(0), 100_000);
+            m.malloc(r(0), r(1));
+            m.store(r(0), r(1), 0, Width::W8);
+            m.ret(None);
+        });
         let profile = profile(&p, ProfileConfig { keep_fraction: 1.0, ..Default::default() });
         assert_eq!(profile.total_allocs, 1);
         assert_eq!(profile.total_accesses, 0, "accesses to untracked objects ignored");
@@ -629,28 +641,26 @@ mod tests {
     /// object granularity, but the page graph sees a context whose pages
     /// are mutually affinitive (the roms shape, §6).
     fn huge_array_program() -> halo_vm::Program {
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 100_000);
-        m.malloc(r(0), r(1));
-        // Walk the array at a 4 KiB + 8 stride so consecutive accesses
-        // land on different pages (same-page accesses would collapse into
-        // one macro-access).
-        m.imm(r(2), 0);
-        m.imm(r(3), 20);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(halo_vm::Cond::Ge, r(2), r(3), done);
-        m.mul_imm(r(4), r(2), 4104);
-        m.add(r(4), r(1), r(4));
-        m.load(r(5), r(4), 0, Width::W8);
-        m.add_imm(r(2), r(2), 1);
-        m.jump(top);
-        m.bind(done);
-        m.ret(None);
-        let main = m.finish();
-        pb.finish(main)
+        main_only(|m| {
+            m.imm(r(0), 100_000);
+            m.malloc(r(0), r(1));
+            // Walk the array at a 4 KiB + 8 stride so consecutive accesses
+            // land on different pages (same-page accesses would collapse into
+            // one macro-access).
+            m.imm(r(2), 0);
+            m.imm(r(3), 20);
+            let top = m.label();
+            let done = m.label();
+            m.bind(top);
+            m.branch(halo_vm::Cond::Ge, r(2), r(3), done);
+            m.mul_imm(r(4), r(2), 4104);
+            m.add(r(4), r(1), r(4));
+            m.load(r(5), r(4), 0, Width::W8);
+            m.add_imm(r(2), r(2), 1);
+            m.jump(top);
+            m.bind(done);
+            m.ret(None);
+        })
     }
 
     #[test]
@@ -665,12 +675,7 @@ mod tests {
     #[test]
     fn page_mode_sees_objects_above_the_tracked_cap() {
         let p = huge_array_program();
-        let cfg = ProfileConfig {
-            keep_fraction: 1.0,
-            granularity: halo_graph::Granularity::Page,
-            ..Default::default()
-        };
-        let profile = profile(&p, cfg);
+        let profile = profile(&p, page_mode());
         // Object granularity still ignores the 100 KB array entirely…
         assert_eq!(profile.total_accesses, 0);
         assert_eq!(profile.contexts[0].accesses, 0);
@@ -692,31 +697,24 @@ mod tests {
         // Two small objects in the same page, accessed alternately: at
         // object granularity that is two macro-accesses per round, at page
         // granularity the whole run collapses into a single macro-access.
-        let mut pb = ProgramBuilder::new();
-        let mut m = pb.function("main");
-        m.imm(r(0), 64);
-        m.malloc(r(0), r(1));
-        m.malloc(r(0), r(2));
-        m.imm(r(3), 0);
-        m.imm(r(4), 8);
-        let top = m.label();
-        let done = m.label();
-        m.bind(top);
-        m.branch(halo_vm::Cond::Ge, r(3), r(4), done);
-        m.load(r(5), r(1), 0, Width::W8);
-        m.load(r(5), r(2), 0, Width::W8);
-        m.add_imm(r(3), r(3), 1);
-        m.jump(top);
-        m.bind(done);
-        m.ret(None);
-        let main = m.finish();
-        let p = pb.finish(main);
-        let cfg = ProfileConfig {
-            keep_fraction: 1.0,
-            granularity: halo_graph::Granularity::Page,
-            ..Default::default()
-        };
-        let profile = profile(&p, cfg);
+        let p = main_only(|m| {
+            m.imm(r(0), 64);
+            m.malloc(r(0), r(1));
+            m.malloc(r(0), r(2));
+            m.imm(r(3), 0);
+            m.imm(r(4), 8);
+            let top = m.label();
+            let done = m.label();
+            m.bind(top);
+            m.branch(halo_vm::Cond::Ge, r(3), r(4), done);
+            m.load(r(5), r(1), 0, Width::W8);
+            m.load(r(5), r(2), 0, Width::W8);
+            m.add_imm(r(3), r(3), 1);
+            m.jump(top);
+            m.bind(done);
+            m.ret(None);
+        });
+        let profile = profile(&p, page_mode());
         assert_eq!(profile.total_accesses, 16, "object level: every alternation counts");
         assert_eq!(
             profile.total_page_accesses, 1,

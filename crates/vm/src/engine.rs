@@ -874,7 +874,7 @@ impl VmAllocator for MallocOnlyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
+    use crate::builder::{FunctionBuilder, ProgramBuilder};
     use crate::ids::{Cond, Width};
 
     fn r(n: u8) -> Reg {
@@ -905,6 +905,15 @@ mod tests {
         }
     }
 
+    /// A program of `main` alone, as `body` emits it.
+    fn main_only(body: impl FnOnce(&mut FunctionBuilder)) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        body(&mut f);
+        let main = f.finish();
+        pb.finish(main)
+    }
+
     fn run_program(p: &Program) -> (ExitStats, RecordingMonitor) {
         let mut alloc = MallocOnlyAllocator::new();
         let mut mon = RecordingMonitor::default();
@@ -914,11 +923,9 @@ mod tests {
 
     #[test]
     fn arithmetic_and_return_value() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 21).imm(r(1), 2).mul(r(2), r(0), r(1)).ret(Some(r(2)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 21).imm(r(1), 2).mul(r(2), r(0), r(1)).ret(Some(r(2)));
+        });
         let (stats, _) = run_program(&p);
         assert_eq!(stats.return_value, Some(42));
         assert_eq!(stats.instructions, 4);
@@ -927,20 +934,18 @@ mod tests {
     #[test]
     fn loops_branches_and_fuel_accounting() {
         // Sum 0..10 with a loop.
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        let top = f.label();
-        let done = f.label();
-        f.imm(r(0), 0).imm(r(1), 0).imm(r(2), 10);
-        f.bind(top);
-        f.branch(Cond::Ge, r(1), r(2), done);
-        f.add(r(0), r(0), r(1));
-        f.add_imm(r(1), r(1), 1);
-        f.jump(top);
-        f.bind(done);
-        f.ret(Some(r(0)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            let top = f.label();
+            let done = f.label();
+            f.imm(r(0), 0).imm(r(1), 0).imm(r(2), 10);
+            f.bind(top);
+            f.branch(Cond::Ge, r(1), r(2), done);
+            f.add(r(0), r(0), r(1));
+            f.add_imm(r(1), r(1), 1);
+            f.jump(top);
+            f.bind(done);
+            f.ret(Some(r(0)));
+        });
         let (stats, _) = run_program(&p);
         assert_eq!(stats.return_value, Some(45));
     }
@@ -969,13 +974,11 @@ mod tests {
 
     #[test]
     fn recursion_until_depth_limit_errors() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        let self_id = f.id();
-        f.call(self_id, &[], None);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            let self_id = f.id();
+            f.call(self_id, &[], None);
+            f.ret(None);
+        });
         let mut alloc = MallocOnlyAllocator::new();
         let mut mon = NullMonitor;
         let err = Engine::new(&p)
@@ -987,14 +990,12 @@ mod tests {
 
     #[test]
     fn infinite_loop_exhausts_fuel() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        let top = f.label();
-        f.bind(top);
-        f.jump(top);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            let top = f.label();
+            f.bind(top);
+            f.jump(top);
+            f.ret(None);
+        });
         let mut alloc = MallocOnlyAllocator::new();
         let err = Engine::new(&p)
             .with_limits(EngineLimits { max_instructions: 1000, max_call_depth: 16 })
@@ -1005,29 +1006,25 @@ mod tests {
 
     #[test]
     fn division_by_zero_traps_with_location() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 1).imm(r(1), 0).div(r(2), r(0), r(1)).ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 1).imm(r(1), 0).div(r(2), r(0), r(1)).ret(None);
+        });
         let mut alloc = MallocOnlyAllocator::new();
         let err = Engine::new(&p).run(&mut alloc, &mut NullMonitor).unwrap_err();
-        assert_eq!(err, VmError::DivisionByZero { at: CallSite::new(main, 2) });
+        assert_eq!(err, VmError::DivisionByZero { at: CallSite::new(FuncId(0), 2) });
     }
 
     #[test]
     fn heap_roundtrip_through_memory() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 64);
-        f.malloc(r(0), r(1));
-        f.imm(r(2), 7);
-        f.store(r(2), r(1), 16, Width::W4);
-        f.load(r(3), r(1), 16, Width::W4);
-        f.free(r(1));
-        f.ret(Some(r(3)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 64);
+            f.malloc(r(0), r(1));
+            f.imm(r(2), 7);
+            f.store(r(2), r(1), 16, Width::W4);
+            f.load(r(3), r(1), 16, Width::W4);
+            f.free(r(1));
+            f.ret(Some(r(3)));
+        });
         let (stats, mon) = run_program(&p);
         assert_eq!(stats.return_value, Some(7));
         assert_eq!(stats.allocs, 1);
@@ -1039,58 +1036,50 @@ mod tests {
 
     #[test]
     fn calloc_zeroes_memory() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 4).imm(r(1), 8);
-        f.calloc(r(0), r(1), r(2));
-        f.load(r(3), r(2), 24, Width::W8);
-        f.ret(Some(r(3)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 4).imm(r(1), 8);
+            f.calloc(r(0), r(1), r(2));
+            f.load(r(3), r(2), 24, Width::W8);
+            f.ret(Some(r(3)));
+        });
         let (stats, _) = run_program(&p);
         assert_eq!(stats.return_value, Some(0));
     }
 
     #[test]
     fn realloc_preserves_contents() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 8);
-        f.malloc(r(0), r(1));
-        f.imm(r(2), 0x1234);
-        f.store(r(2), r(1), 0, Width::W8);
-        f.imm(r(0), 128);
-        f.realloc(r(1), r(0), r(4));
-        f.load(r(5), r(4), 0, Width::W8);
-        f.ret(Some(r(5)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 8);
+            f.malloc(r(0), r(1));
+            f.imm(r(2), 0x1234);
+            f.store(r(2), r(1), 0, Width::W8);
+            f.imm(r(0), 128);
+            f.realloc(r(1), r(0), r(4));
+            f.load(r(5), r(4), 0, Width::W8);
+            f.ret(Some(r(5)));
+        });
         let (stats, _) = run_program(&p);
         assert_eq!(stats.return_value, Some(0x1234));
     }
 
     #[test]
     fn realloc_of_null_acts_as_malloc() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 16).imm(r(1), 0);
-        f.realloc(r(1), r(0), r(2));
-        f.ret(Some(r(2)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 16).imm(r(1), 0);
+            f.realloc(r(1), r(0), r(2));
+            f.ret(Some(r(2)));
+        });
         let (stats, _) = run_program(&p);
         assert!(stats.return_value.unwrap() >= MallocOnlyAllocator::BASE as i64);
     }
 
     #[test]
     fn free_null_is_noop() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 0);
-        f.free(r(0));
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 0);
+            f.free(r(0));
+            f.ret(None);
+        });
         let (stats, mon) = run_program(&p);
         assert_eq!(stats.frees, 0);
         assert!(!mon.events.iter().any(|e| e.starts_with("free")));
@@ -1120,13 +1109,11 @@ mod tests {
 
     #[test]
     fn indirect_call_to_garbage_traps() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 999);
-        f.call_indirect(r(0), &[], None);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 999);
+            f.call_indirect(r(0), &[], None);
+            f.ret(None);
+        });
         let mut alloc = MallocOnlyAllocator::new();
         let err = Engine::new(&p).run(&mut alloc, &mut NullMonitor).unwrap_err();
         assert!(matches!(err, VmError::BadIndirectTarget { value: 999, .. }));
@@ -1134,14 +1121,12 @@ mod tests {
 
     #[test]
     fn group_set_clear_visible_in_state() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.raw(Op::GroupSet(3));
-        f.raw(Op::GroupSet(9));
-        f.raw(Op::GroupClear(3));
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.raw(Op::GroupSet(3));
+            f.raw(Op::GroupSet(9));
+            f.raw(Op::GroupClear(3));
+            f.ret(None);
+        });
         let mut alloc = MallocOnlyAllocator::new();
         let mut engine = Engine::new(&p);
         engine.run(&mut alloc, &mut NullMonitor).unwrap();
@@ -1151,13 +1136,11 @@ mod tests {
 
     #[test]
     fn rand_is_deterministic_per_seed() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 1000);
-        f.rand(r(1), r(0));
-        f.ret(Some(r(1)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 1000);
+            f.rand(r(1), r(0));
+            f.ret(Some(r(1)));
+        });
         let run = |seed| {
             let mut alloc = MallocOnlyAllocator::new();
             Engine::new(&p).with_seed(seed).run(&mut alloc, &mut NullMonitor).unwrap().return_value
@@ -1196,16 +1179,14 @@ mod tests {
                 self.0.push(thread);
             }
         }
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.thread_switch(2);
-        f.imm(r(0), 8);
-        f.malloc(r(0), r(1));
-        f.thread_switch(0);
-        f.free(r(1));
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.thread_switch(2);
+            f.imm(r(0), 8);
+            f.malloc(r(0), r(1));
+            f.thread_switch(0);
+            f.free(r(1));
+            f.ret(None);
+        });
         let mut alloc =
             ThreadAware { inner: MallocOnlyAllocator::new(), switches: Vec::new(), finishes: 0 };
         let mut mon = ThreadMonitor(Vec::new());
@@ -1235,13 +1216,11 @@ mod tests {
                 self.0.lock().unwrap().live_size(ptr)
             }
         }
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 32);
-        f.malloc(r(0), r(1));
-        f.ret(Some(r(1)));
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.imm(r(0), 32);
+            f.malloc(r(0), r(1));
+            f.ret(Some(r(1)));
+        });
         let shared = Locked(std::sync::Mutex::new(MallocOnlyAllocator::new()));
         let mut h1 = &shared;
         let mut h2 = &shared;
@@ -1252,12 +1231,10 @@ mod tests {
 
     #[test]
     fn compute_counts_instructions() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.compute(100);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
+        let p = main_only(|f| {
+            f.compute(100);
+            f.ret(None);
+        });
         let (stats, _) = run_program(&p);
         // Compute(100) = 100 instructions, plus the Ret.
         assert_eq!(stats.instructions, 101);
@@ -1269,6 +1246,15 @@ mod tests {
     struct BatchProbe {
         accesses: Vec<(u64, u8, bool)>,
         batches: Vec<usize>,
+    }
+
+    impl BatchProbe {
+        /// Run `p` within `limits` under a fresh probe.
+        fn run(p: &Program, limits: EngineLimits) -> (Result<ExitStats, VmError>, BatchProbe) {
+            let mut probe = BatchProbe::default();
+            let mut alloc = MallocOnlyAllocator::new();
+            (Engine::new(p).with_limits(limits).run(&mut alloc, &mut probe), probe)
+        }
     }
 
     impl Monitor for BatchProbe {
@@ -1285,26 +1271,23 @@ mod tests {
     #[test]
     fn batches_fill_to_capacity_and_flush_on_exit() {
         let n: i64 = AccessBatch::CAPACITY as i64 * 2 + 5;
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 64);
-        f.malloc(r(0), r(1));
-        f.imm(r(2), 0);
-        f.imm(r(3), n);
-        let top = f.label();
-        let done = f.label();
-        f.bind(top);
-        f.branch(Cond::Ge, r(2), r(3), done);
-        f.load(r(4), r(1), 0, Width::W8);
-        f.add_imm(r(2), r(2), 1);
-        f.jump(top);
-        f.bind(done);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let mut probe = BatchProbe::default();
-        Engine::new(&p).run(&mut alloc, &mut probe).expect("runs");
+        let p = main_only(|f| {
+            f.imm(r(0), 64);
+            f.malloc(r(0), r(1));
+            f.imm(r(2), 0);
+            f.imm(r(3), n);
+            let top = f.label();
+            let done = f.label();
+            f.bind(top);
+            f.branch(Cond::Ge, r(2), r(3), done);
+            f.load(r(4), r(1), 0, Width::W8);
+            f.add_imm(r(2), r(2), 1);
+            f.jump(top);
+            f.bind(done);
+            f.ret(None);
+        });
+        let (run, probe) = BatchProbe::run(&p, EngineLimits::default());
+        run.expect("runs");
         assert_eq!(probe.accesses.len(), n as usize);
         assert!(probe.accesses.iter().all(|&(_, w, s)| w == 8 && !s));
         // Two full batches, then the remainder flushed before on_return.
@@ -1370,9 +1353,8 @@ mod tests {
         h.ret(None);
         h.finish();
         let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let mut probe = BatchProbe::default();
-        let err = Engine::new(&p).run(&mut alloc, &mut probe).unwrap_err();
+        let (run, probe) = BatchProbe::run(&p, EngineLimits::default());
+        let err = run.unwrap_err();
         assert_eq!(err, VmError::DivisionByZero { at: CallSite::new(outer, 3) });
         let base = MallocOnlyAllocator::BASE;
         assert_eq!(probe.accesses, vec![(base, 8, false), (base + 8, 4, false)]);
@@ -1382,23 +1364,18 @@ mod tests {
     /// Running out of fuel delivers every access retired before the limit.
     #[test]
     fn fuel_exhaustion_flushes_buffered_accesses() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 64);
-        f.malloc(r(0), r(1));
-        let top = f.label();
-        f.bind(top);
-        f.load(r(2), r(1), 0, Width::W8);
-        f.jump(top);
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let mut probe = BatchProbe::default();
-        let err = Engine::new(&p)
-            .with_limits(EngineLimits { max_instructions: 100, max_call_depth: 16 })
-            .run(&mut alloc, &mut probe)
-            .unwrap_err();
+        let p = main_only(|f| {
+            f.imm(r(0), 64);
+            f.malloc(r(0), r(1));
+            let top = f.label();
+            f.bind(top);
+            f.load(r(2), r(1), 0, Width::W8);
+            f.jump(top);
+            f.ret(None);
+        });
+        let limits = EngineLimits { max_instructions: 100, max_call_depth: 16 };
+        let (run, probe) = BatchProbe::run(&p, limits);
+        let err = run.unwrap_err();
         assert_eq!(err, VmError::FuelExhausted);
         // Instructions 3, 5, …, 99 are the loads; the 101st op never runs.
         assert_eq!(probe.batches, vec![49]);

@@ -222,38 +222,36 @@ mod tests {
         }
     }
 
-    fn ret_fn(name: &str) -> Function {
-        Function { name: name.into(), external: false, argc: 0, code: vec![Op::Ret(None)] }
+    fn function(name: &str, code: Vec<Op>) -> Function {
+        Function { name: name.into(), external: false, argc: 0, code }
+    }
+
+    /// A program of one function, `f`, running `code`.
+    fn program(code: Vec<Op>) -> Program {
+        Program { functions: vec![function("f", code)], entry: FuncId(0) }
     }
 
     #[test]
     fn validate_accepts_minimal_program() {
-        let p = Program { functions: vec![ret_fn("main")], entry: FuncId(0) };
+        let p = program(vec![Op::Ret(None)]);
         assert!(p.validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_bad_entry() {
-        let p = Program { functions: vec![ret_fn("main")], entry: FuncId(7) };
+        let p = Program { entry: FuncId(7), ..program(vec![Op::Ret(None)]) };
         assert_eq!(p.validate(), Err(ValidationError::BadEntry(FuncId(7))));
     }
 
     #[test]
     fn validate_rejects_fallthrough() {
-        let f = Function { name: "f".into(), external: false, argc: 0, code: vec![Op::Nop] };
-        let p = Program { functions: vec![f], entry: FuncId(0) };
+        let p = program(vec![Op::Nop]);
         assert_eq!(p.validate(), Err(ValidationError::MissingReturn(FuncId(0))));
     }
 
     #[test]
     fn validate_rejects_bad_branch_target() {
-        let f = Function {
-            name: "f".into(),
-            external: false,
-            argc: 0,
-            code: vec![Op::Jump(9), Op::Ret(None)],
-        };
-        let p = Program { functions: vec![f], entry: FuncId(0) };
+        let p = program(vec![Op::Jump(9), Op::Ret(None)]);
         assert_eq!(
             p.validate(),
             Err(ValidationError::BadBranchTarget { func: FuncId(0), pc: 0, target: 9 })
@@ -262,49 +260,35 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_call_target() {
-        let f = Function {
-            name: "f".into(),
-            external: false,
-            argc: 0,
-            code: vec![Op::Call { func: FuncId(4), args: vec![], dst: None }, Op::Ret(None)],
-        };
-        let p = Program { functions: vec![f], entry: FuncId(0) };
+        let p = program(vec![Op::Call { func: FuncId(4), args: vec![], dst: None }, Op::Ret(None)]);
         assert!(matches!(p.validate(), Err(ValidationError::BadCallTarget { .. })));
     }
 
     #[test]
     fn validate_rejects_bad_register() {
-        let f = Function {
-            name: "f".into(),
-            external: false,
-            argc: 0,
-            code: vec![Op::Imm(Reg(200), 1), Op::Ret(None)],
-        };
-        let p = Program { functions: vec![f], entry: FuncId(0) };
+        let p = program(vec![Op::Imm(Reg(200), 1), Op::Ret(None)]);
         assert!(matches!(p.validate(), Err(ValidationError::BadRegister { .. })));
     }
 
     #[test]
     fn call_sites_enumeration() {
-        let f = Function {
-            name: "f".into(),
-            external: false,
-            argc: 0,
-            code: vec![
-                Op::Malloc { size: Reg(0), dst: Reg(1) },
-                Op::Nop,
-                Op::Free { ptr: Reg(1) },
-                Op::Ret(None),
-            ],
-        };
-        let p = Program { functions: vec![f], entry: FuncId(0) };
+        let p = program(vec![
+            Op::Malloc { size: Reg(0), dst: Reg(1) },
+            Op::Nop,
+            Op::Free { ptr: Reg(1) },
+            Op::Ret(None),
+        ]);
         let sites = p.call_sites();
         assert_eq!(sites, vec![CallSite::new(FuncId(0), 0), CallSite::new(FuncId(0), 2)]);
     }
 
     #[test]
     fn find_function_by_name() {
-        let p = Program { functions: vec![ret_fn("a"), ret_fn("b")], entry: FuncId(0) };
+        let ret = || vec![Op::Ret(None)];
+        let p = Program {
+            functions: vec![function("a", ret()), function("b", ret())],
+            entry: FuncId(0),
+        };
         assert_eq!(p.find_function("b"), Some(FuncId(1)));
         assert_eq!(p.find_function("zzz"), None);
     }

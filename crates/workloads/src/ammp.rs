@@ -105,18 +105,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use crate::tests::run_at_train_scale;
 
     #[test]
     fn ammp_builds_and_integrates() {
         let w = build();
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&w.program)
-            .with_seed(w.train.seed)
-            .with_entry_arg(w.train.arg)
-            .with_limits(EngineLimits { max_instructions: 200_000_000, max_call_depth: 64 })
-            .run(&mut alloc, &mut NullMonitor)
-            .expect("runs");
+        let stats = run_at_train_scale(&w);
         let n = w.train.arg as u64;
         assert_eq!(stats.allocs, 1 + 2 * n + NEIGHBOURS_PER_ATOM as u64 * (n - 1));
         assert!(stats.loads > 50_000);

@@ -177,18 +177,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use crate::tests::run_at_train_scale;
 
     #[test]
     fn health_admits_treats_and_discharges() {
         let w = build();
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&w.program)
-            .with_seed(w.train.seed)
-            .with_entry_arg(w.train.arg)
-            .with_limits(EngineLimits { max_instructions: 100_000_000, max_call_depth: 64 })
-            .run(&mut alloc, &mut NullMonitor)
-            .expect("runs");
+        let stats = run_at_train_scale(&w);
         // 3 allocations per admission (patient, cell, record) plus 2 per
         // emergency (~1/4 of steps) plus the two slot arrays.
         let n = w.train.arg as u64;

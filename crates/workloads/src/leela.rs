@@ -161,18 +161,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use crate::tests::run_at_train_scale;
 
     #[test]
     fn leela_searches_and_frees_most_nodes() {
         let w = build();
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&w.program)
-            .with_seed(w.train.seed)
-            .with_entry_arg(w.train.arg)
-            .with_limits(EngineLimits { max_instructions: 200_000_000, max_call_depth: 64 })
-            .run(&mut alloc, &mut NullMonitor)
-            .expect("runs");
+        let stats = run_at_train_scale(&w);
         let searches = (w.train.arg / ITERS_PER_SEARCH) as u64;
         let per_search = ITERS_PER_SEARCH as u64;
         // Node + board + sgf record per iteration, plus the registry.

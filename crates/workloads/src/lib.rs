@@ -98,20 +98,29 @@ pub fn by_name(name: &str) -> Option<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use halo_vm::{Engine, EngineLimits, ExitStats, MallocOnlyAllocator, NullMonitor};
+
+    /// Run `w` on its train input over the bump allocator, within 100M
+    /// instructions and 64 frames.
+    pub(crate) fn run_at_train_scale(w: &Workload) -> ExitStats {
+        Engine::new(&w.program)
+            .with_seed(w.train.seed)
+            .with_entry_arg(w.train.arg)
+            .with_limits(EngineLimits { max_instructions: 100_000_000, max_call_depth: 64 })
+            .run(&mut MallocOnlyAllocator::new(), &mut NullMonitor)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", w.name))
+    }
 
     #[test]
     fn every_workload_builds_and_runs_at_train_scale() {
         for w in all() {
-            let mut alloc = MallocOnlyAllocator::new();
-            let stats = Engine::new(&w.program)
-                .with_seed(w.train.seed)
-                .with_entry_arg(w.train.arg)
-                .with_limits(EngineLimits { max_instructions: 200_000_000, max_call_depth: 256 })
-                .run(&mut alloc, &mut NullMonitor)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", w.name));
+            let stats = run_at_train_scale(&w);
             assert!(stats.allocs > 0, "{} makes no allocations", w.name);
             assert!(stats.loads + stats.stores > 0, "{} makes no accesses", w.name);
+            // §5.1's selection criterion: heap-intensive, more than one
+            // heap allocation per million instructions.
+            let apmi = stats.allocs as f64 * 1e6 / stats.instructions as f64;
+            assert!(apmi > 1.0, "{}: {apmi:.2} allocs/M-instr", w.name);
         }
     }
 
@@ -141,22 +150,5 @@ mod tests {
                 "leela", "roms"
             ]
         );
-    }
-
-    #[test]
-    fn workloads_are_heap_intensive() {
-        // §5.1's selection criterion: more than one heap allocation per
-        // million instructions.
-        for w in all() {
-            let mut alloc = MallocOnlyAllocator::new();
-            let stats = Engine::new(&w.program)
-                .with_seed(w.train.seed)
-                .with_entry_arg(w.train.arg)
-                .with_limits(EngineLimits { max_instructions: 200_000_000, max_call_depth: 256 })
-                .run(&mut alloc, &mut NullMonitor)
-                .expect("runs");
-            let apmi = stats.allocs as f64 * 1e6 / stats.instructions as f64;
-            assert!(apmi > 1.0, "{}: {apmi:.2} allocs/M-instr", w.name);
-        }
     }
 }

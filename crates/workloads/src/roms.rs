@@ -152,18 +152,12 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use crate::tests::run_at_train_scale;
 
     #[test]
     fn roms_steps_allocate_and_free_work_arrays() {
         let w = build();
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&w.program)
-            .with_seed(w.train.seed)
-            .with_entry_arg(w.train.arg)
-            .with_limits(EngineLimits { max_instructions: 500_000_000, max_call_depth: 64 })
-            .run(&mut alloc, &mut NullMonitor)
-            .expect("runs");
+        let stats = run_at_train_scale(&w);
         let steps = w.train.arg as u64;
         assert_eq!(stats.allocs, 2 + 2 * NUM_GRIDS as u64 + steps * NUM_TEMPS as u64);
         assert_eq!(stats.frees, steps * NUM_TEMPS as u64);

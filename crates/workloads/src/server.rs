@@ -177,18 +177,13 @@ pub fn build() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, EngineLimits, MallocOnlyAllocator, NullMonitor};
+    use crate::tests::run_at_train_scale;
+    use halo_vm::{Engine, MallocOnlyAllocator};
 
     #[test]
     fn server_produces_consumes_and_drains() {
         let w = build();
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&w.program)
-            .with_seed(w.train.seed)
-            .with_entry_arg(w.train.arg)
-            .with_limits(EngineLimits { max_instructions: 200_000_000, max_call_depth: 64 })
-            .run(&mut alloc, &mut NullMonitor)
-            .expect("runs");
+        let stats = run_at_train_scale(&w);
         let rounds = w.train.arg as u64;
         // 2 cells + per round: 6 sessions (header + log + payload each).
         assert_eq!(stats.allocs, 2 + rounds * 18);

@@ -133,60 +133,58 @@ pub fn sweep_array(f: &mut FunctionBuilder, base: Reg, bytes: i64, cursor: Reg, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Engine, MallocOnlyAllocator, NullMonitor, ProgramBuilder};
+    use halo_vm::{Engine, ExitStats, MallocOnlyAllocator, NullMonitor, ProgramBuilder};
+
+    /// Run a program of `main` alone, as `body` emits it.
+    fn run_main(body: impl FnOnce(&mut FunctionBuilder)) -> ExitStats {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        body(&mut f);
+        let main = f.finish();
+        let p = pb.finish(main);
+        Engine::new(&p).run(&mut MallocOnlyAllocator::new(), &mut NullMonitor).unwrap()
+    }
 
     #[test]
     fn counted_loop_iterates_exactly() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(1), 7);
-        f.imm(r(2), 0);
-        counted_loop(&mut f, r(0), r(1), |f| {
-            f.add_imm(r(2), r(2), 3);
+        let stats = run_main(|f| {
+            f.imm(r(1), 7);
+            f.imm(r(2), 0);
+            counted_loop(f, r(0), r(1), |f| {
+                f.add_imm(r(2), r(2), 3);
+            });
+            f.ret(Some(r(2)));
         });
-        f.ret(Some(r(2)));
-        let main = f.finish();
-        let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&p).run(&mut alloc, &mut NullMonitor).unwrap();
         assert_eq!(stats.return_value, Some(21));
     }
 
     #[test]
     fn list_push_and_walk_roundtrip() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(9), 0); // head
-        f.imm(r(0), 16);
-        f.imm(r(1), 5);
-        counted_loop(&mut f, r(2), r(1), |f| {
-            f.malloc(r(0), r(3));
-            list_push(f, r(9), r(3));
+        let stats = run_main(|f| {
+            f.imm(r(9), 0); // head
+            f.imm(r(0), 16);
+            f.imm(r(1), 5);
+            counted_loop(f, r(2), r(1), |f| {
+                f.malloc(r(0), r(3));
+                list_push(f, r(9), r(3));
+            });
+            f.imm(r(4), 0); // count nodes
+            walk_list(f, r(9), r(5), |f| {
+                f.add_imm(r(4), r(4), 1);
+            });
+            f.ret(Some(r(4)));
         });
-        f.imm(r(4), 0); // count nodes
-        walk_list(&mut f, r(9), r(5), |f| {
-            f.add_imm(r(4), r(4), 1);
-        });
-        f.ret(Some(r(4)));
-        let main = f.finish();
-        let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&p).run(&mut alloc, &mut NullMonitor).unwrap();
         assert_eq!(stats.return_value, Some(5));
     }
 
     #[test]
     fn sweep_touches_every_word() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.function("main");
-        f.imm(r(0), 64);
-        f.malloc(r(0), r(1));
-        sweep_array(&mut f, r(1), 64, r(2), r(3));
-        f.ret(None);
-        let main = f.finish();
-        let p = pb.finish(main);
-        let mut alloc = MallocOnlyAllocator::new();
-        let stats = Engine::new(&p).run(&mut alloc, &mut NullMonitor).unwrap();
+        let stats = run_main(|f| {
+            f.imm(r(0), 64);
+            f.malloc(r(0), r(1));
+            sweep_array(f, r(1), 64, r(2), r(3));
+            f.ret(None);
+        });
         assert_eq!(stats.loads, 8);
     }
 }

@@ -206,6 +206,25 @@ shipped crates/hds/src/lib.rs | search -w 'site_groups' | count -eq 0
 # profiler.rs and trace.rs); an eighth is a body written twice.
 python3 "$here/repeats.py" . | search -vE '^ |repeated windows$' | count -le 7
 
+# -- Repeated test code -----------------------------------------------
+# The same count over the test halves (`--tests`): the Fig. 2 programs
+# are crates/core/tests/common/fig2.rs, the allocator fixtures and the
+# live-set model crates/mem/tests/common/, the workload runs one helper in
+# halo_workloads' lib tests. 25 windows are kept. Eight cross a line test
+# code cannot: another crate's tests (alt.rs / affinity.rs three-node
+# graphs, 2; the `main_only` builders of engine.rs / util.rs and
+# profiler.rs / fig2.rs, 3; pipeline.rs / profiler.rs one-object programs;
+# affinity.rs / profiler.rs fraction rejections) or a unit module's from an
+# integration suite's (sharded.rs / chaos_faults.rs grouped malloc). Four
+# are the move-to-front oracle under crates/cache/tests/reference/, which
+# spells out each recency walk. Thirteen are two- to four-statement setups
+# shared by two or three tests of one file: sharded.rs (3), group_alloc.rs,
+# grouping.rs, ident's lib.rs, metadata_reference.rs's two sides and two
+# free arms (2), profiler.rs's loop head, trace.rs's run, the empty
+# program of coallocatable_reference.rs / no_alloc_steady_state.rs (2),
+# and pipeline_end_to_end.rs. A 26th is a fixture written twice.
+python3 "$here/repeats.py" . --tests | search -vE '^ |repeated windows$' | count -le 25
+
 # -- Design citations -------------------------------------------------
 # Code, scripts and CI cite DESIGN.md by section number; every cited
 # section must be a `## §N` heading of DESIGN.md.

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Find code written twice, and count shipped lines.
 
-Usage: python3 scripts/repeats.py [ROOT] [--counts]
+Usage: python3 scripts/repeats.py [ROOT] [--counts] [--tests]
 
 Reads the shipped half of every `.rs` file under `crates/*/src` and
 `src/` (everything before the first line starting `mod tests`), drops
 blank and `//` comment lines, and strips indentation.
+
+`--tests`: read the test halves instead, by the same rules: everything
+after that `mod tests` line, and every `.rs` file under `crates/*/tests`
+and `tests/`.
 
 Default: print every 4-line window of statements that occurs more than
 once, with where. A window may not span a line that is only `}` at an
@@ -28,16 +32,21 @@ import sys
 WINDOW = 4
 
 
-def shipped(path):
+def half(path, part):
+    """The lines of `path` in `part`: "shipped", "tests" or "all"."""
     lines = []
     in_use = False
+    reading = part != "tests"
     with open(path, encoding="utf-8") as f:
         for number, raw in enumerate(f, 1):
             line = raw.strip()
             indent = len(raw) - len(raw.lstrip())
-            if line.startswith("mod tests"):
-                break
-            if not line or line.startswith("//"):
+            if line.startswith("mod tests") and part != "all":
+                if part == "shipped":
+                    break
+                reading = True
+                continue
+            if not reading or not line or line.startswith("//"):
                 continue
             is_use = in_use or line.startswith(("use ", "pub use ", "pub(crate) use "))
             if is_use:
@@ -48,16 +57,20 @@ def shipped(path):
     return lines
 
 
-def sources(root):
-    dirs = [os.path.join(root, "src")]
+def sources(root, tests):
+    """(relative path, path, whole file is test code) for each `.rs` file."""
     crates = os.path.join(root, "crates")
-    dirs += [os.path.join(crates, c, "src") for c in sorted(os.listdir(crates))]
-    for top in dirs:
+    dirs = [(os.path.join(root, "src"), False)]
+    dirs += [(os.path.join(crates, c, "src"), False) for c in sorted(os.listdir(crates))]
+    if tests:
+        dirs += [(os.path.join(root, "tests"), True)]
+        dirs += [(os.path.join(crates, c, "tests"), True) for c in sorted(os.listdir(crates))]
+    for top, whole in dirs:
         for dirpath, _, files in sorted(os.walk(top)):
             for name in sorted(files):
                 if name.endswith(".rs"):
                     path = os.path.join(dirpath, name)
-                    yield os.path.relpath(path, root), path
+                    yield os.path.relpath(path, root), path, whole
 
 
 def trivial(window):
@@ -71,10 +84,11 @@ def trivial(window):
 def main():
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     root = args[0] if args else "."
+    tests = "--tests" in sys.argv
     counts = collections.Counter()
     windows = collections.defaultdict(list)
-    for rel, path in sources(root):
-        lines = shipped(path)
+    for rel, path, whole in sources(root, tests):
+        lines = half(path, "all" if whole else "tests" if tests else "shipped")
         crate = rel.split(os.sep)[1] if rel.startswith("crates") else "src"
         counts[crate] += len(lines)
         body = [(n, l) for n, l, is_use in lines if not is_use]

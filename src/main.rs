@@ -216,6 +216,11 @@ fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
     Ok(f)
 }
 
+/// Parse `flag`'s value as an integer, `form` saying which kind.
+fn parse_int<T: std::str::FromStr>(flag: &str, v: &str, form: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid {flag} value '{v}' ({form})"))
+}
+
 fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut it = args.iter();
@@ -232,12 +237,12 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
         match arg.as_str() {
             "--benchmark" => flags.benchmark = Some(value("--benchmark")?),
             "--affinity-distance" => {
-                flags.affinity_distance =
-                    Some(value("--affinity-distance")?.parse().map_err(|e| format!("{e}"))?)
+                let v = value("--affinity-distance")?;
+                flags.affinity_distance = Some(parse_int(arg, &v, "a whole number of bytes")?);
             }
             "--chunk-size" => {
                 let v = value("--chunk-size")?;
-                let chunk_size: u64 = v.parse().map_err(|e| format!("{e}"))?;
+                let chunk_size = parse_int(arg, &v, "a whole number of bytes")?;
                 // The allocator's own rule, checked here so a bad size is a
                 // parse error and not a constructor panic on a worker thread.
                 halo::mem::GroupAllocConfig::default()
@@ -250,11 +255,12 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 flags.max_spare_chunks = Some(if v == "inf" {
                     usize::MAX
                 } else {
-                    v.parse().map_err(|e| format!("{e}"))?
+                    parse_int(arg, &v, "a whole number of chunks, or inf")?
                 });
             }
             "--max-groups" => {
-                flags.max_groups = Some(value("--max-groups")?.parse().map_err(|e| format!("{e}"))?)
+                let v = value("--max-groups")?;
+                flags.max_groups = Some(parse_int(arg, &v, "a whole number of groups")?);
             }
             "--merge-tolerance" => {
                 let v = value("--merge-tolerance")?;

@@ -15,6 +15,34 @@ fn halo(args: &[&str]) -> Output {
         .expect("the halo binary must spawn")
 }
 
+/// `halo` with `HALO_THREADS=threads`.
+fn halo_at(threads: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_halo"))
+        .args(args)
+        .env("HALO_THREADS", threads)
+        .output()
+        .expect("the halo binary must spawn")
+}
+
+/// Run `args` serially and at each of `threads`: every run succeeds and
+/// prints the serial run's bytes, which come back as text.
+fn serial_bytes_at(threads: &[&str], args: &[&str]) -> String {
+    let serial = halo_at("1", args);
+    assert!(serial.status.success(), "HALO_THREADS=1 failed: {}", stderr(&serial));
+    let text = stdout(&serial);
+    for threads in threads {
+        let out = halo_at(threads, args);
+        assert!(out.status.success(), "HALO_THREADS={threads} failed: {}", stderr(&out));
+        assert!(
+            out.stdout == serial.stdout,
+            "HALO_THREADS={threads} must print the serial run's bytes:\n--- serial ---\n{text}\n\
+             --- parallel ---\n{}",
+            stdout(&out)
+        );
+    }
+    text
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("stdout is UTF-8")
 }
@@ -288,22 +316,17 @@ fn measure_flag_validates_its_value() {
 fn measure_real_gates_on_core_count_and_runs_when_multicore() {
     // HALO_THREADS pins the perceived core count, so both sides of the
     // available_parallelism gate are exercised regardless of the host.
-    let gated = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(["run", "--benchmark", "toy", "--measure", "real"])
-        .env("HALO_THREADS", "1")
-        .output()
-        .expect("the halo binary must spawn");
+    let gated = halo_at("1", &["run", "--benchmark", "toy", "--measure", "real"]);
     assert!(gated.status.success(), "the single-core gate must exit green: {}", stderr(&gated));
     assert!(
         stdout(&gated).contains("needs a multi-core host"),
         "the gate must say why it skipped: {}",
         stdout(&gated)
     );
-    let real = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(["run", "--benchmark", "toy", "--shards", "2", "--measure", "real", "--json"])
-        .env("HALO_THREADS", "2")
-        .output()
-        .expect("the halo binary must spawn");
+    let real = halo_at(
+        "2",
+        &["run", "--benchmark", "toy", "--shards", "2", "--measure", "real", "--json"],
+    );
     assert!(real.status.success(), "multi-core real mode failed: {}", stderr(&real));
     let text = stdout(&real);
     for key in [
@@ -322,11 +345,7 @@ fn measure_real_gates_on_core_count_and_runs_when_multicore() {
 fn measure_real_reads_halo_threads_like_every_other_command() {
     // An unusable value is not a hard error here and a warning elsewhere:
     // one reader, one policy — warn once, fall back to the hardware count.
-    let out = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(["run", "--benchmark", "toy", "--shards", "2", "--measure", "real"])
-        .env("HALO_THREADS", "max")
-        .output()
-        .expect("the halo binary must spawn");
+    let out = halo_at("max", &["run", "--benchmark", "toy", "--shards", "2", "--measure", "real"]);
     assert!(out.status.success(), "an invalid HALO_THREADS must not fail: {}", stderr(&out));
     let err = stderr(&out);
     let warnings: Vec<&str> = err.lines().filter(|l| l.contains("HALO_THREADS")).collect();
@@ -356,25 +375,9 @@ fn assert_schedule_is_invisible(extra_args: &[&str]) {
             .split(' ')
             .collect::<Vec<_>>();
     args.extend(extra_args);
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_halo"))
-            .args(&args)
-            .env("HALO_THREADS", threads)
-            .output()
-            .expect("the halo binary must spawn");
-        assert!(out.status.success(), "HALO_THREADS={threads} failed: {}", stderr(&out));
-        out.stdout
-    };
-    let serial = run("1");
-    let text = String::from_utf8(serial.clone()).expect("stdout is UTF-8");
+    let text = serial_bytes_at(&["2", "3", "8"], &args);
     for key in ["\"benchmark\":\"roms\"", "\"halo-sharded\":{", "\"random\":{", "\"ptmalloc\":{"] {
         assert!(text.contains(key), "sweep output is missing {key}:\n{text}");
-    }
-    for threads in ["2", "3", "8"] {
-        assert!(
-            run(threads) == serial,
-            "HALO_THREADS={threads} must print the serial run's bytes:\n{text}"
-        );
     }
 }
 
@@ -395,26 +398,7 @@ fn multithreaded_sweep_is_deterministic_serial_vs_parallel() {
     // out — shard selection must not leak any OS-thread nondeterminism
     // into the measurements.
     let args = ["run", "--benchmark", "server,xalanc-mt", "--shards", "4", "--json"];
-    let serial = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(args)
-        .env("HALO_THREADS", "1")
-        .output()
-        .expect("the halo binary must spawn");
-    let parallel = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(args)
-        .env("HALO_THREADS", "4")
-        .output()
-        .expect("the halo binary must spawn");
-    assert!(serial.status.success(), "serial mt run failed: {}", stderr(&serial));
-    assert!(parallel.status.success(), "parallel mt run failed: {}", stderr(&parallel));
-    assert_eq!(
-        serial.stdout,
-        parallel.stdout,
-        "mt sweep rows must be byte-identical:\n--- serial ---\n{}\n--- parallel ---\n{}",
-        stdout(&serial),
-        stdout(&parallel)
-    );
-    let text = stdout(&serial);
+    let text = serial_bytes_at(&["4"], &args);
     for key in [
         "\"benchmark\":\"server\"",
         "\"benchmark\":\"xalanc-mt\"",
@@ -440,26 +424,7 @@ fn plot_parallel_output_is_byte_identical_to_serial() {
     // Three cheap workloads through the full pipeline; `HALO_THREADS`
     // pins the thread count so both orderings are exercised regardless of
     // the host's core count.
-    let args = ["plot", "--benchmark", "toy,povray,analyzer"];
-    let serial = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(args)
-        .env("HALO_THREADS", "1")
-        .output()
-        .expect("the halo binary must spawn");
-    let parallel = Command::new(env!("CARGO_BIN_EXE_halo"))
-        .args(args)
-        .env("HALO_THREADS", "4")
-        .output()
-        .expect("the halo binary must spawn");
-    assert!(serial.status.success(), "serial plot failed: {}", stderr(&serial));
-    assert!(parallel.status.success(), "parallel plot failed: {}", stderr(&parallel));
-    assert_eq!(
-        serial.stdout, parallel.stdout,
-        "parallel plot output must be byte-identical to serial:\n--- serial ---\n{}\n--- parallel ---\n{}",
-        stdout(&serial),
-        stdout(&parallel)
-    );
-    let text = stdout(&serial);
+    let text = serial_bytes_at(&["4"], &["plot", "--benchmark", "toy,povray,analyzer"]);
     for name in ["toy", "povray", "analyzer"] {
         assert!(text.contains(name), "plot output is missing {name}:\n{text}");
     }
@@ -582,6 +547,21 @@ fn chunk_size_and_merge_tolerance_are_validated_at_parse_time() {
             "{}",
             stderr(&out)
         );
+    }
+}
+
+#[test]
+fn integer_flags_name_the_flag_and_the_value_they_reject() {
+    for (flag, value, form) in [
+        ("--affinity-distance", "abc", "a whole number of bytes"),
+        ("--chunk-size", "1e6", "a whole number of bytes"),
+        ("--max-spare-chunks", "-1", "a whole number of chunks, or inf"),
+        ("--max-groups", "x", "a whole number of groups"),
+    ] {
+        let out = halo(&["run", "--benchmark", "toy", flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {}", stderr(&out));
+        let want = format!("error: invalid {flag} value '{value}' ({form})\n");
+        assert!(stderr(&out).starts_with(&want), "{flag} {value}: {}", stderr(&out));
     }
 }
 

@@ -5,17 +5,13 @@ use halo::cache::{CoherentHierarchy, HierarchyConfig, LineState};
 use halo::graph::{group, AffinityGraph, Granularity, GroupingParams, NodeId};
 use halo::hds::Grammar;
 use halo::mem::{
-    AllocatorStats, BoundaryTagAllocator, GroupAllocConfig, GroupSelector, HaloGroupAllocator,
+    FragReport, GroupAllocConfig, GroupAllocStats, GroupSelector, HaloGroupAllocator,
     SelectorTable, ShardedHaloAllocator, SizeClassAllocator,
 };
 use halo::profile::{AffinityQueue, ObjectTracker, ProfileConfig, Profiler, QueueEntry};
 use halo::vm::{AllocKind, CallSite, FuncId, GroupState, Memory, Monitor, VmAllocator};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-
-fn site() -> CallSite {
-    CallSite::new(FuncId(0), 0)
-}
 
 /// Naive MESI-lite reference model: a flat `(thread, line) → state` map
 /// with the transitions written straight from the `halo_cache::coherent`
@@ -260,94 +256,67 @@ impl ReferenceTracker {
     }
 }
 
-/// Drive any allocator through a random alloc/free/realloc script while
-/// shadow-checking that live regions never overlap and contents survive
-/// reallocation.
-fn check_allocator<A: VmAllocator + AllocatorStats>(
-    mut alloc: A,
-    script: &[(u8, u64)],
-    gs: &GroupState,
-) {
-    let mut mem = Memory::new();
-    let mut live: HashMap<u64, (u64, u64)> = HashMap::new(); // ptr -> (size, stamp)
-    let mut stamp = 0u64;
-    for &(op, arg) in script {
-        match op % 3 {
-            0 => {
-                let size = arg % 300 + 1;
-                let ptr = alloc.malloc(size, site(), gs, &mut mem);
-                assert_ne!(ptr, 0);
-                assert_eq!(ptr % 8, 0, "minimum alignment");
-                for (&p, &(s, _)) in &live {
-                    assert!(
-                        ptr + size <= p || p + s <= ptr,
-                        "overlap: new [{ptr:#x},{:#x}) vs live [{p:#x},{:#x})",
-                        ptr + size,
-                        p + s
-                    );
-                }
-                stamp += 1;
-                mem.write(ptr, 1, stamp & 0xff);
-                live.insert(ptr, (size, stamp & 0xff));
-            }
-            1 => {
-                if let Some(&p) = live.keys().nth(arg as usize % live.len().max(1)) {
-                    let (_, st) = live.remove(&p).expect("tracked");
-                    assert_eq!(mem.read(p, 1), st, "contents intact");
-                    alloc.free(p, &mut mem);
-                }
-            }
-            _ => {
-                if let Some(&p) = live.keys().nth(arg as usize % live.len().max(1)) {
-                    let (_, st) = live.remove(&p).expect("tracked");
-                    let new_size = arg % 500 + 1;
-                    let q = alloc.realloc(p, new_size, site(), gs, &mut mem);
-                    assert_ne!(q, 0);
-                    assert_eq!(mem.read(q, 1), st, "realloc preserves prefix");
-                    for (&op_, &(os, _)) in &live {
-                        assert!(q + new_size <= op_ || op_ + os <= q, "realloc overlap");
-                    }
-                    live.insert(q, (new_size, st));
-                }
+#[allow(dead_code)] // halo_mem's allocator fixtures, of which this suite needs two
+mod fixtures {
+    use halo::mem::{GroupAllocConfig, GroupSelector, SelectorTable};
+    include!("../crates/mem/tests/common/fixtures.rs");
+}
+use fixtures::{site, two_group_table};
+
+/// A group allocator's observable state: grouped live and resident bytes,
+/// statistics, and whole-heap and per-group fragmentation.
+type Observed = (u64, u64, GroupAllocStats, FragReport, Vec<FragReport>);
+
+trait Observe: VmAllocator {
+    fn observe(&self) -> Observed;
+}
+
+macro_rules! impl_observe {
+    ($($allocator:ty),*) => {$(
+        impl Observe for $allocator {
+            fn observe(&self) -> Observed {
+                let (live, resident) = (self.live_grouped_bytes(), self.resident_grouped_bytes());
+                (live, resident, self.stats(), self.frag_report(), self.group_frag_reports())
             }
         }
+    )*};
+}
+impl_observe!(HaloGroupAllocator, ShardedHaloAllocator);
+
+/// Replay `script` through `a` and `b` with group bit 0 set if `bits & 1`
+/// and bit 1 if `bits & 2`: an op of 2 mod 3 frees a live pointer when
+/// there is one, every other allocates `1 + raw % 6000` bytes. Both must
+/// hand out the same pointers and read the same after every op.
+fn replay_identically(
+    a: &mut impl Observe,
+    b: &mut impl Observe,
+    script: &[(u8, u64)],
+    bits: u8,
+) -> Result<(), TestCaseError> {
+    let mut gs = GroupState::new(2);
+    for bit in (0..2u16).filter(|&bit| bits >> bit & 1 == 1) {
+        gs.set(bit);
     }
-    let live_bytes: u64 = live.values().map(|&(s, _)| s).sum();
-    assert_eq!(alloc.live_bytes(), live_bytes);
-    assert_eq!(alloc.live_objects(), live.len());
+    let (mut mem_a, mut mem_b) = (Memory::new(), Memory::new());
+    let mut live: Vec<u64> = Vec::new();
+    for &(op, raw) in script {
+        if op % 3 == 2 && !live.is_empty() {
+            let p = live.swap_remove(raw as usize % live.len());
+            a.free(p, &mut mem_a);
+            b.free(p, &mut mem_b);
+        } else {
+            let size = 1 + raw % 6000;
+            let p = a.malloc(size, site(), &gs, &mut mem_a);
+            prop_assert_eq!(p, b.malloc(size, site(), &gs, &mut mem_b), "placement diverged");
+            live.push(p);
+        }
+        prop_assert_eq!(a.observe(), b.observe());
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn size_class_allocator_never_overlaps(script in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200)) {
-        check_allocator(SizeClassAllocator::new(), &script, &GroupState::default());
-    }
-
-    #[test]
-    fn boundary_tag_allocator_never_overlaps(script in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200)) {
-        check_allocator(BoundaryTagAllocator::new(), &script, &GroupState::default());
-    }
-
-    #[test]
-    fn group_allocator_never_overlaps(
-        script in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..200),
-        bits in 0u8..4,
-    ) {
-        let table = SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        );
-        let config = GroupAllocConfig { chunk_size: 16 * 1024, slab_size: 16 * 1024 * 8, ..Default::default() };
-        let mut gs = GroupState::new(2);
-        if bits & 1 != 0 { gs.set(0); }
-        if bits & 2 != 0 { gs.set(1); }
-        check_allocator(HaloGroupAllocator::new(config, table), &script, &gs);
-    }
 
     #[test]
     fn affinity_queue_respects_all_constraints(
@@ -622,39 +591,11 @@ proptest! {
         // against the plain constructor (the refactor from masked chunk
         // lookup + global spare pool to ordered lookup + per-group
         // budgets must not shift the homogeneous case).
-        let table = || SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        );
         let config = GroupAllocConfig { chunk_size: 16 * 1024, slab_size: 16 * 1024 * 8, ..Default::default() };
-        let mut gs = GroupState::new(2);
-        if bits & 1 != 0 { gs.set(0); }
-        if bits & 2 != 0 { gs.set(1); }
-        let mut plain = HaloGroupAllocator::new(config, table());
-        let mut over = HaloGroupAllocator::with_group_configs(config, table(), vec![config, config]);
-        let mut mem_a = Memory::new();
-        let mut mem_b = Memory::new();
-        let mut live: Vec<u64> = Vec::new();
-        for (op, raw) in script {
-            if op % 3 == 2 && !live.is_empty() {
-                let p = live.swap_remove(raw as usize % live.len());
-                plain.free(p, &mut mem_a);
-                over.free(p, &mut mem_b);
-            } else {
-                let size = 1 + raw % 6000;
-                let pa = plain.malloc(size, site(), &gs, &mut mem_a);
-                let pb = over.malloc(size, site(), &gs, &mut mem_b);
-                prop_assert_eq!(pa, pb, "allocation placement diverged");
-                live.push(pa);
-            }
-            prop_assert_eq!(plain.live_grouped_bytes(), over.live_grouped_bytes());
-            prop_assert_eq!(plain.resident_grouped_bytes(), over.resident_grouped_bytes());
-        }
-        prop_assert_eq!(plain.stats(), over.stats());
-        prop_assert_eq!(plain.frag_report(), over.frag_report());
+        let mut plain = HaloGroupAllocator::new(config, two_group_table());
+        let uniform = vec![config, config];
+        let mut over = HaloGroupAllocator::with_group_configs(config, two_group_table(), uniform);
+        replay_identically(&mut plain, &mut over, &script, bits)?;
     }
 
     #[test]
@@ -670,13 +611,6 @@ proptest! {
         // hop) must be behaviourally invisible — any malloc/free trace
         // replays pointer-for-pointer against the plain single-arena
         // allocator under the same per-group plans.
-        let table = || SelectorTable::new(
-            vec![
-                GroupSelector { group: 0, conjunctions: vec![vec![0]] },
-                GroupSelector { group: 1, conjunctions: vec![vec![1]] },
-            ],
-            2,
-        );
         let config = GroupAllocConfig {
             chunk_size: 32 * 1024,
             slab_size: 32 * 1024 * 8,
@@ -700,33 +634,10 @@ proptest! {
                 ..config
             })
             .collect();
-        let mut gs = GroupState::new(2);
-        if bits & 1 != 0 { gs.set(0); }
-        if bits & 2 != 0 { gs.set(1); }
         let mut plain =
-            HaloGroupAllocator::with_group_configs(config, table(), overrides.clone());
-        let mut sharded = ShardedHaloAllocator::new(1, config, table(), overrides);
-        let mut mem_a = Memory::new();
-        let mut mem_b = Memory::new();
-        let mut live: Vec<u64> = Vec::new();
-        for (op, raw) in script {
-            if op % 3 == 2 && !live.is_empty() {
-                let p = live.swap_remove(raw as usize % live.len());
-                plain.free(p, &mut mem_a);
-                sharded.free(p, &mut mem_b);
-            } else {
-                let size = 1 + raw % 6000;
-                let pa = plain.malloc(size, site(), &gs, &mut mem_a);
-                let pb = sharded.malloc(size, site(), &gs, &mut mem_b);
-                prop_assert_eq!(pa, pb, "allocation placement diverged");
-                live.push(pa);
-            }
-            prop_assert_eq!(plain.live_grouped_bytes(), sharded.live_grouped_bytes());
-            prop_assert_eq!(plain.resident_grouped_bytes(), sharded.resident_grouped_bytes());
-        }
-        prop_assert_eq!(plain.stats(), sharded.stats());
-        prop_assert_eq!(plain.frag_report(), sharded.frag_report());
-        prop_assert_eq!(plain.group_frag_reports(), sharded.group_frag_reports());
+            HaloGroupAllocator::with_group_configs(config, two_group_table(), overrides.clone());
+        let mut sharded = ShardedHaloAllocator::new(1, config, two_group_table(), overrides);
+        replay_identically(&mut plain, &mut sharded, &script, bits)?;
         let remote = sharded.sharded_stats();
         prop_assert_eq!(remote.remote_frees, 0, "one shard: every free is local");
         prop_assert_eq!(sharded.remote_pending(), 0);
