@@ -28,6 +28,7 @@ mod hierarchy;
 mod set_assoc;
 mod span;
 mod timing;
+mod zero_pages;
 
 pub use coherent::{CoherenceStats, CoherentHierarchy, LineState, ThreadAccessStats};
 pub use hierarchy::{AccessStats, HierarchyConfig, PAGE_BYTES};

@@ -13,11 +13,12 @@
 //! pays and where it does not).
 
 use crate::span::SetIndex;
+use crate::zero_pages::ZeroPages;
 
 /// The identity permutation: nibble *k* = *k*. Order words are stored XOR
-/// this, so an all-zero word *is* the identity and a freshly `calloc`ed
-/// array needs no initialising write (the 405 k-slot L3 stays lazy zero
-/// pages). Nibbles at positions `ways..16` never move, so in a narrower
+/// this, so an all-zero word *is* the identity and a fresh array of zero
+/// pages needs no initialising write (the 405 k-slot L3 stays untouched
+/// until it is used). Nibbles at positions `ways..16` never move, so in a narrower
 /// set they stay the identity's and the word stays a permutation of all
 /// sixteen values — which is what lets [`position_bit`] expect exactly
 /// one match.
@@ -160,6 +161,13 @@ impl CacheConfig {
 ///
 /// Tags are full line addresses, so the same structure serves as a TLB by
 /// passing page numbers as "line addresses" with `line_bytes = 1`.
+///
+/// Its three arrays are all-zero at rest, and each is fresh anonymous
+/// zero pages, so a cache costs the pages its accesses touch. A `calloc`
+/// would not do: once a process has freed one L3's 3.1 MiB of tags, glibc
+/// serves later ones from an arena and `memset`s a recycled block in
+/// full, so from the third hierarchy on every L3 would be resident before
+/// its first access.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
@@ -170,15 +178,13 @@ pub struct SetAssocCache {
     /// freed all at once (`flush`), so the live ways of a set are exactly
     /// its low `len` ways and they hold its first `len` recency
     /// positions.
-    len: Box<[u8]>,
+    len: ZeroPages<u8>,
     /// Recency order of each set, packed and stored XOR the identity (see
     /// the module docs).
-    order: Box<[u64]>,
+    order: ZeroPages<u64>,
     /// Tag storage, `sets × ways`; a tag never moves between ways. One
-    /// flat allocation: a set scan is one pointer chase. (All three
-    /// arrays are all-zero at rest, so constructing even the 405k-slot L3
-    /// is a calloc of lazy zero pages.)
-    tags: Box<[u64]>,
+    /// flat allocation: a set scan is one pointer chase.
+    tags: ZeroPages<u64>,
 }
 
 impl SetAssocCache {
@@ -191,9 +197,9 @@ impl SetAssocCache {
             set_index: SetIndex::new(sets as u64),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
-            len: vec![0u8; sets].into_boxed_slice(),
-            order: vec![0u64; sets].into_boxed_slice(),
-            tags: vec![0u64; sets * ways].into_boxed_slice(),
+            len: ZeroPages::new(sets),
+            order: ZeroPages::new(sets),
+            tags: ZeroPages::new(sets * ways),
         }
     }
 

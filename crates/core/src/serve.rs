@@ -24,17 +24,25 @@
 //!    and the serve allocator — so the report shows static decaying
 //!    while serve recovers.
 //!
+//! Schedule: after the initial optimisation the windows run as two
+//! chains on [`par_map`] (DESIGN.md §15) — the *twin* chain measures
+//! each window's baseline and static plan, the *serve* chain runs steps
+//! 1–3 and the serve measurement — so each sharded allocator lives on one
+//! OS thread and the report is the serial loop's at any `HALO_THREADS`.
+//!
 //! Determinism: profiling windows replay the phase's *train* seed (the
 //! [`ProfileStream`] needs a stable context-interning order), while
 //! measurement windows vary the *ref* seed per window. Everything in the
 //! report is deterministic except the swap wall-clock latencies.
 
 use crate::measure::{measure, MeasureConfig, Measurement};
-use crate::pipeline::{graph_at, Halo, HaloConfig, PipelineError};
+use crate::parallel::par_map;
+use crate::pipeline::{graph_at, Halo, HaloConfig, Optimised, PipelineError};
 use halo_graph::{group, grouping_drift, Group};
 use halo_mem::{ShardedHaloAllocator, SizeClassAllocator};
 use halo_profile::ProfileStream;
 use halo_vm::Program;
+use std::sync::OnceLock;
 
 /// One phase of the scripted workload mix: a binary plus its train/ref
 /// inputs, served for `windows` windows.
@@ -135,7 +143,7 @@ pub struct ServeReport {
     pub recovered: bool,
 }
 
-/// State the serve loop carries for the currently active plan.
+/// State the serve chain carries for the currently active plan.
 struct ActivePlan {
     /// The binary rewritten for this plan.
     program: Program,
@@ -165,7 +173,9 @@ thread_local! {
 /// # Errors
 ///
 /// Returns [`PipelineError::Vm`] if any profiling, re-optimisation, or
-/// measurement execution traps.
+/// measurement execution traps: the first to trap in the window-by-window
+/// order (profile, baseline, static twin, serve; then the next window),
+/// whichever chain met it first in time.
 ///
 /// # Panics
 ///
@@ -190,47 +200,208 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let halo = Halo::for_measurement(&config.halo, &config.measure);
 
     // Initial optimisation on phase 0 — both the serve plan and the
-    // static twin start from this one result. The twin keeps its own copy
-    // of the rewritten binary: the active plan's is dropped at the first
-    // swap.
+    // static twin start from this one result.
     let first = &phases[0];
     let initial = halo.optimise_with_arg(&first.program, first.train_seed, first.train_arg)?;
     let serve_alloc = halo.make_sharded_allocator(&initial, config.shards);
     let static_alloc = halo.make_sharded_allocator(&initial, config.shards);
-    let static_program = initial.program.clone();
+    let script: Vec<_> = phases
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, phase)| (0..phase.windows).map(move |_| (idx, phase)))
+        .collect();
+    let baselines = script.iter().map(|_| OnceLock::new()).collect();
+    let windows = Windows { halo: &halo, config, initial: &initial, script, baselines };
 
-    // Every plan of the run is grouped at the granularity phase 0 resolved
-    // to, and the stream absorbs each window's graph of that granularity:
-    // drift is read off the very graph a swap would be grouped from.
-    let granularity = initial.granularity;
-    let mut stream = ProfileStream::new(config.decay);
-    stream.absorb_graph(graph_at(&initial.profile, granularity));
-    let mut active = ActivePlan {
-        program: initial.program,
-        groups: initial.groups,
-        source_phase: 0,
-        best_miss_reduction: f64::NEG_INFINITY,
-    };
-
-    let mut rows = Vec::new();
-    let mut swaps = 0u64;
-    let mut window = 0u64;
-    for (phase_idx, phase) in phases.iter().enumerate() {
-        if phase_idx > 0 {
-            // A new binary means a new context-interning order: the old
-            // stream's node ids would alias unrelated contexts. Reset —
-            // a real deployment keys the stream by build id.
-            stream = ProfileStream::new(config.decay);
+    // Two chains on `par_map` (DESIGN.md §15), each the only thread that
+    // ever touches its allocator, so a sharded allocator's thread slots —
+    // and with them every shard choice — are the serial loop's.
+    // `HALO_THREADS=1` walks the list front to back.
+    let (twin, served) = (OnceLock::new(), OnceLock::new());
+    #[cfg(test)]
+    let lifted = std::sync::Mutex::new(None);
+    par_map(&[Chain::Twin, Chain::Serve], |chain| match chain {
+        Chain::Twin => {
+            twin.get_or_init(|| windows.twin(&static_alloc));
         }
-        for _ in 0..phase.windows {
+        Chain::Serve => {
+            // The chain may run on a worker, but the tests read the hooks
+            // on the thread that called `serve`: hand them over.
+            #[cfg(test)]
+            let outer = hooks::set_aside();
+            served.get_or_init(|| windows.serve(&serve_alloc));
+            #[cfg(test)]
+            lifted.lock().expect("no hook holder panics").replace(hooks::restore(outer));
+        }
+    });
+    #[cfg(test)]
+    if let Some(recorded) = lifted.into_inner().expect("no hook holder panics") {
+        hooks::adopt(recorded);
+    }
+
+    // Read after the fan-in: the first failure in the serial loop's order
+    // decides, whichever chain met its own first.
+    let twin = twin.into_inner().expect("the twin chain ran");
+    let served = served.into_inner().expect("the serve chain ran");
+    let (twin, served) = match (twin, served) {
+        (Ok(twin), Ok(served)) => (twin, served),
+        (twin, served) => {
+            let failures = twin.err().into_iter().chain(served.err());
+            return Err(failures.min_by_key(|f| f.at).expect("a chain failed").error);
+        }
+    };
+    let rows: Vec<EpochRow> = windows
+        .script
+        .iter()
+        .zip(twin.iter().zip(served))
+        .enumerate()
+        .map(|(window, (&(_, phase), (&[baseline, static_m], served)))| EpochRow {
+            window: window as u64,
+            phase: phase.name.clone(),
+            plan_epoch: served.plan_epoch,
+            drift: served.drift,
+            swapped: served.swapped,
+            swap_latency_us: served.swap_latency_us,
+            miss_reduction: served.measurement.miss_reduction_vs(&baseline),
+            static_miss_reduction: static_m.miss_reduction_vs(&baseline),
+        })
+        .collect();
+
+    let last = rows.last().expect("at least one window ran");
+    Ok(ServeReport {
+        final_miss_reduction: last.miss_reduction,
+        final_static_miss_reduction: last.static_miss_reduction,
+        recovered: last.miss_reduction > last.static_miss_reduction,
+        swaps: rows.iter().filter(|row| row.swapped).count() as u64,
+        rows,
+    })
+}
+
+/// One entry of [`serve`]'s job list.
+enum Chain {
+    /// Measure the baseline and the static twin, window by window.
+    Twin,
+    /// Profile, detect, swap and measure the serve allocator, window by
+    /// window.
+    Serve,
+}
+
+/// The steps of one window, in the serial loop's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Profile,
+    Baseline,
+    Static,
+    Serve,
+}
+
+/// The error that stopped a chain, and where the serial loop would have
+/// met it: `(window, stage)`.
+struct Failure {
+    at: (usize, Stage),
+    error: PipelineError,
+}
+
+impl Failure {
+    fn at(window: usize, stage: Stage) -> impl FnOnce(PipelineError) -> Failure {
+        move |error| Failure { at: (window, stage), error }
+    }
+}
+
+/// What the serve chain records of one window.
+struct Served {
+    drift: Option<f64>,
+    swapped: bool,
+    swap_latency_us: f64,
+    plan_epoch: u64,
+    measurement: Measurement,
+}
+
+/// What both chains read: the script window by window and each window's
+/// baseline.
+struct Windows<'a> {
+    halo: &'a Halo,
+    config: &'a ServeConfig,
+    initial: &'a Optimised,
+    /// `(phase index, phase)` of every window, in order.
+    script: Vec<(usize, &'a ServePhase)>,
+    /// Window `w`'s baseline measurement. The twin needs it for its row
+    /// and the serve chain for window `w + 1`'s regression check;
+    /// whichever asks first takes it with `get_or_init`, so it is
+    /// measured once and neither chain waits on a job nobody runs.
+    baselines: Vec<OnceLock<Result<Measurement, PipelineError>>>,
+}
+
+impl Windows<'_> {
+    /// Window `w`'s ref input: the phase's argument, and a seed that
+    /// varies per window.
+    fn measure_config(&self, w: usize) -> MeasureConfig {
+        let phase = self.script[w].1;
+        MeasureConfig {
+            seed: phase.ref_seed.wrapping_add(w as u64),
+            entry_arg: phase.ref_arg,
+            ..self.config.measure
+        }
+    }
+
+    fn baseline(&self, w: usize) -> Result<Measurement, Failure> {
+        let measured = self.baselines[w].get_or_init(|| {
+            let mut alloc = SizeClassAllocator::new();
+            Ok(measure(&self.script[w].1.program, &mut alloc, &self.measure_config(w))?)
+        });
+        measured.clone().map_err(Failure::at(w, Stage::Baseline))
+    }
+
+    /// The twin chain: each window's `[baseline, static twin]`. The twin
+    /// is phase 0's plan on its own never-swapped allocator; after a
+    /// shift it serves the new binary unmodified.
+    fn twin(&self, alloc: &ShardedHaloAllocator) -> Result<Vec<[Measurement; 2]>, Failure> {
+        (0..self.script.len())
+            .map(|w| {
+                let baseline = self.baseline(w)?;
+                let (phase_idx, phase) = self.script[w];
+                let program = if phase_idx == 0 { &self.initial.program } else { &phase.program };
+                let static_m = measure_serving(alloc, program, &self.measure_config(w))
+                    .map_err(Failure::at(w, Stage::Static))?;
+                Ok([baseline, static_m])
+            })
+            .collect()
+    }
+
+    /// The serve chain: stream, detect, swap and measure, window by
+    /// window (module docs, steps 1-4).
+    fn serve(&self, alloc: &ShardedHaloAllocator) -> Result<Vec<Served>, Failure> {
+        let (halo, config) = (self.halo, self.config);
+        // Every plan of the run is grouped at the granularity phase 0
+        // resolved to, and the stream absorbs each window's graph of that
+        // granularity: drift is read off the very graph a swap would be
+        // grouped from.
+        let granularity = self.initial.granularity;
+        let mut stream = ProfileStream::new(config.decay);
+        stream.absorb_graph(graph_at(&self.initial.profile, granularity));
+        let mut active = ActivePlan {
+            program: self.initial.program.clone(),
+            groups: self.initial.groups.clone(),
+            source_phase: 0,
+            best_miss_reduction: f64::NEG_INFINITY,
+        };
+        let mut served: Vec<Served> = Vec::with_capacity(self.script.len());
+        for (w, &(phase_idx, phase)) in self.script.iter().enumerate() {
+            if w > 0 && self.script[w - 1].0 != phase_idx {
+                // A new binary means a new context-interning order: the
+                // old stream's node ids would alias unrelated contexts.
+                // Reset — a real deployment keys the stream by build id.
+                stream = ProfileStream::new(config.decay);
+            }
             // 1. Stream one profiling window.
-            let profile =
-                halo.profile_with_arg(&phase.program, phase.train_seed, phase.train_arg)?;
+            let profile = halo
+                .profile_with_arg(&phase.program, phase.train_seed, phase.train_arg)
+                .map_err(Failure::at(w, Stage::Profile))?;
             stream.absorb_graph(graph_at(&profile, granularity));
 
             // 2. Phase detection on re-grouping windows.
             let mut drift = None;
-            if window.is_multiple_of(config.regroup_every) {
+            if (w as u64).is_multiple_of(config.regroup_every) {
                 let fresh = group(stream.graph(), &halo.config().grouping);
                 // Across a binary change the id spaces alias, but the
                 // active plan also cannot serve the new binary at all —
@@ -243,10 +414,16 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
                 };
                 drift = Some(d);
             }
-            let regressed = active.best_miss_reduction.is_finite()
-                && rows.last().is_some_and(|r: &EpochRow| {
-                    r.miss_reduction < active.best_miss_reduction - REGRESSION_TOLERANCE
-                });
+            // The last window's miss reduction needs its baseline, which
+            // the twin has usually measured by now.
+            let regressed = match served.last() {
+                Some(last) => {
+                    let reduction = last.measurement.miss_reduction_vs(&self.baseline(w - 1)?);
+                    active.best_miss_reduction = active.best_miss_reduction.max(reduction);
+                    reduction < active.best_miss_reduction - REGRESSION_TOLERANCE
+                }
+                None => false,
+            };
 
             // 3. Re-optimise and hot-swap when triggered.
             let mut swapped = false;
@@ -259,9 +436,8 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
                 let reopt = halo.assemble(&phase.program, &profile, stream.graph(), granularity);
                 let (_, overrides) = halo.alloc_plan(&reopt.groups, granularity);
                 let start = std::time::Instant::now();
-                serve_alloc.swap_plans(reopt.ident.table, overrides);
+                alloc.swap_plans(reopt.ident.table, overrides);
                 swap_latency_us = start.elapsed().as_secs_f64() * 1e6;
-                swaps += 1;
                 swapped = true;
                 #[cfg(test)]
                 INSTALLED_GROUPS.with_borrow_mut(|log| log.push(reopt.groups.clone()));
@@ -273,52 +449,21 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
                 };
             }
 
-            // 4. Measure the window: baseline, static twin, serve.
-            let mcfg = MeasureConfig {
-                seed: phase.ref_seed.wrapping_add(window),
-                entry_arg: phase.ref_arg,
-                ..config.measure
-            };
-            let baseline = {
-                let mut alloc = SizeClassAllocator::new();
-                measure(&phase.program, &mut alloc, &mcfg)?
-            };
-            let static_m = measure_serving(
-                &static_alloc,
-                if phase_idx == 0 { &static_program } else { &phase.program },
-                &mcfg,
-            )?;
-            let serve_m = measure_serving(
-                &serve_alloc,
-                if active.source_phase == phase_idx { &active.program } else { &phase.program },
-                &mcfg,
-            )?;
-            let miss_reduction = serve_m.miss_reduction_vs(&baseline);
-            let static_miss_reduction = static_m.miss_reduction_vs(&baseline);
-            active.best_miss_reduction = active.best_miss_reduction.max(miss_reduction);
-
-            rows.push(EpochRow {
-                window,
-                phase: phase.name.clone(),
-                plan_epoch: serve_alloc.plan_epoch(),
+            // 4. Measure the window on the serve allocator.
+            let program =
+                if active.source_phase == phase_idx { &active.program } else { &phase.program };
+            let measurement = measure_serving(alloc, program, &self.measure_config(w))
+                .map_err(Failure::at(w, Stage::Serve))?;
+            served.push(Served {
                 drift,
                 swapped,
                 swap_latency_us,
-                miss_reduction,
-                static_miss_reduction,
+                plan_epoch: alloc.plan_epoch(),
+                measurement,
             });
-            window += 1;
         }
+        Ok(served)
     }
-
-    let last = rows.last().expect("at least one window ran");
-    Ok(ServeReport {
-        final_miss_reduction: last.miss_reduction,
-        final_static_miss_reduction: last.static_miss_reduction,
-        recovered: last.miss_reduction > last.static_miss_reduction,
-        swaps,
-        rows,
-    })
 }
 
 /// Measure one window against a long-lived sharded allocator (through
@@ -333,18 +478,47 @@ fn measure_serving(
     Ok(measure(program, &mut handle, config)?)
 }
 
+/// The test hooks the serve chain writes — profiling runs and installed
+/// groups, both thread-locals — carried from whichever thread ran the
+/// chain to the one that called [`serve`].
+#[cfg(test)]
+mod hooks {
+    use super::INSTALLED_GROUPS;
+    use crate::pipeline::PROFILING_RUNS;
+    use halo_graph::Group;
+
+    pub(super) type Records = (u64, Vec<Vec<Group>>);
+
+    /// Take this thread's records, leaving it none.
+    pub(super) fn set_aside() -> Records {
+        (PROFILING_RUNS.replace(0), INSTALLED_GROUPS.take())
+    }
+
+    /// Put `outer` back and return what was recorded since it was set
+    /// aside.
+    pub(super) fn restore(outer: Records) -> Records {
+        (PROFILING_RUNS.replace(outer.0), INSTALLED_GROUPS.replace(outer.1))
+    }
+
+    /// Append `recorded` to this thread's records.
+    pub(super) fn adopt(recorded: Records) {
+        PROFILING_RUNS.set(PROFILING_RUNS.get() + recorded.0);
+        INSTALLED_GROUPS.with_borrow_mut(|log| log.extend(recorded.1));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use halo_graph::Granularity;
-    use halo_vm::{ProgramBuilder, Width};
+    use halo_vm::{ProgramBuilder, VmError, Width};
 
     #[allow(dead_code)] // each test module uses its own part
     mod common {
         use crate::{EvalConfig, HaloConfig};
         include!("../tests/common/fig2.rs");
     }
-    use common::{counted, fig2, fig2_halo, r, wrappers};
+    use common::{counted, fig2, fig2_halo, fig2_trap, r, wrappers};
 
     fn serve_config() -> ServeConfig {
         ServeConfig { halo: fig2_halo(), shards: 2, ..Default::default() }
@@ -419,6 +593,33 @@ mod tests {
         // Well-formed report plumbing.
         assert_eq!(report.final_miss_reduction, report.rows.last().unwrap().miss_reduction);
         assert!(report.rows.iter().filter(|row| row.swapped).count() as u64 == report.swaps);
+    }
+
+    #[test]
+    fn a_ref_trap_reports_the_baselines_error_not_the_serve_allocators() {
+        // Window 1 shifts to a binary whose ref input traps under every
+        // regime: the baseline and the static twin on the binary as
+        // shipped, the serve allocator on the one it rewrote at the shift,
+        // where instrumentation moved the division. The serial loop meets
+        // the baseline's trap first, and so must the two chains, whichever
+        // of them traps first in time.
+        let config = serve_config();
+        let trap = ServePhase { train_arg: 1, ref_arg: 0, ..phase("trap", fig2_trap(0, 0), 2) };
+        let window = MeasureConfig { seed: trap.ref_seed + 1, entry_arg: 0, ..config.measure };
+        let original = measure(&trap.program, &mut SizeClassAllocator::new(), &window)
+            .expect_err("the ref input divides by zero");
+        assert!(matches!(original, VmError::DivisionByZero { .. }), "{original:?}");
+        let halo = Halo::for_measurement(&config.halo, &config.measure);
+        let optimised = halo
+            .optimise_with_arg(&trap.program, trap.train_seed, 1)
+            .expect("the train input runs");
+        assert!(optimised.rewrite.sites_instrumented > 0, "main must be instrumented");
+        let rewritten = measure(&optimised.program, &mut halo.make_allocator(&optimised), &window)
+            .expect_err("the rewritten binary divides by zero too");
+        assert_ne!(rewritten, original, "the two binaries must trap at different sites");
+
+        let err = serve(&[phase("steady", fig2(48, 48), 1), trap], &config).expect_err("it traps");
+        assert_eq!(err, PipelineError::Vm(original));
     }
 
     /// Two allocation contexts of 8 KiB arrays, touched alternately one

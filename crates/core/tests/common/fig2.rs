@@ -32,6 +32,37 @@ pub fn fig2(rounds: i64, sweeps: i64) -> Program {
     pb.finish(main)
 }
 
+/// Fig. 2 with 128 rounds and 20 sweeps (so the pipeline instruments
+/// `main`), then `depth` nested calls, a `spin`-iteration busy loop, and
+/// finally `1 / entry_arg`: a program that traps where its caller's
+/// limits or its entry argument say.
+pub fn fig2_trap(depth: i64, spin: i64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let dive = pb.declare("dive");
+    {
+        // dive(n): n nested frames.
+        let mut fb = pb.define(dive);
+        let bottom = fb.label();
+        fb.imm(r(1), 0);
+        fb.branch(Cond::Le, r(0), r(1), bottom);
+        fb.add_imm(r(0), r(0), -1);
+        fb.call(dive, &[r(0)], None);
+        fb.bind(bottom);
+        fb.ret(None);
+        fb.finish();
+    }
+    let mut m = fig2_main(&mut pb, 128, 20);
+    m.imm(r(16), depth);
+    m.call(dive, &[r(16)], None);
+    m.imm(r(18), spin);
+    counted(&mut m, r(17), r(18), |_| {});
+    m.imm(r(19), 1);
+    m.div(r(19), r(19), r(0));
+    m.ret(None);
+    let main = m.finish();
+    pb.finish(main)
+}
+
 /// Declare three 24-byte allocation wrappers in `pb` and emit `main` up
 /// to its return: `rounds` rounds each allocate a hot A and B and a cold
 /// C from three distinct call sites (so HALO and HDS both have material),

@@ -12,44 +12,14 @@
 
 use halo_core::{evaluate_with_arg, measure, par_map, thread_count, Halo, PipelineError};
 use halo_mem::SizeClassAllocator;
-use halo_vm::{Cond, EngineLimits, Program, ProgramBuilder, VmError};
+use halo_vm::{EngineLimits, VmError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 use std::time::Duration;
 
 #[allow(dead_code)] // each suite uses its own part
 mod common;
-use common::{counted, fig2_eval, fig2_main, r};
-
-/// Fig. 2's hot A/B and cold C from three distinct call sites in `main`
-/// (so the pipeline instruments `main`), then `depth` nested calls, a
-/// `spin`-iteration busy loop, and finally `1 / entry_arg`.
-fn program(depth: i64, spin: i64) -> Program {
-    let mut pb = ProgramBuilder::new();
-    let dive = pb.declare("dive");
-    {
-        // dive(n): n nested frames.
-        let mut fb = pb.define(dive);
-        let bottom = fb.label();
-        fb.imm(r(1), 0);
-        fb.branch(Cond::Le, r(0), r(1), bottom);
-        fb.add_imm(r(0), r(0), -1);
-        fb.call(dive, &[r(0)], None);
-        fb.bind(bottom);
-        fb.ret(None);
-        fb.finish();
-    }
-    let mut m = fig2_main(&mut pb, 128, 20);
-    m.imm(r(16), depth);
-    m.call(dive, &[r(16)], None);
-    m.imm(r(18), spin);
-    counted(&mut m, r(17), r(18), |_| {});
-    m.imm(r(19), 1);
-    m.div(r(19), r(19), r(0));
-    m.ret(None);
-    let main = m.finish();
-    pb.finish(main)
-}
+use common::{fig2_eval, fig2_trap};
 
 #[test]
 fn the_pipelines_error_outranks_every_measurements() {
@@ -58,7 +28,7 @@ fn the_pipelines_error_outranks_every_measurements() {
     // spent first — exceed the call depth. The evaluation reports the
     // first stage of the list, as the serial chain always did, whichever
     // job failed first in time (a measurement, here: it traps sooner).
-    let p = program(32, 1_000_000);
+    let p = fig2_trap(32, 1_000_000);
     let mut cfg = fig2_eval(&["halo-sharded", "random", "ptmalloc"]);
     cfg.halo.limits = EngineLimits { max_instructions: 100_000, max_call_depth: 64 };
     cfg.measure.limits = EngineLimits { max_instructions: 50_000_000, max_call_depth: 16 };
@@ -77,7 +47,7 @@ fn a_ref_only_trap_reports_the_baselines_error_not_a_later_backends() {
     // differs from the one the unmodified binary raises; the registry's
     // first backend (the baseline) decides, and its last enabled one
     // (`halo-sharded`, on the rewritten binary) must not.
-    let p = program(0, 0);
+    let p = fig2_trap(0, 0);
     let mut cfg = fig2_eval(&["halo-sharded"]);
     cfg.measure.entry_arg = 0;
     let original = measure(&p, &mut SizeClassAllocator::new(), &cfg.measure)

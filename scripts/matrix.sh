@@ -65,3 +65,12 @@ serve() {
 serve default
 serve shards2 --shards 2
 serve regroup2 --regroup-every 2
+
+# The serve schedule must be invisible too: its twin and serve chains
+# print the serial loop's bytes on one worker, on two, and with more
+# workers than chains.
+for t in 1 2 3 8; do
+    HALO_THREADS=$t serve schedule_t$t --shards 4
+    cmp "$out/serve_schedule_t1.json" "$out/serve_schedule_t$t.json"
+    cmp "$out/serve_schedule_t1.txt" "$out/serve_schedule_t$t.txt"
+done
