@@ -68,12 +68,16 @@ impl Default for HaloConfig {
 pub enum PipelineError {
     /// The profiling (or any later verification) execution trapped.
     Vm(VmError),
+    /// A [`serve`](crate::serve()) script or configuration broke a rule,
+    /// found before any work ran; the text is the rule.
+    Rejected(String),
 }
 
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::Vm(e) => write!(f, "execution failed: {e}"),
+            PipelineError::Rejected(rule) => f.write_str(rule),
         }
     }
 }

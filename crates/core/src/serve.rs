@@ -25,10 +25,12 @@
 //!    while serve recovers.
 //!
 //! Schedule: after the initial optimisation the windows run as two
-//! chains on [`par_map`] (DESIGN.md §15) — the *twin* chain measures
-//! each window's baseline and static plan, the *serve* chain runs steps
-//! 1–3 and the serve measurement — so each sharded allocator lives on one
-//! OS thread and the report is the serial loop's at any `HALO_THREADS`.
+//! chains (DESIGN.md §15). The *twin* chain measures each window's
+//! baseline and static plan on one helper thread that owns the static
+//! allocator; the *serve* chain runs steps 1–3 and the serve measurement
+//! on the calling thread. Each sharded allocator thus lives on one OS
+//! thread by construction, and the report is the serial loop's at any
+//! `HALO_THREADS`.
 //!
 //! Determinism: profiling windows replay the phase's *train* seed (the
 //! [`ProfileStream`] needs a stable context-interning order), while
@@ -36,12 +38,13 @@
 //! report is deterministic except the swap wall-clock latencies.
 
 use crate::measure::{measure, MeasureConfig, Measurement};
-use crate::parallel::par_map;
+use crate::parallel::thread_count;
 use crate::pipeline::{graph_at, Halo, HaloConfig, Optimised, PipelineError};
 use halo_graph::{group, grouping_drift, Group};
 use halo_mem::{ShardedHaloAllocator, SizeClassAllocator};
 use halo_profile::ProfileStream;
 use halo_vm::Program;
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
 
 /// One phase of the scripted workload mix: a binary plus its train/ref
@@ -167,36 +170,34 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Record a swapped-in plan's groups for the tests. The serve chain runs
+/// on the thread that called [`serve`], so a test reads them there.
+#[cfg(test)]
+fn note_installed(groups: &[Group]) {
+    INSTALLED_GROUPS.with_borrow_mut(|log| log.push(groups.to_vec()));
+}
+
+#[cfg(not(test))]
+fn note_installed(_: &[Group]) {}
+
 /// Run the serve loop over a phase script. See the module docs for the
 /// window structure.
 ///
 /// # Errors
 ///
+/// Returns [`PipelineError::Rejected`], with the broken rule's text and
+/// before any profiling or optimisation runs, if the script is empty, a
+/// phase has zero windows, or the configuration is out of range: `decay`
+/// or `drift_threshold` outside `[0, 1]` (NaN included), `regroup_every`
+/// of zero, or a shard count
+/// [`ShardedHaloAllocator::check_shards`] rejects.
+///
 /// Returns [`PipelineError::Vm`] if any profiling, re-optimisation, or
 /// measurement execution traps: the first to trap in the window-by-window
 /// order (profile, baseline, static twin, serve; then the next window),
 /// whichever chain met it first in time.
-///
-/// # Panics
-///
-/// Panics — before any profiling or optimisation runs — if the script is
-/// empty, a phase has zero windows, or the configuration is out of range:
-/// `decay` or `drift_threshold` outside `[0, 1]` (NaN included),
-/// `regroup_every` of zero, or a shard count outside
-/// `1..=`[`ShardedHaloAllocator::MAX_SHARDS`].
 pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport, PipelineError> {
-    assert!(!phases.is_empty(), "serve needs at least one phase");
-    assert!(phases.iter().all(|p| p.windows > 0), "every phase needs at least one window");
-    assert!(config.regroup_every > 0, "regroup_every must be at least 1");
-    let (decay, threshold, shards) = (config.decay, config.drift_threshold, config.shards);
-    assert!((0.0..=1.0).contains(&decay), "decay {decay} must be within [0, 1]");
-    assert!((0.0..=1.0).contains(&threshold), "drift_threshold {threshold} must be within [0, 1]");
-    let max_shards = ShardedHaloAllocator::MAX_SHARDS;
-    assert!(
-        (1..=max_shards).contains(&shards),
-        "shards {shards} must be within [1, {max_shards}], the address layout's limit"
-    );
-
+    check(phases, config).map_err(PipelineError::Rejected)?;
     let halo = Halo::for_measurement(&config.halo, &config.measure);
 
     // Initial optimisation on phase 0 — both the serve plan and the
@@ -213,36 +214,24 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let baselines = script.iter().map(|_| OnceLock::new()).collect();
     let windows = Windows { halo: &halo, config, initial: &initial, script, baselines };
 
-    // Two chains on `par_map` (DESIGN.md §15), each the only thread that
-    // ever touches its allocator, so a sharded allocator's thread slots —
-    // and with them every shard choice — are the serial loop's.
-    // `HALO_THREADS=1` walks the list front to back.
-    let (twin, served) = (OnceLock::new(), OnceLock::new());
-    #[cfg(test)]
-    let lifted = std::sync::Mutex::new(None);
-    par_map(&[Chain::Twin, Chain::Serve], |chain| match chain {
-        Chain::Twin => {
-            twin.get_or_init(|| windows.twin(&static_alloc));
-        }
-        Chain::Serve => {
-            // The chain may run on a worker, but the tests read the hooks
-            // on the thread that called `serve`: hand them over.
-            #[cfg(test)]
-            let outer = hooks::set_aside();
-            served.get_or_init(|| windows.serve(&serve_alloc));
-            #[cfg(test)]
-            lifted.lock().expect("no hook holder panics").replace(hooks::restore(outer));
-        }
-    });
-    #[cfg(test)]
-    if let Some(recorded) = lifted.into_inner().expect("no hook holder panics") {
-        hooks::adopt(recorded);
-    }
+    // The twin chain owns the static allocator on one helper thread and
+    // the serve chain runs here (DESIGN.md §15): each sharded allocator is
+    // touched by one OS thread for its whole life, so its thread slots —
+    // and with them every shard choice — are the serial loop's. On one
+    // thread the twin goes first.
+    let (twin, served) = if thread_count(2) > 1 {
+        std::thread::scope(|scope| {
+            let windows = &windows;
+            let twin = scope.spawn(move || windows.twin(&static_alloc));
+            let served = windows.serve(&serve_alloc);
+            (twin.join().unwrap_or_else(|payload| resume_unwind(payload)), served)
+        })
+    } else {
+        (windows.twin(&static_alloc), windows.serve(&serve_alloc))
+    };
 
-    // Read after the fan-in: the first failure in the serial loop's order
-    // decides, whichever chain met its own first.
-    let twin = twin.into_inner().expect("the twin chain ran");
-    let served = served.into_inner().expect("the serve chain ran");
+    // The first failure in the serial loop's order decides, whichever
+    // chain met its own first.
     let (twin, served) = match (twin, served) {
         (Ok(twin), Ok(served)) => (twin, served),
         (twin, served) => {
@@ -277,13 +266,23 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     })
 }
 
-/// One entry of [`serve`]'s job list.
-enum Chain {
-    /// Measure the baseline and the static twin, window by window.
-    Twin,
-    /// Profile, detect, swap and measure the serve allocator, window by
-    /// window.
-    Serve,
+/// The rules [`serve`] holds a script and configuration to, each with
+/// its text.
+fn check(phases: &[ServePhase], config: &ServeConfig) -> Result<(), String> {
+    let (decay, threshold) = (config.decay, config.drift_threshold);
+    if phases.is_empty() {
+        Err("serve needs at least one phase".into())
+    } else if phases.iter().any(|p| p.windows == 0) {
+        Err("every phase needs at least one window".into())
+    } else if config.regroup_every == 0 {
+        Err("regroup_every must be at least 1".into())
+    } else if !(0.0..=1.0).contains(&decay) {
+        Err(format!("decay {decay} must be within [0, 1]"))
+    } else if !(0.0..=1.0).contains(&threshold) {
+        Err(format!("drift_threshold {threshold} must be within [0, 1]"))
+    } else {
+        ShardedHaloAllocator::check_shards(config.shards)
+    }
 }
 
 /// The steps of one window, in the serial loop's order.
@@ -439,8 +438,7 @@ impl Windows<'_> {
                 alloc.swap_plans(reopt.ident.table, overrides);
                 swap_latency_us = start.elapsed().as_secs_f64() * 1e6;
                 swapped = true;
-                #[cfg(test)]
-                INSTALLED_GROUPS.with_borrow_mut(|log| log.push(reopt.groups.clone()));
+                note_installed(&reopt.groups);
                 active = ActivePlan {
                     program: reopt.program,
                     groups: reopt.groups,
@@ -476,35 +474,6 @@ fn measure_serving(
 ) -> Result<Measurement, PipelineError> {
     let mut handle = alloc;
     Ok(measure(program, &mut handle, config)?)
-}
-
-/// The test hooks the serve chain writes — profiling runs and installed
-/// groups, both thread-locals — carried from whichever thread ran the
-/// chain to the one that called [`serve`].
-#[cfg(test)]
-mod hooks {
-    use super::INSTALLED_GROUPS;
-    use crate::pipeline::PROFILING_RUNS;
-    use halo_graph::Group;
-
-    pub(super) type Records = (u64, Vec<Vec<Group>>);
-
-    /// Take this thread's records, leaving it none.
-    pub(super) fn set_aside() -> Records {
-        (PROFILING_RUNS.replace(0), INSTALLED_GROUPS.take())
-    }
-
-    /// Put `outer` back and return what was recorded since it was set
-    /// aside.
-    pub(super) fn restore(outer: Records) -> Records {
-        (PROFILING_RUNS.replace(outer.0), INSTALLED_GROUPS.replace(outer.1))
-    }
-
-    /// Append `recorded` to this thread's records.
-    pub(super) fn adopt(recorded: Records) {
-        PROFILING_RUNS.set(PROFILING_RUNS.get() + recorded.0);
-        INSTALLED_GROUPS.with_borrow_mut(|log| log.extend(recorded.1));
-    }
 }
 
 #[cfg(test)]
@@ -694,9 +663,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one phase")]
     fn empty_scripts_are_rejected() {
-        let _ = serve(&[], &ServeConfig::default());
+        let err = serve(&[], &ServeConfig::default()).expect_err("an empty script is rejected");
+        assert_eq!(err.to_string(), "serve needs at least one phase");
+        let idle = [phase("p", fig2(16, 16), 0)];
+        let err = serve(&idle, &ServeConfig::default()).expect_err("a zero-window phase too");
+        assert_eq!(err.to_string(), "every phase needs at least one window");
     }
 
     #[test]
@@ -704,11 +676,15 @@ mod tests {
         let phases = [phase("p", fig2(16, 16), 1)];
         let rejection = |config: ServeConfig| -> String {
             let profiled = crate::pipeline::PROFILING_RUNS.get();
-            let payload = std::panic::catch_unwind(|| serve(&phases, &config))
-                .expect_err("the configuration must be rejected");
+            let err = serve(&phases, &config).expect_err("the configuration must be rejected");
             assert_eq!(crate::pipeline::PROFILING_RUNS.get(), profiled, "nothing was profiled");
-            payload.downcast_ref::<String>().cloned().expect("a formatted message")
+            assert!(matches!(err, PipelineError::Rejected(_)), "{err:?}");
+            err.to_string()
         };
+        assert_eq!(
+            rejection(ServeConfig { regroup_every: 0, ..serve_config() }),
+            "regroup_every must be at least 1"
+        );
         for bad in [f64::NAN, -0.1, 1.5] {
             assert_eq!(
                 rejection(ServeConfig { decay: bad, ..serve_config() }),

@@ -216,8 +216,8 @@ impl ShardedHaloAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero or above [`Self::MAX_SHARDS`], or under
-    /// the same override conditions as
+    /// Panics with [`Self::check_shards`]'s text if it rejects `shards`,
+    /// or under the same override conditions as
     /// [`HaloGroupAllocator::with_group_configs`].
     pub fn new(
         shards: usize,
@@ -225,14 +225,9 @@ impl ShardedHaloAllocator {
         selectors: SelectorTable,
         overrides: Vec<GroupAllocConfig>,
     ) -> Self {
-        assert!(shards >= 1, "a sharded allocator needs at least one shard");
-        assert!(
-            shards <= Self::MAX_SHARDS,
-            "address layout: {shards} shards of fallback space would reach the group base \
-             {:#x} (at most {} fit); lower the shard count",
-            HaloGroupAllocator::SLAB_BASE,
-            Self::MAX_SHARDS
-        );
+        if let Err(rule) = Self::check_shards(shards) {
+            panic!("{rule}");
+        }
         let shards = (0..shards as u64)
             .map(|i| {
                 let fallback = SizeClassAllocator::with_base_span(
@@ -384,11 +379,22 @@ impl ShardedHaloAllocator {
     }
 
     /// Largest shard count the address layout supports: the per-shard
-    /// fallback tiles must all fit below the group slabs. Callers
-    /// validating user input (the CLI's `--shards`) check this bound up
-    /// front; [`Self::new`] asserts it.
+    /// fallback tiles must all fit below the group slabs. The bound is
+    /// checked in one place, [`Self::check_shards`].
     pub const MAX_SHARDS: usize =
         ((HaloGroupAllocator::SLAB_BASE - FALLBACK_BASE) / FALLBACK_SHARD_STRIDE) as usize;
+
+    /// Whether the address layout holds `shards` shards, from one to
+    /// [`Self::MAX_SHARDS`]; the `Err` names the broken rule. [`Self::new`]
+    /// panics with that text, so whoever holds user input (the CLI's
+    /// `--shards`, `halo_core::serve`) checks here first.
+    pub fn check_shards(shards: usize) -> Result<(), String> {
+        let max = Self::MAX_SHARDS;
+        if (1..=max).contains(&shards) {
+            return Ok(());
+        }
+        Err(format!("shards {shards} must be within [1, {max}], the address layout's limit"))
+    }
 
     /// The calling thread's state, consulting the registry only on a
     /// cache miss (first touch, or after using a different allocator).
@@ -1194,7 +1200,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
+    #[should_panic(expected = "shards 0 must be within [1, ")]
     fn zero_shards_panics() {
         let _ = ShardedHaloAllocator::new(0, tiny_config(), two_group_table(), Vec::new());
     }

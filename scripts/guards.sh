@@ -198,6 +198,19 @@ shipped crates/vm/src/engine.rs | search 'fn calloc' | count -eq 1
 shipped crates/vm/src/engine.rs | search 'let mut callee_regs' | count -eq 1
 shipped crates/hds/src/lib.rs | search -w 'site_groups' | count -eq 0
 
+# -- One owner per serve allocator ------------------------------------
+# `serve` runs its twin chain on one helper thread that takes the static
+# allocator by move, and its serve chain on the calling thread, so each
+# sharded allocator has one OS thread by construction and the tests read
+# their hooks where the chain wrote them (DESIGN.md §15). A fan-out on
+# `par_map`, a courier for the hooks or a `#[cfg(test)]` in a function
+# body makes that a property of which worker claims which job again.
+# The shard bound is compared in one place,
+# `ShardedHaloAllocator::check_shards`, which the CLI, `serve` and the
+# constructor call; a second comparison is a second text for one rule.
+shipped crates/core/src/serve.rs | search -E 'par_map|mod hooks|^[^:]+:[0-9]+:[[:space:]]+#\[cfg\(test\)\]' | count -eq 0
+shipped crates/*/src/*.rs src/*.rs | awk '/fn check_shards\(/ { inside = 1 } inside && /:    }$/ { inside = 0 } !inside && /MAX_SHARDS/ && !/:[[:space:]]*\/\/|const MAX_SHARDS/' | count -eq 0
+
 # -- Repeated code ----------------------------------------------------
 # scripts/repeats.py lists the 4-line windows of shipped code that occur
 # more than once. Seven are kept on purpose (csr.rs's two probe loops,

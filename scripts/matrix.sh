@@ -66,9 +66,9 @@ serve default
 serve shards2 --shards 2
 serve regroup2 --regroup-every 2
 
-# The serve schedule must be invisible too: its twin and serve chains
-# print the serial loop's bytes on one worker, on two, and with more
-# workers than chains.
+# The serve schedule must be invisible too: the twin chain on its helper
+# thread and the serve chain on the caller print the serial loop's bytes
+# at one thread (both chains on the caller), two, and more than two.
 for t in 1 2 3 8; do
     HALO_THREADS=$t serve schedule_t$t --shards 4
     cmp "$out/serve_schedule_t1.json" "$out/serve_schedule_t$t.json"

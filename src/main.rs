@@ -216,8 +216,8 @@ fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
     Ok(f)
 }
 
-/// Parse `flag`'s value as an integer, `form` saying which kind.
-fn parse_int<T: std::str::FromStr>(flag: &str, v: &str, form: &str) -> Result<T, String> {
+/// Parse `flag`'s value as a number, `form` saying which kind.
+fn parse_num<T: std::str::FromStr>(flag: &str, v: &str, form: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {flag} value '{v}' ({form})"))
 }
 
@@ -238,11 +238,11 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
             "--benchmark" => flags.benchmark = Some(value("--benchmark")?),
             "--affinity-distance" => {
                 let v = value("--affinity-distance")?;
-                flags.affinity_distance = Some(parse_int(arg, &v, "a whole number of bytes")?);
+                flags.affinity_distance = Some(parse_num(arg, &v, "a whole number of bytes")?);
             }
             "--chunk-size" => {
                 let v = value("--chunk-size")?;
-                let chunk_size = parse_int(arg, &v, "a whole number of bytes")?;
+                let chunk_size = parse_num(arg, &v, "a whole number of bytes")?;
                 // The allocator's own rule, checked here so a bad size is a
                 // parse error and not a constructor panic on a worker thread.
                 halo::mem::GroupAllocConfig::default()
@@ -255,12 +255,12 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 flags.max_spare_chunks = Some(if v == "inf" {
                     usize::MAX
                 } else {
-                    parse_int(arg, &v, "a whole number of chunks, or inf")?
+                    parse_num(arg, &v, "a whole number of chunks, or inf")?
                 });
             }
             "--max-groups" => {
                 let v = value("--max-groups")?;
-                flags.max_groups = Some(parse_int(arg, &v, "a whole number of groups")?);
+                flags.max_groups = Some(parse_num(arg, &v, "a whole number of groups")?);
             }
             "--merge-tolerance" => {
                 let v = value("--merge-tolerance")?;
@@ -273,17 +273,9 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 let n: usize = v
                     .parse()
                     .map_err(|_| format!("invalid shard count '{v}' (a positive integer)"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                // Checking the address layout's bound here turns what
-                // would be a constructor panic into a clear parse error.
-                let max = halo::mem::ShardedHaloAllocator::MAX_SHARDS;
-                if n > max {
-                    return Err(format!(
-                        "--shards {n} exceeds the address layout's limit of {max} shards"
-                    ));
-                }
+                // The allocator's own rule, checked here so that `halo run`
+                // reports it instead of panicking in a constructor.
+                halo::mem::ShardedHaloAllocator::check_shards(n)?;
                 flags.shards = Some(n);
             }
             "--inject" => {
@@ -309,23 +301,14 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
             },
             "--metric" => flags.metric = Some(value("--metric")?),
             "--phases" => flags.phases = Some(value("--phases")?),
-            "--decay" => {
-                let v = value("--decay")?;
-                flags.decay = Some(parse_fraction("--decay", &v)?);
-            }
+            // `serve` holds these three to its rules; only the syntax is
+            // checked here.
+            "--decay" => flags.decay = Some(parse_num(arg, &value(arg)?, "a fraction in [0, 1]")?),
             "--drift-threshold" => {
-                let v = value("--drift-threshold")?;
-                flags.drift_threshold = Some(parse_fraction("--drift-threshold", &v)?);
+                flags.drift_threshold = Some(parse_num(arg, &value(arg)?, "a fraction in [0, 1]")?);
             }
             "--regroup-every" => {
-                let v = value("--regroup-every")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid regroup interval '{v}' (a positive integer)"))?;
-                if n == 0 {
-                    return Err("--regroup-every must be at least 1".to_string());
-                }
-                flags.regroup_every = Some(n);
+                flags.regroup_every = Some(parse_num(arg, &value(arg)?, "a positive integer")?);
             }
             "--hds" => flags.hds = true,
             "--random" => flags.random = true,
@@ -842,10 +825,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     for part in script.split(',') {
         let (name, windows) = part
             .split_once(':')
+            .and_then(|(name, windows)| Some((name, windows.parse().ok()?)))
             .ok_or_else(|| format!("phase '{part}' is not name:windows (e.g. server:2)"))?;
-        let windows: u64 = windows.parse().ok().filter(|&w| w > 0).ok_or_else(|| {
-            format!("phase '{part}' needs a positive window count (e.g. server:2)")
-        })?;
         let w = by_name(name)?;
         phases.push(ServePhase {
             name: w.name.into(),

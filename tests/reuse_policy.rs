@@ -1,9 +1,9 @@
-//! Pins the per-group reuse-policy outcomes (ISSUE 4 / ROADMAP §6
-//! follow-up): leela — the paper's Table-1 fragmentation extreme — gets a
-//! strict fragmentation improvement from the per-group `auto` policy while
-//! keeping its L1D-miss win, and groups whose bump contiguity is winning
-//! (roms's page-granularity grid group) stay at bump. Runs measure on the
-//! paper's ref scale, exactly what `halo run` reports.
+//! Pins the per-group reuse-policy outcomes: leela — the paper's Table-1
+//! fragmentation extreme — gets a strict fragmentation improvement from
+//! the per-group `auto` policy while keeping its L1D-miss win, and groups
+//! whose bump contiguity is winning (roms's page-granularity grid group)
+//! stay at bump. Runs measure on the paper's ref scale, exactly what
+//! `halo run` reports.
 
 use halo::core::{measure, EvalConfig, Halo};
 use halo::graph::{Granularity, ReusePolicy, ReusePolicyChoice};
@@ -23,7 +23,7 @@ fn run(w: &Workload, config: &EvalConfig) -> (f64, FragReport, halo::core::Optim
     (m.miss_reduction_vs(&base), alloc.frag_report(), opt)
 }
 
-/// The ISSUE 4 acceptance row: under the promoted per-group auto policy,
+/// The leela row: under the promoted per-group auto policy,
 /// leela's fragmentation fraction drops strictly below its bump-only value
 /// while the L1D-miss reduction stays within one point of the bump-only
 /// (PR-3) result.
