@@ -190,7 +190,9 @@ fn note_installed(_: &[Group]) {}
 /// phase has zero windows, or the configuration is out of range: `decay`
 /// or `drift_threshold` outside `[0, 1]` (NaN included), `regroup_every`
 /// of zero, or a shard count
-/// [`ShardedHaloAllocator::check_shards`] rejects.
+/// [`ShardedHaloAllocator::check_shards`] rejects; or if the script has
+/// more windows than this host can hold (their sum overflows, or a
+/// per-window table cannot be reserved).
 ///
 /// Returns [`PipelineError::Vm`] if any profiling, re-optimisation, or
 /// measurement execution traps: the first to trap in the window-by-window
@@ -198,6 +200,15 @@ fn note_installed(_: &[Group]) {}
 /// whichever chain met it first in time.
 pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport, PipelineError> {
     check(phases, config).map_err(PipelineError::Rejected)?;
+    // Every per-window table is reserved before any work, so a script this
+    // host cannot hold is an error and not an abort after the optimisation.
+    let n = phases.iter().try_fold(0usize, |n, p| n.checked_add(usize::try_from(p.windows).ok()?));
+    let tables = n.and_then(|n| Some((room(n)?, room(n)?, room(n)?, room(n)?, room(n)?)));
+    let Some((mut script, mut baselines, twin_out, serve_out, mut rows)) = tables else {
+        return Err(PipelineError::Rejected(
+            "the script has more windows than this host can hold".into(),
+        ));
+    };
     let halo = Halo::for_measurement(&config.halo, &config.measure);
 
     // Initial optimisation on phase 0 — both the serve plan and the
@@ -206,12 +217,13 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let initial = halo.optimise_with_arg(&first.program, first.train_seed, first.train_arg)?;
     let serve_alloc = halo.make_sharded_allocator(&initial, config.shards);
     let static_alloc = halo.make_sharded_allocator(&initial, config.shards);
-    let script: Vec<_> = phases
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, phase)| (0..phase.windows).map(move |_| (idx, phase)))
-        .collect();
-    let baselines = script.iter().map(|_| OnceLock::new()).collect();
+    script.extend(
+        phases
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, phase)| (0..phase.windows).map(move |_| (idx, phase))),
+    );
+    baselines.resize_with(script.len(), OnceLock::new);
     let windows = Windows { halo: &halo, config, initial: &initial, script, baselines };
 
     // The twin chain owns the static allocator on one helper thread and
@@ -222,12 +234,12 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
     let (twin, served) = if thread_count(2) > 1 {
         std::thread::scope(|scope| {
             let windows = &windows;
-            let twin = scope.spawn(move || windows.twin(&static_alloc));
-            let served = windows.serve(&serve_alloc);
+            let twin = scope.spawn(move || windows.twin(&static_alloc, twin_out));
+            let served = windows.serve(&serve_alloc, serve_out);
             (twin.join().unwrap_or_else(|payload| resume_unwind(payload)), served)
         })
     } else {
-        (windows.twin(&static_alloc), windows.serve(&serve_alloc))
+        (windows.twin(&static_alloc, twin_out), windows.serve(&serve_alloc, serve_out))
     };
 
     // The first failure in the serial loop's order decides, whichever
@@ -239,12 +251,8 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             return Err(failures.min_by_key(|f| f.at).expect("a chain failed").error);
         }
     };
-    let rows: Vec<EpochRow> = windows
-        .script
-        .iter()
-        .zip(twin.iter().zip(served))
-        .enumerate()
-        .map(|(window, (&(_, phase), (&[baseline, static_m], served)))| EpochRow {
+    rows.extend(windows.script.iter().zip(twin.iter().zip(served)).enumerate().map(
+        |(window, (&(_, phase), (&[baseline, static_m], served)))| EpochRow {
             window: window as u64,
             phase: phase.name.clone(),
             plan_epoch: served.plan_epoch,
@@ -253,8 +261,8 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
             swap_latency_us: served.swap_latency_us,
             miss_reduction: served.measurement.miss_reduction_vs(&baseline),
             static_miss_reduction: static_m.miss_reduction_vs(&baseline),
-        })
-        .collect();
+        },
+    ));
 
     let last = rows.last().expect("at least one window ran");
     Ok(ServeReport {
@@ -264,6 +272,14 @@ pub fn serve(phases: &[ServePhase], config: &ServeConfig) -> Result<ServeReport,
         swaps: rows.iter().filter(|row| row.swapped).count() as u64,
         rows,
     })
+}
+
+/// An empty table with room for `n` entries, or `None` when the host has
+/// no memory for it.
+fn room<T>(n: usize) -> Option<Vec<T>> {
+    let mut table = Vec::new();
+    table.try_reserve_exact(n).ok()?;
+    Some(table)
 }
 
 /// The rules [`serve`] holds a script and configuration to, each with
@@ -354,22 +370,28 @@ impl Windows<'_> {
     /// The twin chain: each window's `[baseline, static twin]`. The twin
     /// is phase 0's plan on its own never-swapped allocator; after a
     /// shift it serves the new binary unmodified.
-    fn twin(&self, alloc: &ShardedHaloAllocator) -> Result<Vec<[Measurement; 2]>, Failure> {
-        (0..self.script.len())
-            .map(|w| {
-                let baseline = self.baseline(w)?;
-                let (phase_idx, phase) = self.script[w];
-                let program = if phase_idx == 0 { &self.initial.program } else { &phase.program };
-                let static_m = measure_serving(alloc, program, &self.measure_config(w))
-                    .map_err(Failure::at(w, Stage::Static))?;
-                Ok([baseline, static_m])
-            })
-            .collect()
+    fn twin(
+        &self,
+        alloc: &ShardedHaloAllocator,
+        mut twin: Vec<[Measurement; 2]>,
+    ) -> Result<Vec<[Measurement; 2]>, Failure> {
+        for (w, &(phase_idx, phase)) in self.script.iter().enumerate() {
+            let baseline = self.baseline(w)?;
+            let program = if phase_idx == 0 { &self.initial.program } else { &phase.program };
+            let static_m = measure_serving(alloc, program, &self.measure_config(w))
+                .map_err(Failure::at(w, Stage::Static))?;
+            twin.push([baseline, static_m]);
+        }
+        Ok(twin)
     }
 
     /// The serve chain: stream, detect, swap and measure, window by
     /// window (module docs, steps 1-4).
-    fn serve(&self, alloc: &ShardedHaloAllocator) -> Result<Vec<Served>, Failure> {
+    fn serve(
+        &self,
+        alloc: &ShardedHaloAllocator,
+        mut served: Vec<Served>,
+    ) -> Result<Vec<Served>, Failure> {
         let (halo, config) = (self.halo, self.config);
         // Every plan of the run is grouped at the granularity phase 0
         // resolved to, and the stream absorbs each window's graph of that
@@ -384,7 +406,6 @@ impl Windows<'_> {
             source_phase: 0,
             best_miss_reduction: f64::NEG_INFINITY,
         };
-        let mut served: Vec<Served> = Vec::with_capacity(self.script.len());
         for (w, &(phase_idx, phase)) in self.script.iter().enumerate() {
             if w > 0 && self.script[w - 1].0 != phase_idx {
                 // A new binary means a new context-interning order: the
@@ -673,18 +694,28 @@ mod tests {
 
     #[test]
     fn an_out_of_range_configuration_is_rejected_before_any_work() {
-        let phases = [phase("p", fig2(16, 16), 1)];
-        let rejection = |config: ServeConfig| -> String {
+        let rejected = |phases: &[ServePhase], config: ServeConfig| -> String {
             let profiled = crate::pipeline::PROFILING_RUNS.get();
-            let err = serve(&phases, &config).expect_err("the configuration must be rejected");
+            let err = serve(phases, &config).expect_err("the configuration must be rejected");
             assert_eq!(crate::pipeline::PROFILING_RUNS.get(), profiled, "nothing was profiled");
             assert!(matches!(err, PipelineError::Rejected(_)), "{err:?}");
             err.to_string()
         };
+        let phases = [phase("p", fig2(16, 16), 1)];
+        let rejection = |config: ServeConfig| rejected(&phases, config);
         assert_eq!(
             rejection(ServeConfig { regroup_every: 0, ..serve_config() }),
             "regroup_every must be at least 1"
         );
+        // A window count no host can hold, and two whose sum overflows.
+        let half = u64::MAX / 2 + 1;
+        for windows in [&[u64::MAX][..], &[half, half]] {
+            let script: Vec<_> = windows.iter().map(|&n| phase("p", fig2(16, 16), n)).collect();
+            assert_eq!(
+                rejected(&script, serve_config()),
+                "the script has more windows than this host can hold"
+            );
+        }
         for bad in [f64::NAN, -0.1, 1.5] {
             assert_eq!(
                 rejection(ServeConfig { decay: bad, ..serve_config() }),

@@ -109,6 +109,25 @@ impl GroupAllocConfig {
         config.check_chunk_size(chunk_size)?;
         Ok(config)
     }
+
+    /// A plan's per-group table: `overrides`, each chunk size checked
+    /// against these slabs, padded with this configuration to at least
+    /// `num_groups` entries. The one place a plan meets the chunk rule;
+    /// [`HaloGroupAllocator::install`] puts the table in force.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Self::check_chunk_size`]'s text if an override breaks
+    /// it.
+    pub(crate) fn group_table(&self, num_groups: usize, mut overrides: Vec<Self>) -> Vec<Self> {
+        for over in &overrides {
+            if let Err(rule) = self.check_chunk_size(over.chunk_size) {
+                panic!("{rule}");
+            }
+        }
+        overrides.resize(num_groups.max(overrides.len()), *self);
+        overrides
+    }
 }
 
 /// Event counters exposed for experiments and tests.
@@ -317,7 +336,7 @@ pub struct HaloGroupAllocator {
     chunks: Vec<Chunk>,
     /// Page → handle of the chunk covering it. Page granular because
     /// chunk sizes vary per plan and a page is the smallest chunk
-    /// [`Self::validate_chunk`] admits.
+    /// [`GroupAllocConfig::check_chunk_size`] admits.
     pages: PageIndex,
     /// Current chunk handle per group.
     current: Vec<Option<u32>>,
@@ -365,14 +384,16 @@ impl HaloGroupAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if any override's `chunk_size` is not a power of two of at
-    /// least a page, or does not divide the global `slab_size`.
+    /// Panics with [`GroupAllocConfig::check_chunk_size`]'s text if
+    /// `config`'s own chunk size or any override's breaks it.
     pub fn with_group_configs(
         config: GroupAllocConfig,
         selectors: SelectorTable,
         overrides: Vec<GroupAllocConfig>,
     ) -> Self {
-        Self::build(config, Self::SLAB_BASE, selectors, overrides, SizeClassAllocator::new())
+        let mut a = Self::build(config, Self::SLAB_BASE, SizeClassAllocator::new());
+        a.install_plan(selectors, overrides);
+        a
     }
 
     /// Create an allocator classifying by immediate call site (the
@@ -381,68 +402,45 @@ impl HaloGroupAllocator {
         config: GroupAllocConfig,
         site_groups: HashMap<CallSite, usize>,
     ) -> Self {
-        let mut a = Self::new(config, SelectorTable::empty());
         let num_groups = site_groups.values().map(|&g| g + 1).max().unwrap_or(0);
-        a.ensure_groups(num_groups);
+        let mut a =
+            Self::with_group_configs(config, SelectorTable::empty(), vec![config; num_groups]);
         a.site_groups = site_groups;
         a
     }
 
-    /// [`Self::with_group_configs`] with slabs from `slab_base` over an
+    /// An allocator with no groups yet, its slabs from `slab_base` over an
     /// explicit fallback — the shape [`crate::ShardedHaloAllocator`]
     /// needs: per-shard slabs *and* a per-shard fallback, each rooted at a
-    /// shard-private base address.
+    /// shard-private base address. [`Self::install`] puts a plan in force.
     pub(crate) fn build(
         config: GroupAllocConfig,
         slab_base: u64,
-        selectors: SelectorTable,
-        overrides: Vec<GroupAllocConfig>,
         fallback: SizeClassAllocator,
     ) -> Self {
-        Self::validate_chunk(&config, config.chunk_size);
-        let num_groups = selectors.num_groups().max(overrides.len());
-        let mut group_cfg = vec![config; num_groups];
-        for (g, over) in overrides.into_iter().enumerate() {
-            Self::validate_chunk(&config, over.chunk_size);
-            group_cfg[g] = over;
+        if let Err(rule) = config.check_chunk_size(config.chunk_size) {
+            panic!("{rule}");
         }
         HaloGroupAllocator {
             config,
-            group_cfg,
-            selectors,
+            group_cfg: Vec::new(),
+            selectors: SelectorTable::empty(),
             vmm: Vmm::new(slab_base, 1 << 38),
             slab_cursor: None,
             chunks: Vec::new(),
             pages: PageIndex::new(slab_base),
-            current: vec![None; num_groups],
+            current: Vec::new(),
             site_groups: HashMap::new(),
             spare: Vec::new(),
             clean: Vec::new(),
             live_regions: 0,
             fallback,
             usage: PoolUsage::default(),
-            group_usage: vec![PoolUsage::default(); num_groups],
+            group_usage: Vec::new(),
             stats: GroupAllocStats::default(),
-            degraded: vec![false; num_groups],
+            degraded: Vec::new(),
             degrade: DegradeStats::default(),
             faults: None,
-        }
-    }
-
-    pub(crate) fn validate_chunk(config: &GroupAllocConfig, chunk_size: u64) {
-        if let Err(rule) = config.check_chunk_size(chunk_size) {
-            panic!("{rule}");
-        }
-    }
-
-    /// Grow the per-group tables to at least `n` groups (new groups run
-    /// under the global configuration).
-    fn ensure_groups(&mut self, n: usize) {
-        if n > self.current.len() {
-            self.current.resize(n, None);
-            self.group_cfg.resize(n, self.config);
-            self.group_usage.resize(n, PoolUsage::default());
-            self.degraded.resize(n, false);
         }
     }
 
@@ -486,27 +484,36 @@ impl HaloGroupAllocator {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Self::with_group_configs`]
-    /// (invalid override `chunk_size`) — validation happens before any
-    /// state is touched, so a bad plan leaves the allocator unchanged.
+    /// Panics with [`GroupAllocConfig::check_chunk_size`]'s text if an
+    /// override's chunk size breaks it — before any state is touched, so a
+    /// bad plan leaves the allocator unchanged.
     pub fn install_plan(&mut self, selectors: SelectorTable, overrides: Vec<GroupAllocConfig>) {
-        for over in &overrides {
-            Self::validate_chunk(&self.config, over.chunk_size);
-        }
-        let num_groups = selectors.num_groups().max(overrides.len());
-        self.ensure_groups(num_groups);
-        let mut new_cfg = vec![self.config; self.group_cfg.len()];
-        for (g, over) in overrides.into_iter().enumerate() {
-            new_cfg[g] = over;
-        }
-        for (g, cfg) in new_cfg.iter().enumerate() {
-            if *cfg != self.group_cfg[g] {
-                // Retire the open chunk; the next allocation for the
-                // group carves fresh under the new configuration.
+        let groups = self.config.group_table(selectors.num_groups(), overrides);
+        self.install(selectors, &groups);
+    }
+
+    /// Put `selectors` and a [`GroupAllocConfig::group_table`] in force: the
+    /// one step by which a plan takes effect, at construction and on a swap
+    /// alike. A group the table does not reach returns to the global
+    /// configuration, and a group whose configuration changes retires its
+    /// open chunk.
+    pub(crate) fn install(&mut self, selectors: SelectorTable, groups: &[GroupAllocConfig]) {
+        // The per-group tables only grow: a group's chunks and counters
+        // outlive a plan that stops naming it.
+        let n = groups.len().max(self.group_cfg.len());
+        self.current.resize(n, None);
+        self.group_cfg.resize(n, self.config);
+        self.group_usage.resize(n, PoolUsage::default());
+        self.degraded.resize(n, false);
+        for (g, cfg) in self.group_cfg.iter_mut().enumerate() {
+            let new = groups.get(g).copied().unwrap_or(self.config);
+            if *cfg != new {
+                // The next allocation for the group carves fresh under the
+                // new configuration.
+                *cfg = new;
                 self.current[g] = None;
             }
         }
-        self.group_cfg = new_cfg;
         self.selectors = selectors;
     }
 

@@ -217,8 +217,9 @@ impl ShardedHaloAllocator {
     /// # Panics
     ///
     /// Panics with [`Self::check_shards`]'s text if it rejects `shards`,
-    /// or under the same override conditions as
-    /// [`HaloGroupAllocator::with_group_configs`].
+    /// or with [`GroupAllocConfig::check_chunk_size`]'s if `config`'s own
+    /// chunk size or an override's breaks it. The plan is checked once,
+    /// whatever the shard count.
     pub fn new(
         shards: usize,
         config: GroupAllocConfig,
@@ -228,21 +229,19 @@ impl ShardedHaloAllocator {
         if let Err(rule) = Self::check_shards(shards) {
             panic!("{rule}");
         }
+        let groups = config.group_table(selectors.num_groups(), overrides);
         let shards = (0..shards as u64)
             .map(|i| {
                 let fallback = SizeClassAllocator::with_base_span(
                     FALLBACK_BASE + i * FALLBACK_SHARD_STRIDE,
                     FALLBACK_SHARD_STRIDE,
                 );
+                let slab_base = HaloGroupAllocator::SLAB_BASE + i * GROUP_SHARD_STRIDE;
+                let mut alloc = HaloGroupAllocator::build(config, slab_base, fallback);
+                alloc.install(selectors.clone(), &groups);
                 Shard {
                     inner: Mutex::new(ShardState {
-                        alloc: HaloGroupAllocator::build(
-                            config,
-                            HaloGroupAllocator::SLAB_BASE + i * GROUP_SHARD_STRIDE,
-                            selectors.clone(),
-                            overrides.clone(),
-                            fallback,
-                        ),
+                        alloc,
                         drain_buf: Vec::new(),
                         drained: 0,
                         degraded: false,
@@ -274,7 +273,8 @@ impl ShardedHaloAllocator {
 
     /// Hot-swap every shard onto a new plan (DESIGN.md §15): replace the
     /// selector table and per-group configuration, then advance the plan
-    /// epoch. Every shard installs the same overrides, as in [`Self::new`].
+    /// epoch. Every shard installs the same checked table, as in
+    /// [`Self::new`].
     ///
     /// All shard locks are taken in index order and held across the
     /// installation, so the swap is atomic with respect to allocation: no
@@ -293,16 +293,14 @@ impl ShardedHaloAllocator {
     ///
     /// # Panics
     ///
-    /// Panics under the same override conditions as [`Self::new`];
-    /// validation runs before any shard is touched, so a bad plan leaves
-    /// every shard unchanged.
+    /// Panics with [`GroupAllocConfig::check_chunk_size`]'s text if an
+    /// override breaks it. The plan is checked once, before any shard lock
+    /// is taken, so a bad plan leaves every shard unchanged.
     pub fn swap_plans(&self, selectors: SelectorTable, overrides: Vec<GroupAllocConfig>) -> u64 {
-        for over in &overrides {
-            HaloGroupAllocator::validate_chunk(&self.config, over.chunk_size);
-        }
+        let groups = self.config.group_table(selectors.num_groups(), overrides);
         let mut guards: Vec<_> = (0..self.shards.len()).map(|s| self.lock_shard(s)).collect();
         for guard in &mut guards {
-            guard.alloc.install_plan(selectors.clone(), overrides.clone());
+            guard.alloc.install(selectors.clone(), &groups);
         }
         let epoch = self.plan_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guards);

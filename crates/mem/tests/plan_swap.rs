@@ -12,7 +12,10 @@
 //!   zero live bytes at join — old chunks retire through the ordinary
 //!   free machinery while new chunks carve under the new plan.
 
-use halo_mem::{AllocatorStats, GroupAllocConfig, HaloGroupAllocator, ShardedHaloAllocator};
+use halo_mem::{
+    AllocatorStats, GroupAllocConfig, GroupSelector, HaloGroupAllocator, SelectorTable,
+    ShardedHaloAllocator,
+};
 use halo_vm::{GroupState, Memory, VmAllocator};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -103,6 +106,28 @@ fn changed_plan_applies_to_fresh_chunks_only() {
         VmAllocator::free(&mut a, p, &mut mem);
     }
     assert_eq!(a.live_bytes(), 0, "pre- and post-swap pointers all drain");
+}
+
+#[test]
+fn a_swapped_plan_runs_what_a_fresh_allocator_on_it_runs() {
+    // A plan of `n` groups, group `g` on bit `g` with `2^g` times `chunk`.
+    let cfg = small_config();
+    let plan = |n: usize, chunk: u64| {
+        let selectors =
+            (0..n).map(|g| GroupSelector { group: g, conjunctions: vec![vec![g as u16]] });
+        let overrides = (0..n).map(|g| GroupAllocConfig { chunk_size: chunk << g, ..cfg });
+        (SelectorTable::new(selectors.collect(), n as u16), overrides.collect::<Vec<_>>())
+    };
+    // Onto more groups than the allocator runs, and onto fewer: a group the
+    // new plan does not name returns to the global configuration.
+    for (p, q) in [(plan(2, 16_384), plan(3, 32_768)), (plan(3, 16_384), plan(1, 32_768))] {
+        let fresh = HaloGroupAllocator::with_group_configs(cfg, q.0.clone(), q.1.clone());
+        let mut swapped = HaloGroupAllocator::with_group_configs(cfg, p.0, p.1);
+        swapped.install_plan(q.0, q.1);
+        for g in 0..4 {
+            assert_eq!(swapped.group_config(g), fresh.group_config(g), "group {g}");
+        }
+    }
 }
 
 #[test]

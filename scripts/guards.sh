@@ -211,6 +211,23 @@ shipped crates/hds/src/lib.rs | search -w 'site_groups' | count -eq 0
 shipped crates/core/src/serve.rs | search -E 'par_map|mod hooks|^[^:]+:[0-9]+:[[:space:]]+#\[cfg\(test\)\]' | count -eq 0
 shipped crates/*/src/*.rs src/*.rs | awk '/fn check_shards\(/ { inside = 1 } inside && /:    }$/ { inside = 0 } !inside && /MAX_SHARDS/ && !/:[[:space:]]*\/\/|const MAX_SHARDS/' | count -eq 0
 
+# -- One flag table ---------------------------------------------------
+# Every `halo` flag is one row of `FLAGS` in src/main.rs — its name, the
+# commands that read it, the form of its value — and each command's list
+# in an "only accepts" error is that table filtered. A flag's name is
+# quoted in its row and its parse arm only: a third quote is a
+# per-command list again, which can drift from the parse arms.
+search -oE '"--[a-z-]+"' src/main.rs | sort | uniq -c | awk '$1 > 2' | count -eq 0
+
+# -- One plan check ---------------------------------------------------
+# A layout plan meets the chunk rule in `GroupAllocConfig::group_table`,
+# once per constructor or swap whatever the shard count, and takes effect
+# through `HaloGroupAllocator::install` (DESIGN.md §6, §15). Beside it the
+# rule is reached only by `with_chunk_size`, its front for user input, and
+# by `build`'s check of the allocator-wide chunk size; a fourth call is a
+# second expansion of the plan or a check repeated per shard.
+shipped crates/mem/src/*.rs | search -E '(check_chunk_size|validate_chunk)\(' | search -vE 'fn (check_chunk_size|validate_chunk)\(' | count -le 3
+
 # -- Repeated code ----------------------------------------------------
 # scripts/repeats.py lists the 4-line windows of shipped code that occur
 # more than once. Seven are kept on purpose (csr.rs's two probe loops,

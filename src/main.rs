@@ -148,7 +148,8 @@ fn usage() {
 struct Flags {
     benchmark: Option<String>,
     affinity_distance: Option<u64>,
-    chunk_size: Option<u64>,
+    /// `--chunk-size`'s chunk and the slab it implies, checked once.
+    chunk: Option<(u64, u64)>,
     max_spare_chunks: Option<usize>,
     max_groups: Option<usize>,
     merge_tolerance: Option<f64>,
@@ -169,117 +170,94 @@ struct Flags {
     regroup_every: Option<u64>,
 }
 
-/// The flags each command reads. One `Flags` struct serves them all, so a
-/// flag outside the calling command's list is an error rather than a
-/// setting that silently does nothing.
-const BASELINE_FLAGS: &[&str] = &["--benchmark", "--json"];
-const RUN_FLAGS: &[&str] = &[
-    "--benchmark",
-    "--affinity-distance",
-    "--chunk-size",
-    "--max-spare-chunks",
-    "--max-groups",
-    "--merge-tolerance",
-    "--granularity",
-    "--reuse-policy",
-    "--shards",
-    "--inject",
-    "--measure",
-    "--hds",
-    "--random",
-    "--ptmalloc",
-    "--json",
-];
-/// `plot` draws the HALO and HDS bars only: the flags that shape them.
-const PLOT_FLAGS: &[&str] = &[
-    "--benchmark",
-    "--metric",
-    "--affinity-distance",
-    "--chunk-size",
-    "--max-spare-chunks",
-    "--max-groups",
-    "--merge-tolerance",
-    "--granularity",
-    "--reuse-policy",
-    "--inject",
-];
-const SERVE_FLAGS: &[&str] =
-    &["--phases", "--shards", "--decay", "--drift-threshold", "--regroup-every", "--json"];
+/// The commands that evaluate a plan.
+const RUN_PLOT: &[&str] = &["run", "plot"];
 
-/// Parse `flag`'s value as a fraction in `[0, 1]` (which excludes NaN).
-fn parse_fraction(flag: &str, v: &str) -> Result<f64, String> {
-    let what = flag.trim_start_matches('-').replace('-', " ");
-    let f: f64 = v.parse().map_err(|_| format!("invalid {what} '{v}' (a fraction in [0, 1])"))?;
-    if !(0.0..=1.0).contains(&f) {
-        return Err(format!("{flag} {v} is out of range (a fraction in [0, 1])"));
-    }
-    Ok(f)
-}
+/// Every flag: its name, the commands that read it and the form of its
+/// value (`None` for a switch). One `Flags` struct serves every command, so
+/// a flag outside the calling command's rows is an error rather than a
+/// setting that silently does nothing. `plot` draws the HALO and HDS bars
+/// only: it takes the flags that shape them.
+const FLAGS: &[(&str, &[&str], Option<&str>)] = &[
+    ("--benchmark", &["baseline", "run", "plot"], Some("name[,name…]|all")),
+    ("--metric", &["plot"], Some("misses|speedup")),
+    ("--phases", &["serve"], Some("name:windows[,name:windows…]")),
+    ("--affinity-distance", RUN_PLOT, Some("a whole number of bytes")),
+    ("--chunk-size", RUN_PLOT, Some("a whole number of bytes")),
+    ("--max-spare-chunks", RUN_PLOT, Some("a whole number of chunks, or inf")),
+    ("--max-groups", RUN_PLOT, Some("a whole number of groups")),
+    ("--merge-tolerance", RUN_PLOT, Some("a fraction in [0, 1]")),
+    ("--granularity", RUN_PLOT, Some("object|page|auto")),
+    ("--reuse-policy", RUN_PLOT, Some("bump|sharded|auto")),
+    ("--shards", &["run", "serve"], Some("a positive integer")),
+    ("--decay", &["serve"], Some("a fraction in [0, 1]")),
+    ("--drift-threshold", &["serve"], Some("a fraction in [0, 1]")),
+    ("--regroup-every", &["serve"], Some("a positive integer")),
+    ("--inject", RUN_PLOT, Some("a fault schedule")),
+    ("--measure", &["run"], Some("sim|real")),
+    ("--hds", &["run"], None),
+    ("--random", &["run"], None),
+    ("--ptmalloc", &["run"], None),
+    ("--json", &["baseline", "run", "serve"], None),
+];
 
 /// Parse `flag`'s value as a number, `form` saying which kind.
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str, form: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {flag} value '{v}' ({form})"))
 }
 
-fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags, String> {
+fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
+    let accepted = || FLAGS.iter().filter(|(_, commands, _)| commands.contains(&command));
     let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if !allowed.contains(&arg.as_str()) {
+        let Some(&(flag, _, form)) = accepted().find(|(flag, ..)| flag == arg) else {
+            let names: Vec<&str> = accepted().map(|(flag, ..)| *flag).collect();
             return Err(format!(
                 "unknown flag '{arg}': halo {command} only accepts {}",
-                allowed.join(", ")
+                names.join(", ")
             ));
-        }
-        let mut value = |name: &str| {
-            it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
         };
-        match arg.as_str() {
-            "--benchmark" => flags.benchmark = Some(value("--benchmark")?),
-            "--affinity-distance" => {
-                let v = value("--affinity-distance")?;
-                flags.affinity_distance = Some(parse_num(arg, &v, "a whole number of bytes")?);
+        let (v, form) = match form {
+            Some(form) => {
+                (it.next().ok_or_else(|| format!("{flag} needs a value"))?.as_str(), form)
             }
+            None => ("", ""),
+        };
+        match flag {
+            "--benchmark" => flags.benchmark = Some(v.to_string()),
+            "--affinity-distance" => flags.affinity_distance = Some(parse_num(flag, v, form)?),
             "--chunk-size" => {
-                let v = value("--chunk-size")?;
-                let chunk_size = parse_num(arg, &v, "a whole number of bytes")?;
                 // The allocator's own rule, checked here so a bad size is a
                 // parse error and not a constructor panic on a worker thread.
-                halo::mem::GroupAllocConfig::default()
-                    .with_chunk_size(chunk_size)
-                    .map_err(|rule| format!("--chunk-size {v}: {rule}"))?;
-                flags.chunk_size = Some(chunk_size);
+                let checked = halo::mem::GroupAllocConfig::default()
+                    .with_chunk_size(parse_num(flag, v, form)?)
+                    .map_err(|rule| format!("{flag} {v}: {rule}"))?;
+                flags.chunk = Some((checked.chunk_size, checked.slab_size));
             }
             "--max-spare-chunks" => {
-                let v = value("--max-spare-chunks")?;
-                flags.max_spare_chunks = Some(if v == "inf" {
-                    usize::MAX
-                } else {
-                    parse_num(arg, &v, "a whole number of chunks, or inf")?
-                });
+                flags.max_spare_chunks =
+                    Some(if v == "inf" { usize::MAX } else { parse_num(flag, v, form)? });
             }
-            "--max-groups" => {
-                let v = value("--max-groups")?;
-                flags.max_groups = Some(parse_num(arg, &v, "a whole number of groups")?);
-            }
+            "--max-groups" => flags.max_groups = Some(parse_num(flag, v, form)?),
             "--merge-tolerance" => {
-                let v = value("--merge-tolerance")?;
-                flags.merge_tolerance = Some(parse_fraction("--merge-tolerance", &v)?);
+                let t: f64 = parse_num(flag, v, form)?;
+                if !(0.0..=1.0).contains(&t) {
+                    return Err(format!("{flag} {v} is out of range ({form})"));
+                }
+                flags.merge_tolerance = Some(t);
             }
-            "--granularity" => flags.granularity = Some(value("--granularity")?.parse()?),
-            "--reuse-policy" => flags.reuse_policy = Some(value("--reuse-policy")?.parse()?),
+            "--granularity" => flags.granularity = Some(v.parse()?),
+            "--reuse-policy" => flags.reuse_policy = Some(v.parse()?),
             "--shards" => {
-                let v = value("--shards")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid shard count '{v}' (a positive integer)"))?;
+                let n = parse_num(flag, v, form)?;
                 // The allocator's own rule, checked here so that `halo run`
                 // reports it instead of panicking in a constructor.
                 halo::mem::ShardedHaloAllocator::check_shards(n)?;
                 flags.shards = Some(n);
             }
             "--inject" => {
-                let plan = FaultPlan::parse(&value("--inject")?)?;
+                let plan = FaultPlan::parse(v)?;
                 // `FaultPlan` knows a fourth site, for the chaos suite's
                 // worker threads. Here it would fire on the one thread
                 // there is. (A plan prints as its entries, so a site it
@@ -294,27 +272,23 @@ fn parse_flags(command: &str, allowed: &[&str], args: &[String]) -> Result<Flags
                 }
                 flags.inject = Some(plan);
             }
-            "--measure" => match value("--measure")?.as_str() {
+            "--measure" => match v {
                 "sim" => flags.measure_real = false,
                 "real" => flags.measure_real = true,
-                v => return Err(format!("unknown measurement mode '{v}' (sim|real)")),
+                v => return Err(format!("unknown measurement mode '{v}' ({form})")),
             },
-            "--metric" => flags.metric = Some(value("--metric")?),
-            "--phases" => flags.phases = Some(value("--phases")?),
+            "--metric" => flags.metric = Some(v.to_string()),
+            "--phases" => flags.phases = Some(v.to_string()),
             // `serve` holds these three to its rules; only the syntax is
             // checked here.
-            "--decay" => flags.decay = Some(parse_num(arg, &value(arg)?, "a fraction in [0, 1]")?),
-            "--drift-threshold" => {
-                flags.drift_threshold = Some(parse_num(arg, &value(arg)?, "a fraction in [0, 1]")?);
-            }
-            "--regroup-every" => {
-                flags.regroup_every = Some(parse_num(arg, &value(arg)?, "a positive integer")?);
-            }
+            "--decay" => flags.decay = Some(parse_num(flag, v, form)?),
+            "--drift-threshold" => flags.drift_threshold = Some(parse_num(flag, v, form)?),
+            "--regroup-every" => flags.regroup_every = Some(parse_num(flag, v, form)?),
             "--hds" => flags.hds = true,
             "--random" => flags.random = true,
             "--ptmalloc" => flags.ptmalloc = true,
             "--json" => flags.json = true,
-            other => unreachable!("{other} is on an allow-list but has no parser"),
+            other => unreachable!("{other} has a row in FLAGS but no parser"),
         }
     }
     Ok(flags)
@@ -360,9 +334,9 @@ fn config_for(workload: &Workload, flags: &Flags) -> EvalConfig {
     if let Some(a) = flags.affinity_distance {
         config.halo.profile.affinity_distance = a;
     }
-    if let Some(chunk_size) = flags.chunk_size {
-        config.halo.alloc =
-            config.halo.alloc.with_chunk_size(chunk_size).expect("checked at parse time");
+    if let Some((chunk_size, slab_size)) = flags.chunk {
+        config.halo.alloc.chunk_size = chunk_size;
+        config.halo.alloc.slab_size = slab_size;
     }
     if let Some(s) = flags.max_spare_chunks {
         config.halo.alloc.max_spare_chunks = s;
@@ -435,7 +409,7 @@ fn run_sweep<T: Sync>(
 }
 
 fn cmd_baseline(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("baseline", BASELINE_FLAGS, args)?;
+    let flags = parse_flags("baseline", args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     run_sweep(&workloads, |w| {
         let m = halo_bench::baseline(w, &config_for(w, &flags));
@@ -677,7 +651,7 @@ fn render_run(r: &EvalResult, flags: &Flags) -> String {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("run", RUN_FLAGS, args)?;
+    let flags = parse_flags("run", args)?;
     let workloads = find_workloads(flags.benchmark.as_deref())?;
     if flags.measure_real {
         if flags.inject.is_some() {
@@ -773,7 +747,7 @@ fn cmd_run_real(workloads: &[Workload], flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("plot", PLOT_FLAGS, args)?;
+    let flags = parse_flags("plot", args)?;
     let metric_is_speedup = match flags.metric.as_deref().unwrap_or("misses") {
         "misses" => false,
         "speedup" => true,
@@ -812,7 +786,7 @@ fn cmd_plot(args: &[String]) -> Result<(), String> {
 /// except the `swap_latency_us` wall-clock fields (CI strips them before
 /// comparing replays).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags("serve", SERVE_FLAGS, args)?;
+    let flags = parse_flags("serve", args)?;
     let script = flags
         .phases
         .as_deref()

@@ -209,7 +209,8 @@ fn shards_flag_enables_the_sharded_backend() {
     assert!(stderr(&zero).contains(&format!("shards 0 {layout}")), "{}", stderr(&zero));
     let junk = halo(&["run", "--benchmark", "toy", "--shards", "many"]);
     assert!(!junk.status.success());
-    assert!(stderr(&junk).contains("invalid shard count 'many'"), "{}", stderr(&junk));
+    let want = "invalid --shards value 'many' (a positive integer)";
+    assert!(stderr(&junk).contains(want), "{}", stderr(&junk));
     let huge = halo(&["run", "--benchmark", "toy", "--shards", "25"]);
     assert!(!huge.status.success());
     assert!(stderr(&huge).contains(&format!("shards 25 {layout}")), "{}", stderr(&huge));
@@ -495,6 +496,7 @@ fn serve_validates_its_flags_and_script() {
         ),
         (&["toy:1", "--regroup-every", "0"], "serve: regroup_every must be at least 1"),
         (&["toy:1", "--shards", "25"], "shards 25 must be within [1, 24], the address layout's"),
+        (&["toy:18446744073709551615"], "serve: the script has more windows than this host can"),
     ] {
         let out = halo(&[&["serve", "--phases"][..], args].concat());
         let err = stderr(&out);
@@ -588,6 +590,25 @@ fn a_granule_table_the_host_refuses_degrades_the_group() {
     assert!(degraded >= 1, "no group degraded: {text}");
 }
 
+/// A script of four billion windows wants 64 GB of window table before
+/// the first window; a host that refuses it rejects the script before any
+/// work, not an abort after the initial optimisation.
+#[cfg(unix)]
+#[test]
+fn a_script_the_host_cannot_hold_is_rejected() {
+    let cmd = format!(
+        "ulimit -v 1000000; HALO_THREADS=1 exec '{}' serve --phases toy:4000000000",
+        env!("CARGO_BIN_EXE_halo")
+    );
+    let out = Command::new("sh").args(["-c", &cmd]).output().expect("sh must spawn");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let want = "error: serve: the script has more windows than this host can hold\n";
+    assert!(err.starts_with(want), "{err}");
+    assert_eq!(err.matches("error:").count(), 1, "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
+}
+
 #[test]
 fn errors_are_reported_with_usage() {
     let no_command = halo(&[]);
@@ -603,19 +624,42 @@ fn errors_are_reported_with_usage() {
     assert!(stderr(&unknown_flag).contains("unknown flag '--frobnicate'"));
 
     // One `Flags` struct serves every command; a flag the command never
-    // reads must fail, naming the command, not exit 0 having done nothing.
-    for (args, command) in [
-        (&["run", "--benchmark", "toy", "--phases", "toy:1"][..], "halo run only accepts"),
+    // reads must fail, naming the command and every flag it reads, not exit
+    // 0 having done nothing.
+    let evaluation = "--affinity-distance, --chunk-size, --max-spare-chunks, --max-groups, \
+                      --merge-tolerance, --granularity, --reuse-policy";
+    for (args, flag, accepts) in [
+        (
+            &["run", "--benchmark", "toy", "--phases", "toy:1"][..],
+            "--phases",
+            format!(
+                "run only accepts --benchmark, {evaluation}, --shards, --inject, --measure, \
+                 --hds, --random, --ptmalloc, --json"
+            ),
+        ),
         (
             &["baseline", "--benchmark", "toy", "--shards", "3", "--chunk-size", "65536"][..],
-            "halo baseline only accepts --benchmark, --json",
+            "--shards",
+            "baseline only accepts --benchmark, --json".to_string(),
         ),
-        (&["plot", "--benchmark", "toy", "--json"][..], "halo plot only accepts"),
+        (
+            &["plot", "--benchmark", "toy", "--json"][..],
+            "--json",
+            format!("plot only accepts --benchmark, --metric, {evaluation}, --inject"),
+        ),
+        (
+            &["serve", "--phases", "toy:1", "--max-groups", "2"][..],
+            "--max-groups",
+            "serve only accepts --phases, --shards, --decay, --drift-threshold, \
+             --regroup-every, --json"
+                .to_string(),
+        ),
     ] {
         let out = halo(args);
         assert!(!out.status.success(), "{args:?} must fail");
         assert_eq!(out.stdout.len(), 0, "no result rows before the error ({args:?})");
-        assert!(stderr(&out).contains(command), "for {args:?}: {}", stderr(&out));
+        let want = format!("error: unknown flag '{flag}': halo {accepts}\n");
+        assert!(stderr(&out).starts_with(&want), "for {args:?}: {}", stderr(&out));
     }
 
     // The retired `halo bench` is an unknown command like any other, and
