@@ -35,8 +35,8 @@
 //! differential suite's one-thread stratum pins it against the slow walk.
 
 use crate::hierarchy::{AccessStats, HierarchyConfig, PAGE_BYTES};
-use crate::set_assoc::{self, CacheConfig, SetAssocCache};
-use crate::span::{SetIndex, SpanUnit};
+use crate::set_assoc::{CacheConfig, SetAssocCache};
+use crate::span::SpanUnit;
 
 /// MESI-lite state of a line in one thread's private L1D.
 ///
@@ -100,144 +100,6 @@ struct LineFilter {
     writable: bool,
 }
 
-/// A private L1D whose lines carry their MESI-lite state inline: the
-/// crate's one set-walk kernel ([`set_assoc::walk`]) over its own tags
-/// and packed order words, plus a `states` array indexed by slot. A tag
-/// never leaves the way it was filled into, so a line's state is found
-/// by the same walk that finds the line (write hits read the slot the
-/// walk just returned; probes and invalidations scan one set).
-///
-/// Unlike [`SetAssocCache`] it must free a way in the middle of a set (a
-/// remote write), so free ways are marked by an [`EMPTY`](Self::EMPTY)
-/// tag instead of an occupancy count, and a freed way's nibble is sent
-/// to the LRU end, where the free ways live: the victim is always the
-/// last nibble.
-#[derive(Debug)]
-struct StatefulL1 {
-    set_index: SetIndex,
-    ways: usize,
-    /// Tag storage, `sets × ways`, free ways holding [`Self::EMPTY`].
-    tags: Box<[u64]>,
-    /// Packed recency order of each set, as [`set_assoc::walk`] keeps it.
-    order: Box<[u64]>,
-    /// MESI-lite state of the line whose tag sits at the same flat index.
-    /// Slots whose tag is [`Self::EMPTY`] hold garbage states that are
-    /// never read (the sentinel can never match a probe).
-    states: Box<[LineState]>,
-    /// Flat index of the slot the last [`Self::access_line`] touched —
-    /// the "MRU slot" that [`Self::mru_state`]/[`Self::set_mru_state`]
-    /// address. Valid only between an access and the next mutation, which
-    /// is exactly how the write-hit and fill-state-fixup paths use it
-    /// (remote-domain probes in between touch *other* domains' L1s).
-    mru: usize,
-}
-
-impl StatefulL1 {
-    /// Sentinel tag for a free way. Unreachable as a real tag: a line
-    /// number is `addr >> line_shift` with `line_bytes ≥ 1`, and even at
-    /// `line_bytes = 1` the tag `u64::MAX` would denote the last byte of
-    /// the address space, which no modelled allocator hands out.
-    const EMPTY: u64 = u64::MAX;
-
-    fn new(config: CacheConfig) -> Self {
-        let sets = config.sets() as usize;
-        let ways = config.ways as usize;
-        StatefulL1 {
-            set_index: SetIndex::new(sets as u64),
-            ways,
-            tags: vec![Self::EMPTY; sets * ways].into_boxed_slice(),
-            order: vec![0u64; sets].into_boxed_slice(),
-            states: vec![LineState::Invalid; sets * ways].into_boxed_slice(),
-            mru: 0,
-        }
-    }
-
-    /// Flat index of the slot holding `line`, if resident (no recency
-    /// update).
-    #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
-        let base = self.set_index.of(line) * self.ways;
-        let mask = set_assoc::match_mask(&self.tags[base..base + self.ways], line);
-        (mask != 0).then(|| base + mask.trailing_zeros() as usize)
-    }
-
-    /// Touch `line`, filling it with `fill_state` on a miss (the LRU
-    /// victim's state leaves with its tag). Returns whether it hit; on a
-    /// hit the line keeps its state (read it via [`Self::mru_state`],
-    /// update it via [`Self::set_mru_state`]). Every way counts as
-    /// occupied — [`Self::EMPTY`] cannot match — and the victim is the
-    /// last recency position: a free way while there is one (which one is
-    /// unobservable), else the LRU line.
-    #[inline]
-    fn access_line(&mut self, line: u64, fill_state: LineState) -> bool {
-        let set_idx = self.set_index.of(line);
-        let base = set_idx * self.ways;
-        let (hit, way) = set_assoc::walk(
-            &self.tags[base..base + self.ways],
-            &mut self.order[set_idx],
-            line,
-            u32::MAX,
-            self.ways - 1,
-        );
-        self.mru = base + way;
-        if !hit {
-            self.tags[self.mru] = line;
-            self.states[self.mru] = fill_state;
-        }
-        hit
-    }
-
-    /// State of the slot the immediately preceding
-    /// [`Self::access_line`] hit or filled.
-    #[inline]
-    fn mru_state(&self) -> LineState {
-        self.states[self.mru]
-    }
-
-    /// Overwrite that slot's state (the write-hit upgrade and the
-    /// post-probe fill fix-up).
-    #[inline]
-    fn set_mru_state(&mut self, state: LineState) {
-        self.states[self.mru] = state;
-    }
-
-    /// State of `line` if resident (no recency update — the remote-probe
-    /// read).
-    #[inline]
-    fn state_of(&self, line: u64) -> Option<LineState> {
-        self.find(line).map(|slot| self.states[slot])
-    }
-
-    /// Downgrade `line` to Shared if resident, without touching recency
-    /// (the remote read-downgrade); returns whether a copy was found.
-    #[inline]
-    fn share_if_resident(&mut self, line: u64) -> bool {
-        let slot = self.find(line);
-        if let Some(slot) = slot {
-            self.states[slot] = LineState::Shared;
-        }
-        slot.is_some()
-    }
-
-    /// Remove `line` if resident; returns whether a copy was dropped. The
-    /// freed way goes to the LRU end of its set's order, the survivors
-    /// keep theirs.
-    fn invalidate_line(&mut self, line: u64) -> bool {
-        let slot = self.find(line);
-        if let Some(slot) = slot {
-            let set_idx = self.set_index.of(line);
-            self.tags[slot] = Self::EMPTY;
-            set_assoc::retire(&mut self.order[set_idx], slot - set_idx * self.ways, self.ways);
-        }
-        slot.is_some()
-    }
-
-    fn flush(&mut self) {
-        self.tags.fill(Self::EMPTY);
-        self.order.fill(0);
-    }
-}
-
 /// What [`ThreadDomain::touch_line`] leaves for the hierarchy to finish,
 /// because it involves the other threads' L1Ds or the shared levels.
 enum L1Outcome {
@@ -250,12 +112,23 @@ enum L1Outcome {
     Miss,
 }
 
-/// One logical thread's private structures: a state-carrying L1D and a
-/// dTLB. (The MESI-lite states live inside [`StatefulL1`]; eviction and
-/// invalidation drop them together with the tag.)
+/// One logical thread's private structures: an L1D and a dTLB, both a
+/// [`SetAssocCache`], and the MESI-lite state of each L1D line. A tag
+/// never leaves the slot it was filled into, so a line's state sits in
+/// `states` at that slot: a write hit reads the slot the walk just
+/// returned, and probes and invalidations find it with one set scan.
+/// Eviction and invalidation leave a free slot's state behind, never to
+/// be read (no lookup returns a free slot).
 #[derive(Debug)]
 struct ThreadDomain {
-    l1: StatefulL1,
+    l1: SetAssocCache,
+    /// MESI-lite state of the L1D line in each slot.
+    states: Box<[LineState]>,
+    /// The slot the last [`Self::touch_line`] hit or filled. Valid until
+    /// this domain's next L1D access, which covers its two readers: the
+    /// write-hit transition and the fill fix-up after the coherence probe
+    /// (which touches only *other* domains' L1Ds).
+    mru: usize,
     tlb: SetAssocCache,
     stats: AccessStats,
     /// Last-line MRU filter; `None` until the first access.
@@ -264,8 +137,11 @@ struct ThreadDomain {
 
 impl ThreadDomain {
     fn new(config: &HierarchyConfig) -> Self {
+        let lines = (config.l1.size_bytes / config.l1.line_bytes) as usize;
         ThreadDomain {
-            l1: StatefulL1::new(config.l1),
+            l1: SetAssocCache::new(config.l1),
+            states: vec![LineState::Invalid; lines].into_boxed_slice(),
+            mru: 0,
             tlb: SetAssocCache::new(CacheConfig {
                 size_bytes: (config.tlb_entries as u64).max(config.tlb_ways as u64),
                 line_bytes: 1,
@@ -279,61 +155,72 @@ impl ThreadDomain {
     /// Touch `line` in this thread's L1D and apply the transitions that
     /// need no other thread: hit/miss counting and the silent E→M upgrade
     /// of a write hit. What is left for the caller is named by the result.
-    /// A miss fills with a provisional Exclusive, corrected after the
-    /// coherence probe in `miss_line` (the fresh fill sits at the MRU
-    /// slot, so the fix-up is O(1)); a capacity/conflict victim silently
-    /// takes its state with it — dirty write-back is not modelled (the
-    /// shared L2 filled the line on the original demand miss).
+    /// A miss leaves the fill's state to `miss_line`, which sets it after
+    /// the coherence probe (the fresh fill is the MRU slot, so the fix-up
+    /// is O(1)); a capacity/conflict victim silently takes its state with
+    /// it — dirty write-back is not modelled (the shared L2 filled the line
+    /// on the original demand miss).
     ///
     /// `always`: both callers sit in the hot loop, and with the outcome
-    /// visible at each call site the branches on it fold away, leaving
-    /// [`StatefulL1::access_line`] the loop's one out-of-line callee. Left
-    /// to the heuristic, LLVM outlines this wrapper instead and the
-    /// benchmark's cache-replay probe runs ~3% slower.
+    /// visible at each call site the branches on it fold away. Left to the
+    /// heuristic, LLVM outlines this wrapper and the benchmark's
+    /// cache-replay probe runs ~3% slower.
     #[inline(always)]
     fn touch_line(&mut self, line: u64, store: bool) -> L1Outcome {
-        if !self.l1.access_line(line, LineState::Exclusive) {
+        let (hit, slot) = self.l1.touch(line);
+        self.mru = slot;
+        if !hit {
             self.stats.l1_misses += 1;
             return L1Outcome::Miss;
         }
         self.stats.l1_hits += 1;
         if store {
-            // MESI-lite write-hit transition for the line the hit just
-            // made MRU. (A hit line is never Invalid.)
-            match self.l1.mru_state() {
+            // MESI-lite write-hit transition. (A hit line is never
+            // Invalid.)
+            match self.states[slot] {
                 LineState::Modified => {}
                 LineState::Shared => return L1Outcome::SharedWriteHit,
                 // Silent E→M upgrade: no bus traffic, no counters.
-                _ => self.l1.set_mru_state(LineState::Modified),
+                _ => self.states[slot] = LineState::Modified,
             }
         }
         L1Outcome::Done
     }
 
+    /// Set the state of the line the last [`Self::touch_line`] hit or
+    /// filled (the post-probe fill fix-up and the bus upgrade's S→M).
+    fn set_mru_state(&mut self, state: LineState) {
+        self.states[self.mru] = state;
+    }
+
     /// Drop `line` from this L1 (and its state). Returns whether a copy
     /// was actually present.
     fn invalidate(&mut self, line: u64) -> bool {
-        if self.l1.invalidate_line(line) {
-            // A remote write killed the copy: the filter must not keep
-            // reporting hits on it.
-            if matches!(self.filter, Some(f) if f.line == line) {
-                self.filter = None;
-            }
-            true
-        } else {
-            false
+        if !self.l1.invalidate(line) {
+            return false;
         }
+        // A remote write killed the copy: the filter must not keep
+        // reporting hits on it.
+        if matches!(self.filter, Some(f) if f.line == line) {
+            self.filter = None;
+        }
+        true
     }
 
-    /// A remote read downgraded `line` to Shared: a filtered store would
-    /// now need a bus upgrade, so drop the write permission (loads keep
-    /// fast-pathing — a read hit on Shared is stateless).
-    fn downgrade(&mut self, line: u64) {
+    /// A remote read: downgrade `line` to Shared if resident, without
+    /// touching recency, and return whether a copy was found. A filtered
+    /// store would now need a bus upgrade, so the filter loses its write
+    /// permission (loads keep fast-pathing — a read hit on Shared is
+    /// stateless).
+    fn downgrade(&mut self, line: u64) -> bool {
+        let Some(slot) = self.l1.find(line) else { return false };
+        self.states[slot] = LineState::Shared;
         if let Some(f) = &mut self.filter {
             if f.line == line {
                 f.writable = false;
             }
         }
+        true
     }
 }
 
@@ -429,7 +316,8 @@ impl CoherentHierarchy {
         let Some(domain) = self.threads.get(thread as usize) else {
             return LineState::Invalid;
         };
-        domain.l1.state_of(self.line_unit.index_of(addr)).unwrap_or(LineState::Invalid)
+        let slot = domain.l1.find(self.line_unit.index_of(addr));
+        slot.map_or(LineState::Invalid, |slot| domain.states[slot])
     }
 
     /// Simulate a data access of `width` bytes at `addr` on the current
@@ -545,9 +433,8 @@ impl CoherentHierarchy {
                     remote_copies = true;
                     self.coherence.invalidations += 1;
                 }
-            } else if self.threads[u].l1.share_if_resident(line) {
+            } else if self.threads[u].downgrade(line) {
                 remote_copies = true;
-                self.threads[u].downgrade(line);
             }
         }
         if remote_copies {
@@ -558,7 +445,7 @@ impl CoherentHierarchy {
             (false, true) => LineState::Shared,
             (false, false) => LineState::Exclusive,
         };
-        self.threads[t].l1.set_mru_state(state);
+        self.threads[t].set_mru_state(state);
         // Shared levels. The prefetch fills the spatial neighbours into
         // L2/L3 without touching the demand counters (an idealised,
         // always-timely prefetcher).
@@ -592,7 +479,7 @@ impl CoherentHierarchy {
                 self.coherence.invalidations += 1;
             }
         }
-        self.threads[t].l1.set_mru_state(LineState::Modified);
+        self.threads[t].set_mru_state(LineState::Modified);
     }
 
     /// Flush all levels, TLBs, and line states (counters are preserved).
@@ -755,31 +642,6 @@ mod tests {
         h.set_thread(0);
         h.access(0, 8, false);
         assert_eq!(h.stats().l1_misses, 3, "post-flush access misses again");
-    }
-
-    #[test]
-    fn an_invalidated_way_is_refilled_before_anything_is_evicted() {
-        // One 4-way set. Killing a line in the middle of the recency order
-        // must leave a free way the next fill takes, and the survivors in
-        // the order they had.
-        let mut l1 =
-            StatefulL1::new(CacheConfig { size_bytes: 4 * LINE, line_bytes: LINE, ways: 4 });
-        for line in 0..4 {
-            assert!(!l1.access_line(line, LineState::Exclusive));
-        }
-        assert!(l1.invalidate_line(2));
-        assert!(!l1.invalidate_line(2), "already gone");
-        assert_eq!(l1.state_of(2), None);
-        assert!(!l1.access_line(9, LineState::Modified));
-        for survivor in [0, 1, 3] {
-            assert_eq!(l1.state_of(survivor), Some(LineState::Exclusive), "line {survivor}");
-        }
-        // Full again; the victims come in the survivors' old order.
-        for (fill, victim) in [(10, 0), (11, 1), (12, 3), (13, 9)] {
-            assert!(l1.state_of(victim).is_some());
-            assert!(!l1.access_line(fill, LineState::Exclusive));
-            assert_eq!(l1.state_of(victim), None, "filling {fill} evicts {victim}");
-        }
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! A single set-associative, write-allocate, LRU cache, and the set-walk
-//! kernel every structure in the crate shares.
+//! kernel it runs on.
 //!
 //! **One recency representation.** Tags stay in the way they were filled
 //! into; a set's recency order is one `u64` permutation, nibble *k*
 //! holding the way at recency *k* (nibble 0 = MRU). The L1D, the dTLB, L2
-//! and L3 all walk a set with [`walk`]: compare the MRU way and return on
-//! a match (re-touching a set's MRU line moves nothing), otherwise build
-//! a match mask over **all** ways with no early exit and move the chosen
-//! way's nibble to the front in constant time. Free ways are kept at the
-//! LRU end, so the victim is one nibble read. DESIGN.md §14 has the
-//! argument and the measurements behind the shape (where the early exit
-//! pays and where it does not).
+//! and L3 are all a [`SetAssocCache`], walked by [`walk`]: compare the MRU
+//! way and return on a match (re-touching a set's MRU line moves nothing),
+//! otherwise build a match mask over **all** ways with no early exit and
+//! move the chosen way's nibble to the front in constant time.
+//!
+//! **One free-way rule.** A tag is stored as the complement of its line,
+//! so a free way is tag 0, and free ways are kept at the LRU end: a miss
+//! always takes the last recency position, a free way while the set has
+//! one and the LRU line after. DESIGN.md §14 has the argument and the
+//! measurements behind the shape (where the early exit pays and where it
+//! does not).
 
 use crate::span::SetIndex;
 use crate::zero_pages::ZeroPages;
@@ -65,7 +69,7 @@ fn demote(perm: u64, way: usize, ways: usize) -> u64 {
     (perm & (below | !set)) | (((perm & set) >> 4) & !below) | ((way as u64) << (4 * (ways - 1)))
 }
 
-/// Bit `i` set iff `set[i] == line`, every way compared — the one
+/// Bit `i` set iff `set[i] == key`, every way compared — the one
 /// tag-match loop in the crate. No early exit: where hits land deep in
 /// full sets the exit branch mispredicts, and the cheap case (the MRU
 /// way) has been answered before this runs. At the shipped widths (dTLB
@@ -73,45 +77,39 @@ fn demote(perm: u64, way: usize, ways: usize) -> u64 {
 /// so that it unrolls flat; any other width runs the same loop over the
 /// slice as it comes.
 #[inline(always)]
-pub(crate) fn match_mask(set: &[u64], line: u64) -> u32 {
+fn match_mask(set: &[u64], key: u64) -> u32 {
     #[inline(always)]
-    fn over(set: &[u64], line: u64) -> u32 {
+    fn over(set: &[u64], key: u64) -> u32 {
         let mut mask = 0;
         for (way, &tag) in set.iter().enumerate() {
-            mask |= u32::from(tag == line) << way;
+            mask |= u32::from(tag == key) << way;
         }
         mask
     }
     match set.len() {
-        4 => over(&set[..4], line),
-        8 => over(&set[..8], line),
-        11 => over(&set[..11], line),
-        16 => over(&set[..16], line),
-        _ => over(set, line),
+        4 => over(&set[..4], key),
+        8 => over(&set[..8], key),
+        11 => over(&set[..11], key),
+        16 => over(&set[..16], key),
+        _ => over(set, key),
     }
 }
 
-/// Walk one set for `line` and make the way it lands in the MRU; returns
-/// `(hit, way)`. `order` is the set's stored order word, `occupied` the
-/// mask of ways whose tag is live, and `victim_pos` the recency position
-/// to take on a miss. On a miss the caller fills `set[way]`; the order
-/// word already names it MRU.
+/// Walk one set for the stored tag `key` and make the way it lands in the
+/// MRU; returns `(hit, way)`. `order` is the set's stored order word. A
+/// miss takes the last recency position — a free way while the set has
+/// one, since free ways sit at the LRU end, else the LRU line — and the
+/// caller fills `set[way]`; the order word already names it MRU.
 #[inline(always)]
-pub(crate) fn walk(
-    set: &[u64],
-    order: &mut u64,
-    line: u64,
-    occupied: u32,
-    victim_pos: usize,
-) -> (bool, usize) {
+fn walk(set: &[u64], order: &mut u64, key: u64) -> (bool, usize) {
     let perm = *order ^ IDENTITY;
     let mru = way_at(perm, 0);
-    if occupied & (1 << mru) != 0 && set[mru] == line {
+    if set[mru] == key {
         return (true, mru);
     }
-    let mask = match_mask(set, line) & occupied;
+    let mask = match_mask(set, key);
     let hit = mask != 0;
-    let way = if hit { mask.trailing_zeros() as usize } else { way_at(perm, victim_pos) };
+    let way = if hit { mask.trailing_zeros() as usize } else { way_at(perm, set.len() - 1) };
     *order = promote(perm, way) ^ IDENTITY;
     (hit, way)
 }
@@ -119,8 +117,16 @@ pub(crate) fn walk(
 /// Send `way` to the LRU end of a `ways`-wide set's order word (see
 /// [`demote`]).
 #[inline]
-pub(crate) fn retire(order: &mut u64, way: usize, ways: usize) {
+fn retire(order: &mut u64, way: usize, ways: usize) {
     *order = demote(*order ^ IDENTITY, way, ways) ^ IDENTITY;
+}
+
+/// The tag `line` is stored as: its complement, so that the free-way tag
+/// is 0 and a fresh or flushed array of zero pages is an empty cache.
+#[inline(always)]
+fn key(line: u64) -> u64 {
+    debug_assert_ne!(line, u64::MAX, "line u64::MAX has the free-way tag 0");
+    !line
 }
 
 /// Geometry of one cache level.
@@ -160,9 +166,14 @@ impl CacheConfig {
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Tags are full line addresses, so the same structure serves as a TLB by
-/// passing page numbers as "line addresses" with `line_bytes = 1`.
+/// passing page numbers as "line addresses" with `line_bytes = 1`. Each
+/// is stored as its complement, which leaves one line it cannot hold:
+/// `u64::MAX`, whose tag would be the free way's 0 (a `debug_assert!`
+/// says so). Only a 1-byte-line cache fed the last address of the
+/// address space could ask for it; the hierarchy's lines and pages are
+/// addresses shifted right, and never can.
 ///
-/// Its three arrays are all-zero at rest, and each is fresh anonymous
+/// Its two arrays are all-zero at rest, and each is fresh anonymous
 /// zero pages, so a cache costs the pages its accesses touch. A `calloc`
 /// would not do: once a process has freed one L3's 3.1 MiB of tags, glibc
 /// serves later ones from an arena and `memset`s a recycled block in
@@ -174,16 +185,13 @@ pub struct SetAssocCache {
     set_index: SetIndex,
     line_shift: u32,
     ways: usize,
-    /// Occupancy of each set. Ways fill in index order and are only ever
-    /// freed all at once (`flush`), so the live ways of a set are exactly
-    /// its low `len` ways and they hold its first `len` recency
-    /// positions.
-    len: ZeroPages<u8>,
     /// Recency order of each set, packed and stored XOR the identity (see
     /// the module docs).
     order: ZeroPages<u64>,
-    /// Tag storage, `sets × ways`; a tag never moves between ways. One
-    /// flat allocation: a set scan is one pointer chase.
+    /// Tag storage, `sets × ways`, each tag the complement of its line and
+    /// a free way 0; a tag never moves between ways. One flat allocation:
+    /// a set scan is one pointer chase, and a way's flat index (its slot)
+    /// names it for the life of its line.
     tags: ZeroPages<u64>,
 }
 
@@ -197,7 +205,6 @@ impl SetAssocCache {
             set_index: SetIndex::new(sets as u64),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
-            len: ZeroPages::new(sets),
             order: ZeroPages::new(sets),
             tags: ZeroPages::new(sets * ways),
         }
@@ -215,8 +222,8 @@ impl SetAssocCache {
     }
 
     /// Touch line number `line`; returns `true` on hit. On miss the line
-    /// is filled — into the next free way, else over the LRU line of its
-    /// set, whose line number is returned alongside.
+    /// is filled — into a free way while its set has one, else over the
+    /// LRU line of its set, whose line number is returned alongside.
     ///
     /// `always`: mask-or-modulo set indexing and [`match_mask`]'s width
     /// dispatch (an indirect jump) are constants of one cache but differ
@@ -225,26 +232,8 @@ impl SetAssocCache {
     /// replays in 1 600 ms that way, 850 ms with a copy per call site.
     #[inline(always)]
     pub fn access_line(&mut self, line: u64) -> (bool, Option<u64>) {
-        let set_idx = self.set_index.of(line);
-        let occ = self.len[set_idx] as usize;
-        let base = set_idx * self.ways;
-        let set = &mut self.tags[base..base + self.ways];
-        // Free ways sit at the LRU end in index order, so position `occ`
-        // is the next free way and, once the set is full, `ways − 1` the
-        // LRU one.
-        let (hit, way) =
-            walk(set, &mut self.order[set_idx], line, (1 << occ) - 1, occ.min(self.ways - 1));
-        if hit {
-            return (true, None);
-        }
-        let evicted = if occ == self.ways {
-            Some(set[way])
-        } else {
-            self.len[set_idx] += 1;
-            None
-        };
-        set[way] = line;
-        (false, evicted)
+        let (hit, _, was) = self.fill(line);
+        (hit, (!hit && was != 0).then_some(!was))
     }
 
     /// Touch the byte address `addr`; returns `true` on hit.
@@ -253,9 +242,46 @@ impl SetAssocCache {
         self.access_line(self.line_of(addr)).0
     }
 
+    /// Touch `line` as [`Self::access_line`] does; returns whether it hit
+    /// and the slot it now occupies.
+    #[inline(always)]
+    pub(crate) fn touch(&mut self, line: u64) -> (bool, usize) {
+        let (hit, slot, _) = self.fill(line);
+        (hit, slot)
+    }
+
+    /// The slot holding `line`, if resident; recency order is left alone.
+    #[inline]
+    pub(crate) fn find(&self, line: u64) -> Option<usize> {
+        let base = self.set_index.of(line) * self.ways;
+        let mask = match_mask(&self.tags[base..base + self.ways], key(line));
+        (mask != 0).then(|| base + mask.trailing_zeros() as usize)
+    }
+
+    /// Drop `line` if resident; returns whether it was. Its way becomes
+    /// free and goes to the LRU end, the survivors keep their order.
+    pub(crate) fn invalidate(&mut self, line: u64) -> bool {
+        let Some(slot) = self.find(line) else { return false };
+        self.tags[slot] = 0;
+        retire(&mut self.order[slot / self.ways], slot % self.ways, self.ways);
+        true
+    }
+
+    /// Walk `line`'s set and leave the line in its MRU way; returns
+    /// whether it hit, the way's slot, and the tag the way held before (on
+    /// a miss: 0 for a free way, else the evicted line's).
+    #[inline(always)]
+    fn fill(&mut self, line: u64) -> (bool, usize, u64) {
+        let set_idx = self.set_index.of(line);
+        let base = set_idx * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        let tag = key(line);
+        let (hit, way) = walk(set, &mut self.order[set_idx], tag);
+        (hit, base + way, std::mem::replace(&mut set[way], tag))
+    }
+
     /// Invalidate everything, back to the constructed (all-zero) state.
     pub fn flush(&mut self) {
-        self.len.fill(0);
         self.order.fill(0);
         self.tags.fill(0);
     }
@@ -376,8 +402,9 @@ mod tests {
 
     #[test]
     fn a_set_fills_every_way_before_it_evicts() {
-        // Line 0 lives in set 0, whose untouched ways also hold tag 0:
-        // the occupancy mask, not the tag, says what is resident.
+        // Line 0 lives in set 0. Its tag is `!0`, not the free ways' 0, and
+        // every miss takes the last recency position, where the free ways
+        // wait until the set is full.
         let mut c =
             SetAssocCache::new(CacheConfig { size_bytes: 16 * 64, line_bytes: 64, ways: 16 });
         for line in 0..16 {
@@ -387,6 +414,29 @@ mod tests {
             assert_eq!(c.access_line(line), (true, None));
         }
         assert_eq!(c.access_line(16), (false, Some(0)));
+    }
+
+    #[test]
+    fn an_invalidated_way_is_refilled_before_anything_is_evicted() {
+        // One 4-way set. Killing a line in the middle of the recency order
+        // must leave a free way the next fill takes, and the survivors in
+        // the order they had.
+        let mut c = SetAssocCache::new(CacheConfig { size_bytes: 4 * 64, line_bytes: 64, ways: 4 });
+        for line in 0..4 {
+            assert!(!c.touch(line).0);
+        }
+        let slot = c.find(2).expect("line 2 is resident");
+        assert!(c.invalidate(2));
+        assert!(!c.invalidate(2), "already gone");
+        assert_eq!(c.find(2), None);
+        assert_eq!(c.touch(9), (false, slot), "the freed way takes the next fill");
+        for survivor in [0, 1, 3] {
+            assert!(c.find(survivor).is_some(), "line {survivor}");
+        }
+        // Full again; the victims come in the survivors' old order.
+        for (fill, victim) in [(10, 0), (11, 1), (12, 3), (13, 9)] {
+            assert_eq!(c.access_line(fill), (false, Some(victim)), "filling {fill}");
+        }
     }
 
     #[test]
@@ -413,21 +463,28 @@ mod tests {
     #[test]
     fn fresh_and_flushed_caches_are_all_zero() {
         // DESIGN.md §14 "all-zero at rest": an order word resting at the
-        // plain identity would turn the L3's lazily zeroed pages into
-        // written ones and show up only as `peak_rss_mb`.
+        // plain identity, or a free way marked by anything but tag 0, would
+        // turn the L3's lazily zeroed pages into written ones and show up
+        // only as `peak_rss_mb`. The L1D frees ways one at a time; flushed,
+        // it is as empty as the rest.
         let all_zero = |c: &SetAssocCache| {
-            c.len.iter().all(|&n| n == 0)
-                && c.order.iter().all(|&word| word == 0)
-                && c.tags.iter().all(|&tag| tag == 0)
+            c.order.iter().all(|&word| word == 0) && c.tags.iter().all(|&tag| tag == 0)
         };
-        let mut c =
-            SetAssocCache::new(CacheConfig { size_bytes: 3 * 11 * 64, line_bytes: 64, ways: 11 });
-        assert!(all_zero(&c));
-        for line in 0..100 {
-            c.access_line(line * 7);
+        for (ways, invalidate) in [(11u32, false), (8, true)] {
+            let size_bytes = 3 * u64::from(ways) * 64;
+            let mut c = SetAssocCache::new(CacheConfig { size_bytes, line_bytes: 64, ways });
+            assert!(all_zero(&c));
+            for line in 0..100 {
+                c.access_line(line * 7);
+            }
+            if invalidate {
+                let slot = c.find(99 * 7).expect("the last line is resident");
+                assert!(c.invalidate(99 * 7));
+                assert_eq!(c.tags[slot], 0, "an invalidated way is free");
+            }
+            assert!(!all_zero(&c));
+            c.flush();
+            assert!(all_zero(&c));
         }
-        assert!(!all_zero(&c));
-        c.flush();
-        assert!(all_zero(&c));
     }
 }

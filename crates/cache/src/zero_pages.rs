@@ -22,7 +22,6 @@ use std::ptr::NonNull;
 /// Element types whose all-zero bit pattern is a value. Private to the
 /// crate, so nothing else can claim it.
 pub(crate) trait Zeroable: Copy {}
-impl Zeroable for u8 {}
 impl Zeroable for u64 {}
 
 /// A fixed-length, zero-initialised array of `T` on pages of its own. It

@@ -16,8 +16,8 @@ proptest! {
     /// divide (3, 5); a flush part-way returns both to empty. The universe
     /// is three times the capacity, so sets fill, evict and are hit at
     /// every depth. At the end the same lines are resident (probed on a
-    /// clone, the shipped cache having no query that leaves recency
-    /// alone).
+    /// clone, the shipped cache having no public query that leaves
+    /// recency alone).
     #[test]
     fn set_assoc_cache_matches_reference_lru(
         picks in proptest::collection::vec(0u64..1 << 32, 1..800),

@@ -29,15 +29,9 @@ pub enum BackendMake {
     /// From the configuration alone (the baselines, the random allocator).
     Plain(fn(&EvalConfig) -> Box<dyn BackendAllocator>),
     /// From the HALO pipeline's output: selector table and per-group
-    /// plans — and, when `rewritten`, measured on the rewritten binary,
-    /// which lives in the same artefact.
-    Optimised {
-        /// Whether this backend measures the rewritten binary (`true`) or
-        /// the unmodified one.
-        rewritten: bool,
-        /// The constructor.
-        make: fn(&EvalConfig, &Halo, &Optimised) -> Box<dyn BackendAllocator>,
-    },
+    /// plans, measured on the rewritten binary, which lives in the same
+    /// artefact.
+    Optimised(fn(&EvalConfig, &Halo, &Optimised) -> Box<dyn BackendAllocator>),
     /// From the hot-data-streams analysis (its site map).
     Hds(fn(&EvalConfig, &HdsResult) -> Box<dyn BackendAllocator>),
 }
@@ -120,7 +114,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         id: "halo",
         label: "HALO",
         optional: false,
-        make: BackendMake::Optimised { rewritten: true, make: make_halo },
+        make: BackendMake::Optimised(make_halo),
     },
     BackendSpec {
         id: "hds",
@@ -132,7 +126,7 @@ pub const BACKENDS: &[BackendSpec] = &[
         id: "halo-sharded",
         label: "HALO (sharded)",
         optional: true,
-        make: BackendMake::Optimised { rewritten: true, make: make_halo_sharded },
+        make: BackendMake::Optimised(make_halo_sharded),
     },
     BackendSpec {
         id: "random",

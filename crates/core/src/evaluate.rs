@@ -182,12 +182,9 @@ pub fn evaluate_with_arg(
         // error outranks every backend's below.
         let (alloc, target) = match spec.make {
             BackendMake::Plain(make) => (make(config), program),
-            BackendMake::Optimised { rewritten, make } => {
+            BackendMake::Optimised(make) => {
                 let optimised = optimised.get_or_init(optimise).as_ref().ok()?;
-                (
-                    make(config, &halo, optimised),
-                    if rewritten { &optimised.program } else { program },
-                )
+                (make(config, &halo, optimised), &optimised.program)
             }
             BackendMake::Hds(make) => {
                 (make(config, hds_analysis.get_or_init(analyse).as_ref().ok()?), program)
@@ -236,7 +233,7 @@ fn hot_data_streams(
 }
 
 /// Measure backend `id`'s freshly built allocator on the ref input of
-/// `target` (the rewritten binary when the spec asks for it).
+/// `target` (the rewritten binary for an `Optimised` backend).
 fn measure_backend(
     id: &'static str,
     mut alloc: Box<dyn BackendAllocator>,

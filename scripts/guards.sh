@@ -63,12 +63,24 @@ trap 'fail $LINENO' ERR
 search -rnE '\b(struct|enum|type|trait|union) +(Reference\w*|\w*Hierarchy)\b' crates/cache/src | search -vE '\bstruct CoherentHierarchy\b' | count -eq 0
 
 # -- One recency representation ---------------------------------------
-# Every structure in halo_cache — L1D, dTLB, L2, L3 — walks a set with
-# the one kernel in set_assoc.rs (DESIGN.md §14): tags that never move
-# plus one packed order word per set. No per-slot timestamps or access
-# clock beside it; the move-to-front list lives on only as the oracle
-# under crates/cache/tests/reference/.
+# Every structure in halo_cache — L1D, dTLB, L2, L3 — is a
+# `SetAssocCache` and walks a set with the one kernel in set_assoc.rs
+# (DESIGN.md §14): tags that never move plus one packed order word per
+# set. No per-slot timestamps or access clock beside it; the
+# move-to-front list lives on only as the oracle under
+# crates/cache/tests/reference/.
 search -rnE '\bstamps?\b|\bclock\b|copy_within|rotate_(left|right)' crates/cache/src | count -eq 0
+
+# -- One set-associative cache ----------------------------------------
+# A cache level has one implementation with one free-way rule: a tag is
+# the complement of its line, so a free way is tag 0, and free ways wait
+# at the LRU end (DESIGN.md §14). `walk(` occurs twice in shipped code,
+# its definition and `SetAssocCache`'s one call; the L1D's MESI-lite
+# states ride beside its slots. A second set type over the kernel, an
+# `EMPTY` sentinel or a per-set occupancy array is a second rule for a
+# free way.
+shipped crates/cache/src/*.rs | search -E '\bwalk\(' | count -le 2
+shipped crates/cache/src/*.rs | search -E '\bEMPTY\b|\blen\[|\boccupied\b|(tags|order): *(Box|Vec)' | count -eq 0
 
 # -- Address-indexed allocator metadata -------------------------------
 # halo_mem finds a pointer's metadata by address arithmetic (DESIGN.md
@@ -175,13 +187,15 @@ search -n 'CacheMonitor' crates/core/src/lib.rs | count -eq 0
 # constant with extra steps: the dTLB page is `PAGE_BYTES` (so a span
 # unit is a shift, never a division), the profiler's object cap is
 # `MAX_TRACKED_SIZE`, the group slabs start at
-# `HaloGroupAllocator::SLAB_BASE` (so `MAX_SHARDS` is a constant), and
-# the comparison technique keeps every packed set (DESIGN.md §2).
+# `HaloGroupAllocator::SLAB_BASE` (so `MAX_SHARDS` is a constant), the
+# comparison technique keeps every packed set (DESIGN.md §2), and an
+# `Optimised` backend is always measured on the rewritten binary (§9).
 search -rn 'page_bytes' crates/cache/src | count -eq 0
 search -rn 'max_tracked_size' crates/profile/src crates/bench/src | count -eq 0
 search -n 'pub base:' crates/mem/src/group_alloc.rs | count -eq 0
 search -n 'max_groups' crates/hds/src/lib.rs | count -eq 0
 search -n 'addr / self.bytes' crates/cache/src/span.rs | count -eq 0
+search -rnE '\brewritten:|\{ rewritten,' crates/core/src | count -eq 0
 
 # -- Say each thing once ----------------------------------------------
 # The models emit their allocation wrappers through

@@ -685,3 +685,29 @@ fn help_prints_usage_and_succeeds() {
         assert!(stderr(&out).contains("USAGE"), "halo {flag} must print usage");
     }
 }
+
+#[test]
+fn help_names_every_flag_each_command_accepts() {
+    // `usage()` is prose beside the `FLAGS` table, so a flag the table
+    // parses can be left out of it. Each command's "only accepts" list is
+    // that table filtered; every name on it must appear in the help text
+    // as a whole flag.
+    let help = stderr(&halo(&["help"]));
+    let names = |flag: &str| {
+        help.match_indices(flag).any(|(at, _)| {
+            !help[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    };
+    for command in ["baseline", "run", "plot", "serve"] {
+        let err = stderr(&halo(&[command, "--no-such-flag"]));
+        let accepts = err
+            .lines()
+            .next()
+            .and_then(|line| line.split_once(" only accepts "))
+            .map(|(_, list)| list)
+            .unwrap_or_else(|| panic!("halo {command} lists no accepted flags: {err}"));
+        for flag in accepts.split(", ") {
+            assert!(names(flag), "halo help never names {flag}, which halo {command} accepts");
+        }
+    }
+}
