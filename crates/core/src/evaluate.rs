@@ -11,11 +11,10 @@ use halo_cache::ThreadAccessStats;
 use halo_hds::{analyze, HdsConfig, HdsResult};
 use halo_mem::{
     BackendAllocator, DegradeStats, FaultPlan, FragReport, GroupAllocStats, ShardedAllocStats,
-    SizeClassAllocator,
 };
-use halo_profile::TraceCollector;
-use halo_vm::{Engine, Program, VmError};
-use std::sync::OnceLock;
+use halo_profile::{HeapTrace, Profile, Profiler, TraceCollector};
+use halo_vm::{Program, VmError};
+use std::sync::{Mutex, OnceLock};
 
 /// What to run and with which knobs.
 #[derive(Debug, Clone)]
@@ -151,21 +150,39 @@ pub fn evaluate_with_arg(
 ) -> Result<EvalResult, PipelineError> {
     let halo = Halo::for_measurement(&config.halo, &config.measure);
 
-    // One job list (DESIGN.md §14): the two artefact producers, then the
+    // One job list (DESIGN.md §14): the baseline measurement, which needs
+    // no artefact, then the two artefact producers, then the other
     // enabled backends in registry order. Each job owns everything it
     // mutates (allocator, engine, simulated memory, cache model); the
-    // artefacts are shared read-only through the cells below. A backend
-    // takes the artefact its constructor names with `get_or_init`: it finds it,
-    // waits for the thread computing it, or computes it itself — never
-    // waits on a job nobody runs — and each artefact is still computed
-    // exactly once. `HALO_THREADS=1` walks the list front to back.
+    // artefacts are shared read-only through the cells below. A job takes
+    // the artefact it needs with `get_or_init`: it finds it, waits for the
+    // thread computing it, or computes it itself — never waits on a job
+    // nobody runs — and each artefact is still computed exactly once.
+    // Both producers start from one execution of the train input, each
+    // taking its own half of it. `HALO_THREADS=1` walks the list front to
+    // back.
+    let train = OnceLock::<Result<TrainRun, VmError>>::new();
     let optimised = OnceLock::<Result<Optimised, PipelineError>>::new();
     let hds_analysis = OnceLock::<Result<HdsResult, VmError>>::new();
-    let optimise = || halo.optimise_with_arg(program, train_seed, train_arg);
-    let analyse = || hot_data_streams(program, train_seed, train_arg, config);
+    let train_run = || {
+        let run = || TrainRun::execute(&halo, program, train_seed, train_arg);
+        train.get_or_init(run).as_ref().map_err(VmError::clone)
+    };
+    let optimise = || {
+        let profile = take(&train_run()?.profile);
+        halo.optimise_profiled(program, profile, train_seed, train_arg)
+    };
+    // The heap trace is by far the largest artefact of an evaluation, and
+    // it dies here, once SEQUITUR has read it.
+    let analyse = || Ok(analyze(&take(&train_run()?.trace), &config.hds));
 
-    let mut jobs = vec![Job::Optimise, Job::HdsAnalysis];
-    jobs.extend(BACKENDS.iter().filter(|s| s.enabled(config)).map(Job::Measure));
+    let mut measures = BACKENDS.iter().filter(|s| s.enabled(config)).map(Job::Measure);
+    let jobs: Vec<Job> = measures
+        .next() // the registry opens with the baseline
+        .into_iter()
+        .chain([Job::Optimise, Job::HdsAnalysis])
+        .chain(measures)
+        .collect();
     let measured = par_map(&jobs, |job| {
         let spec = match job {
             Job::Optimise => {
@@ -193,9 +210,10 @@ pub fn evaluate_with_arg(
         Some(measure_backend(spec.id, alloc, target, &config.measure))
     });
 
-    // Assembled after the fan-in in (pipeline, analysis, registry) order,
-    // so the first failing stage in that order decides the error — and
-    // every table and JSON document downstream — whatever order the jobs
+    // Assembled after the fan-in in (pipeline, analysis, registry) order —
+    // the baseline is the registry's first entry as well as the list's —
+    // so the first failing stage in that order decides the error, and
+    // every table and JSON document downstream, whatever order the jobs
     // finished in.
     let optimised = optimised.into_inner().expect("the optimise job ran")?;
     let hds_analysis = hds_analysis.into_inner().expect("the analysis job ran")?;
@@ -214,22 +232,41 @@ enum Job {
     Measure(&'static BackendSpec),
 }
 
-/// The hot-data-streams comparison's offline half: record the train
-/// input's heap-access trace and run SEQUITUR over it. The trace is by far
-/// the largest artefact of an evaluation and dies here.
-fn hot_data_streams(
-    program: &Program,
-    train_seed: u64,
-    train_arg: i64,
-    config: &EvalConfig,
-) -> Result<HdsResult, VmError> {
-    let mut collector = TraceCollector::new();
-    Engine::new(program)
-        .with_seed(train_seed)
-        .with_entry_arg(train_arg)
-        .with_limits(config.halo.limits)
-        .run(&mut SizeClassAllocator::new(), &mut collector)?;
-    Ok(analyze(&collector.finish(), &config.hds))
+/// The one execution of the train input, seen by both producers'
+/// monitors: the profiler's half for the pipeline, the heap trace for the
+/// hot-data-streams analysis. Each producer takes its half by move.
+struct TrainRun {
+    profile: Mutex<Option<Profile>>,
+    trace: Mutex<Option<HeapTrace>>,
+}
+
+impl TrainRun {
+    /// Execute `program`'s train input once, with a tee of the profiler
+    /// and the heap-trace collector on it.
+    fn execute(
+        halo: &Halo,
+        program: &Program,
+        train_seed: u64,
+        train_arg: i64,
+    ) -> Result<TrainRun, VmError> {
+        let mut tee = (Profiler::new(program, halo.config().profile), TraceCollector::new());
+        halo.run_train(program, train_seed, train_arg, &mut tee)?;
+        let (profiler, collector) = tee;
+        Ok(TrainRun {
+            profile: Mutex::new(Some(profiler.finish())),
+            trace: Mutex::new(Some(collector.finish())),
+        })
+    }
+}
+
+/// Move a producer's half out of the train run. A producer runs once,
+/// unless it panicked past this point; then the half is gone, and the
+/// re-run panics saying so.
+fn take<T>(half: &Mutex<Option<T>>) -> T {
+    half.lock()
+        .expect("a take cannot panic")
+        .take()
+        .expect("a producer that took its half of the train run panicked")
 }
 
 /// Measure backend `id`'s freshly built allocator on the ref input of
@@ -260,7 +297,10 @@ fn measure_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_vm::{Cond, Width};
+    use crate::HaloConfig;
+    use halo_graph::{AffinityGraph, Granularity, NodeId};
+    use halo_vm::{Cond, EngineLimits, Width};
+    use halo_workloads::Workload;
 
     #[allow(dead_code)] // each test module uses its own part
     mod common {
@@ -399,6 +439,85 @@ mod tests {
         let clean = EvalConfig { faults: Some(FaultPlan::default()), ..EvalConfig::default() };
         let clean_result = evaluate_with_arg(&p, "fig2", 1, 0, &clean).expect("runs");
         assert_eq!(clean_result.halo().degrade, Some(DegradeStats::default()));
+    }
+
+    /// `a` and `b` field for field (the type derives no `PartialEq`).
+    fn assert_same_graph(what: &str, a: &AffinityGraph, b: &AffinityGraph) {
+        assert_eq!((a.len(), a.is_finalised()), (b.len(), b.is_finalised()), "{what}");
+        for n in (0..a.len() as u32).map(NodeId) {
+            assert_eq!(a.is_alive(n), b.is_alive(n), "{what}: node {n:?} alive");
+            assert_eq!(a.accesses(n), b.accesses(n), "{what}: node {n:?} accesses");
+        }
+        assert!(a.edges().eq(b.edges()), "{what}: edge lists differ");
+    }
+
+    /// `w`'s train input under `monitor` alone: the reference a half of
+    /// the shared run must match.
+    fn alone<M: halo_vm::Monitor>(w: &Workload, limits: EngineLimits, mut monitor: M) -> M {
+        halo_vm::Engine::new(&w.program)
+            .with_seed(w.train.seed)
+            .with_entry_arg(w.train.arg)
+            .with_limits(limits)
+            .run(&mut halo_mem::SizeClassAllocator::new(), &mut monitor)
+            .expect("the train input runs clean");
+        monitor
+    }
+
+    #[test]
+    fn the_shared_train_run_gives_what_two_separate_runs_gave() {
+        // Two runs with one monitor each, against the one tee'd run.
+        // `Auto` records the page graph as well.
+        let mut config = HaloConfig::default();
+        config.profile.granularity = Granularity::Auto;
+        let halo = Halo::new(config);
+        let paper_and_toy = halo_workloads::all().into_iter().chain(halo_workloads::by_name("toy"));
+        for w in paper_and_toy {
+            let want_profile = alone(&w, config.limits, Profiler::new(&w.program, config.profile));
+            let want_trace = alone(&w, config.limits, TraceCollector::new());
+            let shared = TrainRun::execute(&halo, &w.program, w.train.seed, w.train.arg)
+                .expect("the train input runs clean");
+
+            let name = w.name;
+            let Profile {
+                graph,
+                page_graph,
+                contexts,
+                total_accesses,
+                total_page_accesses,
+                total_allocs,
+                queue_work,
+            } = take(&shared.profile);
+            let want = want_profile.finish();
+            assert_same_graph(&format!("{name} graph"), &graph, &want.graph);
+            assert_same_graph(&format!("{name} page graph"), &page_graph, &want.page_graph);
+            assert!(!page_graph.is_empty(), "{name}: the page lane recorded nothing");
+            assert_eq!(contexts, want.contexts, "{name}");
+            assert_eq!(
+                (total_accesses, total_page_accesses, total_allocs, queue_work),
+                (want.total_accesses, want.total_page_accesses, want.total_allocs, want.queue_work),
+                "{name}"
+            );
+            let HeapTrace { symbols, objects } = take(&shared.trace);
+            let want = want_trace.finish();
+            assert!(!symbols.is_empty(), "{name}: the trace recorded nothing");
+            assert_eq!(symbols, want.symbols, "{name}");
+            assert_eq!(objects, want.objects, "{name}");
+        }
+    }
+
+    #[test]
+    fn one_evaluation_executes_its_train_input_once() {
+        // No other test trains at this seed, so the process-wide log counts
+        // this evaluation's train runs alone, on whichever threads ran them.
+        const SEED: u64 = 0xC0FF_EE00;
+        let runs = || {
+            let log = crate::pipeline::TRAIN_RUNS.lock().expect("the log is only pushed to");
+            log.iter().filter(|&&seed| seed == SEED).count()
+        };
+        let before = runs();
+        evaluate_with_arg(&fig2(64, 8), "once", SEED, 0, &fig2_eval(&["halo-sharded"]))
+            .expect("evaluation runs");
+        assert_eq!(runs() - before, 1, "one train execution feeds both producers");
     }
 
     #[test]

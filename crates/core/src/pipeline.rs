@@ -12,7 +12,7 @@ use halo_mem::{
 };
 use halo_profile::{Profile, ProfileConfig, Profiler};
 use halo_rewrite::{instrument, RewriteReport};
-use halo_vm::{Engine, EngineLimits, Program, VmError, PAGE_SIZE};
+use halo_vm::{Engine, EngineLimits, Monitor, Program, VmError, PAGE_SIZE};
 
 /// Every tunable of the optimisation pipeline, grouped by stage.
 #[derive(Debug, Clone, Copy)]
@@ -119,6 +119,11 @@ thread_local! {
     pub(crate) static PROFILING_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// The seed of every train-input execution in the process, whatever thread
+/// ran it, so a test can count one evaluation's by a seed of its own.
+#[cfg(test)]
+pub(crate) static TRAIN_RUNS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
 /// The HALO optimiser: configure once, apply to binaries.
 #[derive(Debug, Clone, Default)]
 pub struct Halo {
@@ -163,15 +168,29 @@ impl Halo {
         #[cfg(test)]
         PROFILING_RUNS.set(PROFILING_RUNS.get() + 1);
         let mut profiler = Profiler::new(program, self.config.profile);
-        // Profiling observes the program under the default allocator, as
-        // the paper's Pin tool does.
-        let mut alloc = SizeClassAllocator::new();
+        self.run_train(program, train_seed, train_arg, &mut profiler)?;
+        Ok(profiler.finish())
+    }
+
+    /// Execute `program`'s train input once (`train_seed`, `train_arg`)
+    /// under `monitor`: the one way the pipeline runs a train input for
+    /// its events. Profiling observes the program under the default
+    /// allocator, as the paper's Pin tool does.
+    pub(crate) fn run_train(
+        &self,
+        program: &Program,
+        train_seed: u64,
+        train_arg: i64,
+        monitor: &mut impl Monitor,
+    ) -> Result<(), VmError> {
+        #[cfg(test)]
+        TRAIN_RUNS.lock().expect("a seed push cannot panic").push(train_seed);
         Engine::new(program)
             .with_seed(train_seed)
             .with_entry_arg(train_arg)
             .with_limits(self.config.limits)
-            .run(&mut alloc, &mut profiler)?;
-        Ok(profiler.finish())
+            .run(&mut SizeClassAllocator::new(), monitor)?;
+        Ok(())
     }
 
     /// Run the whole pipeline — profile → group → identify → rewrite — on
@@ -199,6 +218,20 @@ impl Halo {
         train_arg: i64,
     ) -> Result<Optimised, PipelineError> {
         let profile = self.profile_with_arg(program, train_seed, train_arg)?;
+        self.optimise_profiled(program, profile, train_seed, train_arg)
+    }
+
+    /// [`optimise_with_arg`](Self::optimise_with_arg) past its profiling
+    /// run: everything from `profile`, which is `program`'s profile on the
+    /// train input `train_seed` / `train_arg` (the `auto` validators
+    /// measure their candidates on that same input).
+    pub(crate) fn optimise_profiled(
+        &self,
+        program: &Program,
+        profile: Profile,
+        train_seed: u64,
+        train_arg: i64,
+    ) -> Result<Optimised, PipelineError> {
         // What both `auto` validators measure candidates on: the *train*
         // input, on the geometry the final measurement uses.
         let train = MeasureConfig {

@@ -1,14 +1,15 @@
-//! The schedule of `evaluate` (DESIGN.md §14): one job list — the two
-//! artefact producers, then the enabled backends — on `par_map`, with the
-//! artefacts in `OnceLock` cells that consumers take by `get_or_init`.
+//! The schedule of `evaluate` (DESIGN.md §14): one job list — the
+//! baseline measurement, the two artefact producers, then the other
+//! enabled backends — on `par_map`, with the producers' shared train run
+//! and their artefacts in `OnceLock` cells that jobs take by `get_or_init`.
 //!
 //! Two things are pinned here, neither by touching `HALO_THREADS` (the
 //! byte-identity matrix over thread counts drives the real binary from
 //! `tests/cli_smoke.rs`): which stage's error an evaluation reports when
 //! several stages fail, and — on toy closures, no engine — that the
-//! producer/consumer pattern returns, with the right payload, when a
-//! producer panics. Every fan-out that could strand a consumer runs under
-//! a watchdog so a regression is a failed test, not a hung job.
+//! producer/consumer pattern returns, with the lowest-index job's payload,
+//! when a producer panics. Every fan-out that could strand a consumer runs
+//! under a watchdog so a regression is a failed test, not a hung job.
 
 use halo_core::{evaluate_with_arg, measure, par_map, thread_count, Halo, PipelineError};
 use halo_mem::SizeClassAllocator;
@@ -63,6 +64,23 @@ fn a_ref_only_trap_reports_the_baselines_error_not_a_later_backends() {
 
     let err = evaluate_with_arg(&p, "ref-trap", 1, 1, &cfg).expect_err("every backend traps");
     assert_eq!(err, PipelineError::Vm(original));
+}
+
+#[test]
+fn a_train_run_trap_reports_the_pipelines_error() {
+    // Train input: divisor 0, so the one execution both producers share
+    // traps. Ref input: divisor 1, so the baseline — first in the job
+    // list, needing no artefact — measures clean. The evaluation still
+    // reports the pipeline's error.
+    let p = fig2_trap(0, 0);
+    let mut cfg = fig2_eval(&["halo-sharded"]);
+    cfg.measure.entry_arg = 1;
+    measure(&p, &mut SizeClassAllocator::new(), &cfg.measure).expect("the ref input runs clean");
+    let trap = Halo::new(cfg.halo).profile_with_arg(&p, 1, 0).expect_err("the train input traps");
+    assert!(matches!(trap, PipelineError::Vm(VmError::DivisionByZero { .. })), "{trap:?}");
+
+    let err = evaluate_with_arg(&p, "train-trap", 1, 0, &cfg).expect_err("the train run traps");
+    assert_eq!(err, trap);
 }
 
 /// Run `f` on its own thread and give up after `limit`: a stranded
@@ -172,4 +190,32 @@ fn the_producers_panic_outranks_a_consumers_earlier_one() {
         })
     });
     assert_eq!(payload(outcome), "the producer failed");
+}
+
+#[test]
+fn a_job_ahead_of_the_producer_outranks_its_panic() {
+    // `evaluate`'s list opens with the baseline, which takes no artefact:
+    // its panic outranks a producer's, even one that came first in time.
+    let jobs = [0, 1, 2]; // baseline, producer, consumer
+    let outcome = within(WATCHDOG, move || {
+        let parallel = thread_count(jobs.len()) > 1;
+        let producer_panicking = AtomicBool::new(false);
+        let cell = OnceLock::<u32>::new();
+        let produce = || -> u32 {
+            producer_panicking.store(true, Ordering::SeqCst);
+            panic!("the producer failed");
+        };
+        par_map(&jobs, |&job| match job {
+            0 => {
+                while parallel && !producer_panicking.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("the baseline failed");
+            }
+            1 => *cell.get_or_init(produce),
+            n => cell.get_or_init(produce) + n,
+        })
+    });
+    assert_eq!(payload(outcome), "the baseline failed");
 }

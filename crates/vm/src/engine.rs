@@ -186,6 +186,51 @@ pub struct NullMonitor;
 
 impl Monitor for NullMonitor {}
 
+/// A tee: both monitors observe one execution, each in event order, the
+/// first one first. Every event (a batch included) goes to both, so each
+/// keeps whatever batch handling it has.
+impl<A: Monitor, B: Monitor> Monitor for (A, B) {
+    fn on_call(&mut self, site: CallSite, callee: FuncId) {
+        self.0.on_call(site, callee);
+        self.1.on_call(site, callee);
+    }
+
+    fn on_return(&mut self, callee: FuncId) {
+        self.0.on_return(callee);
+        self.1.on_return(callee);
+    }
+
+    fn on_alloc(&mut self, kind: AllocKind, site: CallSite, size: u64, ptr: u64, old_ptr: u64) {
+        self.0.on_alloc(kind, site, size, ptr, old_ptr);
+        self.1.on_alloc(kind, site, size, ptr, old_ptr);
+    }
+
+    fn on_free(&mut self, site: CallSite, ptr: u64) {
+        self.0.on_free(site, ptr);
+        self.1.on_free(site, ptr);
+    }
+
+    fn on_access(&mut self, addr: u64, width: u8, store: bool) {
+        self.0.on_access(addr, width, store);
+        self.1.on_access(addr, width, store);
+    }
+
+    fn on_access_batch(&mut self, batch: &AccessBatch) {
+        self.0.on_access_batch(batch);
+        self.1.on_access_batch(batch);
+    }
+
+    fn on_compute(&mut self, amount: u64) {
+        self.0.on_compute(amount);
+        self.1.on_compute(amount);
+    }
+
+    fn on_thread_switch(&mut self, thread: u16) {
+        self.0.on_thread_switch(thread);
+        self.1.on_thread_switch(thread);
+    }
+}
+
 /// The allocator plugged into the engine — the runtime half of HALO, and
 /// of every baseline it is compared against.
 ///
@@ -1292,6 +1337,25 @@ mod tests {
         assert!(probe.accesses.iter().all(|&(_, w, s)| w == 8 && !s));
         // Two full batches, then the remainder flushed before on_return.
         assert_eq!(probe.batches, vec![AccessBatch::CAPACITY, AccessBatch::CAPACITY, 5]);
+    }
+
+    #[test]
+    fn a_tee_gives_each_monitor_the_stream_it_sees_alone() {
+        let p = main_only(|f| {
+            f.imm(r(0), 16);
+            f.malloc(r(0), r(1));
+            f.store(r(0), r(1), 0, Width::W8);
+            f.thread_switch(1);
+            f.load(r(2), r(1), 8, Width::W4);
+            f.free(r(1));
+            f.ret(None);
+        });
+        let (_, recorded) = run_program(&p);
+        let (_, probed) = BatchProbe::run(&p, EngineLimits::default());
+        let mut tee = (RecordingMonitor::default(), BatchProbe::default());
+        Engine::new(&p).run(&mut MallocOnlyAllocator::new(), &mut tee).expect("runs");
+        assert_eq!(tee.0, recorded, "per-access delivery through the tee");
+        assert_eq!((tee.1.accesses, tee.1.batches), (probed.accesses, probed.batches));
     }
 
     /// Batching must not reorder accesses against any other monitor
