@@ -20,7 +20,7 @@ fn main() {
                 config.halo.alloc.with_chunk_size(chunk_size).expect("swept sizes are valid");
             config.halo.alloc.max_spare_chunks = spare;
             let (_, alloc, m) = halo_bench::halo_run(w, &config);
-            let frag = alloc.frag_report();
+            let frag = alloc.report().frag;
             println!(
                 "{:>10} {:>8} {:>14} {:>10} {:>9.2}% {:>12}",
                 halo_bench::human_bytes(chunk_size),

@@ -22,7 +22,7 @@ fn main() {
             let mut config = halo_bench::paper_config(w);
             config.halo.reuse = choice;
             let (opt, alloc, m) = halo_bench::halo_run(w, &config);
-            let frag = alloc.frag_report();
+            let frag = alloc.report().frag;
             let plans: Vec<String> =
                 opt.groups.iter().enumerate().map(|(i, g)| format!("g{i} {}", g.plan)).collect();
             println!(

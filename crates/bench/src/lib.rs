@@ -147,7 +147,7 @@ pub fn baseline(workload: &Workload, config: &EvalConfig) -> Measurement {
 /// allocator on the ref input — the light-weight path of the sweeps
 /// (Fig. 12 and the ablations), which need neither the comparison
 /// technique nor a baseline per row. The allocator comes back as measured,
-/// for its `frag_report()`.
+/// for its `report()`.
 pub fn halo_run(
     workload: &Workload,
     config: &EvalConfig,

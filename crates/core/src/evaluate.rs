@@ -510,14 +510,10 @@ mod tests {
         // No other test trains at this seed, so the process-wide log counts
         // this evaluation's train runs alone, on whichever threads ran them.
         const SEED: u64 = 0xC0FF_EE00;
-        let runs = || {
-            let log = crate::pipeline::TRAIN_RUNS.lock().expect("the log is only pushed to");
-            log.iter().filter(|&&seed| seed == SEED).count()
-        };
-        let before = runs();
         evaluate_with_arg(&fig2(64, 8), "once", SEED, 0, &fig2_eval(&["halo-sharded"]))
             .expect("evaluation runs");
-        assert_eq!(runs() - before, 1, "one train execution feeds both producers");
+        let runs = crate::pipeline::train_runs(SEED);
+        assert_eq!(runs, 1, "one train execution feeds both producers");
     }
 
     #[test]

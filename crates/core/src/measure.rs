@@ -40,10 +40,6 @@ struct CacheMonitor {
 }
 
 impl Monitor for CacheMonitor {
-    fn on_access(&mut self, addr: u64, width: u8, store: bool) {
-        self.hierarchy.access(addr, width, store);
-    }
-
     fn on_access_batch(&mut self, batch: &AccessBatch) {
         // One virtual call per up to `AccessBatch::CAPACITY` accesses; the
         // engine flushes before every thread switch, so the whole batch

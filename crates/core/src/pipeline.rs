@@ -112,17 +112,17 @@ pub struct Optimised {
     pub rewrite: RewriteReport,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Profiling runs started on this thread, so a test can tell how many
-    /// a caller paid for.
-    pub(crate) static PROFILING_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// The seed of every train-input execution in the process, whatever thread
-/// ran it, so a test can count one evaluation's by a seed of its own.
+/// ran it, so a test can count its own by a seed no other test uses.
 #[cfg(test)]
-pub(crate) static TRAIN_RUNS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+static TRAIN_RUNS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
+/// Train-input executions so far at `seed`.
+#[cfg(test)]
+pub(crate) fn train_runs(seed: u64) -> usize {
+    let log = TRAIN_RUNS.lock().expect("the log is only pushed to");
+    log.iter().filter(|&&run| run == seed).count()
+}
 
 /// The HALO optimiser: configure once, apply to binaries.
 #[derive(Debug, Clone, Default)]
@@ -165,8 +165,6 @@ impl Halo {
         train_seed: u64,
         train_arg: i64,
     ) -> Result<Profile, PipelineError> {
-        #[cfg(test)]
-        PROFILING_RUNS.set(PROFILING_RUNS.get() + 1);
         let mut profiler = Profiler::new(program, self.config.profile);
         self.run_train(program, train_seed, train_arg, &mut profiler)?;
         Ok(profiler.finish())
@@ -364,7 +362,7 @@ impl Halo {
         const REUSE_MISS_TOLERANCE: f64 = 0.01;
         let (bump, alloc) = self.train_trial(plan, granularity, train)?;
         let group_frags = alloc.group_frag_reports();
-        let mut best = (alloc.frag_report().frag_fraction(), bump.stats.l1_misses);
+        let mut best = (alloc.report().frag.frag_fraction(), bump.stats.l1_misses);
         let miss_cap = (bump.stats.l1_misses as f64 * (1.0 + REUSE_MISS_TOLERANCE)) as u64;
 
         // Fragmentation-heavy groups first (their flips move the total
@@ -394,7 +392,7 @@ impl Halo {
                 tried.push(candidate);
                 plan.groups[i].plan = candidate;
                 let (measured, alloc) = self.train_trial(plan, granularity, train)?;
-                let score = (alloc.frag_report().frag_fraction(), measured.stats.l1_misses);
+                let score = (alloc.report().frag.frag_fraction(), measured.stats.l1_misses);
                 if measured.stats.l1_misses <= miss_cap
                     && score.0 < best.0
                     && accepted.as_ref().is_none_or(|(_, s)| score < *s)
@@ -521,7 +519,7 @@ mod tests {
             .with_seed(9)
             .run(&mut alloc, &mut monitor)
             .expect("optimised binary runs");
-        let stats = alloc.stats();
+        let stats = alloc.report().stats.alloc;
         assert!(stats.grouped_allocs > 0, "grouped allocations happened");
         // C is ungrouped: some allocations fell back.
         assert!(stats.fallback_allocs > 0, "cold context falls back");
@@ -552,9 +550,10 @@ mod tests {
             ..fig2_halo()
         };
         config.profile.granularity = Granularity::Auto;
-        let profiled = PROFILING_RUNS.get();
-        let opt = Halo::new(config).optimise_with_arg(&p, 7, 0).expect("pipeline runs");
-        assert_eq!(PROFILING_RUNS.get() - profiled, 1);
+        // No other test trains at this seed.
+        const SEED: u64 = 0x0A17_0A11;
+        let opt = Halo::new(config).optimise_with_arg(&p, SEED, 0).expect("pipeline runs");
+        assert_eq!(train_runs(SEED), 1);
         assert!(!opt.groups.is_empty() && !opt.auto_declined);
         assert_eq!(opt.granularity, Granularity::Object);
     }
@@ -576,7 +575,7 @@ mod tests {
         let mut alloc = halo.make_allocator(&opt);
         let mut monitor = halo_vm::NullMonitor;
         Engine::new(&opt.program).run(&mut alloc, &mut monitor).expect("runs");
-        assert_eq!(alloc.stats().grouped_allocs, 0);
+        assert_eq!(alloc.report().stats.alloc.grouped_allocs, 0);
     }
 
     #[test]

@@ -528,13 +528,14 @@ mod tests {
 
     #[test]
     fn steady_phase_never_swaps() {
-        let profiled = crate::pipeline::PROFILING_RUNS.get();
-        let report =
-            serve(&[phase("steady", fig2(48, 48), 3)], &serve_config()).expect("serve runs");
+        // No other test trains at this seed.
+        const SEED: u64 = 0x57EA_D700;
+        let steady = ServePhase { train_seed: SEED, ..phase("steady", fig2(48, 48), 3) };
+        let report = serve(&[steady], &serve_config()).expect("serve runs");
         assert_eq!(report.rows.len(), 3);
         // One optimisation of phase 0 feeds both the serve allocator and
         // the static twin, then one streamed profile per window.
-        assert_eq!(crate::pipeline::PROFILING_RUNS.get() - profiled, 1 + 3);
+        assert_eq!(crate::pipeline::train_runs(SEED), 1 + 3);
         assert_eq!(report.swaps, 0, "a stable workload triggers no swap: {:?}", report.rows);
         assert!(report.rows.iter().all(|row| row.plan_epoch == 0));
         // Drift is measured every window (regroup_every = 1) and stays
@@ -694,14 +695,17 @@ mod tests {
 
     #[test]
     fn an_out_of_range_configuration_is_rejected_before_any_work() {
+        // No other test trains at this seed: every phase here runs at it.
+        const SEED: u64 = 0x0BAD_C0DE;
+        let at_seed =
+            |windows: u64| ServePhase { train_seed: SEED, ..phase("p", fig2(16, 16), windows) };
         let rejected = |phases: &[ServePhase], config: ServeConfig| -> String {
-            let profiled = crate::pipeline::PROFILING_RUNS.get();
             let err = serve(phases, &config).expect_err("the configuration must be rejected");
-            assert_eq!(crate::pipeline::PROFILING_RUNS.get(), profiled, "nothing was profiled");
+            assert_eq!(crate::pipeline::train_runs(SEED), 0, "nothing was profiled");
             assert!(matches!(err, PipelineError::Rejected(_)), "{err:?}");
             err.to_string()
         };
-        let phases = [phase("p", fig2(16, 16), 1)];
+        let phases = [at_seed(1)];
         let rejection = |config: ServeConfig| rejected(&phases, config);
         assert_eq!(
             rejection(ServeConfig { regroup_every: 0, ..serve_config() }),
@@ -710,7 +714,7 @@ mod tests {
         // A window count no host can hold, and two whose sum overflows.
         let half = u64::MAX / 2 + 1;
         for windows in [&[u64::MAX][..], &[half, half]] {
-            let script: Vec<_> = windows.iter().map(|&n| phase("p", fig2(16, 16), n)).collect();
+            let script: Vec<_> = windows.iter().map(|&n| at_seed(n)).collect();
             assert_eq!(
                 rejected(&script, serve_config()),
                 "the script has more windows than this host can hold"

@@ -14,7 +14,9 @@ use crate::{
 };
 use halo_vm::VmAllocator;
 
-/// What an allocator with grouped pools reports after a measured run.
+/// What an allocator with grouped pools reports after a measured run: the
+/// one snapshot [`HaloGroupAllocator::report`] takes of an arena, and
+/// [`ShardedHaloAllocator::report`] merges over its shards.
 #[derive(Debug, Clone, Copy)]
 pub struct BackendReport {
     /// Fragmentation of grouped data at peak (Table 1).
@@ -41,12 +43,7 @@ impl BackendAllocator for RandomGroupAllocator {}
 
 impl BackendAllocator for HaloGroupAllocator {
     fn backend_report(&self) -> Option<BackendReport> {
-        let stats = ShardedAllocStats {
-            alloc: self.stats(),
-            degrade: self.degrade_stats(),
-            ..ShardedAllocStats::default()
-        };
-        Some(BackendReport { frag: self.frag_report(), stats, sharded: false })
+        Some(self.report())
     }
 }
 

@@ -31,7 +31,7 @@ use crate::page_index::PageIndex;
 use crate::selector::SelectorTable;
 use crate::stats::AllocatorStats;
 use crate::vmm::{ReserveError, Vmm};
-use crate::SizeClassAllocator;
+use crate::{BackendReport, ShardedAllocStats, SizeClassAllocator};
 use halo_graph::ReusePolicy;
 use halo_vm::{
     realloc_by_move, CallSite, FastIntState, GroupState, Memory, VmAllocator, PAGE_SIZE,
@@ -233,6 +233,24 @@ impl PoolUsage {
     }
 }
 
+/// One group's row of the allocator's per-group table.
+#[derive(Debug, Clone, Copy)]
+struct GroupPool {
+    /// Effective configuration (the global one unless a per-group plan
+    /// overrode it).
+    cfg: GroupAllocConfig,
+    /// Handle of the chunk the group bumps into.
+    current: Option<u32>,
+    /// Usage and Table 1 snapshot of the group's own chunks (what the
+    /// per-group `auto` reuse policy ranks groups by).
+    usage: PoolUsage,
+    /// Set when the group's chunk supply failed: new requests route
+    /// wholesale to the fallback (the paper's ungrouped path), live
+    /// pointers keep working. The optimisation is lost for the group,
+    /// never the process.
+    degraded: bool,
+}
+
 /// Regions start on 8-byte boundaries (§4.4's minimum alignment), so one
 /// metadata cell per 8-byte granule can describe every region of a chunk.
 const GRANULE: u64 = 8;
@@ -319,9 +337,9 @@ impl Chunk {
 #[derive(Debug)]
 pub struct HaloGroupAllocator {
     config: GroupAllocConfig,
-    /// Effective configuration per group (the global `config` unless a
-    /// per-group plan overrode it).
-    group_cfg: Vec<GroupAllocConfig>,
+    /// The per-group table, indexed by group. It only grows: a group's
+    /// chunks and counters outlive a plan that stops naming it.
+    groups: Vec<GroupPool>,
     selectors: SelectorTable,
     /// Immediate-call-site classification (the hot-data-streams comparison
     /// technique "utilise[s] the same specialised allocator as HALO, but
@@ -338,8 +356,6 @@ pub struct HaloGroupAllocator {
     /// chunk sizes vary per plan and a page is the smallest chunk
     /// [`GroupAllocConfig::check_chunk_size`] admits.
     pages: PageIndex,
-    /// Current chunk handle per group.
-    current: Vec<Option<u32>>,
     /// Empty-but-dirty chunks available for reuse, oldest first.
     spare: Vec<u32>,
     /// Purged (clean) chunks available for reuse.
@@ -349,17 +365,13 @@ pub struct HaloGroupAllocator {
     fallback: SizeClassAllocator,
     /// Allocator-wide usage and Table 1 snapshot.
     usage: PoolUsage,
-    /// Per-group usage and Table 1 snapshots (what the per-group `auto`
-    /// reuse policy ranks groups by).
-    group_usage: Vec<PoolUsage>,
     stats: GroupAllocStats,
-    /// Groups whose chunk supply failed: new requests route wholesale to
-    /// the fallback (the paper's ungrouped path), live pointers keep
-    /// working. The optimisation is lost for the group, never the process.
-    degraded: Vec<bool>,
-    /// Degradation-ladder counters. `degraded_groups` and
-    /// `injected_faults` are snapshots computed on read (see
-    /// [`Self::degrade_stats`]); the rest accumulate here.
+    /// The quarantine rung: every group, including one a later plan adds,
+    /// routes to the fallback ([`Self::quarantine`]).
+    quarantined: bool,
+    /// Degradation-ladder counters. `degraded_groups`, `degraded_shards`
+    /// and `injected_faults` are snapshots computed on read (see
+    /// [`Self::report`]); the rest accumulate here.
     degrade: DegradeStats,
     /// Fault injector for chaos runs; `None` in production costs one
     /// branch per resource edge and changes no behaviour.
@@ -423,48 +435,53 @@ impl HaloGroupAllocator {
         }
         HaloGroupAllocator {
             config,
-            group_cfg: Vec::new(),
+            groups: Vec::new(),
             selectors: SelectorTable::empty(),
             vmm: Vmm::new(slab_base, 1 << 38),
             slab_cursor: None,
             chunks: Vec::new(),
             pages: PageIndex::new(slab_base),
-            current: Vec::new(),
             site_groups: HashMap::new(),
             spare: Vec::new(),
             clean: Vec::new(),
             live_regions: 0,
             fallback,
             usage: PoolUsage::default(),
-            group_usage: Vec::new(),
             stats: GroupAllocStats::default(),
-            degraded: Vec::new(),
+            quarantined: false,
             degrade: DegradeStats::default(),
             faults: None,
         }
     }
 
-    /// Event counters.
-    pub fn stats(&self) -> GroupAllocStats {
-        self.stats
+    /// Everything the allocator reports, in one snapshot: fragmentation
+    /// of grouped memory at the peak observed so far (Table 1's
+    /// measurement), the event counters, and the degradation ladder with
+    /// the attached injector's fired faults. The remote-free counters are
+    /// zero: one arena has no queue.
+    pub fn report(&self) -> BackendReport {
+        let degraded_groups = (0..self.groups.len()).filter(|&g| self.is_degraded(g)).count();
+        let degrade = DegradeStats {
+            degraded_groups: degraded_groups as u64,
+            degraded_shards: u64::from(self.quarantined),
+            injected_faults: self.faults.as_ref().map_or(0, |f| f.fired()),
+            ..self.degrade
+        };
+        let stats =
+            ShardedAllocStats { alloc: self.stats, degrade, ..ShardedAllocStats::default() };
+        BackendReport { frag: self.usage.frag, stats, sharded: false }
     }
 
-    /// Fragmentation of grouped memory at the peak observed so far
-    /// (Table 1's measurement).
-    pub fn frag_report(&self) -> FragReport {
-        self.usage.frag
-    }
-
-    /// Per-group fragmentation snapshots (same rule as [`Self::frag_report`],
+    /// Per-group fragmentation snapshots (same rule as [`Self::report`]'s,
     /// scoped to each group's own chunks). Indexed by group.
     pub fn group_frag_reports(&self) -> Vec<FragReport> {
-        self.group_usage.iter().map(|u| u.frag).collect()
+        self.groups.iter().map(|p| p.usage.frag).collect()
     }
 
     /// The effective configuration of `group` (the global configuration
     /// unless overridden).
     pub fn group_config(&self, group: usize) -> GroupAllocConfig {
-        self.group_cfg.get(group).copied().unwrap_or(self.config)
+        self.groups.get(group).map_or(self.config, |p| p.cfg)
     }
 
     /// Hot-swap the allocator onto a new plan: replace the selector table
@@ -479,8 +496,9 @@ impl HaloGroupAllocator {
     /// chunk by address and recycles it under the configuration in force
     /// *at free time*, exactly as before the swap, and retired chunks
     /// drain through the normal free/spare/purge machinery. Groups parked
-    /// by the degradation ladder stay parked: a plan change does not
-    /// resurrect a group whose chunk supply already failed.
+    /// by the degradation ladder stay parked, and a quarantined allocator
+    /// stays quarantined: a plan change does not resurrect a group whose
+    /// chunk supply already failed, and a group it adds starts degraded.
     ///
     /// # Panics
     ///
@@ -498,20 +516,20 @@ impl HaloGroupAllocator {
     /// configuration, and a group whose configuration changes retires its
     /// open chunk.
     pub(crate) fn install(&mut self, selectors: SelectorTable, groups: &[GroupAllocConfig]) {
-        // The per-group tables only grow: a group's chunks and counters
-        // outlive a plan that stops naming it.
-        let n = groups.len().max(self.group_cfg.len());
-        self.current.resize(n, None);
-        self.group_cfg.resize(n, self.config);
-        self.group_usage.resize(n, PoolUsage::default());
-        self.degraded.resize(n, false);
-        for (g, cfg) in self.group_cfg.iter_mut().enumerate() {
+        let fresh = GroupPool {
+            cfg: self.config,
+            current: None,
+            usage: PoolUsage::default(),
+            degraded: false,
+        };
+        self.groups.resize(groups.len().max(self.groups.len()), fresh);
+        for (g, pool) in self.groups.iter_mut().enumerate() {
             let new = groups.get(g).copied().unwrap_or(self.config);
-            if *cfg != new {
+            if pool.cfg != new {
                 // The next allocation for the group carves fresh under the
                 // new configuration.
-                *cfg = new;
-                self.current[g] = None;
+                pool.cfg = new;
+                pool.current = None;
             }
         }
         self.selectors = selectors;
@@ -526,11 +544,6 @@ impl HaloGroupAllocator {
     /// Bytes of grouped data currently live.
     pub fn live_grouped_bytes(&self) -> u64 {
         self.usage.live
-    }
-
-    /// Resident bytes currently attributed to group chunks.
-    pub fn resident_grouped_bytes(&self) -> u64 {
-        self.usage.resident
     }
 
     /// Dirty (resident) bytes of a chunk whose bump high-water mark is
@@ -587,7 +600,7 @@ impl HaloGroupAllocator {
         if self.faults.as_ref().is_some_and(|f| f.should_fail(FaultSite::ChunkAlloc)) {
             return None;
         }
-        let cs = self.group_cfg[group].chunk_size;
+        let cs = self.groups[group].cfg.chunk_size;
         // Reuse pools are shared between groups, but only a chunk of the
         // group's own size qualifies.
         let chunks = &self.chunks;
@@ -599,8 +612,8 @@ impl HaloGroupAllocator {
             let dirty = Self::dirty_bytes(c.base, c.high_water);
             if c.group != group && dirty > 0 {
                 // The dirty pages change hands with the chunk.
-                self.group_usage[c.group].resident -= dirty;
-                self.group_usage[group].resident += dirty;
+                self.groups[c.group].usage.resident -= dirty;
+                self.groups[group].usage.resident += dirty;
             }
             h
         } else if let Some(i) = self.clean.iter().position(of_size) {
@@ -614,7 +627,7 @@ impl HaloGroupAllocator {
         // An empty chunk is already reset (bump at base, no live regions,
         // cells zero); it only changes owner.
         self.chunks[handle as usize].group = group;
-        self.current[group] = Some(handle);
+        self.groups[group].current = Some(handle);
         Some(handle)
     }
 
@@ -622,19 +635,19 @@ impl HaloGroupAllocator {
     /// `None` when the group's chunk supply failed (the degradation path:
     /// the caller routes to the fallback).
     fn group_malloc(&mut self, group: usize, size: u64, tag: u32) -> Option<u64> {
-        let cfg = self.group_cfg[group];
+        let GroupPool { cfg, current, .. } = self.groups[group];
         let rounded = round_to_granules(size);
         // Sharded reuse: recycle a freed same-size region from the group's
         // current chunk before bumping (mimalloc-style, §6 future work).
         let recycled = if cfg.reuse_policy == ReusePolicy::ShardedFreeLists {
-            self.current[group]
+            current
                 .and_then(|h| self.chunks[h as usize].shards.get_mut(&rounded))
                 .and_then(Vec::pop)
         } else {
             None
         };
         let fits = |c: &Chunk| recycled.is_some() || c.bump + rounded <= c.end;
-        let handle = match self.current[group] {
+        let handle = match current {
             Some(h) if fits(&self.chunks[h as usize]) => h,
             _ => self.acquire_chunk(group)?,
         };
@@ -647,14 +660,14 @@ impl HaloGroupAllocator {
                 c.high_water = c.bump;
                 let new_dirty = Self::dirty_bytes(c.base, c.high_water);
                 self.usage.resident += new_dirty - old_dirty;
-                self.group_usage[group].resident += new_dirty - old_dirty;
+                self.groups[group].usage.resident += new_dirty - old_dirty;
             }
         }
         c.live_regions += 1;
         c.cells[((ptr - c.base) / GRANULE) as usize] = tag;
         self.live_regions += 1;
         self.usage.live += size;
-        self.group_usage[group].live += size;
+        self.groups[group].usage.live += size;
         self.stats.grouped_allocs += 1;
         self.note_usage(group);
         Some(ptr)
@@ -663,7 +676,7 @@ impl HaloGroupAllocator {
     /// Refresh the global and per-group Table 1 snapshots.
     fn note_usage(&mut self, group: usize) {
         self.usage.note();
-        self.group_usage[group].note();
+        self.groups[group].usage.note();
     }
 
     /// The live grouped region starting exactly at `ptr`: its chunk's
@@ -691,9 +704,9 @@ impl HaloGroupAllocator {
         chunk.cells[cell] = 0;
         self.live_regions -= 1;
         let group = chunk.group;
-        let cfg = self.group_cfg[group];
+        let cfg = self.groups[group].cfg;
         self.usage.live -= size;
-        self.group_usage[group].live -= size;
+        self.groups[group].usage.live -= size;
         self.stats.grouped_frees += 1;
         debug_assert!(chunk.live_regions > 0);
         chunk.live_regions -= 1;
@@ -708,7 +721,7 @@ impl HaloGroupAllocator {
         // from its base with no free lists.
         chunk.bump = chunk.base;
         chunk.shards.clear();
-        if self.current[group] == Some(handle) {
+        if self.groups[group].current == Some(handle) {
             // Still the group's current chunk: keep using it in place (its
             // pages stay dirty/resident).
             self.stats.chunks_reused += 1;
@@ -734,7 +747,7 @@ impl HaloGroupAllocator {
             let c = &mut chunks[h as usize];
             let dirty = Self::dirty_bytes(c.base, c.high_water);
             self.usage.resident -= dirty;
-            self.group_usage[group].resident -= dirty;
+            self.groups[group].usage.resident -= dirty;
             mem.discard(c.base, c.size());
             c.high_water = c.base;
             self.clean.push(h);
@@ -750,48 +763,19 @@ impl HaloGroupAllocator {
     }
 
     /// Whether `group` has been degraded (its requests route to the
-    /// fallback).
+    /// fallback): its own chunk supply failed, or the allocator is
+    /// quarantined.
     pub fn is_degraded(&self, group: usize) -> bool {
-        self.degraded.get(group).copied().unwrap_or(false)
+        self.quarantined || self.groups.get(group).is_some_and(|p| p.degraded)
     }
 
-    /// Degrade `group`: new requests take the fallback path from now on.
-    /// Live grouped pointers are unaffected — `free`/`realloc` still find
-    /// their chunks.
-    fn degrade_group(&mut self, group: usize) {
-        if let Some(d) = self.degraded.get_mut(group) {
-            *d = true;
-        }
-    }
-
-    /// Degrade every group at once — the quarantine rung of the ladder,
-    /// used when invariants can no longer be trusted (e.g. after a lock
-    /// poisoning whose re-validation failed). The allocator keeps serving
-    /// every request through the fallback.
+    /// Degrade every group at once, and every group a later plan adds —
+    /// the quarantine rung of the ladder, used when invariants can no
+    /// longer be trusted (e.g. after a lock poisoning whose re-validation
+    /// failed). The allocator keeps serving every request through the
+    /// fallback; live grouped pointers still free through their chunks.
     pub fn quarantine(&mut self) {
-        for d in &mut self.degraded {
-            *d = true;
-        }
-    }
-
-    /// Degradation counters without the injected-fault count (the shard
-    /// aggregation path fills that in exactly once from the shared
-    /// injector, so per-shard sums do not multiply it).
-    pub(crate) fn degrade_raw(&self) -> DegradeStats {
-        DegradeStats {
-            degraded_groups: self.degraded.iter().filter(|&&d| d).count() as u64,
-            ..self.degrade
-        }
-    }
-
-    /// Degradation-ladder counters, including faults fired by the
-    /// attached injector.
-    pub fn degrade_stats(&self) -> DegradeStats {
-        let mut d = self.degrade_raw();
-        if let Some(f) = &self.faults {
-            d.injected_faults = f.fired();
-        }
-        d
+        self.quarantined = true;
     }
 
     /// Cheap structural self-check, run when recovering a poisoned lock:
@@ -816,9 +800,9 @@ impl HaloGroupAllocator {
         if live_regions != self.live_regions {
             return Err("per-chunk live-region counts disagree with the allocator-wide counter");
         }
-        for (g, cur) in self.current.iter().enumerate() {
-            if let Some(handle) = cur {
-                match self.chunks.get(*handle as usize) {
+        for (g, pool) in self.groups.iter().enumerate() {
+            if let Some(handle) = pool.current {
+                match self.chunks.get(handle as usize) {
                     Some(c) if c.group == g => {}
                     _ => return Err("current chunk missing or owned by another group"),
                 }
@@ -856,7 +840,7 @@ impl VmAllocator for HaloGroupAllocator {
                 // from overflowing when the cap is lifted to `u64::MAX`).
                 let size = size.max(1);
                 let groupable = size_tag(size)
-                    .filter(|_| round_to_granules(size) <= self.group_cfg[group].chunk_size);
+                    .filter(|_| round_to_granules(size) <= self.groups[group].cfg.chunk_size);
                 if let Some(tag) = groupable {
                     if self.is_degraded(group) {
                         // Degradation ladder: a group whose chunk supply
@@ -866,7 +850,10 @@ impl VmAllocator for HaloGroupAllocator {
                     } else if let Some(ptr) = self.group_malloc(group, size, tag) {
                         return ptr;
                     } else {
-                        self.degrade_group(group);
+                        // Degrade the group: new requests take the fallback
+                        // path from now on; live grouped pointers still
+                        // find their chunks.
+                        self.groups[group].degraded = true;
                         self.degrade.fallback_routes += 1;
                     }
                 }
@@ -924,6 +911,14 @@ mod tests {
 
     include!("../tests/common/fixtures.rs");
 
+    impl HaloGroupAllocator {
+        /// Break the allocator-wide live-region count, as a holder that
+        /// panicked mid-update would leave it.
+        pub(crate) fn break_live_regions(&mut self) {
+            self.live_regions += 1;
+        }
+    }
+
     fn setup() -> (HaloGroupAllocator, GroupState, Memory) {
         setup_with(tiny_config())
     }
@@ -942,7 +937,7 @@ mod tests {
         assert_eq!(p2, p1 + 24);
         assert_eq!(p3, p2 + 24);
         assert_eq!(p3 % 8, 0, "minimum 8-byte alignment");
-        assert_eq!(a.stats().grouped_allocs, 3);
+        assert_eq!(a.report().stats.alloc.grouped_allocs, 3);
     }
 
     #[test]
@@ -967,9 +962,9 @@ mod tests {
         let (mut a, gs, mut mem) = setup();
         let p = a.malloc(16, site(), &gs, &mut mem);
         assert!(!a.is_group_allocated(p));
-        assert_eq!(a.stats().fallback_allocs, 1);
+        assert_eq!(a.report().stats.alloc.fallback_allocs, 1);
         a.free(p, &mut mem);
-        assert_eq!(a.stats().fallback_frees, 1);
+        assert_eq!(a.report().stats.alloc.fallback_frees, 1);
     }
 
     #[test]
@@ -992,7 +987,7 @@ mod tests {
         let chunk0 = ptrs[0] & !(cs - 1);
         assert!(ptrs[..4].iter().all(|p| p & !(cs - 1) == chunk0));
         assert_ne!(ptrs[4] & !(cs - 1), chunk0);
-        assert_eq!(a.stats().chunks_created, 2);
+        assert_eq!(a.report().stats.alloc.chunks_created, 2);
     }
 
     #[test]
@@ -1006,7 +1001,7 @@ mod tests {
         // Bump pointer reset: next allocation reuses the same addresses.
         let p3 = a.malloc(64, site(), &gs, &mut mem);
         assert_eq!(p3, p1);
-        assert_eq!(a.stats().chunks_created, 1);
+        assert_eq!(a.report().stats.alloc.chunks_created, 1);
     }
 
     #[test]
@@ -1021,13 +1016,13 @@ mod tests {
         for &p in &big {
             mem.write(p, 8, 1);
         }
-        let resident_before = a.resident_grouped_bytes();
+        let resident_before = a.usage.resident;
         for &p in &big {
             a.free(p, &mut mem);
         }
         // max_spare_chunks = 0 → immediate purge.
-        assert_eq!(a.stats().chunks_purged, 1);
-        assert!(a.resident_grouped_bytes() < resident_before);
+        assert_eq!(a.report().stats.alloc.chunks_purged, 1);
+        assert!(a.usage.resident < resident_before);
         // Purged chunk returns zeroed when reused.
         let _ = p_new;
         assert_eq!(mem.read(big[0], 8), 0);
@@ -1043,7 +1038,7 @@ mod tests {
         for &p in &a_ptrs {
             a.free(p, &mut mem);
         }
-        let created_before = a.stats().chunks_created;
+        let created_before = a.report().stats.alloc.chunks_created;
         // Group 1 needs a chunk: the spare one is handed over.
         gs.clear(0);
         gs.set(1);
@@ -1052,7 +1047,7 @@ mod tests {
             p & !(tiny_config().chunk_size - 1),
             a_ptrs[0] & !(tiny_config().chunk_size - 1)
         );
-        assert_eq!(a.stats().chunks_created, created_before);
+        assert_eq!(a.report().stats.alloc.chunks_created, created_before);
     }
 
     #[test]
@@ -1084,13 +1079,13 @@ mod tests {
         gs.set(0);
         // 16 × 256 B fill one 4 KiB page: peak resident 4096, live 4096.
         let ptrs: Vec<u64> = (0..16).map(|_| a.malloc(256, site(), &gs, &mut mem)).collect();
-        assert_eq!(a.frag_report().peak_resident_bytes, 4096);
+        assert_eq!(a.report().frag.peak_resident_bytes, 4096);
         // A lone survivor pins the page: the snapshot at the (unchanged)
         // peak degrades to the leela-style pathology of Table 1.
         for &p in &ptrs[1..] {
             a.free(p, &mut mem);
         }
-        let rep = a.frag_report();
+        let rep = a.report().frag;
         assert_eq!(rep.peak_resident_bytes, 4096);
         assert_eq!(rep.live_at_peak_bytes, 256);
         assert_eq!(rep.wasted_bytes(), 3840);
@@ -1109,7 +1104,7 @@ mod tests {
         assert!(rep.frag_fraction().is_finite());
         // And straight off an untouched allocator.
         let (a, _, _) = setup();
-        assert_eq!(a.frag_report(), FragReport::default());
+        assert_eq!(a.report().frag, FragReport::default());
     }
 
     #[test]
@@ -1158,7 +1153,7 @@ mod tests {
                     a.free(p, &mut mem);
                 }
             }
-            a.frag_report()
+            a.report().frag
         };
         let bump = run(ReusePolicy::Bump);
         let sharded = run(ReusePolicy::ShardedFreeLists);
@@ -1275,9 +1270,9 @@ mod tests {
             }
         }
         cycle(&mut a, &mut gs, &mut mem, 0);
-        assert_eq!(a.stats().chunks_purged, 1, "budget-0 group purges immediately");
+        assert_eq!(a.report().stats.alloc.chunks_purged, 1, "budget-0 group purges immediately");
         cycle(&mut a, &mut gs, &mut mem, 1);
-        assert_eq!(a.stats().chunks_purged, 1, "budget-1 group keeps its spare");
+        assert_eq!(a.report().stats.alloc.chunks_purged, 1, "budget-1 group keeps its spare");
     }
 
     #[test]
@@ -1297,7 +1292,7 @@ mod tests {
         gs.set(0);
         let p = a.malloc(6000, site(), &gs, &mut mem);
         assert!(!a.is_group_allocated(p), "request larger than the group's chunk");
-        assert_eq!(a.stats().fallback_allocs, 1);
+        assert_eq!(a.report().stats.alloc.fallback_allocs, 1);
         let q = a.malloc(4000, site(), &gs, &mut mem);
         assert!(a.is_group_allocated(q), "request fitting the group's chunk is grouped");
     }
@@ -1314,12 +1309,16 @@ mod tests {
         for &p in &ptrs {
             a.free(p, &mut mem);
         }
-        let created = a.stats().chunks_created;
+        let created = a.report().stats.alloc.chunks_created;
         // Group 1 needs a 16 KiB chunk: the 8 KiB spare must not serve it.
         gs.reset();
         gs.set(1);
         let p = a.malloc(2048, site(), &gs, &mut mem);
-        assert_eq!(a.stats().chunks_created, created + 1, "fresh carve, spare size mismatch");
+        assert_eq!(
+            a.report().stats.alloc.chunks_created,
+            created + 1,
+            "fresh carve, spare size mismatch"
+        );
         assert!(a.is_group_allocated(p));
     }
 
@@ -1348,7 +1347,7 @@ mod tests {
         assert!(reports[1].frag_fraction() < 0.5, "group 1 is healthy: {reports:?}");
         // The global report spans both pools.
         assert_eq!(
-            a.frag_report().peak_resident_bytes,
+            a.report().frag.peak_resident_bytes,
             reports.iter().map(|r| r.peak_resident_bytes).sum::<u64>()
         );
     }
@@ -1378,8 +1377,8 @@ mod tests {
             }
         }
         assert_eq!(ptrs_a, ptrs_b);
-        assert_eq!(plain.stats(), over.stats());
-        assert_eq!(plain.frag_report(), over.frag_report());
+        assert_eq!(plain.report().stats.alloc, over.report().stats.alloc);
+        assert_eq!(plain.report().frag, over.report().frag);
     }
 
     #[test]
@@ -1412,14 +1411,14 @@ mod tests {
         assert_ne!(p, 0, "the request is still served");
         assert!(!a.is_group_allocated(p), "served by the fallback");
         assert!(a.is_degraded(0));
-        let d = a.degrade_stats();
+        let d = a.report().stats.degrade;
         assert_eq!(d.fallback_routes, 1);
         assert_eq!(d.degraded_groups, 1);
         assert_eq!(d.injected_faults, 1);
         // Later requests for the degraded group keep routing, no retry.
         let q = a.malloc(64, site(), &gs, &mut mem);
         assert!(!a.is_group_allocated(q));
-        assert_eq!(a.degrade_stats().fallback_routes, 2);
+        assert_eq!(a.report().stats.degrade.fallback_routes, 2);
         // The other group is untouched by group 0's degradation.
         gs.reset();
         gs.set(1);
@@ -1448,7 +1447,7 @@ mod tests {
         assert_ne!(p, 0);
         assert!(!a.is_group_allocated(p), "chunk-map failure routes to fallback");
         assert!(a.is_degraded(0));
-        assert_eq!(a.degrade_stats().injected_faults, 1);
+        assert_eq!(a.report().stats.degrade.injected_faults, 1);
         // Live grouped pointers still free through their chunks.
         for &q in &ptrs {
             a.free(q, &mut mem);
@@ -1465,12 +1464,12 @@ mod tests {
         let live = a.live_bytes();
         // An interior address inside the slab range: no live region.
         a.free(p + 8, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 1);
         assert_eq!(a.live_bytes(), live, "accounting untouched");
         // Double free of a real pointer is also absorbed.
         a.free(p, &mut mem);
         a.free(p, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 2);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 2);
         assert_eq!(a.live_bytes(), 0);
         a.check_invariants().expect("no-op frees leave a consistent state");
     }
@@ -1481,15 +1480,15 @@ mod tests {
         let p = a.malloc(64, site(), &gs, &mut mem);
         assert!(!a.is_group_allocated(p), "no group bit set: served by the fallback");
         a.free(p, &mut mem);
-        let stats = a.stats();
+        let stats = a.report().stats.alloc;
         assert_eq!(stats.fallback_frees, 1);
         // A double free, an interior address, an address the fallback
         // never handed out, and null all land in the fallback's range.
         for bad in [p, p + 8, p + (1 << 20), 0] {
             a.free(bad, &mut mem);
         }
-        assert_eq!(a.degrade_stats().invalid_frees, 4);
-        assert_eq!(a.stats(), stats, "an invalid free is not a fallback free");
+        assert_eq!(a.report().stats.degrade.invalid_frees, 4);
+        assert_eq!(a.report().stats.alloc, stats, "an invalid free is not a fallback free");
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
         // The double free did not queue the slot for reuse a second time.
         let q = a.malloc(64, site(), &gs, &mut mem);
@@ -1517,7 +1516,7 @@ mod tests {
         // The last granule frees like any other, exactly once.
         a.free(ptrs[3], &mut mem);
         a.free(ptrs[3], &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 1);
         for &p in &ptrs[..3] {
             a.free(p, &mut mem);
         }
@@ -1551,7 +1550,7 @@ mod tests {
             a.free(ptr, &mut mem);
         }
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
-        assert_eq!(a.degrade_stats().invalid_frees, 0);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 0);
     }
 
     #[test]
@@ -1571,7 +1570,7 @@ mod tests {
         for size in [u64::MAX - 7, u64::MAX - 1] {
             assert_eq!(a.malloc(size, site(), &gs, &mut mem), 0, "no span holds {size} bytes");
         }
-        assert_eq!(a.stats().fallback_allocs, 3);
+        assert_eq!(a.report().stats.alloc.fallback_allocs, 3);
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
     }
 
@@ -1586,10 +1585,14 @@ mod tests {
         assert_eq!((a.live_bytes(), a.live_objects()), (2, 2));
         a.free(p, &mut mem);
         a.free(p, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1, "the cell tells live-and-empty from freed");
+        assert_eq!(
+            a.report().stats.degrade.invalid_frees,
+            1,
+            "the cell tells live-and-empty from freed"
+        );
         assert_eq!(a.live_objects(), 1);
         a.free(q, &mut mem);
-        assert_eq!(a.stats().grouped_frees, 2);
+        assert_eq!(a.report().stats.alloc.grouped_frees, 2);
     }
 
     #[test]
@@ -1607,7 +1610,11 @@ mod tests {
             assert_eq!(a.realloc(bad, 0, site(), &GroupState::new(2), &mut mem), 0x10_0000_0000);
             a.free(0x10_0000_0000, &mut mem);
         }
-        assert_eq!(a.degrade_stats().invalid_frees, 6, "each bad free; the reallocs free nothing");
+        assert_eq!(
+            a.report().stats.degrade.invalid_frees,
+            6,
+            "each bad free; the reallocs free nothing"
+        );
         assert_eq!(a.live_bytes(), live, "accounting untouched");
         a.free(p, &mut mem);
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
@@ -1623,7 +1630,7 @@ mod tests {
         let ptrs: Vec<u64> = (0..cfg.slab_size / 2048 + per_chunk)
             .map(|_| a.malloc(2048, site(), &gs, &mut mem))
             .collect();
-        assert_eq!(a.stats().chunks_created, 9);
+        assert_eq!(a.report().stats.alloc.chunks_created, 9);
         let slab_end = HaloGroupAllocator::SLAB_BASE + cfg.slab_size;
         let last_of_slab = ptrs[(cfg.slab_size / 2048 - 1) as usize];
         assert_eq!(last_of_slab, slab_end - 2048, "last region of the slab's last chunk");
@@ -1631,12 +1638,12 @@ mod tests {
         for &p in ptrs.iter().rev() {
             a.free(p, &mut mem);
         }
-        assert_eq!(a.degrade_stats().invalid_frees, 0);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 0);
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
         // One past the highest slab belongs to the fallback's side.
         assert!(!a.is_group_allocated(slab_end + cfg.slab_size));
         a.free(slab_end + cfg.slab_size, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 1);
         a.check_invariants().expect("consistent");
     }
 
@@ -1658,8 +1665,8 @@ mod tests {
         for &p in old.iter().rev() {
             a.free(p, &mut mem);
         }
-        assert_eq!(a.degrade_stats().invalid_frees, 0);
-        assert_eq!(a.stats().grouped_frees, 7);
+        assert_eq!(a.report().stats.degrade.invalid_frees, 0);
+        assert_eq!(a.report().stats.alloc.grouped_frees, 7);
         assert_eq!(a.live_bytes(), 2048);
         // The emptied 16 KiB chunk went spare; the 4 KiB plan cannot take it.
         let again = a.malloc(4000, site(), &gs, &mut mem);
@@ -1679,7 +1686,7 @@ mod tests {
         a.quarantine();
         let p = a.malloc(64, site(), &gs, &mut mem);
         assert!(!a.is_group_allocated(p), "quarantined group falls back");
-        assert_eq!(a.degrade_stats().degraded_groups, 2, "both groups degraded");
+        assert_eq!(a.report().stats.degrade.degraded_groups, 2, "both groups degraded");
         // Pre-quarantine pointers still free through their chunks.
         a.free(grouped, &mut mem);
         a.free(p, &mut mem);
@@ -1692,8 +1699,8 @@ mod tests {
         gs.set(0);
         let p = a.malloc(64, site(), &gs, &mut mem);
         a.free(p, &mut mem);
-        assert_eq!(a.degrade_stats(), crate::faults::DegradeStats::default());
-        assert!(!a.degrade_stats().any());
+        assert_eq!(a.report().stats.degrade, crate::faults::DegradeStats::default());
+        assert!(!a.report().stats.degrade.any());
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //!   — mimalloc's deferred-free protocol. The queue and the owner trade
 //!   two buffers back and forth, so a drain allocates nothing.
 //!
-//! Every reader (`sharded_stats`, `frag_report`, `live_bytes`, …) is a
-//! projection of one sweep over the shards (`read_shards`) that sums the
-//! per-shard snapshots; DESIGN.md §10 says what a snapshot guarantees and
-//! why summing preserves the Table 1 peak-snapshot semantics per shard
+//! Every sweeping reader (`report`, `live_grouped_bytes`, `live_bytes`,
+//! `live_objects`) is one sweep over the shards (`read_shards`);
+//! [`ShardedHaloAllocator::report`] merges each shard's own
+//! [`HaloGroupAllocator::report`] snapshot, and `sharded_stats` and
+//! `frag_report` project it. DESIGN.md §10 says what a snapshot guarantees
+//! and why summing preserves the Table 1 peak-snapshot semantics per shard
 //! (each shard is an independent arena, exactly as jemalloc's per-thread
 //! arenas are counted in practice).
 
@@ -133,10 +135,6 @@ struct ShardState {
     drain_buf: Vec<u64>,
     /// Queued remote frees this shard has applied so far.
     drained: u64,
-    /// Set when a poisoned-lock recovery found the shard's invariants
-    /// violated and quarantined it (every group degraded, all traffic on
-    /// the fallback). Feeds [`DegradeStats::degraded_shards`].
-    degraded: bool,
 }
 
 /// A shard's remote-free queue and the push-side counters its lock covers.
@@ -182,6 +180,21 @@ pub struct ShardedAllocStats {
     /// sharded runtime's own rungs (queue overflows, poisoned-lock
     /// recoveries, invalid frees).
     pub degrade: DegradeStats,
+}
+
+impl ShardedAllocStats {
+    /// Field-wise sum, except `remote_peak_queue`, which takes the max: the
+    /// deepest queue ever observed. Fully destructured like
+    /// [`GroupAllocStats::merge`].
+    pub fn merge(&mut self, other: ShardedAllocStats) {
+        let ShardedAllocStats { alloc, remote_frees, remote_drained, remote_peak_queue, degrade } =
+            other;
+        self.alloc.merge(alloc);
+        self.remote_frees += remote_frees;
+        self.remote_drained += remote_drained;
+        self.remote_peak_queue = self.remote_peak_queue.max(remote_peak_queue);
+        self.degrade.merge(degrade);
+    }
 }
 
 /// The thread-safe sharded HALO runtime (see module docs).
@@ -240,12 +253,7 @@ impl ShardedHaloAllocator {
                 let mut alloc = HaloGroupAllocator::build(config, slab_base, fallback);
                 alloc.install(selectors.clone(), &groups);
                 Shard {
-                    inner: Mutex::new(ShardState {
-                        alloc,
-                        drain_buf: Vec::new(),
-                        drained: 0,
-                        degraded: false,
-                    }),
+                    inner: Mutex::new(ShardState { alloc, drain_buf: Vec::new(), drained: 0 }),
                     remote: Mutex::new(RemoteQueue::default()),
                     pending: AtomicUsize::new(0),
                 }
@@ -317,19 +325,14 @@ impl ShardedHaloAllocator {
         self.faults = Some(injector);
     }
 
-    /// Degradation-ladder counters ([`ShardedAllocStats::degrade`]).
-    pub fn degrade_stats(&self) -> DegradeStats {
-        self.sharded_stats().degrade
-    }
-
     /// Take shard `s`'s allocator lock, recovering from poisoning: a
     /// panicking holder leaves the data intact more often than not, so
     /// recovery is `PoisonError::into_inner` plus an invariant re-check.
-    /// If the structures cannot be trusted the shard is quarantined —
-    /// every group degraded, all its traffic on the fallback — and marked
-    /// under the lock it was recovered under, for
-    /// [`DegradeStats::degraded_shards`]. Either way, other threads are
-    /// never wedged.
+    /// If the structures cannot be trusted the shard's allocator is
+    /// quarantined ([`HaloGroupAllocator::quarantine`]) — every group
+    /// degraded, all its traffic on the fallback, through every later plan
+    /// swap — under the lock it was recovered under. Either way, other
+    /// threads are never wedged.
     fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardState> {
         #[cfg(test)]
         SHARD_LOCKS_TAKEN.set(SHARD_LOCKS_TAKEN.get() + 1);
@@ -340,7 +343,6 @@ impl ShardedHaloAllocator {
                 let mut inner = poisoned.into_inner();
                 if inner.alloc.check_invariants().is_err() {
                     inner.alloc.quarantine();
-                    inner.degraded = true;
                 }
                 self.shards[s].inner.clear_poison();
                 inner
@@ -567,9 +569,12 @@ impl ShardedHaloAllocator {
         read(&inner, &queue)
     }
 
-    /// Everything a measured backend reports, from one sweep: the
-    /// aggregate Table 1 snapshot and the summed counters.
-    pub(crate) fn report(&self) -> BackendReport {
+    /// Everything a measured backend reports, from one sweep: each shard's
+    /// own [`HaloGroupAllocator::report`] merged, plus its queue counters,
+    /// plus the runtime's own rungs. A shard's queue is read under its
+    /// allocator lock, so `remote_frees - remote_drained` is the number of
+    /// remote frees still queued (DESIGN.md §10).
+    pub fn report(&self) -> BackendReport {
         let empty = BackendReport {
             frag: FragReport::default(),
             stats: ShardedAllocStats::default(),
@@ -577,79 +582,42 @@ impl ShardedHaloAllocator {
         };
         let mut report =
             self.read_shards(empty, |BackendReport { frag, stats, .. }, shard, queue| {
-                frag.merge(shard.alloc.frag_report());
-                stats.alloc.merge(shard.alloc.stats());
-                // Without the injected-fault count: every shard draws from one
-                // shared injector, so per-shard sums would multiply it.
-                stats.degrade.merge(shard.alloc.degrade_raw());
-                stats.remote_frees += queue.queued;
-                stats.remote_drained += shard.drained;
-                // The max over all pushes is exact per shard; across shards it
-                // is the deepest queue ever observed.
-                stats.remote_peak_queue = stats.remote_peak_queue.max(queue.peak);
-                stats.degrade.degraded_shards += u64::from(shard.degraded);
+                let own = shard.alloc.report();
+                frag.merge(own.frag);
+                stats.merge(ShardedAllocStats {
+                    remote_frees: queue.queued,
+                    remote_drained: shard.drained,
+                    remote_peak_queue: queue.peak,
+                    ..own.stats
+                });
             });
         let d = &mut report.stats.degrade;
         d.queue_overflows += self.queue_overflows.load(Ordering::Relaxed);
         d.poisoned_recovered += self.poisoned_recovered.load(Ordering::Relaxed);
         d.invalid_frees += self.invalid_frees.load(Ordering::Relaxed);
+        // Every shard draws from one shared injector: the sum above counts
+        // its faults once per shard.
         d.injected_faults = self.faults.as_ref().map_or(0, |f| f.fired());
         report
     }
 
-    /// Remote frees queued and not yet applied, across all shards.
-    pub fn remote_pending(&self) -> usize {
-        self.read_shards(0, |n, _, queue| *n += queue.ptrs.len())
-    }
-
-    /// Summed per-shard event counters plus the remote-free counters.
+    /// [`Self::report`]'s counters.
     pub fn sharded_stats(&self) -> ShardedAllocStats {
         self.report().stats
     }
 
-    /// Per-shard group-allocator counters, summed across shards.
-    pub fn stats(&self) -> GroupAllocStats {
-        self.read_shards(GroupAllocStats::default(), |t, shard, _| t.merge(shard.alloc.stats()))
-    }
-
-    /// Aggregate Table 1 snapshot: the field-wise sum of each shard's own
-    /// peak snapshot. Each shard is an independent arena, so its snapshot
-    /// keeps the paper's semantics exactly; the sum is the standard
-    /// per-arena accounting (see DESIGN.md §10).
+    /// [`Self::report`]'s aggregate Table 1 snapshot: the field-wise sum of
+    /// each shard's own peak snapshot. Each shard is an independent arena,
+    /// so its snapshot keeps the paper's semantics exactly; the sum is the
+    /// standard per-arena accounting (see DESIGN.md §10).
     pub fn frag_report(&self) -> FragReport {
-        self.read_shards(FragReport::default(), |t, shard, _| t.merge(shard.alloc.frag_report()))
-    }
-
-    /// Per-group fragmentation snapshots summed across shards (group `g`'s
-    /// report aggregates every shard's group-`g` pool).
-    pub fn group_frag_reports(&self) -> Vec<FragReport> {
-        self.read_shards(Vec::new(), |totals: &mut Vec<FragReport>, shard, _| {
-            let reports = shard.alloc.group_frag_reports();
-            if reports.len() > totals.len() {
-                totals.resize(reports.len(), FragReport::default());
-            }
-            for (total, r) in totals.iter_mut().zip(reports) {
-                total.merge(r);
-            }
-        })
+        self.report().frag
     }
 
     /// Bytes of grouped data currently live, across all shards. Remote
     /// frees still queued count as live — they have not been applied yet.
     pub fn live_grouped_bytes(&self) -> u64 {
         self.read_shards(0, |n, shard, _| *n += shard.alloc.live_grouped_bytes())
-    }
-
-    /// Resident bytes attributed to group chunks, across all shards.
-    pub fn resident_grouped_bytes(&self) -> u64 {
-        self.read_shards(0, |n, shard, _| *n += shard.alloc.resident_grouped_bytes())
-    }
-
-    /// Whether `ptr` lies in any shard's group slabs.
-    pub fn is_group_allocated(&self, ptr: u64) -> bool {
-        self.owner_of(ptr).is_ok_and(|owner| {
-            self.read_shard(owner, |shard, _| shard.alloc.is_group_allocated(ptr))
-        })
     }
 }
 
@@ -792,7 +760,7 @@ mod tests {
         let p0 = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
         SyncVmAllocator::thread_switched(&a, 1);
         let p1 = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
-        assert!(a.is_group_allocated(p0) && a.is_group_allocated(p1));
+        assert!(grouped(p0) && grouped(p1));
         assert_ne!(a.owner_of(p0), a.owner_of(p1), "thread key picks the shard");
         // Same logical thread → same shard, contiguous bumping resumes.
         let p1b = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
@@ -809,13 +777,13 @@ mod tests {
         // A different logical thread frees the pointer: deferred, not lost.
         SyncVmAllocator::thread_switched(&a, 1);
         SyncVmAllocator::free(&a, p, &mut mem);
-        assert_eq!(a.remote_pending(), 1, "foreign free is queued");
+        assert_eq!(pending(a.sharded_stats()), 1, "foreign free is queued");
         assert_eq!(a.live_grouped_bytes(), live_before, "not applied yet");
         assert_eq!(a.sharded_stats().remote_frees, 1);
         // The owner re-enters its shard: queue drains before allocating.
         SyncVmAllocator::thread_switched(&a, 0);
         let q = SyncVmAllocator::malloc(&a, 128, site(), &gs, &mut mem);
-        assert_eq!(a.remote_pending(), 0);
+        assert_eq!(pending(a.sharded_stats()), 0);
         assert_eq!(q, p, "freed region was recycled by the in-place chunk reset");
         assert_eq!(a.sharded_stats().remote_drained, 1);
     }
@@ -831,10 +799,10 @@ mod tests {
             SyncVmAllocator::thread_switched(&a, t + 1);
             SyncVmAllocator::free(&a, p, &mut mem);
         }
-        assert_eq!(a.remote_pending(), 4);
+        assert_eq!(pending(a.sharded_stats()), 4);
         assert!(a.live_grouped_bytes() > 0);
         a.drain_remote(&mut mem);
-        assert_eq!(a.remote_pending(), 0);
+        assert_eq!(pending(a.sharded_stats()), 0);
         assert_eq!(a.live_grouped_bytes(), 0);
         assert_eq!(a.live_bytes(), 0);
     }
@@ -885,11 +853,11 @@ mod tests {
         let p0 = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
         SyncVmAllocator::thread_switched(&a, 1);
         let p1 = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
-        assert!(!a.is_group_allocated(p0) && !a.is_group_allocated(p1));
+        assert!(!grouped(p0) && !grouped(p1));
         assert_ne!(a.owner_of(p0), a.owner_of(p1), "per-shard fallbacks");
         // Cross-thread fallback free defers like a grouped one.
         SyncVmAllocator::free(&a, p0, &mut mem);
-        assert_eq!(a.remote_pending(), 1);
+        assert_eq!(pending(a.sharded_stats()), 1);
         a.drain_remote(&mut mem);
         SyncVmAllocator::thread_switched(&a, 1);
         SyncVmAllocator::free(&a, p1, &mut mem);
@@ -908,17 +876,11 @@ mod tests {
                 mem.write(p, 8, 1);
             }
         }
-        let stats = a.stats();
-        assert_eq!(stats.grouped_allocs, 32);
-        let frag = a.frag_report();
-        assert!(frag.peak_resident_bytes >= 2 * 4096, "both shards contribute");
-        let groups = a.group_frag_reports();
-        assert_eq!(groups.len(), 2);
-        assert!(groups[0].peak_resident_bytes > 0 && groups[1].peak_resident_bytes > 0);
-        assert_eq!(
-            groups.iter().map(|r| r.peak_resident_bytes).sum::<u64>(),
-            frag.peak_resident_bytes
-        );
+        let BackendReport { frag, stats, .. } = a.report();
+        assert_eq!(stats.alloc.grouped_allocs, 32);
+        // Each shard dirtied one 4 KiB page of its own group's chunk, with
+        // its first 256-byte region: the worst live size at that peak.
+        assert_eq!(frag, FragReport { peak_resident_bytes: 8192, live_at_peak_bytes: 512 });
     }
 
     #[test]
@@ -953,8 +915,8 @@ mod tests {
             let pb = plain.malloc(size, site(), &gs, &mut mem_b);
             assert_eq!(pa, pb);
         }
-        assert_eq!(a.stats(), plain.stats());
-        assert_eq!(a.frag_report(), plain.frag_report());
+        let (BackendReport { frag, stats, .. }, own) = (a.report(), plain.report());
+        assert_eq!((frag, stats), (own.frag, own.stats));
     }
 
     #[test]
@@ -975,10 +937,7 @@ mod tests {
         assert_eq!(locks_taken_by(&measured), 4);
         let BackendReport { frag, stats, .. } = a.report();
         assert_eq!((stats.remote_frees, stats.remote_drained), (1, 0), "queued, not applied yet");
-        assert_eq!(
-            (frag, stats.alloc, stats.degrade),
-            (a.frag_report(), a.stats(), a.degrade_stats())
-        );
+        assert_eq!((frag, stats), (a.frag_report(), a.sharded_stats()));
     }
 
     // --- faults, bounded queues, and the degradation ladder -------------
@@ -1004,10 +963,10 @@ mod tests {
         // set, and the allocator keeps serving.
         assert_eq!(a.sharded_stats(), stats_before);
         assert_eq!(a.live_bytes(), live_before);
-        assert_eq!(a.remote_pending(), 0);
+        assert_eq!(pending(a.sharded_stats()), 0);
         // The infallible face absorbs it as a counted no-op instead.
         SyncVmAllocator::free(&a, 0x10, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.sharded_stats().degrade.invalid_frees, 1);
         SyncVmAllocator::free(&a, p, &mut mem);
         assert_eq!(a.live_bytes(), 0);
     }
@@ -1018,23 +977,23 @@ mod tests {
         // No group bit: shard 0's fallback serves it.
         SyncVmAllocator::thread_switched(&a, 0);
         let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
-        assert!(!a.is_group_allocated(p));
+        assert!(!grouped(p));
         SyncVmAllocator::free(&a, p, &mut mem);
-        let before = a.stats();
+        let before = a.sharded_stats().alloc;
         assert_eq!(before.fallback_frees, 1);
         // Local path: the owner's own thread double-frees.
         SyncVmAllocator::free(&a, p, &mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.sharded_stats().degrade.invalid_frees, 1);
         // Remote path: another thread double-frees; the pointer rides the
         // owner's queue and is recognised when the owner drains it.
         SyncVmAllocator::thread_switched(&a, 1);
         SyncVmAllocator::free(&a, p, &mut mem);
         SyncVmAllocator::free(&a, p + 8, &mut mem);
-        assert_eq!(a.remote_pending(), 2);
-        assert_eq!(a.degrade_stats().invalid_frees, 1, "not applied yet");
+        assert_eq!(pending(a.sharded_stats()), 2);
+        assert_eq!(a.sharded_stats().degrade.invalid_frees, 1, "not applied yet");
         a.drain_remote(&mut mem);
-        assert_eq!(a.degrade_stats().invalid_frees, 3);
-        assert_eq!(a.stats(), before, "an invalid free is not a fallback free");
+        assert_eq!(a.sharded_stats().degrade.invalid_frees, 3);
+        assert_eq!(a.sharded_stats().alloc, before, "an invalid free is not a fallback free");
         assert_eq!((a.live_bytes(), a.live_objects()), (0, 0));
     }
 
@@ -1071,7 +1030,7 @@ mod tests {
         let (a, gs, mut mem) = sharded(2);
         let q = SyncVmAllocator::realloc(&a, 0x10, 64, site(), &gs, &mut mem);
         assert_ne!(q, 0, "request still served");
-        assert_eq!(a.degrade_stats().invalid_frees, 1);
+        assert_eq!(a.sharded_stats().degrade.invalid_frees, 1);
         SyncVmAllocator::free(&a, q, &mut mem);
         assert_eq!(a.live_bytes(), 0);
     }
@@ -1096,8 +1055,8 @@ mod tests {
         // The first `cap` frees queue; the next one hits the cap and goes
         // direct — which services the owner shard, draining the backlog
         // on the way — and the last starts a fresh queue.
-        assert_eq!(a.remote_pending(), 1);
-        assert_eq!(a.degrade_stats().queue_overflows, 1, "exactly one push overflowed");
+        assert_eq!(pending(a.sharded_stats()), 1);
+        assert_eq!(a.sharded_stats().degrade.queue_overflows, 1, "exactly one push overflowed");
         let s = a.sharded_stats();
         assert_eq!(s.remote_peak_queue, REMOTE_QUEUE_CAP as u64);
         assert_eq!(
@@ -1107,7 +1066,7 @@ mod tests {
         );
         assert_eq!(s.remote_drained, REMOTE_QUEUE_CAP as u64, "the overflow drained the backlog");
         a.drain_remote(&mut mem);
-        assert_eq!(a.remote_pending(), 0);
+        assert_eq!(pending(a.sharded_stats()), 0);
         assert_eq!(a.live_bytes(), 0, "every path applied its free exactly once");
     }
 
@@ -1124,8 +1083,8 @@ mod tests {
         let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
         SyncVmAllocator::thread_switched(&a, 1);
         SyncVmAllocator::free(&a, p, &mut mem);
-        assert_eq!(a.remote_pending(), 0, "fault skipped the queue");
-        let d = a.degrade_stats();
+        assert_eq!(pending(a.sharded_stats()), 0, "fault skipped the queue");
+        let d = a.sharded_stats().degrade;
         assert_eq!(d.queue_overflows, 1);
         assert_eq!(d.injected_faults, 1);
         assert_eq!(a.live_bytes(), 0, "freed directly under the owner lock");
@@ -1158,8 +1117,8 @@ mod tests {
         gs.set(0);
         let p = SyncVmAllocator::malloc(a, 64, site(), &gs, &mut mem);
         assert_ne!(p, 0);
-        assert!(a.is_group_allocated(p), "no quarantine: the grouped path survives");
-        let d = a.degrade_stats();
+        assert!(grouped(p), "no quarantine: the grouped path survives");
+        let d = a.sharded_stats().degrade;
         assert!(d.poisoned_recovered >= 1, "the recovery was counted: {d:?}");
         assert_eq!(d.degraded_shards, 0, "invariants held, no shard degraded");
         assert_eq!(d.injected_faults, 1);
@@ -1182,19 +1141,79 @@ mod tests {
         SyncVmAllocator::thread_switched(&a, 0);
         let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
         assert_ne!(p, 0);
-        let d = a.degrade_stats();
+        let d = a.sharded_stats().degrade;
         assert_eq!(d.fallback_routes, 1);
         assert_eq!(d.degraded_groups, 1, "one group on one shard");
         assert_eq!(d.injected_faults, 1, "shared injector counted once, not per shard");
         // The other shard's group 0 is independent and still groups.
         SyncVmAllocator::thread_switched(&a, 1);
         let q = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
-        assert!(a.is_group_allocated(q));
+        assert!(grouped(q));
         SyncVmAllocator::free(&a, q, &mut mem);
         SyncVmAllocator::thread_switched(&a, 0);
         SyncVmAllocator::free(&a, p, &mut mem);
         a.drain_remote(&mut mem);
         assert_eq!(a.live_bytes(), 0);
+    }
+
+    /// Poison shard 0's allocator lock the way a holder that dies
+    /// mid-update does: its live-region count broken, then the panic.
+    fn poison_with_broken_invariants(a: &ShardedHaloAllocator) {
+        let joined = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut held = a.lock_shard(0);
+                held.alloc.break_live_regions();
+                panic!("a holder of shard 0's lock dies mid-update");
+            })
+            .join()
+        });
+        assert!(joined.is_err(), "the panic propagated to join");
+    }
+
+    #[test]
+    fn a_shard_whose_invariants_broke_is_quarantined_and_keeps_serving() {
+        let (a, mut gs, mut mem) = sharded(2);
+        gs.set(0);
+        // This thread's first touch takes slot 0: shard 0 serves it.
+        let before = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        assert!(grouped(before));
+        poison_with_broken_invariants(&a);
+        // The next operation recovers the lock, finds the count broken and
+        // quarantines the shard; the request is still served.
+        let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        assert!(p != 0 && !grouped(p), "served from the fallback");
+        let d = a.sharded_stats().degrade;
+        assert_eq!((d.degraded_shards, d.poisoned_recovered), (1, 1), "{d:?}");
+        assert_eq!(d.degraded_groups, 2, "every group of the quarantined shard: {d:?}");
+        assert_eq!(d.fallback_routes, 1, "{d:?}");
+        // Service continues on the fallback, for every group, and the
+        // pointer grouped before the quarantine still frees.
+        gs.reset();
+        gs.set(1);
+        let q = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        assert!(!grouped(q));
+        for ptr in [before, p, q] {
+            SyncVmAllocator::free(&a, ptr, &mut mem);
+        }
+        let stats = a.sharded_stats();
+        assert_eq!((stats.alloc.fallback_allocs, stats.alloc.fallback_frees), (2, 2));
+        assert_eq!(stats.degrade.poisoned_recovered, 1, "recovered once");
+        assert_eq!(a.live_bytes(), 0);
+    }
+
+    #[test]
+    fn a_quarantined_shard_stays_on_its_fallback_across_a_plan_swap() {
+        let a = ShardedHaloAllocator::new(1, tiny_config(), one_group_table(), Vec::new());
+        let (mut gs, mut mem) = (GroupState::new(2), Memory::new());
+        poison_with_broken_invariants(&a);
+        // The swap recovers the lock and quarantines the shard, then adds
+        // group 1, which must not serve grouped memory.
+        assert_eq!(a.swap_plans(two_group_table(), Vec::new()), 1);
+        gs.set(1);
+        let p = SyncVmAllocator::malloc(&a, 64, site(), &gs, &mut mem);
+        assert!(!grouped(p), "the group the swap added is on the fallback too");
+        let d = a.sharded_stats().degrade;
+        assert_eq!((d.degraded_shards, d.degraded_groups, d.fallback_routes), (1, 2, 1), "{d:?}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use halo_vm::{
 use std::collections::HashMap;
 
 mod common;
-use common::{small_config, two_group_table, LiveSet};
+use common::{pending, small_config, two_group_table, LiveSet};
 
 /// Written into a region's slack (requested size up to the next 8-byte
 /// granule, which every allocator here leaves to the region) just before
@@ -281,7 +281,8 @@ fn random_group_allocator_honours_the_contract() {
 #[test]
 fn group_allocator_honours_the_contract_in_selector_and_site_mode() {
     let grouped_and_not = |a: &HaloGroupAllocator| {
-        assert!(a.stats().grouped_allocs > 0 && a.stats().fallback_allocs > 0);
+        let stats = a.report().stats.alloc;
+        assert!(stats.grouped_allocs > 0 && stats.fallback_allocs > 0);
     };
     // 16 KiB chunks in eight-chunk slabs: slab roll-over within a stream.
     let chunks_16k =
@@ -301,13 +302,13 @@ fn group_allocator_honours_the_contract_in_selector_and_site_mode() {
 fn sharded_allocator_honours_the_contract_at_one_and_four_shards() {
     for seed in SEEDS {
         let one = ShardedHaloAllocator::new(1, small_config(), two_group_table(), Vec::new());
-        check_contract("sharded/1", one, seed, |a| assert_eq!(a.remote_pending(), 0));
+        check_contract("sharded/1", one, seed, |a| assert_eq!(pending(a.sharded_stats()), 0));
         // At four shards the reader is checked while remote frees sit in
         // their owners' queues: a queued free already reads as not live.
         let four = ShardedHaloAllocator::new(4, small_config(), two_group_table(), Vec::new());
         let mut checked_with_pending = 0;
         check_contract("sharded/4", four, seed, |a| {
-            checked_with_pending += usize::from(a.remote_pending() > 0);
+            checked_with_pending += usize::from(pending(a.sharded_stats()) > 0);
         });
         assert!(checked_with_pending > 0, "seed {seed}: no check saw a queued remote free");
     }

@@ -27,7 +27,7 @@ use halo_vm::{GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator};
 use std::sync::Arc;
 
 mod common;
-use common::{cases, churn, request, site, tiny_config, two_group_table, LiveSet, Storm};
+use common::{cases, churn, pending, request, site, tiny_config, two_group_table, LiveSet, Storm};
 
 /// A randomized schedule over `sites`: each site independently gets no
 /// entry, an exact `site@n` entry, or a `site~p` rate entry.
@@ -89,7 +89,7 @@ fn randomized_schedules_degrade_but_never_leak() {
         assert_eq!(a.live_objects(), 0, "schedule {plan}: no lost objects");
         // Observability: the ladder counted exactly what the injector
         // fired, and each fired site moved its counter.
-        let d = a.degrade_stats();
+        let d = a.report().stats.degrade;
         assert_eq!(d.injected_faults, injector.fired(), "schedule {plan}: every fault counted");
         let carve_faults =
             injector.fired_at(FaultSite::VmmReserve) + injector.fired_at(FaultSite::ChunkAlloc);
@@ -107,7 +107,7 @@ fn randomized_schedules_degrade_but_never_leak() {
         let mut rng2 = SplitMix64::new(0xC0_FFEE ^ (case * 0x9E37));
         let _ = random_plan(&mut rng2, &[FaultSite::VmmReserve, FaultSite::ChunkAlloc]);
         run_trace(&mut b, &mut rng2, 600);
-        assert_eq!(b.degrade_stats(), d, "schedule {plan}: replay is deterministic");
+        assert_eq!(b.report().stats.degrade, d, "schedule {plan}: replay is deterministic");
     }
     println!("chaos verdict: zero leaks ({cases} single-threaded schedules)");
 }
@@ -142,7 +142,7 @@ fn multithreaded_chaos_with_panicking_threads_never_leaks() {
         let panicked = storm.run(a, |_, _| {}, |_| {});
         // Accounting is read while the chaos plan is still attached:
         // `injected_faults` is snapshotted from the live injector.
-        let d = a.degrade_stats();
+        let d = a.sharded_stats().degrade;
         assert_eq!(d.injected_faults, injector.fired(), "schedule {plan}: every fault counted");
         if injector.fired_at(FaultSite::RemoteQueue) > 0 {
             assert!(d.queue_overflows >= 1, "schedule {plan}: overflow counted: {d:?}");
@@ -173,7 +173,7 @@ fn multithreaded_chaos_with_panicking_threads_never_leaks() {
         assert_ne!(p, 0, "schedule {plan}: allocator serves after the chaos run");
         SyncVmAllocator::free(a, p, &mut mem);
         a.drain_remote(&mut mem);
-        assert_eq!(a.remote_pending(), 0, "schedule {plan}: every queue drains");
+        assert_eq!(pending(a.sharded_stats()), 0, "schedule {plan}: every queue drains");
         assert_eq!(a.live_bytes(), 0, "schedule {plan}: live bytes reach exactly zero");
         assert_eq!(a.live_objects(), 0);
     }
@@ -190,8 +190,9 @@ fn empty_plan_is_pointer_for_pointer_identical_to_no_injector() {
     let mut injected = HaloGroupAllocator::new(tiny_config(), two_group_table());
     injected.set_fault_injector(Arc::new(FaultInjector::new(FaultPlan::new(7))));
     assert_eq!(drive(&mut plain), drive(&mut injected), "address streams diverge");
-    assert_eq!(plain.stats(), injected.stats());
+    let stats = injected.report().stats;
+    assert_eq!(plain.report().stats, stats);
     assert_eq!(plain.live_bytes(), injected.live_bytes());
-    assert!(!injected.degrade_stats().any(), "an empty plan never degrades");
+    assert!(!stats.degrade.any(), "an empty plan never degrades");
     println!("chaos verdict: zero leaks (empty-plan identity)");
 }

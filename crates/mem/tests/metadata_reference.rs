@@ -10,7 +10,8 @@
 //! switches for the sharded runs) through both sides and demands the same
 //! pointer from every request and, after every request, the same
 //! [`GroupAllocStats`], [`FragReport`], live bytes and objects, and
-//! invalid-free count. Chunks and slabs are tiny so a short stream crosses
+//! invalid-free count, plus the group allocator's per-group reports and the
+//! sharded runtime's queued remote frees. Chunks and slabs are tiny so a short stream crosses
 //! every seam: chunk roll-over, spare and purge, slab roll-over, plans that
 //! grow and shrink a group's chunk size, regions that fill a whole chunk.
 //!
@@ -18,14 +19,15 @@
 //! honours), default 48. A failure names the seed that replays it.
 
 use halo_mem::{
-    AllocatorStats, FragReport, GroupAllocConfig, GroupAllocStats, HaloGroupAllocator, ReusePolicy,
-    ShardedHaloAllocator, SizeClassAllocator, Vmm, GROUP_SHARD_STRIDE, SIZE_CLASSES, SMALL_MAX,
+    AllocatorStats, BackendReport, FragReport, GroupAllocConfig, GroupAllocStats,
+    HaloGroupAllocator, ReusePolicy, ShardedHaloAllocator, SizeClassAllocator, Vmm,
+    GROUP_SHARD_STRIDE, SIZE_CLASSES, SMALL_MAX,
 };
 use halo_vm::{GroupState, Memory, SplitMix64, SyncVmAllocator, VmAllocator, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 mod common;
-use common::{cases, site, two_group_table};
+use common::{cases, pending, site, two_group_table};
 
 // --- the reference bookkeeping ----------------------------------------------
 
@@ -559,7 +561,7 @@ struct Observed {
     live_bytes: u64,
     live_objects: usize,
     invalid_frees: u64,
-    remote_pending: usize,
+    remote_pending: u64,
 }
 
 struct ShippedGroup {
@@ -583,13 +585,14 @@ impl Side for ShippedGroup {
     fn thread(&mut self, _logical: u16) {}
     fn observe(&mut self) -> Observed {
         self.alloc.check_invariants().expect("shipped allocator invariants");
+        let BackendReport { frag, stats, .. } = self.alloc.report();
         Observed {
-            stats: self.alloc.stats(),
-            frag: self.alloc.frag_report(),
+            stats: stats.alloc,
+            frag,
             group_frag: self.alloc.group_frag_reports(),
             live_bytes: self.alloc.live_bytes(),
             live_objects: self.alloc.live_objects(),
-            invalid_frees: self.alloc.degrade_stats().invalid_frees,
+            invalid_frees: stats.degrade.invalid_frees,
             remote_pending: 0,
         }
     }
@@ -645,14 +648,15 @@ impl Side for ShippedSharded {
         SyncVmAllocator::thread_switched(&self.alloc, logical);
     }
     fn observe(&mut self) -> Observed {
+        let BackendReport { frag, stats, .. } = self.alloc.report();
         Observed {
-            stats: self.alloc.stats(),
-            frag: self.alloc.frag_report(),
-            group_frag: self.alloc.group_frag_reports(),
+            stats: stats.alloc,
+            frag,
+            group_frag: Vec::new(),
             live_bytes: self.alloc.live_bytes(),
             live_objects: self.alloc.live_objects(),
-            invalid_frees: self.alloc.degrade_stats().invalid_frees,
-            remote_pending: self.alloc.remote_pending(),
+            invalid_frees: stats.degrade.invalid_frees,
+            remote_pending: pending(stats),
         }
     }
 }
@@ -740,11 +744,6 @@ impl Side for RefSharded {
     fn observe(&mut self) -> Observed {
         let mut stats = GroupAllocStats::default();
         let mut frag = FragReport::default();
-        let mut group_frag = vec![FragReport::default(); 2];
-        let add = |total: &mut FragReport, r: FragReport| {
-            total.peak_resident_bytes += r.peak_resident_bytes;
-            total.live_at_peak_bytes += r.live_at_peak_bytes;
-        };
         for shard in &self.shards {
             stats.grouped_allocs += shard.stats.grouped_allocs;
             stats.fallback_allocs += shard.stats.fallback_allocs;
@@ -753,20 +752,18 @@ impl Side for RefSharded {
             stats.chunks_created += shard.stats.chunks_created;
             stats.chunks_reused += shard.stats.chunks_reused;
             stats.chunks_purged += shard.stats.chunks_purged;
-            add(&mut frag, shard.usage.frag);
-            for (total, u) in group_frag.iter_mut().zip(&shard.group_usage) {
-                add(total, u.frag);
-            }
+            frag.peak_resident_bytes += shard.usage.frag.peak_resident_bytes;
+            frag.live_at_peak_bytes += shard.usage.frag.live_at_peak_bytes;
         }
         Observed {
             stats,
             frag,
-            group_frag,
+            group_frag: Vec::new(),
             live_bytes: self.shards.iter().map(RefGroup::live_bytes).sum(),
             live_objects: self.shards.iter().map(RefGroup::live_objects).sum(),
             invalid_frees: self.foreign_frees
                 + self.shards.iter().map(|s| s.invalid_frees).sum::<u64>(),
-            remote_pending: self.queues.iter().map(Vec::len).sum(),
+            remote_pending: self.queues.iter().map(Vec::len).sum::<usize>() as u64,
         }
     }
 }

@@ -20,7 +20,7 @@ use halo_vm::{GroupState, Memory, VmAllocator};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 mod common;
-use common::{assert_drains, churn, site, small_config, two_group_table, Storm};
+use common::{assert_drains, churn, one_group_table, site, small_config, two_group_table, Storm};
 
 /// One deterministic malloc/free round against `alloc` (mixed grouped and
 /// fallback traffic, a rotating free pattern so chunks retire and
@@ -46,13 +46,9 @@ fn identical_plan_swap_is_observably_a_noop() {
     let control_stream = drive(&control, |_| {});
 
     assert_eq!(swapped_stream, control_stream, "identity swap: pointer-for-pointer equal");
-    assert_eq!(swapped.sharded_stats(), control.sharded_stats(), "identical statistics");
-    assert_eq!(swapped.frag_report(), control.frag_report(), "identical fragmentation");
-    assert_eq!(
-        swapped.group_frag_reports(),
-        control.group_frag_reports(),
-        "identical per-group fragmentation"
-    );
+    let (swapped_report, control_report) = (swapped.report(), control.report());
+    assert_eq!(swapped_report.stats, control_report.stats, "identical statistics");
+    assert_eq!(swapped_report.frag, control_report.frag, "identical fragmentation");
     assert_eq!(swapped.live_bytes(), 0);
     assert_eq!(control.live_bytes(), 0);
     assert_eq!(swapped.plan_epoch(), 1);
@@ -106,6 +102,20 @@ fn changed_plan_applies_to_fresh_chunks_only() {
         VmAllocator::free(&mut a, p, &mut mem);
     }
     assert_eq!(a.live_bytes(), 0, "pre- and post-swap pointers all drain");
+}
+
+#[test]
+fn a_quarantined_allocator_stays_on_its_fallback_across_a_plan_swap() {
+    let mut a = HaloGroupAllocator::new(small_config(), one_group_table());
+    a.quarantine();
+    // The plan adds group 1; the quarantine covers it too.
+    a.install_plan(two_group_table(), Vec::new());
+    let (mut gs, mut mem) = (GroupState::new(2), Memory::new());
+    gs.set(1);
+    let p = VmAllocator::malloc(&mut a, 64, site(), &gs, &mut mem);
+    assert!(!a.is_group_allocated(p) && a.is_degraded(1), "the group the plan added falls back");
+    let d = a.report().stats.degrade;
+    assert_eq!((d.degraded_shards, d.degraded_groups, d.fallback_routes), (1, 2, 1), "{d:?}");
 }
 
 #[test]

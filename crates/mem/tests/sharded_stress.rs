@@ -10,7 +10,7 @@ use halo_mem::{AllocatorStats, HaloGroupAllocator, ShardedHaloAllocator, GROUP_S
 use std::collections::HashSet;
 
 mod common;
-use common::{assert_drains, small_config, two_group_table, Storm};
+use common::{assert_drains, grouped, small_config, two_group_table, Storm};
 
 #[test]
 fn producers_allocate_consumers_free_and_everything_drains() {
@@ -90,7 +90,7 @@ fn concurrent_engines_share_one_sharded_allocator() {
     });
     // Four engines, four distinct shards: list heads live in four
     // distinct shard group ranges.
-    assert!(heads.iter().all(|&p| alloc.is_group_allocated(p)), "{heads:?}");
+    assert!(heads.iter().copied().all(grouped), "{heads:?}");
     let shards: HashSet<u64> =
         heads.iter().map(|&p| (p - HaloGroupAllocator::SLAB_BASE) / GROUP_SHARD_STRIDE).collect();
     assert_eq!(shards.len(), 4, "each engine thread was served by its own shard: {heads:?}");

@@ -70,7 +70,7 @@ fn main() {
         optimised_run.miss_reduction_vs(&baseline) * 100.0,
         optimised_run.speedup_vs(&baseline) * 100.0,
     );
-    let stats = halo_alloc.stats();
+    let stats = halo_alloc.report().stats.alloc;
     println!(
         "allocator: {} grouped, {} fell back to the default allocator",
         stats.grouped_allocs, stats.fallback_allocs

@@ -103,12 +103,24 @@ search -rnE 'criterion::|criterion_main|compat/criterion|halo-bench/v1|BENCH_pro
 # escaped quote. In the shipped half of sharded.rs a shard's allocator
 # lock is taken by `lock_shard` itself, `service_shard`, `swap_plans`,
 # `set_fault_injector` and `read_shard`, the step of the read sweep
-# `read_shards` that the one-shard readers share; its queue lock by
+# `read_shards` that `live_size` shares; its queue lock by
 # `lock_remote` itself, a drain, a push and that step (DESIGN.md §10).
 # A getter that sweeps the shards on its own again is one site too many.
 search -n '\\"' src/main.rs | count -eq 0
 shipped crates/mem/src/sharded.rs | search 'lock_shard(' | count -le 6
 shipped crates/mem/src/sharded.rs | search 'lock_remote(' | count -le 4
+# An arena takes one snapshot of itself, `HaloGroupAllocator::report`,
+# and the sharded report merges its shards' snapshots: `read_shards(` is
+# called by `report`, `live_grouped_bytes`, `live_bytes` and
+# `live_objects` only, and every other reader projects `report`. A
+# quarantined shard is flagged once, on its allocator, so the flag
+# survives a plan swap; a second flag beside it in `ShardState`, a
+# degradation reader that leaves the injected faults out, or a report the
+# backend registry assembles by hand is a second copy of that fact.
+shipped crates/mem/src/sharded.rs | search 'read_shards(' | count -le 4
+search -rn 'degrade_raw' crates src tests examples | count -eq 0
+search -nE 'degraded: *bool' crates/mem/src/sharded.rs | count -eq 0
+search -n 'ShardedAllocStats {' crates/mem/src/backend.rs | count -eq 0
 
 # -- One allocator contract -------------------------------------------
 # `realloc`'s move is halo_vm's `realloc_by_move`, the only shipped

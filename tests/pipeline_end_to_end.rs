@@ -63,7 +63,7 @@ fn fig2_cold_type_falls_back() {
     let opt = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).expect("pipeline");
     let mut alloc = halo.make_allocator(&opt);
     measure(&opt.program, &mut alloc, &measure_config(&w)).expect("runs");
-    let stats = alloc.stats();
+    let stats = alloc.report().stats.alloc;
     assert!(stats.grouped_allocs > 0);
     assert!(stats.fallback_allocs > 0, "create_c is ungrouped");
     // Roughly one third of the tokens are C (plus do_something noise).

@@ -5,8 +5,8 @@ use halo::cache::{CoherentHierarchy, HierarchyConfig, LineState};
 use halo::graph::{group, AffinityGraph, Granularity, GroupingParams, NodeId};
 use halo::hds::Grammar;
 use halo::mem::{
-    FragReport, GroupAllocConfig, GroupAllocStats, GroupSelector, HaloGroupAllocator,
-    SelectorTable, ShardedHaloAllocator, SizeClassAllocator,
+    BackendReport, FragReport, GroupAllocConfig, GroupSelector, HaloGroupAllocator, SelectorTable,
+    ShardedAllocStats, ShardedHaloAllocator, SizeClassAllocator,
 };
 use halo::profile::{AffinityQueue, ObjectTracker, ProfileConfig, Profiler, QueueEntry};
 use halo::vm::{AllocKind, CallSite, FuncId, GroupState, Memory, Monitor, VmAllocator};
@@ -258,14 +258,16 @@ impl ReferenceTracker {
 
 #[allow(dead_code)] // halo_mem's allocator fixtures, of which this suite needs two
 mod fixtures {
-    use halo::mem::{GroupAllocConfig, GroupSelector, SelectorTable};
+    use halo::mem::{
+        GroupAllocConfig, GroupSelector, HaloGroupAllocator, SelectorTable, ShardedAllocStats,
+    };
     include!("../crates/mem/tests/common/fixtures.rs");
 }
-use fixtures::{site, two_group_table};
+use fixtures::{pending, site, two_group_table};
 
-/// A group allocator's observable state: grouped live and resident bytes,
-/// statistics, and whole-heap and per-group fragmentation.
-type Observed = (u64, u64, GroupAllocStats, FragReport, Vec<FragReport>);
+/// A group allocator's observable state: grouped live bytes, and its
+/// report's counters and fragmentation.
+type Observed = (u64, ShardedAllocStats, FragReport);
 
 trait Observe: VmAllocator {
     fn observe(&self) -> Observed;
@@ -275,8 +277,8 @@ macro_rules! impl_observe {
     ($($allocator:ty),*) => {$(
         impl Observe for $allocator {
             fn observe(&self) -> Observed {
-                let (live, resident) = (self.live_grouped_bytes(), self.resident_grouped_bytes());
-                (live, resident, self.stats(), self.frag_report(), self.group_frag_reports())
+                let BackendReport { frag, stats, .. } = self.report();
+                (self.live_grouped_bytes(), stats, frag)
             }
         }
     )*};
@@ -640,7 +642,7 @@ proptest! {
         replay_identically(&mut plain, &mut sharded, &script, bits)?;
         let remote = sharded.sharded_stats();
         prop_assert_eq!(remote.remote_frees, 0, "one shard: every free is local");
-        prop_assert_eq!(sharded.remote_pending(), 0);
+        prop_assert_eq!(pending(remote), 0);
     }
 
     #[test]
@@ -709,7 +711,7 @@ fn plan_sweep_row(w: &halo::workloads::Workload, config: &halo::core::EvalConfig
     let base = halo::core::measure(&w.program, &mut base_alloc, &config.measure).expect("base");
     let mut alloc = halo.make_allocator(&opt);
     let m = halo::core::measure(&opt.program, &mut alloc, &config.measure).expect("halo");
-    let frag = alloc.frag_report();
+    let frag = alloc.report().frag;
     let plans: Vec<String> =
         opt.groups.iter().enumerate().map(|(i, g)| format!("g{i}:{}", g.plan)).collect();
     format!(

@@ -20,7 +20,7 @@ fn run(w: &Workload, config: &EvalConfig) -> (f64, FragReport, halo::core::Optim
     let base = measure(&w.program, &mut base_alloc, &config.measure).expect("baseline runs");
     let mut alloc = halo.make_allocator(&opt);
     let m = measure(&opt.program, &mut alloc, &config.measure).expect("halo runs");
-    (m.miss_reduction_vs(&base), alloc.frag_report(), opt)
+    (m.miss_reduction_vs(&base), alloc.report().frag, opt)
 }
 
 /// The leela row: under the promoted per-group auto policy,
