@@ -21,7 +21,7 @@ fn clusters_to_groups(graph: &AffinityGraph, clusters: Vec<Vec<NodeId>>) -> Vec<
                 }
             }
             let accesses = members.iter().map(|&m| graph.accesses(m)).sum();
-            Group { members, weight, accesses, plan: Default::default() }
+            Group { members, weight, accesses }
         })
         .collect()
 }

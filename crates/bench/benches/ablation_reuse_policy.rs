@@ -24,7 +24,7 @@ fn main() {
             let (opt, alloc, m) = halo_bench::halo_run(w, &config);
             let frag = alloc.report().frag;
             let plans: Vec<String> =
-                opt.groups.iter().enumerate().map(|(i, g)| format!("g{i} {}", g.plan)).collect();
+                opt.group_configs.iter().enumerate().map(|(i, c)| format!("g{i} {c}")).collect();
             println!(
                 "{:<10} {:<10} {:>14} {:>10} {:>9.2}% {:>12}   [{}]",
                 name,

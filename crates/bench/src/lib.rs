@@ -31,7 +31,8 @@ pub fn bench_limits() -> EngineLimits {
 /// xalanc with `--max-spare-chunks 0`, and roms with `--max-groups 4`.
 /// omnetpp and xalanc "have group chunks always reused due to a limitation
 /// of [the] current implementation", which `max_spare_chunks = usize::MAX`
-/// models.
+/// models. Every other knob is its crate's default, which is already the
+/// §5.1 value, except the edge threshold `min_weight` of 32.
 ///
 /// On top of the artefact flags, roms and omnetpp run under
 /// `--granularity auto` (our §6 extension): roms's regularities live at
@@ -49,18 +50,8 @@ pub fn bench_limits() -> EngineLimits {
 /// default rather than a blanket switch, so groups whose bump contiguity
 /// is winning misses keep bump.
 pub fn paper_config(workload: &Workload) -> EvalConfig {
-    let mut grouping = GroupingParams {
-        min_weight: 32,
-        merge_tolerance: 0.05,
-        group_threshold: 0.0005,
-        ..GroupingParams::default()
-    };
-    let mut alloc = GroupAllocConfig {
-        chunk_size: 1 << 20,
-        max_spare_chunks: 1,
-        max_grouped_size: 4096,
-        ..GroupAllocConfig::default()
-    };
+    let mut grouping = GroupingParams { min_weight: 32, ..GroupingParams::default() };
+    let mut alloc = GroupAllocConfig::default();
     let mut granularity = Granularity::Object;
     let mut reuse = ReusePolicyChoice::Bump;
     match workload.name {
@@ -84,12 +75,7 @@ pub fn paper_config(workload: &Workload) -> EvalConfig {
     }
     EvalConfig {
         halo: HaloConfig {
-            profile: ProfileConfig {
-                affinity_distance: 128,
-                keep_fraction: 0.9,
-                enforce_coallocatability: true,
-                granularity,
-            },
+            profile: ProfileConfig { granularity, ..ProfileConfig::default() },
             grouping,
             alloc,
             limits: bench_limits(),

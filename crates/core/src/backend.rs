@@ -29,7 +29,7 @@ pub enum BackendMake {
     /// From the configuration alone (the baselines, the random allocator).
     Plain(fn(&EvalConfig) -> Box<dyn BackendAllocator>),
     /// From the HALO pipeline's output: selector table and per-group
-    /// plans, measured on the rewritten binary, which lives in the same
+    /// table, measured on the rewritten binary, which lives in the same
     /// artefact.
     Optimised(fn(&EvalConfig, &Halo, &Optimised) -> Box<dyn BackendAllocator>),
     /// From the hot-data-streams analysis (its site map).

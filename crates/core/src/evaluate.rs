@@ -82,8 +82,8 @@ pub struct EvalResult {
     /// result)`. The always-on ids are `baseline`, `halo`, and `hds`;
     /// whatever [`EvalConfig::extras`] enabled follows.
     pub backends: Vec<(&'static str, ConfigResult)>,
-    /// The HALO pipeline artefacts (groups + plans, selectors, rewrite
-    /// report).
+    /// The HALO pipeline artefacts (groups + per-group table, selectors,
+    /// rewrite report).
     pub optimised: Optimised,
     /// The hot-data-streams analysis artefacts (stream counts etc.).
     pub hds_analysis: HdsResult,

@@ -3,9 +3,7 @@
 //! builds).
 
 use crate::measure::{measure, MeasureConfig, Measurement};
-use halo_graph::{
-    group, AffinityGraph, Granularity, Group, GroupPlan, GroupingParams, ReusePolicyChoice,
-};
+use halo_graph::{group, AffinityGraph, Granularity, Group, GroupingParams, ReusePolicyChoice};
 use halo_ident::{contexts_from_profile, identify, Identification};
 use halo_mem::{
     GroupAllocConfig, HaloGroupAllocator, ReusePolicy, ShardedHaloAllocator, SizeClassAllocator,
@@ -30,11 +28,11 @@ pub struct HaloConfig {
     pub alloc: GroupAllocConfig,
     /// Limits for the profiling run.
     pub limits: EngineLimits,
-    /// Which in-chunk reuse policy group plans start from. `Bump` and
-    /// `Sharded` stamp every group uniformly; `Auto` runs the per-group
-    /// train-input validator: groups whose own chunks fragment beyond
-    /// `REUSE_MIN_FRAG` are trialled with mimalloc-style sharded free
-    /// lists (and smaller chunks), and a flip is kept only when it cuts
+    /// Which in-chunk reuse policy each group's layout starts from. `Bump`
+    /// and `Sharded` give every group the same one; `Auto` runs the
+    /// per-group train-input validator: groups whose own chunks fragment
+    /// beyond `REUSE_MIN_FRAG` are trialled with mimalloc-style sharded
+    /// free lists (and smaller chunks), and a flip is kept only when it cuts
     /// the measured fragmentation without costing more than
     /// `REUSE_MISS_TOLERANCE` of the train-input L1D misses (both bars are
     /// constants of `Halo::resolve_reuse`).
@@ -99,6 +97,10 @@ pub struct Optimised {
     pub profile: Profile,
     /// The allocation-context groups.
     pub groups: Vec<Group>,
+    /// Each group's layout, indexed by group id: the per-group
+    /// configuration (chunk size, spare budget, reuse policy) every
+    /// allocator synthesised for this result runs.
+    pub group_configs: Vec<GroupAllocConfig>,
     /// The granularity the emitted groups were formed at (never
     /// [`Granularity::Auto`]: the policy resolves to a concrete mode).
     pub granularity: Granularity,
@@ -252,6 +254,7 @@ impl Halo {
             program: plan.program,
             profile,
             groups: plan.groups,
+            group_configs: plan.group_configs,
             granularity,
             ident: plan.ident,
             rewrite: plan.rewrite,
@@ -259,9 +262,9 @@ impl Halo {
     }
 
     /// The one path from a graph to a plan: group `graph` (over
-    /// `profile`'s context ids), stamp every group's layout plan from the
-    /// configuration at the concrete `granularity` the graph was recorded
-    /// at, and build the selector machinery plus the rewritten binary.
+    /// `profile`'s context ids), give every group the configured layout at
+    /// the concrete `granularity` the graph was recorded at, and build the
+    /// selector machinery plus the rewritten binary.
     /// Everything is borrowed: the `auto` validators try several graphs of
     /// one profile, and the serve loop passes its *streamed* graph.
     pub(crate) fn assemble(
@@ -271,19 +274,15 @@ impl Halo {
         graph: &AffinityGraph,
         granularity: Granularity,
     ) -> Plan {
-        let mut groups = group(graph, &self.config.grouping);
-        let stamp = GroupPlan {
-            granularity,
-            reuse: self.config.reuse.initial_policy(),
-            chunk_size: self.config.alloc.chunk_size,
-            max_spare_chunks: self.config.alloc.max_spare_chunks,
+        let groups = group(graph, &self.config.grouping);
+        let layout = GroupAllocConfig {
+            reuse_policy: self.config.reuse.initial_policy(),
+            ..self.alloc_config(granularity)
         };
-        for g in &mut groups {
-            g.plan = stamp;
-        }
+        let group_configs = vec![layout; groups.len()];
         let ident = identify(&groups, &contexts_from_profile(profile));
         let (program, rewrite) = instrument(program, &ident.site_bits);
-        Plan { groups, ident, program, rewrite }
+        Plan { groups, group_configs, ident, program, rewrite }
     }
 
     /// One train-input trial, the step both `auto` validators take:
@@ -296,9 +295,11 @@ impl Halo {
         granularity: Granularity,
         train: &MeasureConfig,
     ) -> Result<(Measurement, HaloGroupAllocator), PipelineError> {
-        let (alloc, overrides) = self.alloc_plan(&plan.groups, granularity);
-        let mut alloc =
-            HaloGroupAllocator::with_group_configs(alloc, plan.ident.table.clone(), overrides);
+        let mut alloc = HaloGroupAllocator::with_group_configs(
+            self.alloc_config(granularity),
+            plan.ident.table.clone(),
+            plan.group_configs.clone(),
+        );
         let measured = measure(&plan.program, &mut alloc, train)?;
         Ok((measured, alloc))
     }
@@ -336,13 +337,13 @@ impl Halo {
         Ok((Granularity::Object, declined))
     }
 
-    /// The per-group `auto` reuse policy: starting from the all-bump plans
-    /// stamped by [`Halo::assemble`], measure the optimised binary on the
+    /// The per-group `auto` reuse policy: starting from the all-bump table
+    /// [`Halo::assemble`] built, measure the optimised binary on the
     /// *train* input, rank groups by their own fragmentation, and trial
     /// each offender with mimalloc-style sharded free lists — at the
     /// group's current chunk size and at progressively smaller chunks
     /// (small chunks let survivor-pinned memory purge back to the OS). A
-    /// candidate plan is kept only if the measured whole-allocator
+    /// candidate layout is kept only if the measured whole-allocator
     /// fragmentation fraction strictly improves while train-input L1D
     /// misses stay within `REUSE_MISS_TOLERANCE` of the all-bump run —
     /// groups whose contiguity is winning misses keep bump. The ref input
@@ -356,9 +357,9 @@ impl Halo {
         /// Per-group fragmentation fraction (of that group's own peak
         /// resident chunks) above which the group is a flip candidate.
         const REUSE_MIN_FRAG: f64 = 0.10;
-        /// Miss budget for a flip: a candidate plan is rejected if it
+        /// Miss budget for a flip: a candidate layout is rejected if it
         /// raises train-input L1D misses by more than this fraction over
-        /// the all-bump plan — contiguity keeps the group at bump.
+        /// the all-bump table — contiguity keeps the group at bump.
         const REUSE_MISS_TOLERANCE: f64 = 0.01;
         let (bump, alloc) = self.train_trial(plan, granularity, train)?;
         let group_frags = alloc.group_frag_reports();
@@ -377,20 +378,21 @@ impl Halo {
         candidates.sort_by_key(|&i| std::cmp::Reverse(group_frags[i].wasted_bytes()));
 
         for i in candidates {
-            let bump_plan = plan.groups[i].plan;
-            let mut accepted: Option<(GroupPlan, (f64, u64))> = None;
-            let mut tried: Vec<GroupPlan> = Vec::new();
-            for chunk_size in
-                [bump_plan.chunk_size, bump_plan.chunk_size / 64, bump_plan.chunk_size / 128]
-            {
-                let chunk_size = chunk_size.max(2 * PAGE_SIZE).min(bump_plan.chunk_size);
-                let candidate =
-                    GroupPlan { reuse: ReusePolicy::ShardedFreeLists, chunk_size, ..bump_plan };
+            let bump = plan.group_configs[i];
+            let mut accepted: Option<(GroupAllocConfig, (f64, u64))> = None;
+            let mut tried: Vec<GroupAllocConfig> = Vec::new();
+            for chunk_size in [bump.chunk_size, bump.chunk_size / 64, bump.chunk_size / 128] {
+                let chunk_size = chunk_size.max(2 * PAGE_SIZE).min(bump.chunk_size);
+                let candidate = GroupAllocConfig {
+                    reuse_policy: ReusePolicy::ShardedFreeLists,
+                    chunk_size,
+                    ..bump
+                };
                 if tried.contains(&candidate) {
                     continue; // the floor collapsed two ladder rungs into one
                 }
                 tried.push(candidate);
-                plan.groups[i].plan = candidate;
+                plan.group_configs[i] = candidate;
                 let (measured, alloc) = self.train_trial(plan, granularity, train)?;
                 let score = (alloc.report().frag.frag_fraction(), measured.stats.l1_misses);
                 if measured.stats.l1_misses <= miss_cap
@@ -402,10 +404,10 @@ impl Halo {
             }
             match accepted {
                 Some((flipped, score)) => {
-                    plan.groups[i].plan = flipped;
+                    plan.group_configs[i] = flipped;
                     best = score;
                 }
-                None => plan.groups[i].plan = bump_plan,
+                None => plan.group_configs[i] = bump,
             }
         }
         Ok(())
@@ -413,21 +415,20 @@ impl Halo {
 
     /// Synthesise the specialised allocator for an optimisation result
     /// (§4.4) — link this against the rewritten binary at "runtime". Each
-    /// group's chunks run under its own [`GroupPlan`] (chunk size, spare
-    /// budget, reuse policy), translated here into per-group
-    /// [`GroupAllocConfig`] overrides.
-    ///
-    /// Under page-granularity grouping the `max_grouped_size` cap is
-    /// lifted to the chunk size: the §6 fallback exists precisely to lay
-    /// out objects the object-granularity cap excludes.
+    /// group's chunks run under its own entry of
+    /// [`Optimised::group_configs`] (chunk size, spare budget, reuse
+    /// policy).
     pub fn make_allocator(&self, optimised: &Optimised) -> HaloGroupAllocator {
-        let (alloc, overrides) = self.alloc_plan(&optimised.groups, optimised.granularity);
-        HaloGroupAllocator::with_group_configs(alloc, optimised.ident.table.clone(), overrides)
+        HaloGroupAllocator::with_group_configs(
+            self.alloc_config(optimised.granularity),
+            optimised.ident.table.clone(),
+            optimised.group_configs.clone(),
+        )
     }
 
     /// Synthesise the thread-safe sharded runtime for an optimisation
-    /// result: `shards` complete group allocators (each honouring the same
-    /// per-group plans as [`Halo::make_allocator`]) behind thread-keyed
+    /// result: `shards` complete group allocators (each running the same
+    /// per-group table as [`Halo::make_allocator`]) behind thread-keyed
     /// shard selection and remote-free queues. With `shards == 1` it is
     /// the plain allocator pointer for pointer.
     pub fn make_sharded_allocator(
@@ -435,41 +436,33 @@ impl Halo {
         optimised: &Optimised,
         shards: usize,
     ) -> ShardedHaloAllocator {
-        let (alloc, overrides) = self.alloc_plan(&optimised.groups, optimised.granularity);
-        ShardedHaloAllocator::new(shards, alloc, optimised.ident.table.clone(), overrides)
+        ShardedHaloAllocator::new(
+            shards,
+            self.alloc_config(optimised.granularity),
+            optimised.ident.table.clone(),
+            optimised.group_configs.clone(),
+        )
     }
 
-    /// The global allocator configuration plus one per-group override per
-    /// plan — the translation every allocator constructor shares, and the
-    /// shape [`halo_mem::ShardedHaloAllocator::swap_plans`] accepts from
-    /// the serve loop.
-    pub(crate) fn alloc_plan(
-        &self,
-        groups: &[Group],
-        granularity: Granularity,
-    ) -> (GroupAllocConfig, Vec<GroupAllocConfig>) {
+    /// The allocator-wide configuration at `granularity`. Under
+    /// page-granularity grouping the `max_grouped_size` cap is lifted to
+    /// the chunk size: the §6 fallback exists precisely to lay out objects
+    /// the object-granularity cap excludes.
+    fn alloc_config(&self, granularity: Granularity) -> GroupAllocConfig {
         let mut alloc = self.config.alloc;
         if granularity == Granularity::Page {
             alloc.max_grouped_size = alloc.max_grouped_size.max(alloc.chunk_size);
         }
-        let overrides = groups
-            .iter()
-            .map(|g| GroupAllocConfig {
-                chunk_size: g.plan.chunk_size,
-                max_spare_chunks: g.plan.max_spare_chunks,
-                reuse_policy: g.plan.reuse,
-                ..alloc
-            })
-            .collect();
-        (alloc, overrides)
+        alloc
     }
 }
 
 /// What [`Halo::assemble`] builds from one graph: the groups with their
-/// stamped [`GroupPlan`]s, the selector machinery identifying them, and
-/// the binary rewritten to drive it.
+/// per-group allocator table, the selector machinery identifying them,
+/// and the binary rewritten to drive it.
 pub(crate) struct Plan {
     pub(crate) groups: Vec<Group>,
+    pub(crate) group_configs: Vec<GroupAllocConfig>,
     pub(crate) ident: Identification,
     pub(crate) program: Program,
     pub(crate) rewrite: RewriteReport,

@@ -454,9 +454,8 @@ impl Windows<'_> {
                 // interning order, so ids line up — and the stream
                 // supplies the edge structure.
                 let reopt = halo.assemble(&phase.program, &profile, stream.graph(), granularity);
-                let (_, overrides) = halo.alloc_plan(&reopt.groups, granularity);
                 let start = std::time::Instant::now();
-                alloc.swap_plans(reopt.ident.table, overrides);
+                alloc.swap_plans(reopt.ident.table, reopt.group_configs);
                 swap_latency_us = start.elapsed().as_secs_f64() * 1e6;
                 swapped = true;
                 note_installed(&reopt.groups);

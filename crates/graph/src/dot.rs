@@ -82,12 +82,7 @@ mod tests {
         g.add_edge_weight(a, b, 500);
         g.add_edge_weight(b, c, 2);
         g.add_edge_weight(a, a, 30);
-        let groups = vec![Group {
-            members: vec![a, b],
-            weight: 530,
-            accesses: 190,
-            plan: Default::default(),
-        }];
+        let groups = vec![Group { members: vec![a, b], weight: 530, accesses: 190 }];
         (g, groups)
     }
 

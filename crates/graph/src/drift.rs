@@ -20,7 +20,7 @@ fn pairs(n: u64) -> u64 {
 
 /// Drift between two groupings over the same `NodeId` space, in `[0, 1]`:
 /// `0.0` means every co-grouped pair is co-grouped in both (identical
-/// cluster structure — group order, plans, and singleton placement are
+/// cluster structure — group order and singleton placement are
 /// ignored), `1.0` means no co-grouped pair survives. Two empty (or
 /// all-singleton) groupings have no co-membership evidence and report
 /// `0.0` — no evidence of change is not change.
@@ -60,15 +60,9 @@ pub fn grouping_drift(old: &[Group], new: &[Group]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GroupPlan;
 
     fn g(members: &[u32]) -> Group {
-        Group {
-            members: members.iter().map(|&m| NodeId(m)).collect(),
-            weight: 0,
-            accesses: 0,
-            plan: GroupPlan::default(),
-        }
+        Group { members: members.iter().map(|&m| NodeId(m)).collect(), weight: 0, accesses: 0 }
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!   bound on every non-adjacent candidate's benefit gates those steps:
 //!   when the bound (plus float slack) could reach the adjacent best —
 //!   or zero — the step falls back to the literal full scan.
+//!
+//! A [`Group`] is what the clusterer found: its members, their internal
+//! weight and their accesses. How a group's chunks are laid out is not
+//! part of it; the pipeline keeps that in its per-group allocator table.
 
 use crate::affinity::{AffinityGraph, NodeId};
 use crate::csr::{pack, Csr};
@@ -95,10 +99,6 @@ pub struct Group {
     /// Σ of member access counts — the "popularity" that orders selector
     /// construction (Fig. 10) and runtime selector evaluation.
     pub accesses: u64,
-    /// This group's layout plan. The clusterer stamps the paper defaults;
-    /// the pipeline overwrites them from its configuration (and, under the
-    /// `auto` reuse policy, from per-group train-input validation).
-    pub plan: crate::GroupPlan,
 }
 
 impl Group {
@@ -310,12 +310,7 @@ pub fn group(graph: &AffinityGraph, params: &GroupingParams) -> Vec<Group> {
         grower.clear_candidates();
         if weight_sum >= min_group_weight && weight_sum > 0 {
             let accesses = members.iter().map(|&m| graph.accesses(m)).sum();
-            groups.push(Group {
-                members,
-                weight: weight_sum,
-                accesses,
-                plan: crate::GroupPlan::default(),
-            });
+            groups.push(Group { members, weight: weight_sum, accesses });
         }
     }
 

@@ -47,5 +47,5 @@ pub use dot::to_dot;
 pub use drift::grouping_drift;
 pub use granularity::Granularity;
 pub use grouping::{group, Group, GroupingParams};
-pub use plan::{GroupPlan, ReusePolicy, ReusePolicyChoice};
+pub use plan::{ReusePolicy, ReusePolicyChoice};
 pub use subgraph::SubGraph;

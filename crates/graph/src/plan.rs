@@ -1,17 +1,15 @@
-//! Per-group layout plans.
+//! The in-chunk reuse policies group layouts choose between.
 //!
 //! The paper's prototype makes exactly one layout decision per binary: a
 //! single global allocator configuration. §6 names the cost — leela's and
 //! roms's Table-1 fragmentation — and suggests mimalloc-style free-list
-//! sharding inside group chunks as the remedy. A [`GroupPlan`] makes the
-//! *group* the unit of optimisation instead: every group carries the
-//! granularity it was formed at plus the allocator knobs (reuse policy,
-//! chunk size, spare-chunk budget) the synthesised allocator applies to
-//! that group's chunks alone. The pipeline stamps plans after grouping and
-//! the `auto` reuse policy revises them per group from train-input
+//! sharding inside group chunks as the remedy. Here the *group* is the
+//! unit of optimisation: the pipeline keeps one `halo_mem`
+//! `GroupAllocConfig` per group (chunk size, spare-chunk budget and a
+//! [`ReusePolicy`]), fills it from a [`ReusePolicyChoice`] after grouping,
+//! and under the `auto` choice revises individual groups from train-input
 //! measurements.
 
-use crate::granularity::Granularity;
 use std::fmt;
 use std::str::FromStr;
 
@@ -45,8 +43,8 @@ impl fmt::Display for ReusePolicy {
     }
 }
 
-/// The reuse-policy *policy*: what the pipeline should stamp into group
-/// plans. `Bump` and `Sharded` apply one [`ReusePolicy`] to every group;
+/// The reuse-policy *policy*: which [`ReusePolicy`] the pipeline gives
+/// each group. `Bump` and `Sharded` apply one policy to every group;
 /// `Auto` starts from bump and flips individual fragmentation-heavy groups
 /// to sharded free lists when a train-input measurement validates the flip
 /// (the per-group analogue of the granularity `auto` policy).
@@ -99,52 +97,6 @@ impl FromStr for ReusePolicyChoice {
     }
 }
 
-/// One group's layout decisions — the per-group unit of optimisation.
-///
-/// Stamped onto every [`crate::Group`] by the pipeline; the synthesised
-/// allocator turns each plan into a per-group configuration override, so
-/// one binary can run bump-allocated contiguity-critical groups next to
-/// sharded fragmentation-heavy ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GroupPlan {
-    /// Granularity the group was formed at (never `Auto`: plans record the
-    /// resolved mode).
-    pub granularity: Granularity,
-    /// How this group's chunks recycle freed regions.
-    pub reuse: ReusePolicy,
-    /// Chunk size for this group's chunks, in bytes (a power of two).
-    pub chunk_size: u64,
-    /// Dirty chunks this group may keep spare before they are purged.
-    pub max_spare_chunks: usize,
-}
-
-impl Default for GroupPlan {
-    /// Mirrors the paper-default allocator configuration (1 MiB bump
-    /// chunks, one spare) at object granularity; `halo_mem` pins the
-    /// agreement with `GroupAllocConfig::default` by test.
-    fn default() -> Self {
-        GroupPlan {
-            granularity: Granularity::Object,
-            reuse: ReusePolicy::Bump,
-            chunk_size: 1 << 20,
-            max_spare_chunks: 1,
-        }
-    }
-}
-
-impl fmt::Display for GroupPlan {
-    /// Compact `reuse@chunk` form for reports, e.g. `sharded@8KiB` or
-    /// `bump@1MiB`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (size, unit) = if self.chunk_size >= 1 << 20 {
-            (self.chunk_size >> 20, "MiB")
-        } else {
-            (self.chunk_size >> 10, "KiB")
-        };
-        write!(f, "{}@{}{}", self.reuse, size, unit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,17 +116,5 @@ mod tests {
         assert_eq!(ReusePolicyChoice::Bump.initial_policy(), ReusePolicy::Bump);
         assert_eq!(ReusePolicyChoice::Auto.initial_policy(), ReusePolicy::Bump);
         assert_eq!(ReusePolicyChoice::Sharded.initial_policy(), ReusePolicy::ShardedFreeLists);
-    }
-
-    #[test]
-    fn plan_display_is_compact() {
-        let plan = GroupPlan::default();
-        assert_eq!(plan.to_string(), "bump@1MiB");
-        let sharded = GroupPlan {
-            reuse: ReusePolicy::ShardedFreeLists,
-            chunk_size: 8192,
-            ..GroupPlan::default()
-        };
-        assert_eq!(sharded.to_string(), "sharded@8KiB");
     }
 }

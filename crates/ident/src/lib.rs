@@ -399,7 +399,6 @@ mod tests {
                 members: ms.iter().map(|&m| NodeId(m)).collect(),
                 weight: 1,
                 accesses: ms.iter().map(|&m| contexts[m as usize].accesses).sum(),
-                plan: Default::default(),
             })
             .collect()
     }

@@ -126,7 +126,6 @@ fn mk_groups(members: &[Vec<u32>], accesses: &[u64]) -> Vec<Group> {
             members: ms.iter().map(|&m| NodeId(m)).collect(),
             weight: 1,
             accesses,
-            plan: Default::default(),
         })
         .collect()
 }

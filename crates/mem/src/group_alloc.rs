@@ -80,6 +80,19 @@ impl Default for GroupAllocConfig {
     }
 }
 
+impl std::fmt::Display for GroupAllocConfig {
+    /// A group's layout in the compact `reuse@chunk` form of reports, e.g.
+    /// `sharded@8KiB` or `bump@1MiB`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (size, unit) = if self.chunk_size >= 1 << 20 {
+            (self.chunk_size >> 20, "MiB")
+        } else {
+            (self.chunk_size >> 10, "KiB")
+        };
+        write!(f, "{}@{}{}", self.reuse_policy, size, unit)
+    }
+}
+
 impl GroupAllocConfig {
     /// Whether chunks of `chunk_size` bytes can be carved from this
     /// configuration's slabs; the `Err` names the broken rule. The
@@ -773,9 +786,12 @@ impl HaloGroupAllocator {
     /// the quarantine rung of the ladder, used when invariants can no
     /// longer be trusted (e.g. after a lock poisoning whose re-validation
     /// failed). The allocator keeps serving every request through the
-    /// fallback; live grouped pointers still free through their chunks.
+    /// fallback; live grouped pointers still free through their chunks,
+    /// so the allocator-wide live-region count is reset to the per-chunk
+    /// counts those frees act on.
     pub fn quarantine(&mut self) {
         self.quarantined = true;
+        self.live_regions = self.chunks.iter().map(|c| c.live_regions).sum();
     }
 
     /// Cheap structural self-check, run when recovering a poisoned lock:
@@ -907,7 +923,6 @@ impl VmAllocator for HaloGroupAllocator {
 mod tests {
     use super::*;
     use crate::selector::GroupSelector;
-    use halo_graph::GroupPlan;
 
     include!("../tests/common/fixtures.rs");
 
@@ -1382,15 +1397,15 @@ mod tests {
     }
 
     #[test]
-    fn group_plan_default_mirrors_alloc_config_default() {
-        // GroupPlan::default (halo_graph) and GroupAllocConfig::default
-        // (this crate) describe the same paper-default layout; if one
-        // changes, the other — and this test — must follow.
-        let plan = GroupPlan::default();
-        let cfg = GroupAllocConfig::default();
-        assert_eq!(plan.chunk_size, cfg.chunk_size);
-        assert_eq!(plan.max_spare_chunks, cfg.max_spare_chunks);
-        assert_eq!(plan.reuse, cfg.reuse_policy);
+    fn config_display_is_compact() {
+        let config = GroupAllocConfig::default();
+        assert_eq!(config.to_string(), "bump@1MiB");
+        let sharded = GroupAllocConfig {
+            reuse_policy: ReusePolicy::ShardedFreeLists,
+            chunk_size: 8192,
+            ..config
+        };
+        assert_eq!(sharded.to_string(), "sharded@8KiB");
     }
 
     // --- fault injection and the degradation ladder ---------------------

@@ -56,7 +56,7 @@ pub use backend::{BackendAllocator, BackendReport};
 pub use boundary_tag::BoundaryTagAllocator;
 pub use faults::{DegradeStats, FaultInjector, FaultPlan, FaultSite};
 pub use group_alloc::{FragReport, GroupAllocConfig, GroupAllocStats, HaloGroupAllocator};
-/// Re-exported from `halo_graph`, where per-group layout plans live.
+/// Re-exported from `halo_graph`, where the reuse-policy choice lives.
 pub use halo_graph::ReusePolicy;
 pub use random_group::RandomGroupAllocator;
 pub use selector::{GroupSelector, SelectorTable};

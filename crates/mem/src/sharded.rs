@@ -220,8 +220,8 @@ pub struct ShardedHaloAllocator {
 impl ShardedHaloAllocator {
     /// Create an allocator with `shards` shards, each a full
     /// [`HaloGroupAllocator`] with the given selector table and per-group
-    /// configuration overrides (the translated [`halo_graph::GroupPlan`]s;
-    /// empty for all-default groups).
+    /// configurations (entry `g` is group `g`'s layout; empty for
+    /// all-default groups).
     ///
     /// With `shards == 1` the allocator degenerates to exactly the plain
     /// single-arena allocator: same bases, same placement, pointer for
@@ -1199,6 +1199,12 @@ mod tests {
         assert_eq!((stats.alloc.fallback_allocs, stats.alloc.fallback_frees), (2, 2));
         assert_eq!(stats.degrade.poisoned_recovered, 1, "recovered once");
         assert_eq!(a.live_bytes(), 0);
+        assert_eq!(a.live_objects(), 0);
+        assert_eq!(
+            a.lock_shard(0).alloc.check_invariants(),
+            Ok(()),
+            "the quarantine mended the count"
+        );
     }
 
     #[test]

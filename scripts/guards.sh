@@ -254,6 +254,19 @@ search -oE '"--[a-z-]+"' src/main.rs | sort | uniq -c | awk '$1 > 2' | count -eq
 # second expansion of the plan or a check repeated per shard.
 shipped crates/mem/src/*.rs | search -E '(check_chunk_size|validate_chunk)\(' | search -vE 'fn (check_chunk_size|validate_chunk)\(' | count -le 3
 
+# -- One per-group layout ---------------------------------------------
+# A group's layout has one type, the `GroupAllocConfig` the allocator
+# runs: `Halo::assemble` builds the per-group table once, `resolve_reuse`
+# revises it, and every constructor and plan swap takes it as it is
+# (DESIGN.md §9). A second layout type needs a translation and a test
+# that keeps two defaults in step; a translation step in halo_core is a
+# second place the table is made.
+search -rnw GroupPlan crates src tests examples | count -eq 0
+shipped crates/core/src/*.rs | search -w alloc_plan | count -eq 0
+# The paper configuration states only what differs from the crates'
+# defaults; a restated default is a third copy that can drift.
+search -nE 'max_grouped_size|keep_fraction' crates/bench/src/lib.rs | count -eq 0
+
 # -- Repeated code ----------------------------------------------------
 # scripts/repeats.py lists the 4-line windows of shipped code that occur
 # more than once. Seven are kept on purpose (csr.rs's two probe loops,

@@ -484,22 +484,23 @@ fn text_of(fields: impl IntoIterator<Item = Field>, template: &str) -> String {
 /// The resolved per-group plan summary: a JSON array, and in text e.g.
 /// `, plans [g0 sharded@8KiB, g1 bump@1MiB]` (nothing when nothing grouped).
 fn plans_field(r: &EvalResult) -> Field {
-    let groups = r.optimised.groups.iter().enumerate();
-    let json = Json::array(groups.clone().map(|(i, g)| {
-        let spare = match g.plan.max_spare_chunks {
+    let opt = &r.optimised;
+    let groups = opt.groups.iter().zip(&opt.group_configs).enumerate();
+    let json = Json::array(groups.clone().map(|(i, (g, layout))| {
+        let spare = match layout.max_spare_chunks {
             usize::MAX => Json::str("inf"),
             n => n.into(),
         };
         Json::object([
             ("group", i.into()),
             ("members", g.members.len().into()),
-            ("granularity", Json::str(g.plan.granularity)),
-            ("reuse", Json::str(g.plan.reuse)),
-            ("chunk_size", g.plan.chunk_size.into()),
+            ("granularity", Json::str(opt.granularity)),
+            ("reuse", Json::str(layout.reuse_policy)),
+            ("chunk_size", layout.chunk_size.into()),
             ("max_spare_chunks", spare),
         ])
     }));
-    let text: Vec<String> = groups.map(|(i, g)| format!("g{i} {}", g.plan)).collect();
+    let text: Vec<String> = groups.map(|(i, (_, layout))| format!("g{i} {layout}")).collect();
     let text =
         if text.is_empty() { String::new() } else { format!(", plans [{}]", text.join(", ")) };
     Field::new("plans", json, text)

@@ -713,7 +713,7 @@ fn plan_sweep_row(w: &halo::workloads::Workload, config: &halo::core::EvalConfig
     let m = halo::core::measure(&opt.program, &mut alloc, &config.measure).expect("halo");
     let frag = alloc.report().frag;
     let plans: Vec<String> =
-        opt.groups.iter().enumerate().map(|(i, g)| format!("g{i}:{}", g.plan)).collect();
+        opt.group_configs.iter().enumerate().map(|(i, c)| format!("g{i}:{c}")).collect();
     format!(
         "{} misses={} mr={:.6} frag={:.6} wasted={} plans=[{}]",
         w.name,

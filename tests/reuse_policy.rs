@@ -5,22 +5,29 @@
 //! stay at bump. Runs measure on the paper's ref scale, exactly what
 //! `halo run` reports.
 
-use halo::core::{measure, EvalConfig, Halo};
+use halo::core::{EvalConfig, Optimised};
 use halo::graph::{Granularity, ReusePolicy, ReusePolicyChoice};
-use halo::mem::{FragReport, SizeClassAllocator};
+use halo::mem::FragReport;
 use halo::workloads::{by_name, Workload};
 
 /// Optimise and measure one workload under `config`, returning the miss
 /// reduction vs the plain baseline, the whole-allocator fragmentation
-/// report, and the resolved optimisation artefacts.
-fn run(w: &Workload, config: &EvalConfig) -> (f64, FragReport, halo::core::Optimised) {
-    let halo = Halo::new(config.halo);
-    let opt = halo.optimise_with_arg(&w.program, w.train.seed, w.train.arg).expect("pipeline runs");
-    let mut base_alloc = SizeClassAllocator::new();
-    let base = measure(&w.program, &mut base_alloc, &config.measure).expect("baseline runs");
-    let mut alloc = halo.make_allocator(&opt);
-    let m = measure(&opt.program, &mut alloc, &config.measure).expect("halo runs");
+/// report, and the resolved optimisation artefacts. The measured
+/// allocator runs group `g` under exactly `group_configs[g]`: the table
+/// the pipeline chose is the one measured.
+fn run(w: &Workload, config: &EvalConfig) -> (f64, FragReport, Optimised) {
+    let base = halo_bench::baseline(w, config);
+    let (opt, alloc, m) = halo_bench::halo_run(w, config);
+    assert_eq!(opt.group_configs.len(), opt.groups.len(), "one layout per group");
+    for (g, layout) in opt.group_configs.iter().enumerate() {
+        assert_eq!(alloc.group_config(g), *layout, "group {g} runs its chosen layout");
+    }
     (m.miss_reduction_vs(&base), alloc.report().frag, opt)
+}
+
+/// The reuse policy of every group's layout.
+fn reuse_policies(opt: &Optimised) -> Vec<ReusePolicy> {
+    opt.group_configs.iter().map(|c| c.reuse_policy).collect()
 }
 
 /// The leela row: under the promoted per-group auto policy,
@@ -60,17 +67,18 @@ fn leela_per_group_auto_cuts_fragmentation_and_keeps_the_miss_win() {
         auto_mr,
         bump_mr
     );
-    // The improvement comes from a per-group plan flip, not from touching
-    // the binary: same groups, at least one flipped to sharded free lists.
+    // The improvement comes from a per-group layout flip, not from
+    // touching the binary: same groups, at least one flipped to sharded
+    // free lists.
     assert_eq!(bump_opt.groups.len(), auto_opt.groups.len());
     assert!(
-        auto_opt.groups.iter().any(|g| g.plan.reuse == ReusePolicy::ShardedFreeLists),
+        reuse_policies(&auto_opt).contains(&ReusePolicy::ShardedFreeLists),
         "leela's fragmentation-heavy group flips to sharded: {:?}",
-        auto_opt.groups.iter().map(|g| g.plan).collect::<Vec<_>>()
+        auto_opt.group_configs
     );
     assert!(
-        bump_opt.groups.iter().all(|g| g.plan.reuse == ReusePolicy::Bump),
-        "the bump-only reference keeps every plan at bump"
+        reuse_policies(&bump_opt).iter().all(|&r| r == ReusePolicy::Bump),
+        "the bump-only reference keeps every group at bump"
     );
 }
 
@@ -87,22 +95,24 @@ fn roms_auto_keeps_bump_where_contiguity_wins() {
     assert_eq!(opt.granularity, Granularity::Page, "auto granularity still resolves to page");
     assert!(!opt.groups.is_empty());
     assert!(
-        opt.groups.iter().all(|g| g.plan.reuse == ReusePolicy::Bump),
+        reuse_policies(&opt).iter().all(|&r| r == ReusePolicy::Bump),
         "no roms group clears the fragmentation threshold: {:?}",
-        opt.groups.iter().map(|g| g.plan).collect::<Vec<_>>()
+        opt.group_configs
     );
     assert!(mr > 0.10, "the page-granularity win survives reuse auto (got {:.2}%)", mr * 100.0);
 }
 
-/// An explicit `--reuse-policy sharded` stamps every group's plan, and the
-/// synthesised allocator honours it (leela's wasted bytes collapse).
+/// An explicit `--reuse-policy sharded` gives every group sharded free
+/// lists, and the synthesised allocator honours it (leela's wasted bytes
+/// collapse).
 #[test]
 fn explicit_sharded_choice_stamps_every_plan() {
     let w = by_name("leela").unwrap();
     let mut config = halo_bench::paper_config(&w);
     config.halo.reuse = ReusePolicyChoice::Sharded;
     let (_, frag, opt) = run(&w, &config);
-    assert!(opt.groups.iter().all(|g| g.plan.reuse == ReusePolicy::ShardedFreeLists));
+    assert!(!opt.groups.is_empty());
+    assert!(reuse_policies(&opt).iter().all(|&r| r == ReusePolicy::ShardedFreeLists));
     let mut bump_config = halo_bench::paper_config(&w);
     bump_config.halo.reuse = ReusePolicyChoice::Bump;
     let (_, bump_frag, _) = run(&w, &bump_config);
